@@ -26,7 +26,7 @@ setup(
         ],
     },
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

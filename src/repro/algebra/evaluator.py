@@ -33,10 +33,11 @@ planner eliminate work the inline emission could not see:
 
 Scalar sub-terms are evaluated locally inside tasks with the shared operator
 semantics of :mod:`repro.operators`, so the distributed path and the
-sequential interpreter agree on every arithmetic detail.  The Dataset
-operations the planner emits are lazy: scans, per-row expansions, filters and
-head projections fuse into single per-partition passes at the next shuffle or
-action, exactly as before.
+sequential interpreter agree on every arithmetic detail.  The plan nodes for
+binds, lets, conditions, heads and the keying/rebuild steps around wide
+operators carry only their IR terms: the planner compiles each run of them
+into one generated per-partition function (:mod:`repro.algebra.codegen`),
+for which :meth:`TermEvaluator.evaluate_local` is the reference semantics.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import operators
+from repro.algebra import codegen
 from repro.algebra import plan as plan_mod
 from repro.algebra.plan import (
     GroupByKeyNode,
@@ -123,6 +125,9 @@ class _CompBuild:
     #: Scan leaves over mutable bare program variables, with the variable
     #: name: a reused skeleton rebinds each to the variable's current value.
     rebind_scans: list[tuple[ScanNode, str]] = field(default_factory=list)
+    #: What the comprehension's generated functions close over; created with
+    #: the first row node, when the driver bindings are final.
+    bindings: codegen.Bindings | None = None
 
     def bound_names(self) -> frozenset[str]:
         return frozenset(self.bound_order) | frozenset(self.driver_bindings)
@@ -137,8 +142,12 @@ class TermEvaluator:
         trace: list[str] | None = None,
         loop_cache: LoopInvariantCache | None = None,
         skeleton_cache: PlanSkeletonCache | None = None,
+        segments: dict[Any, Any] | None = None,
     ):
         self.env = environment
+        #: Compiled row-segment factories (see :func:`codegen.generate`);
+        #: the runner passes the program's memo, so they compile once.
+        self.segments: dict[Any, Any] = segments if segments is not None else {}
         # Keyed by id() for speed but the value keeps a strong reference to
         # the keyed object *and* re-checks identity on lookup: a bare
         # id()-keyed dict would silently serve a stale bag when the original
@@ -297,31 +306,24 @@ class TermEvaluator:
         if build.rows is None:
             return [self.evaluate_local(comp.head, dict(build.driver_bindings))]
         head = comp.head
-        base = dict(build.driver_bindings)
-        evaluator = self
-
-        def project_head(row: dict[str, Any]) -> Any:
-            return evaluator.evaluate_local(head, {**base, **row})
-
-        head_fn = vectorize.head_map(
-            head,
-            frozenset(build.bound_order),
-            base,
-            self._scope_values,
-            project_head,
-            self.env.functions,
-        )
         head_key_term = None
         if isinstance(head, ir.CTuple) and len(head.elements) == 2:
             head_key_term = head.elements[0]
         node = NarrowNode(
             kind=plan_mod.MAP,
-            function=head_fn or project_head,
+            kernel=vectorize.head_map(
+                head,
+                frozenset(build.bound_order),
+                build.bindings.base,
+                self._scope_values,
+                self.env.functions,
+            ),
             child=build.rows,
             describe="head",
             head_key_term=head_key_term,
         )
         node.sig = ("head", head)
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, head)
         lowered = self._lower_plan(node)
         if (
@@ -343,6 +345,9 @@ class TermEvaluator:
                     f"plan skeleton cached ({len(build.rebind_scans)} rebindable scan(s))"
                 )
         return lowered
+
+    def _planner(self) -> Planner:
+        return Planner(self.env.context, self.trace, self.loop_cache, self.segments)
 
     def _reuse_plan_skeleton(self, comp: ir.Comprehension) -> Dataset | None:
         """Rebind and re-lower a cached plan skeleton for ``comp``, if any.
@@ -374,13 +379,11 @@ class TermEvaluator:
         self.env.context.metrics.record_plan_cache_hit()
         self.trace.append(f"plan skeleton reused ({len(rebinds)} scan(s) rebound)")
         self.last_plan = root
-        planner = Planner(self.env.context, self.trace, self.loop_cache)
-        return planner.relower(root)
+        return self._planner().relower(root)
 
     def _lower_plan(self, root: PlanNode) -> Dataset:
         self.last_plan = root
-        planner = Planner(self.env.context, self.trace, self.loop_cache)
-        return planner.lower(root)
+        return self._planner().lower(root)
 
     def _scope_values(self) -> dict[str, Any]:
         """Late-bound driver variables for vectorized kernels.
@@ -431,6 +434,7 @@ class TermEvaluator:
                 describe=f"expand {domain}",
             )
             node.sig = ("expand", pattern, domain)
+            node.rows = _row_names(build.rows.rows, pattern)
             node.invariant = self._node_invariant(build, build.rows.invariant, domain)
             build.rows = node
             build.bound_order.extend(pattern.variables())
@@ -469,6 +473,7 @@ class TermEvaluator:
                     describe=f"expand local {domain}",
                 )
                 node.sig = ("local-expand", pattern, domain)
+                node.rows = _row_names(build.rows.rows, pattern)
                 node.invariant = self._node_invariant(build, build.rows.invariant, domain)
                 if not domain_invariant:
                     # The closure snapshots the bag; a variant domain would
@@ -504,16 +509,24 @@ class TermEvaluator:
                 build.skeleton_safe = False
 
         if build.rows is None:
-            def bind_element(element: Any) -> dict[str, Any]:
-                return {**_bind_pattern(pattern, element)}
-
+            # Driver-level qualifiers cannot follow a row node, so the driver
+            # bindings are final here.
+            build.bindings = codegen.Bindings(
+                dict(build.driver_bindings),
+                self._scope_values,
+                self.env.functions,
+                self.env.monoids,
+                self.evaluate_local,
+            )
             node = NarrowNode(
                 kind=plan_mod.MAP,
-                function=vectorize.bind_map(pattern, bind_element) or bind_element,
+                kernel=vectorize.bind_map(pattern),
                 child=scan,
                 describe=f"bind {pattern}",
             )
             node.sig = ("bind", pattern)
+            node.rows = _row_names((), pattern)
+            node.bindings = build.bindings
             node.invariant = scan.invariant
             self.trace.append(f"scan {domain}")
             build.rows = node
@@ -661,51 +674,19 @@ class TermEvaluator:
         join_conditions: list[tuple[int, ir.Term, ir.Term]],
         domain: ir.Term,
     ) -> HashJoinNode:
-        base = dict(build.driver_bindings)
         left_terms = tuple(left for _, left, _ in join_conditions)
         right_terms = tuple(right for _, _, right in join_conditions)
-        evaluator = self
-
-        # Single-key joins key records by the raw value (not a 1-tuple): the
-        # record key then coincides with the scanned pair's own key, so when
-        # a side is already hash-placed by that key the keying map can
-        # truthfully claim preserves_partitioning and the join lowers to a
-        # narrow / map-side-bypassed pass (see Planner.annotate).  Both sides
-        # use the same convention, so join-key equality is unaffected.
-        single_key = len(left_terms) == 1
-
-        def left_key(row: dict[str, Any]) -> tuple[Any, Any]:
-            local = {**base, **row}
-            if single_key:
-                return (evaluator.evaluate_local(left_terms[0], local), row)
-            return (
-                tuple(evaluator.evaluate_local(term, local) for term in left_terms),
-                row,
-            )
-
-        def right_key(element: Any) -> tuple[Any, Any]:
-            local = {**base, **_bind_pattern(pattern, element)}
-            if single_key:
-                return (evaluator.evaluate_local(right_terms[0], local), element)
-            return (
-                tuple(evaluator.evaluate_local(term, local) for term in right_terms),
-                element,
-            )
-
-        def rebuild(pair: Any) -> dict[str, Any]:
-            return {**pair[1][0], **_bind_pattern(pattern, pair[1][1])}
-
         node = HashJoinNode(
             left=build.rows,
             right=scan,
-            left_key_fn=left_key,
-            right_key_fn=right_key,
-            rebuild_fn=rebuild,
             left_key_terms=left_terms,
             right_key_terms=right_terms,
+            pattern=pattern,
             domain_label=str(domain),
         )
         node.sig = ("hash-join", left_terms, right_terms, pattern)
+        node.rows = _row_names(build.rows.rows, pattern)
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(
             build,
             build.rows.invariant and scan.invariant,
@@ -734,6 +715,7 @@ class TermEvaluator:
             domain_label=str(domain),
         )
         node.sig = ("product", pattern, domain)
+        node.rows = _row_names(build.rows.rows, pattern)
         node.invariant = self._node_invariant(
             build, build.rows.invariant and scan.invariant
         )
@@ -752,32 +734,24 @@ class TermEvaluator:
                 term, frozenset(build.driver_bindings)
             )
             return
-        base = dict(build.driver_bindings)
-        evaluator = self
-
-        def add_binding(row: dict[str, Any]) -> dict[str, Any]:
-            local = {**base, **row}
-            value = evaluator.evaluate_local(term, local)
-            return {**row, **_bind_pattern(pattern, value)}
-
-        let_fn = vectorize.let_map(
-            pattern,
-            term,
-            frozenset(build.bound_order),
-            base,
-            self._scope_values,
-            add_binding,
-            self.env.functions,
-        )
         node = NarrowNode(
             kind=plan_mod.MAP,
-            function=let_fn or add_binding,
+            kernel=vectorize.let_map(
+                pattern,
+                term,
+                frozenset(build.bound_order),
+                build.bindings.base,
+                self._scope_values,
+                self.env.functions,
+            ),
             child=build.rows,
             describe=f"let {pattern}",
             key_transparent=True,
             binds=tuple(pattern.variables()),
         )
         node.sig = ("let", pattern, term)
+        node.rows = _row_names(build.rows.rows, pattern)
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, term)
         build.rows = node
         build.bound_order.extend(pattern.variables())
@@ -793,29 +767,23 @@ class TermEvaluator:
                 # value; a variant condition could flip on a later iteration.
                 build.skeleton_safe = False
             return
-        base = dict(build.driver_bindings)
         term = qualifier.term
-        evaluator = self
-
-        def keep_row(row: dict[str, Any]) -> bool:
-            return bool(evaluator.evaluate_local(term, {**base, **row}))
-
-        filter_fn = vectorize.row_filter(
-            term,
-            frozenset(build.bound_order),
-            base,
-            self._scope_values,
-            keep_row,
-            self.env.functions,
-        )
         node = NarrowNode(
             kind=plan_mod.FILTER,
-            function=filter_fn or keep_row,
+            kernel=vectorize.row_filter(
+                term,
+                frozenset(build.bound_order),
+                build.bindings.base,
+                self._scope_values,
+                self.env.functions,
+            ),
             child=build.rows,
             describe=f"filter {term}",
             key_transparent=True,
         )
         node.sig = ("filter", term)
+        node.rows = build.rows.rows
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, term)
         build.rows = node
 
@@ -837,83 +805,57 @@ class TermEvaluator:
                 qualifier.key_term(), frozenset(build.driver_bindings)
             )
             return
-        base = dict(build.driver_bindings)
         key_term = qualifier.key_term()
         pattern = qualifier.pattern
         pattern_variables = list(pattern.variables())
         lifted = [name for name in build.bound_order if name not in pattern_variables]
-        evaluator = self
         pattern_term = ir.pattern_to_term(pattern)
-
-        def key_row(row: dict[str, Any]) -> tuple[Any, Any]:
-            return (evaluator.evaluate_local(key_term, {**base, **row}), row)
 
         aggregation = self._aggregation_only_plan(head, post_qualifiers, pattern_variables, lifted)
         if aggregation is not None:
             op, value_name = aggregation
             monoid = self.env.monoids.get(op)
-
-            def key_value_row(row: dict[str, Any]) -> tuple[Any, Any]:
-                return (
-                    evaluator.evaluate_local(key_term, {**base, **row}),
-                    row.get(value_name),
-                )
-
-            key_value_fn = vectorize.key_value_map(
-                key_term,
-                value_name,
-                frozenset(build.bound_order),
-                base,
-                self._scope_values,
-                key_value_row,
-                self.env.functions,
-            )
-
             self.trace.append(f"group-by on {key_term} compiled to reduceByKey({op})")
-            aggregate_marker = f"__aggregate_{value_name}"
-
-            def rebuild(pair: Any) -> dict[str, Any]:
-                key, value = pair
-                row = _bind_pattern(pattern, key)
-                row[aggregate_marker] = value
-                # The lifted variable is represented by its already-reduced
-                # aggregate; local evaluation of Aggregate(op, var) will pick
-                # it up through the marker.
-                row[value_name] = _PreAggregated(value)
-                return row
-
+            # Rows are keyed (key, row[value]); a reduced pair is rebuilt into
+            # a row binding the pattern to the key and the lifted variable to
+            # its already-reduced aggregate, which local evaluation of
+            # Aggregate(op, var) returns unchanged.
             node = ReduceByKeyNode(
                 child=build.rows,
-                key_fn=key_value_fn or key_value_row,
                 combine_fn=vectorize.vector_combine(op, monoid.combine),
-                rebuild_fn=rebuild,
                 key_term=key_term,
+                pattern=pattern,
+                value_name=value_name,
                 pattern_term=pattern_term,
                 monoid_op=op,
+                key_kernel=vectorize.key_value_map(
+                    key_term,
+                    value_name,
+                    frozenset(build.bound_order),
+                    build.bindings.base,
+                    self._scope_values,
+                    self.env.functions,
+                ),
             )
             node.sig = ("reduce-by-key", op, key_term, pattern)
+            node.rows = _row_names((), pattern, f"__aggregate_{value_name}", value_name)
+            node.bindings = build.bindings
             node.invariant = self._node_invariant(build, build.rows.invariant, key_term)
             build.rows = node
             build.bound_order[:] = pattern_variables + lifted
             return
 
         self.trace.append(f"group-by on {key_term} compiled to groupByKey")
-
-        def lift(pair: Any) -> dict[str, Any]:
-            key, group_rows = pair
-            row = _bind_pattern(pattern, key)
-            for name in lifted:
-                row[name] = [member.get(name) for member in group_rows]
-            return row
-
         node = GroupByKeyNode(
             child=build.rows,
-            key_fn=key_row,
-            lift_fn=lift,
             key_term=key_term,
+            pattern=pattern,
+            lifted=tuple(lifted),
             pattern_term=pattern_term,
         )
         node.sig = ("group-by-key", key_term, pattern, tuple(lifted))
+        node.rows = _row_names((), pattern, *lifted)
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, key_term)
         build.rows = node
         build.bound_order[:] = pattern_variables + lifted
@@ -1021,7 +963,7 @@ class TermEvaluator:
         raise ExecutionError(f"cannot evaluate term {term!r} locally")
 
     def _aggregate(self, op: str, operand: Any) -> Any:
-        if isinstance(operand, _PreAggregated):
+        if isinstance(operand, codegen.PreAggregated):
             return operand.value
         monoid = self.env.monoids.get(op)
         bag = self._as_local_bag(operand)
@@ -1111,12 +1053,10 @@ class TermEvaluator:
         raise ExecutionError(f"undefined variable {name!r}")
 
 
-@dataclass
-class _PreAggregated:
-    """Marker wrapper for a lifted variable that was already reduced by
-    reduceByKey; ``Aggregate`` over it returns the value unchanged."""
-
-    value: Any
+def _row_names(names: tuple[str, ...], pattern: ir.Pattern, *more: str) -> tuple[str, ...]:
+    """Row keys after extending ``names`` by ``pattern``'s variables and ``more``
+    (dict semantics: a rebound name keeps its position)."""
+    return tuple(dict.fromkeys((*names, *pattern.variables(), *more)))
 
 
 def _bind_pattern(pattern: ir.Pattern, value: Any) -> dict[str, Any]:
@@ -1126,8 +1066,7 @@ def _bind_pattern(pattern: ir.Pattern, value: Any) -> dict[str, Any]:
     if isinstance(pattern, ir.PWildcard):
         return {}
     if isinstance(pattern, ir.PTuple):
-        if not isinstance(value, (tuple, list)) or len(value) != len(pattern.elements):
-            raise ExecutionError(f"cannot bind pattern {pattern} to value {value!r}")
+        codegen.check_bind(pattern, value)
         bindings: dict[str, Any] = {}
         for sub_pattern, sub_value in zip(pattern.elements, value, strict=False):
             bindings.update(_bind_pattern(sub_pattern, sub_value))

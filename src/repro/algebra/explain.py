@@ -160,25 +160,26 @@ def _is_aggregation_only(
 # ---------------------------------------------------------------------------
 
 
-def explain_plan(node: plan_mod.PlanNode) -> str:
+def explain_plan(node: plan_mod.PlanNode, sources: bool = False) -> str:
     """Render a logical plan tree with the planner's per-node decisions.
 
     Plans are exposed by :attr:`TermEvaluator.last_plan` after a
     comprehension evaluates; nodes show loop-invariance, the key term their
-    rows are partitioned by, and annotations such as cached join sides or
-    preserved partitioners.
+    rows are partitioned by, and annotations such as cached join sides,
+    preserved partitioners and the row segments that were lowered to one
+    generated function (``sources=True`` prints the generated text).
     """
-    return plan_mod.render_plan(node)
+    return plan_mod.render_plan(node, sources)
 
 
-def explain_dataset(dataset: Dataset) -> str:
+def explain_dataset(dataset: Dataset, sources: bool = False) -> str:
     """The physical plan of a (possibly pending) runtime Dataset.
 
     Delegates to :meth:`Dataset.explain`: shuffle stages with their strategy,
     output partitioning and combiner, plus the fused narrow chains feeding
-    them.
+    them and what each generated stage in them stands for.
     """
-    return dataset.explain()
+    return dataset.explain(sources)
 
 
 def explain_metrics(metrics: Metrics) -> list[str]:
@@ -207,6 +208,8 @@ def explain_metrics(metrics: Metrics) -> list[str]:
             lines.append(
                 f"  {entry['operation']} [{entry['kind']}]: {entry['reason']}"
             )
+    if metrics.generated_segments:
+        lines.append(f"generated row segments: {metrics.generated_segments}")
     if metrics.loop_invariant_reuses:
         lines.append(f"loop-invariant reuses: {metrics.loop_invariant_reuses}")
     if metrics.plan_cache_hits:

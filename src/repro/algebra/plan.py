@@ -23,10 +23,14 @@ is what enables the partition-aware optimizations of this layer:
   comprehension sub-term share one Dataset at lowering time (the evaluator
   memoizes domain datasets per statement), so the sub-term is computed once.
 
-Nodes hold both the lowering payload (the per-row closures the evaluator
-built, identical to what it used to hand straight to Datasets -- lowering a
-plan therefore produces record-for-record the same results as the historical
-direct emission) and the planner metadata (IR terms, patterns, invariance).
+Nodes hold the IR terms and patterns they were compiled from (plus the few
+per-row closures that are not generated: row expansions and products) and
+the planner metadata (invariance, placement).  The planner turns each run of
+bind / let / filter / head nodes -- together with the keying and rebuild
+steps around wide nodes -- into one generated per-partition function (see
+:mod:`repro.algebra.codegen`); a run that the context's ``columnar`` mode
+batches keeps one stage per node, each node's ``kernel`` carrying a generated
+one-step function as its record-path oracle.
 
 ``render_plan`` pretty-prints a plan tree; the planner adds per-node
 decisions (cache hits, eliminated shuffles, chosen strategies) as
@@ -61,12 +65,21 @@ class PlanNode:
             rows are placed across partitions, or None when placement is
             unknown.  Filled in by the planner's annotate pass.
         notes: planner decision annotations, rendered by ``render_plan``.
+        rows: the keys, in insertion order, of the dict rows this node emits
+            (empty for nodes that do not emit rows: scans and heads).
+        bindings: the :class:`~repro.algebra.codegen.Bindings` generated
+            functions over this node close over (None for scans).
+        generated: the functions the planner generated for the row chains
+            ending at this node, for ``render_plan(sources=True)``.
     """
 
     invariant: bool = field(default=False, init=False)
     sig: tuple | None = field(default=None, init=False)
     row_key_term: ir.Term | None = field(default=None, init=False)
     notes: list[str] = field(default_factory=list, init=False)
+    rows: tuple[str, ...] = field(default=(), init=False)
+    bindings: Any = field(default=None, init=False)
+    generated: list[Any] = field(default_factory=list, init=False)
 
     @property
     def children(self) -> tuple["PlanNode", ...]:
@@ -119,9 +132,13 @@ FILTER = "filter"
 class NarrowNode(PlanNode):
     """A per-row operation: map / flat_map / filter over the child's rows.
 
-    ``key_transparent`` marks operations that neither drop nor rebind rows
-    (lets, conditions, group-by rebuilds): they preserve the child's
-    ``row_key_term`` placement.  ``head_key_term`` is set on the final
+    ``sig`` names the operation: ``("bind", pattern)``, ``("let", pattern,
+    term)``, ``("filter", term)`` and ``("head", term)`` nodes are lowered
+    from those terms (``kernel`` is their columnar batch kernel, when one
+    exists); the row expansions (``kind == FLAT_MAP``) carry their record
+    ``function``.  ``key_transparent`` marks operations that neither drop
+    nor rebind rows (lets, conditions, group-by rebuilds): they preserve the
+    child's ``row_key_term`` placement.  ``head_key_term`` is set on the final
     head-projection map of a comprehension whose head is a ``(key, value)``
     pair: when it equals the incoming ``row_key_term`` the planner lowers the
     whole chain with ``preserves_partitioning=True``.
@@ -129,6 +146,7 @@ class NarrowNode(PlanNode):
 
     kind: str = MAP
     function: Callable[..., Any] | None = None
+    kernel: Any = None
     child: PlanNode | None = None
     describe: str = ""
     key_transparent: bool = False
@@ -154,19 +172,18 @@ class NarrowNode(PlanNode):
 class HashJoinNode(PlanNode):
     """An equi-join of the rows built so far with a new generator's dataset.
 
-    ``left``/``right`` produce the two inputs; ``left_key_fn``/``right_key_fn``
-    compute the (composite) join key per record; ``rebuild_fn`` merges a
-    joined pair back into one row dict.  ``left_key_terms``/``right_key_terms``
-    are the IR key expressions (for signatures and trace).
+    ``left``/``right`` produce the two inputs; ``left_key_terms`` (over the
+    rows built so far) and ``right_key_terms`` (over the variables ``pattern``
+    binds from a scanned element) are the join-key expressions.  A joined
+    pair is merged back into one row dict: the left row extended by the
+    pattern's bindings.
     """
 
     left: PlanNode
     right: PlanNode
-    left_key_fn: Callable[[Any], Any]
-    right_key_fn: Callable[[Any], Any]
-    rebuild_fn: Callable[[Any], Any]
     left_key_terms: tuple[ir.Term, ...] = ()
     right_key_terms: tuple[ir.Term, ...] = ()
+    pattern: ir.Pattern = ir.PWildcard()
     domain_label: str = ""
     #: Set by the planner: the side's keying map keeps an already-correct
     #: placement (the records are hash-placed by the single join key), so the
@@ -211,17 +228,22 @@ class ProductNode(PlanNode):
 class ReduceByKeyNode(PlanNode):
     """An aggregation-only group-by compiled to keyBy + reduceByKey + rebuild.
 
-    ``pattern_term`` (the group-by pattern read as a term) is the key term
-    the *output rows* are placed by -- the anchor of partitioner propagation.
+    Rows are keyed ``(key_term, row[value_name])``; a reduced pair is rebuilt
+    into a row binding ``pattern`` to the key and ``value_name`` to the
+    pre-aggregated value.  ``key_kernel`` is the keying map's batch kernel,
+    when one exists.  ``pattern_term`` (the group-by pattern read as a term)
+    is the key term the *output rows* are placed by -- the anchor of
+    partitioner propagation.
     """
 
     child: PlanNode
-    key_fn: Callable[[Any], Any]
     combine_fn: Callable[[Any, Any], Any]
-    rebuild_fn: Callable[[Any], dict]
     key_term: ir.Term
+    pattern: ir.Pattern
+    value_name: str
     pattern_term: ir.Term
     monoid_op: str = ""
+    key_kernel: Any = None
     #: Set by the planner: the keying map keeps an already-correct placement.
     input_prepartitioned: bool = field(default=False, init=False)
     #: Set by the planner: carry the output partitioner through the rebuild.
@@ -238,12 +260,14 @@ class ReduceByKeyNode(PlanNode):
 
 @dataclass(eq=False)
 class GroupByKeyNode(PlanNode):
-    """A general group-by compiled to keyBy + groupByKey + lift."""
+    """A general group-by compiled to keyBy + groupByKey + lift: a group
+    becomes a row binding ``pattern`` to the key and every ``lifted``
+    variable to the bag of its values in the group."""
 
     child: PlanNode
-    key_fn: Callable[[Any], Any]
-    lift_fn: Callable[[Any], dict]
     key_term: ir.Term
+    pattern: ir.Pattern
+    lifted: tuple[str, ...]
     pattern_term: ir.Term
     input_prepartitioned: bool = field(default=False, init=False)
     carry_partitioner: bool = field(default=False, init=False)
@@ -262,14 +286,15 @@ class GroupByKeyNode(PlanNode):
 # ---------------------------------------------------------------------------
 
 
-def render_plan(node: PlanNode) -> str:
-    """Pretty-print a plan tree with the planner's per-node annotations."""
+def render_plan(node: PlanNode, sources: bool = False) -> str:
+    """Pretty-print a plan tree with the planner's per-node annotations
+    (and, with ``sources``, the text of every generated function)."""
     lines: list[str] = []
-    _render_into(node, lines, 0)
+    _render_into(node, lines, 0, sources)
     return "\n".join(lines)
 
 
-def _render_into(node: PlanNode, lines: list[str], depth: int) -> None:
+def _render_into(node: PlanNode, lines: list[str], depth: int, sources: bool) -> None:
     pad = "  " * depth
     flags = []
     if node.invariant:
@@ -280,5 +305,8 @@ def _render_into(node: PlanNode, lines: list[str], depth: int) -> None:
     lines.append(f"{pad}{node.label}{tag}")
     for note in node.notes:
         lines.append(f"{pad}  * {note}")
+    if sources:
+        for function in node.generated:
+            lines.extend(f"{pad}  | {line}" for line in function.source.splitlines())
     for child in node.children:
-        _render_into(child, lines, depth + 1)
+        _render_into(child, lines, depth + 1, sources)

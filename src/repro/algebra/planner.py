@@ -2,10 +2,14 @@
 
 The :class:`Planner` consumes the :class:`~repro.algebra.plan.PlanNode` trees
 built by the :class:`~repro.algebra.evaluator.TermEvaluator` and produces
-runtime :class:`~repro.runtime.dataset.Dataset` dataflows.  Lowering emits
-exactly the Dataset operations the evaluator historically emitted inline, so
-results are record-for-record identical; what the planner adds are the
-*decisions* the inline emission could not make:
+runtime :class:`~repro.runtime.dataset.Dataset` dataflows.  Wide nodes lower
+to the Dataset operators of the same name; every run of narrow row operators
+between them -- bind, lets, filters, the head, and the keying / rebuild steps
+the wide nodes need -- lowers to **one** generated per-partition function
+(:meth:`Planner._lower_chain`, :mod:`repro.algebra.codegen`), unless the
+context's ``columnar`` mode batches the run, in which case each operator
+stays its own kernel stage.  Beyond that the planner makes the *decisions* a
+direct emission could not:
 
 * **partitioner propagation** (:meth:`Planner.annotate`): group-by nodes
   place their output rows by the group key term; key-transparent nodes
@@ -31,8 +35,9 @@ results are record-for-record identical; what the planner adds are the
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
+from repro.algebra import codegen
 from repro.algebra import plan as plan_mod
 from repro.algebra.plan import (
     FILTER,
@@ -234,6 +239,46 @@ def signature_env_deps(signature: Any) -> frozenset[str]:
     return frozenset(names)
 
 
+class _Op(NamedTuple):
+    """One logical row operator of a chain being lowered.
+
+    ``spec`` is the :class:`~repro.algebra.codegen.Segment` entry, step or
+    exit the operator stands for; ``kind``/``kernel``/``keep`` are its stage
+    kind, batch kernel and ``preserves_partitioning`` flag when it runs as a
+    stage of its own; ``rows`` are the row keys after it.
+    """
+
+    kind: str
+    spec: tuple
+    label: str
+    kernel: Any
+    keep: bool
+    rows: tuple[str, ...]
+
+
+def _key_op(term: ir.Term, payload: Any, kernel: Any, keep: bool) -> _Op:
+    """The keying map ``row -> (term, payload)`` a wide operator needs."""
+    return _Op(MAP, ("keyed", term, payload), "key", kernel, keep, ())
+
+
+def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
+    """The segment for ``run`` applied to records of form ``entry``."""
+    steps = tuple(op.spec for op in run if op.spec[0] in ("let", "filter"))
+    last = run[-1].spec
+    return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
+
+
+def _chain_label(run: list[_Op]) -> str:
+    """``bind→let×5→head``: the operators one generated stage stands for."""
+    parts: list[list[Any]] = []
+    for op in run:
+        if parts and parts[-1][0] == op.label:
+            parts[-1][1] += 1
+        else:
+            parts.append([op.label, 1])
+    return "→".join(label if count == 1 else f"{label}×{count}" for label, count in parts)
+
+
 class Planner:
     """Annotates a logical plan and lowers it to a runtime Dataset."""
 
@@ -242,10 +287,13 @@ class Planner:
         context: DistributedContext,
         trace: list[str] | None = None,
         loop_cache: LoopInvariantCache | None = None,
+        segments: dict[Any, Any] | None = None,
     ):
         self.context = context
         self.trace = trace if trace is not None else []
         self.loop_cache = loop_cache if context.plan_optimize else None
+        #: Memo of compiled row-segment factories (per program, see the runner).
+        self.segments: dict[Any, Any] = segments if segments is not None else {}
         self._lowered: dict[int, Dataset] = {}
 
     # -- the public entry point --------------------------------------------------
@@ -387,60 +435,151 @@ class Planner:
             return cached
         if isinstance(node, ScanNode):
             dataset = node.dataset
-        elif isinstance(node, NarrowNode):
-            dataset = self._lower_narrow(node)
-        elif isinstance(node, HashJoinNode):
-            dataset = self._lower_hash_join(node)
         elif isinstance(node, ProductNode):
             dataset = self._lower_product(node)
-        elif isinstance(node, ReduceByKeyNode):
-            dataset = self._lower_reduce_by_key(node)
-        elif isinstance(node, GroupByKeyNode):
-            dataset = self._lower_group_by_key(node)
+        elif isinstance(node, NarrowNode) and node.kind == FLAT_MAP:
+            child = self._lower(node.child)
+            dataset = child.flat_map(node.function, preserves_partitioning=node.carry_partitioner)
+        elif isinstance(node, (NarrowNode, HashJoinNode, ReduceByKeyNode, GroupByKeyNode)):
+            dataset = self._lower_chain(node)
         else:  # pragma: no cover - the evaluator only builds the above
             raise ExecutionError(f"unknown plan node {node!r}")
         self._lowered[id(node)] = dataset
         return dataset
 
-    def _lower_narrow(self, node: NarrowNode) -> Dataset:
-        child = self._lower(node.child)
-        keep = node.carry_partitioner
-        if node.kind == MAP:
-            return child.map(node.function, preserves_partitioning=keep)
-        if node.kind == FLAT_MAP:
-            return child.flat_map(node.function, preserves_partitioning=keep)
-        if node.kind == FILTER:
-            return child.filter(node.function)
-        raise ExecutionError(f"unknown narrow plan kind {node.kind!r}")  # pragma: no cover
+    def _lower_chain(
+        self,
+        top: PlanNode,
+        tail: _Op | None = None,
+        entry: tuple | None = None,
+        bindings: Any = None,
+    ) -> Dataset:
+        """Lower the run of row operators ending at ``top`` (then ``tail``).
 
-    def _lower_hash_join(self, node: HashJoinNode) -> Dataset:
+        Walks down the lets / filters / head to whatever feeds them -- a
+        scan bind, a wide node (whose rebuild of joined / reduced / grouped
+        pairs into rows becomes the first operator) or any other row
+        producer -- lowers that feeder, and emits the whole run over it.
+        ``tail`` is the keying map a wide node above needs (which also
+        supplies its ``bindings``); ``entry`` makes ``top`` a scan of raw
+        elements entering the run by that bind.
+        """
+        bindings = bindings or top.bindings
+        ops = [tail] if tail is not None else []
+        node = top
+        while isinstance(node, NarrowNode) and node.sig[0] in ("let", "filter", "head"):
+            keep = node.kind == FILTER or node.carry_partitioner
+            ops.append(_Op(node.kind, node.sig, node.sig[0], node.kernel, keep, node.rows))
+            node = node.child
+        first: _Op | None = None
+        if entry is not None:
+            source = self._lower(node)
+        elif isinstance(node, NarrowNode) and node.sig[0] == "bind":
+            source, entry = self._lower(node.child), node.sig
+            first = _Op(MAP, entry, "bind", node.kernel, node.carry_partitioner, node.rows)
+        elif isinstance(node, HashJoinNode):
+            source, entry = self._join(node), ("join", node.left.rows, node.pattern)
+            first = _Op(MAP, entry, "rebuild", None, False, node.rows)
+        elif isinstance(node, ReduceByKeyNode):
+            payload = ("value", node.value_name)
+            key = _key_op(node.key_term, payload, node.key_kernel, node.input_prepartitioned)
+            keyed = self._lower_chain(node.child, key, bindings=node.bindings)
+            source = keyed.reduce_by_key(node.combine_fn)
+            entry = ("reduced", node.pattern, node.value_name)
+            first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
+        elif isinstance(node, GroupByKeyNode):
+            key = _key_op(node.key_term, "row", None, node.input_prepartitioned)
+            source = self._lower_chain(node.child, key, bindings=node.bindings).group_by_key()
+            entry = ("grouped", node.pattern, node.lifted)
+            first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
+        else:
+            source, entry = self._lower(node), ("row", node.rows)
+        if first is not None:
+            ops.append(first)
+        ops.reverse()
+        return self._emit(source, entry, ops, bindings, top)
+
+    def _emit(self, dataset: Dataset, entry: tuple, ops: list[_Op], bindings: Any, node: PlanNode) -> Dataset:
+        """Emit ``ops`` over ``dataset``, whose records have form ``entry``.
+
+        Operators the context's ``columnar`` mode batches -- under ``"auto"``
+        only a run in which every operator has a kernel, under ``True`` every
+        operator that has one -- stay per-operator kernel stages, the
+        generated one-step function attached as each kernel's record-path
+        oracle.  Every other run becomes one generated per-partition stage.
+        """
+        columnar = self.context.columnar
+        batched = [bool(columnar) and op.kernel is not None for op in ops]
+        if columnar == "auto" and not all(batched):
+            batched = [False] * len(ops)
+        start = 0
+        while start < len(ops):
+            stop = start + 1
+            while stop < len(ops) and batched[stop] == batched[start]:
+                stop += 1
+            run = ops[start:stop]
+            if batched[start]:
+                for op in run:
+                    if op.kernel.oracle is None:
+                        one_step = codegen.generate(_segment(entry, [op]), bindings, self.segments)
+                        op.kernel.oracle = _record_oracle(one_step, op.kind)
+                    if op.kind == FILTER:
+                        dataset = dataset.filter(op.kernel)
+                    else:
+                        dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
+                    entry = ("row", op.rows)
+            else:
+                function = codegen.generate(_segment(entry, run), bindings, self.segments)
+                function.label = _chain_label(run)
+                function.operators = len(run)
+                keep = all(op.keep for op in run)
+                dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+                self.context.metrics.record_generated_segment()
+                note = f"generated: {function.label}"
+                if note not in node.notes:
+                    node.notes.append(note)
+                    node.generated.append(function)
+                entry = ("row", run[-1].rows)
+            start = stop
+        return dataset
+
+    def _join(self, node: HashJoinNode) -> Dataset:
+        """The joined ``(key, (row, element))`` pairs of a hash join."""
+        single = len(node.left_key_terms) == 1
+        # Single-key joins key records by the raw value (not a 1-tuple): the
+        # record key then coincides with the scanned pair's own key, so when
+        # a side is already hash-placed by that key the keying map can
+        # truthfully claim preserves_partitioning and the join lowers to a
+        # narrow / map-side-bypassed pass (see annotate).  Both sides use the
+        # same convention, so join-key equality is unaffected.
+        left_key = node.left_key_terms[0] if single else ir.CTuple(node.left_key_terms)
+        right_key = node.right_key_terms[0] if single else ir.CTuple(node.right_key_terms)
         keyed_left = self._keyed_join_side(
             node,
             node.left,
-            node.left_key_fn,
+            _key_op(left_key, "row", None, node.left_prepartitioned),
+            None,
             node.left_key_terms,
             "build rows",
-            node.left_prepartitioned,
         )
         keyed_right = self._keyed_join_side(
             node,
             node.right,
-            node.right_key_fn,
+            _key_op(right_key, "element", None, node.right_prepartitioned),
+            ("bind", node.pattern),
             node.right_key_terms,
             node.domain_label,
-            node.right_prepartitioned,
         )
-        joined = keyed_left.join(keyed_right)
-        return joined.map(node.rebuild_fn)
+        return keyed_left.join(keyed_right)
 
     def _keyed_join_side(
         self,
         join: HashJoinNode,
         side: PlanNode,
-        key_fn: Callable[[Any], Any],
+        key: _Op,
+        entry: tuple | None,
         key_terms: tuple[ir.Term, ...],
         label: str,
-        prepartitioned: bool = False,
     ) -> Dataset:
         """Lower one join input keyed by its join-key terms.
 
@@ -460,7 +599,7 @@ class Planner:
                     self.trace.append(f"loop-invariant join side reused: {label}")
                     join.notes.append(f"loop-invariant side reused: {label}")
                     return hit
-        keyed = self._lower(side).map(key_fn, preserves_partitioning=prepartitioned)
+        keyed = self._lower_chain(side, key, entry, join.bindings)
         if cache_key is not None:
             keyed = keyed.materialize()
             if keyed.count() > self.context.broadcast_join_threshold:
@@ -513,17 +652,13 @@ class Planner:
         product = rows.cartesian(dataset)
         return product.map(lambda pair: {**pair[0], **bind(pair[1])})
 
-    def _lower_reduce_by_key(self, node: ReduceByKeyNode) -> Dataset:
-        child = self._lower(node.child)
-        keyed = child.map(node.key_fn, preserves_partitioning=node.input_prepartitioned)
-        reduced = keyed.reduce_by_key(node.combine_fn)
-        return reduced.map(node.rebuild_fn, preserves_partitioning=node.carry_partitioner)
 
-    def _lower_group_by_key(self, node: GroupByKeyNode) -> Dataset:
-        child = self._lower(node.child)
-        keyed = child.map(node.key_fn, preserves_partitioning=node.input_prepartitioned)
-        grouped = keyed.group_by_key()
-        return grouped.map(node.lift_fn, preserves_partitioning=node.carry_partitioner)
+def _record_oracle(function: Any, kind: str) -> Any:
+    """A per-partition one-step function as the per-record callable a kernel
+    stage's record path needs."""
+    if kind == FILTER:
+        return lambda record: bool(function((record,)))
+    return lambda record: function((record,))[0]
 
 
 def render_plan(node: PlanNode) -> str:

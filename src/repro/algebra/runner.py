@@ -221,7 +221,7 @@ class ProgramRunner:
         state: _RunState,
     ) -> None:
         evaluator = TermEvaluator(
-            environment, state.trace, state.loop_cache, state.skeleton_cache
+            environment, state.trace, state.loop_cache, state.skeleton_cache, program.segments
         )
         fused_before = self.context.metrics.fused_stages
         shuffles_before = self.context.metrics.shuffles
@@ -403,7 +403,11 @@ class ProgramRunner:
         try:
             while True:
                 evaluator = TermEvaluator(
-                    environment, state.trace, state.loop_cache, state.skeleton_cache
+                    environment,
+                    state.trace,
+                    state.loop_cache,
+                    state.skeleton_cache,
+                    program.segments,
                 )
                 condition = evaluator.evaluate(statement.condition)
                 if isinstance(condition, Dataset):

@@ -1,17 +1,17 @@
 """Lowering comprehension terms to columnar batch kernels.
 
-The term evaluator builds each narrow plan node around a record closure
-(bind a generator element, filter on a condition term, project the head).
-This module inspects the *term* behind such a closure and, when it is pure
-scalar arithmetic/comparison over row variables, driver bindings and
-constants, produces the matching vectorized record function from
-:mod:`repro.runtime.columnar` -- with the original closure attached as the
-``oracle``, so record-at-a-time execution is byte-for-byte the closure it
-replaces and only the batch path is new.
+The term evaluator builds each narrow plan node from a term (bind a generator
+element, filter on a condition term, project the head).  This module inspects
+that term and, when it is pure scalar arithmetic/comparison over row
+variables, driver bindings and constants, produces the matching vectorized
+record function from :mod:`repro.runtime.columnar`.  The kernels for plan
+nodes come without an ``oracle``: when the planner keeps a node as its own
+stage it attaches the generated one-step function
+(:mod:`repro.algebra.codegen`) as the record path, so record-at-a-time
+execution is the same code the unbatched plan runs.
 
 Every function here returns ``None`` when the term falls outside the
-vectorizable fragment (projections, comprehensions, unregistered calls, ...);
-the caller then keeps the plain closure.
+vectorizable fragment (projections, comprehensions, unregistered calls, ...).
 """
 
 from __future__ import annotations
@@ -115,14 +115,13 @@ def head_map(
     row_names: frozenset[str],
     base: dict[str, Any],
     values_provider: Callable[[], dict[str, Any]],
-    oracle: Callable[..., Any],
     functions: Any = None,
 ) -> columnar.VectorizedMap | None:
     """The head-projection ``map`` as a batch kernel, or None."""
     spec = lower_output(head, row_names, functions)
     if spec is None:
         return None
-    return columnar.VectorizedMap(spec, _scope(base, values_provider), oracle=oracle)
+    return columnar.VectorizedMap(spec, _scope(base, values_provider))
 
 
 def row_filter(
@@ -130,14 +129,13 @@ def row_filter(
     row_names: frozenset[str],
     base: dict[str, Any],
     values_provider: Callable[[], dict[str, Any]],
-    oracle: Callable[..., Any],
     functions: Any = None,
 ) -> columnar.VectorizedFilter | None:
     """A condition qualifier's ``filter`` as a batch kernel, or None."""
     predicate = lower_term(term, row_names, functions)
     if predicate is None:
         return None
-    return columnar.VectorizedFilter(predicate, _scope(base, values_provider), oracle=oracle)
+    return columnar.VectorizedFilter(predicate, _scope(base, values_provider))
 
 
 def extend_flat_map(
@@ -167,12 +165,12 @@ def extend_flat_map(
     return columnar.VectorizedFlatMap(("extend", names, tuple(exts)), oracle=oracle)
 
 
-def bind_map(pattern: ir.Pattern, oracle: Callable[..., Any]) -> columnar.VectorizedBind | None:
+def bind_map(pattern: ir.Pattern) -> columnar.VectorizedBind | None:
     """The generator-binding ``map`` as a (structural) batch kernel, or None."""
     spec = pattern_spec(pattern)
     if spec is None:
         return None
-    return columnar.VectorizedBind(spec, oracle=oracle)
+    return columnar.VectorizedBind(spec)
 
 
 def let_map(
@@ -181,7 +179,6 @@ def let_map(
     row_names: frozenset[str],
     base: dict[str, Any],
     values_provider: Callable[[], dict[str, Any]],
-    oracle: Callable[..., Any],
     functions: Any = None,
 ) -> columnar.VectorizedLet | None:
     """The let-binding ``map`` as a batch kernel (single fresh variable only)."""
@@ -190,9 +187,7 @@ def let_map(
     expr = lower_term(term, row_names, functions)
     if expr is None:
         return None
-    return columnar.VectorizedLet(
-        pattern.name, expr, _scope(base, values_provider), oracle=oracle
-    )
+    return columnar.VectorizedLet(pattern.name, expr, _scope(base, values_provider))
 
 
 def key_value_map(
@@ -201,7 +196,6 @@ def key_value_map(
     row_names: frozenset[str],
     base: dict[str, Any],
     values_provider: Callable[[], dict[str, Any]],
-    oracle: Callable[..., Any],
     functions: Any = None,
 ) -> columnar.VectorizedMap | None:
     """The reduceByKey keying ``map`` ``row -> (key, row[value])``, or None."""
@@ -209,7 +203,7 @@ def key_value_map(
     if key_spec is None:
         return None
     out = columnar.OutTuple([key_spec, columnar.Col((value_name,))])
-    return columnar.VectorizedMap(out, _scope(base, values_provider), oracle=oracle)
+    return columnar.VectorizedMap(out, _scope(base, values_provider))
 
 
 def vector_combine(op: str, fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:

@@ -93,7 +93,12 @@ def update_field(record: Any, attribute: str, value: Any) -> Any:
         updated[attribute] = value
         return updated
     if isinstance(record, tuple) and attribute.startswith("_"):
-        position = int(attribute[1:]) - 1
+        try:
+            position = int(attribute[1:]) - 1
+        except ValueError as exc:
+            raise ExecutionError(f"bad tuple projection {attribute!r}") from exc
+        if not 0 <= position < len(record):
+            raise ExecutionError(f"tuple projection {attribute!r} out of range for {record!r}")
         items = list(record)
         items[position] = value
         return tuple(items)

@@ -1,8 +1,8 @@
 """Closure-capable serialization for the cluster wire.
 
-Translated plans are full of *local* functions: the term evaluator builds
-record functions as closures over IR terms (``bind_element``, ``project_head``,
-``keep_row``, ...), and the builtin monoid registry holds lambdas.  Plain
+Translated plans are full of *local* functions: the planner's generated
+row-segment functions (:mod:`repro.algebra.codegen`) and the evaluator's row
+expansions are closures, and the builtin monoid registry holds lambdas.  Plain
 :mod:`pickle` refuses all of them, which is fine for the in-process executors
 (the ``"processes"`` pool just falls back to the driver) but would defeat the
 cluster backend: a map-side chain that cannot ship forces its shuffle payloads

@@ -97,12 +97,26 @@ def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> 
     return "none"
 
 
-def _vectorization_notes(stages: tuple[Any, ...], columnar: Any) -> tuple[str, ...]:
-    """Human-readable per-stage vectorization outcomes for ``explain()``."""
-    return tuple(
-        f"{kind}: {kernel}" if kernel is not None else f"{kind}: record path ({note})"
-        for kind, kernel, note in stage_mod.vectorization_report(stages, columnar)
-    )
+def _stage_notes(stages: tuple[Any, ...], columnar: Any, sources: bool = False) -> tuple[str, ...]:
+    """Human-readable per-stage notes for ``explain()``: which logical
+    operators each generated row-segment stage stands for (with its source
+    text on request) and, under columnar execution, every record-function
+    stage's vectorization outcome."""
+    notes = []
+    for stage in stages:
+        function = stage.function
+        if hasattr(function, "operators"):
+            notes.append(f"generated: {function.label}")
+            if sources:
+                notes.extend(f"  | {line}" for line in function.source.splitlines())
+    if columnar:
+        notes.extend(
+            f"vectorized: {kind}: {kernel}"
+            if kernel is not None
+            else f"vectorized: {kind}: record path ({note})"
+            for kind, kernel, note in stage_mod.vectorization_report(stages, columnar)
+        )
+    return tuple(notes)
 
 
 class Dataset:
@@ -128,7 +142,7 @@ class Dataset:
         self.partitioner = partitioner
         self.provenance: str | None = None
         self.adaptive_notes: tuple[str, ...] = ()
-        self.vectorization_notes: tuple[str, ...] = ()
+        self.stage_notes: tuple[str, ...] = ()
         self._materialized: list[list[Any]] | None = partitions
         self._source: "Dataset" | None = None
         self._stages: tuple[NarrowStage, ...] = ()
@@ -150,7 +164,7 @@ class Dataset:
         dataset.partitioner = partitioner
         dataset.provenance = None
         dataset.adaptive_notes = ()
-        dataset.vectorization_notes = ()
+        dataset.stage_notes = ()
         dataset._materialized = None
         dataset._source = source
         dataset._stages = stages
@@ -167,7 +181,7 @@ class Dataset:
         dataset.partitioner = shuffle.result_partitioner
         dataset.provenance = None
         dataset.adaptive_notes = ()
-        dataset.vectorization_notes = ()
+        dataset.stage_notes = ()
         dataset._materialized = None
         dataset._source = None
         dataset._stages = ()
@@ -223,12 +237,12 @@ class Dataset:
             metrics.record_vectorization(
                 *stage_mod.vectorization_counts(stages, self.context.columnar)
             )
-            self.vectorization_notes = _vectorization_notes(stages, self.context.columnar)
+        self.stage_notes = _stage_notes(stages, self.context.columnar)
         new_partitions = self.context.run_tasks(task, source_partitions, task_spec=stages)
         metrics.record_narrow(
             len(source_partitions), sum(len(partition) for partition in source_partitions)
         )
-        metrics.record_fused(len(stages))
+        metrics.record_fused(stage_mod.operator_count(stages))
         metrics.record_dataset()
         self._materialized = new_partitions
         self._source = None
@@ -268,7 +282,7 @@ class Dataset:
         with self._force_lock:
             if self._materialized is None and self._shuffle is None:
                 assert self._source is not None
-                return self._source, self._stages, len(self._stages)
+                return self._source, self._stages, stage_mod.operator_count(self._stages)
         return self, (), 0
 
     # -- basic properties -----------------------------------------------------
@@ -364,19 +378,21 @@ class Dataset:
             )
         return f"Dataset(partitions={self.num_partitions}, records={self.count()})"
 
-    def explain(self) -> str:
+    def explain(self, sources: bool = False) -> str:
         """Render the pending physical plan as an indented tree.
 
         Shuffle nodes show their operation, strategy, output partition count
         and whether a map-side combiner runs; narrow chains show the fused
-        operator pipeline.  A materialized dataset is a plain ``Source`` (the
-        plan was consumed when it was forced).
+        operator pipeline and, for each generated row-segment stage, the
+        logical operators it stands for (``sources=True`` prints its source
+        text too).  A materialized dataset is a plain ``Source`` (the plan
+        was consumed when it was forced).
         """
         lines: list[str] = []
-        self._explain_into(lines, 0)
+        self._explain_into(lines, 0, sources)
         return "\n".join(lines)
 
-    def _explain_into(self, lines: list[str], depth: int) -> None:
+    def _explain_into(self, lines: list[str], depth: int, sources: bool = False) -> None:
         pad = "  " * depth
         with self._force_lock:
             materialized = self._materialized
@@ -391,8 +407,7 @@ class Dataset:
             lines.append(f"{pad}Source[{len(materialized)} partitions{suffix}]{note}")
             for adaptive_note in self.adaptive_notes:
                 lines.append(f"{pad}  adaptive: {adaptive_note}")
-            for vector_note in self.vectorization_notes:
-                lines.append(f"{pad}  vectorized: {vector_note}")
+            lines.extend(f"{pad}  {note}" for note in self.stage_notes)
             return
         if shuffle is not None:
             combiner = "yes" if any(inp.combiner for inp in shuffle.inputs) else "no"
@@ -405,16 +420,20 @@ class Dataset:
                     lines.append(
                         f"{pad}  NarrowChain({stage_mod.describe(shuffle_input.stages)})"
                     )
-                    shuffle_input.source._explain_into(lines, depth + 2)
+                    lines.extend(
+                        f"{pad}    {note}"
+                        for note in _stage_notes(shuffle_input.stages, False, sources)
+                    )
+                    shuffle_input.source._explain_into(lines, depth + 2, sources)
                 else:
-                    shuffle_input.source._explain_into(lines, depth + 1)
+                    shuffle_input.source._explain_into(lines, depth + 1, sources)
             return
         note = f" (shuffle eliminated: {self.provenance})" if self.provenance else ""
         lines.append(f"{pad}NarrowChain({stage_mod.describe(stages)}){note}")
-        if self.context.columnar:
-            for vector_note in _vectorization_notes(stages, self.context.columnar):
-                lines.append(f"{pad}  vectorized: {vector_note}")
-        source._explain_into(lines, depth + 1)
+        lines.extend(
+            f"{pad}  {note}" for note in _stage_notes(stages, self.context.columnar, sources)
+        )
+        source._explain_into(lines, depth + 1, sources)
 
     # -- narrow transformations --------------------------------------------------
 
@@ -453,9 +472,19 @@ class Dataset:
 
     mapValues = map_values
 
-    def map_partitions(self, function: Callable[[list[Any]], Iterable[Any]]) -> "Dataset":
-        """Apply ``function`` to whole partitions (lazy)."""
-        return self._with_stage(NarrowStage(stage_mod.PARTITIONS, function))
+    def map_partitions(
+        self,
+        function: Callable[[list[Any]], Iterable[Any]],
+        preserves_partitioning: bool = False,
+    ) -> "Dataset":
+        """Apply ``function`` to whole partitions (lazy).
+
+        ``preserves_partitioning`` as in :meth:`map`: every emitted record
+        must keep the key of a record of the same partition.
+        """
+        return self._with_stage(
+            NarrowStage(stage_mod.PARTITIONS, function), keep_partitioner=preserves_partitioning
+        )
 
     mapPartitions = map_partitions
 

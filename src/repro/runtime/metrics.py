@@ -37,6 +37,10 @@ class Metrics:
     fused_stages: int = 0
     #: Total narrow operators folded into fused stages.
     fused_operators: int = 0
+    #: Row segments the planner lowered to one generated per-partition
+    #: function instead of a stage per operator (counted at plan time, so
+    #: identical across executor modes; see :mod:`repro.algebra.codegen`).
+    generated_segments: int = 0
     #: Times the process executor fell back to the driver (unpicklable task
     #: or a broken worker pool).
     process_fallbacks: int = 0
@@ -240,6 +244,10 @@ class Metrics:
         self.fused_stages += 1
         self.fused_operators += operators
 
+    def record_generated_segment(self) -> None:
+        """Account for one row segment lowered to a generated function."""
+        self.generated_segments += 1
+
     def record_process_fallback(self) -> None:
         self.process_fallbacks += 1
 
@@ -293,6 +301,7 @@ class Metrics:
         self.records_processed = 0
         self.fused_stages = 0
         self.fused_operators = 0
+        self.generated_segments = 0
         self.process_fallbacks = 0
         self.parallel_tasks = 0
         self.shuffle_map_tasks = 0
@@ -342,6 +351,7 @@ class Metrics:
             "records_processed": self.records_processed,
             "fused_stages": self.fused_stages,
             "fused_operators": self.fused_operators,
+            "generated_segments": self.generated_segments,
             "process_fallbacks": self.process_fallbacks,
             "parallel_tasks": self.parallel_tasks,
             "shuffle_map_tasks": self.shuffle_map_tasks,

@@ -296,6 +296,12 @@ def describe(stages: Iterable[NarrowStage]) -> str:
     return "→".join(stage.kind for stage in stages)
 
 
+def operator_count(stages: Iterable[NarrowStage]) -> int:
+    """Logical operators behind a stage chain: a generated row-segment stage
+    (:mod:`repro.algebra.codegen`) stands for as many as it replaced."""
+    return sum(getattr(stage.function, "operators", 1) for stage in stages)
+
+
 def is_picklable(stages: tuple[NarrowStage, ...]) -> bool:
     """Whether the stage chain can be shipped to a worker process."""
     try:
@@ -963,9 +969,10 @@ def vectorization_counts(
     lowerable counts every record-function stage as a fallback, matching
     what :func:`compose` will execute.  Whole-partition stages are only
     counted when they are ``apply_combiner`` / ``shuffle_write`` closures
-    carrying a combiner (the shapes with a grouped-fold/collect kernel);
-    structural passes such as ``read_bucket`` do no per-record work and are
-    skipped.
+    carrying a combiner (the shapes with a grouped-fold/collect kernel) and
+    when they are generated row-segment stages, which stand for that many
+    record-path operators; structural passes such as ``read_bucket`` do no
+    per-record work and are skipped.
     """
     chain = tuple(stages)
     auto_off = columnar == "auto" and not _auto_batchable(chain)
@@ -977,6 +984,8 @@ def vectorization_counts(
                 vectorized += 1
             else:
                 fallbacks += 1
+        elif hasattr(function, "operators"):
+            fallbacks += function.operators
         elif isinstance(function, functools.partial):
             combiner = _stage_combiner(function)
             if combiner is not None:

@@ -17,7 +17,7 @@ right-hand side becomes a dataflow plan over the distributed runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Any, Iterator, Union
 
 from repro.comprehension import ir
 from repro.loop_lang import ast
@@ -93,6 +93,10 @@ class TargetProgram:
 
     statements: tuple[TargetStatement, ...]
     variables: dict[str, VariableInfo]
+    #: Row-segment functions the planner generated for this program's plans
+    #: (compiled factories by segment structure, filled in as the program
+    #: runs; see :mod:`repro.algebra.codegen`); not part of equality.
+    segments: dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __str__(self) -> str:
         return "\n".join(str(s) for s in self.statements)

@@ -30,7 +30,7 @@ import os
 
 import pytest
 
-from test_executor_equivalence import _Outputs
+from test_executor_equivalence import GENERATED_PROGRAMS, _Outputs
 from test_soundness_programs import assert_same_outputs
 
 from repro.evaluation.harness import diablo_for, translated_outputs
@@ -157,6 +157,12 @@ def test_cluster_matches_interpreter_and_sequential(name, cluster):
     assert after["cluster_fallbacks"] == before["cluster_fallbacks"], (
         f"{name}: some task batches fell back to the driver"
     )
+    if name in GENERATED_PROGRAMS:
+        # ... so the generated row segments shipped by value and ran on the
+        # workers (there is no other path for these plans' narrow chains).
+        assert after["generated_segments"] > before["generated_segments"], (
+            f"{name}: no generated row segment in the cluster run"
+        )
     if after["shuffles"] > before["shuffles"]:
         moved = (after["worker_payload_fetches"] + after["worker_payload_local_reads"]) - (
             before["worker_payload_fetches"] + before["worker_payload_local_reads"]

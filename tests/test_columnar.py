@@ -23,6 +23,7 @@ import pickle
 import pytest
 
 from test_executor_equivalence import (
+    GENERATED_PROGRAMS,
     SIZES,
     SPILLING_PROGRAMS,
     TINY_SPILL,
@@ -67,6 +68,10 @@ def run_columnar(
         result = diablo.compile(spec.source).run(**workload(name))
         outputs = translated_outputs(name, result)
         metrics = context.metrics
+        if columnar_mode == "auto" and name in GENERATED_PROGRAMS:
+            # Auto batches only fully lowerable chains; these programs have
+            # chains it does not batch, which must run as generated segments.
+            assert metrics.generated_segments > 0, f"{name}/{mode}: nothing generated"
         return outputs, (metrics.vectorized_stages, metrics.columnar_fallbacks)
 
 

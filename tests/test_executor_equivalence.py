@@ -24,6 +24,11 @@ from repro.runtime.context import EXECUTOR_MODES, DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 from repro.workloads import generators, workload_for_program
 
+#: Programs whose plans must run generated row segments under every executor
+#: (asserted inside the differential sweeps here, in test_columnar and in
+#: test_cluster_equivalence): a scalar fold, a join → reduceByKey and a loop.
+GENERATED_PROGRAMS = ("linear_regression", "matrix_multiplication", "pagerank")
+
 #: Workload sizes small enough for the tree-walking interpreter oracle.
 SIZES = {
     "conditional_sum": 300,
@@ -65,6 +70,10 @@ def run_translated_under(name: str, mode: str, spill_threshold_bytes: int | None
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
         outputs = translated_outputs(name, result)
+        if name in GENERATED_PROGRAMS:
+            # The closure-per-qualifier path is gone: these plans can only
+            # have run as generated row segments, under every executor.
+            assert context.metrics.generated_segments > 0, f"{name}/{mode}: nothing generated"
         if spill_threshold_bytes is not None and context.metrics.shuffles > 0:
             assert context.metrics.spilled_bytes > 0, f"{name}: shuffled but never spilled"
             assert context.metrics.spill_files > 0

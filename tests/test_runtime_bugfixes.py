@@ -9,6 +9,8 @@ Each test encodes the *observable* wrong behaviour of the pre-fix code:
 - ``_try_broadcast_join`` sized each side from the pre-chain source, so a
   side shrunk under the threshold by a captured ``filter`` never broadcast.
 - ``Dataset.take``/``first`` forced every partition even for ``take(1)``.
+- ``operators.update_field`` wrote tuple position ``_0`` to the *last*
+  component and let ``_3`` on a pair escape as a bare ``IndexError``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ExecutionError
+from repro.operators import update_field
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
 
@@ -157,3 +160,18 @@ class TestTakeIsIncremental:
         with DistributedContext(num_partitions=4) as ctx:
             data = ctx.parallelize(range(100)).filter(lambda x: x % 10 == 9)
             assert data.take(2) == [9, 19]
+
+
+class TestUpdateFieldTupleRange:
+    def test_in_range_positions_update(self):
+        assert update_field((1, 2), "_1", 9) == (9, 2)
+        assert update_field((1, 2), "_2", 9) == (1, 9)
+
+    @pytest.mark.parametrize("attribute", ["_0", "_3", "_-1"])
+    def test_out_of_range_position_raises_execution_error(self, attribute):
+        with pytest.raises(ExecutionError, match="out of range"):
+            update_field((1, 2), attribute, 9)
+
+    def test_non_numeric_position_raises_execution_error(self):
+        with pytest.raises(ExecutionError, match="bad tuple projection"):
+            update_field((1, 2), "_x", 9)

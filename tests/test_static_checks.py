@@ -237,9 +237,6 @@ class TestPlanLint:
         join = HashJoinNode(
             left=ScanNode(dataset=None, name="A"),
             right=ScanNode(dataset=None, name="B"),
-            left_key_fn=lambda row: row,
-            right_key_fn=lambda row: row,
-            rebuild_fn=lambda pair: pair,
             left_key_terms=(ir.CVar("k"),),
             right_key_terms=(ir.CVar("k"),),
             domain_label="B",
