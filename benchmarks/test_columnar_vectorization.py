@@ -35,6 +35,12 @@ COLUMNAR_SIZES = {
     "word_count": 20_000 * BENCH_SIZE_SCALE,
 }
 
+#: Workloads whose whole narrow chain lowers to kernels, so ``"auto"`` batches
+#: it.  On the others the chain is a generated loop that folds by key itself:
+#: there is no separate map-side combiner left for a grouped-fold kernel (the
+#: one stage auto mode used to vectorize there) to replace.
+AUTO_KERNEL_WORKLOADS = {"conditional_sum", "word_count"}
+
 #: columnar mode -> recorded system name.
 SYSTEMS = {
     False: "diablo-records",
@@ -73,7 +79,9 @@ def test_columnar_matches_record_path_and_engages(name):
     auto_outputs, auto_vectorized = _run_once(name, size, columnar="auto")
     assert record_vectorized == 0, "columnar=False must never vectorize"
     assert columnar_vectorized > 0, f"{name}: batch kernels never engaged"
-    assert auto_vectorized > 0, f"{name}: auto mode never engaged the kernels"
+    assert (auto_vectorized > 0) == (name in AUTO_KERNEL_WORKLOADS), (
+        f"{name}: auto mode vectorized {auto_vectorized} stage(s)"
+    )
     assert columnar_outputs == record_outputs, f"{name}: columnar diverged"
     assert auto_outputs == record_outputs, f"{name}: auto mode diverged"
 

@@ -4,7 +4,9 @@ The planner hands this module a :class:`Segment` -- how records enter, a run
 of ``let``/``filter`` steps, how results leave -- and gets back **one**
 per-partition function whose body is straight-line Python: row variables are
 mangled locals, lets are assignments, filters are ``continue``, and the exit
-is a single ``append``.  It replaces the closure-per-qualifier composition
+is a single ``append`` -- or, where the next operator would only fold what
+was appended (``reduceByKey(⊕)``, a scalar ``⊕/``), the fold itself, into a
+local dict or a local.  It replaces the closure-per-qualifier composition
 (one stage, two dict copies and a tree walk of the term per record and
 qualifier) the evaluator used to emit for these chains.
 
@@ -32,6 +34,8 @@ and :class:`SegmentScope` pickles only the scalars the segment reads.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -40,10 +44,15 @@ from repro.comprehension import ir
 from repro.errors import ExecutionError
 from repro.operators import apply_binary, apply_unary, project_value, update_field  # noqa: F401
 from repro.runtime.columnar import ScalarScope
+from repro.runtime.stage import FoldedRecords  # noqa: F401
 
 _SEQUENCE = (tuple, list)
 _INLINE_BINOPS = frozenset({"+", "-", "*", "%", "<", "<=", ">", ">=", "==", "!="})
 _LITERAL_TYPES = (bool, int, str, type(None))
+#: The built-in monoid combines a fold exit may spell as the operator itself.
+_INLINE_COMBINES = {"+": operator.add, "*": operator.mul}
+#: "No accumulator yet" in a generated ``fold_by_key`` loop.
+MISSING = object()
 
 
 class Segment(NamedTuple):
@@ -53,7 +62,9 @@ class Segment(NamedTuple):
 
     * ``("bind", pattern)`` -- a raw scan element destructured by ``pattern``;
     * ``("row", names)`` -- a dict row with exactly the keys ``names``;
-    * ``("join", left_names, pattern)`` -- a joined ``(key, (row, element))``;
+    * ``("cogroup", left_names, pattern)`` -- a join's co-grouped sides
+      ``(key, [left rows], [right elements])``: the function is the join's
+      *consumer*, a nested loop over the pairs that are never materialised;
     * ``("reduced", pattern, value_name)`` -- a reduced ``(key, aggregate)``;
     * ``("grouped", pattern, lifted)`` -- a grouped ``(key, [rows])``.
 
@@ -62,6 +73,16 @@ class Segment(NamedTuple):
     insertion order the per-qualifier maps produced) or ``("keyed", term,
     payload)`` emitting ``(key, payload)`` for a wide operator, the payload
     being ``"row"``, ``"element"`` (the raw record) or ``("value", name)``.
+    The folding exits accumulate inside the loop what the next operator
+    would fold anyway: ``("fold_by_key", term, payload, op, inline)`` keeps
+    ``acc[key] = acc[key] ⊕ payload`` in a dict and returns its items as
+    :class:`~repro.runtime.stage.FoldedRecords` -- keys in first-occurrence
+    order, each value the exact left fold of its payloads, i.e. what
+    ``apply_combiner(("reduce", ⊕), ...)`` makes of the ``keyed`` output --
+    and ``("fold", term, op, inline)`` left-folds ``term`` from the monoid's
+    identity and returns ``[result]``.  ``inline`` (see :func:`fold_operator`)
+    spells ``⊕`` as the Python operator instead of calling the registry's
+    ``combine``.
     """
 
     entry: tuple
@@ -115,6 +136,12 @@ def in_range(value: Any, lower: Any, upper: Any) -> bool:
     return lower <= value <= upper
 
 
+def fold_operator(op: str, monoids: Any) -> tuple[str, bool]:
+    """The ``(op, inline)`` tail of a folding exit: ``inline`` only when the
+    registry's combine for ``op`` *is* the built-in ``+`` / ``*``."""
+    return op, monoids.get(op).combine is _INLINE_COMBINES.get(op)
+
+
 def unresolved(error: UnboundLocalError, messages: dict[str, str]) -> BaseException:
     """The ``ExecutionError`` for a scalar or function left unassigned."""
     match = re.search(r"'(\w+)'", str(error))
@@ -127,6 +154,8 @@ class _Emitter:
 
     def __init__(self, segment: Segment):
         self.segment = segment
+        #: The loop header(s) and the statements of the innermost loop body.
+        self.loops: list[str] = ["for rec in records:"]
         self.body: list[str] = []
         self.consts: list[Any] = []
         self.row: dict[str, str] = {}  # row variable -> local, in row-key order
@@ -139,7 +168,7 @@ class _Emitter:
         if segment.exit[0] != "row":
             terms.append(segment.exit[1])
         self.reads: set[str] = set().union(*(ir.free_variables(term) for term in terms))
-        payload = segment.exit[2] if segment.exit[0] == "keyed" else None
+        payload = segment.exit[2] if segment.exit[0] in ("keyed", "fold_by_key") else None
         if isinstance(payload, tuple):
             self.reads.add(payload[1])
         #: Exits that rebuild the dict row need every row variable loaded.
@@ -295,12 +324,14 @@ class _Emitter:
 
     # -- entry, steps, exit ------------------------------------------------------
 
-    def load(self, names: tuple[str, ...], source: str) -> None:
+    def load(self, names: tuple[str, ...], source: str) -> list[str]:
         """Unpack the row variables the segment reads out of a dict row."""
+        lines = []
         for name in dict.fromkeys(names):
             local = self.row[name] = self.fresh("r", name)
             if name in self.reads:
-                self.emit(f"{local} = {source}[{name!r}]")
+                lines.append(f"{local} = {source}[{name!r}]")
+        return lines
 
     def entry(self) -> str | None:
         """Emit the record unpacking; returns the dict the row extends, if any."""
@@ -310,12 +341,18 @@ class _Emitter:
             self.assigned.clear()
             return None
         if kind == "row":
-            self.load(self.segment.entry[1], "rec")
+            self.body += self.load(self.segment.entry[1], "rec")
             return "rec"
-        if kind == "join":
+        if kind == "cogroup":
+            # The left row is unpacked once per group member, the right
+            # element bound in the inner loop: pair order is the join's.
             _, left_names, pattern = self.segment.entry
-            self.emit("left, element = rec[1]")
-            self.load(left_names, "left")
+            self.loops = [
+                "for _, lefts, rights in records:",
+                "    for left in lefts:",
+                *(f"        {line}" for line in self.load(left_names, "left")),
+                "        for element in rights:",
+            ]
             self.bind(pattern, "element")
             return "left"
         _, pattern, extra = self.segment.entry
@@ -340,6 +377,41 @@ class _Emitter:
         items = ", ".join(f"{name!r}: {self.row[name]}" for name in self.assigned)
         return f"{{**{extends}, {items}}}"
 
+    def payload(self, payload: Any, extends: str | None) -> str:
+        if payload == "row":
+            return self.row_dict(extends)
+        if payload == "element":
+            return "rec"
+        return self.row.get(payload[1], "None")
+
+    def leave(self, extends: str | None) -> tuple[list[str], list[str], str]:
+        """Emit the exit.  Returns the statements before and after the
+        empty-partition check, and the expression the function returns."""
+        exit_ = self.segment.exit
+        kind = exit_[0]
+        if kind in ("fold", "fold_by_key"):
+            op, inline = exit_[-2:]
+            combine = f"({{}} {op} {{}})" if inline else "combine({}, {})"
+            fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
+            if kind == "fold":
+                self.emit(f"acc = {combine.format('acc', self.expr(exit_[1]))}")
+                return [f"acc = monoids.get({op!r}).identity()"], fetch, "[acc]"
+            self.emit(f"fold_key = {self.expr(exit_[1])}")
+            value = self.payload(exit_[2], extends)
+            self.emit("held = get(fold_key, MISSING)")
+            self.emit(f"acc[fold_key] = {value} if held is MISSING else {combine.format('held', value)}")
+            self.emit("consumed += 1")
+            fetch.append("get = acc.get")
+            return ["acc = {}", "consumed = 0"], fetch, "FoldedRecords(acc.items(), consumed)"
+        if kind == "head":
+            item = self.expr(exit_[1])
+        elif kind == "row":
+            item = self.row_dict(extends)
+        else:
+            item = f"({self.expr(exit_[1])}, {self.payload(exit_[2], extends)})"
+        self.emit(f"append({item})")
+        return ["out = []"], ["append = out.append"], "out"
+
     def source(self) -> str:
         extends = self.entry()
         for step in self.segment.steps:
@@ -348,29 +420,15 @@ class _Emitter:
             else:
                 self.emit(f"if not {self.expr(step[1])}:")
                 self.emit("    continue")
-        exit_ = self.segment.exit
-        if exit_[0] == "head":
-            result = self.expr(exit_[1])
-        elif exit_[0] == "row":
-            result = self.row_dict(extends)
-        else:
-            payload = exit_[2]
-            if payload == "row":
-                carried = self.row_dict(extends)
-            elif payload == "element":
-                carried = "rec"
-            else:
-                carried = self.row.get(payload[1], "None")
-            result = f"({self.expr(exit_[1])}, {carried})"
-        self.emit(f"append({result})")
+        setup, fetch, result = self.leave(extends)
 
         lines = [
             "def __segment_factory__(scope, consts, base, functions, monoids, evaluate_local):",
             "    def segment(records):",
-            "        out = []",
+            *(f"        {line}" for line in setup),
             "        if not records:",
-            "            return out",
-            "        append = out.append",
+            f"            return {result}",
+            *(f"        {line}" for line in fetch),
         ]
         for name, local in self.scalars.items():
             lines += [
@@ -381,7 +439,9 @@ class _Emitter:
             ]
         for name, local in self.functions.items():
             lines += [f"        if {name!r} in functions:", f"            {local} = functions[{name!r}]"]
-        loop = ["for rec in records:", *(f"    {line}" for line in self.body)]
+        innermost = self.loops[-1]
+        indent = " " * (len(innermost) - len(innermost.lstrip()) + 4)
+        loop = [*self.loops, *(f"{indent}{line}" for line in self.body)]
         if self.scalars or self.functions:
             messages = {local: f"undefined variable {name!r}" for name, local in self.scalars.items()}
             messages.update((local, f"unknown function {name!r}") for name, local in self.functions.items())
@@ -392,7 +452,7 @@ class _Emitter:
                 f"    raise unresolved(error, {self.const(messages)}) from None",
             ]
         lines += [f"        {line}" for line in loop]
-        lines += ["        return out", "    return segment", ""]
+        lines += [f"        return {result}", "    return segment", ""]
         return "\n".join(lines)
 
 
@@ -401,7 +461,12 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
 
     ``memo`` maps segments to their compiled factories, so a segment that
     recurs (loop iterations, repeated runs of one program) compiles once.
-    The returned function carries its ``source`` for explain output.
+    The returned function carries its ``source`` for explain output, its
+    ``segment``, and ``retarget(exit)`` -- the same entry and steps leaving
+    through another exit, generated on demand under the same bindings and
+    memo.  A ``fold_by_key`` function also offers ``unfolded()``, its
+    ``keyed`` twin: the runtime's adaptive sampler needs the key stream as
+    it was before the fold.
     """
     try:
         compiled = memo.get(segment)
@@ -433,4 +498,8 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
         bindings.evaluate_local,
     )
     function.source = source
+    function.segment = segment
+    function.retarget = lambda exit_: generate(segment._replace(exit=exit_), bindings, memo)
+    if segment.exit[0] == "fold_by_key":
+        function.unfolded = functools.partial(function.retarget, ("keyed", *segment.exit[1:3]))
     return function

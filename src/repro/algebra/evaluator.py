@@ -58,7 +58,7 @@ from repro.algebra.plan import (
     ScanNode,
 )
 from repro.algebra import vectorize
-from repro.algebra.planner import LoopInvariantCache, Planner, PlanSkeletonCache
+from repro.algebra.planner import LoopInvariantCache, Planner, PlanSkeletonCache, folding_twin
 from repro.comprehension import ir
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import CompilationError, ExecutionError
@@ -966,8 +966,19 @@ class TermEvaluator:
         if isinstance(operand, codegen.PreAggregated):
             return operand.value
         monoid = self.env.monoids.get(op)
-        bag = self._as_local_bag(operand)
-        return monoid.reduce(bag)
+        if not isinstance(operand, Dataset):
+            return monoid.reduce(self._as_local_bag(operand))
+
+        def fuse(function: Any) -> Any:
+            twin = folding_twin(function, op, self.env.monoids)
+            if twin is not None:
+                self.trace.append(f"{op}/ folded inside the generated loop: {twin.label}")
+            return twin
+
+        # Distributed: one left fold per partition inside its task (inside the
+        # generated loop where the producing stage is generated), then the
+        # partials in partition order -- nothing is collected.
+        return monoid.reduce(operand.fold_partitions(monoid.reduce, fuse))
 
     def _local_comprehension(self, comp: ir.Comprehension, bindings: dict[str, Any]) -> list[Any]:
         """Evaluate a comprehension entirely locally (no dataset operations)."""

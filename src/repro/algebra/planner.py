@@ -8,8 +8,12 @@ between them -- bind, lets, filters, the head, and the keying / rebuild steps
 the wide nodes need -- lowers to **one** generated per-partition function
 (:meth:`Planner._lower_chain`, :mod:`repro.algebra.codegen`), unless the
 context's ``columnar`` mode batches the run, in which case each operator
-stays its own kernel stage.  Beyond that the planner makes the *decisions* a
-direct emission could not:
+stays its own kernel stage.  A generated run never materialises what the next
+operator folds: the run feeding a ``reduceByKey(⊕)`` folds by key inside its
+loop, and the run after a hash join *is* the join's consumer -- it receives
+the co-grouped sides inside the join task, so the joined pairs are never
+built.  Beyond that the planner makes the *decisions* a direct emission could
+not:
 
 * **partitioner propagation** (:meth:`Planner.annotate`): group-by nodes
   place their output rows by the group key term; key-transparent nodes
@@ -35,7 +39,8 @@ direct emission could not:
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+import functools
+from typing import Any, Callable, NamedTuple
 
 from repro.algebra import codegen
 from repro.algebra import plan as plan_mod
@@ -268,6 +273,22 @@ def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
     return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
 
 
+def folding_twin(function: Any, op: str, monoids: Any) -> Any | None:
+    """``function`` folding its head with ``op`` inside its loop, or None.
+
+    For a generated stage that ends in ``head`` this is the same loop with
+    the ``append`` replaced by ``acc = acc ⊕ head`` (returning ``[acc]``):
+    what a scalar ``⊕/`` over the stage's output needs per partition.
+    """
+    segment = getattr(function, "segment", None)
+    if segment is None or segment.exit[0] != "head":
+        return None
+    twin = function.retarget(("fold", segment.exit[1], *codegen.fold_operator(op, monoids)))
+    twin.label = f"{function.label.removesuffix('head')}fold({op})"
+    twin.operators = function.operators
+    return twin
+
+
 def _chain_label(run: list[_Op]) -> str:
     """``bind→let×5→head``: the operators one generated stage stands for."""
     parts: list[list[Any]] = []
@@ -453,16 +474,18 @@ class Planner:
         tail: _Op | None = None,
         entry: tuple | None = None,
         bindings: Any = None,
+        reduce: ReduceByKeyNode | None = None,
     ) -> Dataset:
         """Lower the run of row operators ending at ``top`` (then ``tail``).
 
         Walks down the lets / filters / head to whatever feeds them -- a
-        scan bind, a wide node (whose rebuild of joined / reduced / grouped
-        pairs into rows becomes the first operator) or any other row
+        scan bind, a wide node (whose rebuild of co-grouped / reduced /
+        grouped pairs into rows becomes the first operator) or any other row
         producer -- lowers that feeder, and emits the whole run over it.
         ``tail`` is the keying map a wide node above needs (which also
         supplies its ``bindings``); ``entry`` makes ``top`` a scan of raw
-        elements entering the run by that bind.
+        elements entering the run by that bind; ``reduce`` is the node whose
+        reduceByKey consumes the keyed run (see :meth:`_emit`).
         """
         bindings = bindings or top.bindings
         ops = [tail] if tail is not None else []
@@ -478,13 +501,15 @@ class Planner:
             source, entry = self._lower(node.child), node.sig
             first = _Op(MAP, entry, "bind", node.kernel, node.carry_partitioner, node.rows)
         elif isinstance(node, HashJoinNode):
-            source, entry = self._join(node), ("join", node.left.rows, node.pattern)
-            first = _Op(MAP, entry, "rebuild", None, False, node.rows)
+            # Not a dataset yet: the run's generated function is the join's
+            # consumer, so the join is built once that function exists.
+            source = functools.partial(self._join, node)
+            entry = ("cogroup", node.left.rows, node.pattern)
+            first = _Op(MAP, entry, "cogroup", None, False, node.rows)
         elif isinstance(node, ReduceByKeyNode):
             payload = ("value", node.value_name)
             key = _key_op(node.key_term, payload, node.key_kernel, node.input_prepartitioned)
-            keyed = self._lower_chain(node.child, key, bindings=node.bindings)
-            source = keyed.reduce_by_key(node.combine_fn)
+            source = self._lower_chain(node.child, key, bindings=node.bindings, reduce=node)
             entry = ("reduced", node.pattern, node.value_name)
             first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
         elif isinstance(node, GroupByKeyNode):
@@ -497,9 +522,17 @@ class Planner:
         if first is not None:
             ops.append(first)
         ops.reverse()
-        return self._emit(source, entry, ops, bindings, top)
+        return self._emit(source, entry, ops, bindings, top, reduce)
 
-    def _emit(self, dataset: Dataset, entry: tuple, ops: list[_Op], bindings: Any, node: PlanNode) -> Dataset:
+    def _emit(
+        self,
+        dataset: Dataset | Callable[[Any], Dataset],
+        entry: tuple,
+        ops: list[_Op],
+        bindings: Any,
+        node: PlanNode,
+        reduce: ReduceByKeyNode | None = None,
+    ) -> Dataset:
         """Emit ``ops`` over ``dataset``, whose records have form ``entry``.
 
         Operators the context's ``columnar`` mode batches -- under ``"auto"``
@@ -507,7 +540,16 @@ class Planner:
         operator that has one -- stay per-operator kernel stages, the
         generated one-step function attached as each kernel's record-path
         oracle.  Every other run becomes one generated per-partition stage.
+
+        A hash join arrives as ``dataset(consumer)``: its first run (the
+        ``cogroup`` entry has no kernel, so that run is always generated) is
+        handed to the join as the consumer of its co-grouped sides.  With
+        ``reduce``, the keyed output is reduced by key here: a generated last
+        run folds inside its loop (``fold_by_key`` instead of ``keyed``) and
+        the reduceByKey is told its input is already combined; kernel stages
+        keep the runtime's map-side combiner.
         """
+        folded = False
         columnar = self.context.columnar
         batched = [bool(columnar) and op.kernel is not None for op in ops]
         if columnar == "auto" and not all(batched):
@@ -529,11 +571,20 @@ class Planner:
                         dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
                     entry = ("row", op.rows)
             else:
-                function = codegen.generate(_segment(entry, run), bindings, self.segments)
+                segment = _segment(entry, run)
+                if reduce is not None and stop == len(ops):
+                    fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
+                    segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))
+                    run[-1] = run[-1]._replace(label=f"fold_by_key({reduce.monoid_op})")
+                    folded = True
+                function = codegen.generate(segment, bindings, self.segments)
                 function.label = _chain_label(run)
                 function.operators = len(run)
-                keep = all(op.keep for op in run)
-                dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+                if isinstance(dataset, Dataset):
+                    keep = all(op.keep for op in run)
+                    dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+                else:
+                    dataset = dataset(function)
                 self.context.metrics.record_generated_segment()
                 note = f"generated: {function.label}"
                 if note not in node.notes:
@@ -541,10 +592,18 @@ class Planner:
                     node.generated.append(function)
                 entry = ("row", run[-1].rows)
             start = stop
+        if reduce is not None:
+            dataset = dataset.reduce_by_key(reduce.combine_fn, folded=folded)
         return dataset
 
-    def _join(self, node: HashJoinNode) -> Dataset:
-        """The joined ``(key, (row, element))`` pairs of a hash join."""
+    def _join(self, node: HashJoinNode, consumer: Any) -> Dataset:
+        """A hash join whose co-grouped sides go straight to ``consumer``
+        (the generated function of the run above it) inside the join task;
+        the result holds the consumer's records, not joined pairs."""
+        note = f"consumer fused into the join task: {consumer.label}"
+        self.trace.append(f"{node.label}: {note}")
+        if note not in node.notes:
+            node.notes.append(note)
         single = len(node.left_key_terms) == 1
         # Single-key joins key records by the raw value (not a 1-tuple): the
         # record key then coincides with the scanned pair's own key, so when
@@ -570,7 +629,7 @@ class Planner:
             node.right_key_terms,
             node.domain_label,
         )
-        return keyed_left.join(keyed_right)
+        return keyed_left.join(keyed_right, consumer=consumer)
 
     def _keyed_join_side(
         self,

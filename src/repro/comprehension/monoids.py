@@ -17,6 +17,7 @@ arg-min record, ``^^`` for the running average).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -71,8 +72,8 @@ def _logical_or(a: Any, b: Any) -> Any:
 def builtin_monoids() -> dict[str, Monoid]:
     """The monoids that every compiler / interpreter instance knows about."""
     return {
-        "+": Monoid("+", 0, lambda a, b: a + b),
-        "*": Monoid("*", 1, lambda a, b: a * b),
+        "+": Monoid("+", 0, operator.add),
+        "*": Monoid("*", 1, operator.mul),
         "min": Monoid("min", float("inf"), min),
         "max": Monoid("max", float("-inf"), max),
         "&&": Monoid("&&", True, _logical_and),

@@ -430,6 +430,10 @@ class DistributedContext:
 
         Returns ``(partitions, partitioner)`` for the result dataset.
         """
+        if shuffle.consumer is not None:
+            # Whichever physical join runs, the consumer is one fused stage
+            # of its task.
+            self.metrics.record_consumer(shuffle.consumer, self.columnar)
         if shuffle.join_type is not None and shuffle.strategy != "shuffle":
             resolved = self._try_broadcast_join(shuffle)
             if not isinstance(resolved, ShuffleStage):
@@ -462,12 +466,21 @@ class DistributedContext:
         mode derives the same histogram, keeping adaptive decisions (and
         therefore results) executor-independent.  Returns None when the
         sample cannot be keyed (the decision is then simply skipped).
+
+        A generated stage that folds by key inside its loop would show every
+        key once; its ``unfolded`` twin (same steps, one ``(key, value)`` per
+        record) is sampled instead, so the decisions are those of the
+        pre-fold key stream.
         """
         try:
             partitions = shuffle_input.source.partitions
-            task = (
-                stage_mod.compose(shuffle_input.stages) if shuffle_input.stages else None
+            stages = tuple(
+                stage._replace(function=stage.function.unfolded())
+                if hasattr(stage.function, "unfolded")
+                else stage
+                for stage in shuffle_input.stages
             )
+            task = stage_mod.compose(stages) if stages else None
             histogram: Counter = Counter()
             for index, partition in enumerate(partitions):
                 if not partition:
@@ -694,10 +707,11 @@ class DistributedContext:
             outputs = self.run_tasks(
                 stage_mod.compose(chain, self.columnar), source_partitions, task_spec=chain
             )
-            records_in = records_out = bytes_out = 0
+            records_in = records_out = bytes_out = combined_in = 0
             for output in outputs:
                 stats: stage_mod.ShuffleWriteStats = output[0]
                 records_in += stats.records_in
+                combined_in += stats.combined_in
                 records_out += stats.records_out
                 bytes_out += stats.bytes_out
                 spilled_bytes += stats.spilled_bytes
@@ -713,7 +727,7 @@ class DistributedContext:
                 self.metrics.record_fused(shuffle_input.captured_operators)
             self.metrics.record_narrow(len(source_partitions), records_in)
             if shuffle_input.combiner is not None:
-                self.metrics.record_combiner(records_in, records_out)
+                self.metrics.record_combiner(combined_in, records_out)
             total_records += records_out
             total_bytes += bytes_out
             map_tasks += len(source_partitions)
@@ -872,7 +886,9 @@ class DistributedContext:
         probe_chain = (
             NarrowStage(
                 stage_mod.PARTITIONS,
-                functools.partial(stage_mod.broadcast_join_partition, how, side, lookup),
+                functools.partial(
+                    stage_mod.broadcast_join_partition, how, side, lookup, consumer=shuffle.consumer
+                ),
             ),
         )
         result = self.run_tasks(

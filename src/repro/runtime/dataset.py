@@ -119,6 +119,11 @@ def _stage_notes(stages: tuple[Any, ...], columnar: Any, sources: bool = False) 
     return tuple(notes)
 
 
+def _consumer_notes(consumer: Any, sources: bool = False) -> tuple[str, ...]:
+    """The explain notes of a join's fused consumer."""
+    return _stage_notes((NarrowStage(stage_mod.PARTITIONS, consumer),), False, sources)
+
+
 class Dataset:
     """A partitioned collection of records.
 
@@ -224,6 +229,8 @@ class Dataset:
                 for entry in metrics.adaptive_log[log_start:]
             )
             metrics.record_dataset()
+            if self._shuffle.consumer is not None:
+                self.stage_notes = _consumer_notes(self._shuffle.consumer)
             self.partitioner = partitioner
             self._materialized = new_partitions
             self._shuffle = None
@@ -415,6 +422,8 @@ class Dataset:
                 f"{pad}ShuffleStage({shuffle.operation}, strategy={shuffle.strategy}, "
                 f"partitions={shuffle.num_output_partitions}, combiner={combiner})"
             )
+            if shuffle.consumer is not None:
+                lines.extend(f"{pad}  {note}" for note in _consumer_notes(shuffle.consumer, sources))
             for shuffle_input in shuffle.inputs:
                 if shuffle_input.stages:
                     lines.append(
@@ -599,6 +608,30 @@ class Dataset:
             result = comb_op(result, partial)
         return result
 
+    def fold_partitions(
+        self,
+        fold: Callable[[list[Any]], Any],
+        fuse: Callable[[Callable[..., Any]], Callable[..., Any] | None] | None = None,
+    ) -> list[Any]:
+        """Fold every partition inside its task; the partials in partition order.
+
+        ``fold(records)`` reduces one partition.  When the pending chain ends
+        in a whole-partition stage, ``fuse(its function)`` may return a
+        replacement that folds inside its own loop and returns ``[partial]``
+        (the planner's generated fold exit); otherwise the fold is appended
+        to the chain.  Either way nothing but the partials reaches the driver.
+        """
+        source, stages, _ = self._capture_plan()
+        fused = None
+        if fuse is not None and stages and stages[-1].kind == stage_mod.PARTITIONS:
+            fused = fuse(stages[-1].function)
+        if fused is not None:
+            chain = stages[:-1] + (NarrowStage(stage_mod.PARTITIONS, fused),)
+            folded = Dataset._pending(source, chain, None)
+        else:
+            folded = self.map_partitions(functools.partial(stage_mod.fold_partition, fold))
+        return [partition[0] for partition in folded.partitions]
+
     def sum(self) -> Any:
         return self.fold(0, lambda a, b: a + b)
 
@@ -639,12 +672,16 @@ class Dataset:
             and (partitioner is None or partitioner == self.partitioner)
         )
 
-    def _narrow_keyed_pass(self, operation: str, function: Callable[[list[Any]], list[Any]]) -> "Dataset":
+    def _narrow_keyed_pass(
+        self, operation: str, function: Callable[[list[Any]], list[Any]] | None
+    ) -> "Dataset":
         """Lower a keyed wide operator to a per-partition narrow pass.
 
         The per-partition ``function`` mirrors the operator's reduce-side
         bucket processor, so the output is record-for-record identical to the
-        shuffle it replaces (see :mod:`repro.runtime.stage`).
+        shuffle it replaces (see :mod:`repro.runtime.stage`).  ``None`` means
+        the partitions already *are* that output (a generated fold exit
+        combined each one), so there is no pass to add.
 
         The elimination counters are recorded here, at *plan* time (the
         narrow pass itself stays lazy): they count operators planned without
@@ -653,9 +690,11 @@ class Dataset:
         """
         reason = f"input already partitioned by {_partitioner_label(self.partitioner)}"
         self.context.metrics.record_shuffle_eliminated(operation, reason)
-        result = self._with_stage(
-            NarrowStage(stage_mod.PARTITIONS, function), keep_partitioner=True
-        )
+        result = self
+        if function is not None:
+            result = self._with_stage(
+                NarrowStage(stage_mod.PARTITIONS, function), keep_partitioner=True
+            )
         result.provenance = f"{operation}: {reason}"
         return result
 
@@ -674,6 +713,7 @@ class Dataset:
         operation: str,
         task_function: Callable[[list[Any]], list[Any]],
         is_join: bool = False,
+        consumer: Callable[..., Any] | None = None,
     ) -> "Dataset | None":
         """Run a co-partitioned two-input wide operator as a narrow zip stage.
 
@@ -709,7 +749,14 @@ class Dataset:
         metrics.record_shuffle_eliminated(operation, reason, narrow_join=True)
         if is_join:
             metrics.record_join_strategy("narrow")
-        result = Dataset(self.context, new_partitions, self.partitioner)
+        if consumer is not None:
+            metrics.record_consumer(consumer, self.context.columnar)
+        # A consumer's records are no longer the join's keyed pairs.
+        result = Dataset(
+            self.context, new_partitions, self.partitioner if consumer is None else None
+        )
+        if consumer is not None:
+            result.stage_notes = _consumer_notes(consumer)
         result.provenance = f"{operation}: {reason}"
         return result
 
@@ -794,7 +841,10 @@ class Dataset:
     groupBy = group_by
 
     def reduce_by_key(
-        self, function: Callable[[Any, Any], Any], partitioner: Partitioner | None = None
+        self,
+        function: Callable[[Any, Any], Any],
+        partitioner: Partitioner | None = None,
+        folded: bool = False,
     ) -> "Dataset":
         """Combine values per key with map-side pre-aggregation, then shuffle.
 
@@ -804,11 +854,18 @@ class Dataset:
         (partition, key) crosses the shuffle.  On an input that already
         carries the required partitioner the whole operator runs as a
         per-partition narrow pass instead -- no shuffle.
+
+        ``folded`` says every partition is already combined per key with
+        ``function`` (:class:`~repro.runtime.stage.FoldedRecords` from the
+        planner's generated fold exit): the map-side combine -- or the whole
+        narrow pass -- is then not run a second time.
         """
         if self._narrow_keyed_eligible(partitioner):
             return self._narrow_keyed_pass(
                 "reduceByKey",
-                functools.partial(
+                None
+                if folded
+                else functools.partial(
                     stage_mod.apply_combiner,
                     ("reduce", function),
                     columnar=self.context.columnar,
@@ -817,7 +874,7 @@ class Dataset:
         return self._key_shuffle(
             "reduceByKey",
             partitioner,
-            ("reduce", function),
+            ("folded" if folded else "reduce", function),
             reduce_stages=(
                 NarrowStage(
                     stage_mod.PARTITIONS, functools.partial(stage_mod.reduce_bucket, function)
@@ -955,6 +1012,7 @@ class Dataset:
         join_type: str | None = None,
         strategy: str = "shuffle",
         result_partitioner: Partitioner | None = None,
+        consumer: Callable[..., Any] | None = None,
     ) -> "Dataset":
         chosen = partitioner or HashPartitioner(self.context.num_partitions)
         left_source, left_stages, left_captured = self._capture_plan()
@@ -971,6 +1029,7 @@ class Dataset:
             result_partitioner=result_partitioner,
             join_type=join_type,
             strategy=strategy,
+            consumer=consumer,
         )
         return Dataset._pending_shuffle(self.context, shuffle)
 
@@ -1002,6 +1061,7 @@ class Dataset:
         how: str,
         partitioner: Partitioner | None,
         strategy: str | None,
+        consumer: Callable[..., Any] | None = None,
     ) -> "Dataset":
         if strategy is None:
             # An explicit partitioner is a placement request; honor it with a
@@ -1014,8 +1074,9 @@ class Dataset:
             narrow = self._zip_narrow(
                 other,
                 operation,
-                functools.partial(stage_mod.zip_join_partition, how),
+                functools.partial(stage_mod.zip_join_partition, how, consumer=consumer),
                 is_join=True,
+                consumer=consumer,
             )
             if narrow is not None:
                 return narrow
@@ -1024,10 +1085,14 @@ class Dataset:
             operation,
             partitioner,
             reduce_stages=(
-                NarrowStage(stage_mod.PARTITIONS, functools.partial(stage_mod.join_bucket, how)),
+                NarrowStage(
+                    stage_mod.PARTITIONS,
+                    functools.partial(stage_mod.join_bucket, how, consumer=consumer),
+                ),
             ),
             join_type=how,
             strategy=strategy,
+            consumer=consumer,
         )
 
     def join(
@@ -1035,6 +1100,7 @@ class Dataset:
         other: "Dataset",
         partitioner: Partitioner | None = None,
         strategy: str | None = None,
+        consumer: Callable[..., Any] | None = None,
     ) -> "Dataset":
         """Inner equi-join of key-value datasets: ``(key, (left, right))``.
 
@@ -1042,8 +1108,14 @@ class Dataset:
         when one side has at most ``context.broadcast_join_threshold``
         records, a shuffle join otherwise.  Pass ``strategy="shuffle"`` or
         ``"broadcast"`` to override.
+
+        With a ``consumer`` (the planner's generated function, see
+        :mod:`repro.algebra.codegen`) the joined pairs are never built: every
+        physical join hands its ``(key, left values, right values)`` groups
+        to ``consumer`` inside the join task, and the result holds whatever
+        records the consumer returns per partition (no partitioner).
         """
-        return self._join(other, "inner", partitioner, strategy)
+        return self._join(other, "inner", partitioner, strategy, consumer)
 
     def left_outer_join(
         self,

@@ -12,6 +12,7 @@ hand-written broadcast version).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 
 @dataclass
@@ -243,6 +244,15 @@ class Metrics:
         """Account for one fused narrow stage covering ``operators`` operators."""
         self.fused_stages += 1
         self.fused_operators += operators
+
+    def record_consumer(self, consumer: Any, columnar: Any) -> None:
+        """Account for a join consumer: one fused stage of the join task,
+        standing for as many record-path operators as a generated function
+        says it replaced (see ``stage.operator_count``)."""
+        operators = getattr(consumer, "operators", 1)
+        self.record_fused(operators)
+        if columnar:
+            self.record_vectorization(0, operators)
 
     def record_generated_segment(self) -> None:
         """Account for one row segment lowered to a generated function."""

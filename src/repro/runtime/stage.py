@@ -45,7 +45,7 @@ import pickle
 import random
 import sys
 from collections import OrderedDict
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.runtime import columnar as columnar_mod
 from repro.runtime import spill as spill_mod
@@ -85,7 +85,10 @@ def apply_stage(stage: NarrowStage, records: list[Any], index: int) -> list[Any]
     if kind == MAP_VALUES:
         return [(key, function(value)) for key, value in records]
     if kind == PARTITIONS:
-        return list(function(records))
+        # A list result is kept as it is: a generated fold exit returns
+        # FoldedRecords, whose count has to reach the shuffle writer.
+        out = function(records)
+        return out if isinstance(out, list) else list(out)
     if kind == PARTITIONS_INDEXED:
         return list(function(records, index))
     raise ValueError(f"unknown stage kind {kind!r}")
@@ -408,6 +411,9 @@ class ShuffleStage(NamedTuple):
             writes *pre-sorted* spill runs so the reduce side can external-
             merge instead of materializing the bucket.  ``None`` for every
             other operator.
+        consumer: the planner's generated function an inner join hands its
+            co-grouped sides to inside the join task (already bound into
+            ``reduce_stages``; kept here for the broadcast resolution).
     """
 
     operation: str
@@ -421,6 +427,7 @@ class ShuffleStage(NamedTuple):
     strategy: str = "shuffle"
     reverse_output: bool = False
     sort_ascending: bool | None = None
+    consumer: Callable[[Iterable[Any]], list[Any]] | None = None
 
 
 class ShuffleWriteStats(NamedTuple):
@@ -433,6 +440,9 @@ class ShuffleWriteStats(NamedTuple):
     spilled_bytes: int = 0
     spill_files: int = 0
     peak_memory: int = 0
+    #: Records the map-side combine consumed: ``records_in``, unless a
+    #: generated fold exit combined upstream (:class:`FoldedRecords`).
+    combined_in: int = 0
 
 
 class SaltedKey(NamedTuple):
@@ -468,10 +478,34 @@ def tag_record(side: int, record: Any) -> tuple[int, Any]:
     return (side, record)
 
 
+class FoldedRecords(list):
+    """One partition's ``(key, value)`` records, already combined per key.
+
+    Returned by the generated ``fold_by_key`` exit
+    (:mod:`repro.algebra.codegen`), which folds inside its loop instead of
+    appending every pair for :func:`apply_combiner` to re-walk.  ``consumed``
+    is the number of records that reached the fold -- what the map-side
+    combine counters report, since the writer only ever sees the result.
+    """
+
+    def __init__(self, records: Iterable[Any], consumed: int):
+        super().__init__(records)
+        self.consumed = consumed
+
+
+def fold_partition(fold: Callable[[list[Any]], Any], records: list[Any]) -> list[Any]:
+    """One partition reduced to ``[fold(records)]`` inside its task
+    (:meth:`Dataset.fold_partitions`)."""
+    return [fold(records)]
+
+
 def apply_combiner(
     combiner: tuple[Any, ...], records: list[Any], columnar: Any = False
 ) -> list[Any]:
     """Run a map-side combiner spec over one partition's key-value records.
+
+    ``("folded", fn)`` marks records a generated fold exit already combined
+    with ``fn`` (:class:`FoldedRecords`): they pass through untouched.
 
     With ``columnar`` truthy (``True`` or ``"auto"``) and a combiner
     :func:`~repro.runtime.columnar.combiner_vectorizable` accepts (a
@@ -480,12 +514,14 @@ def apply_combiner(
     :func:`~repro.runtime.columnar.combine_batch`; any failure there falls
     back to this record path (the kernel never mutates ``records``).
     """
+    kind = combiner[0]
+    if kind == "folded":
+        return records
     if columnar and records and columnar_mod.combiner_vectorizable(combiner):
         try:
             return columnar_mod.combine_batch(combiner, records)
         except Exception:
             pass
-    kind = combiner[0]
     accumulator: dict[Any, Any] = {}
     if kind == "reduce":
         function = combiner[1]
@@ -555,7 +591,9 @@ def estimate_shuffle_bytes(buckets: list[Iterable[Any]]) -> int:
     return (estimate_bytes(sample) * total) // len(sample)
 
 
-def _writer_output(writer: spill_mod.BucketWriter, records_in: int) -> list[Any]:
+def _writer_output(
+    writer: spill_mod.BucketWriter, records_in: int, combined_in: int = 0
+) -> list[Any]:
     """Finalize a map task's writer into ``[stats, payload_0, ...]``.
 
     ``bytes_out`` counts the spilled run bytes exactly (they *were*
@@ -575,6 +613,7 @@ def _writer_output(writer: spill_mod.BucketWriter, records_in: int) -> list[Any]
         writer.spilled_bytes,
         writer.spill_files,
         writer.peak_memory,
+        combined_in,
     )
     return [stats, *payloads]
 
@@ -636,6 +675,7 @@ def shuffle_write(
     *output* is what spills.
     """
     records_in = len(records)
+    combined_in = getattr(records, "consumed", records_in)
     if combiner is not None:
         records = apply_combiner(combiner, records, columnar)
     writer = spill_mod.BucketWriter(
@@ -648,7 +688,7 @@ def shuffle_write(
     else:
         for record in records:
             writer.add(partitioner.partition(key_of(record)), record)
-    return _writer_output(writer, records_in)
+    return _writer_output(writer, records_in, combined_in)
 
 
 def salted_shuffle_write(
@@ -673,6 +713,7 @@ def salted_shuffle_write(
     shuffles whose records are plain ``(key, value)`` pairs.
     """
     records_in = len(records)
+    combined_in = getattr(records, "consumed", records_in)
     if combiner is not None:
         records = apply_combiner(combiner, records, columnar)
     writer = spill_mod.BucketWriter(
@@ -684,7 +725,7 @@ def salted_shuffle_write(
             writer.add(partitioner.partition((key, index)), (SaltedKey(key, index), record[1]))
         else:
             writer.add(partitioner.partition(key), record)
-    return _writer_output(writer, records_in)
+    return _writer_output(writer, records_in, combined_in)
 
 
 def prepartitioned_write(
@@ -819,16 +860,35 @@ def cogroup_bucket(payloads: list[BucketPayload]) -> list[Any]:
     return _cogroup_sides(left, right)
 
 
-def _join_sides(how: str, left: dict[Any, list[Any]], right: dict[Any, list[Any]]) -> list[Any]:
-    """Expand per-side group dicts according to the join type."""
+def _matched_groups(
+    left: dict[Any, list[Any]], right: dict[Any, list[Any]]
+) -> Iterator[tuple[Any, list[Any], list[Any]]]:
+    """The inner join's co-grouped sides, ``(key, left values, right values)``."""
+    for key, left_values in left.items():
+        right_values = right.get(key)
+        if right_values:
+            yield key, left_values, right_values
+
+
+def _join_sides(
+    how: str,
+    left: dict[Any, list[Any]],
+    right: dict[Any, list[Any]],
+    consumer: Callable[[Iterable[Any]], list[Any]] | None = None,
+) -> list[Any]:
+    """Expand per-side group dicts according to the join type.
+
+    An inner join with a ``consumer`` hands it the co-grouped sides instead
+    (and returns what it returns): its nested ``for a in left values: for b
+    in right values`` visits the pairs in the order they are expanded here.
+    """
     out: list[Any] = []
     if how == "inner":
-        for key, left_values in left.items():
-            right_values = right.get(key)
-            if right_values:
-                out.extend(
-                    (key, (a, b)) for a in left_values for b in right_values
-                )
+        groups = _matched_groups(left, right)
+        if consumer is not None:
+            return consumer(groups)
+        for key, left_values, right_values in groups:
+            out.extend((key, (a, b)) for a in left_values for b in right_values)
     elif how == "left":
         for key, left_values in left.items():
             right_values = right.get(key) or [None]
@@ -849,10 +909,11 @@ def _join_sides(how: str, left: dict[Any, list[Any]], right: dict[Any, list[Any]
     return out
 
 
-def join_bucket(how: str, payloads: list[BucketPayload]) -> list[Any]:
-    """Join reduce side: cogroup one bucket and expand per the join type."""
+def join_bucket(how: str, payloads: list[BucketPayload], consumer: Any = None) -> list[Any]:
+    """Join reduce side: cogroup one bucket and expand per the join type
+    (or hand the groups to ``consumer``, see :func:`_join_sides`)."""
     left, right = split_tagged(payloads)
-    return _join_sides(how, left, right)
+    return _join_sides(how, left, right, consumer)
 
 
 # -- narrow (shuffle-free) wide-operator passes -----------------------------------
@@ -882,24 +943,44 @@ def zip_cogroup_partition(partition: list[Any]) -> list[Any]:
     return _cogroup_sides(left, right)
 
 
-def zip_join_partition(how: str, partition: list[Any]) -> list[Any]:
+def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> list[Any]:
     """Join of co-partitioned inputs; ``partition`` is ``[left, right]``."""
     left_records, right_records = partition
     left, right = _split_tagged_stream(
         [(0, record) for record in left_records] + [(1, record) for record in right_records]
     )
-    return _join_sides(how, left, right)
+    return _join_sides(how, left, right, consumer)
+
+
+def _probed_groups(
+    broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
+) -> Iterator[tuple[Any, Any, Any]]:
+    """A broadcast inner join's matches as ``(key, left values, right values)``
+    groups, one per probe record."""
+    probe_is_left = broadcast_side == "right"
+    for key, value in records:
+        matches = lookup.get(key)
+        if matches:
+            yield (key, (value,), matches) if probe_is_left else (key, matches, (value,))
 
 
 def broadcast_join_partition(
-    how: str, broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
+    how: str,
+    broadcast_side: str,
+    lookup: dict[Any, list[Any]],
+    records: list[Any],
+    consumer: Any = None,
 ) -> list[Any]:
     """Probe-side task of a broadcast hash join.
 
     ``lookup`` holds the broadcast (build) side; ``records`` are the probe
     side's key-value records.  A ``functools.partial`` over this function
     ships the lookup table to worker processes like a real broadcast variable.
+    An inner join's ``consumer`` receives the matches as groups, as in
+    :func:`_join_sides`.
     """
+    if consumer is not None:
+        return consumer(_probed_groups(broadcast_side, lookup, records))
     out: list[Any] = []
     if broadcast_side == "right":
         for key, value in records:
@@ -947,12 +1028,14 @@ def take_key(pair: Any) -> Any:
 
 
 def _stage_combiner(function: functools.partial) -> tuple[Any, ...] | None:
-    """The combiner spec carried by a whole-partition stage closure, if any."""
+    """The combiner spec a whole-partition stage closure runs, if any (a
+    ``"folded"`` spec runs nothing: its fold is the generated stage before)."""
+    combiner = None
     if function.func is apply_combiner and function.args:
-        return function.args[0]
-    if function.func in (shuffle_write, salted_shuffle_write) and len(function.args) > 1:
-        return function.args[1]
-    return None
+        combiner = function.args[0]
+    elif function.func in (shuffle_write, salted_shuffle_write) and len(function.args) > 1:
+        combiner = function.args[1]
+    return None if combiner is None or combiner[0] == "folded" else combiner
 
 
 def vectorization_counts(

@@ -78,3 +78,65 @@ class TestAdaptiveDifferential:
                 if adaptive:
                     assert ctx.metrics.salted_keys >= 1
         assert results[True] == results[False]
+
+
+class TestSamplerSeesThePreFoldKeyStream:
+    """A generated chain that feeds a reduceByKey folds by key inside its
+    loop, so its output shows every key once per task.  The adaptive sampler
+    must keep deciding from the key stream as it was *before* the fold."""
+
+    @pytest.mark.parametrize("columnar", [False, "auto"])
+    def test_translated_skewed_group_by_still_salts_its_hot_key(self, columnar):
+        from repro.evaluation.harness import diablo_for, translated_outputs
+        from repro.programs import get_program
+        from repro.workloads import skewed_workload_for_program
+
+        spec = get_program("group_by")
+        inputs = skewed_workload_for_program("group_by", 4_000)
+        outputs, metrics = {}, {}
+        for adaptive in (True, False):
+            with DistributedContext(num_partitions=4, adaptive=adaptive, columnar=columnar) as ctx:
+                compiled = diablo_for(spec, ctx).compile(spec.source)
+                outputs[adaptive] = translated_outputs("group_by", compiled.run(**inputs))
+                metrics[adaptive] = ctx.metrics
+                generated = compiled.translation.target.segments
+                assert any(segment.exit[0] == "fold_by_key" for segment in generated), (
+                    "the chain did not fold inside its loop: this test would prove nothing"
+                )
+        assert outputs[True] == outputs[False]
+        # The values the unfused plan (every (key, value) appended, then
+        # combined) produced on this input: one Zipf head key, 22 % of the
+        # sample.  A sample of the folded output sees 0 hot keys.
+        assert metrics[True].salted_keys == 1
+        assert metrics[True].adaptive_log == [
+            {
+                "operation": "reduceByKey",
+                "kind": "salted-reduce",
+                "reason": "1 hot key(s) at sampled share(s) 22%",
+            }
+        ]
+        assert metrics[False].adaptive_decisions == 0
+        # The combiner counters still describe the fold: every record in,
+        # one partial per (task, key) out.
+        for run in metrics.values():
+            assert run.combiner_input_records == 4_000
+            assert run.combiner_output_records == run.shuffled_records < 4_000
+
+    def test_the_sampled_twin_emits_one_record_per_input_record(self):
+        from repro.algebra import codegen
+        from repro.comprehension import ir
+        from test_codegen import bindings_for
+
+        with DistributedContext(num_partitions=2) as ctx:
+            bindings = bindings_for(ctx)
+            pair = ir.PTuple((ir.PVar("k"), ir.PVar("v")))
+            plus = codegen.fold_operator("+", bindings.monoids)
+            exit_ = ("fold_by_key", ir.CVar("k"), ("value", "v"), *plus)
+            fold = codegen.generate(codegen.Segment(("bind", pair), (), exit_), bindings, {})
+            records = [("hot", 1)] * 90 + [(f"cold{i}", 1) for i in range(10)]
+            partials = ctx.parallelize(records, 2).map_partitions(fold)
+            folded = partials.reduce_by_key(lambda a, b: a + b, folded=True)
+            assert dict(folded.collect()) == {"hot": 90, **{f"cold{i}": 1 for i in range(10)}}
+            assert ctx.metrics.salted_keys == 1, "decided from 100 sampled keys, not from 11 folded ones"
+            assert (ctx.metrics.combiner_input_records, ctx.metrics.combiner_output_records) == (100, 12)
+

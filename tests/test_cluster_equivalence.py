@@ -30,7 +30,7 @@ import os
 
 import pytest
 
-from test_executor_equivalence import GENERATED_PROGRAMS, _Outputs
+from test_executor_equivalence import GENERATED_PROGRAMS, _Outputs, assert_folding_consumer
 from test_soundness_programs import assert_same_outputs
 
 from repro.evaluation.harness import diablo_for, translated_outputs
@@ -163,6 +163,8 @@ def test_cluster_matches_interpreter_and_sequential(name, cluster):
         assert after["generated_segments"] > before["generated_segments"], (
             f"{name}: no generated row segment in the cluster run"
         )
+        # ... and the join stages carried their folding consumers with them.
+        assert_folding_consumer(name, result.trace)
     if after["shuffles"] > before["shuffles"]:
         moved = (after["worker_payload_fetches"] + after["worker_payload_local_reads"]) - (
             before["worker_payload_fetches"] + before["worker_payload_local_reads"]

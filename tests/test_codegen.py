@@ -6,10 +6,18 @@ row dict, tree-walking its term through ``TermEvaluator.evaluate_local`` and
 destructuring with ``_bind_pattern``.  :func:`reference` below *is* that
 composition, kept here as the oracle: results must agree in type and bit
 pattern, and failures in exception type and message.
+
+The folding exits and the join consumer are held to the forms they replaced:
+``fold_by_key`` to ``apply_combiner(("reduce", ⊕), keyed segment output)``,
+``fold`` to ``Monoid.reduce(head segment output)``, and a ``cogroup``
+consumer inside a physical join to that join's materialised pairs run
+through the (reference-only) ``("join", ...)`` entry.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 
 import pytest
@@ -21,12 +29,16 @@ from repro.algebra import codegen
 from repro.algebra.codegen import Segment
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator, _bind_pattern
 from repro.comprehension import ir
+from repro.comprehension.monoids import Monoid, MonoidRegistry
 from repro.errors import ExecutionError
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program
+from repro.runtime import stage
 from repro.runtime.cluster import wire
 from repro.runtime.context import DistributedContext
+from repro.runtime.spill import BucketPayload
 from repro.workloads import workload_for_program
+
 
 @pytest.fixture(scope="module")
 def context():
@@ -34,8 +46,22 @@ def context():
         yield ctx
 
 
-def bindings_for(context, values=None, base=None) -> codegen.Bindings:
-    environment = EvaluationEnvironment(context, values if values is not None else {})
+def _append(accumulator: list, value) -> list:
+    accumulator.append(value)
+    return accumulator
+
+
+#: The built-ins plus a non-commutative concat (any order slip shows) and a
+#: monoid whose combine mutates its left argument (any shared or re-used
+#: accumulator shows).
+MONOIDS = MonoidRegistry()
+MONOIDS.register(Monoid("++", "", lambda a, b: f"{a}|{b}", commutative=False), verify=False)
+MONOIDS.register(Monoid("append", list, _append, commutative=False), verify=False)
+FOLD_OPS = ["+", "*", "min", "++", "append"]
+
+
+def bindings_for(context, values=None, base=None, monoids=MONOIDS) -> codegen.Bindings:
+    environment = EvaluationEnvironment(context, values if values is not None else {}, monoids=monoids)
     evaluator = TermEvaluator(environment)
     return codegen.Bindings(
         base or {},
@@ -47,11 +73,28 @@ def bindings_for(context, values=None, base=None) -> codegen.Bindings:
 
 
 def generated(segment: Segment, bindings: codegen.Bindings, records: list) -> list:
-    return codegen.generate(segment, bindings, {})(records)
+    result = codegen.generate(segment, bindings, {})(records)
+    if segment.exit[0] == "fold_by_key":
+        assert type(result) is stage.FoldedRecords
+        return list(result)
+    return result
 
 
 def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> list:
-    """The per-qualifier closure composition the generator replaced."""
+    """The per-qualifier closure composition the generator replaced.
+
+    A folding exit is the ``keyed`` / ``head`` composition followed by the
+    fold the runtime used to run over its output.  The ``("join", names,
+    pattern)`` entry -- a materialised ``(key, (row, element))`` pair -- only
+    exists here: it is what a ``cogroup`` consumer is compared against.
+    """
+    exit_ = segment.exit
+    if exit_[0] == "fold_by_key":
+        keyed = reference(segment._replace(exit=("keyed", *exit_[1:3])), bindings, records)
+        return stage.apply_combiner(("reduce", bindings.monoids.get(exit_[3]).combine), keyed)
+    if exit_[0] == "fold":
+        heads = reference(segment._replace(exit=("head", exit_[1])), bindings, records)
+        return [bindings.monoids.get(exit_[2]).reduce(heads)]
     evaluate, base = bindings.evaluate_local, bindings.base
     kind = segment.entry[0]
     out = []
@@ -81,7 +124,6 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
                 break
         if not kept:
             continue
-        exit_ = segment.exit
         if exit_[0] == "head":
             out.append(evaluate(exit_[1], {**base, **row}))
         elif exit_[0] == "row":
@@ -112,14 +154,26 @@ def canonical(value):
 
 def outcome(run, segment, bindings, records):
     try:
-        return ("ok", canonical(run(segment, bindings, records)))
+        # A copy per run: a combine may mutate the values it folds.
+        return ("ok", canonical(run(segment, bindings, copy.deepcopy(records))))
     except Exception as error:
         return ("error", type(error).__name__, str(error))
 
 
-def assert_same(segment, bindings, records):
-    expected = outcome(reference, segment, bindings, records)
-    assert outcome(generated, segment, bindings, records) == expected
+def assert_same(segment, bindings, records, run=generated, against=reference):
+    """``run`` must do what ``against`` does, down to the error raised.
+
+    One allowance, for folding exits only: the fold now runs inside the loop,
+    so where a *fold* fails on an early record and a *term* on a later one,
+    the fold's error surfaces first.  It must then be the error the two-pass
+    form raises on the shortest failing prefix of the records.
+    """
+    expected = outcome(against, segment, bindings, records)
+    actual = outcome(run, segment, bindings, records)
+    if actual != expected and expected[0] == "error" and segment.exit[0] in ("fold", "fold_by_key"):
+        prefixes = (outcome(against, segment, bindings, records[:n]) for n in range(1, len(records)))
+        expected = next((prefix for prefix in prefixes if prefix[0] == "error"), expected)
+    assert actual == expected
     return expected
 
 
@@ -202,6 +256,31 @@ exits = st.one_of(
     st.just(("row",)),
     st.tuples(st.just("keyed"), terms(), st.sampled_from(["row", "element", ("value", "c")])),
 )
+#: Mostly small key terms over the entry variables, so that keys repeat.
+fold_keys = st.one_of(
+    st.sampled_from(
+        [ir.CVar("a")] * 8
+        + [ir.CTuple((ir.CVar("a"), ir.CVar("s"))), ir.CTuple((ir.CConst(0), ir.CVar("a")))] * 2
+        + [ir.CVar("b"), ir.CVar("ghost")]
+    ),
+    terms(),
+)
+fold_payloads = st.sampled_from([("value", "b")] * 4 + [("value", "a"), ("value", "c")])
+folding_exits = st.sampled_from(FOLD_OPS).flatmap(
+    lambda op: st.one_of(
+        st.tuples(
+            st.just("fold_by_key"),
+            fold_keys,
+            fold_payloads,
+            *map(st.just, codegen.fold_operator(op, MONOIDS)),
+        ),
+        st.tuples(
+            st.just("fold"),
+            st.one_of(st.just(ir.CVar("b")), terms(NAMES + ["c"])),
+            *map(st.just, codegen.fold_operator(op, MONOIDS)),
+        ),
+    )
+)
 
 
 #: Entry patterns with records that mostly (not always) have their shape.
@@ -229,14 +308,171 @@ def test_generated_segment_equals_evaluate_local(context, entry, step_list, exit
     assert_same(Segment(("bind", entry_pattern), tuple(step_list), exit_), bindings, records)
 
 
-@settings(max_examples=150, deadline=None)
-@given(step_list=st.lists(steps, max_size=3), exit_=exits, a=values, b=values, scalar=values)
-def test_generated_dict_row_segment_equals_evaluate_local(context, step_list, exit_, a, b, scalar):
-    """Dict-row entry: unread keys ride along, rebound keys keep their place."""
+#: Keys for the folds: few distinct values, so that keys repeat (skewed
+#: towards 1), with the pairs Python's ``==`` / ``hash`` conflate (``1 == True
+#: == 1.0``, ``0.0 == -0.0``) and the one it never matches (NaN).
+fold_key_values = st.sampled_from(
+    [1] * 4 + [True, 1.0, 0, False, 0.0, -0.0, math.nan, 2, INT64 - 1, -INT64, "x", None, (1, 2)]
+)
+#: Payloads, homogeneous per partition more often than not: numbers (every
+#: monoid folds them), strings and lists (only some do).
+fold_numbers = st.one_of(
+    st.sampled_from(
+        [1, True, 0, -0.0, 0.0, 2.5, -2.25, 1e308, math.nan, math.inf, INT64 - 1, -INT64, 10**30]
+    ),
+    st.integers(-5, 5),
+)
+fold_payload_values = st.one_of(
+    fold_numbers, st.sampled_from(["x", "", None, (1, 2)]), st.lists(st.integers(0, 3), max_size=2)
+)
+fold_records = st.one_of(
+    *[st.lists(st.tuples(fold_key_values, fold_numbers), max_size=8)] * 4,
+    st.lists(st.tuples(fold_key_values, st.sampled_from(["x", "", "yz"])), max_size=6),
+    st.lists(st.tuples(fold_key_values, st.lists(st.integers(0, 3), max_size=2)), max_size=6),
+    st.lists(st.tuples(fold_key_values, fold_payload_values), max_size=6),
+    st.lists(st.one_of(st.tuples(fold_key_values, fold_payload_values), values), max_size=4),
+)
+#: Half the segments have no steps: every record then reaches the fold.
+fold_steps = st.one_of(
+    st.just([]),
+    st.lists(
+        st.sampled_from(
+            [
+                ("filter", ir.CBinOp("!=", ir.CVar("a"), ir.CConst(2))),
+                ("let", ir.PVar("c"), ir.CTuple((ir.CVar("b"), ir.CVar("s")))),
+                ("let", ir.PVar("b"), ir.CBinOp("*", ir.CVar("b"), ir.CConst(2))),
+            ]
+            * 3
+        )
+        | steps,
+        max_size=2,
+    ),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(records=fold_records, step_list=fold_steps, exit_=folding_exits, scalar=fold_payload_values)
+def test_folding_exits_equal_the_fold_over_the_appended_output(context, records, step_list, exit_, scalar):
+    """``fold_by_key`` == ``apply_combiner(("reduce", ⊕), keyed output)`` and
+    ``fold`` == ``[Monoid.reduce(head output)]``: key order, value bits and
+    types, errors, nothing raised for an empty partition -- and ``consumed``
+    counts the records that reached the fold."""
     bindings = bindings_for(context, {"s": scalar}, {"base$1": 3})
-    records = [{"a": a, "unread": 0, "b": b}]
-    segment = Segment(("row", ("a", "unread", "b")), tuple(step_list), exit_)
-    assert_same(segment, bindings, records)
+    pair = ir.PTuple((ir.PVar("a"), ir.PVar("b")))
+    segment = Segment(("bind", pair), tuple(step_list), exit_)
+    expected = assert_same(segment, bindings, records)
+    if expected[0] == "ok" and exit_[0] == "fold_by_key":
+        keyed = reference(segment._replace(exit=("keyed", *exit_[1:3])), bindings, copy.deepcopy(records))
+        folded = codegen.generate(segment, bindings, {})(copy.deepcopy(records))
+        assert folded.consumed == len(keyed)
+
+
+# ---------------------------------------------------------------------------
+# The join consumer: cogroup + nested loop == materialised pairs + flat loop
+# ---------------------------------------------------------------------------
+
+JOIN_NAMES = ("a", "b")
+JOIN_PATTERN = ir.PTuple((ir.PVar("k"), ir.PVar("v")))
+
+
+def _lookup(records):
+    table = {}
+    for key, value in records:
+        table.setdefault(key, []).append(value)
+    return table
+
+
+def _tagged_bucket(left, right):
+    tagged = [(0, record) for record in left] + [(1, record) for record in right]
+    return [BucketPayload((), tuple(tagged))]
+
+
+#: Every physical inner join as ``run(left, right, consumer)``; without a
+#: consumer it returns the ``(key, (row, element))`` pairs it used to build.
+PHYSICAL_JOINS = {
+    "shuffle": lambda left, right, consumer: stage.join_bucket(
+        "inner", _tagged_bucket(left, right), consumer=consumer
+    ),
+    "zip": lambda left, right, consumer: stage.zip_join_partition(
+        "inner", [left, right], consumer=consumer
+    ),
+    "broadcast-right": lambda left, right, consumer: stage.broadcast_join_partition(
+        "inner", "right", _lookup(right), left, consumer=consumer
+    ),
+    "broadcast-left": lambda left, right, consumer: stage.broadcast_join_partition(
+        "inner", "left", _lookup(left), right, consumer=consumer
+    ),
+}
+
+
+def assert_consumer_same(segment: Segment, bindings, left, right):
+    """In every physical join, the ``cogroup`` consumer of ``segment`` does
+    what the flat loop did over the pairs that join used to materialise."""
+    flat = segment._replace(entry=("join", *segment.entry[1:]))
+    outcomes = {}
+    for name, join in PHYSICAL_JOINS.items():
+        pairs = join(copy.deepcopy(left), copy.deepcopy(right), None)
+
+        def fused(_segment, _bindings, _pairs, join=join):
+            consumer = codegen.generate(segment, bindings, {})
+            result = join(copy.deepcopy(left), copy.deepcopy(right), consumer)
+            return list(result) if segment.exit[0] == "fold_by_key" else result
+
+        outcomes[name] = assert_same(flat, bindings, pairs, run=fused)
+    return outcomes
+
+
+#: Join keys that mostly match (and sometimes only by ``==``: ``1 == True``).
+join_keys = st.sampled_from([1] * 6 + [2] * 3 + [True, 0.0, -0.0, math.nan, "x", (1, 2), INT64 - 1])
+group_keys = st.sampled_from([1] * 4 + [2, True, 0.0, -0.0, math.nan, "x"])
+join_rows = st.fixed_dictionaries({"a": fold_payload_values, "b": group_keys})
+join_elements = st.one_of(*[st.tuples(group_keys, fold_numbers)] * 5, values)
+join_steps = st.one_of(
+    st.just([]),
+    st.lists(
+        st.sampled_from(
+            [
+                ("filter", ir.CBinOp("!=", ir.CVar("k"), ir.CConst(2))),
+                ("let", ir.PVar("c"), ir.CBinOp("*", ir.CVar("v"), ir.CConst(2))),
+                ("let", ir.PVar("c"), ir.CTuple((ir.CVar("a"), ir.CVar("v")))),
+            ]
+            * 3
+        )
+        | steps,
+        max_size=2,
+    ),
+)
+join_exits = st.one_of(
+    exits.filter(lambda exit_: exit_[-1] != "element"),
+    st.sampled_from(FOLD_OPS).flatmap(
+        lambda op: st.tuples(
+            st.just("fold_by_key"),
+            st.sampled_from(
+                [ir.CTuple((ir.CVar("b"), ir.CVar("k"))), ir.CVar("k"), ir.CVar("b"), ir.CVar("ghost")]
+            ),
+            st.sampled_from([("value", "v")] * 3 + [("value", "c"), ("value", "a")]),
+            *map(st.just, codegen.fold_operator(op, MONOIDS)),
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    left=st.lists(st.tuples(join_keys, join_rows), min_size=1, max_size=6),
+    right=st.lists(st.tuples(join_keys, join_elements), min_size=1, max_size=6),
+    step_list=join_steps,
+    exit_=join_exits,
+    scalar=fold_numbers,
+)
+def test_cogroup_consumer_equals_the_join_it_replaces(context, left, right, step_list, exit_, scalar):
+    """Shuffle bucket, co-partitioned zip and broadcast (either side): the
+    consumer fused into the join task == ``_join_sides("inner", ...)``'s pairs
+    through the flat ``("join", ...)`` loop -- same pair order, so the same
+    rows, keys, left folds and first error."""
+    bindings = bindings_for(context, {"s": scalar}, {"base$1": 3})
+    segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN), tuple(step_list), exit_)
+    assert_consumer_same(segment, bindings, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +493,7 @@ class TestErrorParity:
         assert result[1] == "ExecutionError" and result[2].startswith("cannot bind pattern (i, v$1)")
 
     def test_lists_and_tuple_subclasses_bind_like_tuples(self, context):
-        from repro.runtime.stage import SaltedKey
-
-        result = assert_same(head(ir.CVar("v$1")), bindings_for(context), [[1, 2], SaltedKey(3, 4)])
+        result = assert_same(head(ir.CVar("v$1")), bindings_for(context), [[1, 2], stage.SaltedKey(3, 4)])
         assert result == ("ok", canonical([2, 4]))
 
     def test_nested_mismatch_names_the_inner_pattern(self, context):
@@ -320,13 +554,19 @@ class TestErrorParity:
 
 
 class TestWideEntries:
-    def test_join_reduced_and_grouped_entries(self, context):
+    def test_cogroup_reduced_and_grouped_entries(self, context):
         bindings = bindings_for(context, {"s": 10})
         total = ir.CBinOp("+", ir.CVar("a"), ir.CVar("v"))
-        join = Segment(("join", ("a", "b"), ir.PTuple((ir.PVar("k"), ir.PVar("v")))), (), ("row",))
-        assert_same(join, bindings, [(7, ({"a": 1, "b": 2}, (7, 3)))])
-        keyed = join._replace(exit=("keyed", total, ("value", "v")))
-        assert_same(keyed, bindings, [(7, ({"a": 1, "b": 2}, (7, 3)))])
+        cogroup = Segment(("cogroup", ("a", "b"), ir.PTuple((ir.PVar("k"), ir.PVar("v")))), (), ("row",))
+        left = [(7, {"a": 1, "b": 2}), (7, {"a": 5, "b": 6}), (8, {"a": 0, "b": 0})]
+        right = [(7, (7, 3)), (9, (9, 9)), (7, (7, 4))]
+        rows = assert_consumer_same(cogroup, bindings, left, right)
+        assert rows["shuffle"] == ("ok", canonical([
+            {"a": 1, "b": 2, "k": 7, "v": 3}, {"a": 1, "b": 2, "k": 7, "v": 4},
+            {"a": 5, "b": 6, "k": 7, "v": 3}, {"a": 5, "b": 6, "k": 7, "v": 4},
+        ]))  # fmt: skip
+        assert rows["broadcast-left"] != rows["shuffle"], "each join keeps its own pair order"
+        assert_consumer_same(cogroup._replace(exit=("keyed", total, ("value", "v"))), bindings, left, right)
         reduced = Segment(
             ("reduced", ir.PVar("k"), "v"),
             (),
@@ -354,6 +594,79 @@ class TestWideEntries:
         assert assert_same(head(term), bindings_for(context), [(2, 3)]) == ("ok", canonical([12]))
 
 
+def fold_by_key(op: str, *step_list, key=None, registry=MONOIDS) -> Segment:
+    exit_ = ("fold_by_key", key or ir.CVar("i"), ("value", "v$1"), *codegen.fold_operator(op, registry))
+    return Segment(("bind", PAIR), tuple(step_list), exit_)
+
+
+class TestFoldingExits:
+    def test_left_fold_order_per_key_and_first_occurrence_key_order(self, context):
+        records = [(2, "a"), (1, "b"), (2, "c"), (1, "d"), (2, "e")]
+        result = assert_same(fold_by_key("++"), bindings_for(context), records)
+        assert result == ("ok", canonical([(2, "a|c|e"), (1, "b|d")]))
+        unkeyed = Segment(("bind", PAIR), (), ("fold", ir.CVar("v$1"), *codegen.fold_operator("++", MONOIDS)))
+        assert assert_same(unkeyed, bindings_for(context), records) == ("ok", canonical(["|a|b|c|d|e"]))
+
+    def test_keys_python_conflates_keep_the_first_key_object(self, context):
+        records = [(0.0, 1), (-0.0, 2), (True, 3), (1, 4), (math.nan, 5), (math.nan, 6), (float("nan"), 7)]
+        result = assert_same(fold_by_key("+"), bindings_for(context), records)
+        assert result == ("ok", canonical([(0.0, 3), (True, 7), (math.nan, 11), (math.nan, 7)]))
+        bools = assert_same(fold_by_key("+"), bindings_for(context), [(1, True), (1, True), (2, False)])
+        assert bools == ("ok", canonical([(1, 2), (2, False)])), "a lone value is not combined with anything"
+
+    def test_a_mutating_combine_gets_its_own_accumulator_everywhere(self, context):
+        keyed = fold_by_key("append")
+        records = [(1, [10]), (2, [20]), (1, 11), (2, 21)]
+        result = assert_same(keyed, bindings_for(context), records)
+        assert result == ("ok", canonical([(1, [10, 11]), (2, [20, 21])]))
+        exit_ = ("fold", ir.CVar("v$1"), *codegen.fold_operator("append", MONOIDS))
+        unkeyed = Segment(("bind", PAIR), (), exit_)
+        function = codegen.generate(unkeyed, bindings_for(context), {})
+        assert function([(1, "a"), (2, "b")]) == [["a", "b"]]
+        assert function([(3, "c")]) == [["c"]], "identity() is taken afresh for every partition"
+        assert function([]) == [[]] and function([])[0] is not function([])[0]
+
+    def test_empty_and_unreached_raise_nothing(self, context):
+        ghost = ("let", ir.PVar("g"), ir.CCall("nope", (ir.CVar("ghost"),)))
+        bindings = bindings_for(context)
+        empty = codegen.generate(fold_by_key("+", ghost), bindings, {})([])
+        assert (list(empty), empty.consumed) == ([], 0)
+        guard = ("filter", ir.CBinOp(">", ir.CVar("i"), ir.CConst(10)))
+        assert assert_same(fold_by_key("+", guard, ghost), bindings, [(1, 2)]) == ("ok", canonical([]))
+        result = assert_same(fold_by_key("+", ghost), bindings, [(1, 2)])
+        assert result == ("error", "ExecutionError", "unknown function 'nope'")
+        late = assert_same(fold_by_key("+", key=ir.CVar("ghost")), bindings, [(1, 2)])
+        assert late == ("error", "ExecutionError", "undefined variable 'ghost'")
+
+    def test_consumed_counts_what_reached_the_fold(self, context):
+        guard = ("filter", ir.CBinOp("!=", ir.CVar("v$1"), ir.CConst(0)))
+        function = codegen.generate(fold_by_key("+", guard), bindings_for(context), {})
+        folded = function([(1, 5), (1, 0), (2, 7), (1, 1)])
+        assert (list(folded), folded.consumed) == ([(1, 6), (2, 7)], 3)
+
+    def test_the_operator_is_inlined_only_when_the_registry_entry_is_the_builtin(self, context):
+        assert "(held + " in codegen.generate(fold_by_key("+"), bindings_for(context), {}).source
+        assert "combine(held, " in codegen.generate(fold_by_key("min"), bindings_for(context), {}).source
+        registry = MonoidRegistry()
+        registry.register(Monoid("+", 0, lambda a, b: a + b + 100), verify=False)
+        bindings = bindings_for(context, monoids=registry)
+        function = codegen.generate(fold_by_key("+", registry=registry), bindings, {})
+        assert "combine(held, " in function.source
+        assert list(function([(1, 1), (1, 2)])) == [(1, 103)]
+
+    def test_the_unfolded_twin_is_the_keyed_segment_from_the_same_memo(self, context):
+        memo: dict = {}
+        segment = fold_by_key("+")
+        function = codegen.generate(segment, bindings_for(context), memo)
+        records = [(1, 2), (1, 3), (2, 4)]
+        assert list(function(records)) == [(1, 5), (2, 4)]
+        assert len(memo) == 1, "the twin is generated only when the sampler asks"
+        assert function.unfolded()(records) == records
+        keyed = segment._replace(exit=("keyed", ir.CVar("i"), ("value", "v$1")))
+        assert set(memo) == {segment, keyed}
+        assert function.retarget(keyed.exit)(records) == records and len(memo) == 2
+
+
 # ---------------------------------------------------------------------------
 # Shipping and memoisation
 # ---------------------------------------------------------------------------
@@ -378,9 +691,28 @@ class TestShipping:
         with pytest.raises(ExecutionError, match="undefined variable 'ghost'"):
             shipped([(1, 2)])
 
-    def test_generated_functions_do_not_pickle_for_the_process_pool(self, context):
-        from repro.runtime import stage
+    def test_a_join_stage_ships_with_its_consumer(self, context):
+        """What the cluster executor sends for a shuffle join's reduce side:
+        the stage chain whose ``join_bucket`` carries the generated consumer."""
+        shifted = ir.CBinOp("+", ir.CVar("v"), ir.CVar("s"))
+        product = ("let", ir.PVar("p"), ir.CBinOp("*", ir.CVar("a"), shifted))
+        exit_ = ("fold_by_key", ir.CVar("b"), ("value", "p"), *codegen.fold_operator("+", MONOIDS))
+        segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN), (product,), exit_)
+        live = {"s": 1, "unread": list(range(10_000))}
+        consumer = codegen.generate(segment, bindings_for(context, live), {})
+        join = functools.partial(stage.join_bucket, "inner", consumer=consumer)
+        chain = (stage.NarrowStage(stage.PARTITIONS, join),)
+        data = wire.cluster_dumps(chain)
+        assert b"TermEvaluator" not in data and b"MonoidRegistry" not in data and len(data) < 4_000
+        left = [(7, {"a": 2, "b": "x"}), (7, {"a": 3, "b": "y"})]
+        right = [(7, (7, 10)), (7, (7, 20))]
+        live["s"] = 5  # the shipped copy keeps the value at dispatch time
+        shipped = stage.compose(wire.cluster_loads(data))(_tagged_bucket(left, right), 0)
+        assert (list(shipped), shipped.consumed) == ([("x", 2 * 11 + 2 * 21), ("y", 3 * 11 + 3 * 21)], 4)
+        assert type(wire.cluster_loads(wire.cluster_dumps(shipped))) is stage.FoldedRecords
+        assert wire.cluster_loads(wire.cluster_dumps(shipped)).consumed == 4
 
+    def test_generated_functions_do_not_pickle_for_the_process_pool(self, context):
         function = codegen.generate(head(ir.CVar("i")), bindings_for(context), {})
         assert not stage.is_picklable((stage.NarrowStage(stage.PARTITIONS, function),))
 
@@ -437,6 +769,49 @@ class TestObservability:
             assert snapshot["generated_segments"] == 1
             assert (snapshot["fused_stages"], snapshot["fused_operators"]) == (1, 4)
             assert any("generated row segments: 1" in line for line in explain_metrics(ctx.metrics))
+
+    def test_explain_shows_the_fused_join_consumer_and_the_folds(self):
+        from repro.algebra.explain import explain_dataset, explain_plan
+
+        spec = get_program("matrix_multiplication")
+        label = "cogroup→filter→let×2→fold_by_key(+)"
+        with DistributedContext(num_partitions=2, broadcast_join_threshold=0) as ctx:
+            values = {
+                # Join keys 0 and 2 meet in one of the two join buckets.
+                "M": ctx.parallelize_pairs({(0, 0): 1.0, (0, 2): 2.0}),
+                "N": ctx.parallelize_pairs({(0, 0): 3.0, (2, 0): 4.0}),
+                "n": 1,
+                "mm": 3,
+            }
+            evaluator = TermEvaluator(EvaluationEnvironment(ctx, values))
+            program = diablo_for(spec, ctx).compile(spec.source).translation.target
+            product = program.statements[-1].term.right  # R <|+ { ... group by ... }
+            dataset = evaluator.evaluate(product)
+            plan = explain_plan(evaluator.last_plan)
+            assert f"* consumer fused into the join task: {label}" in plan
+            assert f"* generated: {label}" in plan
+            nested = explain_plan(evaluator.last_plan, sources=True)
+            assert "for left in lefts:" in nested and "for element in rights:" in nested
+            loop = nested.split("for left in lefts:")[1].split("return")[0]
+            assert "acc[fold_key] = " in loop and "append(" not in loop
+            pending = explain_dataset(dataset)
+            assert "ShuffleStage(reduceByKey" in pending and "combiner=yes" in pending
+            assert "ShuffleStage(join" in pending and f"generated: {label}" in pending
+            assert "for left in lefts:" in explain_dataset(dataset, sources=True)
+            assert dataset.collect() == [((0, 0), 11.0)]
+            snapshot = ctx.metrics.snapshot()
+            assert (snapshot["combiner_input_records"], snapshot["combiner_output_records"]) == (2, 1)
+            assert snapshot["shuffle_joins"] == 1
+            assert f"HashJoin[N on (i$47)]: consumer fused into the join task: {label}" in evaluator.trace
+
+    def test_a_scalar_aggregate_folds_inside_the_generated_loop(self):
+        with DistributedContext(num_partitions=4) as ctx:
+            diablo = Diablo(ctx)
+            result = diablo.compile("var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;").run(
+                V=[1.0, 2.0, 5.0, 0.5]
+            )
+            assert result["s"] == 7.0
+            assert "+/ folded inside the generated loop: bind→let→filter→let→fold(+)" in result.trace
 
     def test_a_chain_columnar_batches_keeps_its_kernel_stages(self):
         source = "var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;"

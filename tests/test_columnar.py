@@ -28,6 +28,7 @@ from test_executor_equivalence import (
     SPILLING_PROGRAMS,
     TINY_SPILL,
     _Outputs,
+    assert_folding_consumer,
     interpreter_outputs,
     workload,
 )
@@ -72,6 +73,7 @@ def run_columnar(
             # Auto batches only fully lowerable chains; these programs have
             # chains it does not batch, which must run as generated segments.
             assert metrics.generated_segments > 0, f"{name}/{mode}: nothing generated"
+            assert_folding_consumer(name, result.trace)
         return outputs, (metrics.vectorized_stages, metrics.columnar_fallbacks)
 
 

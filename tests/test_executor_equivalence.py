@@ -29,6 +29,21 @@ from repro.workloads import generators, workload_for_program
 #: test_cluster_equivalence): a scalar fold, a join → reduceByKey and a loop.
 GENERATED_PROGRAMS = ("linear_regression", "matrix_multiplication", "pagerank")
 
+#: Programs whose hash join feeds a ``+=`` group-by: the join must hand its
+#: co-grouped sides to a generated consumer that folds by key, not build the
+#: joined pairs for a later stage to append and a combiner to re-walk.
+FOLDING_JOIN_PROGRAMS = ("matrix_multiplication", "pagerank")
+
+
+def assert_folding_consumer(name: str, trace: list) -> None:
+    """The planner's trace names each join's fused consumer by its label."""
+    if name in FOLDING_JOIN_PROGRAMS:
+        assert any(
+            "consumer fused into the join task: cogroup" in line and line.endswith("→fold_by_key(+)")
+            for line in trace
+        ), f"{name}: no join ran a folding consumer"
+
+
 #: Workload sizes small enough for the tree-walking interpreter oracle.
 SIZES = {
     "conditional_sum": 300,
@@ -74,6 +89,7 @@ def run_translated_under(name: str, mode: str, spill_threshold_bytes: int | None
             # The closure-per-qualifier path is gone: these plans can only
             # have run as generated row segments, under every executor.
             assert context.metrics.generated_segments > 0, f"{name}/{mode}: nothing generated"
+        assert_folding_consumer(name, result.trace)
         if spill_threshold_bytes is not None and context.metrics.shuffles > 0:
             assert context.metrics.spilled_bytes > 0, f"{name}: shuffled but never spilled"
             assert context.metrics.spill_files > 0
