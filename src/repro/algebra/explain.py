@@ -256,4 +256,11 @@ def explain_metrics(metrics: Metrics) -> list[str]:
         )
         lines.append(f"join strategies: {chosen}")
     lines.append(f"parallel tasks dispatched: {metrics.parallel_tasks}")
+    if metrics.resident_partition_reuses or metrics.driver_pushed_bytes:
+        lines.append(
+            f"cluster records through the driver: {metrics.driver_payload_bytes} shuffle-payload "
+            f"bytes, {metrics.driver_pushed_bytes} bytes pushed, "
+            f"{metrics.driver_fetched_bytes} bytes read in {metrics.driver_fetches} fetch(es); "
+            f"{metrics.resident_partition_reuses} task input(s) already resident"
+        )
     return lines

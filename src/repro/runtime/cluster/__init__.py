@@ -8,9 +8,10 @@ the driver over TCP sockets:
   process boundary;
 * :mod:`~repro.runtime.cluster.protocol` -- the length-prefixed framed-pickle
   wire protocol (versioned message types);
-* :mod:`~repro.runtime.cluster.store` -- the worker-side partition / payload
-  store and the :class:`~repro.runtime.cluster.store.RemotePayload` handle
-  that moves shuffle data worker-to-worker;
+* :mod:`~repro.runtime.cluster.store` -- the worker-side store and the
+  references to it (:class:`~repro.runtime.cluster.store.ResidentPartition`
+  for task outputs, :class:`~repro.runtime.cluster.store.RemotePayload` for
+  shuffle buckets) that let records stay on the worker that computed them;
 * :mod:`~repro.runtime.cluster.worker` -- the ``repro-worker`` daemon;
 * :mod:`~repro.runtime.cluster.context` -- the driver-side
   :class:`~repro.runtime.cluster.context.ClusterContext`;

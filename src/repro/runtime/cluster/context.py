@@ -7,27 +7,43 @@ and replaces *task execution*: every fused stage chain that has a picklable
 descriptor is shipped over the wire to a long-lived worker process instead
 of running in a local pool.
 
-Scheduling model (deliberately simple, documented in DESIGN.md):
+Scheduling and data residency (deliberately simple; DESIGN.md *Cluster
+backend* has the full account):
 
 * partition ``i`` always runs on worker ``i % N`` -- deterministic placement
   is what makes resident partitions and shuffle-payload locality work
-  without a placement table;
-* each worker has one scheduler thread and a FIFO queue; requests on one
-  control socket are strict request/response;
-* map-side shuffle chains are sent as ``shuffle_write``: the worker keeps
-  the produced bucket payloads and returns ``(bucket, record_count)``
-  references.  Reduce tasks receive those references and read the records
-  locally or from the producing worker's serve socket -- the driver routes
-  descriptors only, so reduce-input bytes through the driver are zero (the
-  ``driver_payload_bytes`` metric measures exactly this);
+  without a placement table; each worker has one scheduler thread and a
+  FIFO queue, and requests on one control socket are strict
+  request/response;
+* **what a task produces stays on the worker that computed it**: a wave
+  files each output under ``(result id, partition index)`` (bucket payloads
+  under ``(id, map task, bucket)`` for a map-side ``shuffle_write``) and
+  replies with record counts; :meth:`ClusterContext.run_tasks` returns
+  counted :class:`~repro.runtime.cluster.store.ResidentPartition` handles.
+  The next wave names a handle at its home position as ``("stored", id)``;
+  a handle anywhere else (zipped sides, a reversed or unioned list) travels
+  as a reference the worker resolves from its own store or from its peer;
+* records reach the driver only when driver code reads a handle (a
+  ``collect``, the adaptive sampler's strided slice) or an action asks for
+  them in the task reply (``read=True``); ``driver_payload_bytes``,
+  ``driver_pushed_bytes`` and ``driver_fetched_bytes`` count what did.  A
+  handle answers ``len()`` and a slice exactly as the list would, so plans,
+  adaptive decisions and results stay those of the sequential executor;
+* **the driver object's lifetime is the resident id's**: a result's handles
+  share one :class:`_Lease`; when the last is garbage the id is queued, and
+  the queue rides in the ``free`` field of the next request to each worker
+  -- no free round trip.  Evicted pushed lists and a finished shuffle's
+  captures go the same way;
 * failure handling is fail-fast: a worker that drops its socket, times out,
   or misses heartbeats marks the job with :class:`~repro.errors.
-  WorkerLostError`.  There is no lineage or task retry -- lost state fails
-  the computation promptly instead of hanging.
+  WorkerLostError`, and so does reading a handle whose worker is gone.
+  There is no lineage or task retry -- a lost worker costs every partition
+  resident on it, and the computation fails promptly instead of hanging.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import os
@@ -43,8 +59,9 @@ from repro.errors import ExecutionError, WorkerLostError
 from repro.runtime import stage as stage_mod
 from repro.runtime.cluster import protocol, wire
 from repro.runtime.cluster import store as store_mod
-from repro.runtime.cluster.store import RemotePayload
+from repro.runtime.cluster.store import RemotePayload, RemoteRecords, ResidentPartition
 from repro.runtime.context import DistributedContext
+from repro.runtime.metrics import Metrics
 from repro.runtime.spill import BucketPayload, approximate_size
 
 #: Map-side writer functions whose payload outputs are captured on workers.
@@ -78,6 +95,8 @@ class _WorkerHandle:
         self.pid = pid
         self.lost: WorkerLostError | None = None
         self.busy = False
+        #: Dead resident ids this worker has not been told to drop yet.
+        self.unfreed: list[int] = []
         self.queue: queue.Queue = queue.Queue()
         self.thread = threading.Thread(
             target=self._loop, name=f"cluster-worker-{index}", daemon=True
@@ -106,7 +125,7 @@ class _WorkerHandle:
             try:
                 self.sock.settimeout(timeout)
                 protocol.send_frame(self.sock, frame)
-                message_type, payload = protocol.recv_message(self.sock)
+                message_type, payload, frame_bytes = protocol.recv_message_sized(self.sock)
             except protocol.ConnectionClosed:
                 self._mark_lost(future, "closed its connection")
                 continue
@@ -127,7 +146,7 @@ class _WorkerHandle:
                     )
                 )
             else:
-                future.set_result((message_type, payload))
+                future.set_result((message_type, payload, frame_bytes))
 
     def _mark_lost(self, future: Future, reason: str) -> None:
         """Fail this request, every queued request, and all future ones."""
@@ -151,42 +170,56 @@ class _WorkerHandle:
 
 
 class _PushCache:
-    """LRU of partition lists already resident on the workers.
+    """LRU of driver-held partition lists already resident on the workers.
 
     Holds *strong* references: partition lists cannot be weak-referenced,
     and a strong reference also pins the list's ``id`` so a recycled id can
     never alias a dead entry.  Eviction returns the freed data ids so the
-    context can tell the workers to drop them.
+    context can queue them for the workers to drop.
     """
 
     def __init__(self, capacity: int = _PUSH_CACHE_CAPACITY):
         self.capacity = capacity
-        self._entries: dict[int, tuple[int, list[list[Any]]]] = {}
-        self._order: list[int] = []
+        self._entries: collections.OrderedDict[int, tuple[int, list[list[Any]]]] = (
+            collections.OrderedDict()
+        )
 
     def lookup(self, partitions: list[list[Any]]) -> int | None:
-        key = id(partitions)
-        entry = self._entries.get(key)
+        entry = self._entries.get(id(partitions))
         if entry is None:
             return None
-        self._order.remove(key)
-        self._order.append(key)
+        self._entries.move_to_end(id(partitions))
         return entry[0]
 
     def insert(self, partitions: list[list[Any]], data_id: int) -> list[int]:
         """Register a freshly shipped list; returns evicted data ids."""
-        key = id(partitions)
-        self._entries[key] = (data_id, partitions)
-        self._order.append(key)
-        evicted: list[int] = []
-        while len(self._order) > self.capacity:
-            old_key = self._order.pop(0)
-            evicted.append(self._entries.pop(old_key)[0])
-        return evicted
+        self._entries[id(partitions)] = (data_id, partitions)
+        overflow = max(0, len(self._entries) - self.capacity)
+        return [self._entries.popitem(last=False)[1][0] for _ in range(overflow)]
 
     def clear(self) -> None:
         self._entries.clear()
-        self._order.clear()
+
+
+class _Lease:
+    """The driver-side life of one resident result id.
+
+    Every :class:`ResidentPartition` of one wave's output holds the wave's
+    lease; whatever list, dataset or zip they end up in, the id is dead
+    exactly when the last handle is, and ``__del__`` queues it (a deque
+    append: safe from whichever thread the collector runs on).  The handles
+    also reach the context's metrics through it, to charge driver reads.
+    """
+
+    __slots__ = ("resident_id", "metrics", "_garbage")
+
+    def __init__(self, resident_id: int, metrics: Metrics, garbage: collections.deque):
+        self.resident_id = resident_id
+        self.metrics = metrics
+        self._garbage = garbage
+
+    def __del__(self) -> None:
+        self._garbage.append(self.resident_id)
 
 
 class ClusterContext(DistributedContext):
@@ -226,9 +259,13 @@ class ClusterContext(DistributedContext):
         self._local_cluster = None
         self._workers: list[_WorkerHandle] | None = None
         self._push_cache = _PushCache()
-        self._data_ids = itertools.count(1)
-        self._capture_ids = itertools.count(1)
+        #: One id space for all that is resident: pushed lists, results, captures.
+        self._resident_ids = itertools.count(1)
         self._capture_stack: list[list[int]] = []
+        #: Resident ids nothing in the driver refers to any more; handed to
+        #: every worker by :meth:`_frees_for`.
+        self._garbage: collections.deque[int] = collections.deque()
+        self._free_lock = threading.Lock()
         self._stop_monitor = threading.Event()
         self._monitor_thread: threading.Thread | None = None
         self._start_cluster(cluster_address, register_timeout)
@@ -332,10 +369,25 @@ class ClusterContext(DistributedContext):
         while not self._stop_monitor.wait(self.heartbeat_interval):
             for handle in self._workers or []:
                 if handle.lost is None and not handle.busy and handle.queue.empty():
-                    handle.submit(
-                        protocol.encode_message(protocol.HEARTBEAT, {}),
-                        self.heartbeat_interval * 2,
+                    frame = protocol.encode_message(
+                        protocol.HEARTBEAT, {"free": self._frees_for(handle)}
                     )
+                    handle.submit(frame, self.heartbeat_interval * 2)
+
+    def _frees_for(self, handle: _WorkerHandle) -> list[int]:
+        """The dead resident ids ``handle``'s worker has not heard of yet.
+
+        They ride in the ``free`` field of whatever request goes there next.
+        Every id goes to every worker: a result, a pushed list or a capture
+        has partitions on all of them.
+        """
+        with self._free_lock:
+            while self._garbage:
+                dead = self._garbage.popleft()
+                for worker in self._workers or ():
+                    worker.unfreed.append(dead)
+            frees, handle.unfreed = handle.unfreed, []
+        return frees
 
     # -- task dispatch -------------------------------------------------------
 
@@ -344,12 +396,19 @@ class ClusterContext(DistributedContext):
         task: Callable[[list[Any], int], list[Any]],
         partitions: list[list[Any]],
         task_spec: tuple[Any, ...] | None = None,
+        read: bool = False,
     ) -> list[list[Any]]:
+        """Run the chain on the workers; the outputs stay there.
+
+        Returns one :class:`ResidentPartition` per partition, or -- for an
+        action that ``read``s every record right away -- the record lists
+        themselves, carried by the task replies.
+        """
         if not partitions:
             return []
         if task_spec is None:
             return self._run_in_driver(task, partitions)
-        outcome = self._dispatch(task_spec, partitions)
+        outcome = self._dispatch(task_spec, partitions, read)
         if outcome is None:
             return self._run_in_driver(task, partitions)
         return outcome
@@ -357,13 +416,9 @@ class ClusterContext(DistributedContext):
     def _run_in_driver(
         self, task: Callable[[list[Any], int], list[Any]], partitions: list[list[Any]]
     ) -> list[list[Any]]:
-        """Driver fallback: also accounts for any payloads it pulls over."""
+        """Driver fallback; the references it reads charge the driver counters."""
         self.metrics.record_cluster_fallback()
-        result = [task(partition, index) for index, partition in enumerate(partitions)]
-        fetches, fetched_bytes = store_mod.drain_driver_fetch_counters()
-        if fetches:
-            self.metrics.record_driver_payload(fetched_bytes)
-        return result
+        return [task(partition, index) for index, partition in enumerate(partitions)]
 
     def _writer_capture(self, task_spec: tuple[Any, ...]) -> bool:
         """Whether this chain ends in a map-side shuffle writer."""
@@ -374,84 +429,114 @@ class ClusterContext(DistributedContext):
             and last.function.func in _WRITER_FUNCTIONS
         )
 
-    def _payload_mode(self, partitions: list[list[Any]]) -> bool:
-        """Whether the partitions are reduce buckets of routed payloads."""
+    def _driver_held(self, partitions: list[list[Any]]) -> str | None:
+        """How the partitions that are *not* handles travel.
+
+        ``None``: there are none.  ``"shipped"``: they are lists of references
+        (a reduce bucket's routed payloads, zipped sides) and ride in the
+        frame as they are.  ``"records"``: driver data, pushed once and named
+        afterwards.  A handle is never touched to find out.
+        """
+        held = None
         for partition in partitions:
+            if isinstance(partition, ResidentPartition):
+                continue
             if partition:
-                return isinstance(partition[0], (BucketPayload, RemotePayload))
-        return False
+                is_reference = isinstance(partition[0], (BucketPayload, RemoteRecords))
+                return "shipped" if is_reference else "records"
+            held = "records"
+        return held
 
     def _dispatch(
-        self, task_spec: tuple[Any, ...], partitions: list[list[Any]]
+        self, task_spec: tuple[Any, ...], partitions: list[list[Any]], read: bool
     ) -> list[list[Any]] | None:
         workers = self._workers
         if not workers:
             raise ExecutionError("cluster context is shut down")
         capture = self._writer_capture(task_spec)
-        payload_mode = not capture and self._payload_mode(partitions)
-        capture_id = next(self._capture_ids) if capture else None
+        held = self._driver_held(partitions)
+        store_as = self._push_cache.lookup(partitions) if held == "records" else None
+        fresh = held == "records" and store_as is None
+        if fresh:
+            store_as = next(self._resident_ids)
 
-        store_as: int | None = None
-        fresh = False
-        if not payload_mode:
-            store_as = self._push_cache.lookup(partitions)
-            if store_as is None:
-                store_as = next(self._data_ids)
-                fresh = True
-
-        driver_bytes = 0
+        pushed_bytes = stored = driver_bytes = 0
         entries: dict[int, list[tuple[int, tuple]]] = {}
-        for index, partition in enumerate(partitions):
-            worker_index = index % len(workers)
-            if payload_mode:
-                for element in partition:
-                    if isinstance(element, BucketPayload):
-                        # A real payload (produced by a driver fallback) is
-                        # about to ride through the driver to a worker.
-                        driver_bytes += sum(run.length for run in element.runs)
-                        driver_bytes += sum(approximate_size(r) for r in element.records)
-                spec: tuple = ("payloads", partition)
-            elif fresh:
-                spec = ("records", partition)
-            else:
-                spec = ("stored", store_as)
-            entries.setdefault(worker_index, []).append((index, spec))
-
-        message_type = protocol.SHUFFLE_WRITE if capture else protocol.RUN_TASKS
-        frames: dict[int, bytes] = {}
         try:
-            for worker_index, worker_entries in entries.items():
-                frames[worker_index] = protocol.encode_message(
-                    message_type,
-                    {
-                        "task_spec": task_spec,
-                        "partitions": worker_entries,
-                        "columnar": self.columnar,
-                        "store_as": store_as if (fresh and not payload_mode) else None,
-                        "capture_id": capture_id,
-                    },
-                )
+            # Pickled once per wave, not once per worker: the generated code
+            # and broadcast tables in it are the bulk of a frame.
+            task_bytes = wire.cluster_dumps(task_spec)
+            for index, partition in enumerate(partitions):
+                worker = workers[index % len(workers)]
+                if isinstance(partition, ResidentPartition):
+                    if partition.key[1] == index and partition.address == worker.serve_address:
+                        spec: tuple = ("stored", partition.key[0])
+                    else:
+                        spec = ("shipped", partition)
+                elif held == "shipped":
+                    for element in partition:
+                        if isinstance(element, BucketPayload):
+                            # A real payload (produced by a driver fallback) is
+                            # about to ride through the driver to a worker.
+                            driver_bytes += sum(run.length for run in element.runs)
+                            driver_bytes += sum(approximate_size(r) for r in element.records)
+                    spec = ("shipped", partition)
+                elif fresh:
+                    blob = wire.cluster_dumps(partition)
+                    pushed_bytes += len(blob)
+                    spec = ("records", blob)
+                else:
+                    spec = ("stored", store_as)
+                stored += spec[0] == "stored"
+                entries.setdefault(worker.index, []).append((index, spec))
+            shipped_entries = {
+                worker_index: wire.cluster_dumps(worker_entries)
+                for worker_index, worker_entries in entries.items()
+            }
         except wire.UnshippableError:
             return None
+        # From here on nothing can fail to encode, so the frees taken for a
+        # frame are sure to leave with it -- the list this wave's push evicts
+        # included.
+        if fresh:
+            self._garbage.extend(self._push_cache.insert(partitions, store_as))
+        result_id = None if read and not capture else next(self._resident_ids)
+        frames = {
+            worker_index: protocol.encode_message(
+                protocol.SHUFFLE_WRITE if capture else protocol.RUN_TASKS,
+                {
+                    "task": task_bytes,
+                    "partitions": entries_bytes,
+                    "columnar": self.columnar,
+                    "store_as": store_as if fresh else None,
+                    "result_id": result_id,
+                    "free": self._frees_for(workers[worker_index]),
+                },
+            )
+            for worker_index, entries_bytes in shipped_entries.items()
+        }
 
-        if capture_id is not None and self._capture_stack:
-            self._capture_stack[-1].append(capture_id)
-        if fresh and not payload_mode:
-            for evicted in self._push_cache.insert(partitions, store_as):
-                self._free_on_workers(data_ids=[evicted])
-        elif not payload_mode:
-            self.metrics.record_resident_reuse(len(partitions))
+        lease = None
+        if capture:
+            if self._capture_stack:
+                self._capture_stack[-1].append(result_id)
+        elif result_id is not None:
+            # Made before anything is sent: if the wave fails half-way the
+            # lease dies with this frame and the stored half is freed.
+            lease = _Lease(result_id, self.metrics, self._garbage)
+        self.metrics.record_driver_push(pushed_bytes)
+        self.metrics.record_resident_reuse(stored)
 
         futures = [
-            (worker_index, workers[worker_index].submit(frame, self.task_timeout))
+            (workers[worker_index], workers[worker_index].submit(frame, self.task_timeout))
             for worker_index, frame in frames.items()
         ]
         by_index: dict[int, Any] = {}
         task_error: _RemoteTaskError | None = None
         lost_error: WorkerLostError | None = None
-        for worker_index, future in futures:
+        for worker, future in futures:
             try:
-                _, response = future.result()
+                _, response, frame_bytes = future.result()
             except _RemoteTaskError as error:
                 task_error = task_error or error
                 continue
@@ -464,15 +549,28 @@ class ClusterContext(DistributedContext):
                 counters.get("payload_fetch_bytes", 0),
                 counters.get("payload_local_reads", 0),
             )
-            serve_address = workers[worker_index].serve_address
+            if result_id is None:
+                self.metrics.record_driver_fetch(frame_bytes, fetches=0)
             for index, output in response["results"]:
                 if capture:
+                    # The writer's ``[stats, payload...]`` shape, with remote
+                    # references in place of the worker-resident payloads.
                     stats, num_buckets, buckets = output
-                    by_index[index] = self._assemble_capture(
-                        serve_address, capture_id, index, stats, num_buckets, buckets
-                    )
-                else:
+                    counts = dict(buckets)
+                    by_index[index] = [stats] + [
+                        RemotePayload(
+                            worker.serve_address, (result_id, index, bucket), counts[bucket], self
+                        )
+                        if bucket in counts
+                        else BucketPayload((), ())
+                        for bucket in range(num_buckets)
+                    ]
+                elif lease is None:
                     by_index[index] = output
+                else:
+                    by_index[index] = ResidentPartition(
+                        worker.serve_address, (result_id, index), output, lease
+                    )
         if lost_error is not None:
             raise lost_error
         if task_error is not None:
@@ -487,31 +585,6 @@ class ClusterContext(DistributedContext):
         self.metrics.record_parallel_tasks(len(partitions))
         return [by_index[index] for index in range(len(partitions))]
 
-    def _assemble_capture(
-        self,
-        serve_address: str,
-        capture_id: int,
-        map_index: int,
-        stats: Any,
-        num_buckets: int,
-        buckets: list[tuple[int, int]],
-    ) -> list[Any]:
-        """Rebuild a writer task's ``[stats, payload...]`` output shape with
-        remote references in place of the worker-resident payloads."""
-        counts = dict(buckets)
-        output: list[Any] = [stats]
-        for bucket_index in range(num_buckets):
-            count = counts.get(bucket_index, 0)
-            if count:
-                output.append(
-                    RemotePayload(
-                        serve_address, (capture_id, map_index, bucket_index), count
-                    )
-                )
-            else:
-                output.append(BucketPayload((), ()))
-        return output
-
     # -- shuffle lifecycle ---------------------------------------------------
 
     def run_shuffle(self, shuffle: Any) -> tuple[list[list[Any]], Any]:
@@ -519,24 +592,9 @@ class ClusterContext(DistributedContext):
         try:
             return super().run_shuffle(shuffle)
         finally:
-            capture_ids = self._capture_stack.pop()
-            if capture_ids:
-                self._free_on_workers(capture_ids=capture_ids)
-
-    def _free_on_workers(
-        self, data_ids: list[int] | None = None, capture_ids: list[int] | None = None
-    ) -> None:
-        """Best-effort STORE_FREE broadcast (a lost worker is already failing)."""
-        try:
-            frame = protocol.encode_message(
-                protocol.STORE_FREE,
-                {"data_ids": data_ids or [], "capture_ids": capture_ids or []},
-            )
-        except wire.UnshippableError:  # pragma: no cover - ids are ints
-            return
-        for handle in self._workers or []:
-            if handle.lost is None:
-                handle.submit(frame, self.task_timeout)
+            # The reduce side has read them (or the shuffle failed): the
+            # captures are garbage as of now, whoever still holds a reference.
+            self._garbage.extend(self._capture_stack.pop())
 
     # -- shutdown ------------------------------------------------------------
 
@@ -546,25 +604,28 @@ class ClusterContext(DistributedContext):
         Safe to call twice.  Unlike the in-process executors the cluster
         does *not* restart lazily: a shut-down cluster context is done.
         """
-        workers, self._workers = self._workers, None
+        workers = self._workers
         if workers is not None:
             self._stop_monitor.set()
             goodbyes = []
             for handle in workers:
                 if handle.lost is None:
-                    goodbyes.append(
-                        handle.submit(protocol.encode_message(protocol.SHUTDOWN, {}), 5.0)
+                    frame = protocol.encode_message(
+                        protocol.SHUTDOWN, {"free": self._frees_for(handle)}
                     )
+                    goodbyes.append(handle.submit(frame, 5.0))
             for future in goodbyes:
                 try:
                     future.result(timeout=5.0)
                 except Exception:
                     pass
+            self._workers = None
             for handle in workers:
                 handle.stop()
             if self._local_cluster is not None:
                 self._local_cluster.close()
             self._push_cache.clear()
+            store_mod.FETCH_CONNECTIONS.close()
         super().shutdown(cancel_pending)
 
     close = shutdown

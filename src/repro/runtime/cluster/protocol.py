@@ -36,24 +36,25 @@ from repro.runtime.cluster import wire
 #: First bytes of every frame; reject non-cluster peers immediately.
 MAGIC = b"DBLO"
 #: Bumped on any incompatible change to framing or message payloads.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: magic, version byte, 3 pad bytes, u64 body length.
 _WIRE_HEADER = struct.Struct(">4sB3xQ")
 #: Hard per-frame cap: a length beyond this is a corrupt or hostile header.
 MAX_FRAME_BYTES = 1 << 31
 
 # -- message types ------------------------------------------------------------
+# Every driver -> worker request may carry ``"free"``: resident ids whose driver
+# objects are gone, dropped before the request is served (there is no
+# stand-alone free message).
 REGISTER = "register"  #: worker -> driver: here I am (pid, serve address, versions)
 REGISTERED = "registered"  #: driver -> worker: accepted, here is your index
-RUN_TASKS = "run_tasks"  #: driver -> worker: run a fused narrow chain
+RUN_TASKS = "run_tasks"  #: driver -> worker: run a fused narrow chain, keep the outputs
 SHUFFLE_WRITE = "shuffle_write"  #: driver -> worker: run a map-side chain, keep payloads
-TASK_RESULT = "task_result"  #: worker -> driver: per-partition results + counters
-FETCH_PAYLOAD = "fetch_payload"  #: peer/driver -> worker: send one stored bucket payload
-PAYLOAD = "payload"  #: worker -> peer/driver: the materialized bucket records
-STORE_FREE = "store_free"  #: driver -> worker: drop resident partitions / captures
-STORE_FREED = "store_freed"  #: worker -> driver: ack
+TASK_RESULT = "task_result"  #: worker -> driver: per-partition record counts + counters
+FETCH_PAYLOAD = "fetch_payload"  #: reader -> worker: send the records under these store keys
+PAYLOAD = "payload"  #: worker -> reader: one record list per requested key
 HEARTBEAT = "heartbeat"  #: driver -> worker: liveness probe
-HEARTBEAT_ACK = "heartbeat_ack"  #: worker -> driver: still here
+HEARTBEAT_ACK = "heartbeat_ack"  #: worker -> driver: still here, holding this much
 SHUTDOWN = "shutdown"  #: driver -> worker: exit cleanly
 SHUTDOWN_ACK = "shutdown_ack"  #: worker -> driver: exiting
 ERROR = "error"  #: worker -> driver: the request failed (message + cause)

@@ -1,19 +1,23 @@
-"""Worker-side state: resident partitions, captured shuffle payloads, and the
-:class:`RemotePayload` handle that moves shuffle data worker-to-worker.
+"""Worker-side state, and the references that let records stay on it.
 
-Each worker process owns one :class:`WorkerStore`:
+Each worker process owns one :class:`WorkerStore` -- **one keyspace**: every
+entry is filed under a tuple that starts with a driver-issued id, and an id is
+dropped as a whole when the driver says so.
 
-* **Resident partitions** -- input partitions the driver shipped once and
-  addresses by ``(data_id, partition_index)`` afterwards, so re-scanning the
-  same dataset across stages costs a tiny reference instead of re-sending
+* ``(id, partition index)`` -- a **resident partition**: a record list the
+  driver pushed once, or (the common case) the output of a task that ran
+  here.  The driver holds a counted :class:`ResidentPartition` handle, not
   the records.
-* **Captured payloads** -- the :class:`~repro.runtime.spill.BucketPayload`
-  outputs of map-side shuffle chains, keyed by
-  ``(capture_id, map_partition, bucket)``.  The driver only ever routes the
-  *descriptors* (:class:`RemotePayload`); the records stay put until the
-  reduce task that owns the bucket reads them -- locally when the map ran on
-  the same worker, over a peer fetch otherwise.  Shuffle data therefore
-  never passes through the driver.
+* ``(id, map partition, bucket)`` -- a **captured payload**: the
+  :class:`~repro.runtime.spill.BucketPayload` a map-side shuffle chain wrote
+  for one reduce bucket, routed by the driver as a :class:`RemotePayload`.
+
+Both references are :class:`RemoteRecords`: address, key and record count
+travel (``__reduce__``), the records are read only where somebody looks at
+them -- straight out of the store when that is the worker that owns them,
+over **one** ``FETCH_PAYLOAD`` request per peer otherwise (:func:`localize`
+groups a task's references by address).  The driver is just another reader:
+what it pulls is charged to its :class:`~repro.runtime.metrics.Metrics`.
 
 A :class:`RemotePayload` quacks like an in-memory ``BucketPayload`` (``runs``
 is the empty tuple, ``records`` materializes on first access), so the
@@ -28,69 +32,64 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Iterable
+from collections.abc import Sequence
+from typing import Any, Iterable, Iterator
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, WorkerLostError
 from repro.runtime.cluster import protocol
-from repro.runtime.spill import BucketPayload, iter_payload
+from repro.runtime.spill import iter_payload
+
+#: ``(start, stop, step)`` of the slice a reader wants, or None for everything.
+Part = tuple[Any, Any, Any] | None
 
 
 class WorkerStore:
-    """Partition / payload storage for one worker process (thread-safe: the
+    """Everything one worker process keeps between requests (thread-safe: the
     serve loop reads while the task loop writes)."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._partitions: dict[tuple[int, int], list[Any]] = {}
-        self._payloads: dict[tuple[int, int, int], BucketPayload] = {}
+        self._entries: dict[tuple[int, ...], Any] = {}
         self.payload_fetches = 0
         self.payload_fetch_bytes = 0
         self.payload_local_reads = 0
 
-    # -- resident partitions ------------------------------------------------
-
-    def put_partition(self, data_id: int, index: int, records: list[Any]) -> None:
+    def put(self, key: tuple[int, ...], value: Any) -> None:
         with self._lock:
-            self._partitions[(data_id, index)] = records
+            self._entries[key] = value
 
-    def get_partition(self, data_id: int, index: int) -> list[Any]:
+    def get(self, key: tuple[int, ...]) -> Any:
         with self._lock:
             try:
-                return self._partitions[(data_id, index)]
+                return self._entries[key]
             except KeyError:
                 raise ExecutionError(
-                    f"worker has no resident partition ({data_id}, {index}); "
-                    "the driver's push cache and this store disagree"
+                    f"worker holds nothing under {key}; the driver's view of "
+                    "what is resident and this store disagree"
                 ) from None
 
-    # -- captured shuffle payloads ------------------------------------------
-
-    def put_payload(self, key: tuple[int, int, int], payload: BucketPayload) -> None:
+    def records(self, key: tuple[int, ...], part: Part = None) -> list[Any] | None:
+        """The records filed under ``key`` as a list (a payload's spilled runs
+        are streamed back in), cut to ``part``; None when there is no entry."""
         with self._lock:
-            self._payloads[key] = payload
+            stored = self._entries.get(key)
+        if stored is None:
+            return None
+        records = stored if isinstance(stored, list) else list(iter_payload(stored))
+        return records if part is None else records[slice(*part)]
 
-    def get_payload(self, key: tuple[int, int, int]) -> BucketPayload | None:
+    def free(self, ids: Iterable[int]) -> None:
+        """Drop every entry of the given ids."""
+        dead = set(ids)
         with self._lock:
-            return self._payloads.get(key)
-
-    def free(self, data_ids: Iterable[int] = (), capture_ids: Iterable[int] = ()) -> int:
-        """Drop resident partitions / captured payloads; returns entries freed."""
-        dropped = 0
-        data_ids = set(data_ids)
-        capture_ids = set(capture_ids)
-        with self._lock:
-            for key in [k for k in self._partitions if k[0] in data_ids]:
-                del self._partitions[key]
-                dropped += 1
-            for pkey in [k for k in self._payloads if k[0] in capture_ids]:
-                del self._payloads[pkey]
-                dropped += 1
-        return dropped
+            for key in [key for key in self._entries if key[0] in dead]:
+                del self._entries[key]
 
     def resident_counts(self) -> tuple[int, int]:
         """``(resident partitions, captured payloads)`` currently held."""
         with self._lock:
-            return len(self._partitions), len(self._payloads)
+            partitions = sum(1 for key in self._entries if len(key) == 2)
+            return partitions, len(self._entries) - partitions
 
     def drain_counters(self) -> dict[str, int]:
         """The payload-transfer counters since the last drain."""
@@ -118,51 +117,40 @@ def set_active_store(store: WorkerStore | None, address: str | None) -> None:
     _ACTIVE_ADDRESS = address
 
 
-#: Payload traffic that crossed *through the driver process* (reduce inputs
-#: fetched by a driver-side fallback).  Zero in a healthy cluster run.
-_DRIVER_FETCHES = {"fetches": 0, "bytes": 0}
-_DRIVER_FETCH_LOCK = threading.Lock()
-
-
-def drain_driver_fetch_counters() -> tuple[int, int]:
-    """``(fetches, bytes)`` pulled into the driver since the last drain."""
-    with _DRIVER_FETCH_LOCK:
-        fetches, fetched = _DRIVER_FETCHES["fetches"], _DRIVER_FETCHES["bytes"]
-        _DRIVER_FETCHES["fetches"] = 0
-        _DRIVER_FETCHES["bytes"] = 0
-        return fetches, fetched
-
-
 class _FetchConnections:
-    """A per-process cache of peer-fetch sockets, one per serve address."""
+    """A per-process cache of fetch sockets, one per serve address."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sockets: dict[str, socket.socket] = {}
 
-    def fetch(self, address: str, key: tuple[int, int, int]) -> tuple[list[Any], int]:
-        """``(records, frame_bytes)`` for one stored payload on a peer."""
+    def fetch(
+        self, address: str, keys: list[tuple[int, ...]], part: Part
+    ) -> tuple[list[list[Any]], int]:
+        """``(one record list per key, frame_bytes)`` from the store at ``address``."""
         with self._lock:
             sock = self._sockets.pop(address, None)
         try:
             if sock is None:
                 sock = socket.create_connection(protocol.parse_address(address), timeout=60.0)
-            protocol.send_message(sock, protocol.FETCH_PAYLOAD, {"key": key})
+            protocol.send_message(sock, protocol.FETCH_PAYLOAD, {"keys": keys, "part": part})
             message_type, payload, frame_bytes = protocol.recv_message_sized(sock)
-        except (OSError, protocol.ProtocolError):
+        except (OSError, protocol.ProtocolError) as error:
             if sock is not None:
                 sock.close()
-            raise
-        if message_type != protocol.PAYLOAD or not payload.get("found", False):
+            raise WorkerLostError(
+                f"the cluster worker serving {address} cannot be reached ({error}); "
+                "the records it held are lost"
+            ) from error
+        records = payload.get("records", ())
+        if message_type != protocol.PAYLOAD or len(records) != len(keys) or None in records:
             sock.close()
-            raise ExecutionError(
-                f"peer {address} could not serve payload {key}: got {message_type}"
-            )
+            raise ExecutionError(f"peer {address} could not serve {keys}: got {message_type}")
         with self._lock:
             previous = self._sockets.setdefault(address, sock)
         if previous is not sock:  # pragma: no cover - concurrent fetches to one peer
             sock.close()
-        return payload["records"], frame_bytes
+        return records, frame_bytes
 
     def close(self) -> None:
         with self._lock:
@@ -171,10 +159,64 @@ class _FetchConnections:
             self._sockets.clear()
 
 
-_FETCH_CONNECTIONS = _FetchConnections()
+#: Closed by ``ClusterContext.shutdown`` in the driver.
+FETCH_CONNECTIONS = _FetchConnections()
 
 
-class RemotePayload:
+class RemoteRecords:
+    """Records that live in a worker's store: where, under which key, how many.
+
+    ``owner`` exists in the driver only (it never travels): an object whose
+    ``metrics`` is charged for what the driver pulls, and whose lifetime is
+    the resident id's (see ``ClusterContext``).
+    """
+
+    __slots__ = ("address", "key", "record_count", "_records", "_owner")
+
+    #: The ``Metrics`` method charged when the *driver* pulls these records.
+    _driver_charge = ""
+
+    def __init__(self, address: str, key: tuple[int, ...], record_count: int, owner: Any = None):
+        self.address = address
+        self.key = key
+        self.record_count = record_count
+        self._records: Any = None
+        self._owner = owner
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.address, self.key, self.record_count))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.address}, key={self.key}, records={self.record_count})"
+
+
+def _pull(address: str, references: list[RemoteRecords], part: Part = None) -> list[list[Any]]:
+    """One ``FETCH_PAYLOAD`` round trip for references that all live at ``address``."""
+    records, frame_bytes = FETCH_CONNECTIONS.fetch(address, [ref.key for ref in references], part)
+    store = _ACTIVE_STORE
+    if store is not None:
+        with store._lock:
+            store.payload_fetches += 1
+            store.payload_fetch_bytes += frame_bytes
+    elif references[0]._owner is not None:
+        # No worker store: these records were just pulled into the driver.
+        getattr(references[0]._owner.metrics, references[0]._driver_charge)(frame_bytes)
+    return records
+
+
+def _load(reference: RemoteRecords, part: Part = None) -> list[Any]:
+    """The (slice of the) records behind one reference, wherever this runs."""
+    store = _ACTIVE_STORE
+    if store is None or _ACTIVE_ADDRESS != reference.address:
+        return _pull(reference.address, [reference], part)[0]
+    records = store.records(reference.key, part)
+    if records is None:
+        raise ExecutionError(f"local entry {reference.key} missing from the worker store")
+    store.payload_local_reads += 1
+    return records
+
+
+class RemotePayload(RemoteRecords):
     """A shuffle bucket payload that still lives on the worker that wrote it.
 
     Duck-types the in-memory :class:`~repro.runtime.spill.BucketPayload`
@@ -185,45 +227,73 @@ class RemotePayload:
     (known without any transfer, so the driver can route buckets for free).
     """
 
-    __slots__ = ("address", "key", "record_count", "_records")
+    __slots__ = ()
 
+    _driver_charge = "record_driver_payload"
     #: No local spill runs, ever: remote data arrives as one record block.
     runs: tuple = ()
-
-    def __init__(self, address: str, key: tuple[int, int, int], record_count: int):
-        self.address = address
-        self.key = key
-        self.record_count = record_count
-        self._records = None
 
     @property
     def records(self) -> tuple[Any, ...]:
         if self._records is None:
-            self._records = tuple(self._resolve())
+            self._records = _load(self)
         return self._records
 
-    def _resolve(self) -> list[Any]:
-        store = _ACTIVE_STORE
-        if store is not None and _ACTIVE_ADDRESS == self.address:
-            payload = store.get_payload(self.key)
-            if payload is None:
-                raise ExecutionError(f"local payload {self.key} missing from the worker store")
-            store.payload_local_reads += 1
-            return list(iter_payload(payload))
-        records, frame_bytes = _FETCH_CONNECTIONS.fetch(self.address, self.key)
-        if store is not None:
-            with store._lock:
-                store.payload_fetches += 1
-                store.payload_fetch_bytes += frame_bytes
-        else:
-            # No worker store: this payload was just pulled into the driver.
-            with _DRIVER_FETCH_LOCK:
-                _DRIVER_FETCHES["fetches"] += 1
-                _DRIVER_FETCHES["bytes"] += frame_bytes
-        return records
 
-    def __reduce__(self) -> tuple:
-        return (RemotePayload, (self.address, self.key, self.record_count))
+class ResidentPartition(RemoteRecords, Sequence):
+    """A task output that stayed on the worker that computed it.
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RemotePayload({self.address}, key={self.key}, records={self.record_count})"
+    List-like for whoever holds it: ``len()`` is free, any element access
+    fetches the records once and caches them, and a slice taken *before*
+    that fetches only the slice (the adaptive sampler's stride costs at most
+    its sample).  The driver gets these from ``ClusterContext.run_tasks``;
+    inside a task an unresolved one reads itself from the local store or
+    from its peer.
+    """
+
+    __slots__ = ()
+    _driver_charge = "record_driver_fetch"
+
+    def __len__(self) -> int:
+        return self.record_count
+
+    def _list(self) -> list[Any]:
+        if self._records is None:
+            self._records = _load(self)
+        return self._records
+
+    def __getitem__(self, item: Any) -> Any:
+        if self._records is None and isinstance(item, slice):
+            return _load(self, (item.start, item.stop, item.step))
+        return self._list()[item]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._list())
+
+
+def localize(partition: Any) -> Any:
+    """Turn a shipped partition's references into records this task can read.
+
+    ``partition`` is a handle away from its home position, a reduce bucket's
+    list of routed payloads, or the zipped sides of a co-partitioned join.
+    Local references are read from the store; the others are fetched with one
+    request per peer, not one per reference.  Handles are replaced by their
+    record lists, payloads keep their ``BucketPayload`` face.
+    """
+    whole = isinstance(partition, ResidentPartition)
+    elements = [partition] if whole else partition
+    by_peer: dict[str, list[RemoteRecords]] = {}
+    for element in elements:
+        if isinstance(element, RemoteRecords) and element._records is None:
+            if element.address == _ACTIVE_ADDRESS:
+                element._records = _load(element)
+            else:
+                by_peer.setdefault(element.address, []).append(element)
+    for address, references in by_peer.items():
+        for reference, records in zip(references, _pull(address, references), strict=True):
+            reference._records = records
+    resolved = [
+        element._list() if isinstance(element, ResidentPartition) else element
+        for element in elements
+    ]
+    return resolved[0] if whole else resolved

@@ -5,12 +5,14 @@ A worker makes two kinds of connections:
 * **one outbound control connection to the driver** -- it registers, then
   serves driver requests in lockstep (one request, one response):
   ``run_tasks`` / ``shuffle_write`` execute fused stage chains over the
-  partitions named in the request, ``store_free`` drops resident state,
-  ``heartbeat`` answers liveness probes, ``shutdown`` exits;
-* **one listening *serve* socket for peers** -- other workers (or, in a
-  fallback, the driver) fetch captured shuffle payloads from it by key.
-  Peer fetches run on their own threads, so a worker busy reducing can
-  still feed the bucket data it mapped earlier to the rest of the cluster.
+  partitions named in the request and *keep* what they produce,
+  ``heartbeat`` answers liveness probes, ``shutdown`` exits; every request
+  first drops the resident ids listed in its ``free`` field;
+* **one listening *serve* socket for readers** -- other workers, and the
+  driver when its code looks at a result, fetch resident partitions and
+  captured shuffle payloads from it by store key.  Fetches run on their own
+  threads, so a worker busy reducing can still feed the records it produced
+  earlier to the rest of the cluster.
 
 Start one manually with ``repro-worker HOST:PORT`` (or
 ``DIABLO_CLUSTER_ADDRESS=HOST:PORT repro-worker``), pointing at the address
@@ -34,8 +36,8 @@ from typing import Any
 from repro.errors import ExecutionError
 from repro.runtime import stage as stage_mod
 from repro.runtime.cluster import protocol, wire
+from repro.runtime.cluster import store as store_mod
 from repro.runtime.cluster.store import WorkerStore, set_active_store
-from repro.runtime.spill import iter_payload
 
 logger = logging.getLogger("repro.worker")
 
@@ -44,31 +46,39 @@ logger = logging.getLogger("repro.worker")
 CONNECT_RETRY_SECONDS = 15.0
 
 
-def _resolve_partition(store: WorkerStore, index: int, spec: tuple) -> list[Any]:
+def _resolve_partition(
+    store: WorkerStore, index: int, spec: tuple, store_as: int | None
+) -> list[Any]:
     """Materialize one task partition from its wire spec."""
-    kind = spec[0]
-    if kind == "records":
-        return spec[1]
+    kind, value = spec
     if kind == "stored":
-        return store.get_partition(spec[1], index)
-    if kind == "payloads":
-        return spec[1]
+        return store.get((value, index))
+    if kind == "records":
+        # Pushed by the driver: kept, so the next wave over the same list
+        # names it instead of sending it again.
+        records = wire.cluster_loads(value)
+        store.put((store_as, index), records)
+        return records
+    if kind == "shipped":
+        return store_mod.localize(value)
     raise ExecutionError(f"unknown partition spec kind {kind!r}")
 
 
 def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -> dict[str, Any]:
-    """Run one ``run_tasks`` / ``shuffle_write`` request; the response payload."""
-    task_spec = request["task_spec"]
-    columnar = request["columnar"]
-    store_as = request.get("store_as")
-    capture_id = request.get("capture_id")
-    task = stage_mod.compose(task_spec, columnar)
+    """Run one ``run_tasks`` / ``shuffle_write`` request; the response payload.
+
+    What a task produces stays here under ``result_id``: bucket payloads for
+    a map-side chain, the output partition otherwise -- the reply carries
+    record counts.  Only a request without a ``result_id`` (the driver is
+    running an action that reads every record right away) gets the records
+    back instead.
+    """
+    task = stage_mod.compose(wire.cluster_loads(request["task"]), request["columnar"])
+    store_as = request["store_as"]
+    result_id = request["result_id"]
     results: list[tuple[int, Any]] = []
-    for index, spec in request["partitions"]:
-        partition = _resolve_partition(store, index, spec)
-        if store_as is not None and spec[0] == "records":
-            store.put_partition(store_as, index, partition)
-        output = task(partition, index)
+    for index, spec in wire.cluster_loads(request["partitions"]):
+        output = task(_resolve_partition(store, index, spec, store_as), index)
         if capture:
             # Map-side shuffle: keep every non-empty bucket payload resident
             # and report only (bucket, record count); the driver routes the
@@ -78,11 +88,14 @@ def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -
             for bucket_index, payload in enumerate(output[1:]):
                 count = payload.record_count
                 if count:
-                    store.put_payload((capture_id, index, bucket_index), payload)
+                    store.put((result_id, index, bucket_index), payload)
                     buckets.append((bucket_index, count))
             results.append((index, (stats, len(output) - 1, buckets)))
-        else:
+        elif result_id is None:
             results.append((index, output))
+        else:
+            store.put((result_id, index), output)
+            results.append((index, len(output)))
     return {"results": results, "counters": store.drain_counters()}
 
 
@@ -100,7 +113,7 @@ class WorkerDaemon:
     # -- peer serving --------------------------------------------------------
 
     def _serve_peer(self, conn: socket.socket) -> None:
-        """Answer payload fetches on one peer connection until it closes."""
+        """Answer store fetches on one reader connection until it closes."""
         with conn:
             while True:
                 try:
@@ -116,16 +129,9 @@ class WorkerDaemon:
                         conn, protocol.ERROR, {"message": f"unexpected {message_type}"}
                     )
                     return
-                key = tuple(payload["key"])
-                stored = self.store.get_payload(key)
-                if stored is None:
-                    protocol.send_message(conn, protocol.PAYLOAD, {"found": False, "records": []})
-                else:
-                    protocol.send_message(
-                        conn,
-                        protocol.PAYLOAD,
-                        {"found": True, "records": list(iter_payload(stored))},
-                    )
+                part = payload.get("part")
+                records = [self.store.records(tuple(key), part) for key in payload["keys"]]
+                protocol.send_message(conn, protocol.PAYLOAD, {"records": records})
 
     def _serve_loop(self) -> None:
         assert self._serve_socket is not None
@@ -202,6 +208,8 @@ class WorkerDaemon:
                     sock, protocol.ERROR, {"message": str(error), "exception": None}
                 )
                 continue
+            if payload.get("free"):
+                self.store.free(payload["free"])
             if message_type == protocol.SHUTDOWN:
                 protocol.send_message(sock, protocol.SHUTDOWN_ACK, {"index": self.index})
                 logger.info("shutdown requested; exiting")
@@ -213,12 +221,6 @@ class WorkerDaemon:
                     protocol.HEARTBEAT_ACK,
                     {"index": self.index, "partitions": partitions, "payloads": payloads},
                 )
-                continue
-            if message_type == protocol.STORE_FREE:
-                dropped = self.store.free(
-                    payload.get("data_ids", ()), payload.get("capture_ids", ())
-                )
-                protocol.send_message(sock, protocol.STORE_FREED, {"dropped": dropped})
                 continue
             if message_type in (protocol.RUN_TASKS, protocol.SHUFFLE_WRITE):
                 capture = message_type == protocol.SHUFFLE_WRITE

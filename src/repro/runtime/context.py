@@ -315,13 +315,17 @@ class DistributedContext:
         task: Callable[[list[Any], int], list[Any]],
         partitions: list[list[Any]],
         task_spec: tuple[Any, ...] | None = None,
+        read: bool = False,
     ) -> list[list[Any]]:
         """Run ``task(partition, index)`` over every partition.
 
         ``task_spec`` is an optional picklable descriptor of the task (a tuple
         of :class:`~repro.runtime.stage.NarrowStage`) that lets the
         ``"processes"`` executor rebuild the fused task inside a worker
-        process instead of pickling a driver closure.
+        process instead of pickling a driver closure.  ``read`` says the
+        caller is an action about to look at every output record; it only
+        matters to an executor that would otherwise leave the outputs where
+        they were computed (the cluster backend).
         """
         try:
             return self._run_tasks(task, partitions, task_spec)
@@ -791,13 +795,16 @@ class DistributedContext:
             and num_source_partitions == shuffle.num_output_partitions
         )
 
-    def _resolve_join_input(self, shuffle_input: Any) -> tuple[Any, list[list[Any]]]:
+    def _resolve_join_input(
+        self, shuffle_input: Any, read: bool = False
+    ) -> tuple[Any, list[list[Any]]]:
         """Run one join input's captured narrow chain eagerly.
 
         Returns ``(rewritten_input, post-chain partitions)``: the rewritten
         input holds the chained partitions behind a :class:`_ResolvedSource`
         with an empty stage chain, so a join that falls back to a shuffle
-        does not run the chain a second time."""
+        does not run the chain a second time.  ``read``: this is (expected
+        to be) the build side, whose every record the driver reads next."""
         partitions = shuffle_input.source.partitions
         if not shuffle_input.stages:
             return shuffle_input, partitions
@@ -809,6 +816,7 @@ class DistributedContext:
             stage_mod.compose(shuffle_input.stages, self.columnar),
             partitions,
             task_spec=shuffle_input.stages,
+            read=read,
         )
         if shuffle_input.captured_operators:
             self.metrics.record_fused(shuffle_input.captured_operators)
@@ -832,14 +840,30 @@ class DistributedContext:
         if how == "full":
             return shuffle
         left_input, right_input = shuffle.inputs
-        resolved = self.adaptive or shuffle.strategy == "broadcast"
+        eligible = {"inner": ("left", "right"), "left": ("right",), "right": ("left",)}.get(how, ())
+        threshold = self.broadcast_join_threshold
+        side = None
+        if shuffle.strategy == "broadcast":
+            side = "left" if how == "right" else "right"
+        resolved = self.adaptive or side is not None
         if resolved:
             # Adaptive sizing: run the captured narrow chains first and
             # re-decide broadcast-vs-shuffle from the *actual* post-chain
             # record counts (a captured filter may shrink a side far under
-            # the threshold; the chain has to run either way).
-            left_input, left_partitions = self._resolve_join_input(left_input)
-            right_input, right_partitions = self._resolve_join_input(right_input)
+            # the threshold; the chain has to run either way).  Building the
+            # lookup table reads every build-side record, so the side the raw
+            # sizes point at is asked to bring its records with its results.
+            likely = side or choose_broadcast_side(
+                sum(len(p) for p in left_input.source.partitions),
+                sum(len(p) for p in right_input.source.partitions),
+                threshold,
+            )
+            if likely not in eligible:
+                likely = None
+            left_input, left_partitions = self._resolve_join_input(left_input, likely == "left")
+            right_input, right_partitions = self._resolve_join_input(
+                right_input, likely == "right"
+            )
             shuffle = shuffle._replace(inputs=(left_input, right_input))
         else:
             # Static sizing (ablation): decide from the raw source sizes,
@@ -848,11 +872,7 @@ class DistributedContext:
             right_partitions = right_input.source.partitions
         left_count = sum(len(p) for p in left_partitions)
         right_count = sum(len(p) for p in right_partitions)
-        eligible = {"inner": ("left", "right"), "left": ("right",), "right": ("left",)}.get(how, ())
-        if shuffle.strategy == "broadcast":
-            side = "left" if how == "right" else "right"
-        else:
-            threshold = self.broadcast_join_threshold
+        if side is None:
             side = choose_broadcast_side(left_count, right_count, threshold)
             if side not in eligible:
                 # The smaller side cannot be broadcast for this join type;
@@ -871,8 +891,8 @@ class DistributedContext:
                     f"broadcast {side} (threshold {threshold})",
                 )
         if not resolved:
-            left_input, left_partitions = self._resolve_join_input(left_input)
-            right_input, right_partitions = self._resolve_join_input(right_input)
+            left_input, left_partitions = self._resolve_join_input(left_input, side == "left")
+            right_input, right_partitions = self._resolve_join_input(right_input, side == "right")
             shuffle = shuffle._replace(inputs=(left_input, right_input))
 
         build_partitions = left_partitions if side == "left" else right_partitions

@@ -208,14 +208,23 @@ class Dataset:
 
     @property
     def partitions(self) -> list[list[Any]]:
-        """The partition lists, forcing any pending stage chain."""
+        """The partition lists, forcing any pending stage chain.
+
+        List-like, not necessarily lists: under the cluster executor a forced
+        partition is a counted handle whose records stay on a worker until
+        somebody looks at them (``len()`` never does)."""
+        return self._forced(read=False)
+
+    def _forced(self, read: bool) -> list[list[Any]]:
+        """The partitions; an action that looks at every record right away
+        passes ``read`` so a pending narrow chain brings them in its replies."""
         if self._materialized is None:
             with self._force_lock:
                 if self._materialized is None:
-                    self._force()
+                    self._force(read)
         return self._materialized
 
-    def _force(self) -> None:
+    def _force(self, read: bool = False) -> None:
         """Run the pending plan: a shuffle node via ``run_shuffle``, a narrow
         stage chain fused into one ``run_tasks`` pass."""
         if self._shuffle is not None:
@@ -245,7 +254,9 @@ class Dataset:
                 *stage_mod.vectorization_counts(stages, self.context.columnar)
             )
         self.stage_notes = _stage_notes(stages, self.context.columnar)
-        new_partitions = self.context.run_tasks(task, source_partitions, task_spec=stages)
+        new_partitions = self.context.run_tasks(
+            task, source_partitions, task_spec=stages, read=read
+        )
         metrics.record_narrow(
             len(source_partitions), sum(len(partition) for partition in source_partitions)
         )
@@ -314,7 +325,7 @@ class Dataset:
 
     def collect(self) -> list[Any]:
         """All records as a single list (driver side)."""
-        return [record for partition in self.partitions for record in partition]
+        return [record for partition in self._forced(read=True) for record in partition]
 
     def count(self) -> int:
         """Number of records."""
@@ -366,7 +377,7 @@ class Dataset:
         return taken
 
     def __iter__(self) -> Iterator[Any]:
-        for partition in self.partitions:
+        for partition in self._forced(read=True):
             yield from partition
 
     def __len__(self) -> int:
@@ -579,7 +590,9 @@ class Dataset:
     def reduce(self, function: Callable[[Any, Any], Any]) -> Any:
         """Reduce all records with an associative, commutative function."""
         partial_results = [
-            _reduce_list(partition, function) for partition in self.partitions if partition
+            _reduce_list(partition, function)
+            for partition in self._forced(read=True)
+            if partition
         ]
         if not partial_results:
             raise ExecutionError("reduce() on an empty dataset")
@@ -588,7 +601,7 @@ class Dataset:
     def fold(self, zero: Any, function: Callable[[Any, Any], Any]) -> Any:
         """Like :meth:`reduce` but with an identity value for empty datasets."""
         result = zero
-        for partition in self.partitions:
+        for partition in self._forced(read=True):
             for record in partition:
                 result = function(result, record)
         return result
@@ -598,7 +611,7 @@ class Dataset:
     ) -> Any:
         """Two-level aggregation: ``seq_op`` within partitions, ``comb_op`` across."""
         partials = []
-        for partition in self.partitions:
+        for partition in self._forced(read=True):
             accumulator = zero
             for record in partition:
                 accumulator = seq_op(accumulator, record)
@@ -630,7 +643,7 @@ class Dataset:
             folded = Dataset._pending(source, chain, None)
         else:
             folded = self.map_partitions(functools.partial(stage_mod.fold_partition, fold))
-        return [partition[0] for partition in folded.partitions]
+        return [partition[0] for partition in folded._forced(read=True)]
 
     def sum(self) -> Any:
         return self.fold(0, lambda a, b: a + b)

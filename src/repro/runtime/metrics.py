@@ -118,14 +118,23 @@ class Metrics:
     #: (no task_spec, or a chain that could not cross the wire).  0 under the
     #: three in-process executors.
     cluster_fallbacks: int = 0
-    #: Partitions served from the workers' resident stores instead of being
-    #: re-shipped by the driver (cluster-mode push-cache hits).
+    #: Task input partitions a cluster wave named in the workers' resident
+    #: stores (a previous wave's output, or a driver list pushed earlier)
+    #: instead of shipping their records.
     resident_partition_reuses: int = 0
     #: Serialized shuffle-payload bytes that passed *through the driver* in
     #: cluster mode.  Zero in a healthy cluster run: reduce inputs move
     #: worker-to-worker, and this counter only grows when a driver fallback
     #: produced or consumed real payloads.
     driver_payload_bytes: int = 0
+    #: Pickled bytes of driver-held record lists pushed to cluster workers
+    #: (inputs; a chain of waves over resident task outputs pushes nothing).
+    driver_pushed_bytes: int = 0
+    #: Frame bytes of records cluster-mode *driver code* pulled from workers
+    #: (reads of resident task outputs, task replies an action asked to
+    #: carry the records) and how many of those were fetches of their own.
+    driver_fetched_bytes: int = 0
+    driver_fetches: int = 0
     #: Shuffle bucket payloads a cluster worker fetched from a peer worker's
     #: serve socket (the worker-to-worker shuffle transfers).
     worker_payload_fetches: int = 0
@@ -288,6 +297,15 @@ class Metrics:
         """Account for shuffle-payload bytes that crossed through the driver."""
         self.driver_payload_bytes += payload_bytes
 
+    def record_driver_push(self, pushed_bytes: int) -> None:
+        """Account for record bytes the driver pushed to cluster workers."""
+        self.driver_pushed_bytes += pushed_bytes
+
+    def record_driver_fetch(self, fetched_bytes: int, fetches: int = 1) -> None:
+        """Account for record bytes driver code pulled from cluster workers."""
+        self.driver_fetched_bytes += fetched_bytes
+        self.driver_fetches += fetches
+
     def record_worker_payload(self, fetches: int, fetch_bytes: int, local_reads: int) -> None:
         """Merge one worker's payload-transfer counters into the driver view."""
         self.worker_payload_fetches += fetches
@@ -336,6 +354,9 @@ class Metrics:
         self.cluster_fallbacks = 0
         self.resident_partition_reuses = 0
         self.driver_payload_bytes = 0
+        self.driver_pushed_bytes = 0
+        self.driver_fetched_bytes = 0
+        self.driver_fetches = 0
         self.worker_payload_fetches = 0
         self.worker_payload_bytes = 0
         self.worker_payload_local_reads = 0
@@ -386,6 +407,9 @@ class Metrics:
             "cluster_fallbacks": self.cluster_fallbacks,
             "resident_partition_reuses": self.resident_partition_reuses,
             "driver_payload_bytes": self.driver_payload_bytes,
+            "driver_pushed_bytes": self.driver_pushed_bytes,
+            "driver_fetched_bytes": self.driver_fetched_bytes,
+            "driver_fetches": self.driver_fetches,
             "worker_payload_fetches": self.worker_payload_fetches,
             "worker_payload_bytes": self.worker_payload_bytes,
             "worker_payload_local_reads": self.worker_payload_local_reads,

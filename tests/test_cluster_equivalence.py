@@ -26,15 +26,18 @@ stress job uses 4 workers at 4x data with spill threshold 1).
 from __future__ import annotations
 
 import functools
+import gc
 import os
 
 import pytest
 
+from test_cluster_runtime import _resident
 from test_executor_equivalence import GENERATED_PROGRAMS, _Outputs, assert_folding_consumer
 from test_soundness_programs import assert_same_outputs
 
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program, table2_program_names
+from repro.programs.sources import PROGRAMS
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.workloads import generators, workload_for_program
@@ -61,6 +64,17 @@ SIZES = {
     "pagerank": 40,
     "kmeans": 220,
     "matrix_factorization": 6,
+}
+
+#: The six programs outside Figure 3, for the whole-suite leak check.
+SUITE_SIZES = {
+    **SIZES,
+    "average": 300,
+    "count": 300,
+    "sum": 300,
+    "conditional_count": 300,
+    "equal_frequency": 300,
+    "pca": 40,
 }
 
 #: (spill_threshold_bytes, adaptive, columnar) -- the full differential grid.
@@ -127,6 +141,29 @@ def cluster(request):
     context.shutdown()
 
 
+def assert_iterations_push_no_records(cluster):
+    """A ``while`` iteration works on task outputs, which are resident: what
+    it pushes in ``("records", ...)`` specs is bounded by what the driver read
+    to build that iteration's broadcast tables -- never the edge list again.
+    Per iteration = the difference between a 1-step and a 3-step run."""
+    spec = get_program("pagerank")
+    compiled = diablo_for(spec, cluster).compile(spec.source)
+    traffic = {}
+    for steps in (1, 3):
+        before = cluster.metrics.snapshot()
+        compiled.run(**{**workload("pagerank"), "num_steps": steps})
+        after = cluster.metrics.snapshot()
+        traffic[steps] = {
+            counter: after[counter] - before[counter]
+            for counter in ("driver_pushed_bytes", "driver_fetched_bytes")
+        }
+    pushed = (traffic[3]["driver_pushed_bytes"] - traffic[1]["driver_pushed_bytes"]) / 2
+    built = (traffic[3]["driver_fetched_bytes"] - traffic[1]["driver_fetched_bytes"]) / 2
+    assert traffic[1]["driver_pushed_bytes"] > 0, "the inputs are pushed once per run"
+    assert built > 0, "each iteration's build sides come through the driver"
+    assert pushed <= built, f"{pushed} record bytes pushed per iteration, {built} read"
+
+
 @pytest.mark.parametrize("name", table2_program_names())
 def test_cluster_matches_interpreter_and_sequential(name, cluster):
     spec = get_program(name)
@@ -165,8 +202,29 @@ def test_cluster_matches_interpreter_and_sequential(name, cluster):
         )
         # ... and the join stages carried their folding consumers with them.
         assert_folding_consumer(name, result.trace)
+    if name == "pagerank":
+        assert_iterations_push_no_records(cluster)
     if after["shuffles"] > before["shuffles"]:
         moved = (after["worker_payload_fetches"] + after["worker_payload_local_reads"]) - (
             before["worker_payload_fetches"] + before["worker_payload_local_reads"]
         )
         assert moved > 0, f"{name}: shuffled but no worker read any payload"
+
+
+def test_program_suite_leaves_nothing_resident():
+    """Leak check over the real programs: all 18 on one long-lived context;
+    once the last outputs are dropped the workers hold no captured payload
+    and no partition but the driver lists the push cache still vouches for."""
+    with ClusterContext(num_partitions=4, cluster_workers=_WORKERS) as context:
+        for name in PROGRAMS:
+            spec = get_program(name)
+            inputs = workload_for_program(name, SUITE_SIZES[name] * _SCALE)
+            result = diablo_for(spec, context).compile(spec.source).run(**inputs)
+            assert translated_outputs(name, result)
+        del result, inputs
+        gc.collect()
+        # One more wave per worker: the queued frees ride in it.
+        assert context.parallelize(range(8)).map(str).collect()
+        pinned = sum(len(held) for _, held in context._push_cache._entries.values())
+        assert _resident(context) == (pinned, 0)
+        assert context.metrics.cluster_fallbacks == 0

@@ -7,6 +7,7 @@ clusters, small data -- the full Figure 3 differential suite lives in
 
 from __future__ import annotations
 
+import gc
 import socket
 import sys
 import threading
@@ -17,7 +18,10 @@ import pytest
 from repro.api import DiabloConfig
 from repro.errors import ExecutionError, WorkerLostError
 from repro.runtime.cluster import ClusterContext, LocalCluster, protocol
+from repro.runtime.cluster import store as store_mod
+from repro.runtime.cluster.store import ResidentPartition
 from repro.runtime.context import DistributedContext
+from repro.runtime.partitioner import HashPartitioner
 
 
 def _key_mod5(x):
@@ -26,6 +30,32 @@ def _key_mod5(x):
 
 def _add(a, b):
     return a + b
+
+
+def _concat(a, b):
+    return a + b
+
+
+def _is_even_key(pair):
+    return pair[0] % 2 == 0
+
+
+def _swap(pair):
+    return (pair[1], pair[0])
+
+
+def _pair_key(pair):
+    return pair[0]
+
+
+def _resident(ctx) -> tuple[int, int]:
+    """``(resident partitions, captured payloads)`` over all workers, as their
+    heartbeat acks report them."""
+    acks = [
+        handle.submit(protocol.encode_message(protocol.HEARTBEAT, {}), 5.0).result(timeout=5.0)[1]
+        for handle in ctx._workers
+    ]
+    return sum(ack["partitions"] for ack in acks), sum(ack["payloads"] for ack in acks)
 
 
 @pytest.fixture()
@@ -98,6 +128,99 @@ class TestLifecycle:
                 cluster_address="127.0.0.1:0",
                 register_timeout=1.0,
             )
+
+
+def _resident_pipelines(ctx) -> dict[str, list[list]]:
+    """Every way a forced result is used again, as plain partition lists."""
+    keyed = ctx.parallelize(range(240)).map(_key_mod5).materialize()
+    swapped = keyed.map(_swap).materialize()
+    placed = swapped.partition_by(HashPartitioner(4))
+    other = ctx.parallelize([(x, str(x)) for x in range(0, 240, 3)]).partition_by(HashPartitioner(4))
+    hot = ctx.parallelize([("hot", f"<{i}>") for i in range(500)] + [(f"c{i}", "-") for i in range(30)])
+    results = {
+        "collect": keyed.filter(_is_even_key).materialize(),
+        "reversed": swapped.sort_by(_pair_key, ascending=False).map(_swap),
+        "union": keyed.union(swapped).map(_swap),
+        "zip": placed.join(other),
+        "salted": hot.map(_swap).map(_swap).materialize().reduce_by_key(_concat),
+    }
+    return {name: [list(partition) for partition in ds.partitions] for name, ds in results.items()}
+
+
+class TestResidentResults:
+    def test_forced_narrow_stages_push_nothing_after_the_first(self, cluster):
+        first = cluster.parallelize(range(400)).map(_key_mod5).materialize()
+        pushed = cluster.metrics.driver_pushed_bytes
+        assert pushed > 0, "the driver-held input is pushed once"
+        second = first.map(_swap).materialize()
+        third = second.filter(_is_even_key).materialize()
+        assert all(isinstance(p, ResidentPartition) for p in third.partitions)
+        assert [len(p) for p in second.partitions] == [100] * 4, "counts need no records"
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot["driver_pushed_bytes"] == pushed
+        assert snapshot["driver_fetched_bytes"] == snapshot["driver_fetches"] == 0
+        assert snapshot["resident_partition_reuses"] == 8
+        assert sorted(third.collect()) == sorted((x, x % 5) for x in range(400) if x % 2 == 0)
+        assert cluster.metrics.driver_fetches == 4, "only the collect read anything"
+
+    def test_every_reuse_of_a_handle_matches_the_sequential_executor(self, cluster):
+        with DistributedContext(num_partitions=4) as sequential:
+            expected = _resident_pipelines(sequential)
+        assert _resident_pipelines(cluster) == expected
+        snapshot = cluster.metrics.snapshot()
+        assert snapshot["cluster_fallbacks"] == 0
+        assert snapshot["driver_payload_bytes"] == 0
+        assert snapshot["narrow_joins"] == 1 and snapshot["salted_keys"] >= 1
+
+    def test_dropping_a_dataset_frees_its_partitions_on_the_workers(self, cluster):
+        source = cluster.parallelize(range(200)).materialize()
+        assert _resident(cluster) == (0, 0)
+        source.map(_key_mod5).collect()  # pushes the input; the reply carries the records
+        baseline = _resident(cluster)
+        assert baseline == (4, 0), "the pushed input stays for the next wave"
+        keyed = source.map(_key_mod5).materialize()
+        reduced = keyed.reduce_by_key(_add).materialize()
+        partitions, payloads = _resident(cluster)
+        assert partitions == 12 and payloads > 0, "captures wait for the next request"
+        del keyed, reduced
+        gc.collect()
+        source.map(_key_mod5).collect()  # one more wave: the frees ride in it
+        assert _resident(cluster) == baseline
+        assert [handle.unfreed for handle in cluster._workers] == [[], []]
+        assert not cluster._garbage, "nothing is left waiting for a free"
+
+    def test_reading_a_handle_of_a_killed_worker_raises_worker_lost(self):
+        ctx = ClusterContext(num_partitions=4, cluster_workers=2, heartbeat_interval=1.0)
+        try:
+            keyed = ctx.parallelize(range(40)).map(_key_mod5).materialize()
+            assert list(keyed.partitions[1]), "the surviving worker's handle reads fine"
+            # Registration order is not spawn order: find partition 0's owner.
+            pids = [process.pid for process in ctx._local_cluster.processes]
+            ctx._local_cluster.kill(pids.index(ctx._workers[0].pid))
+            started = time.monotonic()
+            with pytest.raises(WorkerLostError, match="cannot be reached"):
+                list(keyed.partitions[0])
+            with pytest.raises(WorkerLostError):
+                keyed.map(_swap).collect()
+            assert time.monotonic() - started < 2 * ctx.heartbeat_interval
+        finally:
+            ctx.shutdown()
+
+    def test_shutdown_leaves_nothing_behind(self):
+        ctx = ClusterContext(num_partitions=4, cluster_workers=2)
+        keyed = ctx.parallelize(range(40)).map(_key_mod5).materialize()
+        assert sorted(keyed.collect()) == sorted(_key_mod5(x) for x in range(40))
+        processes = list(ctx._local_cluster.processes)
+        threads = [handle.thread for handle in ctx._workers] + [ctx._monitor_thread]
+        ctx.shutdown()
+        for thread in threads:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert all(process.returncode == 0 for process in processes), "resident state went with them"
+        assert not store_mod.FETCH_CONNECTIONS._sockets, "the driver's fetch sockets are closed"
+        assert not ctx._push_cache._entries
+        del keyed
+        gc.collect()  # a lease dying after shutdown only appends to a dead queue
 
 
 class TestConfigPlumbing:
