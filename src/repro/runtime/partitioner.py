@@ -14,6 +14,17 @@ import bisect
 import zlib
 from typing import Any, Iterable, Sequence
 
+#: The hash of every NaN float: ``hash(nan)`` depends on the object's
+#: identity since Python 3.10, so two NaNs (or one NaN after a pickle round
+#: trip) would otherwise land in different partitions.  0 is what ``hash``
+#: returned for NaN before 3.10.
+_NAN_HASH = 0
+
+#: Key types for which :func:`stable_hash` is exactly the built-in ``hash``
+#: (NaN floats aside): :meth:`HashPartitioner.partition_all` skips the
+#: recursive call for them.
+_BUILTIN_HASHED = frozenset((int, float, bool))
+
 
 def stable_hash(key: Any) -> int:
     """A process-stable hash for shuffle bucketing.
@@ -21,7 +32,7 @@ def stable_hash(key: Any) -> int:
     ``str``/``bytes`` (and containers holding them) are hashed with CRC32 so
     every executor process agrees on placement; numeric types keep the
     built-in ``hash`` so keys that compare equal across types (``1 == 1.0``)
-    land in the same partition.
+    land in the same partition.  Every NaN float hashes to one constant.
     """
     if isinstance(key, str):
         return zlib.crc32(key.encode("utf-8", "surrogatepass"))
@@ -48,6 +59,8 @@ def stable_hash(key: Any) -> int:
     # custom __hash__ folds in str fields (e.g. a frozen dataclass with a
     # string attribute) inherits the per-process randomization; such keys
     # must be converted to tuples/strings before shuffling by key.
+    if isinstance(key, float) and key != key:
+        return _NAN_HASH
     return hash(key)
 
 
@@ -61,6 +74,11 @@ class Partitioner:
 
     def partition(self, key: Any) -> int:
         raise NotImplementedError
+
+    def partition_all(self, keys: Iterable[Any]) -> list[int]:
+        """The partition of every key, in order (one map partition's bucket
+        targets)."""
+        return [self.partition(key) for key in keys]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -82,6 +100,16 @@ class HashPartitioner(Partitioner):
 
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
+
+    def partition_all(self, keys: Iterable[Any]) -> list[int]:
+        # ``key == key`` is False only for NaN among the builtin-hashed types.
+        n = self.num_partitions
+        return [
+            hash(key) % n
+            if type(key) in _BUILTIN_HASHED and key == key
+            else stable_hash(key) % n
+            for key in keys
+        ]
 
 
 class RangePartitioner(Partitioner):

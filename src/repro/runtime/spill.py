@@ -5,10 +5,12 @@ materializes all of its buckets and the driver concatenates whole bucket
 lists before the reduce side runs.  This module provides the spillable
 alternative:
 
-* a **map task** accumulates records per bucket in a :class:`BucketWriter`;
-  once the estimated buffered bytes exceed ``spill_threshold_bytes`` the
-  writer appends each non-empty bucket as one **framed-pickle run** to that
-  bucket's per-(task, partition) spill file and empties the buffers.
+* a **map task** hands its whole partition, with one bucket target per
+  record, to a :class:`BucketWriter`; the estimated buffered bytes are
+  charged per slice of :data:`SIZE_SAMPLE_RECORDS` records, and once they
+  exceed ``spill_threshold_bytes`` the writer appends each non-empty bucket
+  as one **framed-pickle run** to that bucket's per-(task, partition) spill
+  file and empties the buffers.
 * the task's output per bucket is a :class:`BucketPayload` -- the run
   descriptors plus whatever remained in memory -- instead of a record list.
   Payloads are tiny picklable tuples, so they cross the process boundary
@@ -28,8 +30,9 @@ payload length | 4-byte record count | pickle bytes of a record chunk]``
 (at most :data:`RUN_CHUNK_RECORDS` records per chunk), so a spill file is
 self-describing and a :class:`SpillRun` descriptor (path, offset, length,
 records) can seek straight to its first frame.  Readers decode one chunk at
-a time (:func:`stream_run`), so a reduce task merging k runs holds k chunks
--- not k whole runs, and never the whole partition -- in memory at once.
+a time (:func:`stream_run` yields whole chunks, which :func:`iter_merged`
+flattens), so a reduce task merging k runs holds k chunks -- not k whole
+runs, and never the whole partition -- in memory at once.
 
 Lifecycle is owned by the driver's :class:`ShuffleStore`
 (one per :class:`~repro.runtime.context.DistributedContext`): each shuffle
@@ -49,7 +52,8 @@ import struct
 import sys
 import tempfile
 import weakref
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 #: Chunk frame header: payload byte length + record count.
 _FRAME_HEADER = struct.Struct(">QI")
@@ -57,6 +61,10 @@ _FRAME_HEADER = struct.Struct(">QI")
 #: Records per chunk frame within a run: the unit of reduce-side streaming
 #: (and of memory use while merging -- one chunk per run is live at a time).
 RUN_CHUNK_RECORDS = 512
+
+#: Records per spill-budget charge in :meth:`BucketWriter.write`: one
+#: :func:`approximate_size` sample stands for the whole slice.
+SIZE_SAMPLE_RECORDS = 64
 
 
 class SpillSpec(NamedTuple):
@@ -102,10 +110,10 @@ class BucketPayload(NamedTuple):
 def approximate_size(record: Any) -> int:
     """Cheap per-record memory estimate driving the spill budget.
 
-    ``sys.getsizeof`` plus one level of tuple contents: fast enough for the
-    per-record hot path and deterministic for a given value, so spill
-    decisions (and the resulting metrics) are identical across executor
-    modes.
+    ``sys.getsizeof`` plus one level of tuple contents, sampled once per
+    slice of :data:`SIZE_SAMPLE_RECORDS` records by the writer; deterministic
+    for a given value, so spill decisions (and the resulting metrics) are
+    identical across executor modes.
     """
     size = sys.getsizeof(record)
     if isinstance(record, tuple):
@@ -128,8 +136,8 @@ def append_run(path: str, records: list[Any]) -> SpillRun:
     return SpillRun(path, offset, length, len(records))
 
 
-def stream_run(run: SpillRun) -> Iterator[Any]:
-    """Stream one run's records, decoding one chunk frame at a time."""
+def stream_run(run: SpillRun) -> Iterator[list[Any]]:
+    """Stream one run's decoded record chunks, one chunk frame at a time."""
     consumed = yielded = 0
     with open(run.path, "rb") as handle:
         handle.seek(run.offset)
@@ -144,28 +152,35 @@ def stream_run(run: SpillRun) -> Iterator[Any]:
                 )
             consumed += _FRAME_HEADER.size + length
             yielded += len(chunk)
-            yield from chunk
+            yield chunk
     if yielded != run.records:  # pragma: no cover - corruption guard
         raise OSError(f"corrupt spill run {run.path}@{run.offset}: {yielded} != {run.records}")
 
 
 def read_run(run: SpillRun) -> list[Any]:
     """Load one whole run (convenience for tests and small runs)."""
-    return list(stream_run(run))
+    return list(chain.from_iterable(stream_run(run)))
+
+
+def _payload_chunks(payloads: Iterable[BucketPayload]) -> Iterator[Sequence[Any]]:
+    """Every payload's record chunks: its runs' chunks in write order, then
+    its in-memory remainder."""
+    for payload in payloads:
+        for run in payload.runs:
+            yield from stream_run(run)
+        yield payload.records
 
 
 def iter_payload(payload: BucketPayload) -> Iterator[Any]:
     """Stream one payload's records: runs in write order, then the remainder."""
-    for run in payload.runs:
-        yield from stream_run(run)
-    yield from payload.records
+    return iter_merged((payload,))
 
 
 def iter_merged(payloads: Iterable[BucketPayload]) -> Iterator[Any]:
     """Stream a reduce partition's records across its payloads, in map-task
-    order -- the same order the in-memory transpose produced."""
-    for payload in payloads:
-        yield from iter_payload(payload)
+    order -- the same order the in-memory transpose produced.  Records are
+    flattened out of whole chunks, so no generator frame runs per record."""
+    return chain.from_iterable(_payload_chunks(payloads))
 
 
 def merge_sorted_payloads(
@@ -186,7 +201,7 @@ def merge_sorted_payloads(
     streams: list[Iterable[Any]] = []
     for payload in payloads:
         for run in payload.runs:
-            streams.append(stream_run(run))
+            streams.append(chain.from_iterable(stream_run(run)))
         if payload.records:
             streams.append(sorted(payload.records, key=key, reverse=not ascending))
     return heapq.merge(*streams, key=key, reverse=not ascending)
@@ -219,19 +234,36 @@ class BucketWriter:
         self.spilled_bytes = 0
         self.spill_files = 0
 
-    def add(self, bucket_index: int, record: Any) -> None:
-        self.buckets[bucket_index].append(record)
+    def write(self, targets: Sequence[int], records: Sequence[Any]) -> None:
+        """Append ``records[i]`` to bucket ``targets[i]``, in order.
+
+        With spilling on, the budget is charged once per slice of
+        :data:`SIZE_SAMPLE_RECORDS` records, as the slice's first record's
+        :func:`approximate_size` times the slice length, and the flush check
+        runs after each slice -- so the buffered estimate may pass the
+        threshold by up to one slice before the flush.
+        """
+        appends = [bucket.append for bucket in self.buckets]
         if self.spill is None:
+            for target, record in zip(targets, records, strict=True):
+                appends[target](record)
             return
-        self.buffered += approximate_size(record)
-        if self.buffered > self.peak_memory:
-            self.peak_memory = self.buffered
-        if self.buffered > self.spill.threshold_bytes:
-            self.flush()
+        threshold = self.spill.threshold_bytes
+        for start in range(0, len(records), SIZE_SAMPLE_RECORDS):
+            stop = start + SIZE_SAMPLE_RECORDS
+            piece = records[start:stop]
+            for target, record in zip(targets[start:stop], piece, strict=True):
+                appends[target](record)
+            self.buffered += approximate_size(piece[0]) * len(piece)
+            if self.buffered > self.peak_memory:
+                self.peak_memory = self.buffered
+            if self.buffered > threshold:
+                self.flush()
 
     def flush(self) -> None:
-        """Spill every non-empty bucket as one run and empty the buffers."""
-        if self.spill is None:  # pragma: no cover - guarded by add()
+        """Spill every non-empty bucket as one run and empty the buffers
+        (in place: :meth:`write` holds the lists' ``append`` methods)."""
+        if self.spill is None:  # pragma: no cover - guarded by write()
             return
         for bucket_index, bucket in enumerate(self.buckets):
             if not bucket:
@@ -249,7 +281,7 @@ class BucketWriter:
             run = append_run(path, bucket)
             self.runs[bucket_index].append(run)
             self.spilled_bytes += run.length
-            self.buckets[bucket_index] = []
+            bucket.clear()
         self.buffered = 0
 
     def finish(self) -> list[BucketPayload]:

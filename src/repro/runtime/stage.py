@@ -662,6 +662,7 @@ def shuffle_write(
     records: list[Any],
     index: int,
     columnar: Any = False,
+    hot_keys: frozenset = frozenset(),
 ) -> list[Any]:
     """Map-side shuffle writer: combine (optionally), bucket by key, spill
     over budget.
@@ -672,22 +673,32 @@ def shuffle_write(
     :func:`repro.runtime.partitioner.stable_hash`) and ``spill`` must point
     at a directory shared with worker processes.  A combiner's accumulator
     stays in memory (bounded by the task's distinct keys); the bucketed
-    *output* is what spills.
+    *output* is what spills.  The whole partition is placed in one
+    :meth:`~repro.runtime.partitioner.Partitioner.partition_all` call and
+    handed to the writer in one :meth:`~repro.runtime.spill.BucketWriter.write`.
+    ``hot_keys`` salts those keys (see :func:`salted_shuffle_write`).
     """
     records_in = len(records)
     combined_in = getattr(records, "consumed", records_in)
     if combiner is not None:
         records = apply_combiner(combiner, records, columnar)
+    targets = None if hot_keys else _vector_buckets(partitioner, key_of, records, columnar)
+    if targets is None:
+        if key_of is pair_key:
+            keys = [record[0] for record in records]
+        else:
+            keys = list(map(key_of, records))
+        if hot_keys:
+            records = list(records)
+            for position, key in enumerate(keys):
+                if key in hot_keys:
+                    salted = keys[position] = SaltedKey(key, index)
+                    records[position] = (salted, records[position][1])
+        targets = partitioner.partition_all(keys)
     writer = spill_mod.BucketWriter(
         partitioner.num_partitions, spill, f"i{input_index}-m{index}", sort_spec
     )
-    buckets = _vector_buckets(partitioner, key_of, records, columnar)
-    if buckets is not None:
-        for bucket, record in zip(buckets, records, strict=True):
-            writer.add(bucket, record)
-    else:
-        for record in records:
-            writer.add(partitioner.partition(key_of(record)), record)
+    writer.write(targets, records)
     return _writer_output(writer, records_in, combined_in)
 
 
@@ -712,20 +723,9 @@ def salted_shuffle_write(
     everything else buckets normally.  Only valid for single-input keyed
     shuffles whose records are plain ``(key, value)`` pairs.
     """
-    records_in = len(records)
-    combined_in = getattr(records, "consumed", records_in)
-    if combiner is not None:
-        records = apply_combiner(combiner, records, columnar)
-    writer = spill_mod.BucketWriter(
-        partitioner.num_partitions, spill, f"i{input_index}-m{index}", sort_spec
+    return shuffle_write(
+        partitioner, combiner, key_of, spill, input_index, sort_spec, records, index, columnar, hot_keys
     )
-    for record in records:
-        key = key_of(record)
-        if key in hot_keys:
-            writer.add(partitioner.partition((key, index)), (SaltedKey(key, index), record[1]))
-        else:
-            writer.add(partitioner.partition(key), record)
-    return _writer_output(writer, records_in, combined_in)
 
 
 def prepartitioned_write(
@@ -762,8 +762,7 @@ def repartition_write(
     executor because it depends only on ``(index, position)``.
     """
     writer = spill_mod.BucketWriter(num_output, spill, f"i{input_index}-m{index}")
-    for position, record in enumerate(records):
-        writer.add((index + position) % num_output, record)
+    writer.write([(index + position) % num_output for position in range(len(records))], records)
     return _writer_output(writer, len(records))
 
 

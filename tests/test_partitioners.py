@@ -6,10 +6,19 @@ The partition-aware planner (PR 5) keys every shuffle-elimination decision on
 would silently mis-bucket keys, a false negative would only cost a shuffle.
 """
 
+import json
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.errors import ExecutionError
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
@@ -211,3 +220,87 @@ class TestSkewAwarePartitioning:
             actual = dict(context.parallelize(records).reduce_by_key(concat).collect())
             assert context.metrics.salted_keys > 0, "the hot key was not salted"
         assert actual == expected
+
+
+#: Scalars whose stable hash is the built-in one, at the edges of CPython's
+#: numeric hash: equal across types (1 / 1.0 / True), hash(-1) == -2, the
+#: Mersenne modulus 2**61 - 1, beyond 64 bits, signed zero, NaN.
+_EDGE_NUMBERS = (1, 1.0, True, False, 0, -1, -1.0, 2**61 - 1, 2**61, 2**64, -(2**64), -0.0, float("nan"))
+
+_SCALAR_KEYS = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "\ud800", "a\udfffb"]),
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.binary(max_size=6),
+)
+
+_KEYS = st.recursive(
+    _SCALAR_KEYS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        st.builds(SaltedKey, children, st.integers(min_value=0, max_value=64)),
+        st.frozensets(children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
+class TestBulkPlacement:
+    """``partition_all`` places a whole map partition; it must agree with
+    per-key ``stable_hash`` placement bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.lists(_KEYS, max_size=30), num_partitions=st.integers(min_value=1, max_value=64))
+    def test_partition_all_equals_stable_hash(self, keys, num_partitions):
+        partitioner = HashPartitioner(num_partitions)
+        expected = [stable_hash(key) % num_partitions for key in keys]
+        assert partitioner.partition_all(keys) == expected
+        assert [partitioner.partition(key) for key in keys] == expected
+
+    def test_base_class_places_key_by_key(self):
+        partitioner = RangePartitioner(3, [10, 20])
+        keys = [25, 5, 10, 15, 20, 21]
+        assert partitioner.partition_all(keys) == [partitioner.partition(key) for key in keys]
+
+    @pytest.mark.parametrize("num_partitions", [4, 1_000_003, 2**31 - 1])
+    def test_nan_keys_place_deterministically(self, num_partitions):
+        # hash(nan) is identity-based since Python 3.10: distinct NaN objects,
+        # or one NaN after a pickle round trip, used to land apart.
+        nans = [float("nan") for _ in range(4)]
+        nans.append(pickle.loads(pickle.dumps(nans[0])))
+        assert len({id(nan) for nan in nans}) == len(nans)
+        partitioner = HashPartitioner(num_partitions)
+        for keys in (nans, [(1, nan) for nan in nans], [frozenset({nan}) for nan in nans]):
+            placed = partitioner.partition_all(keys)
+            assert len(set(placed)) == 1, placed
+            assert [partitioner.partition(key) for key in keys] == placed
+
+    def test_string_placement_ignores_the_hash_seed(self):
+        keys = ["alpha", "", "été", ("a", "b"), ("nested", ("x", 1))]
+        script = (
+            "import json, sys\n"
+            "from repro.runtime.partitioner import HashPartitioner\n"
+            "keys = [tuple(k) if isinstance(k, list) else k for k in json.loads(sys.argv[1])]\n"
+            "keys[-1] = ('nested', ('x', 1))\n"
+            "partitioner = HashPartitioner(97)\n"
+            "print(json.dumps([partitioner.partition_all(keys), [partitioner.partition(k) for k in keys]]))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        placements = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            completed = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(keys)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+                check=True,
+            )
+            placements.append(json.loads(completed.stdout))
+        local = HashPartitioner(97).partition_all(keys)
+        assert placements[0] == placements[1] == [local, local]

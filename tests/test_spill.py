@@ -42,32 +42,61 @@ class TestRunFraming:
 class TestBucketWriter:
     def test_no_spill_spec_keeps_everything_in_memory(self, tmp_path):
         writer = spill.BucketWriter(2, None)
-        for i in range(100):
-            writer.add(i % 2, i)
+        writer.write([i % 2 for i in range(100)], list(range(100)))
         payloads = _payloads_of(writer)
         assert writer.spill_files == 0 and writer.spilled_bytes == 0
         assert payloads[0].runs == () and len(payloads[0].records) == 50
 
     def test_over_budget_flushes_runs_and_remainder_stays_in_memory(self, tmp_path):
-        spec = spill.SpillSpec(str(tmp_path), 1)
+        # Equal-sized records: a slice is charged 64 x one record's size, so
+        # with the budget at 1.5 slices every second slice flushes and the
+        # last, partial slice stays in memory.
+        records = list(range(1000, 1160))
+        slice_estimate = spill.approximate_size(records[0]) * spill.SIZE_SAMPLE_RECORDS
+        spec = spill.SpillSpec(str(tmp_path), slice_estimate * 3 // 2)
         writer = spill.BucketWriter(2, spec, task_tag="m0")
-        for i in range(10):
-            writer.add(i % 2, i)
+        writer.write([i % 2 for i in range(len(records))], records)
         payloads = _payloads_of(writer)
         assert writer.spill_files == 2
         assert writer.spilled_bytes > 0
         assert writer.peak_memory > 0
+        assert [run.records for run in payloads[0].runs] == [64]
+        assert len(payloads[0].records) == len(payloads[1].records) == 16
         # Streaming runs-then-remainder reproduces insertion order per bucket.
-        assert list(spill.iter_payload(payloads[0])) == [0, 2, 4, 6, 8]
-        assert list(spill.iter_payload(payloads[1])) == [1, 3, 5, 7, 9]
+        assert list(spill.iter_payload(payloads[0])) == records[0::2]
+        assert list(spill.iter_payload(payloads[1])) == records[1::2]
+
+    def test_budget_is_checked_once_per_slice(self, tmp_path):
+        # At a 1-byte budget every slice ends in a flush: one run per slice.
+        spec = spill.SpillSpec(str(tmp_path), 1)
+        writer = spill.BucketWriter(1, spec)
+        records = list(range(spill.SIZE_SAMPLE_RECORDS * 2 + 5))
+        writer.write([0] * len(records), records)
+        (payload,) = writer.finish()
+        assert [run.records for run in payload.runs] == [64, 64, 5]
+        assert payload.records == ()
+        assert list(spill.iter_payload(payload)) == records
+
+    def test_peak_memory_stays_within_one_slice_of_the_threshold(self, tmp_path):
+        records = [(key % 7, "v" * (key % 23)) for key in range(1000)]
+        threshold = 4096
+        spec = spill.SpillSpec(str(tmp_path), threshold)
+        writer = spill.BucketWriter(3, spec)
+        writer.write([key % 3 for key in range(len(records))], records)
+        step = spill.SIZE_SAMPLE_RECORDS
+        largest_slice = max(
+            spill.approximate_size(records[start]) * len(records[start : start + step])
+            for start in range(0, len(records), step)
+        )
+        assert writer.spill_files == 3
+        assert threshold < writer.peak_memory <= threshold + largest_slice
 
     def test_iter_merged_preserves_map_task_order(self, tmp_path):
         spec = spill.SpillSpec(str(tmp_path), 1)
         writers = []
         for task in range(2):
             writer = spill.BucketWriter(1, spec, task_tag=f"m{task}")
-            for i in range(3):
-                writer.add(0, (task, i))
+            writer.write([0, 0, 0], [(task, i) for i in range(3)])
             writers.append(writer)
         merged = [w.finish()[0] for w in writers]
         assert list(spill.iter_merged(merged)) == [
@@ -75,26 +104,63 @@ class TestBucketWriter:
         ]
 
     def test_sorted_runs_merge_like_a_stable_sort(self, tmp_path):
-        records = [(i * 7 + 3) % 10 for i in range(50)]  # lots of duplicate keys
+        records = [(i * 7 + 3) % 10 for i in range(300)]  # lots of duplicate keys
         spec = spill.SpillSpec(str(tmp_path), 1)
         writer = spill.BucketWriter(1, spec, sort_spec=(lambda x: x, True))
         decorated = [(value, position) for position, value in enumerate(records)]
-        for record in decorated:
-            writer.add(0, record)
-        merged = list(
-            spill.merge_sorted_payloads(writer.finish(), key=lambda r: r[0], ascending=True)
-        )
+        writer.write([0] * len(decorated), decorated)
+        payloads = writer.finish()
+        assert len(payloads[0].runs) == 5
+        merged = list(spill.merge_sorted_payloads(payloads, key=lambda r: r[0], ascending=True))
         assert merged == sorted(decorated, key=lambda r: r[0])  # stable: ties by position
 
     def test_descending_merge(self, tmp_path):
         spec = spill.SpillSpec(str(tmp_path), 1)
         writer = spill.BucketWriter(1, spec, sort_spec=(lambda x: x, False))
-        for value in [5, 1, 9, 3, 9, 0]:
-            writer.add(0, value)
+        values = [5, 1, 9, 3, 9, 0] * 30
+        writer.write([0] * len(values), values)
         merged = list(
             spill.merge_sorted_payloads(writer.finish(), key=lambda x: x, ascending=False)
         )
-        assert merged == [9, 9, 5, 3, 1, 0]
+        assert merged == sorted(values, reverse=True)
+
+
+def _concat(left, right):
+    return left + right
+
+
+def _spill_counters(executor: str) -> dict[str, tuple[int, int, int]]:
+    """Spill counters of a spilling reduce, a salted reduce and a repartition."""
+    pairs = [(i % 37, str(i)) for i in range(3000)]
+    skewed = [("hot", str(i)) for i in range(2000)] + [(f"cold-{i}", "x") for i in range(200)]
+    counters = {}
+    with DistributedContext(
+        num_partitions=4, executor=executor, adaptive=True, spill_threshold_bytes=2048
+    ) as ctx:
+        for name, run in (
+            ("reduce", lambda: ctx.parallelize(pairs).reduce_by_key(_concat).collect()),
+            ("salted", lambda: ctx.parallelize(skewed).reduce_by_key(_concat).collect()),
+            ("repartition", lambda: ctx.parallelize(list(range(4000))).repartition(3).collect()),
+        ):
+            ctx.metrics.reset()
+            run()
+            metrics = ctx.metrics
+            counters[name] = (metrics.spilled_bytes, metrics.spill_files, metrics.peak_shuffle_memory)
+            assert metrics.process_fallbacks == 0, f"{name} did not run on the {executor} executor"
+            if name == "salted":
+                assert metrics.salted_keys > 0, "the hot key was not salted"
+    return counters
+
+
+class TestSpillDecisionsAcrossExecutors:
+    def test_flush_points_and_counters_are_executor_invariant(self):
+        """The per-slice budget is a pure function of the records: every
+        executor flushes at the same points, so it writes the same runs."""
+        sequential = _spill_counters("sequential")
+        for spilled_bytes, spill_files, peak in sequential.values():
+            assert spilled_bytes > 0 and spill_files > 0 and peak > 2048
+        assert _spill_counters("threads") == sequential
+        assert _spill_counters("processes") == sequential
 
 
 class TestShuffleStore:
@@ -188,7 +254,10 @@ class TestContextPlumbing:
         records = list(range(spill.RUN_CHUNK_RECORDS * 2 + 17))
         run = spill.append_run(path, records)
         assert run.records == len(records)
-        assert list(spill.stream_run(run)) == records
+        chunks = list(spill.stream_run(run))
+        assert [len(chunk) for chunk in chunks] == [spill.RUN_CHUNK_RECORDS] * 2 + [17]
+        assert [record for chunk in chunks for record in chunk] == records
+        assert spill.read_run(run) == records
 
     def test_explicit_argument_beats_the_env_var(self, monkeypatch):
         monkeypatch.setenv("DIABLO_SPILL_THRESHOLD_BYTES", "64")
