@@ -176,14 +176,12 @@ class TermEvaluator:
         if isinstance(term, ir.Merge):
             left = self._merge_operand(term.left)
             right = self._merge_operand(term.right)
-            self.trace.append("merge (<|) via coGroup")
-            return left.merge(right)
+            return self._traced_merge("<|", left.merge(right))
         if isinstance(term, ir.MergeWith):
             left = self._merge_operand(term.left)
             right = self._merge_operand(term.right)
             monoid = self.env.monoids.get(term.op)
-            self.trace.append(f"merge (<|{term.op}) via coGroup")
-            return left.merge_with(right, monoid.combine)
+            return self._traced_merge(f"<|{term.op}", left.merge_with(right, monoid.combine))
         if isinstance(term, ir.RangeTerm):
             lower = self.evaluate_local(term.lower, {})
             upper = self.evaluate_local(term.upper, {})
@@ -193,6 +191,13 @@ class TermEvaluator:
         if isinstance(term, ir.CVar):
             return self._lookup(term.name, {})
         return self.evaluate_local(term, {})
+
+    def _traced_merge(self, op: str, merged: Dataset) -> Dataset:
+        """Log an array merge and how it runs: co-partitioned sides merge in
+        a narrow zip pass (already done), anything else in a coGroup shuffle."""
+        how = "narrow zip of co-partitioned sides" if merged.is_materialized else "shuffle"
+        self.trace.append(f"merge ({op}) via coGroup: {how}")
+        return merged
 
     def evaluate_bag(self, term: ir.Term) -> Dataset:
         """Evaluate a term that denotes a bag, coercing the result to a Dataset."""

@@ -9,7 +9,10 @@ matrix products expressed as join + reduceByKey::
 
 The error matrix ``E`` only has entries where ``R`` does (the element-wise
 operations are inner joins), exactly like the DIABLO program, which evaluates
-the update only on the provided ratings.
+the update only on the provided ratings.  Like the loop program, the factor
+updates add one term ``a * (2 * e * q - b * p)`` per rating and rank index:
+an entry is regularized once per rating in its row (P) or column (Q), and an
+entry with no rating keeps its value.
 """
 
 from __future__ import annotations
@@ -35,18 +38,36 @@ def distributed(context: DistributedContext, inputs: dict[str, Any]) -> dict[str
         ratings.data.join(predicted.data).map_values(lambda pair: pair[0] - pair[1])
     )
 
-    gradient_p = error.multiply(factors_q.transpose())
-    gradient_q = error.transpose().multiply(factors_p).transpose()
+    # Every (rating (i, j), rank index k) with its error, Q[k, j] and P[i, k]:
+    # join E and Q on j, then P on (i, k).
+    errors_by_column = error.data.map(lambda record: (record[0][1], (record[0][0], record[1])))
+    q_by_column = factors_q.data.map(lambda record: (record[0][1], (record[0][0], record[1])))
+    terms = (
+        errors_by_column.join(q_by_column)
+        .map(
+            lambda record: (
+                (record[1][0][0], record[1][1][0]),
+                (record[0], record[1][0][1], record[1][1][1]),
+            )
+        )
+        .join(factors_p.data)
+    )
 
-    def apply_update(factors: SparseMatrix, gradient: SparseMatrix) -> SparseMatrix:
-        # new = old + a * (2 * gradient - b * old); entries without a gradient
-        # contribution only get the regularization shrinkage.
-        shrunk = factors.map_values(lambda value: value * (1 - learning_rate * regularization))
-        step = gradient.map_values(lambda value: 2 * learning_rate * value)
-        return shrunk.merge_with(step, lambda a_value, b_value: a_value + b_value)
+    def p_term(record: Any) -> Any:
+        (i, k), ((_j, err, q_value), p_value) = record
+        return (i, k), learning_rate * (2 * err * q_value - regularization * p_value)
 
-    new_p = apply_update(factors_p, gradient_p)
-    new_q = apply_update(factors_q, gradient_q)
+    def q_term(record: Any) -> Any:
+        (i, k), ((j, err, q_value), p_value) = record
+        return (k, j), learning_rate * (2 * err * p_value - regularization * q_value)
+
+    def add(a_value: Any, b_value: Any) -> Any:
+        return a_value + b_value
+
+    step_p = SparseMatrix(terms.map(p_term).reduce_by_key(add))
+    step_q = SparseMatrix(terms.map(q_term).reduce_by_key(add))
+    new_p = factors_p.merge_with(step_p, add)
+    new_q = factors_q.merge_with(step_q, add)
     return {"P": new_p.to_dict(), "Q": new_q.to_dict(), "E": error.to_dict()}
 
 
@@ -66,19 +87,17 @@ def sequential(inputs: dict[str, Any]) -> dict[str, Any]:
         )
         error[(i, j)] = rating - predicted
 
-    gradient_p: dict[tuple[int, int], float] = defaultdict(float)
-    gradient_q: dict[tuple[int, int], float] = defaultdict(float)
+    step_p: dict[tuple[int, int], float] = defaultdict(float)
+    step_q: dict[tuple[int, int], float] = defaultdict(float)
     for (i, j), err in error.items():
         for k in range(rank):
-            gradient_p[(i, k)] += err * factors_q.get((k, j), 0.0)
-            gradient_q[(k, j)] += err * factors_p.get((i, k), 0.0)
+            if (i, k) not in factors_p or (k, j) not in factors_q:
+                continue
+            p_value = factors_p[(i, k)]
+            q_value = factors_q[(k, j)]
+            step_p[(i, k)] += learning_rate * (2 * err * q_value - regularization * p_value)
+            step_q[(k, j)] += learning_rate * (2 * err * p_value - regularization * q_value)
 
-    new_p = {
-        key: value * (1 - learning_rate * regularization) + 2 * learning_rate * gradient_p.get(key, 0.0)
-        for key, value in factors_p.items()
-    }
-    new_q = {
-        key: value * (1 - learning_rate * regularization) + 2 * learning_rate * gradient_q.get(key, 0.0)
-        for key, value in factors_q.items()
-    }
+    new_p = {key: value + step_p[key] if key in step_p else value for key, value in factors_p.items()}
+    new_q = {key: value + step_q[key] if key in step_q else value for key, value in factors_q.items()}
     return {"P": new_p, "Q": new_q, "E": error}

@@ -1052,8 +1052,26 @@ class Dataset:
         Co-partitioned inputs (equal partitioners) co-group as a narrow zip
         stage with no shuffle.
         """
+        return self._co_grouped(
+            other, partitioner, stage_mod.zip_cogroup_partition, stage_mod.cogroup_bucket
+        )
+
+    coGroup = co_group
+    cogroup = co_group
+
+    def _co_grouped(
+        self,
+        other: "Dataset",
+        partitioner: Partitioner | None,
+        zip_function: Callable[[list[Any]], list[Any]],
+        bucket_function: Callable[[list[Any]], list[Any]],
+    ) -> "Dataset":
+        """A ``"coGroup"`` operator: ``zip_function`` over each ``[left,
+        right]`` partition pair when the inputs are co-partitioned, else
+        ``bucket_function`` over each bucket of a two-sided shuffle; either
+        way the result keeps the grouping partitioner."""
         if self._narrow_zip_eligible(other, partitioner):
-            narrow = self._zip_narrow(other, "coGroup", stage_mod.zip_cogroup_partition)
+            narrow = self._zip_narrow(other, "coGroup", zip_function)
             if narrow is not None:
                 return narrow
         chosen = partitioner or HashPartitioner(self.context.num_partitions)
@@ -1061,12 +1079,9 @@ class Dataset:
             other,
             "coGroup",
             chosen,
-            reduce_stages=(NarrowStage(stage_mod.PARTITIONS, stage_mod.cogroup_bucket),),
+            reduce_stages=(NarrowStage(stage_mod.PARTITIONS, bucket_function),),
             result_partitioner=chosen,
         )
-
-    coGroup = co_group
-    cogroup = co_group
 
     def _join(
         self,
@@ -1174,39 +1189,28 @@ class Dataset:
     def merge(self, other: "Dataset") -> "Dataset":
         """The ⊳ operation: union of two key-value datasets, right side wins.
 
-        The per-key selection keeps each record's key, so the coGroup's
-        partitioner survives -- chained merges on the same key then co-group
-        as narrow zip stages instead of re-shuffling.
+        A coGroup whose reduce side (or zip pass) writes the merged records
+        directly (:func:`~repro.runtime.stage.merge_bucket` /
+        :func:`~repro.runtime.stage.zip_merge_partition`): one record per
+        key, keeping the coGroup's partitioner -- chained merges on the same
+        key then run as narrow zip stages instead of re-shuffling.
         """
-        grouped = self.co_group(other)
-
-        def choose(record: Any) -> list[Any]:
-            key, (left_values, right_values) = record
-            if right_values:
-                return [(key, right_values[-1])]
-            return [(key, left_values[-1])]
-
-        return grouped.flat_map(choose, preserves_partitioning=True)
+        return self._merged(other, None)
 
     def merge_with(self, other: "Dataset", function: Callable[[Any, Any], Any]) -> "Dataset":
         """The ⊕-aware merge ⊳⊕: combine values present on both sides with ``function``.
 
-        Key-preserving like :meth:`merge`, so the partitioner survives.
+        One pass like :meth:`merge`, so the partitioner survives.
         """
-        grouped = self.co_group(other)
+        return self._merged(other, function)
 
-        def combine(record: Any) -> list[Any]:
-            key, (left_values, right_values) = record
-            if not right_values:
-                return [(key, left_values[-1])]
-            merged = right_values[0]
-            for value in right_values[1:]:
-                merged = function(merged, value)
-            if left_values:
-                merged = function(left_values[-1], merged)
-            return [(key, merged)]
-
-        return grouped.flat_map(combine, preserves_partitioning=True)
+    def _merged(self, other: "Dataset", function: Callable[[Any, Any], Any] | None) -> "Dataset":
+        return self._co_grouped(
+            other,
+            None,
+            functools.partial(stage_mod.zip_merge_partition, function),
+            functools.partial(stage_mod.merge_bucket, function),
+        )
 
 
 def _partitioner_label(partitioner: Partitioner | None) -> str:

@@ -21,8 +21,8 @@ from typing import Any, Iterable, Sequence
 _NAN_HASH = 0
 
 #: Key types for which :func:`stable_hash` is exactly the built-in ``hash``
-#: (NaN floats aside): :meth:`HashPartitioner.partition_all` skips the
-#: recursive call for them.
+#: (NaN floats aside): :meth:`HashPartitioner.partition_all` and
+#: :func:`_tuple_hash` skip the recursive call for them.
 _BUILTIN_HASHED = frozenset((int, float, bool))
 
 
@@ -39,11 +39,7 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, bytes):
         return zlib.crc32(key)
     if isinstance(key, tuple):
-        # The classic polynomial combiner, over stable element hashes.
-        result = 0x345678
-        for element in key:
-            result = (result * 1000003 ^ stable_hash(element)) & 0xFFFFFFFF
-        return result ^ len(key)
+        return _tuple_hash(key)
     if isinstance(key, frozenset):
         # Order-independent combination, like the built-in frozenset hash.
         result = len(key)
@@ -62,6 +58,21 @@ def stable_hash(key: Any) -> int:
     if isinstance(key, float) and key != key:
         return _NAN_HASH
     return hash(key)
+
+
+def _tuple_hash(key: tuple) -> int:
+    """:func:`stable_hash` of a tuple: the classic polynomial combiner over
+    stable element hashes, with builtin-hashed non-NaN elements hashed
+    inline instead of through the recursive call."""
+    result = 0x345678
+    for element in key:
+        kind = type(element)
+        if kind is int or (kind in _BUILTIN_HASHED and element == element):
+            element_hash = hash(element)
+        else:
+            element_hash = stable_hash(element)
+        result = (result * 1000003 ^ element_hash) & 0xFFFFFFFF
+    return result ^ len(key)
 
 
 class Partitioner:
@@ -103,10 +114,17 @@ class HashPartitioner(Partitioner):
 
     def partition_all(self, keys: Iterable[Any]) -> list[int]:
         # ``key == key`` is False only for NaN among the builtin-hashed types.
+        # Exact tuples and strs skip stable_hash's type tests (subclasses,
+        # such as SaltedKey or namedtuples, still go through it); the str
+        # branch is stable_hash's own, so the tuple test costs str keys nothing.
         n = self.num_partitions
         return [
             hash(key) % n
             if type(key) in _BUILTIN_HASHED and key == key
+            else _tuple_hash(key) % n
+            if type(key) is tuple
+            else zlib.crc32(key.encode("utf-8", "surrogatepass")) % n
+            if type(key) is str
             else stable_hash(key) % n
             for key in keys
         ]

@@ -823,23 +823,27 @@ def group_merge_bucket(payloads: list[BucketPayload]) -> list[Any]:
     return list(groups.items())
 
 
-def _split_tagged_stream(stream: Iterable[Any]) -> tuple[dict[Any, list[Any]], dict[Any, list[Any]]]:
-    """Group a stream of tagged ``(side, (key, value))`` records per side.
+def _group_values(records: Iterable[Any]) -> dict[Any, list[Any]]:
+    """Group one side's ``(key, value)`` records into ``{key: [values]}``.
 
     Plain dicts (insertion-ordered) rather than sets keep the output order
     independent of per-process hash randomization.
     """
-    left: dict[Any, list[Any]] = {}
-    right: dict[Any, list[Any]] = {}
-    for side, (key, value) in stream:
-        target = left if side == 0 else right
-        target.setdefault(key, []).append(value)
-    return left, right
+    groups: dict[Any, list[Any]] = {}
+    for key, value in records:
+        groups.setdefault(key, []).append(value)
+    return groups
 
 
 def split_tagged(payloads: list[BucketPayload]) -> tuple[dict[Any, list[Any]], dict[Any, list[Any]]]:
-    """Stream tagged records out of one reduce partition's payloads."""
-    return _split_tagged_stream(spill_mod.iter_merged(payloads))
+    """Group one reduce partition's tagged ``(side, (key, value))`` stream
+    per side, like :func:`_group_values` on each input's records."""
+    left: dict[Any, list[Any]] = {}
+    right: dict[Any, list[Any]] = {}
+    for side, (key, value) in spill_mod.iter_merged(payloads):
+        target = left if side == 0 else right
+        target.setdefault(key, []).append(value)
+    return left, right
 
 
 def _cogroup_sides(left: dict[Any, list[Any]], right: dict[Any, list[Any]]) -> list[Any]:
@@ -857,6 +861,49 @@ def cogroup_bucket(payloads: list[BucketPayload]) -> list[Any]:
     """coGroup reduce side: ``(key, ([left values], [right values]))``."""
     left, right = split_tagged(payloads)
     return _cogroup_sides(left, right)
+
+
+_MISSING = object()
+
+
+def _merge_sides(
+    function: Callable[[Any, Any], Any] | None, left: Iterable[Any], right: Iterable[Any]
+) -> list[Any]:
+    """The array merge of two ``(key, value)`` record streams: ``⊳`` when
+    ``function`` is None, ``⊳⊕`` otherwise -- what ``co_group`` followed by
+    a per-key choose / combine used to produce, without building the groups.
+
+    ``⊳`` keeps a key's last right value, or its last left value if it has no
+    right value.  ``⊳⊕`` folds a key's right values left to right, seeded
+    with the first, and a key with a left value gets ``function(last left
+    value, folded)``.  Output order is the coGroup's: keys with a left value
+    in first-left-occurrence order, then right-only keys in first-right-
+    occurrence order -- dict insertion order, since re-assigning a key keeps
+    its place and its first key object.  Right values are folded in stream
+    order, so when ``function`` raises on two keys, which error surfaces
+    first may differ from the per-key form.
+    """
+    merged = dict(left)
+    if function is None:
+        merged.update(right)
+        return list(merged.items())
+    folded: dict[Any, Any] = {}
+    for key, value in right:
+        held = folded.get(key, _MISSING)
+        folded[key] = value if held is _MISSING else function(held, value)
+    for key, value in folded.items():
+        held = merged.get(key, _MISSING)
+        merged[key] = value if held is _MISSING else function(held, value)
+    return list(merged.items())
+
+
+def merge_bucket(function: Callable[[Any, Any], Any] | None, payloads: list[BucketPayload]) -> list[Any]:
+    """Array-merge reduce side (``⊳`` / ``⊳⊕``, see :func:`_merge_sides`):
+    one pass over a tagged bucket, writing the merged records directly."""
+    sides: tuple[list[Any], list[Any]] = ([], [])
+    for side, record in spill_mod.iter_merged(payloads):
+        sides[side].append(record)
+    return _merge_sides(function, *sides)
 
 
 def _matched_groups(
@@ -936,19 +983,19 @@ def narrow_group_partition(records: list[Any]) -> list[Any]:
 def zip_cogroup_partition(partition: list[Any]) -> list[Any]:
     """coGroup of co-partitioned inputs; ``partition`` is ``[left, right]``."""
     left_records, right_records = partition
-    left, right = _split_tagged_stream(
-        [(0, record) for record in left_records] + [(1, record) for record in right_records]
-    )
-    return _cogroup_sides(left, right)
+    return _cogroup_sides(_group_values(left_records), _group_values(right_records))
+
+
+def zip_merge_partition(function: Callable[[Any, Any], Any] | None, partition: list[Any]) -> list[Any]:
+    """Array merge of co-partitioned inputs; ``partition`` is ``[left, right]``."""
+    left_records, right_records = partition
+    return _merge_sides(function, left_records, right_records)
 
 
 def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> list[Any]:
     """Join of co-partitioned inputs; ``partition`` is ``[left, right]``."""
     left_records, right_records = partition
-    left, right = _split_tagged_stream(
-        [(0, record) for record in left_records] + [(1, record) for record in right_records]
-    )
-    return _join_sides(how, left, right, consumer)
+    return _join_sides(how, _group_values(left_records), _group_values(right_records), consumer)
 
 
 def _probed_groups(

@@ -110,9 +110,7 @@ def test_diablo_matrix_factorization_matches_baseline_error_matrix():
     baseline = get_baseline("matrix_factorization").distributed(
         DistributedContext(num_partitions=4), inputs
     )
-    # The error matrix is identical; the factor updates differ only in how the
-    # regularization term is counted (once per rating in the loop program vs
-    # once per entry in the hand-written program), so compare those loosely.
-    dicts_close(translated.array("E"), baseline["E"], tolerance=1e-9)
-    for key, value in baseline["P"].items():
-        assert abs(translated.array("P")[key] - value) < 1e-2
+    # Both regularize once per rating, so the factor updates agree as closely
+    # as the error matrix (only the summation order of the terms may differ).
+    for name in ("E", "P", "Q"):
+        dicts_close(translated.array(name), baseline[name], tolerance=1e-9)

@@ -11,11 +11,11 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -249,15 +249,59 @@ _KEYS = st.recursive(
 )
 
 
+Point = namedtuple("Point", "x y")
+
+#: Tuple keys: flat int tuples (the array-index keys every merge and join
+#: places), the empty tuple, tuples over the numeric edges, strings and
+#: nested tuples, and the tuple subclasses that must keep their own path.
+_TUPLE_KEYS = st.one_of(
+    st.lists(st.integers(), max_size=4).map(tuple),
+    st.lists(st.integers(min_value=-2, max_value=300), min_size=2, max_size=2).map(tuple),
+    st.just(()),
+    st.lists(
+        st.one_of(st.sampled_from(_EDGE_NUMBERS), st.text(max_size=3), st.none()), max_size=4
+    ).map(tuple),
+    st.recursive(
+        st.sampled_from(_EDGE_NUMBERS + ("a", "")),
+        lambda children: st.lists(children, max_size=3).map(tuple),
+        max_leaves=6,
+    ),
+    st.builds(SaltedKey, _SCALAR_KEYS, st.integers(min_value=0, max_value=64)),
+    st.builds(Point, _SCALAR_KEYS, st.tuples(st.integers(), st.text(max_size=2))),
+)
+
+
+def recursive_stable_hash(key):
+    """The reference for container keys: the tuple polynomial (and the
+    frozenset combination) recursing through ``stable_hash`` for every
+    element, with no inlined element hashing to share a slip with."""
+    if isinstance(key, tuple):
+        result = 0x345678
+        for element in key:
+            result = (result * 1000003 ^ recursive_stable_hash(element)) & 0xFFFFFFFF
+        return result ^ len(key)
+    if isinstance(key, frozenset):
+        result = len(key)
+        for element in key:
+            result ^= recursive_stable_hash(element)
+        return result
+    return stable_hash(key)
+
+
 class TestBulkPlacement:
     """``partition_all`` places a whole map partition; it must agree with
     per-key ``stable_hash`` placement bit for bit."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(keys=st.lists(_KEYS, max_size=30), num_partitions=st.integers(min_value=1, max_value=64))
+    @settings(max_examples=500, deadline=None)
+    @given(
+        keys=st.lists(st.one_of(_KEYS, _TUPLE_KEYS), max_size=30),
+        num_partitions=st.one_of(st.integers(min_value=1, max_value=64), st.just(2**31 - 1)),
+    )
+    @example(keys=["", "\ud800", "a\udfffb", "été", (2, 3), ()], num_partitions=2**31 - 1)
     def test_partition_all_equals_stable_hash(self, keys, num_partitions):
         partitioner = HashPartitioner(num_partitions)
         expected = [stable_hash(key) % num_partitions for key in keys]
+        assert expected == [recursive_stable_hash(key) % num_partitions for key in keys]
         assert partitioner.partition_all(keys) == expected
         assert [partitioner.partition(key) for key in keys] == expected
 
@@ -280,7 +324,7 @@ class TestBulkPlacement:
             assert [partitioner.partition(key) for key in keys] == placed
 
     def test_string_placement_ignores_the_hash_seed(self):
-        keys = ["alpha", "", "été", ("a", "b"), ("nested", ("x", 1))]
+        keys = ["alpha", "", "été", ("a", "b"), ("a", 1), ("nested", ("x", 1))]
         script = (
             "import json, sys\n"
             "from repro.runtime.partitioner import HashPartitioner\n"
