@@ -1,24 +1,17 @@
-"""Cluster-mode rows for the machine-readable results file.
+"""Cluster-mode benchmark panel.
 
 Runs a shuffle-heavy subset of the Figure 3 workloads on a multi-process
-:class:`ClusterContext` and records them as ``system="cluster"`` entries in
-``BENCH_results.json``, alongside the existing ``diablo`` (in-process) rows.
-The recorded shuffle metrics include the PR 9 cluster counters, so the
-results file tracks how many bytes moved worker-to-worker and asserts the
-driver-bypass guarantee held (``driver_payload_bytes == 0``) for the runs
-behind each number.
-
-``check_regression.py`` compares ``wall_seconds`` only on keys present in
-both files, so baselines that predate the ``cluster`` system are unaffected.
+:class:`ClusterContext` and asserts the driver-bypass guarantee held
+(``driver_payload_bytes == 0``, no batch fell back to the driver) for the
+timed runs.  The worker-to-worker transfer counters ride along in the
+pytest-benchmark ``extra_info``.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from benchmarks.conftest import CLUSTER_BENCH_WORKERS, record_run
+from benchmarks.conftest import CLUSTER_BENCH_WORKERS
 from repro.evaluation.harness import diablo_for
 from repro.programs import get_program
 from repro.runtime.cluster import ClusterContext
@@ -47,28 +40,16 @@ def test_cluster_executor_panel(benchmark, name, cluster_context):
     spec = get_program(name)
     inputs = workload_for_program(name, size)
     compiled = diablo_for(spec, cluster_context).compile(spec.source)
-    timings: list[float] = []
 
-    def timed_round():
+    def one_round():
+        # Reset per round so the counters below describe a single run.
         cluster_context.metrics.reset()
-        started = time.perf_counter()
-        value = compiled.run(**inputs)
-        timings.append(time.perf_counter() - started)
-        return value
+        return compiled.run(**inputs)
 
-    benchmark.pedantic(timed_round, rounds=2, iterations=1)
+    benchmark.pedantic(one_round, rounds=2, iterations=1)
     metrics = cluster_context.metrics
     assert metrics.cluster_fallbacks == 0, f"{name}: task batches fell back to the driver"
     assert metrics.driver_payload_bytes == 0, f"{name}: payload bytes transited the driver"
-    record_run(
-        name,
-        size,
-        "cluster",
-        sum(timings) / len(timings),
-        cluster_context,
-        rounds=len(timings),
-        method="benchmark-mean",
-    )
     benchmark.extra_info["program"] = name
     benchmark.extra_info["size"] = size
     benchmark.extra_info["system"] = "cluster"

@@ -1,20 +1,18 @@
 """Plan-optimization benchmarks: loop-invariant caching on iterative loops.
 
 The Figure 3.J/3.K panels measure a *single* step (as the paper does), so the
-while-loop wins of the PR 5 planner -- loop-invariant inputs shuffled exactly
+while-loop wins of the planner -- loop-invariant inputs shuffled exactly
 once, iterations 2+ shuffling only the mutated side -- do not show up there.
-This module runs PageRank for several steps and records the per-iteration
-structural metrics into ``BENCH_results.json`` (system ``diablo-multistep``),
-with assertions on the reduction shape so CI fails if the planner stops
+This module runs PageRank for several steps and asserts the shape of the
+per-iteration structural metrics, so CI fails if the planner stops
 eliminating.
 """
 
 from __future__ import annotations
 
-import time
-
-from benchmarks._recording import record_entry
 from benchmarks.conftest import compiled_program
+from repro.evaluation.harness import diablo_for
+from repro.programs import get_program
 from repro.runtime.context import DistributedContext
 from repro.workloads import workload_for_program
 
@@ -24,14 +22,11 @@ NUM_STEPS = 4
 
 def test_pagerank_multistep_iteration_shuffles_drop():
     """Iterations 2+ shuffle strictly less than iteration 1 (the invariant
-    edge/degree sides are served from the loop cache), and the reduction is
-    recorded for the cross-PR trajectory."""
+    edge/degree sides are served from the loop cache)."""
     inputs = workload_for_program("pagerank", PAGERANK_SIZE)
     inputs["num_steps"] = NUM_STEPS
     compiled, context = compiled_program("pagerank")
-    started = time.perf_counter()
     result = compiled.run(**inputs)
-    wall_seconds = time.perf_counter() - started
 
     iterations = result.iteration_metrics
     assert len(iterations) == NUM_STEPS
@@ -43,81 +38,19 @@ def test_pagerank_multistep_iteration_shuffles_drop():
     # The invariant placement shuffled exactly once across the whole run.
     assert context.metrics.shuffle_operations.get("partitionBy") == 1
 
-    metrics = context.metrics
-    record_entry(
-        {
-            "workload": "pagerank",
-            "size": PAGERANK_SIZE,
-            "system": "diablo-multistep",
-            "method": "single-run",
-            "wall_seconds": round(wall_seconds, 6),
-            "rounds": 1,
-            "num_steps": NUM_STEPS,
-            "shuffle_metrics": {
-                "shuffles": metrics.shuffles,
-                "shuffled_records": metrics.shuffled_records,
-                "shuffled_bytes": metrics.shuffled_bytes,
-                "shuffles_eliminated": metrics.shuffles_eliminated,
-                "narrow_joins": metrics.narrow_joins,
-                "prepartitioned_inputs": metrics.prepartitioned_inputs,
-                "loop_invariant_reuses": metrics.loop_invariant_reuses,
-                "vectorized_stages": metrics.vectorized_stages,
-                "columnar_fallbacks": metrics.columnar_fallbacks,
-            },
-            "iteration_metrics": [
-                {
-                    "iteration": entry["iteration"],
-                    "shuffles": entry["shuffles"],
-                    "shuffled_bytes": entry["shuffled_bytes"],
-                    "loop_invariant_reuses": entry["loop_invariant_reuses"],
-                }
-                for entry in iterations
-            ],
-        }
-    )
-
 
 def test_pagerank_multistep_planner_off_baseline():
     """The same multi-step run with the planner off: every iteration pays the
-    full shuffle bill.  Recorded so the delta is tracked across PRs."""
+    full shuffle bill."""
     inputs = workload_for_program("pagerank", PAGERANK_SIZE)
     inputs["num_steps"] = NUM_STEPS
-    from repro.evaluation.harness import diablo_for
-    from repro.programs import get_program
-
     spec = get_program("pagerank")
     context = DistributedContext(num_partitions=4, plan_optimize=False)
     diablo = diablo_for(spec, context)
     compiled = diablo.compile(spec.source)
-    started = time.perf_counter()
     result = compiled.run(**inputs)
-    wall_seconds = time.perf_counter() - started
 
     iterations = result.iteration_metrics
     # Without the planner every iteration shuffles the same (full) volume.
     assert len({entry["shuffled_bytes"] for entry in iterations}) == 1
     assert context.metrics.loop_invariant_reuses == 0
-
-    metrics = context.metrics
-    record_entry(
-        {
-            "workload": "pagerank",
-            "size": PAGERANK_SIZE,
-            "system": "diablo-multistep-noplanner",
-            "method": "single-run",
-            "wall_seconds": round(wall_seconds, 6),
-            "rounds": 1,
-            "num_steps": NUM_STEPS,
-            "shuffle_metrics": {
-                "shuffles": metrics.shuffles,
-                "shuffled_records": metrics.shuffled_records,
-                "shuffled_bytes": metrics.shuffled_bytes,
-                "shuffles_eliminated": metrics.shuffles_eliminated,
-                "narrow_joins": metrics.narrow_joins,
-                "prepartitioned_inputs": metrics.prepartitioned_inputs,
-                "loop_invariant_reuses": metrics.loop_invariant_reuses,
-                "vectorized_stages": metrics.vectorized_stages,
-                "columnar_fallbacks": metrics.columnar_fallbacks,
-            },
-        }
-    )

@@ -1,13 +1,11 @@
 """Skewed (Zipf) workload variants: the adaptive execution ablation.
 
-The Figure 3 panels use uniform key distributions, where the PR 7 adaptive
+The Figure 3 panels use uniform key distributions, where the adaptive
 layer deliberately does nothing.  This module runs Zipf-skewed variants of
 the key-grouping workloads twice on identical inputs -- adaptive off (the
-static plan) and adaptive on -- and records both series into
-``BENCH_results.json`` with the new ``plan_cache_hits`` / ``salted_keys`` /
-``adaptive_decisions`` counters, so the skew behaviour is tracked across PRs.
+static plan) and adaptive on -- and compares the two.
 
-Assertions encode the PR's acceptance criteria:
+Assertions encode the adaptive layer's acceptance criteria:
 
 * the skewed ``group_by_key`` (no map-side combiner statically, so every
   record crosses the shuffle) must run at least 2x faster with adaptive
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import BENCH_SIZE_SCALE, record_run
+from benchmarks.conftest import BENCH_SIZE_SCALE
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program
 from repro.runtime.context import DistributedContext
@@ -50,16 +48,6 @@ def _run_group_by_key(records, adaptive: bool):
             started = time.perf_counter()
             groups = dict(dataset.group_by_key().collect())
             timings.append(time.perf_counter() - started)
-        system = "adaptive" if adaptive else "static"
-        record_run(
-            "skewed_group_by_key",
-            SKEW_SIZE,
-            system,
-            min(timings),
-            context,
-            rounds=ROUNDS,
-            method="best-of-n",
-        )
         return min(timings), groups, context.metrics.snapshot()
 
 
@@ -94,19 +82,16 @@ def test_skewed_reduce_salts_hot_keys():
             context.parallelize(records).reduce_by_key(lambda a, b: a + b).collect()
         )
     with DistributedContext(num_partitions=4, adaptive=True) as context:
-        started = time.perf_counter()
         adaptive_totals = dict(
             context.parallelize(records).reduce_by_key(lambda a, b: a + b).collect()
         )
-        wall_seconds = time.perf_counter() - started
         assert context.metrics.salted_keys > 0, "no hot key was salted"
         assert context.metrics.adaptive_decisions >= 1
-        record_run("skewed_reduce_by_key", SKEW_SIZE, "adaptive", wall_seconds, context)
     assert adaptive_totals == static_totals, "salted reduce diverged"
 
 
 def test_skewed_diablo_group_by_records_counters():
-    """The translated Group By program on Zipf inputs, both modes recorded.
+    """The translated Group By program on Zipf inputs, in both modes.
 
     ``C[v.K] += v.A`` lowers to a reduceByKey, so this tracks the salting
     path through the full DIABLO pipeline; the adaptive run must match the
@@ -119,11 +104,7 @@ def test_skewed_diablo_group_by_records_counters():
     for adaptive in (False, True):
         context = DistributedContext(num_partitions=4, adaptive=adaptive)
         compiled = diablo_for(spec, context).compile(spec.source)
-        started = time.perf_counter()
         result = compiled.run(**inputs)
-        wall_seconds = time.perf_counter() - started
-        system = "diablo-skewed-adaptive" if adaptive else "diablo-skewed-static"
-        record_run("group_by", size, system, wall_seconds, context)
         outputs[adaptive] = translated_outputs("group_by", result)
         if not adaptive:
             assert context.metrics.adaptive_decisions == 0

@@ -4,9 +4,9 @@ The paper compiles each loop program to parallel and sequential collections;
 here the parallel column is the translated program on the local DISC runtime
 and the sequential column is the reference loop interpreter (see DESIGN.md).
 
-A third axis compares the runtime's executor modes (sequential / threads /
-processes / cluster) on a CPU-heavy subset, exercising the fused-stage
-dispatch path of each executor with identical plans.
+A third axis compares the runtime's executor modes (sequential / processes /
+cluster) on a CPU-heavy subset, exercising the fused-stage dispatch path of
+each executor with identical plans.
 """
 
 import pytest

@@ -1,9 +1,9 @@
 """Executor modes and the lazy fusing engine.
 
-The example builds the same pipeline three times -- once per executor mode --
-and shows that (1) chained narrow operations fuse into a single per-partition
+The example builds the same pipeline twice -- once per executor mode -- and
+shows that (1) chained narrow operations fuse into a single per-partition
 pass with zero intermediate datasets, (2) results are identical across
-sequential, threaded and process-pool execution, and (3) a picklable stage
+sequential and process-pool execution, and (3) a picklable stage
 chain really crosses the process boundary while a closure falls back to the
 driver.
 
@@ -53,11 +53,11 @@ def main() -> None:
 
     print("\n== Identical results across executor modes ==")
     results = {}
-    for mode in ("sequential", "threads", "processes"):
+    for mode in ("sequential", "processes"):
         with DistributedContext(num_partitions=4, executor=mode) as mode_ctx:
             results[mode] = fused_pipeline(mode_ctx)
         print(f"{mode:>10}: {len(results[mode])} keys, key 0 -> {results[mode][0]:.1f}")
-    assert results["sequential"] == results["threads"] == results["processes"]
+    assert results["sequential"] == results["processes"]
 
     print("\n== Process-pool dispatch vs driver fallback ==")
     with DistributedContext(num_partitions=4, executor="processes") as pctx:
@@ -74,7 +74,7 @@ def main() -> None:
     print("\n== Translated loop program under each executor ==")
     values = random_doubles(20_000, seed=7)
     expected = sum(v for v in values if v < 100)
-    for mode in ("sequential", "threads", "processes"):
+    for mode in ("sequential", "processes"):
         with DistributedContext(num_partitions=4, executor=mode) as mode_ctx:
             result = Diablo(mode_ctx).run(PAGERANK_STYLE_SUM, V=values)
             assert abs(result["sum"] - expected) < 1e-6

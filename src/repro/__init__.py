@@ -129,10 +129,6 @@ class CompiledProgram:
         """Execute the translated program over the given inputs."""
         return self.runner.run(self.translation.target, inputs)
 
-    def run_with(self, inputs: dict[str, Any]) -> ProgramResult:
-        """Like :meth:`run` but with inputs supplied as a dict."""
-        return self.runner.run(self.translation.target, inputs)
-
     def explain(self) -> str:
         """A textual summary of the generated target code."""
         return str(self.translation.target)

@@ -64,13 +64,8 @@ from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import CompilationError, ExecutionError
 from repro.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from repro.runtime.context import DistributedContext
-from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD, Dataset
+from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
-
-#: Backwards-compatible alias: the evaluator now shares the runtime's join
-#: strategy knob (``context.broadcast_join_threshold``) instead of keeping its
-#: own.  The threshold only affects performance, never results.
-BROADCAST_THRESHOLD = DEFAULT_BROADCAST_JOIN_THRESHOLD
 
 
 @dataclass

@@ -43,7 +43,6 @@ from repro.analysis.lvalues import (
 from repro.analysis.affine import is_affine_expression, is_affine_destination
 from repro.analysis.restrictions import (
     RestrictionChecker,
-    RestrictionViolation,
     check_program,
     check_statement,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "is_affine_expression",
     "is_affine_destination",
     "RestrictionChecker",
-    "RestrictionViolation",
     "check_program",
     "check_statement",
 ]

@@ -37,11 +37,6 @@ from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import RestrictionError
 from repro.loop_lang import ast
 
-#: Historical alias: violations are plain diagnostics since the unified
-#: static-analysis subsystem landed; ``message`` / ``statement`` / ``hint``
-#: and the ``str()`` rendering are unchanged.
-RestrictionViolation = Diagnostic
-
 
 def _violation(code: str, message: str, statement: ast.Stmt | None, hint: str) -> Diagnostic:
     return make_diagnostic(

@@ -37,13 +37,10 @@ class DiabloConfig:
     """Every user-facing knob of the compiler and the runtime, in one place.
 
     Attributes:
-        executor_mode: ``"sequential"``, ``"threads"``, ``"processes"``
-            (see :class:`~repro.runtime.context.DistributedContext`) or
-            ``"cluster"`` (multi-process workers over TCP; see
+        executor_mode: ``"sequential"``, ``"processes"`` (see
+            :class:`~repro.runtime.context.DistributedContext`) or ``"cluster"`` (multi-process workers over TCP; see
             :class:`~repro.runtime.cluster.ClusterContext`).
         num_partitions: default number of partitions for datasets.
-        num_threads: thread-pool size for ``executor_mode="threads"``
-            (None = one thread per partition).
         num_processes: process-pool size for ``executor_mode="processes"``
             (None = ``min(num_partitions, cpu count)``).
         cluster_workers: number of local worker subprocesses a
@@ -102,7 +99,6 @@ class DiabloConfig:
 
     executor_mode: str = "sequential"
     num_partitions: int = 8
-    num_threads: int | None = None
     num_processes: int | None = None
     cluster_workers: int = 2
     cluster_address: str | None = None
@@ -156,7 +152,6 @@ class DiabloConfig:
         return (
             self.executor_mode,
             self.num_partitions,
-            self.num_threads,
             self.num_processes,
             self.cluster_workers,
             self.cluster_address,

@@ -2,12 +2,10 @@
 
 A :class:`DistributedContext` plays the role of Spark's ``SparkContext``: it
 creates datasets from driver data, creates broadcast variables, owns the
-metrics counters, and decides how narrow tasks are executed.  Three executor
+metrics counters, and decides how narrow tasks are executed.  Two executor
 modes are supported:
 
 * ``"sequential"`` -- one partition after another in the driver;
-* ``"threads"`` -- one task per partition in a thread pool (fine for I/O- or
-  C-extension-bound work, GIL-bound for pure-Python compute);
 * ``"processes"`` -- fused stage chains dispatched to a
   :class:`~concurrent.futures.ProcessPoolExecutor` in partition chunks, so
   CPU-bound workloads use multiple cores.  A stage chain can only cross the
@@ -32,7 +30,7 @@ from __future__ import annotations
 import functools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import ExecutionError
@@ -49,7 +47,7 @@ from repro.runtime.spill import ShuffleStore
 from repro.runtime.stage import NarrowStage, ShuffleStage
 
 #: Executor modes accepted by :class:`DistributedContext`.
-EXECUTOR_MODES = ("sequential", "threads", "processes")
+EXECUTOR_MODES = ("sequential", "processes")
 
 #: Records sampled per map partition when the adaptive layer histograms a
 #: shuffle's keys at force time (driver-side stride sample through the
@@ -129,9 +127,8 @@ class DistributedContext:
 
     Args:
         num_partitions: default number of partitions for new datasets.
-        executor: ``"sequential"``, ``"threads"`` or ``"processes"`` (see the
-            module docstring).
-        num_threads: size of the thread pool when ``executor="threads"``.
+        executor: ``"sequential"`` or ``"processes"`` (see the module
+            docstring).
         num_processes: size of the process pool when ``executor="processes"``
             (defaults to ``min(num_partitions, cpu count)``).
         broadcast_join_threshold: joins whose build side has at most this many
@@ -193,7 +190,6 @@ class DistributedContext:
         self,
         num_partitions: int = 8,
         executor: str = "sequential",
-        num_threads: int | None = None,
         num_processes: int | None = None,
         broadcast_join_threshold: int = DEFAULT_BROADCAST_JOIN_THRESHOLD,
         spill_threshold_bytes: int | None = None,
@@ -213,7 +209,6 @@ class DistributedContext:
             raise ValueError('columnar must be True, False or "auto"')
         self.num_partitions = num_partitions
         self.executor = executor
-        self.num_threads = num_threads or num_partitions
         self.num_processes = num_processes or min(num_partitions, os.cpu_count() or 2)
         self.broadcast_join_threshold = broadcast_join_threshold
         self.plan_optimize = plan_optimize
@@ -228,7 +223,6 @@ class DistributedContext:
         )
         self.metrics = Metrics()
         self._broadcast_counter = 0
-        self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
 
     @classmethod
@@ -246,7 +240,6 @@ class DistributedContext:
         return cls(
             num_partitions=config.num_partitions,
             executor=config.executor_mode,
-            num_threads=config.num_threads,
             num_processes=config.num_processes,
             broadcast_join_threshold=config.broadcast_join_threshold,
             spill_threshold_bytes=config.spill_threshold_bytes,
@@ -277,8 +270,6 @@ class DistributedContext:
         else:
             records = list(data)
         return self.parallelize_raw(records, num_partitions)
-
-    from_dict = parallelize_pairs
 
     def indexed(self, data: Iterable[Any], num_partitions: int | None = None) -> Dataset:
         """Create a key-value dataset ``(position, element)`` from a plain sequence.
@@ -342,32 +333,14 @@ class DistributedContext:
         partitions: list[list[Any]],
         task_spec: tuple[Any, ...] | None = None,
     ) -> list[list[Any]]:
-        if self.executor == "sequential" or len(partitions) <= 1:
-            return [task(partition, index) for index, partition in enumerate(partitions)]
-        if self.executor == "processes":
+        if self.executor == "processes" and len(partitions) > 1:
             if task_spec is not None:
                 outcome = self._run_in_processes(task_spec, partitions)
                 if outcome is not None:
                     self.metrics.record_parallel_tasks(len(partitions))
                     return outcome
             self.metrics.record_process_fallback()
-            return [task(partition, index) for index, partition in enumerate(partitions)]
-        pool = self._thread_pool()
-        self.metrics.record_parallel_tasks(len(partitions))
-        futures = [
-            pool.submit(task, partition, index) for index, partition in enumerate(partitions)
-        ]
-        results: list[list[Any]] = []
-        errors: list[BaseException] = []
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                errors.append(error)
-            else:
-                results.append(future.result())
-        if errors:
-            raise ExecutionError(f"{len(errors)} task(s) failed: {errors[0]}") from errors[0]
-        return results
+        return [task(partition, index) for index, partition in enumerate(partitions)]
 
     def _run_in_processes(
         self, task_spec: tuple[Any, ...], partitions: list[list[Any]]
@@ -920,11 +893,6 @@ class DistributedContext:
         self.metrics.record_join_strategy("broadcast")
         return result, None
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.num_threads)
-        return self._pool
-
     def _pool_of_processes(self) -> ProcessPoolExecutor:
         if self._process_pool is None:
             self._process_pool = ProcessPoolExecutor(max_workers=self.num_processes)
@@ -936,9 +904,9 @@ class DistributedContext:
             self._process_pool = None
 
     def shutdown(self, cancel_pending: bool = True) -> None:
-        """Stop the worker pools and remove spill files; safe to call twice.
+        """Stop the process pool and remove spill files; safe to call twice.
 
-        The context stays usable afterwards -- pools and spill directories
+        The context stays usable afterwards -- the pool and spill directories
         are recreated lazily on the next parallel task / spilled shuffle --
         so ``shutdown`` is a release of OS resources, not a terminal state.
         With ``cancel_pending=False`` pending process-pool tasks run to
@@ -948,9 +916,6 @@ class DistributedContext:
         because an in-flight shuffle on another thread may still be reading
         and writing runs under it.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         if self._process_pool is not None:
             if cancel_pending:
                 self._shutdown_process_pool()

@@ -15,9 +15,9 @@ nearest materialized ancestor.  **Wide operations are lazy plan nodes too**:
 chain of their input as the map side of a
 :class:`~repro.runtime.stage.ShuffleStage` and return a pending dataset whose
 force runs the whole shuffle -- map side, bucketing, and reduce side -- through
-:meth:`DistributedContext.run_tasks`, so every executor (threads, processes
-with the pickle fallback) parallelizes the hot wide operators, not just the
-narrow chains between them.
+:meth:`DistributedContext.run_tasks`, so the processes executor (with its
+pickle fallback) parallelizes the hot wide operators, not just the narrow
+chains between them.
 
 Pending chains are *forced* at force points:
 
@@ -128,7 +128,7 @@ class Dataset:
     """A partitioned collection of records.
 
     Datasets are created through a :class:`~repro.runtime.context.DistributedContext`
-    (``parallelize``, ``range_dataset``, ``from_dict``) and transformed through
+    (``parallelize``, ``range_dataset``, ``parallelize_pairs``) and transformed through
     the methods below.  Key-value datasets are simply datasets of 2-tuples.
 
     A dataset is either *materialized* (it owns a list of partitions) or

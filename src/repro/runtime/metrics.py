@@ -94,7 +94,7 @@ class Metrics:
     #: Batch runs skipped straight to the record path because an earlier
     #: partition of the same (plan-cached) segment already fell back -- the
     #: memoized-fallback conversion-tax savings.  Runtime counters, so only
-    #: driver-side executors (sequential / threads) report them; process and
+    #: the driver-side (sequential) executor reports them; process and
     #: cluster workers keep theirs worker-side.
     columnar_memoized_skips: int = 0
     #: Batch runs that resumed from a resident ColumnarPartition produced by
@@ -116,7 +116,7 @@ class Metrics:
     adaptive_decisions: int = 0
     #: Cluster-mode task batches that ran in the driver instead of on workers
     #: (no task_spec, or a chain that could not cross the wire).  0 under the
-    #: three in-process executors.
+    #: in-process executors.
     cluster_fallbacks: int = 0
     #: Task input partitions a cluster wave named in the workers' resident
     #: stores (a previous wave's output, or a driver list pushed earlier)

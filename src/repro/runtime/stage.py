@@ -20,8 +20,8 @@ partitioner bucketing) plus a reduce-side stage chain that processes each
 merged bucket.  Both sides are expressed as ``NarrowStage`` chains built from
 the module-level worker functions below (:func:`shuffle_write`,
 :func:`reduce_bucket`, :func:`group_bucket`, :func:`join_bucket`, ...), so the
-existing ``run_tasks`` dispatch -- thread pool, process pool with pickle
-fallback -- executes the hot map and reduce sides of every wide operator.
+existing ``run_tasks`` dispatch -- in the driver, or the process pool with
+its pickle fallback -- executes the hot map and reduce sides of every wide operator.
 :meth:`DistributedContext.run_shuffle` is the interpreter for these nodes.
 
 **The shuffle data path is an iterator protocol, not list-of-lists.**  A map
@@ -33,8 +33,8 @@ record lists.  Every reduce-side processor streams the records back with
 :func:`repro.runtime.spill.iter_merged` (or an external
 ``heapq.merge`` for sorted runs), applying its merge/group/join combiner
 incrementally, so reduce-side memory is bounded by the live accumulator --
-not by the shuffled partition -- and the behaviour is identical in
-sequential, threads, and processes executor modes.
+not by the shuffled partition -- and the behaviour is identical in the
+sequential and processes executor modes.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def stage_vectorizable(stage: NarrowStage) -> bool:
 # -- batch-runtime memoization ---------------------------------------------------
 #
 # Both caches live at module level so they are shared by every task of every
-# force within one interpreter: the driver's for the sequential/threads
-# executors, each worker's own for the processes/cluster executors (a worker
+# force within one interpreter: the driver's for the sequential executor,
+# each worker's own for the processes/cluster executors (a worker
 # is long-lived, so its caches warm up the same way).
 
 #: Stage runs whose batch execution failed once (any partition): keyed by the
@@ -145,8 +145,8 @@ def consume_batch_stats() -> dict[str, int]:
     """Return and reset the interpreter-wide batch-runtime counters.
 
     The counters are updated inside executor tasks, so they are only
-    observable from the driver for executors sharing its interpreter
-    (sequential / threads); process-pool and cluster workers accumulate into
+    observable from the driver for the executor sharing its interpreter
+    (sequential); process-pool and cluster workers accumulate into
     their own interpreters and their counts stay worker-side.
     """
     stats = dict(_BATCH_STATS)

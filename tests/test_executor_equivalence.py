@@ -2,8 +2,8 @@
 
 Every Figure 3 workload is run through the sequential loop-language
 interpreter (the correctness oracle) and through the translated plan under
-all three executor modes (``sequential``, ``threads``, ``processes``); all
-four results must agree.  Property-style tests check that operator fusion is
+both executor modes (``sequential``, ``processes``); all three results
+must agree.  Property-style tests check that operator fusion is
 observable only in the narrow-stage metrics: fused pipelines preserve
 partitioner metadata and leave the shuffle/record metrics untouched.
 """
@@ -119,10 +119,10 @@ def test_every_figure3_workload_matches_interpreter(name, mode):
 
 @pytest.mark.parametrize("name", ["word_count", "pagerank", "kmeans"])
 def test_executor_modes_agree_exactly(name):
-    """The three executors run the same plan, so results are bit-identical."""
+    """The executors run the same plan, so results are bit-identical."""
     by_mode = {mode: run_translated_under(name, mode) for mode in EXECUTOR_MODES}
     reference = by_mode["sequential"]
-    for mode in ("threads", "processes"):
+    for mode in ("processes",):
         assert by_mode[mode] == reference, f"{name}: {mode} differs from sequential"
 
 
@@ -199,7 +199,7 @@ class TestFusion:
                 snapshot.pop("process_fallbacks")
                 snapshot.pop("parallel_tasks")
                 snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+        assert snapshots["sequential"] == snapshots["processes"]
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ class TestWideOperatorEquivalence:
                 snapshot.pop("process_fallbacks")
                 snapshot.pop("parallel_tasks")
                 snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+        assert snapshots["sequential"] == snapshots["processes"]
 
     def test_sort_by_key_output_keeps_a_range_partitioner(self):
         from repro.runtime.partitioner import RangePartitioner
@@ -445,7 +445,7 @@ class TestSpillEquivalence:
                 snapshot.pop("process_fallbacks")
                 snapshot.pop("parallel_tasks")
                 snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["threads"] == snapshots["processes"]
+        assert snapshots["sequential"] == snapshots["processes"]
 
     def test_spilled_results_equal_in_memory_results(self, monkeypatch):
         """The same pipelines with and without spilling are bit-identical --

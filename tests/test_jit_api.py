@@ -322,18 +322,18 @@ class TestTypedSignatures:
 class TestConfiguration:
     def test_options_scope_changes_the_runtime(self):
         base_partitions = pagerank.runtime().num_partitions
-        with diablo.options(num_partitions=3, executor_mode="threads"):
+        with diablo.options(num_partitions=3, executor_mode="processes"):
             scoped = pagerank.runtime()
             assert scoped.num_partitions == 3
-            assert scoped.executor == "threads"
+            assert scoped.executor == "processes"
         assert pagerank.runtime().num_partitions == base_partitions
 
     def test_options_nest_and_restore_on_error(self):
         with diablo.options(num_partitions=5):
-            with diablo.options(executor_mode="threads"):
+            with diablo.options(executor_mode="processes"):
                 config = diablo.current_config()
                 assert config.num_partitions == 5
-                assert config.executor_mode == "threads"
+                assert config.executor_mode == "processes"
             assert diablo.current_config().executor_mode == "sequential"
         with pytest.raises(RuntimeError):
             with diablo.options(num_partitions=2):
@@ -349,10 +349,10 @@ class TestConfiguration:
             return total
 
         assert pinned_partitions.runtime().num_partitions == 2
-        with diablo.options(executor_mode="threads"):
+        with diablo.options(executor_mode="processes"):
             runtime = pinned_partitions.runtime()
             assert runtime.num_partitions == 2
-            assert runtime.executor == "threads"
+            assert runtime.executor == "processes"
         pinned_partitions.close()
 
     def test_unknown_and_invalid_options_are_rejected(self):
@@ -360,6 +360,8 @@ class TestConfiguration:
             DiabloConfig().replace(num_partition=4)
         with pytest.raises(ValueError, match="executor_mode"):
             DiabloConfig(executor_mode="gpu")
+        with pytest.raises(ValueError, match=r"\('sequential', 'processes', 'cluster'\)"):
+            DiabloConfig(executor_mode="threads")
         with pytest.raises(TypeError, match="unknown DiabloConfig option"):
 
             @diablo.jit(num_partitoins=2)
@@ -372,7 +374,7 @@ class TestConfiguration:
     def test_executor_modes_agree(self):
         values = random_doubles(4_000, seed=9)
         expected = conditional_sum(values)
-        for mode in ("threads", "processes"):
+        for mode in ("processes",):
             with diablo.options(executor_mode=mode):
                 assert abs(conditional_sum(values) - expected) < 1e-9
         conditional_sum.close()
@@ -392,7 +394,7 @@ class TestConfiguration:
 
 class TestLifecycle:
     def test_jit_function_as_context_manager(self):
-        @diablo.jit(cache=CompilationCache(), executor_mode="threads")
+        @diablo.jit(cache=CompilationCache(), executor_mode="processes")
         def totals(V):
             total: float = 0.0
             for v in V:

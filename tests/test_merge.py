@@ -90,12 +90,11 @@ def snapshot(dataset):
 @pytest.fixture(scope="module")
 def contexts():
     opened = {}
-    for executor in ("sequential", "threads", "processes"):
+    for executor in ("sequential", "processes"):
         for spill in (None, 1):
             opened[executor, spill] = DistributedContext(
                 num_partitions=NUM_PARTITIONS,
                 executor=executor,
-                num_threads=2,
                 num_processes=2,
                 spill_threshold_bytes=spill,
             )
@@ -146,7 +145,7 @@ def side(values):
 
 
 @pytest.mark.parametrize("spill", [None, 1], ids=["in-memory", "spill=1"])
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 @settings(max_examples=25, deadline=None)
 @given(
     data=st.data(),
@@ -231,7 +230,7 @@ def raised(run):
     return None
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads", "processes"])
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
 @settings(max_examples=25, deadline=None)
 @given(
     left=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["p", "q", "r!"])), max_size=8),

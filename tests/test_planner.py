@@ -162,7 +162,7 @@ class TestNarrowFastPaths:
                     "shuffles": ctx.metrics.shuffles,
                     "eliminated": ctx.metrics.shuffles_eliminated,
                 }
-        assert collected["sequential"] == collected["threads"] == collected["processes"]
+        assert collected["sequential"] == collected["processes"]
         assert collected["sequential"]["shuffles"] == 0
 
 
