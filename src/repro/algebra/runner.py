@@ -263,12 +263,12 @@ class ProgramRunner:
         that several statements join or group on is shuffled once *per
         consumer*; the whole-program demand counts justify hash-partitioning
         it once up front instead.  Variables the program assigns are skipped
-        (their own force point runs :meth:`_place_for_demand`, and merges
-        leave them placed anyway), as is anything that is not an unplaced
-        pair dataset.  Only top-level consumers count: an unmutated input
-        read inside a while loop is loop-invariant there and the loop cache
-        already shuffles it exactly once, so pre-placing it would only add
-        a shuffle.  Inputs small enough to broadcast are skipped too --
+        (their own force point runs :meth:`_place_for_demand`), as is
+        anything that is not an unplaced pair dataset.  Only top-level
+        consumers count: an unmutated input read inside a while loop is
+        loop-invariant there and the loop cache already shuffles it exactly
+        once, so pre-placing it would only add a shuffle.  Inputs small
+        enough to broadcast are skipped too --
         their joins resolve shuffle-free anyway, so placement could only
         add a partitionBy."""
         assigned = self._assigned_variables(program.statements)

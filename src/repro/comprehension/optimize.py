@@ -36,12 +36,16 @@ class OptimizerStats:
     ranges_eliminated: int = 0
     constant_key_group_bys_removed: int = 0
     unique_key_group_bys_removed: int = 0
+    #: ``X := X ⊳ S`` into a freshly emptied X rewritten to ``X := S``
+    #: (see :func:`repro.translate.translator.merge_into_fresh`).
+    fresh_merges: int = 0
 
     def total(self) -> int:
         return (
             self.ranges_eliminated
             + self.constant_key_group_bys_removed
             + self.unique_key_group_bys_removed
+            + self.fresh_merges
         )
 
 
@@ -339,8 +343,15 @@ class Optimizer:
         """The key is unique when it covers every index variable of the
         generators before the group-by, and those generators are all array
         traversals or ranges (Section 4)."""
+        index_variables = self._index_variables(before)
+        key_variables = _affine_key_variables(key)
+        return bool(index_variables) and key_variables is not None and index_variables <= key_variables
+
+    def _index_variables(self, qualifiers: list[ir.Qualifier]) -> set[str] | None:
+        """The index variables of the generators, or None when one of them is
+        neither a range nor an array traversal (conservative)."""
         index_variables: set[str] = set()
-        for qualifier in before:
+        for qualifier in qualifiers:
             if not isinstance(qualifier, ir.Generator):
                 continue
             domain = qualifier.domain
@@ -349,17 +360,75 @@ class Optimizer:
             elif isinstance(domain, ir.CVar) and domain.name in self.array_variables:
                 index = _array_index_pattern(qualifier.pattern)
                 if index is None:
-                    return False
+                    return None
                 index_variables.update(index)
             else:
-                # A generator we cannot reason about: be conservative.
-                return False
-        if not index_variables:
+                return None
+        return index_variables
+
+    def keys_are_unique(self, term: ir.Term) -> bool:
+        """Whether the ``(key, value)`` pairs ``term`` produces have distinct keys.
+
+        Conservative: true only for (i) a group-by comprehension whose head
+        key is the group-by pattern, with no generator after the group-by, or
+        (ii) a comprehension over ranges and array traversals alone whose head
+        key -- a variable or tuple of variables once let aliases are resolved
+        -- covers every generator's index variables, directly or through a
+        ``v == w`` condition with a covered variable.  Arrays are assumed to
+        have unique keys, as Rule 17 assumes."""
+        if not (
+            isinstance(term, ir.Comprehension)
+            and isinstance(term.head, ir.CTuple)
+            and len(term.head.elements) == 2
+        ):
             return False
-        key_variables = _affine_key_variables(key)
-        if key_variables is None:
+        key, qualifiers = term.head.elements[0], list(term.qualifiers)
+        groups = [p for p, q in enumerate(qualifiers) if isinstance(q, ir.GroupBy)]
+        if groups:
+            pattern = qualifiers[groups[-1]].pattern
+            return key == ir.pattern_to_term(pattern) and not any(
+                isinstance(q, ir.Generator) or set(q.bound_variables()) & set(pattern.variables())
+                for q in qualifiers[groups[-1] + 1 :]
+            )
+        names = ir.qualifier_variables(tuple(qualifiers))
+        index_variables = self._index_variables(qualifiers)
+        if index_variables is None or len(names) != len(set(names)):
             return False
-        return index_variables <= key_variables
+        aliases = {
+            q.pattern.name: q.term
+            for q in qualifiers
+            if isinstance(q, ir.LetBinding) and isinstance(q.pattern, ir.PVar)
+        }
+        covered = _key_variables(key, aliases)
+        if covered is None:
+            return False
+        links = [
+            {q.term.left.name, q.term.right.name}
+            for q in qualifiers
+            if isinstance(q, ir.Condition)
+            and isinstance(q.term, ir.CBinOp)
+            and q.term.op == "=="
+            and isinstance(q.term.left, ir.CVar)
+            and isinstance(q.term.right, ir.CVar)
+        ]
+        for _ in links:  # each pass that changes anything covers one more link
+            for link in links:
+                if link & covered:
+                    covered |= link
+        return index_variables <= covered
+
+
+def _key_variables(key: ir.Term, aliases: dict[str, ir.Term]) -> set[str] | None:
+    """The variables of a key built from variables and tuples only (let
+    aliases resolved), or None for any other key."""
+    while isinstance(key, ir.CVar) and key.name in aliases:
+        key = aliases.pop(key.name)
+    if isinstance(key, ir.CVar):
+        return {key.name}
+    if isinstance(key, ir.CTuple):
+        parts = [_key_variables(element, dict(aliases)) for element in key.elements]
+        return None if None in parts else set().union(*parts)
+    return None
 
 
 def _array_index_pattern(pattern: ir.Pattern) -> set[str] | None:

@@ -147,6 +147,8 @@ class DiabloCompiler:
             enable_group_by_elimination=self.enable_group_by_elimination,
         )
         optimized = tuple(self._optimize_statement(s, optimizer, fresh) for s in statements)
+        if self.optimize:
+            optimized = merge_into_fresh(optimized, optimizer)
         elapsed = time.perf_counter() - started
         target = TargetProgram(optimized, variables)
         if self.strict:
@@ -246,6 +248,77 @@ class DiabloCompiler:
             body = tuple(self._optimize_statement(s, optimizer, fresh) for s in statement.body)
             return TargetWhile(condition, body)
         raise TypeError(f"unknown target statement {statement!r}")
+
+
+# ---------------------------------------------------------------------------
+# Merge into a fresh array
+# ---------------------------------------------------------------------------
+
+
+def _is_empty_constructor(term: ir.Term) -> bool:
+    """``{ v | let a = vector(), let (k, v) = ((), a) }``: Equation 14a over an
+    empty constructor, as emitted for ``var X: ... = vector()``."""
+    match term:
+        case ir.Comprehension(
+            ir.CVar(value),
+            (
+                ir.LetBinding(ir.PVar(made), ir.CCall("vector" | "matrix" | "map", ())),
+                ir.LetBinding(
+                    ir.PTuple((ir.PVar(), ir.PVar(unpacked))),
+                    ir.CTuple((ir.CTuple(()), ir.CVar(used))),
+                ),
+            ),
+        ) if unpacked == value and used == made:
+            return True
+    return False
+
+
+def _statement_variables(statement: TargetStatement) -> set[str]:
+    """Every variable a statement reads or assigns, while bodies included."""
+    if isinstance(statement, TargetAssign):
+        return ir.free_variables(statement.term) | {statement.variable}
+    names = ir.free_variables(statement.condition)
+    for inner in statement.body:
+        names |= _statement_variables(inner)
+    return names
+
+
+def merge_into_fresh(
+    statements: tuple[TargetStatement, ...], optimizer: Optimizer
+) -> tuple[TargetStatement, ...]:
+    """Rewrite ``X := X ⊳ S`` / ``X := X ⊳⊕ S`` into a fresh X to ``X := S``.
+
+    Within one straight-line block (a ``while`` body is its own block), X is
+    *fresh* from an empty-constructor assignment until a statement reads or
+    assigns it; a ``while`` statement ends the freshness of every variable
+    it mentions.  Merging S into an empty array yields S itself when S's
+    keys are unique (:meth:`Optimizer.keys_are_unique`), so the merge -- a
+    coGroup against an empty side -- and the now-dead constructor go.
+    """
+    out: list[TargetStatement | None] = []
+    fresh: dict[str, int] = {}  # variable -> position of its constructor in out
+    for statement in statements:
+        if isinstance(statement, TargetWhile):
+            statement = TargetWhile(statement.condition, merge_into_fresh(statement.body, optimizer))
+        else:
+            term = statement.term
+            name = statement.variable
+            if (
+                name in fresh
+                and isinstance(term, (ir.Merge, ir.MergeWith))
+                and term.left == ir.CVar(name)
+                and name not in ir.free_variables(term.right)
+                and optimizer.keys_are_unique(term.right)
+            ):
+                out[fresh[name]] = None
+                statement = TargetAssign(name, term.right, origin=statement.origin)
+                optimizer.stats.fresh_merges += 1
+        for name in _statement_variables(statement):
+            fresh.pop(name, None)
+        if isinstance(statement, TargetAssign) and statement.scalar and _is_empty_constructor(statement.term):
+            fresh[statement.variable] = len(out)
+        out.append(statement)
+    return tuple(s for s in out if s is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,8 @@ class TestExplain:
         summary = explain_term(update.term, {"M", "N", "R"})
         assert summary.hash_joins == 1
         assert summary.reduce_by_keys == 1
-        assert summary.merges == 1
+        # R is fresh and the reduce's keys are unique: no merge into R.
+        assert summary.merges == 0
         assert "M" in summary.scans and "N" in summary.scans
 
     def test_kmeans_assignment_contains_centroid_join(self):

@@ -141,8 +141,9 @@ class TestGroupByElimination:
             """
         )
         update = result.target.statements[-1]
-        assert isinstance(update.term, ir.MergeWith)
-        delta = update.term.right
+        # R is fresh, so the ⊳+ into it became the delta itself.
+        delta = update.term
+        assert isinstance(delta, ir.Comprehension)
         assert any(isinstance(q, ir.GroupBy) for q in delta.qualifiers)
 
     def test_vector_copy_group_by_is_removed(self):
