@@ -1,14 +1,16 @@
 """Row-segment code generation: one flat Python loop per narrow plan segment.
 
 The planner hands this module a :class:`Segment` -- how records enter, a run
-of ``let``/``filter`` steps, how results leave -- and gets back **one**
-per-partition function whose body is straight-line Python: row variables are
-mangled locals, lets are assignments, filters are ``continue``, and the exit
-is a single ``append`` -- or, where the next operator would only fold what
-was appended (``reduceByKey(⊕)``, a scalar ``⊕/``), the fold itself, into a
-local dict or a local.  It replaces the closure-per-qualifier composition
-(one stage, two dict copies and a tree walk of the term per record and
-qualifier) the evaluator used to emit for these chains.
+of ``let``/``filter``/``expand`` steps, how results leave -- and gets back
+**one** per-partition function whose body is straight-line Python: row
+variables are mangled locals, lets are assignments, filters are
+``continue``, a generator over a bag (a per-row domain, a driver-local bag,
+a product's broadcast side) is a nested ``for``, and the exit is a single
+``append`` -- or, where the next operator would only fold what was appended
+(``reduceByKey(⊕)``, a scalar ``⊕/``), the fold itself, into a local dict or
+a local.  It replaces the closure-per-qualifier composition (one stage, two
+dict copies and a tree walk of the term per record and qualifier) the
+evaluator used to emit for these chains.
 
 Semantics are those of :meth:`TermEvaluator.evaluate_local`, the reference
 the generator is tested against: arithmetic and comparisons are inlined,
@@ -65,10 +67,21 @@ class Segment(NamedTuple):
     * ``("cogroup", left_names, pattern)`` -- a join's co-grouped sides
       ``(key, [left rows], [right elements])``: the function is the join's
       *consumer*, a nested loop over the pairs that are never materialised;
+    * ``("product", left_names, pattern, rows)`` -- a no-key product's right
+      elements, each paired with every left row of the driver list named
+      ``rows`` (a broadcast of the rows), or with ``rows`` None cartesian
+      ``(left row, element)`` pairs;
     * ``("reduced", pattern, value_name)`` -- a reduced ``(key, aggregate)``;
     * ``("grouped", pattern, lifted)`` -- a grouped ``(key, [rows])``.
 
-    ``steps`` are ``("let", pattern, term)`` / ``("filter", term)``.  ``exit``
+    ``steps`` are ``("let", pattern, term)``, ``("filter", term)`` and
+    ``("expand", pattern, source)``, which binds ``pattern`` to each element
+    of a bag and runs the remaining steps and the exit in that inner loop.
+    A ``source`` naming a variable the row does not bind is a driver list
+    (a local bag or a product's broadcast elements, bound late through the
+    scope like any driver scalar) iterated as it is; a ``range`` is inlined;
+    any other term is evaluated per row to a local bag, which a tuple
+    pattern binds whole before its first element goes on.  ``exit``
     is ``("head", term)``, ``("row",)`` (the dict row, with the keys and
     insertion order the per-qualifier maps produced) or ``("keyed", term,
     payload)`` emitting ``(key, payload)`` for a wide operator, the payload
@@ -99,6 +112,8 @@ class Bindings:
     functions: Any
     monoids: Any
     evaluate_local: Callable[[ir.Term, dict[str, Any]], Any]
+    #: A per-row generator domain's value as the list it ranges over.
+    local_bag: Callable[[Any], list[Any]]
 
 
 @dataclass
@@ -154,9 +169,9 @@ class _Emitter:
 
     def __init__(self, segment: Segment):
         self.segment = segment
-        #: The loop header(s) and the statements of the innermost loop body.
-        self.loops: list[str] = ["for rec in records:"]
-        self.body: list[str] = []
+        #: The loop nest, indented from its outermost ``for``.
+        self.lines: list[str] = []
+        self.depth = 0
         self.consts: list[Any] = []
         self.row: dict[str, str] = {}  # row variable -> local, in row-key order
         self.scalars: dict[str, str] = {}
@@ -185,7 +200,13 @@ class _Emitter:
         return f"consts[{len(self.consts) - 1}]"
 
     def emit(self, line: str) -> None:
-        self.body.append(line)
+        self.lines.append("    " * self.depth + line)
+
+    def open(self, *headers: str) -> None:
+        """Emit loop headers, each nested in the previous one."""
+        for header in headers:
+            self.emit(header)
+            self.depth += 1
 
     def target(self, name: str) -> str:
         """The local a (re)binding of row variable ``name`` assigns."""
@@ -324,37 +345,40 @@ class _Emitter:
 
     # -- entry, steps, exit ------------------------------------------------------
 
-    def load(self, names: tuple[str, ...], source: str) -> list[str]:
+    def load(self, names: tuple[str, ...], source: str) -> None:
         """Unpack the row variables the segment reads out of a dict row."""
-        lines = []
         for name in dict.fromkeys(names):
             local = self.row[name] = self.fresh("r", name)
             if name in self.reads:
-                lines.append(f"{local} = {source}[{name!r}]")
-        return lines
+                self.emit(f"{local} = {source}[{name!r}]")
 
     def entry(self) -> str | None:
-        """Emit the record unpacking; returns the dict the row extends, if any."""
+        """Emit the record loop and unpacking; returns the dict the row
+        extends, if any."""
         kind = self.segment.entry[0]
+        if kind in ("cogroup", "product"):
+            # The left row is unpacked once per pairing, the right element
+            # bound after it: pair order is the join's (the product's).
+            _, left_names, pattern, *rows = self.segment.entry
+            if kind == "cogroup":
+                self.open("for _, lefts, rights in records:", "for left in lefts:")
+            elif rows[0] is None:
+                self.open("for left, element in records:")
+            else:
+                self.open("for element in records:", f"for left in {self.variable(rows[0])}:")
+            self.load(left_names, "left")
+            if kind == "cogroup":
+                self.open("for element in rights:")
+            self.bind(pattern, "element")
+            return "left"
+        self.open("for rec in records:")
         if kind == "bind":
             self.bind(self.segment.entry[1], "rec")
             self.assigned.clear()
             return None
         if kind == "row":
-            self.body += self.load(self.segment.entry[1], "rec")
+            self.load(self.segment.entry[1], "rec")
             return "rec"
-        if kind == "cogroup":
-            # The left row is unpacked once per group member, the right
-            # element bound in the inner loop: pair order is the join's.
-            _, left_names, pattern = self.segment.entry
-            self.loops = [
-                "for _, lefts, rights in records:",
-                "    for left in lefts:",
-                *(f"        {line}" for line in self.load(left_names, "left")),
-                "        for element in rights:",
-            ]
-            self.bind(pattern, "element")
-            return "left"
         _, pattern, extra = self.segment.entry
         self.emit("key, value = rec")
         self.bind(pattern, "key")
@@ -412,18 +436,41 @@ class _Emitter:
         self.emit(f"append({item})")
         return ["out = []"], ["append = out.append"], "out"
 
+    def expand(self, pattern: ir.Pattern, source: ir.Term) -> None:
+        """Open the inner loop of an ``expand`` step (see :class:`Segment`)."""
+        element = self.fresh("e")
+        if isinstance(source, ir.RangeTerm):
+            lower, upper = self.expr(source.lower), self.expr(source.upper)
+            bag = f"range(int({lower}), int({upper}) + 1)"
+        elif isinstance(source, ir.CVar) and source.name not in self.row:
+            bag = self.variable(source.name)
+        else:
+            bag = self.fresh("b")
+            self.emit(f"{bag} = local_bag({self.expr(source)})")
+            if isinstance(pattern, ir.PTuple):
+                self.open(f"for {element} in {bag}:")  # bind it whole first
+                self.bind(pattern, element)
+                self.depth -= 1
+        if isinstance(pattern, ir.PVar):
+            self.open(f"for {self.target(pattern.name)} in {bag}:")
+        else:
+            self.open(f"for {element} in {bag}:")
+            self.bind(pattern, element)
+
     def source(self) -> str:
         extends = self.entry()
         for step in self.segment.steps:
             if step[0] == "let":
                 self.bind(step[1], self.expr(step[2]))
+            elif step[0] == "expand":
+                self.expand(step[1], step[2])
             else:
                 self.emit(f"if not {self.expr(step[1])}:")
                 self.emit("    continue")
         setup, fetch, result = self.leave(extends)
 
         lines = [
-            "def __segment_factory__(scope, consts, base, functions, monoids, evaluate_local):",
+            "def __segment_factory__(scope, consts, base, functions, monoids, evaluate_local, local_bag):",
             "    def segment(records):",
             *(f"        {line}" for line in setup),
             "        if not records:",
@@ -439,9 +486,7 @@ class _Emitter:
             ]
         for name, local in self.functions.items():
             lines += [f"        if {name!r} in functions:", f"            {local} = functions[{name!r}]"]
-        innermost = self.loops[-1]
-        indent = " " * (len(innermost) - len(innermost.lstrip()) + 4)
-        loop = [*self.loops, *(f"{indent}{line}" for line in self.body)]
+        loop = self.lines
         if self.scalars or self.functions:
             messages = {local: f"undefined variable {name!r}" for name, local in self.scalars.items()}
             messages.update((local, f"unknown function {name!r}") for name, local in self.functions.items())
@@ -496,6 +541,7 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
         {name: registry.get(name) for name in called if name in registry},
         bindings.monoids,
         bindings.evaluate_local,
+        bindings.local_bag,
     )
     function.source = source
     function.segment = segment

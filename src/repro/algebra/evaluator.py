@@ -112,7 +112,7 @@ class _CompBuild:
     dead: bool = False
     #: Whether the finished plan tree may enter the per-loop
     #: :class:`~repro.algebra.planner.PlanSkeletonCache`.  Cleared whenever a
-    #: build-time snapshot (a local bag baked into an expand closure, a
+    #: build-time snapshot (a local bag held by an expand node, a
     #: driver-evaluated condition, a derived scan dataset) captured a value
     #: that could change across iterations; everything else in the tree's
     #: closures resolves late through ``env.values`` or is rebound on reuse.
@@ -419,31 +419,9 @@ class TermEvaluator:
         )
 
         if row_dependent:
-            # The domain depends on per-row values: expand it locally per row.
-            base = dict(build.driver_bindings)
-            evaluator = self
-
-            def expand(row: dict[str, Any]) -> list[dict[str, Any]]:
-                local = {**base, **row}
-                bag = evaluator._as_local_bag(evaluator.evaluate_local(domain, local))
-                out = []
-                for element in bag:
-                    binding = _bind_pattern(pattern, element)
-                    out.append({**row, **binding})
-                return out
-
+            # The domain depends on per-row values: a loop over it per row.
             self.trace.append(f"per-row expansion of generator over {domain}")
-            node = NarrowNode(
-                kind=plan_mod.FLAT_MAP,
-                function=expand,
-                child=build.rows,
-                describe=f"expand {domain}",
-            )
-            node.sig = ("expand", pattern, domain)
-            node.rows = _row_names(build.rows.rows, pattern)
-            node.invariant = self._node_invariant(build, build.rows.invariant, domain)
-            build.rows = node
-            build.bound_order.extend(pattern.variables())
+            self._expand(build, ("expand", pattern, domain), f"expand {domain}")
             return
 
         dataset = self._domain_dataset(domain, build.driver_bindings)
@@ -465,28 +443,14 @@ class TermEvaluator:
                 if not bag:
                     build.dead = True
                     return
-
-                def expand_local(row: dict[str, Any]) -> list[dict[str, Any]]:
-                    return [{**row, **_bind_pattern(pattern, element)} for element in bag]
-
-                flat_fn = vectorize.extend_flat_map(
-                    [_bind_pattern(pattern, element) for element in bag], expand_local
-                )
-                node = NarrowNode(
-                    kind=plan_mod.FLAT_MAP,
-                    function=flat_fn or expand_local,
-                    child=build.rows,
-                    describe=f"expand local {domain}",
-                )
-                node.sig = ("local-expand", pattern, domain)
-                node.rows = _row_names(build.rows.rows, pattern)
-                node.invariant = self._node_invariant(build, build.rows.invariant, domain)
+                for element in bag:
+                    _bind_pattern(pattern, element)  # an element that does not fit raises here
+                sig = ("local-expand", pattern, domain)
+                self._expand(build, sig, f"expand local {domain}", bag)
                 if not domain_invariant:
-                    # The closure snapshots the bag; a variant domain would
+                    # The node snapshots the bag; a variant domain would
                     # serve iteration 1's elements forever.
                     build.skeleton_safe = False
-                build.rows = node
-                build.bound_order.extend(pattern.variables())
                 return
 
         if dataset.is_empty():
@@ -523,6 +487,7 @@ class TermEvaluator:
                 self.env.functions,
                 self.env.monoids,
                 self.evaluate_local,
+                self._as_local_bag,
             )
             node = NarrowNode(
                 kind=plan_mod.MAP,
@@ -559,6 +524,18 @@ class TermEvaluator:
         else:
             node = self._product_node(build, scan, pattern, domain)
             self.trace.append(f"broadcast nested-loop join with {domain} (no join key)")
+        build.rows = node
+        build.bound_order.extend(pattern.variables())
+
+    def _expand(self, build: _CompBuild, sig: tuple, describe: str, bag: list[Any] | None = None) -> None:
+        """Extend the rows by a generator over a per-row domain or a
+        driver-local ``bag``: a nested loop of the generated function."""
+        _, pattern, domain = sig
+        node = NarrowNode(child=build.rows, describe=describe, bag=bag)
+        node.sig = sig
+        node.rows = _row_names(build.rows.rows, pattern)
+        node.bindings = build.bindings
+        node.invariant = self._node_invariant(build, build.rows.invariant, domain)
         build.rows = node
         build.bound_order.extend(pattern.variables())
 
@@ -710,18 +687,10 @@ class TermEvaluator:
         by the planner at lowering time with the runtime's shared
         ``broadcast_join_threshold`` heuristic.
         """
-
-        def bind_right(element: Any) -> dict[str, Any]:
-            return _bind_pattern(pattern, element)
-
-        node = ProductNode(
-            left=build.rows,
-            right=scan,
-            bind_right_fn=bind_right,
-            domain_label=str(domain),
-        )
+        node = ProductNode(left=build.rows, right=scan, pattern=pattern, domain_label=str(domain))
         node.sig = ("product", pattern, domain)
         node.rows = _row_names(build.rows.rows, pattern)
+        node.bindings = build.bindings
         node.invariant = self._node_invariant(
             build, build.rows.invariant and scan.invariant
         )

@@ -23,11 +23,11 @@ is what enables the partition-aware optimizations of this layer:
   comprehension sub-term share one Dataset at lowering time (the evaluator
   memoizes domain datasets per statement), so the sub-term is computed once.
 
-Nodes hold the IR terms and patterns they were compiled from (plus the few
-per-row closures that are not generated: row expansions and products) and
-the planner metadata (invariance, placement).  The planner turns each run of
-bind / let / filter / head nodes -- together with the keying and rebuild
-steps around wide nodes -- into one generated per-partition function (see
+Nodes hold the IR terms and patterns they were compiled from and the
+planner metadata (invariance, placement); no node carries a record closure.
+The planner turns each run of bind / let / filter / expand / head nodes --
+together with the keying and rebuild steps around wide nodes and the nested
+loop of a product -- into one generated per-partition function (see
 :mod:`repro.algebra.codegen`); a run that the context's ``columnar`` mode
 batches keeps one stage per node, each node's ``kernel`` carrying a generated
 one-step function as its record-path oracle.
@@ -124,29 +124,31 @@ class ScanNode(PlanNode):
 
 #: Narrow node kinds (mirror the Dataset methods they lower to).
 MAP = "map"
-FLAT_MAP = "flat_map"
 FILTER = "filter"
 
 
 @dataclass(eq=False)
 class NarrowNode(PlanNode):
-    """A per-row operation: map / flat_map / filter over the child's rows.
+    """A per-row operation: map / filter over the child's rows.
 
     ``sig`` names the operation: ``("bind", pattern)``, ``("let", pattern,
     term)``, ``("filter", term)`` and ``("head", term)`` nodes are lowered
     from those terms (``kernel`` is their columnar batch kernel, when one
-    exists); the row expansions (``kind == FLAT_MAP``) carry their record
-    ``function``.  ``key_transparent`` marks operations that neither drop
-    nor rebind rows (lets, conditions, group-by rebuilds): they preserve the
-    child's ``row_key_term`` placement.  ``head_key_term`` is set on the final
-    head-projection map of a comprehension whose head is a ``(key, value)``
-    pair: when it equals the incoming ``row_key_term`` the planner lowers the
-    whole chain with ``preserves_partitioning=True``.
+    exists).  A generator over a bag becomes a nested loop of the generated
+    function: ``("expand", pattern, domain)`` evaluates a row-dependent
+    domain per row, ``("local-expand", pattern, domain)`` iterates the
+    driver-local ``bag`` the evaluator computed once (the planner binds it
+    to a fresh driver name).  ``key_transparent`` marks operations that
+    neither drop nor rebind rows (lets, conditions, group-by rebuilds): they
+    preserve the child's ``row_key_term`` placement.  ``head_key_term`` is
+    set on the final head-projection map of a comprehension whose head is a
+    ``(key, value)`` pair: when it equals the incoming ``row_key_term`` the
+    planner lowers the whole chain with ``preserves_partitioning=True``.
     """
 
     kind: str = MAP
-    function: Callable[..., Any] | None = None
     kernel: Any = None
+    bag: list[Any] | None = None
     child: PlanNode | None = None
     describe: str = ""
     key_transparent: bool = False
@@ -207,12 +209,14 @@ class ProductNode(PlanNode):
 
     Lowered as a broadcast of the smaller side when it fits under the
     context's ``broadcast_join_threshold`` (plan-time strategy selection),
-    as a cartesian shuffle otherwise.
+    as a cartesian shuffle otherwise; either way a row extended by
+    ``pattern``'s bindings of an element is a step of the generated loop that
+    runs the operators above the product.
     """
 
     left: PlanNode
     right: PlanNode
-    bind_right_fn: Callable[[Any], dict]
+    pattern: ir.Pattern = ir.PWildcard()
     domain_label: str = ""
 
     @property

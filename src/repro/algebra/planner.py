@@ -23,10 +23,12 @@ not:
   partitioner metadata survives -- enabling the Dataset layer's narrow
   (shuffle-free) fast paths for every downstream merge, join and group-by
   over the same key.
-* **plan-time join strategy** (:meth:`Planner._lower_product`): the
-  no-join-key nested loop picks broadcast vs. cartesian by comparing the
-  materialized side sizes against ``context.broadcast_join_threshold`` --
-  the same knob the runtime's hash joins use.
+* **plan-time join strategy** (:meth:`Planner._product`): the no-join-key
+  nested loop picks broadcast vs. cartesian by comparing the materialized
+  side sizes against ``context.broadcast_join_threshold`` -- the same knob
+  the runtime's hash joins use.  Whichever it picks, the product is the
+  first step of the generated run above it: no joined row is built for a
+  later stage to unpack.
 * **loop-invariant caching**: subtrees whose :meth:`PlanNode.signature` is
   defined (structurally identifiable *and* independent of every variable the
   enclosing ``while`` body assigns) are looked up in the loop's
@@ -39,6 +41,7 @@ not:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Any, Callable, NamedTuple
 
@@ -46,7 +49,6 @@ from repro.algebra import codegen
 from repro.algebra import plan as plan_mod
 from repro.algebra.plan import (
     FILTER,
-    FLAT_MAP,
     MAP,
     GroupByKeyNode,
     HashJoinNode,
@@ -56,7 +58,6 @@ from repro.algebra.plan import (
     ReduceByKeyNode,
     ScanNode,
 )
-from repro.algebra import vectorize
 from repro.comprehension import ir
 from repro.errors import ExecutionError
 from repro.translate.target import TargetAssign
@@ -266,9 +267,13 @@ def _key_op(term: ir.Term, payload: Any, kernel: Any, keep: bool) -> _Op:
     return _Op(MAP, ("keyed", term, payload), "key", kernel, keep, ())
 
 
+#: The row operators a chain walk collects: the steps and the head.
+_ROW_OPERATORS = ("let", "filter", "expand", "local-expand", "head")
+
+
 def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
     """The segment for ``run`` applied to records of form ``entry``."""
-    steps = tuple(op.spec for op in run if op.spec[0] in ("let", "filter"))
+    steps = tuple(op.spec for op in run if op.spec[0] in ("let", "filter", "expand"))
     last = run[-1].spec
     return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
 
@@ -456,12 +461,7 @@ class Planner:
             return cached
         if isinstance(node, ScanNode):
             dataset = node.dataset
-        elif isinstance(node, ProductNode):
-            dataset = self._lower_product(node)
-        elif isinstance(node, NarrowNode) and node.kind == FLAT_MAP:
-            child = self._lower(node.child)
-            dataset = child.flat_map(node.function, preserves_partitioning=node.carry_partitioner)
-        elif isinstance(node, (NarrowNode, HashJoinNode, ReduceByKeyNode, GroupByKeyNode)):
+        elif isinstance(node, (NarrowNode, HashJoinNode, ProductNode, ReduceByKeyNode, GroupByKeyNode)):
             dataset = self._lower_chain(node)
         else:  # pragma: no cover - the evaluator only builds the above
             raise ExecutionError(f"unknown plan node {node!r}")
@@ -478,10 +478,13 @@ class Planner:
     ) -> Dataset:
         """Lower the run of row operators ending at ``top`` (then ``tail``).
 
-        Walks down the lets / filters / head to whatever feeds them -- a
-        scan bind, a wide node (whose rebuild of co-grouped / reduced /
-        grouped pairs into rows becomes the first operator) or any other row
-        producer -- lowers that feeder, and emits the whole run over it.
+        Walks down the lets / filters / expansions / head to whatever feeds
+        them -- a scan bind, a wide node (whose rebuild of co-grouped /
+        reduced / grouped pairs into rows becomes the first operator), a
+        product (whose nested loop does) or any other row producer -- lowers
+        that feeder, and emits the whole run over it.  Driver-side bags the
+        run iterates (local bags, a product's broadcast side) reach its
+        generated functions under fresh driver names in its ``bindings``.
         ``tail`` is the keying map a wide node above needs (which also
         supplies its ``bindings``); ``entry`` makes ``top`` a scan of raw
         elements entering the run by that bind; ``reduce`` is the node whose
@@ -489,10 +492,14 @@ class Planner:
         """
         bindings = bindings or top.bindings
         ops = [tail] if tail is not None else []
+        bags: dict[str, list[Any]] = {}
         node = top
-        while isinstance(node, NarrowNode) and node.sig[0] in ("let", "filter", "head"):
+        while isinstance(node, NarrowNode) and node.sig[0] in _ROW_OPERATORS:
+            spec = node.sig
+            if node.bag is not None:
+                spec = ("expand", spec[1], _bag(bags, node.bag))
             keep = node.kind == FILTER or node.carry_partitioner
-            ops.append(_Op(node.kind, node.sig, node.sig[0], node.kernel, keep, node.rows))
+            ops.append(_Op(node.kind, spec, spec[0], node.kernel, keep, node.rows))
             node = node.child
         first: _Op | None = None
         if entry is not None:
@@ -517,11 +524,16 @@ class Planner:
             source = self._lower_chain(node.child, key, bindings=node.bindings).group_by_key()
             entry = ("grouped", node.pattern, node.lifted)
             first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
+        elif isinstance(node, ProductNode):
+            source, entry, spec = self._product(node, bags)
+            first = _Op(MAP, spec, "product", None, False, node.rows)
         else:
             source, entry = self._lower(node), ("row", node.rows)
         if first is not None:
             ops.append(first)
         ops.reverse()
+        if bags:
+            bindings = dataclasses.replace(bindings, base={**bindings.base, **bags})
         return self._emit(source, entry, ops, bindings, top, reduce)
 
     def _emit(
@@ -586,9 +598,7 @@ class Planner:
                 else:
                     dataset = dataset(function)
                 self.context.metrics.record_generated_segment()
-                note = f"generated: {function.label}"
-                if note not in node.notes:
-                    node.notes.append(note)
+                if _note(node, f"generated: {function.label}"):
                     node.generated.append(function)
                 entry = ("row", run[-1].rows)
             start = stop
@@ -602,8 +612,7 @@ class Planner:
         the result holds the consumer's records, not joined pairs."""
         note = f"consumer fused into the join task: {consumer.label}"
         self.trace.append(f"{node.label}: {note}")
-        if note not in node.notes:
-            node.notes.append(note)
+        _note(node, note)
         single = len(node.left_key_terms) == 1
         # Single-key joins key records by the raw value (not a 1-tuple): the
         # record key then coincides with the scanned pair's own key, so when
@@ -656,7 +665,7 @@ class Planner:
                 if hit is not None:
                     self.context.metrics.record_loop_invariant_reuse()
                     self.trace.append(f"loop-invariant join side reused: {label}")
-                    join.notes.append(f"loop-invariant side reused: {label}")
+                    _note(join, f"loop-invariant side reused: {label}")
                     return hit
         keyed = self._lower_chain(side, key, entry, join.bindings)
         if cache_key is not None:
@@ -668,48 +677,61 @@ class Planner:
                 placement = "materialized"
             self.loop_cache.put(cache_key, keyed, signature_env_deps(cache_key))
             self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
-            join.notes.append(f"loop-invariant side cached ({placement}): {label}")
+            _note(join, f"loop-invariant side cached ({placement}): {label}")
         return keyed
 
-    def _lower_product(self, node: ProductNode) -> Dataset:
+    def _product(self, node: ProductNode, bags: dict[str, list[Any]]) -> tuple[Any, tuple, tuple]:
         """The no-key nested loop: broadcast the smaller side when it fits.
 
         This is the plan-time broadcast-vs-shuffle selection for products --
         the same heuristic (and threshold) the runtime applies to hash joins
-        at force time.
+        at force time.  Returns the run's source, its entry and the spec of
+        its first operator: over the rows with the broadcast elements as an
+        ``expand`` step, over the elements with the broadcast rows as a
+        ``product`` entry, or over the cartesian pairs.
         """
         rows = self._lower(node.left)
         dataset = self._lower(node.right)
         context = self.context
-        bind = node.bind_right_fn
-        side = choose_broadcast_side(
-            rows.count(), dataset.count(), context.broadcast_join_threshold
-        )
+        side = choose_broadcast_side(rows.count(), dataset.count(), context.broadcast_join_threshold)
         if side == "right":
             elements = dataset.collect()
+            # Bound once here, so an element that does not fit raises before
+            # any row goes on.
+            bind = codegen.Segment(("bind", node.pattern), (), ("row",))
+            codegen.generate(bind, node.bindings, self.segments)(elements)
             context.metrics.record_broadcast()
             context.metrics.record_join_strategy("broadcast")
-            node.notes.append("broadcast right side")
-
-            def expand_broadcast(row: dict[str, Any]) -> list[dict[str, Any]]:
-                return [{**row, **bind(element)} for element in elements]
-
-            flat_fn = vectorize.extend_flat_map(
-                [bind(element) for element in elements], expand_broadcast
-            )
-            return rows.flat_map(flat_fn or expand_broadcast)
+            _note(node, "broadcast right side")
+            spec = ("expand", node.pattern, _bag(bags, elements))
+            return rows, ("row", node.left.rows), spec
         if side == "left":
-            row_list = rows.collect()
             context.metrics.record_broadcast()
             context.metrics.record_join_strategy("broadcast")
-            node.notes.append("broadcast left side (rows)")
-            return dataset.flat_map(
-                lambda element: [{**row, **bind(element)} for row in row_list]
-            )
+            _note(node, "broadcast left side (rows)")
+            entry = ("product", node.left.rows, node.pattern, _bag(bags, rows.collect()).name)
+            return dataset.map_partitions, entry, entry
         context.metrics.record_join_strategy("cartesian")
-        node.notes.append("cartesian (both sides above the broadcast threshold)")
-        product = rows.cartesian(dataset)
-        return product.map(lambda pair: {**pair[0], **bind(pair[1])})
+        _note(node, "cartesian (both sides above the broadcast threshold)")
+        entry = ("product", node.left.rows, node.pattern, None)
+        return rows.cartesian(dataset).map_partitions, entry, entry
+
+
+def _bag(bags: dict[str, list[Any]], values: list[Any]) -> ir.CVar:
+    """A fresh driver name for a bag a run iterates (deterministic per run,
+    so the segment that reads it recurs)."""
+    name = f"bag#{len(bags)}"
+    bags[name] = values
+    return ir.CVar(name)
+
+
+def _note(node: PlanNode, note: str) -> bool:
+    """Record a planner decision on ``node`` once, however often a cached
+    plan is lowered again; True when it is new."""
+    if note in node.notes:
+        return False
+    node.notes.append(note)
+    return True
 
 
 def _record_oracle(function: Any, kind: str) -> Any:

@@ -138,33 +138,6 @@ def row_filter(
     return columnar.VectorizedFilter(predicate, _scope(base, values_provider))
 
 
-def extend_flat_map(
-    bindings: list[dict[str, Any]], oracle: Callable[..., Any]
-) -> columnar.VectorizedFlatMap | None:
-    """A constant-bag expansion ``row -> [{**row, **b} for b in bindings]``.
-
-    ``bindings`` are the pre-computed pattern bindings of the bag elements
-    (one dict per element, in bag order).  Vectorizable only when every
-    element binds the same names, in the same order, to scalar constants --
-    the bindings then become per-copy :class:`Lit` extension columns.
-    """
-    if not bindings:
-        return None
-    names = tuple(bindings[0])
-    exts = []
-    for binding in bindings:
-        if tuple(binding) != names:
-            return None
-        ext = []
-        for name in names:
-            value = binding[name]
-            if type(value) not in _SCALAR_TYPES:
-                return None
-            ext.append(columnar.Lit(value))
-        exts.append(tuple(ext))
-    return columnar.VectorizedFlatMap(("extend", names, tuple(exts)), oracle=oracle)
-
-
 def bind_map(pattern: ir.Pattern) -> columnar.VectorizedBind | None:
     """The generator-binding ``map`` as a (structural) batch kernel, or None."""
     spec = pattern_spec(pattern)

@@ -21,10 +21,8 @@ This module executes such chains one *partition* at a time instead:
   in :data:`VECTOR_CALL_IMPLS` (``abs``/``min``/``max``).
 * :class:`VectorizedMap` / :class:`VectorizedFilter` /
   :class:`VectorizedMapValues` / :class:`VectorizedBind` /
-  :class:`VectorizedFlatMap` are *callable record functions* that
-  additionally carry an ``apply_batch`` kernel (flat_map covers the
-  constant-fan-out shapes the evaluator and planner emit: tuple-of-heads
-  expansion and row extension with literal bindings), and
+  :class:`VectorizedLet` are *callable record functions* that additionally
+  carry an ``apply_batch`` kernel, and
   :func:`combine_batch` is the grouped kernel behind vectorized
   ``("reduce", fn)`` / ``("seq", zero, seq_op)`` map-side combiners as well
   as the ``("group",)`` grouped-collect used by high-duplication
@@ -790,27 +788,6 @@ def _record_output(spec: Any, record: Any, scope: ScalarScope) -> Any:
     return spec.record(record, scope)
 
 
-def _interleave(columns: list[Any], count: int, fan_out: int) -> Any:
-    """Merge ``fan_out`` per-copy columns so copy ``j`` of record ``i`` lands
-    at output position ``i * fan_out + j`` (the record path's emission order).
-    """
-    if np is not None and all(isinstance(column, np.ndarray) for column in columns):
-        dtypes = {column.dtype for column in columns}
-        if len(dtypes) != 1:
-            # e.g. a constant bag mixing ints and floats: the record path
-            # binds exact per-element types no single dtype represents.
-            raise ColumnarFallback("mixed column dtypes across flat_map copies")
-        out = np.empty(count * fan_out, dtype=dtypes.pop())
-        for j, column in enumerate(columns):
-            out[j::fan_out] = column
-        return out
-    merged = [None] * (count * fan_out)
-    for j, column in enumerate(columns):
-        values = _column_list(column)
-        merged[j::fan_out] = values
-    return merged
-
-
 class VectorizedMap(VectorizedFunction):
     """A ``map`` whose output is built from expressions and spliced columns.
 
@@ -974,97 +951,6 @@ class VectorizedLet(VectorizedFunction):
 
     def apply_record(self, row: Any) -> dict[str, Any]:
         return {**row, self.name: self.expr.record(row, self.scope)}
-
-
-class VectorizedFlatMap(VectorizedFunction):
-    """A ``flat_map`` with a statically-known (spec-driven) expansion.
-
-    Two spec shapes cover the constant-fan-out expansions the compiler
-    emits:
-
-    * ``("tuple", (out_0, ..., out_{k-1}))`` -- every record emits ``k``
-      records, the ``j``-th built from output spec ``out_j`` (a
-      :class:`Col` / :class:`Expr` / :class:`OutTuple`, exactly as in
-      :class:`VectorizedMap`).  All output specs must produce the same
-      template.
-    * ``("extend", names, (ext_0, ..., ext_{k-1}))`` -- rows are dicts; every
-      row is emitted ``k`` times, copy ``j`` extended with ``names`` bound to
-      the expressions of ``ext_j``.  This is the shape of a generator over a
-      constant local bag (``expand_local``) and of a broadcast nested-loop
-      join side: repeat the row, append the bag element's bindings.
-
-    Expansions are interleaved in record order -- record ``i``'s ``k``
-    outputs are adjacent, ordered by ``j`` -- matching the record-path list
-    comprehension bit for bit.
-    """
-
-    def __init__(self, spec: tuple[Any, ...], scope: ScalarScope | None = None, oracle: Any = None):
-        super().__init__(oracle)
-        self.spec = spec
-        self.scope = scope or ScalarScope()
-
-    @property
-    def fan_out(self) -> int:
-        return len(self.spec[-1])
-
-    def apply_batch(self, part: ColumnarPartition) -> ColumnarPartition:
-        if self.spec[0] == "tuple":
-            return self._batch_tuple(part)
-        return self._batch_extend(part)
-
-    def _batch_tuple(self, part: ColumnarPartition) -> ColumnarPartition:
-        outs = self.spec[1]
-        built = [_build_output(out, part, self.scope) for out in outs]
-        templates = {template for template, _ in built}
-        if len(templates) != 1:
-            raise ColumnarFallback("flat_map outputs have differing templates")
-        template = templates.pop()
-        leaf_columns = [
-            _interleave([columns[leaf] for _, columns in built], part.length, len(outs))
-            for leaf in range(_leaf_count(template))
-        ]
-        return ColumnarPartition(template, leaf_columns, part.length * len(outs))
-
-    def _batch_extend(self, part: ColumnarPartition) -> ColumnarPartition:
-        template = part.template
-        if template == "*" or template[0] != "dict":
-            raise ColumnarFallback("extend kernels require dict-shaped rows")
-        names, exts = self.spec[1], self.spec[2]
-        row_names, row_subs = template[1], template[2]
-        if set(names) & set(row_names):
-            # Rebinding overwrites in place on the record path; keep that
-            # rare case there instead of re-ordering template fields.
-            raise ColumnarFallback("flat_map rebinds an existing field")
-        fan_out = len(exts)
-        repeated = [
-            np.repeat(column, fan_out)
-            if np is not None and isinstance(column, np.ndarray)
-            else [value for value in _column_list(column) for _ in range(fan_out)]
-            for column in part.columns
-        ]
-        new_columns: list[Any] = []
-        for position in range(len(names)):
-            copies = []
-            for ext in exts:
-                column = ext[position].batch(part, self.scope)
-                if not _is_column(column):
-                    column = _broadcast(column, part.length)
-                copies.append(column)
-            new_columns.append(_interleave(copies, part.length, fan_out))
-        return ColumnarPartition(
-            ("dict", row_names + tuple(names), row_subs + ("*",) * len(names)),
-            repeated + new_columns,
-            part.length * fan_out,
-        )
-
-    def apply_record(self, record: Any) -> list[Any]:
-        if self.spec[0] == "tuple":
-            return [_record_output(out, record, self.scope) for out in self.spec[1]]
-        names, exts = self.spec[1], self.spec[2]
-        return [
-            {**record, **{name: expr.record(record, self.scope) for name, expr in zip(names, ext, strict=False)}}
-            for ext in exts
-        ]
 
 
 class VectorizedCombine:

@@ -99,7 +99,6 @@ def apply_stage(stage: NarrowStage, records: list[Any], index: int) -> list[Any]
 #: stage semantics (a vectorized marker on a mismatched kind is ignored).
 _VECTOR_CLASSES = {
     MAP: (columnar_mod.VectorizedMap, columnar_mod.VectorizedBind, columnar_mod.VectorizedLet),
-    FLAT_MAP: (columnar_mod.VectorizedFlatMap,),
     FILTER: (columnar_mod.VectorizedFilter,),
     MAP_VALUES: (columnar_mod.VectorizedMapValues,),
 }

@@ -275,7 +275,6 @@ class TestColumnarWireSerialization:
         from repro.runtime import columnar
 
         assert self.round_trip(columnar.VectorizedFilter) is columnar.VectorizedFilter
-        assert self.round_trip(columnar.VectorizedFlatMap) is columnar.VectorizedFlatMap
         assert self.round_trip(columnar.ColumnarPartition) is columnar.ColumnarPartition
 
     def test_capture_bearing_scalar_scope_survives(self):
@@ -304,19 +303,3 @@ class TestColumnarWireSerialization:
         clone = self.round_trip(scope)
         env.values["threshold"] = 99  # driver-side mutation after shipping
         assert clone.resolve("threshold") == 2
-
-    def test_vectorized_flat_map_spec_round_trips(self):
-        from repro.runtime import columnar
-
-        fn = columnar.VectorizedFlatMap(
-            ("extend", ("w",), ((columnar.Lit(1),), (columnar.Lit(2),))),
-            oracle=None,
-        )
-        clone = self.round_trip(fn)
-        part = columnar.ColumnarPartition.from_records([{"i": 0}, {"i": 1}])
-        assert clone.apply_batch(part).to_records() == [
-            {"i": 0, "w": 1},
-            {"i": 0, "w": 2},
-            {"i": 1, "w": 1},
-            {"i": 1, "w": 2},
-        ]

@@ -11,7 +11,10 @@ The folding exits and the join consumer are held to the forms they replaced:
 ``fold_by_key`` to ``apply_combiner(("reduce", ⊕), keyed segment output)``,
 ``fold`` to ``Monoid.reduce(head segment output)``, and a ``cogroup``
 consumer inside a physical join to that join's materialised pairs run
-through the (reference-only) ``("join", ...)`` entry.
+through the (reference-only) ``("join", ...)`` entry.  The ``expand`` step
+and the ``product`` entry are held to the record closures generators used
+to run as -- the per-row ``expand`` / driver-bag ``expand_local`` closures
+and the product's broadcast and cartesian lambdas -- kept below.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from repro.programs import get_program
 from repro.runtime import stage
 from repro.runtime.cluster import wire
 from repro.runtime.context import DistributedContext
+from repro.runtime.columnar import ScalarScope
 from repro.runtime.spill import BucketPayload
 from repro.workloads import workload_for_program
 
@@ -69,6 +73,7 @@ def bindings_for(context, values=None, base=None, monoids=MONOIDS) -> codegen.Bi
         environment.functions,
         environment.monoids,
         evaluator.evaluate_local,
+        evaluator._as_local_bag,
     )
 
 
@@ -78,6 +83,31 @@ def generated(segment: Segment, bindings: codegen.Bindings, records: list) -> li
         assert type(result) is stage.FoldedRecords
         return list(result)
     return result
+
+
+def expand_closure(pattern, domain, base, evaluator):
+    """A generator over a row-dependent domain, as the evaluator built it."""
+
+    def expand(row):
+        local = {**base, **row}
+        bag = evaluator._as_local_bag(evaluator.evaluate_local(domain, local))
+        out = []
+        for element in bag:
+            binding = _bind_pattern(pattern, element)
+            out.append({**row, **binding})
+        return out
+
+    return expand
+
+
+def expand_local_closure(pattern, bag):
+    """A generator over a driver-side bag (a local bag, a product's broadcast
+    elements), as the evaluator and planner built it."""
+
+    def expand_local(row):
+        return [{**row, **_bind_pattern(pattern, element)} for element in bag]
+
+    return expand_local
 
 
 def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> list:
@@ -96,34 +126,26 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
         heads = reference(segment._replace(exit=("head", exit_[1])), bindings, records)
         return [bindings.monoids.get(exit_[2]).reduce(heads)]
     evaluate, base = bindings.evaluate_local, bindings.base
+    scope = ScalarScope(base, bindings.values)
     kind = segment.entry[0]
     out = []
-    for record in records:
-        if kind == "bind":
-            row = {**_bind_pattern(segment.entry[1], record)}
-        elif kind == "row":
-            row = record
-        elif kind == "join":
-            row = {**record[1][0], **_bind_pattern(segment.entry[2], record[1][1])}
-        elif kind == "reduced":
-            key, value = record
-            row = _bind_pattern(segment.entry[1], key)
-            row[f"__aggregate_{segment.entry[2]}"] = value
-            row[segment.entry[2]] = codegen.PreAggregated(value)
-        else:
-            key, members = record
-            row = _bind_pattern(segment.entry[1], key)
-            for name in segment.entry[2]:
-                row[name] = [member.get(name) for member in members]
-        kept = True
-        for step in segment.steps:
+
+    def run(row, steps, record):
+        for position, step in enumerate(steps):
             if step[0] == "let":
                 row = {**row, **_bind_pattern(step[1], evaluate(step[2], {**base, **row}))}
-            elif not bool(evaluate(step[1], {**base, **row})):
-                kept = False
-                break
-        if not kept:
-            continue
+            elif step[0] == "filter":
+                if not bool(evaluate(step[1], {**base, **row})):
+                    return
+            else:
+                source = step[2]
+                if isinstance(source, ir.CVar) and source.name not in row:
+                    expand = expand_local_closure(step[1], scope.resolve(source.name))
+                else:
+                    expand = expand_closure(step[1], source, base, evaluate.__self__)
+                for extended in expand(row):
+                    run(extended, steps[position + 1 :], record)
+                return
         if exit_[0] == "head":
             out.append(evaluate(exit_[1], {**base, **row}))
         elif exit_[0] == "row":
@@ -137,6 +159,33 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
                 out.append((key, record))
             else:
                 out.append((key, row.get(payload[1])))
+
+    for record in records:
+        if kind == "bind":
+            rows = [{**_bind_pattern(segment.entry[1], record)}]
+        elif kind == "row":
+            rows = [record]
+        elif kind == "join":
+            rows = [{**record[1][0], **_bind_pattern(segment.entry[2], record[1][1])}]
+        elif kind == "product" and segment.entry[3] is None:  # the cartesian pairs' map
+            rows = [{**record[0], **_bind_pattern(segment.entry[2], record[1])}]
+        elif kind == "product":  # the broadcast-left flat_map
+            pattern, lefts = segment.entry[2], scope.resolve(segment.entry[3])
+            rows = [{**row, **_bind_pattern(pattern, record)} for row in lefts]
+        elif kind == "reduced":
+            key, value = record
+            row = _bind_pattern(segment.entry[1], key)
+            row[f"__aggregate_{segment.entry[2]}"] = value
+            row[segment.entry[2]] = codegen.PreAggregated(value)
+            rows = [row]
+        else:
+            key, members = record
+            row = _bind_pattern(segment.entry[1], key)
+            for name in segment.entry[2]:
+                row[name] = [member.get(name) for member in members]
+            rows = [row]
+        for row in rows:
+            run(row, segment.steps, record)
     return out
 
 
@@ -368,6 +417,123 @@ def test_folding_exits_equal_the_fold_over_the_appended_output(context, records,
 
 
 # ---------------------------------------------------------------------------
+# Generators as nested loops: the expand step and the product entries
+# ---------------------------------------------------------------------------
+
+#: Nested, wildcard and rebinding (``a``) patterns.
+expand_patterns = st.sampled_from(
+    [ir.PVar("c")] * 3
+    + [
+        ir.PVar("a"),
+        ir.PWildcard(),
+        ir.PTuple((ir.PVar("c"), ir.PVar("d"))),
+        ir.PTuple((ir.PTuple((ir.PVar("c"), ir.PWildcard())), ir.PVar("a"))),
+    ]
+)
+#: Range bounds: small numbers, floats, a string, NaN / inf and ``a % 3``.
+bounds = st.one_of(
+    *[st.integers(-1, 3).map(ir.CConst)] * 3,
+    st.sampled_from([1.5, -0.5, 2.5, True, "2", None, math.nan, math.inf]).map(ir.CConst),
+    st.just(ir.CBinOp("%", ir.CVar("a"), ir.CConst(3))),
+)
+#: A bag in the first position of a pair: the environment's Dataset ``D``.
+DATASET_DOMAIN = ir.CProject(ir.CTuple((ir.CVar("D"), ir.CVar("a"))), "_1")
+sources = st.one_of(
+    st.builds(ir.RangeTerm, bounds, bounds),
+    st.sampled_from(
+        [
+            ir.CVar("b"),  # the row's own value: a tuple, a dict, a scalar...
+            ir.CTuple((ir.CVar("a"), ir.CVar("b"))),
+            ir.EmptyBag(),
+            DATASET_DOMAIN,
+            ir.Comprehension(  # through evaluate_local
+                ir.CTuple((ir.CVar("x"), ir.CVar("a"))),
+                (ir.Generator(ir.PVar("x"), ir.RangeTerm(ir.CConst(0), ir.CConst(1))),),
+            ),
+        ]
+    ),
+    st.just(ir.CVar("bag#0")),  # a driver bag
+)
+expand_steps = st.tuples(st.just("expand"), expand_patterns, sources)
+#: Steps after a generator that keep most rows alive: a filter, a let of a
+#: pair, a let that fails on non-numbers, a let that rebinds ``c``.
+after_steps = st.sampled_from(
+    [
+        ("filter", ir.CBinOp("!=", ir.CVar("c"), ir.CConst(2))),
+        ("let", ir.PVar("z"), ir.CTuple((ir.CVar("c"), ir.CVar("a")))),
+        ("let", ir.PVar("z"), ir.CBinOp("+", ir.CVar("c"), ir.CConst(1))),
+        ("let", ir.PVar("c"), ir.CBinOp("*", ir.CVar("a"), ir.CConst(2))),
+    ]
+)
+small = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -0.0, math.nan, "x", None]))
+#: Elements that mostly fit the tuple patterns (and sometimes do not).
+element_values = st.one_of(
+    *[st.tuples(small, small)] * 3, st.tuples(st.tuples(small, small), small), small, values
+)
+rows_ab = st.fixed_dictionaries(
+    {
+        "a": st.one_of(small, small, values),
+        "b": st.one_of(st.lists(element_values, max_size=3).map(tuple), small, values),
+    }
+)
+#: Every way records enter a run with a generator in it.
+expand_entries = st.one_of(
+    entries,
+    st.tuples(st.just(("row", ("a", "b"))), st.lists(rows_ab, min_size=1, max_size=3)),
+    st.tuples(
+        st.builds(lambda pattern: ("product", ("a", "b"), pattern, None), expand_patterns),
+        st.lists(st.tuples(rows_ab, element_values), min_size=1, max_size=3),
+    ),
+    st.tuples(
+        st.builds(lambda pattern: ("product", ("a", "b"), pattern, "bag#rows"), expand_patterns),
+        st.lists(element_values, min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    entry=expand_entries,
+    step_list=st.lists(
+        st.one_of(expand_steps, expand_steps, after_steps, after_steps, steps), min_size=1, max_size=4
+    ),
+    exit_=st.one_of(
+        st.just(("row",)), st.just(("head", ir.CTuple((ir.CVar("c"), ir.CVar("a"))))), exits, folding_exits
+    ),
+    scalar=values,
+    bag=st.lists(element_values, max_size=3),
+    lefts=st.one_of(*[st.lists(rows_ab, min_size=1, max_size=3)] * 4, st.just([])),
+)
+def test_generators_run_as_nested_loops_like_the_closures_they_replaced(
+    context, entry, step_list, exit_, scalar, bag, lefts
+):
+    """Per-row domains (ranges with float and string bounds, a row value, a
+    Dataset, a nested comprehension, empty bags), driver bags and the three
+    product lowerings: same rows, key order, bits, types and record order as
+    the closures, and the same first error -- also for elements that do not
+    fit the pattern.  A driver bag is bound whole on the driver before any
+    run (the evaluator and planner do that), so it is here too."""
+    values_ = {"s": scalar, "D": context.parallelize([(1, 2), 3, (4, (5, 6))])}
+    bindings = bindings_for(context, values_, {"base$1": 3, "bag#0": bag, "bag#rows": lefts})
+    entry_spec, records = entry
+    if isinstance(entry_spec, ir.Pattern):
+        entry_spec = ("bind", entry_spec)
+    segment = Segment(entry_spec, tuple(step_list), exit_)
+    patterns = [step[1] for step in step_list if step[0] == "expand" and step[2] == ir.CVar("bag#0")]
+
+    def on_the_driver(run):
+        def bound_first(segment, bindings, records):
+            for pattern in patterns:
+                for element in bag:
+                    _bind_pattern(pattern, element)
+            return run(segment, bindings, records)
+
+        return bound_first
+
+    assert_same(segment, bindings, records, run=on_the_driver(generated), against=on_the_driver(reference))
+
+
+# ---------------------------------------------------------------------------
 # The join consumer: cogroup + nested loop == materialised pairs + flat loop
 # ---------------------------------------------------------------------------
 
@@ -592,6 +758,59 @@ class TestWideEntries:
         function = codegen.generate(head(term), bindings_for(context), {})
         assert "evaluate_local(" in function.source
         assert assert_same(head(term), bindings_for(context), [(2, 3)]) == ("ok", canonical([12]))
+
+
+class TestGenerators:
+    ROWS = ("a", "b")
+
+    def test_a_per_row_bag_is_bound_whole_before_its_first_element_goes_on(self, context):
+        """``(c, d) <- b`` over ``((1, "x"), 5)``: the closure raised the bind
+        error for ``5`` before ``"x" + 1`` was ever evaluated."""
+        expand = ("expand", ir.PTuple((ir.PVar("c"), ir.PVar("d"))), ir.CVar("b"))
+        let = ("let", ir.PVar("z"), ir.CBinOp("+", ir.CVar("d"), ir.CConst(1)))
+        segment = Segment(("row", self.ROWS), (expand, let), ("row",))
+        result = assert_same(segment, bindings_for(context), [{"a": 0, "b": ((1, "x"), 5)}])
+        assert result == ("error", "ExecutionError", "cannot bind pattern (c, d) to value 5")
+
+    def test_ranges_and_local_bags_per_row(self, context):
+        bindings = bindings_for(context)
+        upper = ir.CBinOp("+", ir.CVar("a"), ir.CConst(0.5))
+        step = ("expand", ir.PVar("j"), ir.RangeTerm(ir.CConst(1), upper))
+        span = Segment(("row", self.ROWS), (step,), ("row",))
+        function = codegen.generate(span, bindings, {})
+        assert "range(int(" in function.source and "local_bag(" not in function.source
+        assert assert_same(span, bindings, [{"a": 2, "b": 0}, {"a": 0, "b": 0}]) == ("ok", canonical([
+            {"a": 2, "b": 0, "j": 1}, {"a": 2, "b": 0, "j": 2},
+        ]))  # fmt: skip
+        items = Segment(("row", self.ROWS), (("expand", ir.PVar("b"), ir.CVar("b")),), ("row",))
+        result = assert_same(items, bindings, [{"a": 1, "b": {"k": 7}}, {"a": 2, "b": 3.5}])
+        assert result == ("ok", canonical([{"a": 1, "b": ("k", 7)}, {"a": 2, "b": 3.5}])), "rebound in place"
+
+    def test_a_driver_bag_is_read_once_per_partition_and_iterated_as_it_is(self, context):
+        bindings = bindings_for(context, base={"bag#0": [(1, 2), (3, 4)]})
+        step = ("expand", ir.PTuple((ir.PVar("c"), ir.PWildcard())), ir.CVar("bag#0"))
+        segment = Segment(("row", self.ROWS), (step,), ("head", ir.CTuple((ir.CVar("a"), ir.CVar("c")))))
+        function = codegen.generate(segment, bindings, {})
+        assert function.source.count("scope.resolve('bag#0')") == 1 and "local_bag(" not in function.source
+        assert assert_same(segment, bindings, [{"a": 0, "b": 0}, {"a": 9, "b": 0}]) == ("ok", canonical([
+            (0, 1), (0, 3), (9, 1), (9, 3),
+        ]))  # fmt: skip
+
+    def test_product_entries_keep_the_order_of_the_lowering_they_replace(self, context):
+        """Broadcast rows: element-major; cartesian: one pair per record.  A
+        rebound left name (``a``) keeps its key position and takes the
+        element's value."""
+        lefts = [{"a": 1, "b": "L1"}, {"a": 2, "b": "L2"}]
+        bindings = bindings_for(context, base={"bag#0": lefts})
+        broadcast = Segment(("product", self.ROWS, ir.PVar("a"), "bag#0"), (), ("row",))
+        assert assert_same(broadcast, bindings, ["x", "y"]) == ("ok", canonical([
+            {"a": "x", "b": "L1"}, {"a": "x", "b": "L2"}, {"a": "y", "b": "L1"}, {"a": "y", "b": "L2"},
+        ]))  # fmt: skip
+        cartesian = Segment(("product", self.ROWS, ir.PVar("c"), None), (), ("row",))
+        pairs = [(lefts[0], "x"), (lefts[1], "x")]
+        assert assert_same(cartesian, bindings, pairs) == ("ok", canonical([
+            {"a": 1, "b": "L1", "c": "x"}, {"a": 2, "b": "L2", "c": "x"},
+        ]))  # fmt: skip
 
 
 def fold_by_key(op: str, *step_list, key=None, registry=MONOIDS) -> Segment:

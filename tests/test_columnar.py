@@ -10,8 +10,8 @@ chains that lower completely.
 Kernel-level tests pin down the exactness guards one by one: Python-int
 overflow, bool arithmetic, NaN/negative-zero folds, mixed-type comparisons,
 division/modulo corner cases (zero divisors, negative zero, int64 overflow),
-constant-fan-out flat_map expansion, grouped collect, the no-numpy list
-backend and the per-partition record-path replay with its fallback memo.
+grouped collect, the no-numpy list backend and the per-partition
+record-path replay with its fallback memo.
 """
 
 from __future__ import annotations
@@ -480,106 +480,6 @@ class TestCombinerKernels:
             stage_mod.apply_combiner(combiner, list(records), columnar=False)
         with pytest.raises(TypeError):
             stage_mod.apply_combiner(combiner, list(records), columnar=True)
-
-
-# ---------------------------------------------------------------------------
-# Constant-fan-out flat_map kernels and their lowering
-# ---------------------------------------------------------------------------
-
-
-def _tuple_flat_oracle(pair):
-    return [(pair[0], pair[1]), (pair[1], pair[0])]
-
-
-def _extend_flat_oracle(row):
-    return [{**row, "w": 10}, {**row, "w": 20}]
-
-
-class TestFlatMapKernels:
-    def test_tuple_spec_interleaves_in_record_order(self):
-        fn = columnar.VectorizedFlatMap(
-            (
-                "tuple",
-                (
-                    columnar.OutTuple([columnar.Col((0,)), columnar.Col((1,))]),
-                    columnar.OutTuple([columnar.Col((1,)), columnar.Col((0,))]),
-                ),
-            ),
-            oracle=_tuple_flat_oracle,
-        )
-        chain = [stage_mod.NarrowStage(stage_mod.FLAT_MAP, fn)]
-        records = [(1, 2), (3, 4), (5, 6)]
-        assert _run_both(chain, records) == [
-            (1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5)
-        ]
-
-    def test_extend_spec_repeats_rows_with_literal_bindings(self):
-        fn = columnar.VectorizedFlatMap(
-            ("extend", ("w",), ((columnar.Lit(10),), (columnar.Lit(20),))),
-            oracle=_extend_flat_oracle,
-        )
-        chain = [stage_mod.NarrowStage(stage_mod.FLAT_MAP, fn)]
-        records = [{"i": 0, "v": 1.5}, {"i": 1, "v": 2.5}]
-        assert _run_both(chain, records) == [
-            {"i": 0, "v": 1.5, "w": 10},
-            {"i": 0, "v": 1.5, "w": 20},
-            {"i": 1, "v": 2.5, "w": 10},
-            {"i": 1, "v": 2.5, "w": 20},
-        ]
-
-    def test_extend_falls_back_when_rebinding_an_existing_field(self):
-        fn = columnar.VectorizedFlatMap(
-            ("extend", ("v",), ((columnar.Lit(10),), (columnar.Lit(20),))),
-            oracle=lambda row: [{**row, "v": 10}, {**row, "v": 20}],
-        )
-        part = columnar.ColumnarPartition.from_records([{"i": 0, "v": 1}])
-        with pytest.raises(columnar.ColumnarFallback):
-            fn.apply_batch(part)
-        # The fused chain still produces the record-path answer via replay.
-        chain = [stage_mod.NarrowStage(stage_mod.FLAT_MAP, fn)]
-        records = [{"i": 0, "v": 1}, {"i": 1, "v": 2}]
-        assert _run_both(chain, records) == [
-            {"i": 0, "v": 10}, {"i": 0, "v": 20}, {"i": 1, "v": 10}, {"i": 1, "v": 20}
-        ]
-
-    def test_mixed_dtype_copies_fall_back(self):
-        fn = columnar.VectorizedFlatMap(
-            ("extend", ("w",), ((columnar.Lit(1),), (columnar.Lit(2.5),))),
-            oracle=lambda row: [{**row, "w": 1}, {**row, "w": 2.5}],
-        )
-        records = [{"i": 0}, {"i": 1}]
-        chain = [stage_mod.NarrowStage(stage_mod.FLAT_MAP, fn)]
-        out = _run_both(chain, records)
-        assert [type(row["w"]) for row in out] == [int, float, int, float]
-
-
-class TestExtendFlatMapLowering:
-    def test_lowers_uniform_scalar_bindings(self):
-        bindings = [{"j": 0, "w": 1.5}, {"j": 1, "w": -2.0}]
-        fn = vectorize.extend_flat_map(bindings, oracle=lambda row: None)
-        assert isinstance(fn, columnar.VectorizedFlatMap)
-        assert fn.spec[0] == "extend" and fn.spec[1] == ("j", "w")
-        assert fn.fan_out == 2
-
-    def test_rejects_empty_mismatched_and_non_scalar_bindings(self):
-        oracle = lambda row: None  # noqa: E731
-        assert vectorize.extend_flat_map([], oracle) is None
-        assert vectorize.extend_flat_map([{"j": 0}, {"k": 1}], oracle) is None
-        assert vectorize.extend_flat_map([{"j": [0]}], oracle) is None
-        assert vectorize.extend_flat_map([{"j": (0, 1)}], oracle) is None
-        assert vectorize.extend_flat_map([{"j": None}], oracle) is None
-
-    def test_lowered_kernel_matches_the_oracle(self):
-        bindings = [{"j": 0}, {"j": 1}, {"j": 2}]
-
-        def oracle(row):
-            return [{**row, **binding} for binding in bindings]
-
-        fn = vectorize.extend_flat_map(bindings, oracle)
-        chain = [stage_mod.NarrowStage(stage_mod.FLAT_MAP, fn)]
-        records = [{"i": i, "v": float(i)} for i in range(5)]
-        expected = [out for row in records for out in oracle(row)]
-        assert _run_both(chain, records) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,6 @@ class TestPlanLint:
         root = ProductNode(
             left=ScanNode(dataset=None, name="P"),
             right=ScanNode(dataset=None, name="Q"),
-            bind_right_fn=lambda row: {},
             domain_label="Q",
         )
         codes = {d.code for d in lint_plan(root, diablo.current_config())}
