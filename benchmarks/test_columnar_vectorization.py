@@ -1,13 +1,13 @@
 """Columnar vectorized execution: batch kernels vs. the record path.
 
-Runs numeric Figure 3 workloads three times on identical inputs -- with the
-record-at-a-time engine, with ``columnar=True`` and with the default
-``columnar="auto"``.  The result assertion is the columnar contract: every
-vectorized run must be bit-identical to the record path, with the batch
-kernels demonstrably engaged.
+Runs numeric Figure 3 workloads twice on identical inputs -- with the default
+record-at-a-time engine and with ``columnar=True``.  The result assertion is
+the columnar contract: every vectorized run must be bit-identical to the
+record path, with the batch kernels demonstrably engaged wherever the whole
+narrow chain lowers to them.
 
 The coverage panel additionally runs *every* Figure 3 program once under
-auto mode and checks it against the record path.
+``columnar=True`` and checks it against the record path.
 """
 
 import pytest
@@ -27,14 +27,14 @@ COLUMNAR_SIZES = {
     "word_count": 20_000 * BENCH_SIZE_SCALE,
 }
 
-#: Workloads whose whole narrow chain lowers to kernels, so ``"auto"`` batches
-#: it.  On the others the chain is a generated loop that folds by key itself:
-#: there is no separate map-side combiner left for a grouped-fold kernel (the
-#: one stage auto mode used to vectorize there) to replace.
-AUTO_KERNEL_WORKLOADS = {"conditional_sum", "word_count"}
+#: Workloads whose whole narrow chain lowers to kernels, so ``columnar=True``
+#: batches it.  On the others the chain is a generated loop that folds by key
+#: itself: there is no separate map-side combiner left for a grouped-fold
+#: kernel to replace.
+KERNEL_WORKLOADS = {"conditional_sum", "word_count"}
 
 
-def _run_once(name: str, size: int, columnar):
+def _run_once(name: str, size: int, columnar: bool):
     spec = get_program(name)
     inputs = workload_for_program(name, size)
     with DistributedContext(num_partitions=4, columnar=columnar) as context:
@@ -50,26 +50,23 @@ def test_columnar_matches_record_path_and_engages(name):
     size = COLUMNAR_SIZES[name]
     record_outputs, record_vectorized = _run_once(name, size, columnar=False)
     columnar_outputs, columnar_vectorized = _run_once(name, size, columnar=True)
-    auto_outputs, auto_vectorized = _run_once(name, size, columnar="auto")
     assert record_vectorized == 0, "columnar=False must never vectorize"
-    assert columnar_vectorized > 0, f"{name}: batch kernels never engaged"
-    assert (auto_vectorized > 0) == (name in AUTO_KERNEL_WORKLOADS), (
-        f"{name}: auto mode vectorized {auto_vectorized} stage(s)"
+    assert (columnar_vectorized > 0) == (name in KERNEL_WORKLOADS), (
+        f"{name}: columnar=True vectorized {columnar_vectorized} stage(s)"
     )
     assert columnar_outputs == record_outputs, f"{name}: columnar diverged"
-    assert auto_outputs == record_outputs, f"{name}: auto mode diverged"
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE3_BENCH_SIZES))
 def test_columnar_coverage_panel(name):
-    """One auto-mode run per Figure 3 panel, checked against the record path."""
+    """One ``columnar=True`` run per Figure 3 panel, checked against the record path."""
     size = FIGURE3_BENCH_SIZES[name][0]
     spec = get_program(name)
     inputs = workload_for_program(name, size)
-    with DistributedContext(num_partitions=4, columnar="auto") as context:
+    with DistributedContext(num_partitions=4, columnar=True) as context:
         compiled = diablo_for(spec, context).compile(spec.source)
         outputs = translated_outputs(name, compiled.run(**inputs))
     with DistributedContext(num_partitions=4, columnar=False) as context:
         compiled = diablo_for(spec, context).compile(spec.source)
         reference = translated_outputs(name, compiled.run(**inputs))
-    assert outputs == reference, f"{name}: auto mode diverged from the record path"
+    assert outputs == reference, f"{name}: columnar=True diverged from the record path"

@@ -28,9 +28,9 @@ planner metadata (invariance, placement); no node carries a record closure.
 The planner turns each run of bind / let / filter / expand / head nodes --
 together with the keying and rebuild steps around wide nodes and the nested
 loop of a product -- into one generated per-partition function (see
-:mod:`repro.algebra.codegen`); a run that the context's ``columnar`` mode
-batches keeps one stage per node, each node's ``kernel`` carrying a generated
-one-step function as its record-path oracle.
+:mod:`repro.algebra.codegen`); under ``columnar=True`` a run in which every
+node has a kernel keeps one stage per node instead, each node's ``kernel``
+carrying a generated one-step function as its record-path oracle.
 
 ``render_plan`` pretty-prints a plan tree; the planner adds per-node
 decisions (cache hits, eliminated shuffles, chosen strategies) as

@@ -7,13 +7,13 @@ to the Dataset operators of the same name; every run of narrow row operators
 between them -- bind, lets, filters, the head, and the keying / rebuild steps
 the wide nodes need -- lowers to **one** generated per-partition function
 (:meth:`Planner._lower_chain`, :mod:`repro.algebra.codegen`), unless the
-context's ``columnar`` mode batches the run, in which case each operator
-stays its own kernel stage.  A generated run never materialises what the next
-operator folds: the run feeding a ``reduceByKey(⊕)`` folds by key inside its
-loop, and the run after a hash join *is* the join's consumer -- it receives
-the co-grouped sides inside the join task, so the joined pairs are never
-built.  Beyond that the planner makes the *decisions* a direct emission could
-not:
+context's ``columnar`` mode batches the run (every operator has a kernel),
+in which case each operator stays its own kernel stage.  A generated run
+never materialises what the next operator folds: the run feeding a
+``reduceByKey(⊕)`` folds by key inside its loop, and the run after a hash
+join *is* the join's consumer -- it receives the co-grouped sides inside the
+join task, so the joined pairs are never built.  Beyond that the planner
+makes the *decisions* a direct emission could not:
 
 * **partitioner propagation** (:meth:`Planner.annotate`): group-by nodes
   place their output rows by the group key term; key-transparent nodes
@@ -547,61 +547,48 @@ class Planner:
     ) -> Dataset:
         """Emit ``ops`` over ``dataset``, whose records have form ``entry``.
 
-        Operators the context's ``columnar`` mode batches -- under ``"auto"``
-        only a run in which every operator has a kernel, under ``True`` every
-        operator that has one -- stay per-operator kernel stages, the
-        generated one-step function attached as each kernel's record-path
-        oracle.  Every other run becomes one generated per-partition stage.
+        Under the context's ``columnar`` mode a run in which every operator
+        has a kernel stays per-operator kernel stages, the generated
+        one-step function attached as each kernel's record-path oracle.
+        Every other run becomes one generated per-partition stage.
 
-        A hash join arrives as ``dataset(consumer)``: its first run (the
+        A hash join arrives as ``dataset(consumer)``: its run (the
         ``cogroup`` entry has no kernel, so that run is always generated) is
         handed to the join as the consumer of its co-grouped sides.  With
-        ``reduce``, the keyed output is reduced by key here: a generated last
-        run folds inside its loop (``fold_by_key`` instead of ``keyed``) and
-        the reduceByKey is told its input is already combined; kernel stages
+        ``reduce``, the keyed output is reduced by key here: a generated run
+        folds inside its loop (``fold_by_key`` instead of ``keyed``) and the
+        reduceByKey is told its input is already combined; kernel stages
         keep the runtime's map-side combiner.
         """
         folded = False
-        columnar = self.context.columnar
-        batched = [bool(columnar) and op.kernel is not None for op in ops]
-        if columnar == "auto" and not all(batched):
-            batched = [False] * len(ops)
-        start = 0
-        while start < len(ops):
-            stop = start + 1
-            while stop < len(ops) and batched[stop] == batched[start]:
-                stop += 1
-            run = ops[start:stop]
-            if batched[start]:
-                for op in run:
-                    if op.kernel.oracle is None:
-                        one_step = codegen.generate(_segment(entry, [op]), bindings, self.segments)
-                        op.kernel.oracle = _record_oracle(one_step, op.kind)
-                    if op.kind == FILTER:
-                        dataset = dataset.filter(op.kernel)
-                    else:
-                        dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
-                    entry = ("row", op.rows)
-            else:
-                segment = _segment(entry, run)
-                if reduce is not None and stop == len(ops):
-                    fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
-                    segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))
-                    run[-1] = run[-1]._replace(label=f"fold_by_key({reduce.monoid_op})")
-                    folded = True
-                function = codegen.generate(segment, bindings, self.segments)
-                function.label = _chain_label(run)
-                function.operators = len(run)
-                if isinstance(dataset, Dataset):
-                    keep = all(op.keep for op in run)
-                    dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+        if self.context.columnar and all(op.kernel is not None for op in ops):
+            for op in ops:
+                if op.kernel.oracle is None:
+                    one_step = codegen.generate(_segment(entry, [op]), bindings, self.segments)
+                    op.kernel.oracle = _record_oracle(one_step, op.kind)
+                if op.kind == FILTER:
+                    dataset = dataset.filter(op.kernel)
                 else:
-                    dataset = dataset(function)
-                self.context.metrics.record_generated_segment()
-                if _note(node, f"generated: {function.label}"):
-                    node.generated.append(function)
-                entry = ("row", run[-1].rows)
-            start = stop
+                    dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
+                entry = ("row", op.rows)
+        else:
+            segment = _segment(entry, ops)
+            if reduce is not None:
+                fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
+                segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))
+                ops[-1] = ops[-1]._replace(label=f"fold_by_key({reduce.monoid_op})")
+                folded = True
+            function = codegen.generate(segment, bindings, self.segments)
+            function.label = _chain_label(ops)
+            function.operators = len(ops)
+            if isinstance(dataset, Dataset):
+                keep = all(op.keep for op in ops)
+                dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+            else:
+                dataset = dataset(function)
+            self.context.metrics.record_generated_segment()
+            if _note(node, f"generated: {function.label}"):
+                node.generated.append(function)
         if reduce is not None:
             dataset = dataset.reduce_by_key(reduce.combine_fn, folded=folded)
         return dataset

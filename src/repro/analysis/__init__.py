@@ -14,8 +14,8 @@
 * :mod:`repro.analysis.monoid_laws` -- registration-time property probing of
   user monoids (associativity, identity, claimed commutativity).
 * :mod:`repro.analysis.plan_lint` -- shuffle hazards in the translated terms
-  and in lowered plan trees (products, non-co-partitioned joins, columnar
-  fallbacks).
+  and in lowered plan trees (products, non-co-partitioned joins,
+  size-sensitive broadcast decisions).
 
 ``diablo.check()`` (:func:`repro.api.check.check`) runs all of them in pass
 order and aggregates the findings into one report.

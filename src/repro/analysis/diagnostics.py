@@ -24,7 +24,7 @@ truth for code -> default severity / summary):
 ``D4xx`` monoid-law violations found by property probing (associativity,
          identity, commutativity)
 ``D5xx`` plan lint findings (cartesian products, non-co-partitionable
-         joins, size-sensitive broadcast decisions, columnar fallbacks)
+         joins, size-sensitive broadcast decisions)
 =======  ====================================================================
 
 :class:`DiagnosticReport` aggregates the findings of a whole
@@ -81,7 +81,6 @@ CODES: dict[str, tuple[Severity, str]] = {
     "D501": (Severity.WARNING, "cartesian / broadcast nested-loop product"),
     "D502": (Severity.WARNING, "join cannot reuse partition placement"),
     "D503": (Severity.WARNING, "broadcast decision is size-sensitive near the threshold"),
-    "D504": (Severity.WARNING, "columnar execution falls back to the record path"),
 }
 
 

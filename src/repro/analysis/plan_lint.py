@@ -5,10 +5,7 @@ Two complementary entry points:
 * :func:`lint_target` walks the translated comprehension terms **statically**
   (no data, no planner) and mirrors the evaluator's join-detection logic to
   predict the plan shape.  It flags products -- dataset generators the
-  evaluator will pair without an equi-join key (``D501``) -- and, when the
-  configuration *explicitly* sets ``columnar=True`` (not the self-selecting
-  ``"auto"`` default), comprehensions whose expressions fall outside the
-  vectorizable kernel set and silently run row-at-a-time (``D504``).
+  evaluator will pair without an equi-join key (``D501``).
 * :func:`lint_plan` walks an actual lowered :class:`~repro.algebra.plan.PlanNode`
   tree and reads the planner's own annotations: hash joins where *neither*
   side could reuse an existing placement -- so both sides shuffle -- are
@@ -62,9 +59,8 @@ def _has_join_condition(
 
 
 class _TargetLinter:
-    def __init__(self, target: TargetProgram, config: Any = None) -> None:
+    def __init__(self, target: TargetProgram) -> None:
         self.datasets = _dataset_names(target)
-        self.config = config
         self.diagnostics: list[Diagnostic] = []
         self._location: SourceLocation | None = None
         self._statement: object = None
@@ -128,38 +124,12 @@ class _TargetLinter:
                 self._walk(qualifier.term)
             elif isinstance(qualifier, ir.GroupBy):
                 bound.update(qualifier.pattern.variables())
-        # Only explicit columnar=True warrants fallback warnings: the user
-        # asked for batch execution and these stages won't deliver it.  The
-        # default "auto" mode self-selects fully lowerable chains and runs
-        # everything else record-at-a-time with no conversion tax, so there
-        # is nothing to warn about.
-        if getattr(self.config, "columnar", False) is True:
-            self._lint_columnar(comp, bound)
         self._walk(comp.head)
 
-    def _lint_columnar(self, comp: ir.Comprehension, row_names: set[str]) -> None:
-        """Report conditions the columnar engine cannot vectorize (D504)."""
-        from repro.algebra import vectorize
 
-        names = frozenset(row_names)
-        for qualifier in comp.qualifiers:
-            if not isinstance(qualifier, ir.Condition):
-                continue
-            for term in ir.conjuncts(qualifier.term):
-                if vectorize.lower_term(term, names) is None:
-                    self._report(
-                        "D504",
-                        f"columnar execution is enabled but the filter {term} is "
-                        "outside the vectorizable kernel set; this stage falls back "
-                        "to row-at-a-time execution",
-                        hint="rewrite the predicate with supported arithmetic / "
-                        "comparison operators, or expect no columnar speedup here",
-                    )
-
-
-def lint_target(target: TargetProgram, config: Any = None) -> list[Diagnostic]:
+def lint_target(target: TargetProgram) -> list[Diagnostic]:
     """Statically lint every assignment of a translated program."""
-    linter = _TargetLinter(target, config)
+    linter = _TargetLinter(target)
     for assignment in target.assignments():
         linter.lint_assignment(assignment)
     return linter.diagnostics

@@ -33,7 +33,6 @@ from repro.analysis.monoid_laws import verify_monoid
 from repro.analysis.plan_lint import lint_target
 from repro.analysis.restrictions import RestrictionChecker
 from repro.analysis.typecheck import check_types
-from repro.api.config import DiabloConfig, current_config
 from repro.api.types import annotation_info
 from repro.comprehension.monoids import Monoid, MonoidRegistry
 from repro.errors import LexerError, ParseError
@@ -132,7 +131,6 @@ def check(
     subject: Any,
     *types: Any,
     strict: bool = False,
-    config: DiabloConfig | None = None,
     monoids: Iterable[Monoid] = (),
     functions: dict[str, Callable[..., Any]] | None = None,
 ) -> DiagnosticReport:
@@ -144,8 +142,6 @@ def check(
         *types: optional annotation markers (``Vector``, ``Matrix[float]``,
             ``float``, ...) matched positionally to the function's parameters.
         strict: promote warnings to errors, as ``strict=True`` compilation does.
-        config: configuration consulted for plan lint (columnar, broadcast
-            threshold); defaults to the ambient configuration.
         monoids: custom monoids the program registers; each is law-probed and
             made visible to restriction checking and type inference.
         functions: names of scalar helper functions the program calls
@@ -153,7 +149,6 @@ def check(
     """
     del functions  # reserved: helpers are opaque to every static pass
     report = DiagnosticReport(subject=getattr(subject, "__name__", "<program>"))
-    config = config or current_config()
 
     registry = MonoidRegistry()
     for monoid in monoids:
@@ -174,7 +169,7 @@ def check(
         compiler = DiabloCompiler(monoids=registry, check_restrictions=False)
         translation = compiler.compile(program, input_types=_input_types(subject, parameters, types))
         report.extend(check_types(translation.target, registry))
-        report.extend(lint_target(translation.target, config))
+        report.extend(lint_target(translation.target))
     return report.promote_warnings() if strict else report
 
 
@@ -182,7 +177,6 @@ def check_python_source(
     source: str,
     *,
     strict: bool = False,
-    config: DiabloConfig | None = None,
     monoids: Iterable[Monoid] = (),
 ) -> DiagnosticReport:
     """:func:`check` for Python source *text* (a function or module body).
@@ -198,4 +192,4 @@ def check_python_source(
     spec = _capture_parse(report, lambda: parse_python_source(source))
     if spec is None:
         return report.promote_warnings() if strict else report
-    return check(spec, strict=strict, config=config, monoids=monoids)
+    return check(spec, strict=strict, monoids=monoids)

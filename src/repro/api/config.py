@@ -63,18 +63,14 @@ class DiabloConfig:
             elimination over co-partitioned inputs, pre-partitioned map-side
             bypass and while-loop invariant caching.  Affects performance
             and structural metrics only, never results.
-        columnar: columnar vectorized execution -- recognized narrow chains
-            and map-side combiners run as batch kernels over unzipped
-            column arrays, with per-partition fallback to the record path
-            (see :mod:`repro.runtime.columnar`).  ``"auto"`` (default)
-            batches only fully lowerable chains (plan-time cost model plus
-            runtime fallback memoization, so partial chains never pay the
-            conversion tax); ``True`` batches every vectorizable run;
-            ``False`` keeps everything record-at-a-time.  The
-            ``DIABLO_COLUMNAR`` environment variable applies as a fallback
-            at the raw ``DistributedContext`` layer.  Affects performance
-            and the ``vectorized_stages``/``columnar_fallbacks`` counters
-            only, never results.
+        columnar: columnar vectorized execution -- fully lowerable narrow
+            chains and vectorizable map-side combiners run as batch kernels
+            over unzipped column arrays, with per-partition fallback to the
+            record path (see :mod:`repro.runtime.columnar`).  ``False``
+            (default) keeps everything on the record path, which is faster
+            on every measured program.  Affects performance and the
+            ``vectorized_stages``/``columnar_fallbacks`` counters only,
+            never results.
         adaptive: adaptive skew-aware execution -- shuffle inputs are
             sampled at force time; hot keys in keyed reductions are salted
             into per-task partials with an exact driver-side final fold,
@@ -106,7 +102,7 @@ class DiabloConfig:
     spill_threshold_bytes: int | None = None
     spill_dir: str | None = None
     plan_optimize: bool = True
-    columnar: bool | str = "auto"
+    columnar: bool = False
     adaptive: bool = True
     plan_cache: bool = True
     check_restrictions: bool = True
@@ -129,8 +125,8 @@ class DiabloConfig:
             raise ValueError("cluster_workers must be positive")
         if self.spill_threshold_bytes is not None and self.spill_threshold_bytes <= 0:
             raise ValueError("spill_threshold_bytes must be positive (or None to disable)")
-        if self.columnar not in (True, False, "auto"):
-            raise ValueError('columnar must be True, False or "auto"')
+        if not isinstance(self.columnar, bool):
+            raise ValueError(f"columnar must be True or False, got {self.columnar!r}")
 
     def replace(self, **overrides: Any) -> "DiabloConfig":
         """A copy with the given fields changed; unknown names raise TypeError."""

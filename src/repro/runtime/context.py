@@ -101,25 +101,15 @@ def _spill_threshold_from_env() -> int | None:
     return value if value > 0 else None
 
 
-def _columnar_from_env() -> bool | str:
-    """The ``DIABLO_COLUMNAR`` default: ``"auto"``, a truthy or a falsy flag.
-
-    Unset or empty means "record path" so plain contexts keep their
-    historical behaviour; the api layer's :class:`~repro.api.DiabloConfig`
-    defaults to ``"auto"`` explicitly.
-    """
+def _columnar_from_env() -> bool:
+    """The ``DIABLO_COLUMNAR`` default: a truthy or a falsy flag; unset or
+    empty means the record path."""
     raw = os.environ.get("DIABLO_COLUMNAR", "").strip().lower()
-    if not raw:
+    if raw in ("", "0", "false", "off", "no"):
         return False
-    if raw == "auto":
-        return "auto"
     if raw in ("1", "true", "on", "yes"):
         return True
-    if raw in ("0", "false", "off", "no"):
-        return False
-    raise ValueError(
-        f'DIABLO_COLUMNAR must be "auto", a truthy or a falsy flag, got {raw!r}'
-    )
+    raise ValueError(f"DIABLO_COLUMNAR must be a truthy or a falsy flag (True/False), got {raw!r}")
 
 
 class DistributedContext:
@@ -147,17 +137,17 @@ class DistributedContext:
             bypass).  On by default; turning it off forces every wide
             operator down the full shuffle path (ablation / debugging knob;
             only affects performance and metrics, never results).
-        columnar: execute vectorizable narrow chains and map-side combiners
-            as columnar batch kernels (see :mod:`repro.runtime.columnar`).
-            ``True`` batches every vectorizable run; ``"auto"`` batches only
-            fully lowerable chains (and memoizes runtime fallbacks, so a
-            chain that failed batch execution once never pays the conversion
-            tax again); ``False`` keeps everything record-at-a-time.
-            ``None`` (the default) reads the ``DIABLO_COLUMNAR`` environment
-            variable, falling back to ``False``.  Per-partition fallback to
-            the record path keeps results identical in every mode
-            (performance and the ``vectorized_stages`` /
-            ``columnar_fallbacks`` counters are the only observable
+        columnar: execute fully lowerable narrow chains and vectorizable
+            map-side combiners as columnar batch kernels (see
+            :mod:`repro.runtime.columnar` and
+            :func:`~repro.runtime.stage.batch_length`),
+            memoizing runtime fallbacks so a chain that failed batch
+            execution once never pays the conversion tax again.  ``False``
+            keeps everything record-at-a-time; ``None`` (the default) reads
+            the ``DIABLO_COLUMNAR`` flag, falling back to ``False``.
+            Per-partition fallback to the record path keeps results
+            identical either way (performance and the ``vectorized_stages``
+            / ``columnar_fallbacks`` counters are the only observable
             difference).
         adaptive: adaptive skew-aware execution.  At force time the driver
             stride-samples an eligible keyed shuffle's input (through its
@@ -195,7 +185,7 @@ class DistributedContext:
         spill_threshold_bytes: int | None = None,
         spill_dir: str | None = None,
         plan_optimize: bool = True,
-        columnar: bool | str | None = None,
+        columnar: bool | None = None,
         adaptive: bool = True,
         plan_cache: bool = True,
     ):
@@ -205,8 +195,8 @@ class DistributedContext:
             raise ValueError(f"unknown executor {executor!r}")
         if columnar is None:
             columnar = _columnar_from_env()
-        if columnar not in (True, False, "auto"):
-            raise ValueError('columnar must be True, False or "auto"')
+        if not isinstance(columnar, bool):
+            raise ValueError(f"columnar must be True or False, got {columnar!r}")
         self.num_partitions = num_partitions
         self.executor = executor
         self.num_processes = num_processes or min(num_partitions, os.cpu_count() or 2)
@@ -678,9 +668,7 @@ class DistributedContext:
                 )
             chain += (NarrowStage(stage_mod.PARTITIONS_INDEXED, writer),)
             if self.columnar:
-                self.metrics.record_vectorization(
-                    *stage_mod.vectorization_counts(chain, self.columnar)
-                )
+                self.metrics.record_vectorization(*stage_mod.vectorization_counts(chain))
             outputs = self.run_tasks(
                 stage_mod.compose(chain, self.columnar), source_partitions, task_spec=chain
             )
@@ -782,9 +770,7 @@ class DistributedContext:
         if not shuffle_input.stages:
             return shuffle_input, partitions
         if self.columnar:
-            self.metrics.record_vectorization(
-                *stage_mod.vectorization_counts(shuffle_input.stages, self.columnar)
-            )
+            self.metrics.record_vectorization(*stage_mod.vectorization_counts(shuffle_input.stages))
         chained = self.run_tasks(
             stage_mod.compose(shuffle_input.stages, self.columnar),
             partitions,

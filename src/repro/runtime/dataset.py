@@ -97,7 +97,7 @@ def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> 
     return "none"
 
 
-def _stage_notes(stages: tuple[Any, ...], columnar: Any, sources: bool = False) -> tuple[str, ...]:
+def _stage_notes(stages: tuple[Any, ...], columnar: bool, sources: bool = False) -> tuple[str, ...]:
     """Human-readable per-stage notes for ``explain()``: which logical
     operators each generated row-segment stage stands for (with its source
     text on request) and, under columnar execution, every record-function
@@ -114,7 +114,7 @@ def _stage_notes(stages: tuple[Any, ...], columnar: Any, sources: bool = False) 
             f"vectorized: {kind}: {kernel}"
             if kernel is not None
             else f"vectorized: {kind}: record path ({note})"
-            for kind, kernel, note in stage_mod.vectorization_report(stages, columnar)
+            for kind, kernel, note in stage_mod.vectorization_report(stages)
         )
     return tuple(notes)
 
@@ -250,9 +250,7 @@ class Dataset:
         task = stage_mod.compose(stages, self.context.columnar)
         metrics = self.context.metrics
         if self.context.columnar:
-            metrics.record_vectorization(
-                *stage_mod.vectorization_counts(stages, self.context.columnar)
-            )
+            metrics.record_vectorization(*stage_mod.vectorization_counts(stages))
         self.stage_notes = _stage_notes(stages, self.context.columnar)
         new_partitions = self.context.run_tasks(
             task, source_partitions, task_spec=stages, read=read
@@ -275,8 +273,6 @@ class Dataset:
         """Materialization point: force pending stages so later uses reread
         the stored partitions instead of recomputing the chain."""
         return self.materialize()
-
-    persist = cache
 
     def _with_stage(self, new_stage: NarrowStage, keep_partitioner: bool = False) -> "Dataset":
         partitioner = self.partitioner if keep_partitioner else None
@@ -480,8 +476,6 @@ class Dataset:
             NarrowStage(stage_mod.FLAT_MAP, function), keep_partitioner=preserves_partitioning
         )
 
-    flatMap = flat_map
-
     def filter(self, predicate: Callable[[Any], bool]) -> "Dataset":
         """Keep the records for which ``predicate`` is true (lazy)."""
         return self._with_stage(NarrowStage(stage_mod.FILTER, predicate), keep_partitioner=True)
@@ -489,8 +483,6 @@ class Dataset:
     def map_values(self, function: Callable[[Any], Any]) -> "Dataset":
         """Apply ``function`` to the value of every key-value record (lazy)."""
         return self._with_stage(NarrowStage(stage_mod.MAP_VALUES, function), keep_partitioner=True)
-
-    mapValues = map_values
 
     def map_partitions(
         self,
@@ -506,13 +498,9 @@ class Dataset:
             NarrowStage(stage_mod.PARTITIONS, function), keep_partitioner=preserves_partitioning
         )
 
-    mapPartitions = map_partitions
-
     def key_by(self, function: Callable[[Any], Any]) -> "Dataset":
         """Turn records into ``(function(record), record)`` pairs."""
         return self.map(lambda record: (function(record), record))
-
-    keyBy = key_by
 
     def keys(self) -> "Dataset":
         return self.map(lambda pair: pair[0])
@@ -546,8 +534,6 @@ class Dataset:
         self.context.metrics.record_narrow(self.num_partitions, self.count())
         return Dataset(self.context, new_partitions)
 
-    zipWithIndex = zip_with_index
-
     def zip_partitions(
         self, other: "Dataset", function: Callable[[list[Any], list[Any]], Iterable[Any]]
     ) -> "Dataset":
@@ -561,8 +547,6 @@ class Dataset:
         ]
         self.context.metrics.record_narrow(self.num_partitions, self.count() + other.count())
         return Dataset(self.context, new_partitions, self.partitioner)
-
-    zipPartitions = zip_partitions
 
     def union(self, other: "Dataset", num_partitions: int | None = None) -> "Dataset":
         """Concatenate two datasets (no shuffle).
@@ -653,19 +637,13 @@ class Dataset:
         counts = self.map(lambda record: (record, 1)).reduce_by_key(lambda a, b: a + b)
         return dict(counts.collect())
 
-    countByValue = count_by_value
-
     def count_by_key(self) -> dict[Any, int]:
         counts = self.map(lambda pair: (pair[0], 1)).reduce_by_key(lambda a, b: a + b)
         return dict(counts.collect())
 
-    countByKey = count_by_key
-
     def collect_as_map(self) -> dict[Any, Any]:
         """Collect a key-value dataset into a dict (later keys win)."""
         return dict(self.collect())
-
-    collectAsMap = collect_as_map
 
     def to_dict(self) -> dict[Any, Any]:
         return self.collect_as_map()
@@ -812,8 +790,6 @@ class Dataset:
         placed = self._key_shuffle("partitionBy", partitioner, None, reduce_stages=())
         return placed.materialize()
 
-    partitionBy = partition_by
-
     def repartition(self, num_partitions: int) -> "Dataset":
         """Redistribute records round-robin into ``num_partitions`` partitions
         (lazy; a key-less shuffle through the same plan layer)."""
@@ -845,13 +821,9 @@ class Dataset:
             reduce_stages=(NarrowStage(stage_mod.PARTITIONS, stage_mod.group_bucket),),
         )
 
-    groupByKey = group_by_key
-
     def group_by(self, key_function: Callable[[Any], Any]) -> "Dataset":
         """Group records by ``key_function`` into ``(key, [records])``."""
         return self.map(lambda record: (key_function(record), record)).group_by_key()
-
-    groupBy = group_by
 
     def reduce_by_key(
         self,
@@ -895,8 +867,6 @@ class Dataset:
             ),
         )
 
-    reduceByKey = reduce_by_key
-
     def aggregate_by_key(
         self,
         zero: Any,
@@ -924,8 +894,6 @@ class Dataset:
                 ),
             ),
         )
-
-    aggregateByKey = aggregate_by_key
 
     def distinct(self) -> "Dataset":
         """Remove duplicate records (a shuffle with a dedup combiner)."""
@@ -1007,12 +975,8 @@ class Dataset:
         )
         return Dataset._pending_shuffle(self.context, shuffle)
 
-    sortBy = sort_by
-
     def sort_by_key(self, ascending: bool = True) -> "Dataset":
         return self.sort_by(stage_mod.pair_key, ascending)
-
-    sortByKey = sort_by_key
 
     # -- joins ---------------------------------------------------------------------
 
@@ -1055,9 +1019,6 @@ class Dataset:
         return self._co_grouped(
             other, partitioner, stage_mod.zip_cogroup_partition, stage_mod.cogroup_bucket
         )
-
-    coGroup = co_group
-    cogroup = co_group
 
     def _co_grouped(
         self,
@@ -1155,8 +1116,6 @@ class Dataset:
         Only the right side is eligible for broadcasting."""
         return self._join(other, "left", partitioner, strategy)
 
-    leftOuterJoin = left_outer_join
-
     def right_outer_join(
         self,
         other: "Dataset",
@@ -1166,14 +1125,10 @@ class Dataset:
         """Right outer join; only the left side is eligible for broadcasting."""
         return self._join(other, "right", partitioner, strategy)
 
-    rightOuterJoin = right_outer_join
-
     def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":
         """Full outer join (always a shuffle join: neither side can be
         broadcast without losing unmatched build-side keys)."""
         return self._join(other, "full", partitioner, "shuffle")
-
-    fullOuterJoin = full_outer_join
 
     def broadcast_join(self, other: "Dataset") -> "Dataset":
         """Map-side inner join: ``other`` is collected and broadcast.

@@ -11,7 +11,7 @@ hand-written broadcast version).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
 
@@ -83,13 +83,11 @@ class Metrics:
     #: Record-function stages planned to run as columnar batch kernels
     #: (``map``/``flat_map``/``filter``/``map_values`` chains and
     #: vectorizable map-side combiners).  Counted at plan time, so identical
-    #: across executor modes; 0 unless the context runs with ``columnar``
-    #: truthy (``True`` or ``"auto"``).
+    #: across executor modes; 0 unless the context runs with ``columnar=True``.
     vectorized_stages: int = 0
     #: Record-function stages that stayed on the record path while columnar
     #: execution was on (unrecognized functions, combiners without a kernel,
-    #: and -- under ``columnar="auto"`` -- whole chains that were not fully
-    #: lowerable).
+    #: and whole chains that were not fully lowerable).
     columnar_fallbacks: int = 0
     #: Batch runs skipped straight to the record path because an earlier
     #: partition of the same (plan-cached) segment already fell back -- the
@@ -254,7 +252,7 @@ class Metrics:
         self.fused_stages += 1
         self.fused_operators += operators
 
-    def record_consumer(self, consumer: Any, columnar: Any) -> None:
+    def record_consumer(self, consumer: Any, columnar: bool) -> None:
         """Account for a join consumer: one fused stage of the join task,
         standing for as many record-path operators as a generated function
         says it replaced (see ``stage.operator_count``)."""
@@ -320,99 +318,20 @@ class Metrics:
 
     def reset(self) -> None:
         """Zero every counter (benchmarks call this between runs)."""
-        self.shuffles = 0
-        self.shuffled_records = 0
-        self.shuffled_bytes = 0
-        self.narrow_tasks = 0
-        self.datasets_created = 0
-        self.broadcasts = 0
-        self.records_processed = 0
-        self.fused_stages = 0
-        self.fused_operators = 0
-        self.generated_segments = 0
-        self.process_fallbacks = 0
-        self.parallel_tasks = 0
-        self.shuffle_map_tasks = 0
-        self.shuffle_reduce_tasks = 0
-        self.combiner_input_records = 0
-        self.combiner_output_records = 0
-        self.spilled_bytes = 0
-        self.spill_files = 0
-        self.peak_shuffle_memory = 0
-        self.shuffles_eliminated = 0
-        self.narrow_joins = 0
-        self.prepartitioned_inputs = 0
-        self.loop_invariant_reuses = 0
-        self.vectorized_stages = 0
-        self.columnar_fallbacks = 0
-        self.columnar_memoized_skips = 0
-        self.columnar_resident_reuses = 0
-        self.columnar_vector_bucket_tasks = 0
-        self.plan_cache_hits = 0
-        self.salted_keys = 0
-        self.adaptive_decisions = 0
-        self.cluster_fallbacks = 0
-        self.resident_partition_reuses = 0
-        self.driver_payload_bytes = 0
-        self.driver_pushed_bytes = 0
-        self.driver_fetched_bytes = 0
-        self.driver_fetches = 0
-        self.worker_payload_fetches = 0
-        self.worker_payload_bytes = 0
-        self.worker_payload_local_reads = 0
-        self.shuffle_operations = {}
-        self.join_strategies = {}
-        self.shuffle_stage_log = []
-        self.elimination_log = []
-        self.adaptive_log = []
+        for spec in fields(self):
+            default = spec.default_factory() if spec.default is MISSING else spec.default
+            setattr(self, spec.name, default)
 
     def snapshot(self) -> dict[str, int]:
-        """A plain-dict copy of the counters (handy for reporting).
+        """A plain-dict copy of the int counters plus the ``broadcast_joins``
+        / ``shuffle_joins`` counts (handy for reporting).
 
         ``process_fallbacks`` and ``parallel_tasks`` depend on the executor
         mode; every other counter is a function of the plan and the data.
         """
-        return {
-            "shuffles": self.shuffles,
-            "shuffled_records": self.shuffled_records,
-            "shuffled_bytes": self.shuffled_bytes,
-            "narrow_tasks": self.narrow_tasks,
-            "datasets_created": self.datasets_created,
-            "broadcasts": self.broadcasts,
-            "records_processed": self.records_processed,
-            "fused_stages": self.fused_stages,
-            "fused_operators": self.fused_operators,
-            "generated_segments": self.generated_segments,
-            "process_fallbacks": self.process_fallbacks,
-            "parallel_tasks": self.parallel_tasks,
-            "shuffle_map_tasks": self.shuffle_map_tasks,
-            "shuffle_reduce_tasks": self.shuffle_reduce_tasks,
-            "combiner_input_records": self.combiner_input_records,
-            "combiner_output_records": self.combiner_output_records,
-            "spilled_bytes": self.spilled_bytes,
-            "spill_files": self.spill_files,
-            "peak_shuffle_memory": self.peak_shuffle_memory,
-            "shuffles_eliminated": self.shuffles_eliminated,
-            "narrow_joins": self.narrow_joins,
-            "prepartitioned_inputs": self.prepartitioned_inputs,
-            "loop_invariant_reuses": self.loop_invariant_reuses,
-            "vectorized_stages": self.vectorized_stages,
-            "columnar_fallbacks": self.columnar_fallbacks,
-            "columnar_memoized_skips": self.columnar_memoized_skips,
-            "columnar_resident_reuses": self.columnar_resident_reuses,
-            "columnar_vector_bucket_tasks": self.columnar_vector_bucket_tasks,
-            "plan_cache_hits": self.plan_cache_hits,
-            "salted_keys": self.salted_keys,
-            "adaptive_decisions": self.adaptive_decisions,
-            "cluster_fallbacks": self.cluster_fallbacks,
-            "resident_partition_reuses": self.resident_partition_reuses,
-            "driver_payload_bytes": self.driver_payload_bytes,
-            "driver_pushed_bytes": self.driver_pushed_bytes,
-            "driver_fetched_bytes": self.driver_fetched_bytes,
-            "driver_fetches": self.driver_fetches,
-            "worker_payload_fetches": self.worker_payload_fetches,
-            "worker_payload_bytes": self.worker_payload_bytes,
-            "worker_payload_local_reads": self.worker_payload_local_reads,
-            "broadcast_joins": self.join_strategies.get("broadcast", 0),
-            "shuffle_joins": self.join_strategies.get("shuffle", 0),
+        counters = {
+            spec.name: getattr(self, spec.name) for spec in fields(self) if spec.default is not MISSING
         }
+        counters["broadcast_joins"] = self.join_strategies.get("broadcast", 0)
+        counters["shuffle_joins"] = self.join_strategies.get("shuffle", 0)
+        return counters

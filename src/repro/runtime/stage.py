@@ -186,18 +186,6 @@ def _remember_resident(records: list[Any], part: Any) -> None:
         _RESIDENT.popitem(last=False)
 
 
-def _segment(chain: tuple[NarrowStage, ...]) -> list[tuple[bool, tuple[NarrowStage, ...]]]:
-    """Split a chain into maximal runs of batchable / record-only stages."""
-    segments: list[tuple[bool, tuple[NarrowStage, ...]]] = []
-    for stage in chain:
-        batchable = stage_vectorizable(stage)
-        if segments and segments[-1][0] == batchable:
-            segments[-1] = (batchable, segments[-1][1] + (stage,))
-        else:
-            segments.append((batchable, (stage,)))
-    return segments
-
-
 def _run_batch_segment(
     segment: tuple[NarrowStage, ...], records: list[Any], index: int
 ) -> list[Any]:
@@ -236,57 +224,42 @@ def _run_batch_segment(
         return records
 
 
-def _auto_batchable(chain: tuple[NarrowStage, ...]) -> bool:
-    """Whether ``columnar="auto"`` batches this chain.
+def batch_length(chain: tuple[NarrowStage, ...]) -> int:
+    """How many leading stages of ``chain`` run as one batch under
+    ``columnar=True``; 0 when the chain stays on the record path.
 
-    Auto mode batches only *fully lowerable* chains -- every record-function
-    stage carries a kernel (whole-partition stages manage their own columnar
-    handling) and there is at least one.  A partially lowerable chain would
-    pay the records->columns conversion tax for a handful of batched stages
-    and then round-trip back; those chains stay record-at-a-time.
+    A chain batches only when it is fully lowerable: every record-function
+    stage carries a kernel, there is at least one, and they all come before
+    any whole-partition stage (a fold or a shuffle write, which then runs on
+    the records the batch produces).  Anything less would pay the
+    records->columns conversion tax for part of a chain and round-trip back.
     """
-    found = False
-    for stage in chain:
-        if stage.kind in _VECTOR_KINDS:
-            if not stage_vectorizable(stage):
-                return False
-            found = True
-    return found
+    length = 0
+    while length < len(chain) and stage_vectorizable(chain[length]):
+        length += 1
+    if any(stage.kind in _VECTOR_KINDS for stage in chain[length:]):
+        return 0
+    return length
 
 
 def compose(
-    stages: Iterable[NarrowStage], columnar: Any = False
+    stages: Iterable[NarrowStage], columnar: bool = False
 ) -> Callable[[list[Any], int], list[Any]]:
     """Fuse a stage chain into a single per-partition task.
 
-    ``columnar`` is ``False`` (record path), ``True`` (batch every
-    vectorizable run, even inside partially lowerable chains) or ``"auto"``
-    (batch only chains :func:`_auto_batchable` accepts).  Batched runs
-    execute as kernels over a
-    :class:`~repro.runtime.columnar.ColumnarPartition` with a per-partition
-    record-path fallback; everything else runs record-at-a-time.
+    With ``columnar`` the chain's :func:`batch_length` leading kernel stages
+    run over a :class:`~repro.runtime.columnar.ColumnarPartition` with a
+    per-partition record-path fallback; everything else runs
+    record-at-a-time.
     """
     chain = tuple(stages)
-    if columnar == "auto":
-        batch = _auto_batchable(chain)
-    else:
-        batch = bool(columnar) and any(stage_vectorizable(stage) for stage in chain)
-    if batch:
-        segments = _segment(chain)
-
-        def fused_columnar(records: list[Any], index: int) -> list[Any]:
-            for batchable, segment in segments:
-                if batchable:
-                    records = _run_batch_segment(segment, records, index)
-                else:
-                    for stage in segment:
-                        records = apply_stage(stage, records, index)
-            return records
-
-        return fused_columnar
+    split = batch_length(chain) if columnar else 0
+    batch, rest = chain[:split], chain[split:]
 
     def fused(records: list[Any], index: int) -> list[Any]:
-        for stage in chain:
+        if batch:
+            records = _run_batch_segment(batch, records, index)
+        for stage in rest:
             records = apply_stage(stage, records, index)
         return records
 
@@ -325,7 +298,7 @@ class FusedTaskError(Exception):
 def run_fused_chunk(
     stages: tuple[NarrowStage, ...],
     chunk: list[tuple[int, list[Any]]],
-    columnar: Any = False,
+    columnar: bool = False,
 ) -> list[tuple[int, list[Any]]]:
     """Process-pool worker: run the fused chain over a chunk of indexed partitions."""
     task = compose(stages, columnar)
@@ -499,14 +472,14 @@ def fold_partition(fold: Callable[[list[Any]], Any], records: list[Any]) -> list
 
 
 def apply_combiner(
-    combiner: tuple[Any, ...], records: list[Any], columnar: Any = False
+    combiner: tuple[Any, ...], records: list[Any], columnar: bool = False
 ) -> list[Any]:
     """Run a map-side combiner spec over one partition's key-value records.
 
     ``("folded", fn)`` marks records a generated fold exit already combined
     with ``fn`` (:class:`FoldedRecords`): they pass through untouched.
 
-    With ``columnar`` truthy (``True`` or ``"auto"``) and a combiner
+    With ``columnar`` and a combiner
     :func:`~repro.runtime.columnar.combiner_vectorizable` accepts (a
     :class:`~repro.runtime.columnar.VectorizedCombine` fold or the adaptive
     ``("group",)`` collect), the grouped fold runs through
@@ -618,7 +591,7 @@ def _writer_output(
 
 
 def _vector_buckets(
-    partitioner: Any, key_of: Callable[[Any], Any], records: list[Any], columnar: Any
+    partitioner: Any, key_of: Callable[[Any], Any], records: list[Any], columnar: bool
 ) -> list[int] | None:
     """Vectorized map-side bucket assignment for scalar int keys, or None.
 
@@ -660,7 +633,7 @@ def shuffle_write(
     sort_spec: tuple[Callable[[Any], Any], bool] | None,
     records: list[Any],
     index: int,
-    columnar: Any = False,
+    columnar: bool = False,
     hot_keys: frozenset = frozenset(),
 ) -> list[Any]:
     """Map-side shuffle writer: combine (optionally), bucket by key, spill
@@ -711,7 +684,7 @@ def salted_shuffle_write(
     hot_keys: frozenset,
     records: list[Any],
     index: int,
-    columnar: Any = False,
+    columnar: bool = False,
 ) -> list[Any]:
     """:func:`shuffle_write` with hot-key salting (adaptive skew handling).
 
@@ -1083,19 +1056,17 @@ def _stage_combiner(function: functools.partial) -> tuple[Any, ...] | None:
     return None if combiner is None or combiner[0] == "folded" else combiner
 
 
-def vectorization_counts(
-    stages: Iterable[NarrowStage], columnar: Any = True
-) -> tuple[int, int]:
+def vectorization_counts(stages: Iterable[NarrowStage]) -> tuple[int, int]:
     """Plan-time vectorization accounting for one stage chain.
 
     Returns ``(vectorized, fallbacks)``: record-function stages that will run
     as batch kernels vs. those that stay on the record path while columnar
-    execution is on.  Counted from the *plan* -- like ``shuffles_eliminated``
-    -- so the numbers are identical across executor modes (a worker-side
-    per-partition fallback cannot be observed from the driver under the
-    process executor).  Under ``columnar="auto"`` a chain that is not fully
-    lowerable counts every record-function stage as a fallback, matching
-    what :func:`compose` will execute.  Whole-partition stages are only
+    execution is on -- a stage outside the chain's :func:`batch_length`
+    prefix is a fallback even when it has a kernel, matching what
+    :func:`compose` will execute.  Counted from the *plan* -- like
+    ``shuffles_eliminated`` -- so the numbers are identical across executor
+    modes (a worker-side per-partition fallback cannot be observed from the
+    driver under the process executor).  Whole-partition stages are only
     counted when they are ``apply_combiner`` / ``shuffle_write`` closures
     carrying a combiner (the shapes with a grouped-fold/collect kernel) and
     when they are generated row-segment stages, which stand for that many
@@ -1103,15 +1074,12 @@ def vectorization_counts(
     per-record work and are skipped.
     """
     chain = tuple(stages)
-    auto_off = columnar == "auto" and not _auto_batchable(chain)
-    vectorized = fallbacks = 0
-    for stage in chain:
+    vectorized = batch_length(chain)
+    fallbacks = 0
+    for stage in chain[vectorized:]:
         function = stage.function
         if stage.kind in _VECTOR_KINDS:
-            if stage_vectorizable(stage) and not auto_off:
-                vectorized += 1
-            else:
-                fallbacks += 1
+            fallbacks += 1
         elif hasattr(function, "operators"):
             fallbacks += function.operators
         elif isinstance(function, functools.partial):
@@ -1125,42 +1093,40 @@ def vectorization_counts(
     return vectorized, fallbacks
 
 
-def vectorization_report(
-    stages: Iterable[NarrowStage], columnar: Any = True
-) -> list[tuple[str, str | None, str]]:
+def vectorization_report(stages: Iterable[NarrowStage]) -> list[tuple[str, str | None, str]]:
     """Per-stage vectorization outcomes for explain output.
 
     One ``(kind, kernel, note)`` entry per counted stage (same selection as
     :func:`vectorization_counts`): ``kernel`` is the batch-kernel name when
     the stage will run batched (note ``"batch"``), else ``None`` with the
-    fallback reason -- ``"no batch kernel"``, ``"auto: chain not fully
+    fallback reason -- ``"no batch kernel"``, ``"chain not fully
     lowerable"``, or ``"memoized record-path fallback"`` once a runtime
-    fallback has been memoized for the stage's segment.
+    fallback has been memoized for the chain's batch.
     """
     chain = tuple(stages)
-    auto_off = columnar == "auto" and not _auto_batchable(chain)
+    batch = chain[: batch_length(chain)]
+    memoized = bool(batch) and _memoized_fallback(batch)
     entries: list[tuple[str, str | None, str]] = []
-    for batchable, segment in _segment(chain):
-        memoized = batchable and _memoized_fallback(segment)
-        for stage in segment:
-            function = stage.function
-            if stage.kind in _VECTOR_KINDS:
-                if not batchable:
-                    entries.append((stage.kind, None, "no batch kernel"))
-                elif auto_off:
-                    entries.append((stage.kind, None, "auto: chain not fully lowerable"))
-                elif memoized:
-                    entries.append((stage.kind, None, "memoized record-path fallback"))
-                else:
-                    entries.append((stage.kind, type(function).__name__, "batch"))
-            elif isinstance(function, functools.partial):
-                combiner = _stage_combiner(function)
-                if combiner is None:
-                    continue
-                enabled = bool(function.keywords.get("columnar"))
-                if enabled and columnar_mod.combiner_vectorizable(combiner):
-                    kernel = "grouped-collect" if combiner[0] == "group" else "grouped-fold"
-                    entries.append(("combine", kernel, "batch"))
-                else:
-                    entries.append(("combine", None, "no combiner kernel"))
+    for stage in batch:
+        if memoized:
+            entries.append((stage.kind, None, "memoized record-path fallback"))
+        else:
+            entries.append((stage.kind, type(stage.function).__name__, "batch"))
+    for stage in chain[len(batch) :]:
+        function = stage.function
+        if stage.kind in _VECTOR_KINDS:
+            if stage_vectorizable(stage):
+                entries.append((stage.kind, None, "chain not fully lowerable"))
+            else:
+                entries.append((stage.kind, None, "no batch kernel"))
+        elif isinstance(function, functools.partial):
+            combiner = _stage_combiner(function)
+            if combiner is None:
+                continue
+            enabled = bool(function.keywords.get("columnar"))
+            if enabled and columnar_mod.combiner_vectorizable(combiner):
+                kernel = "grouped-collect" if combiner[0] == "group" else "grouped-fold"
+                entries.append(("combine", kernel, "batch"))
+            else:
+                entries.append(("combine", None, "no combiner kernel"))
     return entries

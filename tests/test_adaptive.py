@@ -85,7 +85,7 @@ class TestSamplerSeesThePreFoldKeyStream:
     loop, so its output shows every key once per task.  The adaptive sampler
     must keep deciding from the key stream as it was *before* the fold."""
 
-    @pytest.mark.parametrize("columnar", [False, "auto"])
+    @pytest.mark.parametrize("columnar", [False, True])
     def test_translated_skewed_group_by_still_salts_its_hot_key(self, columnar):
         from repro.evaluation.harness import diablo_for, translated_outputs
         from repro.programs import get_program

@@ -1,7 +1,7 @@
 """The cluster-mode differential oracle: every Figure 3 workload, bit-identical.
 
 Each configuration (spill threshold 1 and default, adaptive on and off, plus
-a ``columnar="auto"`` leg at the harshest spill setting) gets one shared
+a ``columnar=True`` leg at the harshest spill setting) gets one shared
 multi-worker :class:`ClusterContext`; every Figure 3 program runs under it
 and must produce
 
@@ -78,15 +78,15 @@ SUITE_SIZES = {
 }
 
 #: (spill_threshold_bytes, adaptive, columnar) -- the full differential grid.
-#: The four record-path legs cover spill x adaptive; the fifth runs the
-#: default columnar="auto" mode under the harshest spill setting, proving the
-#: batch kernels ship to workers and stay bit-identical there too.
+#: The four record-path legs cover spill x adaptive; the fifth runs
+#: columnar=True under the harshest spill setting, proving the batch kernels
+#: ship to workers and stay bit-identical there too.
 CONFIGS = [
     (None, True, False),
     (None, False, False),
     (1, True, False),
     (1, False, False),
-    (1, True, "auto"),
+    (1, True, True),
 ]
 
 
@@ -111,7 +111,7 @@ def interpreter_outputs(name: str) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def sequential_outputs(
-    name: str, spill: int | None, adaptive: bool, columnar: bool | str = False
+    name: str, spill: int | None, adaptive: bool, columnar: bool = False
 ) -> dict:
     """The translated plan under the sequential executor (bitwise reference)."""
     spec = get_program(name)

@@ -1024,7 +1024,9 @@ class TestObservability:
             assert f"HashJoin[N on (i$47)]: consumer fused into the join task: {label}" in evaluator.trace
 
     def test_a_scalar_aggregate_folds_inside_the_generated_loop(self):
-        with DistributedContext(num_partitions=4) as ctx:
+        # Pinned to the record path: under DIABLO_COLUMNAR=1 this fully
+        # lowerable chain would batch instead of folding in a generated loop.
+        with DistributedContext(num_partitions=4, columnar=False) as ctx:
             diablo = Diablo(ctx)
             result = diablo.compile("var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;").run(
                 V=[1.0, 2.0, 5.0, 0.5]
@@ -1034,9 +1036,20 @@ class TestObservability:
 
     def test_a_chain_columnar_batches_keeps_its_kernel_stages(self):
         source = "var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;"
-        for columnar, expect_generated in ((False, True), ("auto", False)):
+        for columnar, expect_generated in ((False, True), (True, False)):
             with DistributedContext(num_partitions=2, columnar=columnar) as ctx:
                 result = Diablo(ctx).run(source, V=[1.0, 2.0, 5.0])
                 assert result["s"] == 6.0
                 assert (ctx.metrics.generated_segments > 0) == expect_generated
                 assert (ctx.metrics.vectorized_stages > 0) == (not expect_generated)
+
+    def test_a_partly_lowerable_run_is_one_generated_stage_under_columnar(self):
+        # sqrt has no batch kernel: the lowerable bind / filter beside it do
+        # not split the run into kernel stages, the whole run is generated.
+        source = "var s: double = 0.0; for v in V do if (v < 4.5) s += sqrt(v);"
+        with DistributedContext(num_partitions=2, columnar=True) as ctx:
+            result = Diablo(ctx).run(source, V=[1.0, 4.0, 5.0])
+            assert result["s"] == 3.0
+            assert ctx.metrics.generated_segments == 1
+            assert ctx.metrics.vectorized_stages == 0
+            assert ctx.metrics.columnar_fallbacks == 5

@@ -1,11 +1,11 @@
 """Differential oracle suite for columnar vectorized execution.
 
 The record-at-a-time path is the correctness oracle: with ``columnar=True``
-*and* with the default ``columnar="auto"`` every Figure 3 workload must
-produce **bit-identical** outputs under every executor mode (including the
-harshest spill setting), because batch kernels either reproduce the record
-semantics exactly or fall back per partition -- and auto mode only batches
-chains that lower completely.
+every Figure 3 workload must produce **bit-identical** outputs under every
+executor mode (in memory and at the harshest spill setting), because batch
+kernels either reproduce the record semantics exactly or fall back per
+partition -- and only chains that lower completely are batched.  The record
+path is the default: without ``columnar=True`` no stage is batched at all.
 
 Kernel-level tests pin down the exactness guards one by one: Python-int
 overflow, bool arithmetic, NaN/negative-zero folds, mixed-type comparisons,
@@ -41,37 +41,33 @@ from repro.api import config as config_mod
 from repro.comprehension import ir
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.functions import FunctionRegistry
-from repro.programs import get_program, table2_program_names
+from repro.programs import PROGRAMS, get_program, table2_program_names
 from repro.runtime import columnar
 from repro.runtime import stage as stage_mod
 from repro.runtime.context import EXECUTOR_MODES, DistributedContext
 from repro.runtime.partitioner import HashPartitioner
+from repro.workloads.generators import workload_for_program
 
-#: Both truthy columnar modes must match the record path bit for bit.
-COLUMNAR_MODES = (True, "auto")
+#: The spill settings of the sweep: in memory, and 1 byte (every bucket spills).
+SPILL_SETTINGS = (None, 1)
 
 
-def run_columnar(
-    name: str,
-    mode: str,
-    spill_threshold_bytes: int | None = None,
-    columnar_mode: bool | str = True,
-) -> tuple:
-    """One Figure 3 workload under truthy columnar; outputs + metric pair."""
+def run_columnar(name: str, mode: str, spill_threshold_bytes: int | None = None) -> tuple:
+    """One Figure 3 workload under ``columnar=True``; outputs + metric pair."""
     spec = get_program(name)
     with DistributedContext(
         num_partitions=4,
         executor=mode,
         spill_threshold_bytes=spill_threshold_bytes,
-        columnar=columnar_mode,
+        columnar=True,
     ) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
         outputs = translated_outputs(name, result)
         metrics = context.metrics
-        if columnar_mode == "auto" and name in GENERATED_PROGRAMS:
-            # Auto batches only fully lowerable chains; these programs have
-            # chains it does not batch, which must run as generated segments.
+        if name in GENERATED_PROGRAMS:
+            # Only fully lowerable chains batch; these programs have chains
+            # that are not, which must run as generated segments.
             assert metrics.generated_segments > 0, f"{name}/{mode}: nothing generated"
             assert_folding_consumer(name, result.trace)
         return outputs, (metrics.vectorized_stages, metrics.columnar_fallbacks)
@@ -88,39 +84,29 @@ def record_path_outputs(name: str) -> dict:
         return translated_outputs(name, result)
 
 
-@pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
+@pytest.mark.parametrize("spill", SPILL_SETTINGS, ids=["in-memory", "spill1"])
 @pytest.mark.parametrize("mode", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", table2_program_names())
-def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, columnar_mode):
-    """columnar=True/auto == columnar=False == interpreter, per program and mode.
-
-    The ``"auto"`` leg additionally runs at spill threshold 1 byte (the
-    acceptance matrix: every workload x every executor x the harshest spill
-    setting must be bit-identical to the record path under the default mode).
-    """
-    spill = 1 if columnar_mode == "auto" else None
-    outputs, _counters = run_columnar(
-        name, mode, spill_threshold_bytes=spill, columnar_mode=columnar_mode
-    )
+def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, spill):
+    """columnar=True == columnar=False == interpreter, per program, executor
+    and spill setting."""
+    outputs, _counters = run_columnar(name, mode, spill_threshold_bytes=spill)
     assert outputs == record_path_outputs(name), (
-        f"{name} under {mode!r}/columnar={columnar_mode!r}: "
-        "columnar results differ from the record path"
+        f"{name} under {mode!r}/spill={spill!r}: columnar results differ from the record path"
     )
     assert_same_outputs(get_program(name), _Outputs(outputs), interpreter_outputs(name))
 
 
-@pytest.mark.parametrize("columnar_mode", COLUMNAR_MODES, ids=["on", "auto"])
 @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
-def test_figure3_wide_workloads_spilled_columnar_match_record_path(name, columnar_mode):
-    outputs, _counters = run_columnar(
-        name, "sequential", spill_threshold_bytes=TINY_SPILL, columnar_mode=columnar_mode
-    )
+def test_figure3_wide_workloads_spilled_columnar_match_record_path(name):
+    outputs, _counters = run_columnar(name, "sequential", spill_threshold_bytes=TINY_SPILL)
     assert outputs == record_path_outputs(name)
 
 
 def test_numeric_workloads_actually_vectorize():
-    """The batch path must engage (not silently fall back everywhere)."""
-    for name in ("conditional_sum", "histogram", "group_by"):
+    """The batch path must engage (not silently fall back everywhere) on the
+    programs whose whole narrow chain lowers to kernels."""
+    for name in ("conditional_sum", "word_count"):
         _outputs, (vectorized, _fallbacks) = run_columnar(name, "sequential")
         assert vectorized > 0, f"{name}: no stage took the batch path"
 
@@ -556,7 +542,7 @@ class TestScalarCalls:
 
 
 # ---------------------------------------------------------------------------
-# columnar="auto": batch only fully lowerable chains
+# columnar=True batches only fully lowerable chains
 # ---------------------------------------------------------------------------
 
 
@@ -572,61 +558,79 @@ def _record_map_stage():
     return stage_mod.NarrowStage(stage_mod.MAP, lambda p: (p[0], p[1] + 1))
 
 
-class TestAutoMode:
+def _partition_stage():
+    return stage_mod.NarrowStage(stage_mod.PARTITIONS, lambda records: records[::-1])
+
+
+class TestBatchSelection:
     def test_fully_lowerable_chain_batches(self):
-        assert stage_mod._auto_batchable((_vector_filter_stage(),))
+        assert stage_mod.batch_length((_vector_filter_stage(),)) == 1
 
     def test_partially_lowerable_chain_stays_on_records(self):
         chain = (_vector_filter_stage(), _record_map_stage())
-        assert not stage_mod._auto_batchable(chain)
-        # compose(auto) over a mixed chain is the plain record-path closure.
+        assert stage_mod.batch_length(chain) == 0
         records = [(i, i) for i in range(6)]
-        auto = stage_mod.compose(list(chain), columnar="auto")(list(records), 0)
+        batch = stage_mod.compose(list(chain), columnar=True)(list(records), 0)
         record = stage_mod.compose(list(chain), columnar=False)(list(records), 0)
-        assert auto == record
+        assert batch == record
 
     def test_pure_record_chain_never_batches(self):
-        assert not stage_mod._auto_batchable((_record_map_stage(),))
+        assert stage_mod.batch_length((_record_map_stage(),)) == 0
 
-    def test_auto_counts_unlowerable_chains_entirely_as_fallbacks(self):
+    def test_trailing_whole_partition_stages_take_the_batch_output(self):
+        chain = (_vector_filter_stage(), _partition_stage())
+        assert stage_mod.batch_length(chain) == 1
+        records = [(i, i) for i in range(6)]
+        assert _run_both(chain, records) == [(i, i) for i in range(5, 2, -1)]
+        # A kernel after a whole-partition stage leaves the chain unbatched.
+        assert stage_mod.batch_length((_partition_stage(), _vector_filter_stage())) == 0
+
+    def test_unlowerable_chains_count_entirely_as_fallbacks(self):
         chain = (_vector_filter_stage(), _record_map_stage())
-        assert stage_mod.vectorization_counts(chain, True) == (1, 1)
-        assert stage_mod.vectorization_counts(chain, "auto") == (0, 2)
+        assert stage_mod.vectorization_counts(chain) == (0, 2)
+        assert stage_mod.vectorization_counts(chain[:1]) == (1, 0)
 
     def test_report_names_kernels_and_reasons(self):
-        chain = (_vector_filter_stage(), _record_map_stage())
-        assert stage_mod.vectorization_report(chain, True) == [
+        assert stage_mod.vectorization_report((_vector_filter_stage(),)) == [
             ("filter", "VectorizedFilter", "batch"),
-            ("map", None, "no batch kernel"),
         ]
-        # Under auto the lowerable filter is disabled by the mixed chain; the
-        # map's reason stays the more precise "no batch kernel".
-        assert stage_mod.vectorization_report(chain, "auto") == [
-            ("filter", None, "auto: chain not fully lowerable"),
+        # The mixed chain disables the lowerable filter; the map's reason
+        # stays the more precise "no batch kernel".
+        chain = (_vector_filter_stage(), _record_map_stage())
+        assert stage_mod.vectorization_report(chain) == [
+            ("filter", None, "chain not fully lowerable"),
             ("map", None, "no batch kernel"),
         ]
 
-    def test_config_accepts_auto_and_rejects_others(self):
-        with config_mod.options(columnar="auto") as cfg:
-            assert cfg.columnar == "auto"
-            ctx = cfg.make_context()
-            try:
-                assert ctx.columnar == "auto"
-            finally:
-                ctx.close()
-        with pytest.raises(ValueError):
-            config_mod.DiabloConfig(columnar="sometimes")
+    def test_a_kernel_chain_batches_before_its_shuffle_write(self):
+        def run(columnar_mode):
+            with DistributedContext(num_partitions=3, columnar=columnar_mode) as ctx:
+                pairs = ctx.parallelize([(i % 5, i) for i in range(40)])
+                out = pairs.filter(_vector_filter_stage().function).reduce_by_key(_sum_combine)
+                return sorted(out.collect()), ctx.metrics.vectorized_stages
 
-    def test_env_fallback_parses_all_spellings(self, monkeypatch):
+        batched, vectorized = run(True)
+        assert (batched, 0) == run(False)
+        assert vectorized == 1, "the filter batches; the write runs on its output"
+
+    def test_config_and_context_accept_only_booleans(self):
+        for value in ("sometimes", 1, None):
+            with pytest.raises(ValueError, match="True or False"):
+                config_mod.DiabloConfig(columnar=value)
+        for value in ("sometimes", 1):
+            with pytest.raises(ValueError, match="True or False"):
+                DistributedContext(num_partitions=2, columnar=value)
+
+    def test_env_fallback_parses_boolean_spellings(self, monkeypatch):
         for raw, expected in (
-            ("auto", "auto"), ("1", True), ("true", True), ("on", True),
-            ("0", False), ("off", False), ("", False),
+            ("1", True), ("true", True), ("on", True), ("yes", True),
+            ("0", False), ("off", False), ("no", False), ("", False),
         ):
             monkeypatch.setenv("DIABLO_COLUMNAR", raw)
             with DistributedContext(num_partitions=2) as ctx:
-                assert ctx.columnar == expected, raw
+                assert ctx.columnar is expected, raw
         monkeypatch.setenv("DIABLO_COLUMNAR", "sometimes")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="True/False"):
             DistributedContext(num_partitions=2)
 
 
@@ -728,7 +732,7 @@ class TestBatchRuntime:
         if columnar.np is None:
             pytest.skip("vectorized bucketing requires numpy")
         spec = get_program("pagerank")
-        with DistributedContext(num_partitions=4, columnar="auto") as ctx:
+        with DistributedContext(num_partitions=4, columnar=True) as ctx:
             diablo_for(spec, ctx).compile(spec.source).run(**workload("pagerank"))
             assert ctx.metrics.columnar_vector_bucket_tasks > 0
             snapshot = ctx.metrics.snapshot()
@@ -776,7 +780,7 @@ class TestPlumbing:
                 assert ctx.columnar is True
             finally:
                 ctx.close()
-        assert config_mod.current_config().columnar == "auto", "auto is the default"
+        assert config_mod.current_config().columnar is False, "the record path is the default"
 
     def test_counters_surface_in_snapshot_and_explain(self):
         _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum", "sequential")
@@ -791,7 +795,7 @@ class TestPlumbing:
             assert f"vectorized stages: {vectorized}" in rendered
 
     def test_dataset_explain_shows_per_chain_vectorization_notes(self):
-        with DistributedContext(num_partitions=2, columnar="auto") as ctx:
+        with DistributedContext(num_partitions=2, columnar=True) as ctx:
             data = ctx.parallelize([(i, i * 3) for i in range(20)]).filter(
                 columnar.VectorizedFilter(
                     columnar.BinOp("<", columnar.Col((1,)), columnar.Lit(100)),
@@ -804,8 +808,8 @@ class TestPlumbing:
             assert "vectorized: filter: VectorizedFilter" in data.explain(), "materialized"
 
     def test_dataset_explain_names_the_fallback_reason(self):
-        with DistributedContext(num_partitions=2, columnar="auto") as ctx:
-            # A plain closure next to a vectorized stage: auto keeps the whole
+        with DistributedContext(num_partitions=2, columnar=True) as ctx:
+            # A plain closure next to a vectorized stage keeps the whole
             # chain on records and the note says why.
             data = (
                 ctx.parallelize([(i, i * 3) for i in range(20)])
@@ -820,7 +824,7 @@ class TestPlumbing:
             )
             data.collect()
             rendered = data.explain()
-            assert "record path (auto: chain not fully lowerable)" in rendered
+            assert "record path (chain not fully lowerable)" in rendered
             assert "record path (no batch kernel)" in rendered
 
     def test_columnar_off_keeps_counters_at_zero(self):
@@ -828,3 +832,68 @@ class TestPlumbing:
             ctx.parallelize([(i % 3, i) for i in range(30)]).reduce_by_key(_sum_combine).collect()
             assert ctx.metrics.vectorized_stages == 0
             assert ctx.metrics.columnar_fallbacks == 0
+
+
+# ---------------------------------------------------------------------------
+# The default engine: the record path, everywhere
+# ---------------------------------------------------------------------------
+
+#: Small inputs for all 18 programs: the Figure 3 sweep's sizes plus the rest.
+ALL_PROGRAM_SIZES = {
+    **SIZES,
+    "average": 300,
+    "count": 300,
+    "sum": 300,
+    "conditional_count": 300,
+    "equal_frequency": 300,
+    "pca": 40,
+}
+
+
+class TestDefaultEngine:
+    """Without ``columnar=True`` no stage is batched and no partition is
+    converted to columns, whichever way the context is made."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        monkeypatch.delenv("DIABLO_COLUMNAR", raising=False)
+        calls = []
+        original = columnar.ColumnarPartition.from_records.__func__
+
+        def counted(cls, records):
+            calls.append(len(records))
+            return original(cls, records)
+
+        monkeypatch.setattr(columnar.ColumnarPartition, "from_records", classmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize(
+        "make_context",
+        [lambda: config_mod.DiabloConfig().make_context(), DistributedContext],
+        ids=["config", "raw-context"],
+    )
+    def test_every_program_runs_on_the_record_path_by_default(self, make_context, conversions):
+        with make_context() as ctx:
+            assert ctx.columnar is False
+            for name in PROGRAMS:
+                spec = get_program(name)
+                inputs = workload_for_program(name, ALL_PROGRAM_SIZES[name])
+                result = diablo_for(spec, ctx).compile(spec.source).run(**inputs)
+                assert translated_outputs(name, result), name
+            assert ctx.metrics.vectorized_stages == ctx.metrics.columnar_fallbacks == 0
+        assert conversions == [], "a default run converted records to columns"
+
+    def test_the_env_flag_sets_only_a_raw_contexts_default(self, monkeypatch):
+        monkeypatch.setenv("DIABLO_COLUMNAR", "1")
+        with DistributedContext() as raw, config_mod.DiabloConfig().make_context() as configured:
+            assert raw.columnar is True
+            assert configured.columnar is False, "DiabloConfig's default is explicit"
+
+    def test_auto_is_rejected_by_the_config_the_context_and_the_env(self, monkeypatch):
+        with pytest.raises(ValueError, match="True or False"):
+            config_mod.DiabloConfig(columnar="auto")
+        with pytest.raises(ValueError, match="True or False"):
+            DistributedContext(columnar="auto")
+        monkeypatch.setenv("DIABLO_COLUMNAR", "auto")
+        with pytest.raises(ValueError, match="True/False"):
+            DistributedContext()

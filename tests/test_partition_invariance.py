@@ -42,7 +42,7 @@ def run_at(
     name: str,
     num_partitions: int,
     spill_threshold_bytes: int | None = None,
-    columnar: bool | str = False,
+    columnar: bool = False,
 ) -> tuple[dict, DistributedContext]:
     """One Figure 3 workload at ``num_partitions``; outputs and the context."""
     spec = get_program(name)

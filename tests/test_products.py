@@ -141,10 +141,10 @@ def test_every_product_strategy_matches_the_interpreter(program, strategy, monke
 def test_every_product_strategy_is_identical_under_columnar(strategy, monkeypatch):
     """Each lowering gives the record path's bits, kernels on or off."""
     outputs = []
-    for columnar in (False, "auto", True):
+    for columnar in (False, True):
         result, _, _, _ = run_case("kmeans", strategy, monkeypatch, columnar=columnar)
         outputs.append(repr(sorted(result.array("C").items())))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def recorded_stage_functions(monkeypatch) -> list:
     return functions
 
 
-@pytest.mark.parametrize("columnar", [False, "auto"])
+@pytest.mark.parametrize("columnar", [False, True])
 @pytest.mark.parametrize("threshold", [0, 100_000])
 @pytest.mark.parametrize("name", sorted(GUARD_SIZES))
 def test_every_narrow_stage_is_a_generated_segment_or_a_kernel(name, threshold, columnar, monkeypatch):

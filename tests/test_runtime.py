@@ -1,9 +1,13 @@
 """Tests for the local DISC runtime (datasets, context, partitioners, metrics)."""
 
+import dataclasses
+from dataclasses import MISSING
+
 import pytest
 
 from repro.errors import ExecutionError
 from repro.runtime.context import DistributedContext
+from repro.runtime.metrics import Metrics
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
 
 
@@ -406,6 +410,24 @@ class TestMetrics:
         assert snapshot["narrow_tasks"] > 0
         ctx.metrics.reset()
         assert ctx.metrics.snapshot()["narrow_tasks"] == 0
+
+    def test_reset_zeroes_every_counter_the_snapshot_reports(self):
+        metrics = Metrics()
+        counters = [spec.name for spec in dataclasses.fields(metrics) if spec.default is not MISSING]
+        for value, name in enumerate(counters, start=1):
+            setattr(metrics, name, value)
+        metrics.join_strategies = {"broadcast": 2, "shuffle": 3}
+        metrics.shuffle_operations = {"groupByKey": 1}
+        metrics.shuffle_stage_log.append({})
+        metrics.elimination_log.append({})
+        metrics.adaptive_log.append({})
+        snapshot = metrics.snapshot()
+        assert list(snapshot) == [*counters, "broadcast_joins", "shuffle_joins"]
+        assert [snapshot[name] for name in counters] == list(range(1, len(counters) + 1))
+        assert (snapshot["broadcast_joins"], snapshot["shuffle_joins"]) == (2, 3)
+        metrics.reset()
+        assert metrics == Metrics()
+        assert set(metrics.snapshot().values()) == {0}
 
     def test_shuffle_operations_are_named(self, ctx):
         ctx.parallelize([("a", 1)]).group_by_key().materialize()
