@@ -174,6 +174,8 @@ class _Emitter:
         self.depth = 0
         self.consts: list[Any] = []
         self.row: dict[str, str] = {}  # row variable -> local, in row-key order
+        self.depths: dict[str, int] = {}  # row variable -> loop depth its local was bound at
+        self.raw = "rec"  # the expression for the raw input record
         self.scalars: dict[str, str] = {}
         self.functions: dict[str, str] = {}
         self.assigned: list[str] = []  # row variables bound past the entry dict
@@ -209,10 +211,14 @@ class _Emitter:
             self.depth += 1
 
     def target(self, name: str) -> str:
-        """The local a (re)binding of row variable ``name`` assigns."""
+        """The local a (re)binding of row variable ``name`` assigns.
+
+        A rebinding inside a loop opened after the binding gets a fresh
+        local: the loop's later passes still read the outer value."""
         local = self.row.get(name)
-        if local is None:
+        if local is None or self.depths.get(name, 0) < self.depth:
             local = self.row[name] = self.fresh("r", name)
+            self.depths[name] = self.depth
         if name not in self.assigned:
             self.assigned.append(name)
         if name == self.reduced:
@@ -364,8 +370,10 @@ class _Emitter:
                 self.open("for _, lefts, rights in records:", "for left in lefts:")
             elif rows[0] is None:
                 self.open("for left, element in records:")
+                self.raw = "(left, element)"
             else:
                 self.open("for element in records:", f"for left in {self.variable(rows[0])}:")
+                self.raw = "element"
             self.load(left_names, "left")
             if kind == "cogroup":
                 self.open("for element in rights:")
@@ -405,7 +413,7 @@ class _Emitter:
         if payload == "row":
             return self.row_dict(extends)
         if payload == "element":
-            return "rec"
+            return self.raw
         return self.row.get(payload[1], "None")
 
     def leave(self, extends: str | None) -> tuple[list[str], list[str], str]:

@@ -58,7 +58,7 @@ from repro.algebra.plan import (
     ScanNode,
 )
 from repro.algebra import vectorize
-from repro.algebra.planner import LoopInvariantCache, Planner, PlanSkeletonCache, folding_twin
+from repro.algebra.planner import LoopInvariantCache, Planner, folding_twin
 from repro.comprehension import ir
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import CompilationError, ExecutionError
@@ -66,6 +66,7 @@ from repro.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
+from repro.translate import facts
 
 
 @dataclass
@@ -111,10 +112,10 @@ class _CompBuild:
     #: inner loops of an empty outer loop).
     dead: bool = False
     #: Whether the finished plan tree may enter the per-loop
-    #: :class:`~repro.algebra.planner.PlanSkeletonCache`.  Cleared whenever a
-    #: build-time snapshot (a local bag held by an expand node, a
-    #: driver-evaluated condition, a derived scan dataset) captured a value
-    #: that could change across iterations; everything else in the tree's
+    #: :class:`~repro.algebra.planner.LoopInvariantCache` as a skeleton.
+    #: Cleared whenever a build-time snapshot (a local bag held by an expand
+    #: node, a driver-evaluated condition, a derived scan dataset) captured a
+    #: value that could change across iterations; everything else in the tree's
     #: closures resolves late through ``env.values`` or is rebound on reuse.
     skeleton_safe: bool = True
     #: Scan leaves over mutable bare program variables, with the variable
@@ -136,7 +137,6 @@ class TermEvaluator:
         environment: EvaluationEnvironment,
         trace: list[str] | None = None,
         loop_cache: LoopInvariantCache | None = None,
-        skeleton_cache: PlanSkeletonCache | None = None,
         segments: dict[Any, Any] | None = None,
     ):
         self.env = environment
@@ -151,10 +151,13 @@ class TermEvaluator:
         #: Per-statement CSE memo: comprehension sub-term -> lowered Dataset.
         self._term_dataset_cache: dict[Any, Dataset] = {}
         #: While-loop cache shared across iterations (None outside loops).
+        #: It holds loop-invariant datasets when the context's
+        #: ``plan_optimize`` knob is on and plan skeletons when its
+        #: ``plan_cache`` knob is.
         self.loop_cache = loop_cache
-        #: While-loop plan-skeleton cache (None outside loops or when the
-        #: context's ``plan_cache`` knob is off).
-        self.skeleton_cache = skeleton_cache
+        hoist = loop_cache is not None and environment.context.plan_optimize
+        self._invariants = loop_cache.invariants if hoist else None
+        self._skeletons = loop_cache is not None and environment.context.plan_cache
         #: The last logical plan lowered by :meth:`evaluate_comprehension`.
         self.last_plan: PlanNode | None = None
         #: Human-readable log of plan decisions (joins, group-bys, merges).
@@ -200,13 +203,20 @@ class TermEvaluator:
 
     def as_dataset(self, value: Any) -> Dataset:
         """Coerce a driver value to a Dataset."""
+        dataset = self._collection(value)
+        if dataset is None:
+            raise ExecutionError(f"expected a collection, got {value!r}")
+        return dataset
+
+    def _collection(self, value: Any) -> Dataset | None:
+        """``value`` as a Dataset when it is a collection, else None."""
         if isinstance(value, Dataset):
             return value
         if isinstance(value, dict):
             return self.env.context.parallelize_pairs(value)
         if isinstance(value, (list, tuple, set)):
             return self.env.context.parallelize(list(value))
-        raise ExecutionError(f"expected a collection, got {value!r}")
+        return None
 
     def _merge_operand(self, term: ir.Term) -> Dataset:
         """Evaluate one side of an array merge (⊳ / ⊳⊕).
@@ -217,14 +227,9 @@ class TermEvaluator:
         as a fully narrow zip stage.  Merge operands are always key-value
         arrays, so partitioning by the pair key is well-defined.
         """
-        cache = self.loop_cache
-        if (
-            cache is not None
-            and self.env.context.plan_optimize
-            and self._term_is_invariant(term)
-        ):
+        if self._term_is_invariant(term):
             key = ("merge-side", term)
-            hit = cache.get(key)
+            hit = self.loop_cache.get(key)
             if hit is not None:
                 self.env.context.metrics.record_loop_invariant_reuse()
                 self.trace.append(f"loop-invariant merge side reused: {term}")
@@ -234,7 +239,7 @@ class TermEvaluator:
                 .materialize()
                 .partition_by(HashPartitioner(self.env.context.num_partitions))
             )
-            cache.put(key, placed, ir.free_variables(term))
+            self.loop_cache.put(key, placed, ir.free_variables(term))
             self.trace.append(f"loop-invariant merge side cached (hash-partitioned): {term}")
             return placed
         return self.as_dataset(self.evaluate(term))
@@ -245,9 +250,9 @@ class TermEvaluator:
 
     def _term_is_invariant(self, term: ir.Term, bound: frozenset[str] = frozenset()) -> bool:
         """Whether ``term``'s free variables are loop-invariant (or locally bound)."""
-        if self.loop_cache is None:
+        invariants = self._invariants
+        if invariants is None:
             return False
-        invariants = self.loop_cache.invariants
         return all(
             name in invariants or name in bound for name in ir.free_variables(term)
         )
@@ -255,7 +260,7 @@ class TermEvaluator:
     def _node_invariant(self, build: _CompBuild, child_invariant: bool, *terms: ir.Term | None) -> bool:
         """Invariance of a new plan node: child subtree, driver bindings and
         every referenced term must be iteration-independent."""
-        if self.loop_cache is None or not build.driver_invariant or not child_invariant:
+        if self._invariants is None or not build.driver_invariant or not child_invariant:
             return False
         bound = build.bound_names()
         return all(
@@ -273,7 +278,7 @@ class TermEvaluator:
         dataset generator, or a plain list for purely local comprehensions
         (e.g. singleton bags).
         """
-        if self.skeleton_cache is not None:
+        if self._skeletons:
             reused = self._reuse_plan_skeleton(comp)
             if reused is not None:
                 return reused
@@ -326,17 +331,11 @@ class TermEvaluator:
         node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, head)
         lowered = self._lower_plan(node)
-        if (
-            self.skeleton_cache is not None
-            and build.skeleton_safe
-            and build.driver_invariant
-        ):
-            invariants = (
-                self.loop_cache.invariants if self.loop_cache is not None else frozenset()
-            )
-            depends = frozenset(ir.free_variables(comp)) & invariants
+        if self._skeletons and build.skeleton_safe and build.driver_invariant:
+            depends = frozenset(ir.free_variables(comp)) & (self._invariants or frozenset())
             try:
-                self.skeleton_cache.put(comp, node, tuple(build.rebind_scans), depends)
+                skeleton = (node, tuple(build.rebind_scans))
+                self.loop_cache.put(("skeleton", comp), skeleton, depends)
             except TypeError:
                 # A term holding an unhashable constant cannot key the cache.
                 pass
@@ -357,7 +356,7 @@ class TermEvaluator:
         differs from what the skeleton was annotated over (the annotate pass
         reads each scan's partitioner)."""
         try:
-            entry = self.skeleton_cache.get(comp)
+            entry = self.loop_cache.get(("skeleton", comp))
         except TypeError:
             return None
         if entry is None:
@@ -365,17 +364,11 @@ class TermEvaluator:
         root, rebinds = entry
         datasets: dict[str, Dataset] = {}
         for _scan, name in rebinds:
-            if name in datasets:
-                continue
-            value = self.env.values.get(name)
-            if isinstance(value, Dataset):
-                datasets[name] = value
-            elif isinstance(value, dict):
-                datasets[name] = self.env.context.parallelize_pairs(value)
-            elif isinstance(value, (list, tuple, set)):
-                datasets[name] = self.env.context.parallelize(list(value))
-            else:
-                return None
+            if name not in datasets:
+                dataset = self._collection(self.env.values.get(name))
+                if dataset is None:
+                    return None
+                datasets[name] = dataset
         for scan, name in rebinds:
             if datasets[name].partitioner != scan.dataset.partitioner:
                 self.trace.append(f"plan skeleton rebuilt: {name} changed placement")
@@ -506,13 +499,12 @@ class TermEvaluator:
 
         # Try to find equi-join conditions linking the new pattern to the rows
         # built so far.
-        join_conditions = self._find_join_conditions(
-            qualifiers,
-            position,
-            consumed,
-            set(build.bound_order),
-            set(pattern.variables()),
-            build.driver_bindings,
+        scalars = set(build.driver_bindings)
+        scalars.update(
+            name for name, value in self.env.values.items() if not isinstance(value, Dataset)
+        )
+        join_conditions = facts.join_keys(
+            qualifiers, position, set(build.bound_order), scalars, consumed
         )
         if join_conditions:
             node = self._hash_join_node(build, scan, pattern, join_conditions, domain)
@@ -554,7 +546,7 @@ class TermEvaluator:
             if hit is not None:
                 self.trace.append(f"CSE: reused sub-term dataset for {domain}")
                 return hit
-            if self.loop_cache is not None and self._term_is_invariant(domain):
+            if self._term_is_invariant(domain):
                 loop_hit = self.loop_cache.get(cache_key)
                 if loop_hit is not None:
                     self.env.context.metrics.record_loop_invariant_reuse()
@@ -564,12 +556,7 @@ class TermEvaluator:
         dataset = self._build_domain_dataset(domain, driver_bindings)
         if dataset is not None and cacheable:
             self._term_dataset_cache[cache_key] = dataset
-            if (
-                self.loop_cache is not None
-                and self.env.context.plan_optimize
-                and self._term_is_invariant(domain)
-                and not isinstance(domain, ir.CVar)
-            ):
+            if self._term_is_invariant(domain) and not isinstance(domain, ir.CVar):
                 # Environment variables are already shared objects; derived
                 # datasets (ranges, nested comprehensions) are worth hoisting.
                 self.loop_cache.put(cache_key, dataset, ir.free_variables(domain))
@@ -580,14 +567,7 @@ class TermEvaluator:
         self, domain: ir.Term, driver_bindings: dict[str, Any]
     ) -> Dataset | None:
         if isinstance(domain, ir.CVar):
-            value = self._lookup(domain.name, driver_bindings)
-            if isinstance(value, Dataset):
-                return value
-            if isinstance(value, dict):
-                return self.env.context.parallelize_pairs(value)
-            if isinstance(value, (list, tuple, set)):
-                return self.env.context.parallelize(list(value))
-            return None
+            return self._collection(self._lookup(domain.name, driver_bindings))
         if isinstance(domain, ir.RangeTerm):
             lower = self.evaluate_local(domain.lower, dict(driver_bindings))
             upper = self.evaluate_local(domain.upper, dict(driver_bindings))
@@ -600,61 +580,12 @@ class TermEvaluator:
                 return None if len(value) <= 1 else self.env.context.parallelize(value)
         return None
 
-    def _find_join_conditions(
-        self,
-        qualifiers: list[ir.Qualifier],
-        position: int,
-        consumed: set[int],
-        bound: set[str],
-        new_variables: set[str],
-        driver_bindings: dict[str, Any],
-    ) -> list[tuple[int, ir.Term, ir.Term]]:
-        """Equality conditions usable as join keys for the generator at ``position``.
-
-        Returns (condition position, left-key term over bound rows, right-key
-        term over the new pattern variables).
-        """
-        available = bound | set(driver_bindings) | self._scalar_names()
-        conditions: list[tuple[int, ir.Term, ir.Term]] = []
-        for later_position in range(position + 1, len(qualifiers)):
-            if later_position in consumed:
-                continue
-            qualifier = qualifiers[later_position]
-            if isinstance(qualifier, ir.GroupBy):
-                break
-            if not isinstance(qualifier, ir.Condition):
-                # Conditions that refer to variables bound by later qualifiers
-                # are filtered out by the availability checks below, so other
-                # qualifier kinds can simply be skipped here.
-                continue
-            term = qualifier.term
-            if not (isinstance(term, ir.CBinOp) and term.op == "=="):
-                continue
-            sides = [(term.left, term.right), (term.right, term.left)]
-            for bound_side, new_side in sides:
-                bound_side_vars = ir.free_variables(bound_side)
-                new_side_vars = ir.free_variables(new_side)
-                if not bound_side_vars <= available:
-                    continue
-                if bound_side_vars & new_variables:
-                    continue
-                if not (new_side_vars & new_variables):
-                    continue
-                if not new_side_vars <= (new_variables | set(driver_bindings) | self._scalar_names()):
-                    continue
-                conditions.append((later_position, bound_side, new_side))
-                break
-        return conditions
-
-    def _scalar_names(self) -> set[str]:
-        return {name for name, value in self.env.values.items() if not isinstance(value, Dataset)}
-
     def _hash_join_node(
         self,
         build: _CompBuild,
         scan: ScanNode,
         pattern: ir.Pattern,
-        join_conditions: list[tuple[int, ir.Term, ir.Term]],
+        join_conditions: list[facts.JoinKey],
         domain: ir.Term,
     ) -> HashJoinNode:
         left_terms = tuple(left for _, left, _ in join_conditions)
@@ -786,7 +717,7 @@ class TermEvaluator:
         lifted = [name for name in build.bound_order if name not in pattern_variables]
         pattern_term = ir.pattern_to_term(pattern)
 
-        aggregation = self._aggregation_only_plan(head, post_qualifiers, pattern_variables, lifted)
+        aggregation = facts.reduce_shape(head, post_qualifiers, pattern_variables, lifted)
         if aggregation is not None:
             op, value_name = aggregation
             monoid = self.env.monoids.get(op)
@@ -834,39 +765,6 @@ class TermEvaluator:
         node.invariant = self._node_invariant(build, build.rows.invariant, key_term)
         build.rows = node
         build.bound_order[:] = pattern_variables + lifted
-
-    @staticmethod
-    def _aggregation_only_plan(
-        head: ir.Term,
-        post_qualifiers: list[ir.Qualifier],
-        pattern_variables: list[str],
-        lifted: list[str],
-    ) -> tuple[str, str] | None:
-        """Detect the canonical aggregation head ``(key, ⊕/v)``.
-
-        Returns ``(op, lifted variable)`` when the group-by can be compiled to
-        a reduceByKey, or None when a general groupByKey is needed.
-        """
-        if post_qualifiers:
-            return None
-        if not isinstance(head, ir.CTuple) or len(head.elements) != 2:
-            return None
-        key_part, value_part = head.elements
-        if not isinstance(value_part, ir.Aggregate):
-            return None
-        if not isinstance(value_part.operand, ir.CVar):
-            return None
-        value_name = value_part.operand.name
-        if value_name not in lifted:
-            return None
-        key_variables = ir.free_variables(key_part)
-        if not key_variables <= set(pattern_variables):
-            return None
-        # No lifted variable other than the aggregated one may be referenced.
-        for name in ir.free_variables(key_part):
-            if name in lifted:
-                return None
-        return value_part.op, value_name
 
     # ------------------------------------------------------------------
     # local (per-task) evaluation

@@ -3,10 +3,12 @@
 ``explain_term`` performs a *dry* structural analysis of a term (no data is
 needed) and reports the shuffle-relevant operations the evaluator will emit:
 dataset scans, hash joins, broadcast nested-loop joins, group-bys /
-reduceByKeys and coGroup merges.  Tests and EXPERIMENTS.md use it to show that
-the generated plans have the shapes the paper describes (e.g. matrix multiply
-= one join + one reduceByKey; the DIABLO KMeans step contains a join with the
-centroid array that the hand-written version avoids by broadcasting).
+reduceByKeys and coGroup merges.  The join and group-by decisions come from
+:func:`repro.translate.facts.plan_shape`, the same classifiers the evaluator
+runs.  Tests use it to show that the generated plans have the shapes the
+paper describes (e.g. matrix multiply = one join + one reduceByKey; the
+DIABLO KMeans step pairs every point with every centroid, which the
+hand-written version does by broadcasting).
 
 Three runtime-facing companions cover what static analysis cannot know:
 ``explain_plan`` renders the partition-aware logical plan the evaluator
@@ -29,6 +31,7 @@ from repro.algebra import plan as plan_mod
 from repro.comprehension import ir
 from repro.runtime.dataset import Dataset
 from repro.runtime.metrics import Metrics
+from repro.translate import facts
 
 
 @dataclass
@@ -89,70 +92,26 @@ def _explain(term: ir.Term, arrays: set[str], summary: PlanSummary) -> None:
 
 
 def _explain_comprehension(comp: ir.Comprehension, arrays: set[str], summary: PlanSummary) -> None:
-    bound: set[str] = set()
-    dataset_generators = 0
-    qualifiers = list(comp.qualifiers)
-    for position, qualifier in enumerate(qualifiers):
-        if isinstance(qualifier, ir.Generator):
+    shape = facts.plan_shape(comp, arrays)
+    for position, qualifier in enumerate(comp.qualifiers):
+        for term in qualifier.terms():
+            _explain(term, arrays, summary)
+        decision = shape.get(position)
+        if isinstance(qualifier, ir.Generator) and decision is not None:
             domain = qualifier.domain
-            _explain(domain, arrays, summary)
-            is_dataset = isinstance(domain, ir.CVar) and domain.name in arrays
             if isinstance(domain, ir.RangeTerm):
                 summary.ranges += 1
-                is_dataset = True
-            if is_dataset:
-                if isinstance(domain, ir.CVar):
-                    summary.scans.append(domain.name)
-                dataset_generators += 1
-                if dataset_generators > 1:
-                    if _has_join_condition(qualifiers, position, bound, set(qualifier.pattern.variables())):
-                        summary.hash_joins += 1
-                    else:
-                        summary.broadcast_joins += 1
-            bound.update(qualifier.pattern.variables())
-        elif isinstance(qualifier, ir.LetBinding):
-            _explain(qualifier.term, arrays, summary)
-            bound.update(qualifier.pattern.variables())
-        elif isinstance(qualifier, ir.Condition):
-            _explain(qualifier.term, arrays, summary)
-        elif isinstance(qualifier, ir.GroupBy):
-            post = qualifiers[position + 1 :]
-            if _is_aggregation_only(comp.head, post, qualifier, bound):
-                summary.reduce_by_keys += 1
             else:
-                summary.group_bys += 1
-            bound.update(qualifier.pattern.variables())
+                summary.scans.append(domain.name)
+        if decision == "hash-join":
+            summary.hash_joins += 1
+        elif decision == "product":
+            summary.broadcast_joins += 1
+        elif decision == "reduceByKey":
+            summary.reduce_by_keys += 1
+        elif decision == "groupByKey":
+            summary.group_bys += 1
     _explain(comp.head, arrays, summary)
-
-
-def _has_join_condition(
-    qualifiers: list[ir.Qualifier], position: int, bound: set[str], new_variables: set[str]
-) -> bool:
-    for later in qualifiers[position + 1 :]:
-        if isinstance(later, ir.GroupBy):
-            return False
-        if not isinstance(later, ir.Condition):
-            continue
-        term = later.term
-        if not (isinstance(term, ir.CBinOp) and term.op == "=="):
-            continue
-        left_vars = ir.free_variables(term.left)
-        right_vars = ir.free_variables(term.right)
-        for one, other in ((left_vars, right_vars), (right_vars, left_vars)):
-            if one & bound and other & new_variables and not (one & new_variables):
-                return True
-    return False
-
-
-def _is_aggregation_only(
-    head: ir.Term, post: list[ir.Qualifier], group_by: ir.GroupBy, bound: set[str]
-) -> bool:
-    if post:
-        return False
-    if not isinstance(head, ir.CTuple) or len(head.elements) != 2:
-        return False
-    value_part = head.elements[1]
-    return isinstance(value_part, ir.Aggregate) and isinstance(value_part.operand, ir.CVar)
 
 
 # ---------------------------------------------------------------------------

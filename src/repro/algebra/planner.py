@@ -60,18 +60,32 @@ from repro.algebra.plan import (
 )
 from repro.comprehension import ir
 from repro.errors import ExecutionError
-from repro.translate.target import TargetAssign
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset, choose_broadcast_side
 from repro.runtime.partitioner import HashPartitioner
 
 
 class LoopInvariantCache:
-    """Datasets hoisted out of a ``while`` loop, keyed by plan signature.
+    """What a ``while`` loop's iterations reuse: hoisted data and plan skeletons.
 
     Created by the :class:`~repro.algebra.runner.ProgramRunner` per ``while``
     statement.  ``invariants`` are the environment variables the loop body
-    never assigns; only values derived exclusively from them are admitted.
+    never assigns.  Two kinds of entry share it:
+
+    * **Datasets** keyed by plan signature or sub-term (``plan_optimize``):
+      only values derived exclusively from invariants are admitted, so
+      iterations 2+ reuse them materialized and placed.
+    * **Plan skeletons** keyed ``("skeleton", comp)`` (``plan_cache``): the
+      annotated :class:`~repro.algebra.plan.PlanNode` tree a loop-body
+      comprehension's first evaluation built, plus the scan leaves that read
+      mutated program variables.  Iterations 2+ rebind those scans to the
+      variables' current datasets and re-lower the tree, skipping the
+      qualifier walk, CSE bookkeeping and the annotate pass
+      (``metrics.plan_cache_hits`` counts the reuses).  The evaluator only
+      admits *skeleton-safe* builds: every value snapshotted into the tree's
+      closures at build time was loop-invariant, and every mutated input is
+      a bare program variable readable from the live environment.
+
     Every entry records the environment variables it was derived from, so a
     defensive :meth:`invalidate` on each assignment drops entries even if the
     static analysis and the executed writes ever disagree.
@@ -97,133 +111,6 @@ class LoopInvariantCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
-
-
-class PlanSkeletonCache:
-    """Lowered plan skeletons reused across ``while``-loop iterations.
-
-    Created by the :class:`~repro.algebra.runner.ProgramRunner` per ``while``
-    statement (like the :class:`LoopInvariantCache`, but for plan *structure*
-    rather than plan *data*).  An entry maps a comprehension term -- the loop
-    body statements repeat the same terms every iteration -- to the annotated
-    :class:`~repro.algebra.plan.PlanNode` tree its first evaluation built,
-    plus the scan leaves that read mutated program variables.  Iterations 2+
-    rebind those scans to the variables' current datasets and re-lower the
-    tree, skipping the qualifier walk, CSE bookkeeping and the annotate pass
-    (``metrics.plan_cache_hits`` counts the reuses).
-
-    The evaluator only admits *skeleton-safe* builds: every value snapshotted
-    into the tree's closures at build time (driver bindings, local bags,
-    derived scan datasets) was loop-invariant, and every mutated input is a
-    bare program variable readable from the live environment.  Everything
-    else the closures touch resolves late through ``env.values``, so a reused
-    skeleton computes record-for-record what a rebuild would.  ``depends``
-    lists the invariant variables a skeleton snapshotted; a defensive
-    :meth:`invalidate` on every assignment drops entries if the static
-    invariance analysis and the executed writes ever disagree.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[
-            Any, tuple[PlanNode, tuple[tuple[Any, str], ...], frozenset[str]]
-        ] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Any) -> tuple[PlanNode, tuple[tuple[Any, str], ...]] | None:
-        entry = self._entries.get(key)
-        return (entry[0], entry[1]) if entry is not None else None
-
-    def put(
-        self,
-        key: Any,
-        root: PlanNode,
-        rebinds: tuple[tuple[Any, str], ...],
-        depends: frozenset[str],
-    ) -> None:
-        self._entries[key] = (root, rebinds, frozenset(depends))
-
-    def invalidate(self, name: str) -> int:
-        """Drop every skeleton that snapshotted environment variable ``name``."""
-        stale = [key for key, entry in self._entries.items() if name in entry[2]]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
-
-
-def keyed_demand_counts(program: Any, *, top_level_only: bool = False) -> dict[str, int]:
-    """Program-wide demand for key-placed variables (the global pass).
-
-    Walks every assignment term of a translated
-    :class:`~repro.translate.target.TargetProgram` and counts, per program
-    variable, how many downstream operators would consume it *by its pair
-    key*: array merges (⊳ / ⊳⊕ coGroup both operands by key) and generators
-    whose pattern's key component feeds an equi-join condition or a group-by
-    key in the same comprehension.  The runner hash-partitions a freshly
-    assigned, not-yet-placed pair dataset whose demand is at least 2: one
-    placement shuffle then lets every keyed consumer run narrow, which a
-    per-statement planner (seeing one consumer at a time) could never
-    justify.
-
-    With ``top_level_only`` the walk skips while-loop bodies: an unmutated
-    input consumed inside a loop is loop-invariant there, and the
-    loop-invariant cache already shuffles it exactly once -- counting those
-    consumers would justify a placement shuffle that buys nothing.
-    """
-    demand: dict[str, int] = {}
-
-    def count(name: str) -> None:
-        demand[name] = demand.get(name, 0) + 1
-
-    def keyed_variables(comp: ir.Comprehension) -> set[str]:
-        names: set[str] = set()
-        for qualifier in comp.qualifiers:
-            if isinstance(qualifier, ir.Condition):
-                term = qualifier.term
-                if isinstance(term, ir.CBinOp) and term.op == "==":
-                    names |= ir.free_variables(term)
-            elif isinstance(qualifier, ir.GroupBy):
-                names |= ir.free_variables(qualifier.key_term())
-        return names
-
-    def walk(term: ir.Term) -> None:
-        if isinstance(term, (ir.Merge, ir.MergeWith)):
-            for side in (term.left, term.right):
-                if isinstance(side, ir.CVar):
-                    count(side.name)
-                else:
-                    walk(side)
-            return
-        if isinstance(term, ir.Comprehension):
-            keyed = keyed_variables(term)
-            for qualifier in term.qualifiers:
-                if isinstance(qualifier, ir.Generator):
-                    domain = qualifier.domain
-                    pattern = qualifier.pattern
-                    if (
-                        isinstance(domain, ir.CVar)
-                        and isinstance(pattern, ir.PTuple)
-                        and len(pattern.elements) == 2
-                    ):
-                        key_vars = set(pattern.elements[0].variables())
-                        if key_vars and key_vars <= keyed:
-                            count(domain.name)
-                            continue
-                for sub in qualifier.terms():
-                    walk(sub)
-            walk(term.head)
-            return
-        for child in term.children():
-            walk(child)
-
-    if top_level_only:
-        assignments = (s for s in program.statements if isinstance(s, TargetAssign))
-    else:
-        assignments = program.assignments()
-    for assignment in assignments:
-        walk(assignment.term)
-    return demand
 
 
 def signature_env_deps(signature: Any) -> frozenset[str]:

@@ -21,13 +21,15 @@ per-partition passes; the run trace records how many fused stages each
 assignment executed.
 
 **Loop-invariant hoisting.**  Before entering a ``while`` loop the runner
-statically collects every variable the body assigns (including nested
-loops); the remaining environment variables are *loop-invariant*.  A
+reads every variable the body assigns (including nested loops) from the
+program's :class:`~repro.translate.facts.ProgramFacts`; the remaining
+environment variables are *loop-invariant*.  A
 :class:`~repro.algebra.planner.LoopInvariantCache` scoped to the loop is
 handed to each iteration's evaluators, which use it to evaluate invariant
 sub-terms and join/merge sides once -- materialized and hash-partitioned --
 and reuse them on iterations 2+, so only the data the loop actually mutates
-is recomputed and re-shuffled.  The cache is defensively invalidated on
+is recomputed and re-shuffled; the same cache holds the loop body's plan
+skeletons.  The cache is defensively invalidated on
 every assignment (entries record the variables they derive from), so a
 mutated variable can never serve stale data.  Per-iteration snapshots of the
 shuffle counters land in :attr:`ProgramResult.iteration_metrics`, which is
@@ -41,13 +43,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator
-from repro.algebra.planner import LoopInvariantCache, PlanSkeletonCache, keyed_demand_counts
+from repro.algebra.planner import LoopInvariantCache
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import ExecutionError
 from repro.functions import DEFAULT_FUNCTIONS, FunctionRegistry
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
+from repro.translate.facts import ProgramFacts
 from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile
 
 #: Safety valve for while-loops in target programs.
@@ -116,12 +119,7 @@ class _RunState:
     trace: list[str]
     iteration_metrics: list[dict[str, int]] = field(default_factory=list)
     loop_cache: LoopInvariantCache | None = None
-    skeleton_cache: PlanSkeletonCache | None = None
     loops_seen: int = 0
-    #: Program-wide keyed-consumer counts (the global partitioner pass).
-    keyed_demand: dict[str, int] = field(default_factory=dict)
-    #: Variables assigned inside any while loop (their placement churns).
-    loop_assigned: frozenset[str] = frozenset()
 
 
 #: The shuffle counters snapshotted per while-loop iteration.
@@ -157,9 +155,7 @@ class ProgramRunner:
         environment = EvaluationEnvironment(self.context, values, self.functions, self.monoids)
         state = _RunState(trace=[])
         if self.context.plan_optimize:
-            state.keyed_demand = keyed_demand_counts(program)
-            state.loop_assigned = self._loop_assigned_variables(program.statements)
-            self._place_inputs(program, environment, state)
+            self._place_inputs(program.facts, environment, state)
         self._execute_block(program.statements, program, environment, state)
         elapsed = time.perf_counter() - started
         return ProgramResult(
@@ -220,9 +216,7 @@ class ProgramRunner:
         environment: EvaluationEnvironment,
         state: _RunState,
     ) -> None:
-        evaluator = TermEvaluator(
-            environment, state.trace, state.loop_cache, state.skeleton_cache, program.segments
-        )
+        evaluator = TermEvaluator(environment, state.trace, state.loop_cache, program.segments)
         fused_before = self.context.metrics.fused_stages
         shuffles_before = self.context.metrics.shuffles
         result = evaluator.evaluate(statement.term)
@@ -240,20 +234,18 @@ class ProgramRunner:
             # the shared variable environment, which later statements mutate,
             # so it must run before this statement completes.
             result.materialize()
-            result = self._place_for_demand(statement.variable, result, state)
+            result = self._place_for_demand(statement.variable, result, program.facts, state)
             environment.values[statement.variable] = result
         if state.loop_cache is not None:
             # Belt and braces: the invariant analysis already excludes every
             # assigned variable, but a cache keyed on stale data would be a
             # silent wrong answer -- drop anything derived from this name.
             state.loop_cache.invalidate(statement.variable)
-        if state.skeleton_cache is not None:
-            state.skeleton_cache.invalidate(statement.variable)
         self._trace_fusion(statement.variable, fused_before, shuffles_before, state.trace)
 
     def _place_inputs(
         self,
-        program: TargetProgram,
+        facts: ProgramFacts,
         environment: EvaluationEnvironment,
         state: _RunState,
     ) -> None:
@@ -271,33 +263,27 @@ class ProgramRunner:
         enough to broadcast are skipped too --
         their joins resolve shuffle-free anyway, so placement could only
         add a partitionBy."""
-        assigned = self._assigned_variables(program.statements)
-        demand = keyed_demand_counts(program, top_level_only=True)
+        demand = facts.top_level_demand
         for name in sorted(environment.values):
-            if name in assigned or demand.get(name, 0) < 2:
+            if name in facts.assigned or demand.get(name, 0) < 2:
                 continue
             value = environment.values[name]
             if not isinstance(value, Dataset) or value.partitioner is not None:
                 continue
             if value.count() <= self.context.broadcast_join_threshold:
                 continue
-            first = value.take(1)
-            if not first or not (isinstance(first[0], tuple) and len(first[0]) == 2):
-                continue
-            placed = value.partition_by(HashPartitioner(self.context.num_partitions))
-            placed.materialize()
-            environment.values[name] = placed
-            state.trace.append(
-                f"{name}: program-level placement for "
-                f"{demand[name]} keyed consumer(s) (hash-partitioned)"
-            )
+            placed = self._hash_place(name, value, demand[name], state.trace)
+            if placed is not None:
+                environment.values[name] = placed.materialize()
 
-    def _place_for_demand(self, variable: str, dataset: Dataset, state: _RunState) -> Dataset:
+    def _place_for_demand(
+        self, variable: str, dataset: Dataset, facts: ProgramFacts, state: _RunState
+    ) -> Dataset:
         """The program-level partitioner pass, applied at the force point.
 
         A freshly assigned pair dataset that carries no partitioner but has
-        at least two downstream keyed consumers (see
-        :func:`~repro.algebra.planner.keyed_demand_counts`) is
+        at least two downstream keyed consumers
+        (:attr:`~repro.translate.facts.ProgramFacts.keyed_demand`) is
         hash-partitioned once: the per-statement planner sees one consumer
         at a time and could never justify the placement shuffle, but across
         the whole program it buys a narrow (zero-shuffle) pass per consumer.
@@ -306,19 +292,24 @@ class ProgramRunner:
         side of their joins."""
         if not self.context.plan_optimize:
             return dataset
-        if variable in state.loop_assigned or state.keyed_demand.get(variable, 0) < 2:
+        demand = facts.keyed_demand.get(variable, 0)
+        if variable in facts.loop_assigned or demand < 2 or dataset.partitioner is not None:
             return dataset
-        if dataset.partitioner is not None:
-            return dataset
+        placed = self._hash_place(variable, dataset, demand, state.trace)
+        return dataset if placed is None else placed
+
+    def _hash_place(
+        self, name: str, dataset: Dataset, demand: int, trace: list[str]
+    ) -> Dataset | None:
+        """``dataset`` hash-partitioned by its pair key, or None when its
+        records are not pairs."""
         first = dataset.take(1)
         if not first or not (isinstance(first[0], tuple) and len(first[0]) == 2):
-            return dataset
-        placed = dataset.partition_by(HashPartitioner(self.context.num_partitions))
-        state.trace.append(
-            f"{variable}: program-level placement for "
-            f"{state.keyed_demand[variable]} keyed consumer(s) (hash-partitioned)"
+            return None
+        trace.append(
+            f"{name}: program-level placement for {demand} keyed consumer(s) (hash-partitioned)"
         )
-        return placed
+        return dataset.partition_by(HashPartitioner(self.context.num_partitions))
 
     def _trace_fusion(
         self, variable: str, fused_before: int, shuffles_before: int, trace: list[str]
@@ -357,26 +348,6 @@ class ProgramRunner:
 
     # -- while loops -------------------------------------------------------------
 
-    @staticmethod
-    def _assigned_variables(statements: tuple[TargetStatement, ...]) -> set[str]:
-        """Every variable a statement block assigns, nested loops included."""
-        assigned: set[str] = set()
-        for statement in statements:
-            if isinstance(statement, TargetAssign):
-                assigned.add(statement.variable)
-            elif isinstance(statement, TargetWhile):
-                assigned |= ProgramRunner._assigned_variables(statement.body)
-        return assigned
-
-    @staticmethod
-    def _loop_assigned_variables(statements: tuple[TargetStatement, ...]) -> frozenset[str]:
-        """Variables assigned inside any ``while`` body of the program."""
-        names: set[str] = set()
-        for statement in statements:
-            if isinstance(statement, TargetWhile):
-                names |= ProgramRunner._assigned_variables(statement.body)
-        return frozenset(names)
-
     def _execute_while(
         self,
         statement: TargetWhile,
@@ -384,16 +355,15 @@ class ProgramRunner:
         environment: EvaluationEnvironment,
         state: _RunState,
     ) -> None:
-        assigned = self._assigned_variables(statement.body)
+        assigned = program.facts.assigned_in(statement)
         invariants = frozenset(name for name in environment.values if name not in assigned)
-        loop_cache = LoopInvariantCache(invariants) if self.context.plan_optimize else None
+        context = self.context
         outer_cache = state.loop_cache
-        state.loop_cache = loop_cache
-        outer_skeletons = state.skeleton_cache
-        state.skeleton_cache = PlanSkeletonCache() if self.context.plan_cache else None
+        caching = context.plan_optimize or context.plan_cache
+        state.loop_cache = LoopInvariantCache(invariants) if caching else None
         state.loops_seen += 1
         loop_index = state.loops_seen
-        if loop_cache is not None and invariants:
+        if context.plan_optimize and invariants:
             state.trace.append(
                 f"while loop {loop_index}: loop-invariant variables "
                 f"{{{', '.join(sorted(invariants))}}}"
@@ -403,11 +373,7 @@ class ProgramRunner:
         try:
             while True:
                 evaluator = TermEvaluator(
-                    environment,
-                    state.trace,
-                    state.loop_cache,
-                    state.skeleton_cache,
-                    program.segments,
+                    environment, state.trace, state.loop_cache, program.segments
                 )
                 condition = evaluator.evaluate(statement.condition)
                 if isinstance(condition, Dataset):
@@ -439,4 +405,3 @@ class ProgramRunner:
                     raise ExecutionError("while loop exceeded the iteration limit")
         finally:
             state.loop_cache = outer_cache
-            state.skeleton_cache = outer_skeletons

@@ -3,9 +3,10 @@
 Two complementary entry points:
 
 * :func:`lint_target` walks the translated comprehension terms **statically**
-  (no data, no planner) and mirrors the evaluator's join-detection logic to
-  predict the plan shape.  It flags products -- dataset generators the
-  evaluator will pair without an equi-join key (``D501``).
+  (no data, no planner) and predicts the plan shape with the evaluator's own
+  join-key test (:func:`repro.translate.facts.plan_shape`).  It flags
+  products -- dataset generators the evaluator will pair without an
+  equi-join key (``D501``).
 * :func:`lint_plan` walks an actual lowered :class:`~repro.algebra.plan.PlanNode`
   tree and reads the planner's own annotations: hash joins where *neither*
   side could reuse an existing placement -- so both sides shuffle -- are
@@ -26,6 +27,7 @@ from repro.algebra import plan as plan_mod
 from repro.analysis.diagnostics import Diagnostic, location_of, make_diagnostic
 from repro.comprehension import ir
 from repro.errors import SourceLocation
+from repro.translate import facts
 from repro.translate.target import TargetAssign, TargetProgram
 
 
@@ -36,26 +38,6 @@ def _dataset_names(target: TargetProgram) -> set[str]:
         for name, info in target.variables.items()
         if info.kind in ("array", "collection")
     }
-
-
-def _has_join_condition(
-    qualifiers: list[ir.Qualifier], position: int, bound: set[str], new_variables: set[str]
-) -> bool:
-    """Mirror of the evaluator's equi-join key detection (see evaluator.py)."""
-    for later in qualifiers[position + 1 :]:
-        if isinstance(later, ir.GroupBy):
-            return False
-        if not isinstance(later, ir.Condition):
-            continue
-        for term in ir.conjuncts(later.term):
-            if not (isinstance(term, ir.CBinOp) and term.op == "=="):
-                continue
-            left_vars = ir.free_variables(term.left)
-            right_vars = ir.free_variables(term.right)
-            for one, other in ((left_vars, right_vars), (right_vars, left_vars)):
-                if one & bound and other & new_variables and not (one & new_variables):
-                    return True
-    return False
 
 
 class _TargetLinter:
@@ -90,40 +72,21 @@ class _TargetLinter:
             self._walk(child)
 
     def _lint_comprehension(self, comp: ir.Comprehension) -> None:
-        qualifiers = list(comp.qualifiers)
-        bound: set[str] = set()
-        dataset_generators = 0
-        for position, qualifier in enumerate(qualifiers):
-            if isinstance(qualifier, ir.Generator):
-                domain = qualifier.domain
-                self._walk(domain)
-                is_dataset = isinstance(domain, ir.RangeTerm) or (
-                    isinstance(domain, ir.CVar) and domain.name in self.datasets
+        shape = facts.plan_shape(comp, self.datasets)
+        for position, qualifier in enumerate(comp.qualifiers):
+            for term in qualifier.terms():
+                self._walk(term)
+            if shape.get(position) == "product" and isinstance(qualifier, ir.Generator):
+                self._report(
+                    "D501",
+                    f"no equi-join key links generator {qualifier} to the "
+                    f"earlier generators; the evaluator pairs every row with "
+                    f"every element of {qualifier.domain} (broadcast nested-loop join, "
+                    f"cartesian above the broadcast threshold)",
+                    hint="add a condition equating an expression over the new "
+                    "generator's variables with one over the earlier ones, or "
+                    "keep the small side under broadcast_join_threshold",
                 )
-                new_variables = set(qualifier.pattern.variables())
-                if is_dataset and dataset_generators > 0:
-                    if not _has_join_condition(qualifiers, position, bound, new_variables):
-                        label = str(domain)
-                        self._report(
-                            "D501",
-                            f"no equi-join key links generator {qualifier} to the "
-                            f"earlier generators; the evaluator pairs every row with "
-                            f"every element of {label} (broadcast nested-loop join, "
-                            f"cartesian above the broadcast threshold)",
-                            hint="add a condition equating an expression over the new "
-                            "generator's variables with one over the earlier ones, or "
-                            "keep the small side under broadcast_join_threshold",
-                        )
-                if is_dataset:
-                    dataset_generators += 1
-                bound.update(new_variables)
-            elif isinstance(qualifier, ir.LetBinding):
-                self._walk(qualifier.term)
-                bound.update(qualifier.pattern.variables())
-            elif isinstance(qualifier, ir.Condition):
-                self._walk(qualifier.term)
-            elif isinstance(qualifier, ir.GroupBy):
-                bound.update(qualifier.pattern.variables())
         self._walk(comp.head)
 
 

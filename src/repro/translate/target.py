@@ -16,11 +16,15 @@ right-hand side becomes a dataflow plan over the distributed runtime.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Union
+from typing import TYPE_CHECKING, Any, Iterator, Union
 
 from repro.comprehension import ir
 from repro.loop_lang import ast
+
+if TYPE_CHECKING:
+    from repro.translate.facts import ProgramFacts
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,14 @@ class TargetProgram:
 
     def __str__(self) -> str:
         return "\n".join(str(s) for s in self.statements)
+
+    @functools.cached_property
+    def facts(self) -> "ProgramFacts":
+        """Def-use facts (:class:`~repro.translate.facts.ProgramFacts`),
+        computed on first use and kept, like :attr:`segments`."""
+        from repro.translate.facts import ProgramFacts  # facts imports this module
+
+        return ProgramFacts(self)
 
     def array_names(self) -> set[str]:
         """Names of variables stored as key-value datasets."""

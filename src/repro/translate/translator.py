@@ -33,6 +33,7 @@ from repro.loop_lang.parser import parse_program
 from repro.loop_lang.python_frontend import from_python_function
 from repro.translate.cache import CacheInfo, CompilationCache
 from repro.translate.canonicalize import canonicalize_increments
+from repro.translate.facts import mentioned_names
 from repro.translate.rules import TranslationRules
 from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile, VariableInfo
 
@@ -273,16 +274,6 @@ def _is_empty_constructor(term: ir.Term) -> bool:
     return False
 
 
-def _statement_variables(statement: TargetStatement) -> set[str]:
-    """Every variable a statement reads or assigns, while bodies included."""
-    if isinstance(statement, TargetAssign):
-        return ir.free_variables(statement.term) | {statement.variable}
-    names = ir.free_variables(statement.condition)
-    for inner in statement.body:
-        names |= _statement_variables(inner)
-    return names
-
-
 def merge_into_fresh(
     statements: tuple[TargetStatement, ...], optimizer: Optimizer
 ) -> tuple[TargetStatement, ...]:
@@ -313,7 +304,7 @@ def merge_into_fresh(
                 out[fresh[name]] = None
                 statement = TargetAssign(name, term.right, origin=statement.origin)
                 optimizer.stats.fresh_merges += 1
-        for name in _statement_variables(statement):
+        for name in mentioned_names(statement):
             fresh.pop(name, None)
         if isinstance(statement, TargetAssign) and statement.scalar and _is_empty_constructor(statement.term):
             fresh[statement.variable] = len(out)

@@ -24,7 +24,7 @@ import functools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Diablo
@@ -492,6 +492,25 @@ expand_entries = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
+@example(  # the product's raw record is the (row, element) pair it pairs
+    entry=(("product", ("a", "b"), ir.PVar("c"), None), [({"a": 2, "b": 0}, 1)]),
+    step_list=[("filter", ir.CBinOp("!=", ir.CVar("c"), ir.CConst(2)))],
+    exit_=("keyed", ir.CVar("a"), "element"),
+    scalar=False,
+    bag=[],
+    lefts=[],
+)
+@example(  # a let inside the generated loop rebinds a variable from outside it
+    entry=(ir.PTuple((ir.PVar("a"), ir.PVar("b"))), [(0, 0)]),
+    step_list=[
+        ("expand", ir.PVar("c"), ir.RangeTerm(ir.CBinOp("%", ir.CVar("a"), ir.CConst(3)), ir.CConst(1))),
+        ("let", ir.PVar("a"), ir.CUnaryOp("!", ir.CVar("a"))),
+    ],
+    exit_=("row",),
+    scalar=0,
+    bag=[],
+    lefts=[{"a": 0, "b": ()}],
+)
 @given(
     entry=expand_entries,
     step_list=st.lists(
