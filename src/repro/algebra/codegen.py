@@ -55,6 +55,8 @@ _LITERAL_TYPES = (bool, int, str, type(None))
 _INLINE_COMBINES = {"+": operator.add, "*": operator.mul}
 #: "No accumulator yet" in a generated ``fold_by_key`` loop.
 MISSING = object()
+#: The driver binding holding a positional source's partition start offsets.
+OFFSETS = "offsets#"
 
 
 class Segment(NamedTuple):
@@ -63,6 +65,16 @@ class Segment(NamedTuple):
     ``entry`` says what a record is and which row variables it binds:
 
     * ``("bind", pattern)`` -- a raw scan element destructured by ``pattern``;
+    * ``("positional", (i, v))`` -- a plain element of a positional source
+      (:meth:`~repro.runtime.context.DistributedContext.indexed`) bound to
+      ``v``, with ``i`` its position: ``for i, v in enumerate(records,
+      start)``, ``start`` the partition's offset looked up in the driver
+      binding :data:`OFFSETS` by the partition index, the function's second
+      argument.  When nothing reads ``i`` (it is not in the steps' or the
+      exit's terms, and the exit does not rebuild the row or emit the raw
+      pair) the loop is ``for v in records`` and the function takes the
+      records only; ``function.indexed`` says which.  The pair shape is
+      known by construction, so only a nested ``v`` pattern is checked;
     * ``("row", names)`` -- a dict row with exactly the keys ``names``;
     * ``("cogroup", left_names, pattern)`` -- a join's co-grouped sides
       ``(key, [left rows], [right elements])``: the function is the join's
@@ -190,6 +202,10 @@ class _Emitter:
             self.reads.add(payload[1])
         #: Exits that rebuild the dict row need every row variable loaded.
         self.needs_row = segment.exit[0] == "row" or payload == "row"
+        #: The exit emits the raw input record.
+        self.emits_raw = payload == "element"
+        #: Whether a positional entry counts positions (see :class:`Segment`).
+        self.counted = False
 
     # -- naming ----------------------------------------------------------------
 
@@ -379,6 +395,9 @@ class _Emitter:
                 self.open("for element in rights:")
             self.bind(pattern, "element")
             return "left"
+        if kind == "positional":
+            self.positional(self.segment.entry[1])
+            return None
         self.open("for rec in records:")
         if kind == "bind":
             self.bind(self.segment.entry[1], "rec")
@@ -400,6 +419,27 @@ class _Emitter:
                     self.emit(f"{self.target(name)} = [member.get({name!r}) for member in value]")
         self.assigned.clear()
         return None
+
+    def positional(self, pattern: ir.PTuple) -> None:
+        """The loop of a ``positional`` entry: the element is ``rec`` (kept
+        intact: a rebinding gets a fresh local), the position a counter."""
+        position, element = pattern.elements
+        live = isinstance(position, ir.PVar) and (self.needs_row or position.name in self.reads)
+        self.counted = live or self.emits_raw
+        if self.counted:
+            index = self.fresh("r", position.name) if live else "position"
+            self.variable(OFFSETS)
+            self.open(f"for {index}, rec in enumerate(records, start):")
+            self.raw = f"({index}, rec)"
+            if live:
+                self.row[position.name], self.depths[position.name] = index, self.depth
+        else:
+            self.open("for rec in records:")
+        if isinstance(element, ir.PVar):
+            self.row[element.name], self.depths[element.name] = "rec", 0
+        elif isinstance(element, ir.PTuple):
+            self.bind(element, "rec")
+        self.assigned.clear()
 
     def row_dict(self, extends: str | None) -> str:
         if extends is None:
@@ -479,7 +519,7 @@ class _Emitter:
 
         lines = [
             "def __segment_factory__(scope, consts, base, functions, monoids, evaluate_local, local_bag):",
-            "    def segment(records):",
+            f"    def segment(records{', index' if self.counted else ''}):",
             *(f"        {line}" for line in setup),
             "        if not records:",
             f"            return {result}",
@@ -494,6 +534,8 @@ class _Emitter:
             ]
         for name, local in self.functions.items():
             lines += [f"        if {name!r} in functions:", f"            {local} = functions[{name!r}]"]
+        if self.counted:
+            lines.append(f"        start = {self.scalars[OFFSETS]}[index]")
         loop = self.lines
         if self.scalars or self.functions:
             messages = {local: f"undefined variable {name!r}" for name, local in self.scalars.items()}
@@ -515,11 +557,14 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     ``memo`` maps segments to their compiled factories, so a segment that
     recurs (loop iterations, repeated runs of one program) compiles once.
     The returned function carries its ``source`` for explain output, its
-    ``segment``, and ``retarget(exit)`` -- the same entry and steps leaving
-    through another exit, generated on demand under the same bindings and
-    memo.  A ``fold_by_key`` function also offers ``unfolded()``, its
-    ``keyed`` twin: the runtime's adaptive sampler needs the key stream as
-    it was before the fold.
+    ``segment``, ``indexed`` (whether it takes the partition index too),
+    and ``retarget(exit)`` -- the same entry and steps leaving through
+    another exit, generated on demand under the same bindings and memo.  A
+    ``fold_by_key`` function also offers ``unfolded()``, its ``keyed`` twin:
+    the runtime's adaptive sampler needs the key stream as it was before
+    the fold.  A ``positional`` function offers ``paired()``, its ``bind``
+    twin over ``(position, element)`` pairs, for the sampler's strided
+    sample whose positions are not those of the partition offsets.
     """
     try:
         compiled = memo.get(segment)
@@ -537,10 +582,11 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
             tuple(emitter.consts),
             tuple(emitter.scalars),
             tuple(emitter.functions),
+            emitter.counted,
         )
         if hashable:
             memo[segment] = compiled
-    factory, source, consts, scalars, called = compiled
+    factory, source, consts, scalars, called, indexed = compiled
     registry = bindings.functions
     function = factory(
         SegmentScope(bindings.base, bindings.values, scalars),
@@ -553,7 +599,11 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     )
     function.source = source
     function.segment = segment
+    function.indexed = indexed
     function.retarget = lambda exit_: generate(segment._replace(exit=exit_), bindings, memo)
     if segment.exit[0] == "fold_by_key":
         function.unfolded = functools.partial(function.retarget, ("keyed", *segment.exit[1:3]))
+    if segment.entry[0] == "positional":
+        paired = segment._replace(entry=("bind", segment.entry[1]))
+        function.paired = lambda: generate(paired, bindings, memo)
     return function

@@ -389,10 +389,11 @@ class Planner:
             ops.append(_Op(node.kind, spec, spec[0], node.kernel, keep, node.rows))
             node = node.child
         first: _Op | None = None
+        scan: ScanNode | None = None
         if entry is not None:
-            source = self._lower(node)
+            source, scan = self._lower(node), node
         elif isinstance(node, NarrowNode) and node.sig[0] == "bind":
-            source, entry = self._lower(node.child), node.sig
+            source, entry, scan = self._lower(node.child), node.sig, node.child
             first = _Op(MAP, entry, "bind", node.kernel, node.carry_partitioner, node.rows)
         elif isinstance(node, HashJoinNode):
             # Not a dataset yet: the run's generated function is the join's
@@ -421,7 +422,7 @@ class Planner:
         ops.reverse()
         if bags:
             bindings = dataclasses.replace(bindings, base={**bindings.base, **bags})
-        return self._emit(source, entry, ops, bindings, top, reduce)
+        return self._emit(source, entry, ops, bindings, top, reduce, scan)
 
     def _emit(
         self,
@@ -431,6 +432,7 @@ class Planner:
         bindings: Any,
         node: PlanNode,
         reduce: ReduceByKeyNode | None = None,
+        scan: ScanNode | None = None,
     ) -> Dataset:
         """Emit ``ops`` over ``dataset``, whose records have form ``entry``.
 
@@ -438,6 +440,14 @@ class Planner:
         has a kernel stays per-operator kernel stages, the generated
         one-step function attached as each kernel's record-path oracle.
         Every other run becomes one generated per-partition stage.
+
+        ``scan`` is the scan a ``bind`` entry reads directly.  When it is a
+        positional source (:meth:`Dataset.positional_source`) and the pattern
+        is ``(i, v)``, the generated run peels the source's positions stage
+        off: it scans the plain elements through a ``positional`` entry,
+        counting ``i`` from the partition offset, or not at all when ``i`` is
+        dead.  Kernel stages read pairs, so there the positions stage runs
+        first.
 
         A hash join arrives as ``dataset(consumer)``: its run (the
         ``cogroup`` entry has no kernel, so that run is always generated) is
@@ -449,6 +459,8 @@ class Planner:
         """
         folded = False
         if self.context.columnar and all(op.kernel is not None for op in ops):
+            if scan is not None and dataset.positional_source() is not None:
+                dataset = dataset.materialize()
             for op in ops:
                 if op.kernel.oracle is None:
                     one_step = codegen.generate(_segment(entry, [op]), bindings, self.segments)
@@ -459,6 +471,8 @@ class Planner:
                     dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
                 entry = ("row", op.rows)
         else:
+            if scan is not None:
+                dataset, entry, bindings = _positional(dataset, entry, bindings)
             segment = _segment(entry, ops)
             if reduce is not None:
                 fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
@@ -470,12 +484,20 @@ class Planner:
             function.operators = len(ops)
             if isinstance(dataset, Dataset):
                 keep = all(op.keep for op in ops)
-                dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+                if function.indexed:
+                    dataset = dataset.map_partitions_with_index(function, keep)
+                else:
+                    dataset = dataset.map_partitions(function, preserves_partitioning=keep)
             else:
                 dataset = dataset(function)
             self.context.metrics.record_generated_segment()
             if _note(node, f"generated: {function.label}"):
                 node.generated.append(function)
+            if entry[0] == "positional":
+                how = "index from partition offset" if function.indexed else "index dead"
+                note = f"positional scan of {scan.name}: {how}"
+                self.trace.append(note)
+                _note(node, note)
         if reduce is not None:
             dataset = dataset.reduce_by_key(reduce.combine_fn, folded=folded)
         return dataset
@@ -589,6 +611,23 @@ class Planner:
         _note(node, "cartesian (both sides above the broadcast threshold)")
         entry = ("product", node.left.rows, node.pattern, None)
         return rows.cartesian(dataset).map_partitions, entry, entry
+
+
+def _positional(dataset: Dataset, entry: tuple, bindings: Any) -> tuple[Dataset, tuple, Any]:
+    """A ``bind`` of ``(i, v)`` over a positional source as a ``positional``
+    entry over its plain elements, the partition offsets bound for the
+    generated loop; anything else unchanged."""
+    source = dataset.positional_source()
+    pattern = entry[1]
+    if (
+        source is None
+        or not isinstance(pattern, ir.PTuple)
+        or len(pattern.elements) != 2
+        or not isinstance(pattern.elements[0], (ir.PVar, ir.PWildcard))
+    ):
+        return dataset, entry, bindings
+    base = {**bindings.base, codegen.OFFSETS: source.offsets}
+    return source, ("positional", pattern), dataclasses.replace(bindings, base=base)
 
 
 def _bag(bags: dict[str, list[Any]], values: list[Any]) -> ir.CVar:

@@ -182,14 +182,21 @@ class ProgramRunner:
         return values
 
     def _to_dataset(self, value: Any) -> Dataset:
+        """A collection input as a Dataset.
+
+        A dict is a sparse array of its items.  A plain sequence is the
+        sparse array of its ``(position, element)`` pairs, but no pair is
+        built here: :meth:`DistributedContext.indexed` splits the elements
+        and numbers them inside the tasks -- or, in a generated loop that
+        scans them, not at all unless the loop reads the position.  Pass a
+        dict or a Dataset of pairs to supply explicit keys.
+        """
         if isinstance(value, Dataset):
             return value
         if isinstance(value, dict):
             return self.context.parallelize_pairs(value)
         if isinstance(value, (list, tuple)):
-            # Plain sequences become indexed collections: (position, element).
-            # Pass a dict or a Dataset of pairs to supply explicit keys.
-            return self.context.indexed(list(value))
+            return self.context.indexed(value)
         raise ExecutionError(f"cannot convert {type(value).__name__} to a dataset")
 
     # -- statement execution -----------------------------------------------------

@@ -40,7 +40,7 @@ class SparseVector:
     def from_dense(cls, context: DistributedContext, values: Iterable[Any]) -> "SparseVector":
         """Build a vector from a dense sequence (zeros are kept)."""
         values = list(values)
-        return cls(context.parallelize_raw(list(enumerate(values))), len(values))
+        return cls(context.indexed(values), len(values))
 
     @classmethod
     def zeros(cls, context: DistributedContext, length: int) -> "SparseVector":

@@ -28,6 +28,7 @@ every shuffle in the test suite through the spill path.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -262,13 +263,28 @@ class DistributedContext:
         return self.parallelize_raw(records, num_partitions)
 
     def indexed(self, data: Iterable[Any], num_partitions: int | None = None) -> Dataset:
-        """Create a key-value dataset ``(position, element)`` from a plain sequence.
+        """The key-value dataset ``(position, element)`` of a plain sequence.
 
         The translator represents every collection as an indexed (sparse
         array) dataset; this is the canonical way to feed it a plain list.
+        No pair is built here: the elements are split at the :meth:`_split`
+        boundaries into a source that remembers each partition's start
+        offset (``Dataset.offsets``), and the returned dataset is that source
+        with one pending stage, :func:`~repro.runtime.stage.positions`, which
+        numbers a partition from its offset inside the task.  A consumer
+        that needs the pairs (a join or merge key, an output, ``collect``, a
+        shipped task) gets them from that stage; a generated loop that scans
+        the source directly peels the stage off
+        (:meth:`Dataset.positional_source`) and makes the position a loop
+        variable instead.
         """
-        records = list(enumerate(data))
-        return self.parallelize_raw(records, num_partitions)
+        records = data if isinstance(data, list) else list(data)
+        source = self.parallelize_raw(records, num_partitions)
+        source.offsets = tuple(
+            itertools.accumulate((len(partition) for partition in source.partitions[:-1]), initial=0)
+        )
+        positions = functools.partial(stage_mod.positions, source.offsets)
+        return Dataset._pending(source, (NarrowStage(stage_mod.PARTITIONS_INDEXED, positions),), None)
 
     def range_dataset(self, lower: int, upper: int, num_partitions: int | None = None) -> Dataset:
         """The dataset of integers ``lower..upper`` (both bounds inclusive)."""
@@ -437,16 +453,28 @@ class DistributedContext:
         A generated stage that folds by key inside its loop would show every
         key once; its ``unfolded`` twin (same steps, one ``(key, value)`` per
         record) is sampled instead, so the decisions are those of the
-        pre-fold key stream.
+        pre-fold key stream.  Over a positional source the chain's first
+        stage numbers the elements from the partition offset, which a
+        strided sample would get wrong: the sample is taken as
+        ``(position, element)`` pairs carrying the true positions, and that
+        stage is replaced by its pair-reading form (the positions stage
+        dropped, a generated loop's ``paired`` twin).
         """
         try:
-            partitions = shuffle_input.source.partitions
+            source = shuffle_input.source
+            partitions = source.partitions
             stages = tuple(
                 stage._replace(function=stage.function.unfolded())
                 if hasattr(stage.function, "unfolded")
                 else stage
                 for stage in shuffle_input.stages
             )
+            offsets = source.offsets
+            if offsets is not None:
+                head, rest = stages[0], stages[1:]
+                if not stage_mod.is_positions(head):
+                    rest = (NarrowStage(stage_mod.PARTITIONS, head.function.paired()),) + rest
+                stages = rest
             task = stage_mod.compose(stages) if stages else None
             histogram: Counter = Counter()
             for index, partition in enumerate(partitions):
@@ -454,6 +482,9 @@ class DistributedContext:
                     continue
                 step = max(1, len(partition) // ADAPTIVE_SAMPLE_PER_PARTITION)
                 sample = partition[::step]
+                if offsets is not None:
+                    start = offsets[index]
+                    sample = list(zip(range(start, start + len(partition), step), sample))
                 if task is not None:
                     sample = task(list(sample), index)
                 for record in sample:

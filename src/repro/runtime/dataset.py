@@ -137,6 +137,11 @@ class Dataset:
     pending dataset.
     """
 
+    #: A positional source's partition start offsets (set by
+    #: :meth:`DistributedContext.indexed` on the dataset of plain elements
+    #: its positions stage numbers); None for every other dataset.
+    offsets: tuple[int, ...] | None = None
+
     def __init__(
         self,
         context: "DistributedContext",
@@ -323,12 +328,28 @@ class Dataset:
         """All records as a single list (driver side)."""
         return [record for partition in self._forced(read=True) for record in partition]
 
+    def positional_source(self) -> "Dataset | None":
+        """The plain elements behind a not yet forced
+        :meth:`DistributedContext.indexed` dataset, else None.
+
+        Its one pending stage numbers the elements, so a loop over the
+        source that numbers them itself needs no pair built, and the record
+        count is the source's."""
+        with self._force_lock:
+            source, stages = self._source, self._stages
+        if source is not None and len(stages) == 1 and stage_mod.is_positions(stages[0]):
+            return source
+        return None
+
     def count(self) -> int:
         """Number of records."""
-        return sum(len(partition) for partition in self.partitions)
+        source = self.positional_source()
+        partitions = (self if source is None else source).partitions
+        return sum(len(partition) for partition in partitions)
 
     def is_empty(self) -> bool:
-        return all(not partition for partition in self.partitions)
+        source = self.positional_source()
+        return all(not partition for partition in (self if source is None else source).partitions)
 
     def first(self) -> Any:
         """The first record; raises if the dataset is empty."""
@@ -498,6 +519,18 @@ class Dataset:
             NarrowStage(stage_mod.PARTITIONS, function), keep_partitioner=preserves_partitioning
         )
 
+    def map_partitions_with_index(
+        self,
+        function: Callable[[list[Any], int], Iterable[Any]],
+        preserves_partitioning: bool = False,
+    ) -> "Dataset":
+        """:meth:`map_partitions` with the partition index as the function's
+        second argument (lazy)."""
+        return self._with_stage(
+            NarrowStage(stage_mod.PARTITIONS_INDEXED, function),
+            keep_partitioner=preserves_partitioning,
+        )
+
     def key_by(self, function: Callable[[Any], Any]) -> "Dataset":
         """Turn records into ``(function(record), record)`` pairs."""
         return self.map(lambda record: (function(record), record))
@@ -620,10 +653,11 @@ class Dataset:
         """
         source, stages, _ = self._capture_plan()
         fused = None
-        if fuse is not None and stages and stages[-1].kind == stage_mod.PARTITIONS:
+        whole = (stage_mod.PARTITIONS, stage_mod.PARTITIONS_INDEXED)
+        if fuse is not None and stages and stages[-1].kind in whole:
             fused = fuse(stages[-1].function)
         if fused is not None:
-            chain = stages[:-1] + (NarrowStage(stage_mod.PARTITIONS, fused),)
+            chain = stages[:-1] + (stages[-1]._replace(function=fused),)
             folded = Dataset._pending(source, chain, None)
         else:
             folded = self.map_partitions(functools.partial(stage_mod.fold_partition, fold))

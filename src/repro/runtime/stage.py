@@ -60,7 +60,8 @@ MAP_VALUES = "map_values"
 #: Whole-partition transform; the function receives the partition list.
 PARTITIONS = "partitions"
 #: Whole-partition transform that also receives the partition index
-#: (used by :meth:`Dataset.sample` to derive per-partition generators).
+#: (:meth:`Dataset.sample` derives per-partition generators from it, a
+#: positional source its start offsets).
 PARTITIONS_INDEXED = "partitions_indexed"
 
 _KINDS = (MAP, FLAT_MAP, FILTER, MAP_VALUES, PARTITIONS, PARTITIONS_INDEXED)
@@ -84,13 +85,11 @@ def apply_stage(stage: NarrowStage, records: list[Any], index: int) -> list[Any]
         return [record for record in records if function(record)]
     if kind == MAP_VALUES:
         return [(key, function(value)) for key, value in records]
-    if kind == PARTITIONS:
+    if kind in (PARTITIONS, PARTITIONS_INDEXED):
         # A list result is kept as it is: a generated fold exit returns
         # FoldedRecords, whose count has to reach the shuffle writer.
-        out = function(records)
+        out = function(records) if kind == PARTITIONS else function(records, index)
         return out if isinstance(out, list) else list(out)
-    if kind == PARTITIONS_INDEXED:
-        return list(function(records, index))
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
@@ -306,6 +305,19 @@ def run_fused_chunk(
         return [(index, task(records, index)) for index, records in chunk]
     except Exception as error:
         raise FusedTaskError(error) from error
+
+
+def positions(offsets: tuple[int, ...], records: list[Any], index: int) -> list[Any]:
+    """The ``(position, element)`` pairs of one partition of a positional
+    source (:meth:`DistributedContext.indexed`), numbered from the partition's
+    start offset inside the task."""
+    return list(enumerate(records, offsets[index]))
+
+
+def is_positions(stage: NarrowStage) -> bool:
+    """Whether ``stage`` is a positional source's positions stage."""
+    function = stage.function
+    return isinstance(function, functools.partial) and function.func is positions
 
 
 def sample_partition(fraction: float, seed: int, records: list[Any], index: int) -> list[Any]:
