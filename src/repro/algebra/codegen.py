@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 from repro.comprehension import ir
+from repro.comprehension.monoids import _logical_and, _logical_or
 from repro.errors import ExecutionError
 from repro.operators import apply_binary, apply_unary, project_value, update_field  # noqa: F401
 from repro.runtime.columnar import ScalarScope
@@ -51,8 +52,13 @@ from repro.runtime.stage import FoldedRecords  # noqa: F401
 _SEQUENCE = (tuple, list)
 _INLINE_BINOPS = frozenset({"+", "-", "*", "%", "<", "<=", ">", ">=", "==", "!="})
 _LITERAL_TYPES = (bool, int, str, type(None))
-#: The built-in monoid combines a fold exit may spell as the operator itself.
-_INLINE_COMBINES = {"+": operator.add, "*": operator.mul}
+#: The built-in monoid combines a fold exit may spell inline, and how.
+_INLINE_COMBINES = {
+    "+": (operator.add, "({} + {})"),
+    "*": (operator.mul, "({} * {})"),
+    "&&": (_logical_and, "(bool({}) and bool({}))"),
+    "||": (_logical_or, "(bool({}) or bool({}))"),
+}
 #: "No accumulator yet" in a generated ``fold_by_key`` loop.
 MISSING = object()
 #: The driver binding holding a positional source's partition start offsets.
@@ -105,9 +111,20 @@ class Segment(NamedTuple):
     order, each value the exact left fold of its payloads, i.e. what
     ``apply_combiner(("reduce", ⊕), ...)`` makes of the ``keyed`` output --
     and ``("fold", term, op, inline)`` left-folds ``term`` from the monoid's
-    identity and returns ``[result]``.  ``inline`` (see :func:`fold_operator`)
+    identity and returns ``[result]``.  Its product form, a tuple ``op`` over
+    a ``CTuple`` term of as many elements (a shared scan's ``(⊕1,…,⊕n)/``),
+    keeps one local accumulator per component, folds element j into
+    accumulator j and returns ``[(acc0, …)]``: no tuple is built per record.
+    ``inline`` (see :func:`fold_operator`; a tuple of flags for a product)
     spells ``⊕`` as the Python operator instead of calling the registry's
     ``combine``.
+
+    A ``let`` of a variable to a term in the pure inlined fragment (variables,
+    constants, projections, arithmetic and comparisons, ``/`` and unary
+    operators -- never a function call or an ``evaluate_local`` fallback)
+    whose source text an earlier such ``let`` already computed, with none of
+    the locals it reads rebound since, aliases that let's local instead of
+    computing the term again.
     """
 
     entry: tuple
@@ -163,10 +180,31 @@ def in_range(value: Any, lower: Any, upper: Any) -> bool:
     return lower <= value <= upper
 
 
-def fold_operator(op: str, monoids: Any) -> tuple[str, bool]:
+def fold_operator(op: str | tuple[str, ...], monoids: Any) -> tuple[Any, Any]:
     """The ``(op, inline)`` tail of a folding exit: ``inline`` only when the
-    registry's combine for ``op`` *is* the built-in ``+`` / ``*``."""
-    return op, monoids.get(op).combine is _INLINE_COMBINES.get(op)
+    registry's combine for ``op`` *is* the built-in ``+`` / ``*`` / ``&&`` /
+    ``||``.  A product ``op`` gets one ``inline`` flag per component."""
+    if isinstance(op, tuple):
+        return op, tuple(fold_operator(part, monoids)[1] for part in op)
+    inlined = _INLINE_COMBINES.get(op)
+    return op, inlined is not None and monoids.get(op).combine is inlined[0]
+
+
+def _pure(term: ir.Term) -> bool:
+    """Whether ``term`` is in the fragment a ``let`` may share (see :class:`Segment`)."""
+    if isinstance(term, (ir.CVar, ir.CConst)):
+        return True
+    if isinstance(term, ir.CProject):
+        return _pure(term.base)
+    if isinstance(term, ir.CBinOp):
+        return (term.op in _INLINE_BINOPS or term.op == "/") and _pure(term.left) and _pure(term.right)
+    if isinstance(term, ir.CUnaryOp):
+        return _pure(term.operand)
+    return False
+
+
+def _mentions(text: str, local: str) -> bool:
+    return re.search(rf"\b{re.escape(local)}\b", text) is not None
 
 
 def unresolved(error: UnboundLocalError, messages: dict[str, str]) -> BaseException:
@@ -192,6 +230,9 @@ class _Emitter:
         self.functions: dict[str, str] = {}
         self.assigned: list[str] = []  # row variables bound past the entry dict
         self.reduced: str | None = None  # row variable known to be PreAggregated
+        #: Source text of a pure let's term -> the local holding it and that
+        #: local's depth, while no local the text reads is rebound.
+        self.computed: dict[str, tuple[str, int]] = {}
         self.count = 0
         terms = [step[-1] for step in segment.steps]
         if segment.exit[0] != "row":
@@ -230,16 +271,30 @@ class _Emitter:
         """The local a (re)binding of row variable ``name`` assigns.
 
         A rebinding inside a loop opened after the binding gets a fresh
-        local: the loop's later passes still read the outer value."""
+        local: the loop's later passes still read the outer value.  So does
+        one of a local another variable shares (an aliased let)."""
         local = self.row.get(name)
-        if local is None or self.depths.get(name, 0) < self.depth:
+        if (
+            local is None
+            or self.depths.get(name, 0) < self.depth
+            or any(held == local for other, held in self.row.items() if other != name)
+        ):
             local = self.row[name] = self.fresh("r", name)
             self.depths[name] = self.depth
+        self.computed = {
+            text: known
+            for text, known in self.computed.items()
+            if known[0] != local and not _mentions(text, local)
+        }
+        self.rebound(name)
+        return local
+
+    def rebound(self, name: str) -> None:
+        """Bookkeeping for a row variable bound past the entry."""
         if name not in self.assigned:
             self.assigned.append(name)
         if name == self.reduced:
             self.reduced = None
-        return local
 
     # -- patterns --------------------------------------------------------------
 
@@ -461,13 +516,33 @@ class _Emitter:
         empty-partition check, and the expression the function returns."""
         exit_ = self.segment.exit
         kind = exit_[0]
-        if kind in ("fold", "fold_by_key"):
+        if kind == "fold":
+            term, op, inline = exit_[1:]
+            if not isinstance(op, tuple):
+                setup, fetch = self.accumulate("acc", "combine", op, inline, self.expr(term))
+                return setup, fetch, "[acc]"
+            # Every component's term before any combine, as the head tuple was.
+            values = []
+            for element in term.elements:
+                value = self.expr(element)
+                inert = isinstance(element, ir.CConst) or (
+                    isinstance(element, ir.CVar) and element.name in self.row
+                )
+                if not inert:
+                    holder = self.fresh("t")
+                    self.emit(f"{holder} = {value}")
+                    value = holder
+                values.append(value)
+            setup, fetch = [], []
+            for position, part in enumerate(zip(op, inline, values, strict=True)):
+                lines = self.accumulate(f"acc{position}", f"combine{position}", *part)
+                setup += lines[0]
+                fetch += lines[1]
+            return setup, fetch, "[(" + "".join(f"acc{position}, " for position in range(len(op))) + ")]"
+        if kind == "fold_by_key":
             op, inline = exit_[-2:]
-            combine = f"({{}} {op} {{}})" if inline else "combine({}, {})"
+            combine = _INLINE_COMBINES[op][1] if inline else "combine({}, {})"
             fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
-            if kind == "fold":
-                self.emit(f"acc = {combine.format('acc', self.expr(exit_[1]))}")
-                return [f"acc = monoids.get({op!r}).identity()"], fetch, "[acc]"
             self.emit(f"fold_key = {self.expr(exit_[1])}")
             value = self.payload(exit_[2], extends)
             self.emit("held = get(fold_key, MISSING)")
@@ -483,6 +558,21 @@ class _Emitter:
             item = f"({self.expr(exit_[1])}, {self.payload(exit_[2], extends)})"
         self.emit(f"append({item})")
         return ["out = []"], ["append = out.append"], "out"
+
+    def accumulate(
+        self, acc: str, combine: str, op: str, inline: bool, value: str
+    ) -> tuple[list[str], list[str]]:
+        """Emit ``acc = acc ⊕ value``; returns the lines that set ``acc`` up
+        and the ones that fetch ``combine``."""
+        if inline and op in ("&&", "||") and not value.isidentifier():
+            # The combine's argument is evaluated whatever the short-circuit does.
+            holder = self.fresh("t")
+            self.emit(f"{holder} = {value}")
+            value = holder
+        form = _INLINE_COMBINES[op][1] if inline else f"{combine}({{}}, {{}})"
+        self.emit(f"{acc} = {form.format(acc, value)}")
+        fetch = [] if inline else [f"{combine} = monoids.get({op!r}).combine"]
+        return [f"{acc} = monoids.get({op!r}).identity()"], fetch
 
     def expand(self, pattern: ir.Pattern, source: ir.Term) -> None:
         """Open the inner loop of an ``expand`` step (see :class:`Segment`)."""
@@ -505,11 +595,29 @@ class _Emitter:
             self.open(f"for {element} in {bag}:")
             self.bind(pattern, element)
 
+    def let(self, pattern: ir.Pattern, term: ir.Term) -> None:
+        """Emit a ``let`` step; a pure term computed before is not computed
+        again (see :class:`Segment`).  The alias is in scope: loop depth only
+        grows within a segment."""
+        if not (isinstance(pattern, ir.PVar) and _pure(term)):
+            self.bind(pattern, self.expr(term))
+            return
+        text, name = self.expr(term), pattern.name
+        known = self.computed.get(text)
+        if known is None:
+            local = self.target(name)
+            self.emit(f"{local} = {text}")
+            if not _mentions(text, local):
+                self.computed[text] = (local, self.depth)
+            return
+        self.row[name], self.depths[name] = known
+        self.rebound(name)
+
     def source(self) -> str:
         extends = self.entry()
         for step in self.segment.steps:
             if step[0] == "let":
-                self.bind(step[1], self.expr(step[2]))
+                self.let(step[1], step[2])
             elif step[0] == "expand":
                 self.expand(step[1], step[2])
             else:

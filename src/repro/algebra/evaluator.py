@@ -845,7 +845,7 @@ class TermEvaluator:
         def fuse(function: Any) -> Any:
             twin = folding_twin(function, op, self.env.monoids)
             if twin is not None:
-                self.trace.append(f"{op}/ folded inside the generated loop: {twin.label}")
+                self.trace.append(f"{ir.op_text(op)}/ folded inside the generated loop: {twin.label}")
             return twin
 
         # Distributed: one left fold per partition inside its task (inside the

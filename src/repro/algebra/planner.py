@@ -165,18 +165,22 @@ def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
     return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
 
 
-def folding_twin(function: Any, op: str, monoids: Any) -> Any | None:
+def folding_twin(function: Any, op: str | tuple[str, ...], monoids: Any) -> Any | None:
     """``function`` folding its head with ``op`` inside its loop, or None.
 
     For a generated stage that ends in ``head`` this is the same loop with
     the ``append`` replaced by ``acc = acc ⊕ head`` (returning ``[acc]``):
-    what a scalar ``⊕/`` over the stage's output needs per partition.
+    what a scalar ``⊕/`` over the stage's output needs per partition.  A
+    product ``(⊕1,…,⊕n)/`` needs a head tuple of n terms, one per component.
     """
     segment = getattr(function, "segment", None)
     if segment is None or segment.exit[0] != "head":
         return None
-    twin = function.retarget(("fold", segment.exit[1], *codegen.fold_operator(op, monoids)))
-    twin.label = f"{function.label.removesuffix('head')}fold({op})"
+    head = segment.exit[1]
+    if isinstance(op, tuple) and not (isinstance(head, ir.CTuple) and len(head.elements) == len(op)):
+        return None
+    twin = function.retarget(("fold", head, *codegen.fold_operator(op, monoids)))
+    twin.label = f"{function.label.removesuffix('head')}fold({ir.op_text(op)})"
     twin.operators = function.operators
     return twin
 

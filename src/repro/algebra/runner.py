@@ -51,7 +51,13 @@ from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
 from repro.translate.facts import ProgramFacts
-from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile
+from repro.translate.target import (
+    TargetAssign,
+    TargetProgram,
+    TargetStatement,
+    TargetWhile,
+    is_temporary,
+)
 
 #: Safety valve for while-loops in target programs.
 MAX_WHILE_ITERATIONS = 1_000_000
@@ -158,9 +164,8 @@ class ProgramRunner:
             self._place_inputs(program.facts, environment, state)
         self._execute_block(program.statements, program, environment, state)
         elapsed = time.perf_counter() - started
-        return ProgramResult(
-            environment.values, elapsed, state.trace, state.iteration_metrics
-        )
+        values = {name: value for name, value in environment.values.items() if not is_temporary(name)}
+        return ProgramResult(values, elapsed, state.trace, state.iteration_metrics)
 
     # -- input preparation ------------------------------------------------------
 
@@ -223,6 +228,8 @@ class ProgramRunner:
         environment: EvaluationEnvironment,
         state: _RunState,
     ) -> None:
+        if statement.rule is not None:
+            state.trace.append(f"{statement.variable}: {statement.rule}")
         evaluator = TermEvaluator(environment, state.trace, state.loop_cache, program.segments)
         fused_before = self.context.metrics.fused_stages
         shuffles_before = self.context.metrics.shuffles

@@ -88,8 +88,12 @@ def _compatible(left: "ast.Type | BagType | None", right: "ast.Type | BagType | 
     return False
 
 
-def monoid_element_type(monoids: MonoidRegistry, op: str) -> ast.Type | None:
-    """The element type a monoid combines, derived from its identity value."""
+def monoid_element_type(monoids: MonoidRegistry, op: str | tuple[str, ...]) -> ast.Type | None:
+    """The element type a monoid combines, derived from its identity value;
+    a product monoid combines the tuple of its components' types."""
+    if isinstance(op, tuple):
+        parts = (monoid_element_type(monoids, part) for part in op)
+        return ast.TupleType(tuple(part if part is not None else _UNKNOWN for part in parts))
     if op not in monoids:
         return None
     zero = monoids.get(op).identity()
@@ -275,10 +279,11 @@ class TypeChecker:
         operand = self.infer(term.operand, env)
         element = operand.element if isinstance(operand, BagType) else operand
         expected = monoid_element_type(self.monoids, term.op)
+        op = ir.op_text(term.op)
         if expected is not None and element is not None and not _compatible(expected, element):
             self._report(
                 "D302",
-                f"aggregation {term.op}/ reduces {element} values but the {term.op!r} monoid "
+                f"aggregation {op}/ reduces {element} values but the {op!r} monoid "
                 f"combines {expected} values",
                 hint="use a monoid whose element type matches the aggregated expression",
             )

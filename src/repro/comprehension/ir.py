@@ -207,18 +207,28 @@ class CCall(Term):
         return f"{self.function}({', '.join(str(a) for a in self.arguments)})"
 
 
+def op_text(op: str | tuple[str, ...]) -> str:
+    """A monoid operator as printed: ``+``, or ``(+,max)`` for a product."""
+    return op if isinstance(op, str) else f"({','.join(op)})"
+
+
 @dataclass(frozen=True)
 class Aggregate(Term):
-    """A monoid aggregation ``⊕/e`` that reduces the bag ``e`` with ⊕."""
+    """A monoid aggregation ``⊕/e`` that reduces the bag ``e`` with ⊕.
 
-    op: str
+    ``op`` may be a tuple of symbols: ``(⊕1,…,⊕n)/e`` folds a bag of
+    n-tuples component-wise with the product monoid (one shared scan for
+    n scalar folds; see :func:`repro.translate.translator.share_scans`).
+    """
+
+    op: str | tuple[str, ...]
     operand: Term
 
     def children(self) -> tuple[Term, ...]:
         return (self.operand,)
 
     def __str__(self) -> str:
-        return f"{self.op}/{self.operand}"
+        return f"{op_text(self.op)}/{self.operand}"
 
 
 @dataclass(frozen=True)

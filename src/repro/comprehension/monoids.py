@@ -16,10 +16,13 @@ arg-min record, ``^^`` for the running average).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro.comprehension.ir import op_text
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,25 @@ def _logical_and(a: Any, b: Any) -> Any:
 
 def _logical_or(a: Any, b: Any) -> Any:
     return bool(a) or bool(b)
+
+
+def _identities(components: tuple[Monoid, ...]) -> tuple[Any, ...]:
+    return tuple(monoid.identity() for monoid in components)
+
+
+def _combine_components(components: tuple[Monoid, ...], a: tuple, b: tuple) -> tuple[Any, ...]:
+    return tuple(monoid.combine(x, y) for monoid, x, y in zip(components, a, b, strict=True))
+
+
+def product_monoid(components: tuple[Monoid, ...]) -> Monoid:
+    """The tuple of ``components`` as one monoid: identity and combine work
+    component-wise, so each component folds exactly as it would alone."""
+    return Monoid(
+        op_text(tuple(monoid.symbol for monoid in components)),
+        functools.partial(_identities, components),
+        functools.partial(_combine_components, components),
+        commutative=all(monoid.commutative for monoid in components),
+    )
 
 
 def builtin_monoids() -> dict[str, Monoid]:
@@ -123,17 +145,25 @@ class MonoidRegistry:
         """
         return (self._uid, self._version)
 
-    def get(self, symbol: str) -> Monoid:
-        """Look up the monoid for ``symbol``; raises ``KeyError`` if unknown."""
+    def get(self, symbol: str | tuple[str, ...]) -> Monoid:
+        """Look up the monoid for ``symbol``; raises ``KeyError`` if unknown.
+
+        A tuple of symbols (a shared scan's ``(⊕1,…,⊕n)/``) resolves to the
+        :func:`product_monoid` of its components, built on the spot and never
+        registered, so the :meth:`fingerprint` does not move.
+        """
+        if isinstance(symbol, tuple):
+            return product_monoid(tuple(self._monoids[part] for part in symbol))
         return self._monoids[symbol]
 
-    def __contains__(self, symbol: str) -> bool:
+    def __contains__(self, symbol: str | tuple[str, ...]) -> bool:
+        if isinstance(symbol, tuple):
+            return all(part in self._monoids for part in symbol)
         return symbol in self._monoids
 
-    def is_commutative(self, symbol: str) -> bool:
+    def is_commutative(self, symbol: str | tuple[str, ...]) -> bool:
         """True when ``symbol`` names a registered commutative monoid."""
-        monoid = self._monoids.get(symbol)
-        return monoid is not None and monoid.commutative
+        return symbol in self and self.get(symbol).commutative
 
     def symbols(self) -> list[str]:
         """All registered operator symbols."""

@@ -39,6 +39,9 @@ class OptimizerStats:
     #: ``X := X ⊳ S`` into a freshly emptied X rewritten to ``X := S``
     #: (see :func:`repro.translate.translator.merge_into_fresh`).
     fresh_merges: int = 0
+    #: Runs of scalar folds over one source merged into one scan
+    #: (see :func:`repro.translate.translator.share_scans`).
+    shared_scans: int = 0
 
     def total(self) -> int:
         return (
@@ -46,6 +49,7 @@ class OptimizerStats:
             + self.constant_key_group_bys_removed
             + self.unique_key_group_bys_removed
             + self.fresh_merges
+            + self.shared_scans
         )
 
 

@@ -15,8 +15,9 @@ Two kinds of fact live here, and nowhere else:
   assigned inside a ``while`` loop, and the keyed demand that drives the
   runner's program-level placement.  :class:`ProgramFacts` computes them in
   one walk, the first time a program runs (``TargetProgram.facts``), so
-  compilation does no extra work.  :func:`mentioned_names` is the one
-  statement-level fact the compiler needs before a program exists.
+  compilation does no extra work.  :func:`mentioned_names` and
+  :func:`independent` are the statement-level facts the compiler needs
+  before a program exists.
 """
 
 from __future__ import annotations
@@ -161,6 +162,22 @@ def mentioned_names(statement: TargetStatement) -> set[str]:
     for inner in statement.body:
         names |= mentioned_names(inner)
     return names
+
+
+def independent(statements: Sequence[TargetAssign]) -> bool:
+    """Whether no statement reads a variable that another one assigns.
+
+    Each may read (and assign) its own variable.  Independent statements
+    see the same values whichever of them runs first, so their right-hand
+    sides may all be evaluated before the first of them assigns -- what a
+    shared scan (:func:`repro.translate.translator.share_scans`) does.
+    """
+    assigned = Counter(statement.variable for statement in statements)
+    for statement in statements:
+        others = {name for name, count in assigned.items() if name != statement.variable or count > 1}
+        if ir.free_variables(statement.term) & others:
+            return False
+    return True
 
 
 def keyed_consumers(term: ir.Term) -> list[str]:

@@ -71,9 +71,20 @@ class TargetAssign:
     #: The loop-language statement this assignment was generated from (for
     #: error messages and provenance in tests); not part of equality.
     origin: ast.Stmt | None = field(default=None, compare=False)
+    #: The compile-time rewrite that made this statement, as the runner
+    #: traces it when the statement runs; not part of equality.
+    rule: str | None = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.variable} := {self.term}"
+
+
+def is_temporary(name: str) -> bool:
+    """Whether ``name`` is a compiler temporary (a shared scan's ``scan$N``).
+
+    Temporaries carry the ``$`` of fresh names, which no loop-language or
+    Python identifier can; they are never program outputs."""
+    return "$" in name
 
 
 @dataclass(frozen=True)

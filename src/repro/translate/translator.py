@@ -21,7 +21,7 @@ import inspect
 import textwrap
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, NamedTuple
 
 from repro.analysis.restrictions import RestrictionChecker
 from repro.comprehension import ir
@@ -33,7 +33,7 @@ from repro.loop_lang.parser import parse_program
 from repro.loop_lang.python_frontend import from_python_function
 from repro.translate.cache import CacheInfo, CompilationCache
 from repro.translate.canonicalize import canonicalize_increments
-from repro.translate.facts import mentioned_names
+from repro.translate.facts import independent, mentioned_names
 from repro.translate.rules import TranslationRules
 from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile, VariableInfo
 
@@ -150,6 +150,7 @@ class DiabloCompiler:
         optimized = tuple(self._optimize_statement(s, optimizer, fresh) for s in statements)
         if self.optimize:
             optimized = merge_into_fresh(optimized, optimizer)
+            optimized = share_scans(optimized, optimizer, fresh)
         elapsed = time.perf_counter() - started
         target = TargetProgram(optimized, variables)
         if self.strict:
@@ -310,6 +311,176 @@ def merge_into_fresh(
             fresh[statement.variable] = len(out)
         out.append(statement)
     return tuple(s for s in out if s is not None)
+
+
+# ---------------------------------------------------------------------------
+# Shared scans
+# ---------------------------------------------------------------------------
+
+
+class _Fold(NamedTuple):
+    """The parts of a scalar fold statement (see :func:`_scalar_fold`)."""
+
+    source: str
+    pattern: ir.Pattern
+    lets: tuple[ir.Qualifier, ...]
+    head: ir.Term
+    op: str
+    #: ``let (k, z) = ((), ⊕/w)``'s pattern and the qualifiers after it.
+    unpack: ir.Pattern
+    rest: tuple[ir.Qualifier, ...]
+
+
+def _scalar_fold(statement: TargetStatement) -> _Fold | None:
+    """``{v | let w = {h | p <- X, let…}, let (k, z) = ((), ⊕/w), …}``: a
+    scalar ``x ⊕= h`` over the variable X with a let-only body, as Figure 2
+    and the constant-key group-by elimination leave it."""
+    if not (isinstance(statement, TargetAssign) and statement.scalar):
+        return None
+    match statement.term:
+        case ir.Comprehension(
+            head,
+            (
+                ir.LetBinding(
+                    ir.PVar(bag), ir.Comprehension(inner, (ir.Generator(pattern, ir.CVar(source)), *lets))
+                ),
+                ir.LetBinding(
+                    ir.PTuple((ir.PVar(), ir.PVar())) as unpack,
+                    ir.CTuple((ir.CTuple(()), ir.Aggregate(str() as op, ir.CVar(folded)))),
+                ),
+                *rest,
+            ),
+        ) if (
+            folded == bag
+            and all(isinstance(let, ir.LetBinding) for let in lets)
+            and bag not in ir.free_variables(ir.Comprehension(head, tuple(rest)))
+        ):
+            return _Fold(source, pattern, tuple(lets), inner, op, unpack, tuple(rest))
+    return None
+
+
+def _renaming(pattern: ir.Pattern, onto: ir.Pattern) -> dict[str, ir.Term] | None:
+    """The substitution under which ``pattern``'s variables read what
+    ``onto`` binds, or None when the two do not destructure alike."""
+    if isinstance(pattern, ir.PWildcard) and isinstance(onto, (ir.PWildcard, ir.PVar)):
+        return {}
+    if isinstance(pattern, ir.PVar) and isinstance(onto, ir.PVar):
+        return {pattern.name: ir.CVar(onto.name)}
+    if (
+        isinstance(pattern, ir.PTuple)
+        and isinstance(onto, ir.PTuple)
+        and len(pattern.elements) == len(onto.elements)
+    ):
+        mapping: dict[str, ir.Term] = {}
+        for element, target in zip(pattern.elements, onto.elements, strict=True):
+            inner = _renaming(element, target)
+            if inner is None:
+                return None
+            mapping.update(inner)
+        return mapping
+    return None
+
+
+def _scope(fold: _Fold) -> tuple[set[str], set[str]]:
+    """The names ``fold``'s body binds, and the outer names it reads."""
+    bound = {name for let in fold.lets for name in let.bound_variables()}
+    reads = ir.free_variables(ir.Comprehension(fold.head, fold.lets)) - set(fold.pattern.variables())
+    return bound, reads
+
+
+def _joins(run: list[tuple[TargetAssign, _Fold]], statement: TargetAssign, fold: _Fold) -> bool:
+    """Whether ``statement`` can share the scan of ``run``: the same source,
+    a pattern that destructures alike, no name one body binds that another
+    body (or the shared pattern) would capture, and no dependence on the
+    others' results."""
+    base = run[0][1]
+    if fold.source != base.source or _renaming(fold.pattern, base.pattern) is None:
+        return False
+    bound, reads = _scope(fold)
+    patterns = set(base.pattern.variables()) | set(fold.pattern.variables())
+    for _, other in run:
+        other_bound, other_reads = _scope(other)
+        if bound & (other_bound | other_reads | patterns) or reads & (other_bound | patterns):
+            return False
+    return independent([member for member, _ in run] + [statement])
+
+
+def _shared_scan(
+    run: list[tuple[TargetAssign, _Fold]], fresh: ir.NameGenerator
+) -> list[TargetStatement]:
+    """``scan$N := (⊕1,…,⊕n)/{(h1,…,hn) | p <- X, lets1, …, letsn}`` and the
+    run's statements, each reading its own component of ``scan$N``."""
+    base = run[0][1]
+    heads: list[ir.Term] = []
+    lets: list[ir.Qualifier] = []
+    for _, fold in run:
+        mapping = _renaming(fold.pattern, base.pattern) or {}
+        heads.append(ir.substitute_term(fold.head, mapping))
+        lets.extend(ir.substitute_qualifier(let, mapping) for let in fold.lets)
+    ops = tuple(fold.op for _, fold in run)
+    scan, bag, value = fresh.fresh("scan"), fresh.fresh("w"), fresh.fresh("z")
+    folded = ir.Comprehension(
+        ir.CVar(value),
+        (
+            ir.LetBinding(
+                ir.PVar(bag),
+                ir.Comprehension(
+                    ir.CTuple(tuple(heads)), (ir.Generator(base.pattern, ir.CVar(base.source)), *lets)
+                ),
+            ),
+            ir.LetBinding(ir.PVar(value), ir.Aggregate(ops, ir.CVar(bag))),
+        ),
+    )
+    members = ", ".join(statement.variable for statement, _ in run)
+    rule = f"shared scan of {base.source}: {members} {ir.op_text(ops)}"
+    out: list[TargetStatement] = [TargetAssign(scan, folded, scalar=True, rule=rule)]
+    for position, (statement, fold) in enumerate(run, 1):
+        component = ir.CTuple((ir.CTuple(()), ir.CProject(ir.CVar(scan), f"_{position}")))
+        term = ir.Comprehension(statement.term.head, (ir.LetBinding(fold.unpack, component), *fold.rest))
+        out.append(TargetAssign(statement.variable, term, scalar=True, origin=statement.origin))
+    return out
+
+
+def share_scans(
+    statements: tuple[TargetStatement, ...], optimizer: Optimizer, fresh: ir.NameGenerator
+) -> tuple[TargetStatement, ...]:
+    """Run consecutive scalar folds over one source as one scan.
+
+    Within one block (a ``while`` body is its own), a maximal run of scalar
+    folds (:func:`_scalar_fold`) over the same variable, none reading what
+    another assigns (:func:`~repro.translate.facts.independent`), becomes a
+    fresh scalar ``scan$N`` folding the tuple of their heads with the tuple
+    of their monoids -- itself a monoid -- computed where the run starts;
+    each statement then takes its component where it used to fold.  Every
+    component is the same left fold, over the same records in the same
+    order, from the same identity, so the results are bit-identical; the
+    source is scanned once instead of once per statement.
+    """
+    out: list[TargetStatement] = []
+    run: list[tuple[TargetAssign, _Fold]] = []
+
+    def flush() -> None:
+        if len(run) > 1:
+            out.extend(_shared_scan(run, fresh))
+            optimizer.stats.shared_scans += 1
+        else:
+            out.extend(statement for statement, _ in run)
+        run.clear()
+
+    for statement in statements:
+        if isinstance(statement, TargetWhile):
+            flush()
+            out.append(TargetWhile(statement.condition, share_scans(statement.body, optimizer, fresh)))
+            continue
+        fold = _scalar_fold(statement)
+        if run and (fold is None or not _joins(run, statement, fold)):
+            flush()
+        if fold is None:
+            out.append(statement)
+        else:
+            run.append((statement, fold))
+    flush()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from repro.comprehension import ir
 from repro.comprehension.monoids import Monoid, MonoidRegistry
 from repro.errors import ExecutionError
 from repro.evaluation.harness import diablo_for, translated_outputs
+from repro.functions import FunctionRegistry
 from repro.programs import get_program
 from repro.runtime import stage
 from repro.runtime.cluster import wire
@@ -315,20 +316,29 @@ fold_keys = st.one_of(
     terms(),
 )
 fold_payloads = st.sampled_from([("value", "b")] * 4 + [("value", "a"), ("value", "c")])
-folding_exits = st.sampled_from(FOLD_OPS).flatmap(
-    lambda op: st.one_of(
-        st.tuples(
-            st.just("fold_by_key"),
-            fold_keys,
-            fold_payloads,
-            *map(st.just, codegen.fold_operator(op, MONOIDS)),
-        ),
-        st.tuples(
+fold_terms = st.one_of(st.just(ir.CVar("b")), terms(NAMES + ["c"]))
+folding_exits = st.one_of(
+    st.sampled_from(FOLD_OPS).flatmap(
+        lambda op: st.one_of(
+            st.tuples(
+                st.just("fold_by_key"),
+                fold_keys,
+                fold_payloads,
+                *map(st.just, codegen.fold_operator(op, MONOIDS)),
+            ),
+            st.tuples(st.just("fold"), fold_terms, *map(st.just, codegen.fold_operator(op, MONOIDS))),
+        )
+    ),
+    # The product form: a shared scan's (⊕1,…,⊕n)/ over a head tuple.
+    st.lists(st.sampled_from(FOLD_OPS), min_size=2, max_size=3).flatmap(
+        lambda ops: st.tuples(
             st.just("fold"),
-            st.one_of(st.just(ir.CVar("b")), terms(NAMES + ["c"])),
-            *map(st.just, codegen.fold_operator(op, MONOIDS)),
-        ),
-    )
+            st.lists(fold_terms, min_size=len(ops), max_size=len(ops)).map(
+                lambda parts: ir.CTuple(tuple(parts))
+            ),
+            *map(st.just, codegen.fold_operator(tuple(ops), MONOIDS)),
+        )
+    ),
 )
 
 
@@ -892,6 +902,51 @@ class TestFoldingExits:
         assert "combine(held, " in function.source
         assert list(function([(1, 1), (1, 2)])) == [(1, 103)]
 
+    def test_logical_folds_are_inlined_and_still_evaluate_their_term(self, context):
+        """``&&`` / ``||`` spell the registry's ``_logical_and`` / ``_logical_or``
+        inline; the term is evaluated before the short-circuit, as the
+        combine's argument was, so its error still surfaces."""
+        for op in ("&&", "||"):
+            exit_ = ("fold", ir.CProject(ir.CVar("v$1"), "_1"), *codegen.fold_operator(op, MONOIDS))
+            segment = Segment(("bind", PAIR), (), exit_)
+            function = codegen.generate(segment, bindings_for(context), {})
+            assert "combine(" not in function.source and "bool(acc)" in function.source
+            for records in ([(1, (0,)), (2, (5,))], [(1, (5,)), (2, (0,))], [(1, (1,)), (2, 7)]):
+                assert_same(segment, bindings_for(context), records)
+
+    @pytest.mark.parametrize("name", ["string_match", "equal"])
+    def test_logical_programs_fold_without_calling_combine(self, name):
+        """string_match's ``||/`` and equal's ``&&/``: no ``combine(`` per
+        record, and the outputs of the registry's own combine."""
+        spec = get_program(name)
+        inputs = workload_for_program(name, 60)
+        op = "||" if name == "string_match" else "&&"
+        outputs = []
+        for logical in (None, Monoid(op, op == "&&", lambda a, b: MONOIDS.get(op).combine(a, b))):
+            with DistributedContext(num_partitions=3) as ctx:
+                diablo = diablo_for(spec, ctx)
+                if logical is not None:
+                    diablo.monoids.register(logical, verify=False)
+                program = diablo.compile(spec.source)
+                outputs.append(translated_outputs(name, program.run(**inputs)))
+                sources = [compiled[1] for compiled in program.target.segments.values()]
+                assert any(f"monoids.get({op!r}).identity()" in source for source in sources)
+                assert any("combine(" in source for source in sources) == (logical is not None)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == {key: diablo.interpret(spec.source, dict(inputs))[key] for key in outputs[0]}
+
+    def test_a_product_fold_keeps_one_accumulator_per_component(self, context):
+        ops = ("+", "min", "++")
+        term = ir.CTuple((ir.CVar("v$1"), ir.CVar("i"), ir.CConst("x")))
+        segment = Segment(("bind", PAIR), (), ("fold", term, *codegen.fold_operator(ops, MONOIDS)))
+        function = codegen.generate(segment, bindings_for(context), {})
+        assert "acc0 = (acc0 + " in function.source and "acc1 = combine1(acc1, " in function.source
+        assert "combine2 = monoids.get('++').combine" in function.source
+        assert function.source.count("return [(acc0, acc1, acc2, )]") == 2
+        result = assert_same(segment, bindings_for(context), [(3, 1.5), (1, 2.5)])
+        assert result == ("ok", canonical([(4.0, 1, "|x|x")]))
+        assert function([]) == [(0, float("inf"), "")]
+
     def test_the_unfolded_twin_is_the_keyed_segment_from_the_same_memo(self, context):
         memo: dict = {}
         segment = fold_by_key("+")
@@ -903,6 +958,100 @@ class TestFoldingExits:
         keyed = segment._replace(exit=("keyed", ir.CVar("i"), ("value", "v$1")))
         assert set(memo) == {segment, keyed}
         assert function.retarget(keyed.exit)(records) == records and len(memo) == 2
+
+
+def _count_calls(counter):
+    def tick(value):
+        counter.append(value)
+        return value * 2
+
+    return tick
+
+
+class TestLetReuse:
+    X_BAR = ir.CVar("x_bar")
+
+    def test_the_centred_product_projects_once(self, context):
+        """linear_regression's ``(p._1 - x_bar) * (p._1 - x_bar)``, as Figure 2
+        spells it: two projections, two differences, one product."""
+        p = ir.CVar("v$1")
+        steps = (
+            ("let", ir.PVar("a"), ir.CProject(p, "_1")),
+            ("let", ir.PVar("b"), ir.CBinOp("-", ir.CVar("a"), self.X_BAR)),
+            ("let", ir.PVar("c"), ir.CProject(p, "_1")),
+            ("let", ir.PVar("d"), ir.CBinOp("-", ir.CVar("c"), self.X_BAR)),
+            ("let", ir.PVar("e"), ir.CBinOp("*", ir.CVar("b"), ir.CVar("d"))),
+        )
+        segment = head(ir.CVar("e"), *steps)
+        bindings = bindings_for(context, {"x_bar": 1.5})
+        source = codegen.generate(segment, bindings, {}).source
+        assert source.count("project_value(") == 1 and source.count(" - ") == 1
+        result = assert_same(segment, bindings, [(0, (3.5, 0)), (1, (1.0, 0))])
+        assert result == ("ok", canonical([4.0, 0.25]))
+        row = segment._replace(exit=("row",))
+        assert_same(row, bindings, [(0, (3.5, 0)), (1, {"_1": 2.0})])
+
+    def test_a_function_called_twice_is_called_twice(self, context):
+        calls: list = []
+        functions = FunctionRegistry()
+        functions.register("tick", _count_calls(calls))
+        environment = EvaluationEnvironment(context, {}, functions, MONOIDS)
+        evaluator = TermEvaluator(environment)
+        bindings = codegen.Bindings(
+            {}, evaluator._scope_values, functions, MONOIDS, evaluator.evaluate_local, evaluator._as_local_bag
+        )
+        call = ir.CCall("tick", (ir.CVar("v$1"),))
+        pair = ir.CTuple((ir.CVar("a"), ir.CVar("b")))
+        segment = head(pair, ("let", ir.PVar("a"), call), ("let", ir.PVar("b"), call))
+        function = codegen.generate(segment, bindings, {})
+        assert function([(0, 1), (1, 2)]) == [(2, 2), (4, 4)]
+        assert calls == [1, 1, 2, 2]
+
+    def test_a_let_inside_an_expand_loop_reads_its_own_depth(self, context):
+        """``a + 1`` before and after ``a`` is rebound by a generator: the
+        inner let computes from the inner ``a``.  After a generator that
+        leaves ``a`` alone the outer value is still the one to reuse."""
+        plus = ir.CBinOp("+", ir.CVar("a"), ir.CConst(1))
+        outer = ("let", ir.PVar("c"), plus)
+        inner = ("let", ir.PVar("d"), plus)
+        pair = ir.CTuple((ir.CVar("c"), ir.CVar("d")))
+        bindings = bindings_for(context)
+        records = [{"a": 1, "b": (10, 20)}, {"a": 2, "b": (30,)}]
+        rows = ("row", ("a", "b"))
+        rebound = Segment(rows, (outer, ("expand", ir.PVar("a"), ir.CVar("b")), inner), ("head", pair))
+        assert assert_same(rebound, bindings, records) == ("ok", canonical([(2, 11), (2, 21), (3, 31)]))
+        kept = Segment(rows, (outer, ("expand", ir.PVar("e"), ir.CVar("b")), inner), ("head", pair))
+        assert codegen.generate(kept, bindings, {}).source.count(" + (1)") == 1
+        assert assert_same(kept, bindings, records) == ("ok", canonical([(2, 2), (2, 2), (3, 3)]))
+        let_rebound = Segment(
+            rows,
+            (outer, ("expand", ir.PVar("e"), ir.CVar("b")), ("let", ir.PVar("a"), ir.CVar("e")), inner),
+            ("head", pair),
+        )
+        assert assert_same(let_rebound, bindings, records) == ("ok", canonical([(2, 11), (2, 21), (3, 31)]))
+
+    def test_a_text_is_not_reused_once_a_local_it_reads_is_rebound(self, context):
+        """``i + 1`` before and after ``i`` is rebound in place."""
+        plus = ir.CBinOp("+", ir.CVar("i"), ir.CConst(1))
+        steps = (
+            ("let", ir.PVar("c"), plus),
+            ("let", ir.PVar("i"), ir.CBinOp("*", ir.CVar("i"), ir.CConst(10))),
+            ("let", ir.PVar("d"), plus),
+        )
+        segment = head(ir.CTuple((ir.CVar("c"), ir.CVar("d"))), *steps)
+        assert assert_same(segment, bindings_for(context), [(2, 0)]) == ("ok", canonical([(3, 21)]))
+
+    def test_a_shared_local_is_not_overwritten_by_a_rebinding(self, context):
+        """``b`` aliases ``a``'s local; rebinding ``a`` must leave ``b`` alone."""
+        project = ir.CProject(ir.CVar("v$1"), "_1")
+        steps = (
+            ("let", ir.PVar("a"), project),
+            ("let", ir.PVar("b"), project),
+            ("let", ir.PVar("a"), ir.CBinOp("*", ir.CVar("a"), ir.CConst(10))),
+            ("let", ir.PVar("c"), project),
+        )
+        segment = head(ir.CTuple((ir.CVar("a"), ir.CVar("b"), ir.CVar("c"))), *steps)
+        assert assert_same(segment, bindings_for(context), [(0, (2,))]) == ("ok", canonical([(20, 2, 2)]))
 
 
 # ---------------------------------------------------------------------------

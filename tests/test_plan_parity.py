@@ -45,7 +45,7 @@ EXPECTED = {
     "string_match": ((0, 0, 400, 1), (0, 0, 400, 1)),
     "word_count": ((1, 149, 189, 3), (1, 149, 400, 2)),
     "histogram": ((3, 782, 1307, 9), (3, 782, 900, 6)),
-    "linear_regression": ((0, 0, 1500, 5), (0, 0, 1200, 4)),
+    "linear_regression": ((0, 0, 600, 2), (0, 0, 1200, 4)),
     "group_by": ((1, 109, 139, 3), (1, 109, 300, 2)),
     "matrix_addition": ((0, 0, 192, 3), (0, 0, 128, 2)),
     "matrix_multiplication": ((2, 84, 234, 9), (1, 48, 324, 5)),
