@@ -40,7 +40,7 @@ See ``examples/`` for complete scenarios and ``DESIGN.md`` for the system map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.algebra.runner import ProgramResult, ProgramRunner
 from repro.api import (
@@ -157,6 +157,11 @@ class Diablo:
             (None = take from ``config``).
         config: the unified configuration (default: the active
             :func:`repro.api.current_config`).
+        outputs: the variables callers read from the results of the
+            programs this facade compiles (None: every variable).  When
+            they are named, an array a loop body assigns and reads once,
+            and that is not among them, may be fused into its reader: it is
+            then never materialised and is not in the result.
     """
 
     def __init__(
@@ -167,6 +172,7 @@ class Diablo:
         check_restrictions: bool | None = None,
         optimize: bool | None = None,
         config: DiabloConfig | None = None,
+        outputs: Iterable[str] | None = None,
     ):
         base = config or current_config()
         overrides: dict[str, bool] = {}
@@ -180,10 +186,11 @@ class Diablo:
         self.monoids = monoids or MonoidRegistry()
         self.compiler = DiabloCompiler(monoids=self.monoids, **self.config.compiler_options())
         self.runner = ProgramRunner(self.context, self.functions, self.monoids)
+        self.outputs = None if outputs is None else tuple(outputs)
 
     def compile(self, source: str | ast.Program | Callable) -> CompiledProgram:
         """Translate a loop program (text, AST, or Python function) to DISC code."""
-        translation = self.compiler.compile(source)
+        translation = self.compiler.compile(source, outputs=self.outputs)
         return CompiledProgram(translation, self.runner)
 
     def run(self, source: str | ast.Program | Callable, **inputs: Any) -> ProgramResult:

@@ -257,12 +257,21 @@ class TermEvaluator:
             name in invariants or name in bound for name in ir.free_variables(term)
         )
 
-    def _node_invariant(self, build: _CompBuild, child_invariant: bool, *terms: ir.Term | None) -> bool:
+    def _node_invariant(
+        self,
+        build: _CompBuild,
+        child_invariant: bool,
+        *terms: ir.Term | None,
+        binds: ir.Pattern | None = None,
+    ) -> bool:
         """Invariance of a new plan node: child subtree, driver bindings and
-        every referenced term must be iteration-independent."""
+        every referenced term must be iteration-independent.  The terms may
+        read the variables of ``binds``, the pattern the node itself binds."""
         if self._invariants is None or not build.driver_invariant or not child_invariant:
             return False
         bound = build.bound_names()
+        if binds is not None:
+            bound |= frozenset(binds.variables())
         return all(
             self._term_is_invariant(term, bound) for term in terms if term is not None
         )
@@ -606,6 +615,7 @@ class TermEvaluator:
             build.rows.invariant and scan.invariant,
             *left_terms,
             *right_terms,
+            binds=pattern,
         )
         return node
 

@@ -105,6 +105,10 @@ class LoopInvariantCache:
     def put(self, key: Any, value: Any, depends: frozenset[str]) -> None:
         self._entries[key] = (value, frozenset(depends))
 
+    def clear(self) -> None:
+        """Drop every entry (the loop has ended)."""
+        self._entries.clear()
+
     def invalidate(self, name: str) -> int:
         """Drop every cached value derived from environment variable ``name``."""
         stale = [key for key, (_value, depends) in self._entries.items() if name in depends]
@@ -212,6 +216,8 @@ class Planner:
         #: Memo of compiled row-segment factories (per program, see the runner).
         self.segments: dict[Any, Any] = segments if segments is not None else {}
         self._lowered: dict[int, Dataset] = {}
+        #: Set while a loop-invariant join side is lowered for the loop cache.
+        self._in_cached_side = False
 
     # -- the public entry point --------------------------------------------------
 
@@ -555,29 +561,34 @@ class Planner:
         shuffle's hash partitioner when they are too big to broadcast (the
         runtime then skips their map-side shuffle on every iteration), plainly
         cached otherwise (the broadcast build side is at least not recomputed).
+        The joins inside a side being cached are not cached themselves: later
+        iterations reuse the whole side and never lower them again.
         """
-        cache_key = None
-        if self.loop_cache is not None:
+        side_signature = None
+        if self.loop_cache is not None and not self._in_cached_side:
             side_signature = side.signature()
-            if side_signature is not None:
-                cache_key = ("join-side", side_signature, key_terms)
-                hit = self.loop_cache.get(cache_key)
-                if hit is not None:
-                    self.context.metrics.record_loop_invariant_reuse()
-                    self.trace.append(f"loop-invariant join side reused: {label}")
-                    _note(join, f"loop-invariant side reused: {label}")
-                    return hit
-        keyed = self._lower_chain(side, key, entry, join.bindings)
-        if cache_key is not None:
-            keyed = keyed.materialize()
-            if keyed.count() > self.context.broadcast_join_threshold:
-                keyed = keyed.partition_by(HashPartitioner(self.context.num_partitions))
-                placement = "hash-partitioned"
-            else:
-                placement = "materialized"
-            self.loop_cache.put(cache_key, keyed, signature_env_deps(cache_key))
-            self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
-            _note(join, f"loop-invariant side cached ({placement}): {label}")
+        if side_signature is None:
+            return self._lower_chain(side, key, entry, join.bindings)
+        cache_key = ("join-side", side_signature, key_terms)
+        hit = self.loop_cache.get(cache_key)
+        if hit is not None:
+            self.context.metrics.record_loop_invariant_reuse()
+            self.trace.append(f"loop-invariant join side reused: {label}")
+            _note(join, f"loop-invariant side reused: {label}")
+            return hit
+        self._in_cached_side = True
+        try:
+            keyed = self._lower_chain(side, key, entry, join.bindings).materialize()
+        finally:
+            self._in_cached_side = False
+        if keyed.count() > self.context.broadcast_join_threshold:
+            keyed = keyed.partition_by(HashPartitioner(self.context.num_partitions))
+            placement = "hash-partitioned"
+        else:
+            placement = "materialized"
+        self.loop_cache.put(cache_key, keyed, signature_env_deps(cache_key))
+        self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
+        _note(join, f"loop-invariant side cached ({placement}): {label}")
         return keyed
 
     def _product(self, node: ProductNode, bags: dict[str, list[Any]]) -> tuple[Any, tuple, tuple]:

@@ -126,6 +126,8 @@ class _RunState:
     iteration_metrics: list[dict[str, int]] = field(default_factory=list)
     loop_cache: LoopInvariantCache | None = None
     loops_seen: int = 0
+    #: True while a ``while`` body runs.
+    in_loop: bool = False
 
 
 #: The shuffle counters snapshotted per while-loop iteration.
@@ -246,9 +248,10 @@ class ProgramRunner:
                 result = evaluator.as_dataset(result)
             # Assignment is a force point: the pending stage chain closes over
             # the shared variable environment, which later statements mutate,
-            # so it must run before this statement completes.
-            result.materialize()
+            # so it must run before this statement completes -- as the map
+            # side of the placement shuffle when the array is placed.
             result = self._place_for_demand(statement.variable, result, program.facts, state)
+            result.materialize()
             environment.values[statement.variable] = result
         if state.loop_cache is not None:
             # Belt and braces: the invariant analysis already excludes every
@@ -301,13 +304,16 @@ class ProgramRunner:
         hash-partitioned once: the per-statement planner sees one consumer
         at a time and could never justify the placement shuffle, but across
         the whole program it buys a narrow (zero-shuffle) pass per consumer.
-        Loop-assigned variables are excluded -- their content churns every
+        Assignments inside a loop are excluded -- their content churns every
         iteration and the loop-invariant machinery already places the stable
-        side of their joins."""
-        if not self.context.plan_optimize:
+        side of their joins.  A loop-assigned variable's assignment before
+        the loop is placed: the loop's merges keep it hash-partitioned, so
+        the first iteration then sees the placement every later one does
+        and its plan skeletons stay valid from iteration 1."""
+        if not self.context.plan_optimize or state.in_loop:
             return dataset
         demand = facts.keyed_demand.get(variable, 0)
-        if variable in facts.loop_assigned or demand < 2 or dataset.partitioner is not None:
+        if demand < 2 or dataset.partitioner is not None:
             return dataset
         placed = self._hash_place(variable, dataset, demand, state.trace)
         return dataset if placed is None else placed
@@ -377,6 +383,7 @@ class ProgramRunner:
         state.loop_cache = LoopInvariantCache(invariants) if caching else None
         state.loops_seen += 1
         loop_index = state.loops_seen
+        outer_in_loop, state.in_loop = state.in_loop, True
         if context.plan_optimize and invariants:
             state.trace.append(
                 f"while loop {loop_index}: loop-invariant variables "
@@ -418,4 +425,11 @@ class ProgramRunner:
                 if iterations > MAX_WHILE_ITERATIONS:
                     raise ExecutionError("while loop exceeded the iteration limit")
         finally:
+            # The loop's evaluators and plans reference each other (their
+            # generated functions read the evaluator's scope), so only the
+            # cyclic GC frees them; emptying the cache here returns the
+            # cached datasets as soon as the loop ends.
+            if state.loop_cache is not None:
+                state.loop_cache.clear()
             state.loop_cache = outer_cache
+            state.in_loop = outer_in_loop

@@ -159,7 +159,9 @@ class JitFunction:
         compiler = DiabloCompiler(
             monoids=self._monoids, cache=self._cache, **config.compiler_options()
         )
-        return compiler.compile(self.spec.program, input_types=self.input_types)
+        # A function's caller sees only what it returns (the whole
+        # environment when it returns nothing).
+        return compiler.compile(self.spec.program, input_types=self.input_types, outputs=self.spec.returns)
 
     def target(self) -> TargetProgram:
         """The generated target code under the current configuration."""

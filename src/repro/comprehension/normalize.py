@@ -13,6 +13,8 @@ compiler can work with:
 * **Condition splitting.**  ``e1 && e2`` conditions become two conditions;
   ``true`` conditions are dropped; a ``false`` condition turns the whole
   comprehension into the empty bag.
+* **Tuple-let splitting.**  ``let (p1, …, pn) = (t1, …, tn)`` becomes n
+  component lets, so each is inlined or dropped on its own.
 * **Let inlining.**  ``let x = y`` (alias) and ``let x = c`` (constant) are
   substituted into the remaining qualifiers, unless the variable is used after
   a later group-by (those uses see the *lifted* bag and must keep the binding).
@@ -141,6 +143,10 @@ def _rewrite_once(comp: ir.Comprehension, fresh: ir.NameGenerator) -> tuple[ir.T
             split.append(qualifier)
     qualifiers = split
 
+    # -- split tuple lets into component lets -------------------------------------
+    qualifiers, split_changed = _split_tuple_lets(qualifiers)
+    changed = changed or split_changed
+
     # -- inline alias / constant lets ------------------------------------------
     inlined, inline_changed = _inline_lets(qualifiers, comp.head)
     qualifiers, head = inlined
@@ -151,6 +157,37 @@ def _rewrite_once(comp: ir.Comprehension, fresh: ir.NameGenerator) -> tuple[ir.T
     changed = changed or dead_changed
 
     return ir.Comprehension(head, tuple(qualifiers)), changed
+
+
+def _split_tuple_lets(qualifiers: list[ir.Qualifier]) -> tuple[list[ir.Qualifier], bool]:
+    """``let (p1, …, pn) = (t1, …, tn)`` becomes ``let p1 = t1, …, let pn = tn``.
+
+    The components bind one after another, so the split applies only when
+    no ``tj`` reads a variable an earlier ``pi`` binds (``let (a, b) = (b,
+    a)`` swaps).  Wildcard components bind nothing and are dropped, as dead
+    lets are.  Each component let is then open to inlining and dead-let
+    removal on its own: after Rule 2, ``let ((i, j), v) = (k, w)`` no
+    longer ties ``i`` and ``j`` to ``w``.
+    """
+    changed = False
+    result: list[ir.Qualifier] = []
+    for qualifier in qualifiers:
+        match qualifier:
+            case ir.LetBinding(ir.PTuple(patterns), ir.CTuple(terms)) if len(patterns) == len(terms):
+                bound: set[str] = set()
+                components: list[ir.Qualifier] = []
+                for pattern, term in zip(patterns, terms, strict=True):
+                    if ir.free_variables(term) & bound:
+                        break
+                    if not isinstance(pattern, ir.PWildcard):
+                        components.append(ir.LetBinding(pattern, term))
+                    bound.update(pattern.variables())
+                else:
+                    result.extend(components)
+                    changed = True
+                    continue
+        result.append(qualifier)
+    return result, changed
 
 
 def _is_trivial_equality(term: ir.Term) -> bool:

@@ -42,6 +42,12 @@ class OptimizerStats:
     #: Runs of scalar folds over one source merged into one scan
     #: (see :func:`repro.translate.translator.share_scans`).
     shared_scans: int = 0
+    #: ``A := A ⊳ S0; A := A ⊳⊕ S1`` rewritten to ``A := A ⊳ (S0 ⊳⊕ S1)``
+    #: (see :func:`repro.translate.translator.fold_increments`).
+    folded_increments: int = 0
+    #: Arrays a ``while`` body assigns and reads once, inlined into their
+    #: reader (see :func:`repro.translate.translator.inline_read_once`).
+    inlined_intermediates: int = 0
 
     def total(self) -> int:
         return (
@@ -50,6 +56,8 @@ class OptimizerStats:
             + self.unique_key_group_bys_removed
             + self.fresh_merges
             + self.shared_scans
+            + self.folded_increments
+            + self.inlined_intermediates
         )
 
 

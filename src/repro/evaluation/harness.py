@@ -34,10 +34,15 @@ def diablo_for(
     context: DistributedContext | None = None,
     **compiler_options: Any,
 ) -> Diablo:
-    """A :class:`Diablo` instance with the program's functions and monoids registered."""
+    """A :class:`Diablo` instance with the program's functions and monoids
+    registered, compiling for the program's declared outputs."""
     if isinstance(spec, str):
         spec = get_program(spec)
-    diablo = Diablo(context or DistributedContext(num_partitions=4), **compiler_options)
+    diablo = Diablo(
+        context or DistributedContext(num_partitions=4),
+        outputs=(*spec.scalar_outputs, *spec.array_outputs),
+        **compiler_options,
+    )
     for name, function in spec.functions.items():
         diablo.register_function(name, function)
     for monoid in spec.monoids:

@@ -11,13 +11,18 @@ Two kinds of fact live here, and nowhere else:
   knows to be available: the evaluator passes what it has bound at run
   time, and :func:`plan_shape` derives the same from the term alone for
   ``explain_term`` and the plan lint.
+* **Key domains**, per array term: :func:`keys_within` proves that every
+  key one comprehension produces is a key another produces, from the
+  ``range(lo, hi)`` generators and ``inRange(k, lo, hi)`` guards that
+  bound them.
 * **Def-use**, per program: the variables each block assigns, the ones
   assigned inside a ``while`` loop, and the keyed demand that drives the
-  runner's program-level placement.  :class:`ProgramFacts` computes them in
-  one walk, the first time a program runs (``TargetProgram.facts``), so
-  compilation does no extra work.  :func:`mentioned_names` and
-  :func:`independent` are the statement-level facts the compiler needs
-  before a program exists.
+  runner's program-level placement.  :class:`ProgramFacts` computes them
+  once, the first time a program runs (``TargetProgram.facts``), so
+  compilation does no extra work.  :func:`assigned_names`, :func:`uses`
+  (with :func:`mentioned_names`, its set of names) and :func:`independent`
+  are the statement-level facts the compiler needs before a program
+  exists.
 """
 
 from __future__ import annotations
@@ -150,18 +155,147 @@ def plan_shape(comp: ir.Comprehension, arrays: AbstractSet[str]) -> dict[int, st
 
 
 # ---------------------------------------------------------------------------
+# Key domains
+# ---------------------------------------------------------------------------
+
+
+def _key_domain(term: ir.Term) -> tuple[ir.Term, ir.Term, bool] | None:
+    """``(lo, hi, exact)``: every key of the ``(key, value)`` pairs ``term``
+    produces lies in ``range(lo, hi)``, and when ``exact`` every key of that
+    range is produced too.
+
+    The head key -- or, after a single group-by, its key term -- resolves
+    through let aliases to a variable that a ``range(lo, hi)`` generator
+    binds or an ``inRange(k, lo, hi)`` condition guards before any
+    group-by.  The domain is exact when that generator is the only
+    qualifier besides lets: one key per element of the range.  ``lo`` and
+    ``hi`` are read with let-bound names replaced by their terms, and must
+    then read only names from outside the comprehension, so two terms'
+    domains compare by their bound terms.  Bound names must be unique.
+    None when no such domain is proved.
+    """
+    if not (
+        isinstance(term, ir.Comprehension)
+        and isinstance(term.head, ir.CTuple)
+        and len(term.head.elements) == 2
+    ):
+        return None
+    qualifiers = term.qualifiers
+    names = ir.qualifier_variables(qualifiers)
+    if len(names) != len(set(names)):
+        return None
+    key = term.head.elements[0]
+    groups = [(position, q) for position, q in enumerate(qualifiers) if isinstance(q, ir.GroupBy)]
+    if len(groups) > 1:
+        return None
+    before = qualifiers
+    if groups:
+        ((position, group_by),) = groups
+        if key != ir.pattern_to_term(group_by.pattern) or not isinstance(group_by.pattern, ir.PVar):
+            return None
+        if any(isinstance(q, ir.Generator) for q in qualifiers[position + 1 :]):
+            return None
+        key, before = group_by.key_term(), qualifiers[:position]
+    lets = {
+        q.pattern.name: q.term
+        for q in before
+        if isinstance(q, ir.LetBinding) and isinstance(q.pattern, ir.PVar)
+    }
+    while isinstance(key, ir.CVar) and isinstance(lets.get(key.name), ir.CVar):
+        key = lets[key.name]
+    if not isinstance(key, ir.CVar):
+        return None
+    for qualifier in before:
+        match qualifier:
+            case ir.Generator(ir.PVar(bound), ir.RangeTerm(lower, upper)) if bound == key.name:
+                exact = not groups and all(q is qualifier or isinstance(q, ir.LetBinding) for q in qualifiers)
+            case ir.Condition(ir.InRange(ir.CVar(guarded), lower, upper)) if guarded == key.name:
+                exact = False
+            case _:
+                continue
+        lo, hi = _outer_term(lower, lets, set(names)), _outer_term(upper, lets, set(names))
+        if lo is not None and hi is not None:
+            return lo, hi, exact
+    return None
+
+
+def _outer_term(term: ir.Term, lets: dict[str, ir.Term], bound: set[str]) -> ir.Term | None:
+    """``term`` with let-bound names replaced by their terms, or None when it
+    still reads a name bound inside the comprehension."""
+    for _ in range(len(lets) + 1):
+        local = ir.free_variables(term) & bound
+        if not local:
+            return term
+        if not local <= set(lets):
+            return None
+        term = ir.substitute_term(term, {name: lets[name] for name in local})
+    return None
+
+
+def keys_within(inner: ir.Term, outer: ir.Term) -> bool:
+    """Whether every key ``inner`` produces is a key ``outer`` produces:
+    ``inner``'s keys lie in a range with the same bound terms as
+    ``outer``'s, and ``outer`` produces every key of that range."""
+    inner_domain, outer_domain = _key_domain(inner), _key_domain(outer)
+    return (
+        inner_domain is not None
+        and outer_domain is not None
+        and outer_domain[2]
+        and inner_domain[:2] == outer_domain[:2]
+    )
+
+
+# ---------------------------------------------------------------------------
 # Def-use
 # ---------------------------------------------------------------------------
 
 
+def assigned_names(statements: Iterable[TargetStatement]) -> set[str]:
+    """Every variable the statements assign, ``while`` bodies included."""
+    names: set[str] = set()
+    for statement in statements:
+        if isinstance(statement, TargetAssign):
+            names.add(statement.variable)
+        else:
+            names |= assigned_names(statement.body)
+    return names
+
+
+def uses(statements: Iterable[TargetStatement]) -> Counter[str]:
+    """Per variable, how many times the statements assign it plus how many
+    times they read it: each free occurrence counts, conditions and
+    ``while`` bodies included."""
+    names: list[str] = []
+    for statement in statements:
+        if isinstance(statement, TargetAssign):
+            names.append(statement.variable)
+            _occurrences(statement.term, frozenset(), names)
+        else:
+            _occurrences(statement.condition, frozenset(), names)
+            names.extend(uses(statement.body).elements())
+    return Counter(names)
+
+
+def _occurrences(term: ir.Term, bound: frozenset[str], names: list[str]) -> None:
+    """Append the free variables of ``term`` to ``names``, once per occurrence."""
+    if isinstance(term, ir.CVar):
+        if term.name not in bound:
+            names.append(term.name)
+    elif isinstance(term, ir.Comprehension):
+        inner = set(bound)
+        for qualifier in term.qualifiers:
+            for sub in qualifier.terms():
+                _occurrences(sub, frozenset(inner), names)
+            inner.update(qualifier.bound_variables())
+        _occurrences(term.head, frozenset(inner), names)
+    else:
+        for child in term.children():
+            _occurrences(child, bound, names)
+
+
 def mentioned_names(statement: TargetStatement) -> set[str]:
     """Every variable a statement reads or assigns, ``while`` bodies included."""
-    if isinstance(statement, TargetAssign):
-        return ir.free_variables(statement.term) | {statement.variable}
-    names = ir.free_variables(statement.condition)
-    for inner in statement.body:
-        names |= mentioned_names(inner)
-    return names
+    return set(uses((statement,)))
 
 
 def independent(statements: Sequence[TargetAssign]) -> bool:
@@ -216,11 +350,10 @@ def keyed_consumers(term: ir.Term) -> list[str]:
 
 
 class ProgramFacts:
-    """Def-use facts of one :class:`~repro.translate.target.TargetProgram`, from one walk.
+    """Def-use facts of one :class:`~repro.translate.target.TargetProgram`.
 
     Attributes:
         assigned: every variable the program assigns, loop bodies included.
-        loop_assigned: the variables assigned inside any ``while`` body.
         keyed_demand: per variable, how many operators consume it by its
             pair key (:func:`keyed_consumers`) across the whole program.
         top_level_demand: the same, counting top-level statements only.
@@ -232,24 +365,20 @@ class ProgramFacts:
         #: Variables each ``while`` statement's body assigns, by the
         #: statement's id (the program holds its statements, so ids are stable).
         self._loop_assigned: dict[int, frozenset[str]] = {}
-        self.assigned = self._walk(program.statements, top_level=True)
-        self.loop_assigned: frozenset[str] = frozenset().union(*self._loop_assigned.values())
+        self._walk(program.statements, top_level=True)
+        self.assigned = frozenset(assigned_names(program.statements))
 
     def assigned_in(self, loop: TargetWhile) -> frozenset[str]:
         """The variables ``loop``'s body assigns, nested loops included."""
         return self._loop_assigned[id(loop)]
 
-    def _walk(self, statements: tuple[TargetStatement, ...], top_level: bool) -> frozenset[str]:
-        assigned: set[str] = set()
+    def _walk(self, statements: tuple[TargetStatement, ...], top_level: bool) -> None:
         for statement in statements:
             if isinstance(statement, TargetAssign):
-                assigned.add(statement.variable)
                 consumers = keyed_consumers(statement.term)
                 self.keyed_demand.update(consumers)
                 if top_level:
                     self.top_level_demand.update(consumers)
             else:
-                body = self._walk(statement.body, top_level=False)
-                self._loop_assigned[id(statement)] = body
-                assigned |= body
-        return frozenset(assigned)
+                self._loop_assigned[id(statement)] = frozenset(assigned_names(statement.body))
+                self._walk(statement.body, top_level=False)

@@ -9,7 +9,9 @@
 4. apply the Figure 2 translation rules, producing target code whose
    right-hand sides are monoid comprehensions;
 5. normalize the comprehensions (Rule 2) and apply the Section 3.6 / Section 4
-   optimizations.
+   optimizations;
+6. rewrite across statements: merges into fresh arrays, loop-body fusion
+   (initialise-then-increment, read-once intermediates) and shared scans.
 
 The result is a :class:`repro.translate.target.TargetProgram`, which the DISC
 algebra compiler (:mod:`repro.algebra`) turns into executable dataflow plans.
@@ -21,7 +23,7 @@ import inspect
 import textwrap
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, NamedTuple
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from repro.analysis.restrictions import RestrictionChecker
 from repro.comprehension import ir
@@ -33,7 +35,7 @@ from repro.loop_lang.parser import parse_program
 from repro.loop_lang.python_frontend import from_python_function
 from repro.translate.cache import CacheInfo, CompilationCache
 from repro.translate.canonicalize import canonicalize_increments
-from repro.translate.facts import independent, mentioned_names
+from repro.translate.facts import assigned_names, independent, keys_within, mentioned_names, uses
 from repro.translate.rules import TranslationRules
 from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile, VariableInfo
 
@@ -99,6 +101,7 @@ class DiabloCompiler:
         self,
         source: str | ast.Program | Callable,
         input_types: Mapping[str, VariableInfo] | None = None,
+        outputs: Iterable[str] | None = None,
     ) -> TranslationResult:
         """Compile loop-language source text, a program AST or a Python function.
 
@@ -107,13 +110,18 @@ class DiabloCompiler:
             input_types: declared :class:`VariableInfo` for free (input)
                 variables -- e.g. from jit parameter annotations -- which
                 override kind inference for those names.
+            outputs: the variables the caller reads once the program ends
+                (None: every variable).  Only when they are named may an
+                array a loop body reads once be inlined into its reader
+                (:func:`inline_read_once`) and so be missing from the result.
         """
-        key = self._cache_key(source, input_types)
+        kept = None if outputs is None else frozenset(outputs)
+        key = self._cache_key(source, input_types, kept)
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        result = self._translate(source, input_types)
+        result = self._translate(source, input_types, kept)
         if key is not None:
             self.cache.put(key, result)
         return result
@@ -130,6 +138,7 @@ class DiabloCompiler:
         self,
         source: str | ast.Program | Callable,
         input_types: Mapping[str, VariableInfo] | None = None,
+        outputs: AbstractSet[str] | None = None,
     ) -> TranslationResult:
         started = time.perf_counter()
         program = self._to_program(source)
@@ -150,6 +159,9 @@ class DiabloCompiler:
         optimized = tuple(self._optimize_statement(s, optimizer, fresh) for s in statements)
         if self.optimize:
             optimized = merge_into_fresh(optimized, optimizer)
+            optimized = fold_increments(optimized, optimizer)
+            if outputs is not None:
+                optimized = inline_read_once(optimized, optimizer, fresh, variables, outputs)
             optimized = share_scans(optimized, optimizer, fresh)
         elapsed = time.perf_counter() - started
         target = TargetProgram(optimized, variables)
@@ -185,12 +197,14 @@ class DiabloCompiler:
         self,
         source: str | ast.Program | Callable,
         input_types: Mapping[str, VariableInfo] | None,
+        outputs: frozenset[str] | None,
     ) -> Hashable | None:
         """The cache key for a compile call, or None when the call is uncacheable.
 
         Keys combine the source (text or hashable program AST), the declared
-        input types, the compiler options and the registered monoid symbols,
-        so compilers with different configurations never share entries.
+        input types, the declared outputs, the compiler options and the
+        registered monoid symbols, so compilers with different
+        configurations never share entries.
         """
         source_key: Hashable
         if isinstance(source, (str, ast.Program)):
@@ -218,7 +232,7 @@ class DiabloCompiler:
             # an existing symbol must not serve a stale translation.
             self.monoids.fingerprint(),
         )
-        key = (source_key, types_key, options_key)
+        key = (source_key, types_key, outputs, options_key)
         try:
             hash(key)
         except TypeError:
@@ -258,19 +272,13 @@ class DiabloCompiler:
 
 
 def _is_empty_constructor(term: ir.Term) -> bool:
-    """``{ v | let a = vector(), let (k, v) = ((), a) }``: Equation 14a over an
-    empty constructor, as emitted for ``var X: ... = vector()``."""
+    """``{ a | let a = vector() }``: Equation 14a over an empty constructor,
+    as ``var X: ... = vector()`` normalizes."""
     match term:
         case ir.Comprehension(
             ir.CVar(value),
-            (
-                ir.LetBinding(ir.PVar(made), ir.CCall("vector" | "matrix" | "map", ())),
-                ir.LetBinding(
-                    ir.PTuple((ir.PVar(), ir.PVar(unpacked))),
-                    ir.CTuple((ir.CTuple(()), ir.CVar(used))),
-                ),
-            ),
-        ) if unpacked == value and used == made:
+            (ir.LetBinding(ir.PVar(made), ir.CCall("vector" | "matrix" | "map", ())),),
+        ) if made == value:
             return True
     return False
 
@@ -314,6 +322,192 @@ def merge_into_fresh(
 
 
 # ---------------------------------------------------------------------------
+# Loop-body fusion: initialise-then-increment, read-once intermediates
+# ---------------------------------------------------------------------------
+
+
+def _with_rule(statement: TargetAssign, term: ir.Term, rule: str) -> TargetAssign:
+    """``statement`` computing ``term``, with ``rule`` added to its trace line."""
+    rules = rule if statement.rule is None else f"{statement.rule}; {rule}"
+    return TargetAssign(statement.variable, term, statement.scalar, origin=statement.origin, rule=rules)
+
+
+def _folded(initialise: TargetStatement, increment: TargetAssign) -> ir.Term | None:
+    """``A ⊳ (S0 ⊳⊕ S1)`` for ``A := A ⊳ S0`` followed by ``A := A ⊳⊕ S1``,
+    or None when the pair is not of that shape or the rewrite is unproved."""
+    if not isinstance(initialise, TargetAssign) or initialise.scalar or increment.scalar:
+        return None
+    name = increment.variable
+    match initialise.term, increment.term:
+        case ir.Merge(ir.CVar(left), initial), ir.MergeWith(op, ir.CVar(again), increase) if (
+            initialise.variable == left == again == name
+            and name not in ir.free_variables(increase)
+            and keys_within(increase, initial)
+        ):
+            return ir.Merge(ir.CVar(name), ir.MergeWith(op, initial, increase))
+    return None
+
+
+def fold_increments(
+    statements: tuple[TargetStatement, ...], optimizer: Optimizer
+) -> tuple[TargetStatement, ...]:
+    """Rewrite ``A := A ⊳ S0; A := A ⊳⊕ S1`` to ``A := A ⊳ (S0 ⊳⊕ S1)``.
+
+    Within one block (a ``while`` body is its own), when S1 does not read A
+    and every key S1 produces is one S0 produces
+    (:func:`~repro.translate.facts.keys_within`).  A key of S1 then gets
+    ``S0[k] ⊕ S1[k]`` -- the same operands of the same ⊕ as the two merges
+    -- any other key of S0 its S0 value, and any other key of A keeps its
+    value, so the result is bit-identical.  A is merged once instead of
+    twice, and S1's result meets S0 without being merged into A first.
+    """
+    out: list[TargetStatement] = []
+    for statement in statements:
+        if isinstance(statement, TargetWhile):
+            out.append(TargetWhile(statement.condition, fold_increments(statement.body, optimizer)))
+            continue
+        term = _folded(out[-1], statement) if out else None
+        if term is None:
+            out.append(statement)
+            continue
+        rule = f"increment folded into its initialisation (<|{statement.term.op})"
+        out[-1] = _with_rule(out[-1], term, rule)
+        optimizer.stats.folded_increments += 1
+    return tuple(out)
+
+
+def _invariant_first(comp: ir.Comprehension, variant: AbstractSet[str]) -> ir.Comprehension:
+    """``comp`` with each generator over a ``variant`` name moved after the
+    qualifiers before the first group-by that do not depend on it.
+
+    Every qualifier that reads what such a generator binds -- directly or
+    through another moved qualifier -- moves with it, in its order, so a
+    qualifier only ever moves to where every name it reads is bound.  The
+    rows are the same bag in another order, so a later group-by folds the
+    same values, though a ⊕ that is not exact (``+`` over doubles) may
+    round differently than before.  Joins over loop-invariant domains come
+    first, where the loop-invariant cache can keep them.
+    """
+    qualifiers = comp.qualifiers
+    end = next((p for p, q in enumerate(qualifiers) if isinstance(q, ir.GroupBy)), len(qualifiers))
+    names = ir.qualifier_variables(qualifiers)
+    if len(names) != len(set(names)):
+        return comp
+    stay: list[ir.Qualifier] = []
+    moved: list[ir.Qualifier] = []
+    dependent: set[str] = set()
+    for qualifier in qualifiers[:end]:
+        reads = {name for term in qualifier.terms() for name in ir.free_variables(term)}
+        if reads & dependent or (isinstance(qualifier, ir.Generator) and reads & variant):
+            moved.append(qualifier)
+            dependent.update(qualifier.bound_variables())
+        else:
+            stay.append(qualifier)
+    return ir.Comprehension(comp.head, (*stay, *moved, *qualifiers[end:]))
+
+
+def _inlined(
+    term: ir.Term, name: str, definition: ir.Term, fresh: ir.NameGenerator, variant: AbstractSet[str]
+) -> ir.Term | None:
+    """``term`` with ``definition`` in place of its generator over ``name``,
+    unnested and with loop-invariant generators first; None when the
+    generator is not in a comprehension ``term`` is or merges, or Rule 2
+    would leave ``definition`` nested."""
+    if isinstance(term, (ir.Merge, ir.MergeWith)):
+        left = _inlined(term.left, name, definition, fresh, variant)
+        right = None if left is not None else _inlined(term.right, name, definition, fresh, variant)
+        if left is None and right is None:
+            return None
+        sides = (left or term.left, right or term.right)
+        return ir.Merge(*sides) if isinstance(term, ir.Merge) else ir.MergeWith(term.op, *sides)
+    if not isinstance(term, ir.Comprehension):
+        return None
+    qualifiers = list(term.qualifiers)
+    for position, qualifier in enumerate(qualifiers):
+        if not (isinstance(qualifier, ir.Generator) and qualifier.domain == ir.CVar(name)):
+            continue
+        nested = isinstance(definition, ir.Comprehension) and any(
+            isinstance(q, ir.GroupBy) for q in definition.qualifiers
+        )
+        captured = ir.free_variables(definition) & set(ir.qualifier_variables(term.qualifiers))
+        if (nested and position > 0) or captured:
+            return None
+        qualifiers[position] = ir.Generator(qualifier.pattern, definition)
+        fused = normalize(ir.Comprehension(term.head, tuple(qualifiers)), fresh)
+        return _invariant_first(fused, variant) if isinstance(fused, ir.Comprehension) else fused
+    return None
+
+
+def inline_read_once(
+    statements: tuple[TargetStatement, ...],
+    optimizer: Optimizer,
+    fresh: ir.NameGenerator,
+    variables: Mapping[str, VariableInfo],
+    outputs: AbstractSet[str],
+) -> tuple[TargetStatement, ...]:
+    """Inline each array a ``while`` body assigns and reads once into its reader.
+
+    An array X qualifies when a ``while`` body assigns it ``X := S``, S has
+    unique keys (:meth:`Optimizer.keys_are_unique`), X is not one of the
+    ``outputs`` the caller reads when the program ends, and the whole
+    program assigns X there only and reads it once
+    (:func:`~repro.translate.facts.uses`): in a later statement of the same
+    body, with no statement in between assigning a variable S reads.  So X
+    is declared in the body, is not carried across iterations, and neither
+    the loop condition, nor anything after the loop, nor the caller reads
+    it.  S replaces X's generator in the reader, Rule 2 unnests it, and the
+    generators over domains the body does not assign go first
+    (:func:`_invariant_first`): X is never materialised, and a join among
+    loop-invariant arrays becomes a side the loop-invariant cache keeps for
+    every iteration.
+    """
+    if not any(isinstance(statement, TargetWhile) for statement in statements):
+        return statements
+    counts = uses(statements)
+
+    def inline(body: tuple[TargetStatement, ...]) -> tuple[TargetStatement, ...]:
+        variant = assigned_names(body)
+        out = [TargetWhile(s.condition, inline(s.body)) if isinstance(s, TargetWhile) else s for s in body]
+        position = 0
+        while position < len(out):
+            rewritten = inline_at(out, position, variant)
+            if rewritten is None:
+                position += 1
+            else:
+                out = rewritten
+        return tuple(out)
+
+    def inline_at(
+        body: list[TargetStatement], position: int, variant: AbstractSet[str]
+    ) -> list[TargetStatement] | None:
+        definition = body[position]
+        if not isinstance(definition, TargetAssign) or definition.scalar:
+            return None
+        name, term = definition.variable, definition.term
+        info = variables.get(name)
+        if info is None or info.is_input or not info.is_array or name in outputs or counts[name] != 2:
+            return None
+        reader = next((p for p in range(position + 1, len(body)) if name in mentioned_names(body[p])), None)
+        if reader is None or not optimizer.keys_are_unique(term):
+            return None
+        target = body[reader]
+        if not isinstance(target, TargetAssign):
+            return None
+        if assigned_names(body[position + 1 : reader]) & ir.free_variables(term):
+            return None
+        fused = _inlined(target.term, name, term, fresh, variant)
+        if fused is None:
+            return None
+        optimizer.stats.inlined_intermediates += 1
+        body[reader] = _with_rule(target, fused, f"read-once {name} inlined")
+        return body[:position] + body[position + 1 :]
+
+    return tuple(
+        TargetWhile(s.condition, inline(s.body)) if isinstance(s, TargetWhile) else s for s in statements
+    )
+
+
+# ---------------------------------------------------------------------------
 # Shared scans
 # ---------------------------------------------------------------------------
 
@@ -326,15 +520,15 @@ class _Fold(NamedTuple):
     lets: tuple[ir.Qualifier, ...]
     head: ir.Term
     op: str
-    #: ``let (k, z) = ((), ⊕/w)``'s pattern and the qualifiers after it.
+    #: ``let z = ⊕/w``'s pattern and the qualifiers after it.
     unpack: ir.Pattern
     rest: tuple[ir.Qualifier, ...]
 
 
 def _scalar_fold(statement: TargetStatement) -> _Fold | None:
-    """``{v | let w = {h | p <- X, let…}, let (k, z) = ((), ⊕/w), …}``: a
-    scalar ``x ⊕= h`` over the variable X with a let-only body, as Figure 2
-    and the constant-key group-by elimination leave it."""
+    """``{v | let w = {h | p <- X, let…}, let z = ⊕/w, …}``: a scalar
+    ``x ⊕= h`` over the variable X with a let-only body, as Figure 2 and the
+    constant-key group-by elimination leave it."""
     if not (isinstance(statement, TargetAssign) and statement.scalar):
         return None
     match statement.term:
@@ -344,10 +538,7 @@ def _scalar_fold(statement: TargetStatement) -> _Fold | None:
                 ir.LetBinding(
                     ir.PVar(bag), ir.Comprehension(inner, (ir.Generator(pattern, ir.CVar(source)), *lets))
                 ),
-                ir.LetBinding(
-                    ir.PTuple((ir.PVar(), ir.PVar())) as unpack,
-                    ir.CTuple((ir.CTuple(()), ir.Aggregate(str() as op, ir.CVar(folded)))),
-                ),
+                ir.LetBinding(ir.PVar() as unpack, ir.Aggregate(str() as op, ir.CVar(folded))),
                 *rest,
             ),
         ) if (
@@ -435,7 +626,7 @@ def _shared_scan(
     rule = f"shared scan of {base.source}: {members} {ir.op_text(ops)}"
     out: list[TargetStatement] = [TargetAssign(scan, folded, scalar=True, rule=rule)]
     for position, (statement, fold) in enumerate(run, 1):
-        component = ir.CTuple((ir.CTuple(()), ir.CProject(ir.CVar(scan), f"_{position}")))
+        component = ir.CProject(ir.CVar(scan), f"_{position}")
         term = ir.Comprehension(statement.term.head, (ir.LetBinding(fold.unpack, component), *fold.rest))
         out.append(TargetAssign(statement.variable, term, scalar=True, origin=statement.origin))
     return out

@@ -58,21 +58,20 @@ class TestDefUse:
     def test_pagerank(self):
         target = _program("pagerank")
         program_facts = target.facts
-        assert program_facts.assigned == {"C", "P", "Q", "b", "k"}
-        assert program_facts.loop_assigned == {"P", "Q", "k"}
+        # Q, read once in the loop body, is inlined into the rank update.
+        assert program_facts.assigned == {"C", "P", "b", "k"}
         (loop,) = _loops(target.statements)
-        assert program_facts.assigned_in(loop) == {"P", "Q", "k"}
+        assert program_facts.assigned_in(loop) == {"P", "k"}
         # C: the degree merge and the in-loop join on C's key; P: the join
-        # building Q and the two merges into P; Q: the join feeding the
-        # rank update's group-by.  E's key is a pair the group-by only
-        # half uses, so E is no keyed consumer.
-        assert program_facts.keyed_demand == {"C": 2, "P": 3, "Q": 1}
+        # on P's key and the one merge into P the rank update folds into.
+        # E's key is a pair the group-by only half uses, so E is no keyed
+        # consumer.
+        assert program_facts.keyed_demand == {"C": 2, "P": 2}
         assert program_facts.top_level_demand == {"C": 1}
 
     def test_kmeans(self):
         program_facts = _program("kmeans").facts
         assert program_facts.assigned == {"C", "avg", "closest"}
-        assert program_facts.loop_assigned == frozenset()
         # One clustering step, no loop: full and top-level demand agree.
         assert program_facts.keyed_demand == {"C": 1, "P": 2, "closest": 2}
         assert program_facts.top_level_demand == program_facts.keyed_demand
@@ -81,7 +80,6 @@ class TestDefUse:
         target = Diablo().compile(NESTED_WHILE).translation.target
         program_facts = target.facts
         assert program_facts.assigned == {"B", "C", "j", "k", "s"}
-        assert program_facts.loop_assigned == {"B", "j", "k", "s"}
         outer, inner = _loops(target.statements)
         assert program_facts.assigned_in(outer) == {"B", "j", "k", "s"}
         assert program_facts.assigned_in(inner) == {"B", "j"}
@@ -93,6 +91,93 @@ class TestDefUse:
     def test_facts_are_computed_once_per_program(self):
         target = _program("pagerank")
         assert target.facts is target.facts
+
+    def test_uses_count_every_assignment_and_every_read(self):
+        target = Diablo().compile(NESTED_WHILE).translation.target
+        uses = facts.uses(target.statements)
+        # B: its constructor, its two merges in the inner loop (each reading
+        # B once), and the read in s's update.
+        assert uses["B"] == 4
+        assert uses["C"] == 2  # the constructor and the merge into C
+        assert facts.assigned_names(target.statements) == {"B", "C", "j", "k", "s"}
+
+
+def _pair(key, value, domain):
+    return ir.Generator(ir.PTuple((key, value)), domain)
+
+
+N = ir.CVar("N")
+HI = ir.CBinOp("-", ir.CVar("n"), ir.CConst(1))
+
+# { (i, 0.5) | let hi = n - 1, i <- range(0, hi) }: every key of 0..n-1.
+RESET = ir.Comprehension(
+    ir.CTuple((ir.CVar("i"), ir.CConst(0.5))),
+    (
+        ir.LetBinding(ir.PVar("hi"), HI),
+        ir.Generator(ir.PVar("i"), ir.RangeTerm(ir.CConst(0), ir.CVar("hi"))),
+    ),
+)
+
+# { (k, +/v) | ((i, j), v) <- M, let h = n - 1, inRange(j, 0, h), group by k : j }
+INCREMENT = ir.Comprehension(
+    ir.CTuple((ir.CVar("k"), ir.Aggregate("+", ir.CVar("v")))),
+    (
+        _pair(ir.PTuple((ir.PVar("i"), ir.PVar("j"))), ir.PVar("v"), ir.CVar("M")),
+        ir.LetBinding(ir.PVar("h"), HI),
+        ir.Condition(ir.InRange(ir.CVar("j"), ir.CConst(0), ir.CVar("h"))),
+        ir.GroupBy(ir.PVar("k"), ir.CVar("j")),
+    ),
+)
+
+
+# { (i, 0.5) | i <- range(0, n - 1) }: RESET with its bound written out.
+RESET_UNNAMED = ir.Comprehension(RESET.head, (ir.Generator(ir.PVar("i"), ir.RangeTerm(ir.CConst(0), HI)),))
+
+
+class TestKeysWithin:
+    def test_a_range_generator_covers_its_range_with_let_bounds_resolved(self):
+        assert facts.keys_within(RESET, RESET_UNNAMED)
+        assert facts.keys_within(RESET_UNNAMED, RESET)
+
+    def test_an_in_range_guard_bounds_a_group_by_key(self):
+        assert facts.keys_within(INCREMENT, RESET)
+        # The reset's keys are all in the increment's range, but the
+        # increment need not produce every one of them.
+        assert not facts.keys_within(RESET, INCREMENT)
+
+    def test_a_filtered_range_does_not_cover_its_range(self):
+        filtered = ir.Comprehension(
+            RESET.head, (*RESET.qualifiers, ir.Condition(ir.CBinOp("<", ir.CVar("i"), N)))
+        )
+        assert facts.keys_within(filtered, RESET)
+        assert not facts.keys_within(INCREMENT, filtered)
+
+    def test_other_bounds_are_another_domain(self):
+        shifted = ir.Comprehension(
+            RESET.head, (RESET.qualifiers[0], ir.Generator(ir.PVar("i"), ir.RangeTerm(ir.CConst(1), N)))
+        )
+        assert facts.keys_within(shifted, shifted)
+        assert not facts.keys_within(INCREMENT, shifted)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ir.CBinOp("%", ir.CVar("j"), ir.CConst(3)),  # a computed key has no range
+            ir.CVar("i"),  # i is neither a range variable nor guarded
+        ],
+    )
+    def test_an_unguarded_key_has_no_domain(self, key):
+        regrouped = ir.Comprehension(
+            INCREMENT.head, (*INCREMENT.qualifiers[:3], ir.GroupBy(ir.PVar("k"), key))
+        )
+        assert facts.keys_within(INCREMENT, RESET)
+        assert not facts.keys_within(regrouped, RESET)
+
+    def test_a_bound_read_from_the_rows_is_no_domain(self):
+        # inRange(j, 0, v): v is M's value, different per row.
+        guard = ir.Condition(ir.InRange(ir.CVar("j"), ir.CConst(0), ir.CVar("v")))
+        rowwise = ir.Comprehension(INCREMENT.head, (INCREMENT.qualifiers[0], guard, INCREMENT.qualifiers[3]))
+        assert not facts.keys_within(rowwise, RESET)
 
 
 # { (k, +/k) | (i, v) <- V, group by k : i % 2 }: the aggregated variable is

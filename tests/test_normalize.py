@@ -176,3 +176,103 @@ class TestLetInlining:
         once = normalize(comp)
         twice = normalize(once)
         assert once == twice
+
+
+def _lets(comp):
+    return [q for q in comp.qualifiers if isinstance(q, ir.LetBinding)]
+
+
+def _pair_generator(key, value, domain):
+    return ir.Generator(ir.PTuple((key, value)), ir.CVar(domain))
+
+
+class TestTupleLetSplitting:
+    # The let Rule 2 leaves when it unnests a generator over a join:
+    # let ((i, j), w) = (k, v), with k = (a, b) and v read from another side.
+    def _unnested_join(self):
+        return ir.Comprehension(
+            ir.CTuple((ir.CVar("j"), ir.CBinOp("*", ir.CVar("w"), ir.CVar("c")))),
+            (
+                _pair_generator(ir.PTuple((ir.PVar("a"), ir.PVar("b"))), ir.PVar("e"), "E"),
+                _pair_generator(ir.PVar("p"), ir.PVar("v"), "P"),
+                ir.LetBinding(ir.PVar("k"), ir.CTuple((ir.CVar("a"), ir.CVar("b")))),
+                ir.LetBinding(
+                    ir.PTuple((ir.PTuple((ir.PVar("i"), ir.PVar("j"))), ir.PVar("w"))),
+                    ir.CTuple((ir.CVar("k"), ir.CVar("v"))),
+                ),
+                _pair_generator(ir.PVar("x"), ir.PVar("c"), "C"),
+                ir.Condition(ir.CBinOp("==", ir.CVar("x"), ir.CVar("i"))),
+            ),
+        )
+
+    def test_a_tuple_let_becomes_component_lets(self):
+        result = normalize(self._unnested_join())
+        assert ir.LetBinding(ir.PTuple((ir.PVar("i"), ir.PVar("j"))), ir.CVar("k")) in _lets(result)
+        # let w = v is an alias, inlined: the key i no longer reads P's value.
+        assert not any("w" in q.pattern.variables() for q in _lets(result))
+        assert result.head == ir.CTuple((ir.CVar("j"), ir.CBinOp("*", ir.CVar("v"), ir.CVar("c"))))
+
+    def test_a_nested_tuple_of_both_shapes_splits_all_the_way(self):
+        comp = ir.Comprehension(
+            ir.CBinOp("+", ir.CVar("i"), ir.CBinOp("+", ir.CVar("j"), ir.CVar("w"))),
+            (
+                _pair_generator(ir.PVar("p"), ir.PVar("v"), "P"),
+                ir.LetBinding(
+                    ir.PTuple((ir.PTuple((ir.PVar("i"), ir.PVar("j"))), ir.PVar("w"))),
+                    ir.CTuple(
+                        (
+                            ir.CTuple((ir.CBinOp("+", ir.CVar("p"), ir.CConst(1)), ir.CVar("p"))),
+                            ir.CBinOp("*", ir.CVar("v"), ir.CConst(2)),
+                        )
+                    ),
+                ),
+            ),
+        )
+        lets = _lets(normalize(comp))
+        assert all(isinstance(q.pattern, ir.PVar) for q in lets)
+        assert [q.pattern.name for q in lets] == ["i", "w"]  # j = p is an alias, inlined
+
+    def test_wildcard_components_are_dropped(self):
+        comp = ir.Comprehension(
+            ir.CVar("z"),
+            (
+                _pair_generator(ir.PVar("p"), ir.PVar("v"), "P"),
+                ir.LetBinding(
+                    ir.PTuple((ir.PWildcard(), ir.PVar("z"))),
+                    ir.CTuple((ir.CVar("p"), ir.CBinOp("*", ir.CVar("v"), ir.CVar("v")))),
+                ),
+            ),
+        )
+        assert _lets(normalize(comp)) == [
+            ir.LetBinding(ir.PVar("z"), ir.CBinOp("*", ir.CVar("v"), ir.CVar("v")))
+        ]
+
+    def test_a_component_reading_an_earlier_component_keeps_the_tuple(self):
+        # let (a, b) = (b, a) swaps: split, b would read the new a.
+        swap = ir.LetBinding(
+            ir.PTuple((ir.PVar("a"), ir.PVar("b"))),
+            ir.CTuple(
+                (ir.CBinOp("+", ir.CVar("b"), ir.CConst(1)), ir.CBinOp("+", ir.CVar("a"), ir.CConst(1)))
+            ),
+        )
+        comp = ir.Comprehension(
+            ir.CTuple((ir.CVar("a"), ir.CVar("b"))),
+            (_pair_generator(ir.PVar("a"), ir.PVar("b"), "P"), swap),
+        )
+        assert _lets(normalize(comp)) == [swap]
+
+    def test_shapes_that_differ_keep_the_tuple(self):
+        unpack = ir.LetBinding(ir.PTuple((ir.PVar("i"), ir.PVar("j"))), ir.CVar("k"))
+        short = ir.LetBinding(
+            ir.PTuple((ir.PVar("x"), ir.PVar("y"))),
+            ir.CTuple((ir.CVar("i"), ir.CVar("j"), ir.CVar("v"))),
+        )
+        comp = ir.Comprehension(
+            ir.CTuple((ir.CBinOp("+", ir.CVar("i"), ir.CVar("j")), ir.CVar("x"))),
+            (_pair_generator(ir.PVar("k"), ir.PVar("v"), "M"), unpack, short),
+        )
+        assert _lets(normalize(comp)) == [unpack, short]
+
+    def test_splitting_is_idempotent(self):
+        once = normalize(self._unnested_join())
+        assert normalize(once) == once

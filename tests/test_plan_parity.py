@@ -49,9 +49,9 @@ EXPECTED = {
     "group_by": ((1, 109, 139, 3), (1, 109, 300, 2)),
     "matrix_addition": ((0, 0, 192, 3), (0, 0, 128, 2)),
     "matrix_multiplication": ((2, 84, 234, 9), (1, 48, 324, 5)),
-    "pagerank": ((7, 598, 5558, 40), (7, 610, 2160, 22)),
-    "kmeans": ((4, 454, 1614, 16), (1, 114, 220, 3)),
-    "matrix_factorization": ((7, 137, 515, 35), (5, 93, 270, 22)),
+    "pagerank": ((7, 598, 3518, 32), (7, 610, 2160, 22)),
+    "kmeans": ((4, 454, 1494, 15), (1, 114, 220, 3)),
+    "matrix_factorization": ((7, 137, 509, 34), (5, 93, 270, 22)),
 }
 
 

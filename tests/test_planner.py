@@ -21,6 +21,7 @@ import pytest
 from test_soundness_programs import assert_same_outputs, values_match
 
 from repro import Diablo
+from repro.algebra import runner
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator
 from repro.algebra.explain import explain_metrics
 from repro.algebra.plan import HashJoinNode, NarrowNode, render_plan
@@ -399,6 +400,54 @@ class TestLoopInvariantHoisting:
         assert result.array("B") == {i: 3.0 for i in range(5)}
         assert all(entry["loop_invariant_reuses"] == 0 for entry in result.iteration_metrics)
 
+    def test_a_join_of_two_unassigned_arrays_runs_once_per_loop(self, ctx):
+        # A ⋈ B is the build side of the join with X; the loop assigns
+        # neither A nor B, so iteration 1 caches the joined rows and
+        # iterations 2+ reuse them instead of joining A and B again.
+        source = """
+        var X: vector[double] = vector();
+        var Y: vector[double] = vector();
+        var k: int = 0;
+        for i = 0, 9 do X[i] := 1.0;
+        while (k < 3) {
+          k += 1;
+          for i = 0, 9 do
+            Y[i] := A[i] * B[i] - X[i];
+          for i = 0, 9 do
+            X[i] := Y[i];
+        };
+        """
+        inputs = {"A": {i: float(i) for i in range(10)}, "B": {i: 2.0 for i in range(10)}}
+        with Diablo(ctx) as diablo:
+            result = diablo.compile(source).run(**inputs)
+            expected = diablo.interpret(source, dict(inputs))["X"]
+        assert result.array("X") == expected
+        trace = result.trace
+        assert [line for line in trace if line.startswith("loop-invariant join side")] == [
+            "loop-invariant join side cached (materialized): build rows",
+            "loop-invariant join side reused: build rows",
+            "loop-invariant join side reused: build rows",
+        ]
+        assert len([line for line in trace if line.startswith("HashJoin[B on")]) == 1
+        assert [entry["loop_invariant_reuses"] for entry in result.iteration_metrics] == [0, 1, 1]
+
+    def test_the_loop_cache_is_emptied_when_the_loop_ends(self, ctx, monkeypatch):
+        # The loop's evaluators and plans form a reference cycle that holds
+        # the cache; emptied, its datasets need not wait for the cyclic GC.
+        caches = []
+
+        class Recorded(LoopInvariantCache):
+            def __init__(self, invariants):
+                super().__init__(invariants)
+                caches.append(self)
+
+        monkeypatch.setattr(runner, "LoopInvariantCache", Recorded)
+        with Diablo(ctx) as diablo:
+            result = diablo.compile(LOOP_SOURCE).run(W={i: float(i) for i in range(10)})
+        assert result.array("A") == {i: 4.0 * i for i in range(10)}
+        assert ctx.metrics.loop_invariant_reuses == 3
+        assert len(caches) == 1 and len(caches[0]) == 0
+
     def test_cache_invalidation_drops_dependent_entries(self):
         cache = LoopInvariantCache(frozenset({"E", "C"}))
         cache.put(("merge-side", "termE"), "dsE", frozenset({"E"}))
@@ -451,10 +500,11 @@ class TestPageRankIterations:
         # Steady state: iterations 2+ all shuffle exactly the same (mutated)
         # data volume.
         assert len({entry["shuffled_bytes"] for entry in rest}) == 1
-        # Two placement shuffles for the whole run, each exactly once: the
-        # invariant merge side, and the program-level placement of C (assigned
-        # straight from a range into a fresh array, so it arrives unplaced).
-        assert metrics.shuffle_operations.get("partitionBy") == 2
+        # Three placement shuffles for the whole run, each exactly once: the
+        # invariant merge side, and the program-level placements of C and of
+        # P's initial ranks (both assigned straight from a range into a fresh
+        # array, so they arrive unplaced).
+        assert metrics.shuffle_operations.get("partitionBy") == 3
 
     def test_optimized_run_matches_unoptimized_and_interpreter(self):
         inputs = workload_for_program("pagerank", 40)

@@ -207,7 +207,11 @@ def _compile(name, **options):
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_the_pass_fires_exactly_where_pinned(name):
     translation = _compile(name)
-    rules = [statement.rule for statement in translation.target.assignments() if statement.rule]
+    rules = [
+        statement.rule
+        for statement in translation.target.assignments()
+        if statement.rule and statement.rule.startswith("shared scan")
+    ]
     assert rules == FIRES.get(name, [])
     assert translation.optimizer_stats.shared_scans == len(rules)
 
@@ -217,9 +221,9 @@ def test_members_read_their_component_and_temporaries_are_no_output():
     with DistributedContext(num_partitions=4) as context:
         compiled = diablo_for(spec, context).compile(spec.source)
         text = str(compiled.target)
-        assert "let z$58 = (+,+)/w$57" in text
-        assert "let (k$43, z$44) = ((), scan$56._1)" in text
-        assert "let (k$53, z$54) = ((), scan$56._2)" in text
+        assert "let z$56 = (+,+)/w$55" in text
+        assert "let z$43 = scan$54._1" in text
+        assert "let z$52 = scan$54._2" in text
         result = compiled.run(V=[1.0, 2.0, 4.5])
     assert result["avg"] == 2.5
     assert not any("$" in name for name in result.values)
