@@ -18,12 +18,8 @@ from repro.baselines import get_baseline
 from repro.evaluation.harness import diablo_for
 from repro.programs import get_program
 from repro.runtime.cluster import ClusterContext
-from repro.runtime.context import EXECUTOR_MODES, DistributedContext
+from repro.runtime.context import DistributedContext
 from repro.workloads import workload_for_program
-
-#: The executor-comparison axis: the in-process modes plus the multi-process
-#: cluster backend.
-ALL_EXECUTOR_MODES = EXECUTOR_MODES + ("cluster",)
 
 #: Worker count for cluster-mode benchmark contexts.
 CLUSTER_BENCH_WORKERS = max(1, int(os.environ.get("DIABLO_CLUSTER_WORKERS", "2")))
@@ -33,7 +29,7 @@ def make_context(executor: str, num_partitions: int = 4) -> DistributedContext:
     """A context for one executor-comparison cell, cluster mode included."""
     if executor == "cluster":
         return ClusterContext(num_partitions=num_partitions, cluster_workers=CLUSTER_BENCH_WORKERS)
-    return DistributedContext(num_partitions=num_partitions, executor=executor)
+    return DistributedContext(num_partitions=num_partitions)
 
 
 #: Multiplies every benchmark input size; per-PR CI runs at 1, the nightly

@@ -4,14 +4,15 @@ The paper compiles each loop program to parallel and sequential collections;
 here the parallel column is the translated program on the local DISC runtime
 and the sequential column is the reference loop interpreter (see DESIGN.md).
 
-A third axis compares the runtime's executor modes (sequential / processes /
-cluster) on a CPU-heavy subset, exercising the fused-stage dispatch path of
-each executor with identical plans.
+A third axis compares the runtime's executor modes (sequential / cluster) on a
+CPU-heavy subset, exercising the fused-stage dispatch path of each executor
+with identical plans.
 """
 
 import pytest
 
-from benchmarks.conftest import ALL_EXECUTOR_MODES, make_context
+from benchmarks.conftest import make_context
+from repro.api.config import EXECUTOR_MODES
 from repro.evaluation.harness import diablo_for
 from repro.programs import get_program, table2_program_names
 from repro.workloads import workload_for_program
@@ -76,7 +77,6 @@ def _record_shuffle_metrics(benchmark, context):
     """Attach the shuffle/combiner metrics to the benchmark record so the CI
     smoke job can print them and regressions show up in logs."""
     metrics = context.metrics
-    benchmark.extra_info["process_fallbacks"] = metrics.process_fallbacks
     benchmark.extra_info["fused_stages"] = metrics.fused_stages
     benchmark.extra_info["shuffle_stages"] = metrics.shuffles
     benchmark.extra_info["shuffled_records"] = metrics.shuffled_records
@@ -92,20 +92,15 @@ def _record_shuffle_metrics(benchmark, context):
     benchmark.extra_info["worker_payload_local_reads"] = metrics.worker_payload_local_reads
 
 
-@pytest.mark.parametrize("executor", ALL_EXECUTOR_MODES)
+@pytest.mark.parametrize("executor", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", EXECUTOR_COMPARISON_PROGRAMS)
 def test_translated_evaluation_by_executor(benchmark, name, executor):
     """The same translated plan under each executor mode.
 
-    Evaluator-generated *map-side* stage functions close over driver state
-    and do not pickle, so under ``"processes"`` those fall back to the driver
-    (counted by ``process_fallbacks``).  The *reduce sides* of the wide
-    operators (group/merge/join of shuffle buckets) are module-level stage
-    chains that do pickle, so groupBy/join-heavy workloads now genuinely use
-    the pool -- ``parallel_tasks`` records how many tasks crossed into an
-    executor.  ``"cluster"`` ships even the closure-laden map sides to
-    worker processes (the cluster wire pickles functions by value) and keeps
-    shuffle payloads worker-to-worker.
+    ``"cluster"`` ships the closure-laden map sides to worker processes (the
+    cluster wire pickles functions by value) and keeps shuffle payloads
+    worker-to-worker; ``parallel_tasks`` records how many tasks crossed into
+    a worker.
     """
     spec = get_program(name)
     inputs = workload_for_program(name, SIZES[name])
@@ -123,12 +118,11 @@ def _add(a, b):
     return a + b
 
 
-@pytest.mark.parametrize("executor", ALL_EXECUTOR_MODES)
+@pytest.mark.parametrize("executor", EXECUTOR_MODES)
 @pytest.mark.parametrize("name", ["group_by", "matrix_multiplication"])
 def test_wide_stage_workloads_by_executor(benchmark, name, executor):
-    """Hand-written wide-stage pipelines (picklable stage functions), so every
-    executor runs the shuffle map/reduce sides itself -- the configuration
-    where the processes pool helps the paper's shuffle-dominated workloads."""
+    """Hand-written wide-stage pipelines, so every executor runs the shuffle
+    map/reduce sides itself."""
     from repro.baselines import get_baseline
 
     inputs = workload_for_program(name, SIZES[name])
@@ -136,8 +130,7 @@ def test_wide_stage_workloads_by_executor(benchmark, name, executor):
         module = get_baseline(name)
         benchmark.pedantic(lambda: module.distributed(context, inputs), rounds=2, iterations=1)
         _record_shuffle_metrics(benchmark, context)
-        if executor == "processes":
-            assert context.metrics.shuffles > 0, "wide-stage workload must shuffle"
+        assert context.metrics.shuffles > 0, "wide-stage workload must shuffle"
     benchmark.extra_info["program"] = name
     benchmark.extra_info["mode"] = "baseline-wide"
     benchmark.extra_info["executor"] = executor
@@ -155,11 +148,10 @@ def _bucket_pair(value: float) -> tuple[int, float]:
     return (int(value) % 64, value)
 
 
-@pytest.mark.parametrize("executor", ALL_EXECUTOR_MODES)
+@pytest.mark.parametrize("executor", EXECUTOR_MODES)
 def test_picklable_pipeline_by_executor(benchmark, executor):
     """A fused map→filter chain plus a reduceByKey shuffle of module-level
-    (picklable) functions: narrow map side, combiner, bucketing and the
-    reduce side all cross the process boundary under ``"processes"``."""
+    functions: narrow map side, combiner, bucketing and the reduce side."""
     with make_context(executor) as context:
         records = [float(i - 25_000) for i in range(50_000)]
 
@@ -169,9 +161,5 @@ def test_picklable_pipeline_by_executor(benchmark, executor):
 
         benchmark.pedantic(run_once, rounds=2, iterations=1)
         _record_shuffle_metrics(benchmark, context)
-        if executor == "processes":
-            assert context.metrics.process_fallbacks == 0, (
-                "picklable chain must cross the process boundary"
-            )
     benchmark.extra_info["executor"] = executor
     benchmark.extra_info["mode"] = "picklable-pipeline"

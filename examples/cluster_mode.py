@@ -1,7 +1,7 @@
 """Cluster mode: the translated program on real multi-process workers.
 
 ``executor_mode="cluster"`` runs stages on long-lived worker *processes*
-connected over TCP -- the same plans as the in-process executors, but with
+connected over TCP -- the same plans as the sequential executor, but with
 partitions resident in worker memory and shuffle payloads moving directly
 worker-to-worker (never through the driver).  With no ``cluster_address``
 the context spawns a :class:`LocalCluster` of worker subprocesses on
@@ -62,8 +62,7 @@ def main() -> None:
         assert metrics.worker_payload_fetches + metrics.worker_payload_local_reads > 0
 
         # A second program on the same cluster: the workers are long-lived,
-        # so there is no per-run process spawn cost (unlike
-        # executor="processes").
+        # so there is no per-run process spawn cost.
         print("\n== PageRank-style update on the same workers ==")
         ranked = run(on_cluster, PAGERANK_STYLE, E=edges, R=ranks)
         sequential = run(on_driver, PAGERANK_STYLE, E=edges, R=ranks)

@@ -86,11 +86,6 @@ class EvaluationEnvironment:
     functions: FunctionRegistry = field(default_factory=lambda: DEFAULT_FUNCTIONS)
     monoids: MonoidRegistry = field(default_factory=lambda: DEFAULT_MONOIDS)
 
-    def copy_with(self, values: dict[str, Any]) -> "EvaluationEnvironment":
-        merged = dict(self.values)
-        merged.update(values)
-        return EvaluationEnvironment(self.context, merged, self.functions, self.monoids)
-
 
 @dataclass
 class _CompBuild:

@@ -46,7 +46,6 @@ import functools
 from typing import Any, Callable, NamedTuple
 
 from repro.algebra import codegen
-from repro.algebra import plan as plan_mod
 from repro.algebra.plan import (
     FILTER,
     MAP,
@@ -668,8 +667,3 @@ def _record_oracle(function: Any, kind: str) -> Any:
     if kind == FILTER:
         return lambda record: bool(function((record,)))
     return lambda record: function((record,))[0]
-
-
-def render_plan(node: PlanNode) -> str:
-    """Re-exported for convenience (see :func:`repro.algebra.plan.render_plan`)."""
-    return plan_mod.render_plan(node)

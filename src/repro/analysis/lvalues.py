@@ -143,11 +143,6 @@ def lvalue_indexes(lvalue: ast.Expr, loop_indexes: frozenset[str]) -> frozenset[
     return frozenset(used)
 
 
-def same_lvalue(d1: ast.Expr, d2: ast.Expr) -> bool:
-    """Syntactic equality of L-values (the ``d1 = d2`` tests of Definition 3.1)."""
-    return d1 == d2
-
-
 def collect_accesses(stmt: ast.Stmt, loop_indexes: frozenset[str] = frozenset()) -> list[StatementAccess]:
     """Collect :class:`StatementAccess` records for every atomic statement in ``stmt``.
 

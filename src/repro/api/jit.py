@@ -35,12 +35,12 @@ jit function
   ``diablo.cache_info()`` / reset with ``diablo.cache_clear()``;
 * resolves its configuration **at call time** from
   :func:`repro.api.config.current_config`, so
-  ``with diablo.options(executor_mode="processes"): ...`` re-targets calls
+  ``with diablo.options(executor_mode="cluster"): ...`` re-targets calls
   without touching the function.
 
 Jit functions own the :class:`DistributedContext` objects they execute on
-(one per distinct runtime configuration) and release their worker pools via
-``close()`` or by being used as a context manager.
+(one per distinct runtime configuration) and release their cluster workers
+and spill directories via ``close()`` or by being used as a context manager.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ GLOBAL_COMPILATION_CACHE = CompilationCache(maxsize=256)
 
 #: Distinct runtime configurations a jit function keeps live contexts for.
 #: A sweep over many configurations evicts (and shuts down) the least
-#: recently used context instead of accumulating worker pools.
+#: recently used context instead of accumulating cluster workers.
 MAX_LIVE_CONTEXTS = 4
 
 
@@ -211,9 +211,9 @@ class JitFunction:
                 _, stale = self._contexts.popitem(last=False)
                 evicted.append(stale)
         for stale in evicted:
-            # Graceful shutdown: pending tasks of a concurrent call still on
-            # this context run to completion, and the context itself stays
-            # usable afterwards (pools are recreated lazily on demand).
+            # Graceful shutdown: a concurrent call still running on this
+            # context keeps its spill directories, and a sequential context
+            # stays usable afterwards.
             stale.shutdown(cancel_pending=False)
         return context
 
@@ -230,7 +230,7 @@ class JitFunction:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every worker pool this function's contexts started."""
+        """Shut down every context this function started."""
         with self._contexts_lock:
             contexts = list(self._contexts.values())
             self._contexts.clear()

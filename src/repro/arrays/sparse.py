@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from repro.errors import ExecutionError
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 
@@ -216,11 +215,3 @@ class SparseMatrix:
             return (a - b) * (a - b)
 
         return math.sqrt(merged.map(squared).fold(0.0, lambda a, b: a + b))
-
-
-def require_context(dataset: Dataset) -> DistributedContext:
-    """The context a dataset belongs to (helper for baseline code)."""
-    context = dataset.context
-    if context is None:
-        raise ExecutionError("dataset has no context")
-    return context

@@ -7,7 +7,6 @@ Submodules:
 * :mod:`repro.comprehension.normalize` -- normalization rules (Rule 2).
 * :mod:`repro.comprehension.optimize` -- group-by elimination (Rules 16/17)
   and loop-iteration elimination (Section 3.6).
-* :mod:`repro.comprehension.pretty` -- pretty printer for comprehensions.
 """
 
 from repro.comprehension.monoids import (

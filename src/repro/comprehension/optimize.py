@@ -68,19 +68,10 @@ class Optimizer:
         array_variables: names of variables known to hold sparse arrays
             (key-value datasets).  Generators over these are "array
             traversals" for the purposes of the rewrites.
-        enable_range_elimination: turn Section 3.6 on/off (ablation hook).
-        enable_group_by_elimination: turn Rules 16/17 on/off (ablation hook).
     """
 
-    def __init__(
-        self,
-        array_variables: set[str] | None = None,
-        enable_range_elimination: bool = True,
-        enable_group_by_elimination: bool = True,
-    ):
+    def __init__(self, array_variables: set[str] | None = None):
         self.array_variables = set(array_variables or set())
-        self.enable_range_elimination = enable_range_elimination
-        self.enable_group_by_elimination = enable_group_by_elimination
         self.stats = OptimizerStats()
 
     # -- entry points ---------------------------------------------------------
@@ -149,12 +140,9 @@ class Optimizer:
                 raise TypeError(f"unknown qualifier: {qualifier!r}")
         current = ir.Comprehension(head, tuple(qualifiers))
 
-        if self.enable_range_elimination:
-            current = self._eliminate_ranges(current)
-        if self.enable_group_by_elimination:
-            current = self._eliminate_group_bys(current, fresh)
-        result = normalize(current, fresh)
-        return result
+        current = self._eliminate_ranges(current)
+        current = self._eliminate_group_bys(current, fresh)
+        return normalize(current, fresh)
 
     # -- Section 3.6: loop-iteration elimination -------------------------------
 

@@ -457,10 +457,6 @@ class Program:
     def __str__(self) -> str:
         return "\n".join(str(s) for s in self.statements)
 
-    def as_block(self) -> Block:
-        """View the program as a single statement block."""
-        return Block(self.statements)
-
 
 # ---------------------------------------------------------------------------
 # Generic traversals

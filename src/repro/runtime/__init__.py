@@ -15,15 +15,15 @@ per-partition pass when an action forces them.  Wide operations are lazy
 :class:`~repro.runtime.stage.ShuffleStage` plan nodes that capture the map-side
 chain, an optional combiner and a partitioner, and execute both their map and
 reduce sides through the executor.  The context executes stages
-``"sequential"``-ly or -- when the stage chain pickles -- with a
-``"processes"`` pool so CPU-bound work uses multiple cores.
+``"sequential"``-ly in the driver; the ``"cluster"`` executor
+(:mod:`repro.runtime.cluster`) ships them to worker processes.
 Either way the runtime preserves the data-movement structure of a cluster:
 every shuffle operation redistributes records by key across partitions and is
 counted as such (records, estimated bytes, combiner effectiveness, join
 strategy).
 """
 
-from repro.runtime.context import DistributedContext, EXECUTOR_MODES
+from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD, Dataset
 from repro.runtime.broadcast import Broadcast
 from repro.runtime.metrics import Metrics
@@ -33,7 +33,6 @@ from repro.runtime.stage import NarrowStage, ShuffleInput, ShuffleStage
 
 __all__ = [
     "DistributedContext",
-    "EXECUTOR_MODES",
     "DEFAULT_BROADCAST_JOIN_THRESHOLD",
     "Dataset",
     "Broadcast",

@@ -24,8 +24,5 @@ class Broadcast(Generic[T]):
     def value(self) -> T:
         return self._value
 
-    def unpersist(self) -> None:
-        """Release the broadcast (a no-op locally; kept for API parity)."""
-
     def __repr__(self) -> str:
         return f"Broadcast(id={self.id})"

@@ -85,6 +85,18 @@ class _RemoteTaskError(Exception):
         self.remote_traceback = remote_traceback
 
 
+def _load_exception(shipped: bytes | None) -> BaseException | None:
+    """The exception a worker shipped with its error report, or ``None`` when
+    it could not ship or does not load on the driver."""
+    if shipped is None:
+        return None
+    try:
+        error = wire.cluster_loads(shipped)
+    except Exception:  # noqa: BLE001 - the remote traceback still reports it
+        return None
+    return error if isinstance(error, BaseException) else None
+
+
 class _WorkerHandle:
     """Driver-side state for one registered worker: socket + scheduler."""
 
@@ -141,7 +153,7 @@ class _WorkerHandle:
                 future.set_exception(
                     _RemoteTaskError(
                         payload.get("message", "task failed"),
-                        payload.get("exception"),
+                        _load_exception(payload.get("exception")),
                         payload.get("traceback", ""),
                     )
                 )
@@ -237,6 +249,8 @@ class ClusterContext(DistributedContext):
     #: routed payloads are remote references that only workers should read.
     _reduce_in_tasks = True
 
+    executor = "cluster"
+
     def __init__(
         self,
         num_partitions: int = 8,
@@ -247,8 +261,7 @@ class ClusterContext(DistributedContext):
         register_timeout: float = 60.0,
         **kwargs: Any,
     ):
-        super().__init__(num_partitions=num_partitions, executor="sequential", **kwargs)
-        self.executor = "cluster"
+        super().__init__(num_partitions=num_partitions, **kwargs)
         if cluster_workers <= 0:
             raise ValueError("cluster_workers must be positive")
         self.cluster_workers = cluster_workers
@@ -601,7 +614,7 @@ class ClusterContext(DistributedContext):
     def shutdown(self, cancel_pending: bool = True) -> None:
         """Stop workers, the heartbeat monitor and local subprocesses.
 
-        Safe to call twice.  Unlike the in-process executors the cluster
+        Safe to call twice.  Unlike the sequential executor the cluster
         does *not* restart lazily: a shut-down cluster context is done.
         """
         workers = self._workers

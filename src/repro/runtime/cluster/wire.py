@@ -3,14 +3,11 @@
 Translated plans are full of *local* functions: the planner's generated
 row-segment functions (:mod:`repro.algebra.codegen`) and the evaluator's row
 expansions are closures, and the builtin monoid registry holds lambdas.  Plain
-:mod:`pickle` refuses all of them, which is fine for the in-process executors
-(the ``"processes"`` pool just falls back to the driver) but would defeat the
-cluster backend: a map-side chain that cannot ship forces its shuffle payloads
-through the driver.
+:mod:`pickle` refuses all of them, which would defeat the cluster backend: a
+map-side chain that cannot ship forces its shuffle payloads through the
+driver.
 
-:func:`cluster_dumps` therefore extends pickle with two rules, applied only on
-the cluster wire (the in-process executors keep their conservative
-behaviour):
+:func:`cluster_dumps` therefore extends pickle with two rules:
 
 * **Functions pickle by value when they cannot pickle by reference.**  A
   function that is not importable under its qualified name ships as its

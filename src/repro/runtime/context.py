@@ -2,17 +2,11 @@
 
 A :class:`DistributedContext` plays the role of Spark's ``SparkContext``: it
 creates datasets from driver data, creates broadcast variables, owns the
-metrics counters, and decides how narrow tasks are executed.  Two executor
-modes are supported:
-
-* ``"sequential"`` -- one partition after another in the driver;
-* ``"processes"`` -- fused stage chains dispatched to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` in partition chunks, so
-  CPU-bound workloads use multiple cores.  A stage chain can only cross the
-  process boundary when its task descriptor pickles (module-level functions,
-  ``functools.partial`` over them); chains that close over driver state fall
-  back to sequential in-driver execution, counted by
-  ``metrics.process_fallbacks``.
+metrics counters, and executes tasks.  It is the ``"sequential"`` executor:
+every task runs in the driver, one partition after another.  The one
+multi-process executor is ``"cluster"``
+(:class:`~repro.runtime.cluster.ClusterContext`), which subclasses this one
+and ships the same task descriptors to worker processes.
 
 The context also owns the out-of-core shuffle lifecycle: a
 :class:`~repro.runtime.spill.ShuffleStore` that hands each shuffle a private
@@ -31,10 +25,8 @@ import functools
 import itertools
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.errors import ExecutionError
 from repro.runtime import stage as stage_mod
 from repro.runtime.broadcast import Broadcast
 from repro.runtime.dataset import (
@@ -46,9 +38,6 @@ from repro.runtime.metrics import Metrics
 from repro.runtime.partitioner import HashPartitioner
 from repro.runtime.spill import ShuffleStore
 from repro.runtime.stage import NarrowStage, ShuffleStage
-
-#: Executor modes accepted by :class:`DistributedContext`.
-EXECUTOR_MODES = ("sequential", "processes")
 
 #: Records sampled per map partition when the adaptive layer histograms a
 #: shuffle's keys at force time (driver-side stride sample through the
@@ -118,10 +107,6 @@ class DistributedContext:
 
     Args:
         num_partitions: default number of partitions for new datasets.
-        executor: ``"sequential"`` or ``"processes"`` (see the module
-            docstring).
-        num_processes: size of the process pool when ``executor="processes"``
-            (defaults to ``min(num_partitions, cpu count)``).
         broadcast_join_threshold: joins whose build side has at most this many
             records run as broadcast hash joins instead of shuffle joins (the
             strategy knob; only affects performance, never results).
@@ -177,11 +162,12 @@ class DistributedContext:
     #: should resolve.
     _reduce_in_tasks = False
 
+    #: The executor mode this class implements (see the module docstring).
+    executor = "sequential"
+
     def __init__(
         self,
         num_partitions: int = 8,
-        executor: str = "sequential",
-        num_processes: int | None = None,
         broadcast_join_threshold: int = DEFAULT_BROADCAST_JOIN_THRESHOLD,
         spill_threshold_bytes: int | None = None,
         spill_dir: str | None = None,
@@ -192,15 +178,11 @@ class DistributedContext:
     ):
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        if executor not in EXECUTOR_MODES:
-            raise ValueError(f"unknown executor {executor!r}")
         if columnar is None:
             columnar = _columnar_from_env()
         if not isinstance(columnar, bool):
             raise ValueError(f"columnar must be True or False, got {columnar!r}")
         self.num_partitions = num_partitions
-        self.executor = executor
-        self.num_processes = num_processes or min(num_partitions, os.cpu_count() or 2)
         self.broadcast_join_threshold = broadcast_join_threshold
         self.plan_optimize = plan_optimize
         self.columnar = columnar
@@ -214,7 +196,6 @@ class DistributedContext:
         )
         self.metrics = Metrics()
         self._broadcast_counter = 0
-        self._process_pool: ProcessPoolExecutor | None = None
 
     @classmethod
     def from_config(cls, config: Any) -> "DistributedContext":
@@ -230,8 +211,6 @@ class DistributedContext:
             return ClusterContext.from_config(config)
         return cls(
             num_partitions=config.num_partitions,
-            executor=config.executor_mode,
-            num_processes=config.num_processes,
             broadcast_join_threshold=config.broadcast_join_threshold,
             spill_threshold_bytes=config.spill_threshold_bytes,
             spill_dir=config.spill_dir,
@@ -317,81 +296,20 @@ class DistributedContext:
         """Run ``task(partition, index)`` over every partition.
 
         ``task_spec`` is an optional picklable descriptor of the task (a tuple
-        of :class:`~repro.runtime.stage.NarrowStage`) that lets the
-        ``"processes"`` executor rebuild the fused task inside a worker
-        process instead of pickling a driver closure.  ``read`` says the
-        caller is an action about to look at every output record; it only
-        matters to an executor that would otherwise leave the outputs where
-        they were computed (the cluster backend).
+        of :class:`~repro.runtime.stage.NarrowStage`) that lets the cluster
+        executor ship the fused task to a worker process; the driver ignores
+        it.  ``read`` says the caller is an action about to look at every
+        output record; it only matters to an executor that would otherwise
+        leave the outputs where they were computed (the cluster backend).
         """
         try:
-            return self._run_tasks(task, partitions, task_spec)
+            return [task(partition, index) for index, partition in enumerate(partitions)]
         finally:
             if self.columnar:
                 # Fold the module-global batch-runtime counters (memoized
                 # fallback skips, resident partition reuses, ...) into this
-                # context's metrics; only driver-side executors produce them.
+                # context's metrics.
                 self.metrics.record_columnar_runtime(stage_mod.consume_batch_stats())
-
-    def _run_tasks(
-        self,
-        task: Callable[[list[Any], int], list[Any]],
-        partitions: list[list[Any]],
-        task_spec: tuple[Any, ...] | None = None,
-    ) -> list[list[Any]]:
-        if self.executor == "processes" and len(partitions) > 1:
-            if task_spec is not None:
-                outcome = self._run_in_processes(task_spec, partitions)
-                if outcome is not None:
-                    self.metrics.record_parallel_tasks(len(partitions))
-                    return outcome
-            self.metrics.record_process_fallback()
-        return [task(partition, index) for index, partition in enumerate(partitions)]
-
-    def _run_in_processes(
-        self, task_spec: tuple[Any, ...], partitions: list[list[Any]]
-    ) -> list[list[Any]] | None:
-        """Dispatch a fused stage chain to the process pool in partition chunks.
-
-        Returns None when the work cannot cross the process boundary (the
-        descriptor or the records do not pickle, or the pool broke); the
-        caller then runs the task in the driver.
-        """
-        if not stage_mod.is_picklable(task_spec):
-            return None
-        pool = self._pool_of_processes()
-        indexed = list(enumerate(partitions))
-        chunk_count = min(self.num_processes, len(indexed))
-        chunks = [indexed[offset::chunk_count] for offset in range(chunk_count)]
-        futures = [
-            pool.submit(stage_mod.run_fused_chunk, task_spec, chunk, self.columnar)
-            for chunk in chunks
-        ]
-        results: dict[int, list[Any]] = {}
-        task_errors: list[BaseException] = []
-        infrastructure_errors: list[BaseException] = []
-        for future in futures:
-            error = future.exception()
-            if error is None:
-                for index, records in future.result():
-                    results[index] = records
-            elif isinstance(error, stage_mod.FusedTaskError):
-                # The worker wraps failures of the task itself, so anything
-                # else (PicklingError, BrokenProcessPool, ...) came from the
-                # pool machinery, not from user code.
-                task_errors.append(error.args[0] if error.args else error)
-            else:
-                infrastructure_errors.append(error)
-        if task_errors:
-            raise ExecutionError(
-                f"{len(task_errors)} task(s) failed: {task_errors[0]}"
-            ) from task_errors[0]
-        if infrastructure_errors:
-            # The pool (or the payload) could not carry the work; discard the
-            # broken pool and let the caller fall back to the driver.
-            self._shutdown_process_pool()
-            return None
-        return [results[index] for index in range(len(partitions))]
 
     # -- shuffle execution ---------------------------------------------------------
 
@@ -752,8 +670,7 @@ class DistributedContext:
             reduce_tasks = len(merged)
         else:
             # In-memory payloads concatenate for free in the driver; a
-            # run_tasks pass here would only round-trip every record through
-            # the worker pool to do the same thing.
+            # run_tasks pass here would only do the same thing as a task.
             result = [stage_mod.read_bucket(bucket) for bucket in merged]
             reduce_tasks = 0
         if shuffle.reverse_output:
@@ -910,35 +827,18 @@ class DistributedContext:
         self.metrics.record_join_strategy("broadcast")
         return result, None
 
-    def _pool_of_processes(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self.num_processes)
-        return self._process_pool
-
-    def _shutdown_process_pool(self) -> None:
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=False, cancel_futures=True)
-            self._process_pool = None
-
     def shutdown(self, cancel_pending: bool = True) -> None:
-        """Stop the process pool and remove spill files; safe to call twice.
+        """Remove spill files; safe to call twice.
 
-        The context stays usable afterwards -- the pool and spill directories
-        are recreated lazily on the next parallel task / spilled shuffle --
-        so ``shutdown`` is a release of OS resources, not a terminal state.
-        With ``cancel_pending=False`` pending process-pool tasks run to
-        completion before the pool closes (used when another caller may
-        still be mid-computation on this context, e.g. jit context
-        eviction); the spill root is then left for the store's GC finalizer,
-        because an in-flight shuffle on another thread may still be reading
-        and writing runs under it.
+        The context stays usable afterwards -- spill directories are
+        recreated lazily on the next spilled shuffle -- so ``shutdown`` is a
+        release of OS resources, not a terminal state.  With
+        ``cancel_pending=False`` (used when another caller may still be
+        mid-computation on this context, e.g. jit context eviction) the
+        spill root is left for the store's GC finalizer, because an
+        in-flight shuffle on another thread may still be reading and writing
+        runs under it.
         """
-        if self._process_pool is not None:
-            if cancel_pending:
-                self._shutdown_process_pool()
-            else:
-                self._process_pool.shutdown(wait=True)
-                self._process_pool = None
         if cancel_pending:
             self.shuffle_store.close()
 

@@ -42,12 +42,8 @@ class Metrics:
     #: function instead of a stage per operator (counted at plan time, so
     #: identical across executor modes; see :mod:`repro.algebra.codegen`).
     generated_segments: int = 0
-    #: Times the process executor fell back to the driver (unpicklable task
-    #: or a broken worker pool).
-    process_fallbacks: int = 0
-    #: Tasks actually dispatched to a thread/process pool (0 under the
-    #: sequential executor and for driver fallbacks) -- executor-specific by
-    #: design, like ``process_fallbacks``.
+    #: Tasks actually dispatched to cluster workers (0 under the sequential
+    #: executor and for driver fallbacks) -- executor-specific by design.
     parallel_tasks: int = 0
     #: Map-side shuffle tasks executed (one per input partition per shuffle).
     shuffle_map_tasks: int = 0
@@ -92,8 +88,8 @@ class Metrics:
     #: Batch runs skipped straight to the record path because an earlier
     #: partition of the same (plan-cached) segment already fell back -- the
     #: memoized-fallback conversion-tax savings.  Runtime counters, so only
-    #: the driver-side (sequential) executor reports them; process and
-    #: cluster workers keep theirs worker-side.
+    #: the driver-side (sequential) executor reports them; cluster workers
+    #: keep theirs worker-side.
     columnar_memoized_skips: int = 0
     #: Batch runs that resumed from a resident ColumnarPartition produced by
     #: the previous force instead of re-running ``from_records``.
@@ -114,7 +110,7 @@ class Metrics:
     adaptive_decisions: int = 0
     #: Cluster-mode task batches that ran in the driver instead of on workers
     #: (no task_spec, or a chain that could not cross the wire).  0 under the
-    #: in-process executors.
+    #: sequential executor.
     cluster_fallbacks: int = 0
     #: Task input partitions a cluster wave named in the workers' resident
     #: stores (a previous wave's output, or a driver list pushed earlier)
@@ -265,9 +261,6 @@ class Metrics:
         """Account for one row segment lowered to a generated function."""
         self.generated_segments += 1
 
-    def record_process_fallback(self) -> None:
-        self.process_fallbacks += 1
-
     def record_vectorization(self, vectorized: int, fallbacks: int) -> None:
         """Account for one columnar-enabled plan's stage classification."""
         self.vectorized_stages += vectorized
@@ -280,7 +273,7 @@ class Metrics:
         self.columnar_vector_bucket_tasks += stats.get("vector_bucket_tasks", 0)
 
     def record_parallel_tasks(self, tasks: int) -> None:
-        """Account for ``tasks`` tasks dispatched to a worker pool."""
+        """Account for ``tasks`` tasks dispatched to cluster workers."""
         self.parallel_tasks += tasks
 
     def record_cluster_fallback(self) -> None:
@@ -326,7 +319,7 @@ class Metrics:
         """A plain-dict copy of the int counters plus the ``broadcast_joins``
         / ``shuffle_joins`` counts (handy for reporting).
 
-        ``process_fallbacks`` and ``parallel_tasks`` depend on the executor
+        ``parallel_tasks`` and the cluster counters depend on the executor
         mode; every other counter is a function of the plan and the data.
         """
         counters = {

@@ -8,11 +8,8 @@ them can run as a *single* per-partition pass.  The lazy
 stages are composed by :func:`compose` into one task and executed in one
 ``run_tasks`` pass.
 
-A tuple of stages is also the *task descriptor* shipped to worker processes by
-the ``"processes"`` executor: it is picklable whenever every stage function is
-(module-level functions, ``functools.partial`` over module-level functions).
-:func:`run_fused_chunk` is the module-level worker entry point, so the process
-pool never has to pickle a closure of the driver's state.
+A tuple of stages is also the *task descriptor* the ``"cluster"`` executor
+ships to its worker processes (see :mod:`repro.runtime.cluster.wire`).
 
 Wide operations are plan nodes too: a :class:`ShuffleStage` describes one
 shuffle as (per-input map-side narrow chain + optional map-side combiner +
@@ -20,8 +17,8 @@ partitioner bucketing) plus a reduce-side stage chain that processes each
 merged bucket.  Both sides are expressed as ``NarrowStage`` chains built from
 the module-level worker functions below (:func:`shuffle_write`,
 :func:`reduce_bucket`, :func:`group_bucket`, :func:`join_bucket`, ...), so the
-existing ``run_tasks`` dispatch -- in the driver, or the process pool with
-its pickle fallback -- executes the hot map and reduce sides of every wide operator.
+existing ``run_tasks`` dispatch -- in the driver, or on the cluster workers --
+executes the hot map and reduce sides of every wide operator.
 :meth:`DistributedContext.run_shuffle` is the interpreter for these nodes.
 
 **The shuffle data path is an iterator protocol, not list-of-lists.**  A map
@@ -34,7 +31,7 @@ record lists.  Every reduce-side processor streams the records back with
 ``heapq.merge`` for sorted runs), applying its merge/group/join combiner
 incrementally, so reduce-side memory is bounded by the live accumulator --
 not by the shuffled partition -- and the behaviour is identical in the
-sequential and processes executor modes.
+sequential and cluster executor modes.
 """
 
 from __future__ import annotations
@@ -116,7 +113,7 @@ def stage_vectorizable(stage: NarrowStage) -> bool:
 #
 # Both caches live at module level so they are shared by every task of every
 # force within one interpreter: the driver's for the sequential executor,
-# each worker's own for the processes/cluster executors (a worker
+# each worker's own for the cluster executor (a worker
 # is long-lived, so its caches warm up the same way).
 
 #: Stage runs whose batch execution failed once (any partition): keyed by the
@@ -144,8 +141,8 @@ def consume_batch_stats() -> dict[str, int]:
 
     The counters are updated inside executor tasks, so they are only
     observable from the driver for the executor sharing its interpreter
-    (sequential); process-pool and cluster workers accumulate into
-    their own interpreters and their counts stay worker-side.
+    (sequential); cluster workers accumulate into their own
+    interpreters and their counts stay worker-side.
     """
     stats = dict(_BATCH_STATS)
     for key in _BATCH_STATS:
@@ -274,37 +271,6 @@ def operator_count(stages: Iterable[NarrowStage]) -> int:
     """Logical operators behind a stage chain: a generated row-segment stage
     (:mod:`repro.algebra.codegen`) stands for as many as it replaced."""
     return sum(getattr(stage.function, "operators", 1) for stage in stages)
-
-
-def is_picklable(stages: tuple[NarrowStage, ...]) -> bool:
-    """Whether the stage chain can be shipped to a worker process."""
-    try:
-        pickle.dumps(stages)
-    except Exception:
-        return False
-    return True
-
-
-class FusedTaskError(Exception):
-    """Wrapper distinguishing a failure of the fused task itself (user code)
-    from pool infrastructure failures (broken pool, unpicklable payload).
-
-    The original exception travels as ``args[0]`` so it survives the pickle
-    round-trip back to the driver (``__cause__`` does not).
-    """
-
-
-def run_fused_chunk(
-    stages: tuple[NarrowStage, ...],
-    chunk: list[tuple[int, list[Any]]],
-    columnar: bool = False,
-) -> list[tuple[int, list[Any]]]:
-    """Process-pool worker: run the fused chain over a chunk of indexed partitions."""
-    task = compose(stages, columnar)
-    try:
-        return [(index, task(records, index)) for index, records in chunk]
-    except Exception as error:
-        raise FusedTaskError(error) from error
 
 
 def positions(offsets: tuple[int, ...], records: list[Any], index: int) -> list[Any]:

@@ -82,8 +82,6 @@ class DiabloCompiler:
         monoids: MonoidRegistry | None = None,
         check_restrictions: bool = True,
         optimize: bool = True,
-        enable_range_elimination: bool = True,
-        enable_group_by_elimination: bool = True,
         strict: bool = False,
         cache: CompilationCache | None = None,
     ):
@@ -91,8 +89,6 @@ class DiabloCompiler:
         self.check_restrictions = check_restrictions
         self.optimize = optimize
         self.strict = strict
-        self.enable_range_elimination = enable_range_elimination
-        self.enable_group_by_elimination = enable_group_by_elimination
         self.cache = cache if cache is not None else CompilationCache()
 
     # -- public API -----------------------------------------------------------
@@ -151,11 +147,7 @@ class DiabloCompiler:
         statements: list[TargetStatement] = []
         for stmt in program.statements:
             statements.extend(rules.statement(stmt, []))
-        optimizer = Optimizer(
-            array_variables={n for n, v in variables.items() if v.is_collection},
-            enable_range_elimination=self.enable_range_elimination,
-            enable_group_by_elimination=self.enable_group_by_elimination,
-        )
+        optimizer = Optimizer(array_variables={n for n, v in variables.items() if v.is_collection})
         optimized = tuple(self._optimize_statement(s, optimizer, fresh) for s in statements)
         if self.optimize:
             optimized = merge_into_fresh(optimized, optimizer)
@@ -226,8 +218,6 @@ class DiabloCompiler:
             self.check_restrictions,
             self.optimize,
             self.strict,
-            self.enable_range_elimination,
-            self.enable_group_by_elimination,
             # Registry identity + mutation version: replacing a monoid under
             # an existing symbol must not serve a stale translation.
             self.monoids.fingerprint(),

@@ -3,7 +3,7 @@
 The adaptive layer may only change *how* skewed shuffles execute -- sampled
 histograms, hot-key salting, map-side grouping, histogram-driven range
 bounds -- never *what* they compute.  These tests pin that guarantee on
-zipf-skewed data across every executor mode, with and without spilling
+zipf-skewed data on both executors, with and without spilling
 forced at a 1-byte threshold, by comparing adaptive runs bit-for-bit
 against adaptive-off runs.
 """
@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.context import EXECUTOR_MODES, DistributedContext
+from test_executor_equivalence import context_on
+
+from repro.api.config import EXECUTOR_MODES
+from repro.runtime.context import DistributedContext
 from repro.workloads import skewed_pairs
 
 
@@ -25,9 +28,9 @@ def _records(count=6_000, num_keys=20, seed=11):
 def _run(adaptive, executor="sequential", spill=None):
     """Group, reduce and sort the same skewed pairs; return plain values."""
     records = _records()
-    with DistributedContext(
+    with context_on(
+        executor,
         num_partitions=4,
-        executor=executor,
         adaptive=adaptive,
         spill_threshold_bytes=spill,
     ) as ctx:

@@ -1099,10 +1099,6 @@ class TestShipping:
         assert type(wire.cluster_loads(wire.cluster_dumps(shipped))) is stage.FoldedRecords
         assert wire.cluster_loads(wire.cluster_dumps(shipped)).consumed == 4
 
-    def test_generated_functions_do_not_pickle_for_the_process_pool(self, context):
-        function = codegen.generate(head(ir.CVar("i")), bindings_for(context), {})
-        assert not stage.is_picklable((stage.NarrowStage(stage.PARTITIONS, function),))
-
 
 class TestMemo:
     def test_pagerank_compiles_each_distinct_segment_once(self, monkeypatch):

@@ -1,8 +1,8 @@
 """Differential oracle suite for columnar vectorized execution.
 
 The record-at-a-time path is the correctness oracle: with ``columnar=True``
-every Figure 3 workload must produce **bit-identical** outputs under every
-executor mode (in memory and at the harshest spill setting), because batch
+every Figure 3 workload must produce **bit-identical** outputs under both
+executors (in memory and at the harshest spill setting), because batch
 kernels either reproduce the record semantics exactly or fall back per
 partition -- and only chains that lower completely are batched.  The record
 path is the default: without ``columnar=True`` no stage is batched at all.
@@ -29,6 +29,7 @@ from test_executor_equivalence import (
     TINY_SPILL,
     _Outputs,
     assert_folding_consumer,
+    context_on,
     interpreter_outputs,
     workload,
 )
@@ -38,13 +39,14 @@ from repro import operators
 from repro.algebra import vectorize
 from repro.algebra.explain import explain_metrics
 from repro.api import config as config_mod
+from repro.api.config import EXECUTOR_MODES
 from repro.comprehension import ir
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.functions import FunctionRegistry
 from repro.programs import PROGRAMS, get_program, table2_program_names
 from repro.runtime import columnar
 from repro.runtime import stage as stage_mod
-from repro.runtime.context import EXECUTOR_MODES, DistributedContext
+from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 from repro.workloads.generators import workload_for_program
 
@@ -52,12 +54,14 @@ from repro.workloads.generators import workload_for_program
 SPILL_SETTINGS = (None, 1)
 
 
-def run_columnar(name: str, mode: str, spill_threshold_bytes: int | None = None) -> tuple:
+def run_columnar(
+    name: str, mode: str = "sequential", spill_threshold_bytes: int | None = None
+) -> tuple:
     """One Figure 3 workload under ``columnar=True``; outputs + metric pair."""
     spec = get_program(name)
-    with DistributedContext(
+    with context_on(
+        mode,
         num_partitions=4,
-        executor=mode,
         spill_threshold_bytes=spill_threshold_bytes,
         columnar=True,
     ) as context:
@@ -99,7 +103,7 @@ def test_every_figure3_workload_is_bit_identical_under_columnar(name, mode, spil
 
 @pytest.mark.parametrize("name", SPILLING_PROGRAMS)
 def test_figure3_wide_workloads_spilled_columnar_match_record_path(name):
-    outputs, _counters = run_columnar(name, "sequential", spill_threshold_bytes=TINY_SPILL)
+    outputs, _counters = run_columnar(name, spill_threshold_bytes=TINY_SPILL)
     assert outputs == record_path_outputs(name)
 
 
@@ -107,17 +111,15 @@ def test_numeric_workloads_actually_vectorize():
     """The batch path must engage (not silently fall back everywhere) on the
     programs whose whole narrow chain lowers to kernels."""
     for name in ("conditional_sum", "word_count"):
-        _outputs, (vectorized, _fallbacks) = run_columnar(name, "sequential")
+        _outputs, (vectorized, _fallbacks) = run_columnar(name)
         assert vectorized > 0, f"{name}: no stage took the batch path"
 
 
 def test_columnar_metrics_identical_across_executors():
     """Vectorization counters are plan properties, not executor properties."""
-    per_mode = {}
-    for mode in EXECUTOR_MODES:
-        _outputs, counters = run_columnar("conditional_sum", mode)
-        per_mode[mode] = counters
-    assert per_mode["sequential"] == per_mode["processes"]
+    per_mode = {mode: run_columnar("conditional_sum", mode)[1] for mode in EXECUTOR_MODES}
+    assert per_mode["sequential"] == per_mode["cluster"]
+    assert per_mode["sequential"][0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +357,8 @@ class TestDivisionKernels:
         """The full pipeline: map + shuffle at spill threshold 1, per executor."""
 
         def run(columnar_mode):
-            with DistributedContext(
-                num_partitions=3,
-                executor=mode,
-                spill_threshold_bytes=1,
-                columnar=columnar_mode,
+            with context_on(
+                mode, num_partitions=3, spill_threshold_bytes=1, columnar=columnar_mode
             ) as ctx:
                 pairs = [(i % 2, value) for i, value in enumerate(values)]
                 data = ctx.parallelize(pairs).map(_div_map(op, divisor))
@@ -783,7 +782,7 @@ class TestPlumbing:
         assert config_mod.current_config().columnar is False, "the record path is the default"
 
     def test_counters_surface_in_snapshot_and_explain(self):
-        _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum", "sequential")
+        _outputs, (vectorized, fallbacks) = run_columnar("conditional_sum")
         assert vectorized > 0
         with DistributedContext(num_partitions=4, columnar=True) as ctx:
             spec = get_program("conditional_sum")

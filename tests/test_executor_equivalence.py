@@ -1,30 +1,31 @@
-"""Differential harness for the lazy fusing engine and its executor modes.
+"""Differential harness for the lazy fusing engine and its executors.
 
 Every Figure 3 workload is run through the sequential loop-language
 interpreter (the correctness oracle) and through the translated plan under
-both executor modes (``sequential``, ``processes``); all three results
-must agree.  Property-style tests check that operator fusion is
-observable only in the narrow-stage metrics: fused pipelines preserve
-partitioner metadata and leave the shuffle/record metrics untouched.
+both executors (``sequential``, ``cluster``); all three results must agree.
+Property-style tests check that operator fusion is observable only in the
+narrow-stage metrics: fused pipelines preserve partitioner metadata and leave
+the shuffle/record metrics untouched.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 
 import pytest
 
 from test_soundness_programs import assert_same_outputs, values_match
 
-from repro.errors import ExecutionError
+from repro.api.config import EXECUTOR_MODES
+from repro.errors import ExecutionError, WorkerLostError
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program, table2_program_names
-from repro.runtime.context import EXECUTOR_MODES, DistributedContext
+from repro.runtime.cluster import ClusterContext
+from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 from repro.workloads import generators, workload_for_program
 
-#: Programs whose plans must run generated row segments under every executor
+#: Programs whose plans must run generated row segments
 #: (asserted inside the differential sweeps here, in test_columnar and in
 #: test_cluster_equivalence): a scalar fold, a join → reduceByKey and a loop.
 GENERATED_PROGRAMS = ("linear_regression", "matrix_multiplication", "pagerank")
@@ -77,11 +78,42 @@ def interpreter_outputs(name: str) -> dict:
     return diablo_for(spec).interpret(spec.source, dict(workload(name)))
 
 
+def context_on(executor: str, **options) -> DistributedContext:
+    """A context on ``executor``: the driver loop, or two cluster workers."""
+    if executor == "cluster":
+        return ClusterContext(cluster_workers=2, **options)
+    return DistributedContext(**options)
+
+
+#: Counters of where tasks ran and how data moved between processes: they
+#: differ between the executors by design.  ``shuffle_reduce_tasks`` is one:
+#: an in-memory repartition concatenates its buckets in the driver, while the
+#: cluster reads its remote buckets in reduce tasks.
+EXECUTOR_COUNTERS = (
+    "parallel_tasks",
+    "shuffle_reduce_tasks",
+    "resident_partition_reuses",
+    "driver_pushed_bytes",
+    "driver_fetched_bytes",
+    "driver_fetches",
+    "worker_payload_fetches",
+    "worker_payload_bytes",
+    "worker_payload_local_reads",
+)
+
+
+def plan_counters(context: DistributedContext) -> dict:
+    """The metrics snapshot without :data:`EXECUTOR_COUNTERS`."""
+    snapshot = context.metrics.snapshot()
+    for counter in EXECUTOR_COUNTERS:
+        snapshot.pop(counter)
+    return snapshot
+
+
+@functools.lru_cache(maxsize=None)
 def run_translated_under(name: str, mode: str, spill_threshold_bytes: int | None = None) -> dict:
     spec = get_program(name)
-    with DistributedContext(
-        num_partitions=4, executor=mode, spill_threshold_bytes=spill_threshold_bytes
-    ) as context:
+    with context_on(mode, num_partitions=4, spill_threshold_bytes=spill_threshold_bytes) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
         outputs = translated_outputs(name, result)
@@ -120,10 +152,12 @@ def test_every_figure3_workload_matches_interpreter(name, mode):
 @pytest.mark.parametrize("name", ["word_count", "pagerank", "kmeans"])
 def test_executor_modes_agree_exactly(name):
     """The executors run the same plan, so results are bit-identical."""
-    by_mode = {mode: run_translated_under(name, mode) for mode in EXECUTOR_MODES}
-    reference = by_mode["sequential"]
-    for mode in ("processes",):
-        assert by_mode[mode] == reference, f"{name}: {mode} differs from sequential"
+    assert run_translated_under(name, "cluster") == run_translated_under(name, "sequential")
+
+
+def test_values_match_helper_tolerates_float_noise():
+    assert values_match(1.0, 1.0 + 1e-12)
+    assert not values_match(1.0, 1.1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,33 +224,24 @@ class TestFusion:
     def test_shuffle_metrics_identical_across_executors(self):
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with context_on(mode, num_partitions=4) as ctx:
                 ds = ctx.parallelize([(i % 5, i) for i in range(100)])
                 ds.map_values(lambda v: v + 1).reduce_by_key(lambda a, b: a + b).collect()
-                snapshot = ctx.metrics.snapshot()
-                # Executor-specific by design: where the tasks ran, not what
-                # the plan moved.
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["processes"]
+                snapshots[mode] = plan_counters(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
 
 
 # ---------------------------------------------------------------------------
-# Wide operators: every executor mode vs. a plain-Python oracle
+# Wide operators: every executor vs. a plain-Python oracle
 # ---------------------------------------------------------------------------
-
-# Module-level functions so the stage chains pickle and the "processes"
-# executor genuinely ships the map and reduce sides to worker processes.
-
 
 def _add(a, b):
     return a + b
 
 
 def _key_value(i):
-    # String keys on purpose: worker processes have different hash seeds, so
-    # this exercises the process-stable partitioner hashing.
+    # String keys on purpose: they exercise the process-stable partitioner
+    # hashing.
     return (f"k{i % 7}", i)
 
 
@@ -330,7 +355,7 @@ class TestWideOperatorEquivalence:
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     def test_wide_operators_match_oracle_under_every_executor(self, mode):
         oracle = _oracle_results()
-        with DistributedContext(num_partitions=4, executor=mode) as ctx:
+        with context_on(mode, num_partitions=4) as ctx:
             for name, thunk in _wide_pipelines(ctx):
                 assert thunk() == oracle[name], f"{name} diverged under {mode!r}"
 
@@ -339,14 +364,11 @@ class TestWideOperatorEquivalence:
         is a function of the plan and the data, not of the executor."""
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with context_on(mode, num_partitions=4) as ctx:
                 for _name, thunk in _wide_pipelines(ctx):
                     thunk()
-                snapshot = ctx.metrics.snapshot()
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["processes"]
+                snapshots[mode] = plan_counters(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
 
     def test_sort_by_key_output_keeps_a_range_partitioner(self):
         from repro.runtime.partitioner import RangePartitioner
@@ -419,9 +441,7 @@ class TestSpillEquivalence:
     @pytest.mark.parametrize("mode", EXECUTOR_MODES)
     def test_wide_operators_spilled_match_oracle_under_every_executor(self, mode):
         oracle = _oracle_results()
-        with DistributedContext(
-            num_partitions=4, executor=mode, spill_threshold_bytes=TINY_SPILL
-        ) as ctx:
+        with context_on(mode, num_partitions=4, spill_threshold_bytes=TINY_SPILL) as ctx:
             for name, thunk in _wide_pipelines(ctx):
                 assert thunk() == oracle[name], f"{name} diverged under spill + {mode!r}"
             assert ctx.metrics.spilled_bytes > 0
@@ -436,16 +456,12 @@ class TestSpillEquivalence:
         -- not of the executor (runs are flushed at deterministic points)."""
         snapshots = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(
-                num_partitions=4, executor=mode, spill_threshold_bytes=TINY_SPILL
-            ) as ctx:
+            with context_on(mode, num_partitions=4, spill_threshold_bytes=TINY_SPILL) as ctx:
                 for _name, thunk in _wide_pipelines(ctx):
                     thunk()
-                snapshot = ctx.metrics.snapshot()
-                snapshot.pop("process_fallbacks")
-                snapshot.pop("parallel_tasks")
-                snapshots[mode] = snapshot
-        assert snapshots["sequential"] == snapshots["processes"]
+                snapshots[mode] = plan_counters(ctx)
+        assert snapshots["sequential"] == snapshots["cluster"]
+        assert snapshots["sequential"]["spilled_bytes"] > 0
 
     def test_spilled_results_equal_in_memory_results(self, monkeypatch):
         """The same pipelines with and without spilling are bit-identical --
@@ -565,38 +581,7 @@ class TestJoinStrategySelection:
 
 
 # ---------------------------------------------------------------------------
-# Executor dispatch of wide stages (the Issue 2 acceptance criterion)
-# ---------------------------------------------------------------------------
-
-
-class TestWideStageDispatch:
-    def test_groupby_join_pipeline_runs_on_the_process_pool(self):
-        """Map side and reduce side of a groupBy/join pipeline both dispatch
-        through ``run_tasks``: in "processes" mode with picklable stages the
-        executor task count is positive and nothing falls back."""
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            keyed = ctx.parallelize(range(200)).map(_key_value)
-            grouped = keyed.reduce_by_key(_add)
-            lookup = ctx.parallelize([(f"k{i}", i) for i in range(7)])
-            joined = grouped.join(lookup, strategy="shuffle")
-            result = sorted(joined.collect())
-            assert len(result) == 7
-            assert ctx.metrics.parallel_tasks > 0
-            assert ctx.metrics.process_fallbacks == 0
-            assert ctx.metrics.shuffle_map_tasks > 0
-            assert ctx.metrics.shuffle_reduce_tasks > 0
-
-    def test_unpicklable_wide_stage_falls_back_to_driver(self):
-        captured = {"offset": 1}
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            ds = ctx.parallelize([(i % 5, i) for i in range(50)])
-            result = ds.reduce_by_key(lambda a, b: a + b + captured["offset"] - 1)
-            assert len(result.collect()) == 5
-            assert ctx.metrics.process_fallbacks > 0
-
-
-# ---------------------------------------------------------------------------
-# Process-executor behavior
+# Cluster dispatch of wide stages, and task errors
 # ---------------------------------------------------------------------------
 
 
@@ -608,34 +593,43 @@ def _failing_os_step(_value):
     raise FileNotFoundError("no such file: boom")
 
 
-class TestProcessExecutor:
-    def test_picklable_chain_crosses_the_process_boundary(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            ds = ctx.parallelize(range(100)).map(functools.partial(operator.mul, 3))
-            assert sorted(ds.collect()) == [3 * i for i in range(100)]
-            assert ctx.metrics.process_fallbacks == 0
+@pytest.fixture(scope="class")
+def cluster():
+    with context_on("cluster", num_partitions=4) as context:
+        yield context
 
-    def test_unpicklable_lambda_falls_back_to_driver(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            captured = {"offset": 7}
-            ds = ctx.parallelize(range(50)).map(lambda x: x + captured["offset"])
-            assert sorted(ds.collect()) == [i + 7 for i in range(50)]
-            assert ctx.metrics.process_fallbacks == 1
 
-    def test_worker_errors_surface_as_execution_errors(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            with pytest.raises(ExecutionError):
-                ctx.parallelize(range(8)).map(_failing_step).collect()
+class TestClusterDispatch:
+    def test_groupby_join_pipeline_runs_on_the_workers(self, cluster):
+        """Map side and reduce side of a groupBy/join pipeline both dispatch
+        through ``run_tasks`` to the workers, and nothing falls back."""
+        cluster.metrics.reset()
+        keyed = cluster.parallelize(range(200)).map(_key_value)
+        grouped = keyed.reduce_by_key(_add)
+        lookup = cluster.parallelize([(f"k{i}", i) for i in range(7)])
+        joined = grouped.join(lookup, strategy="shuffle")
+        assert len(joined.collect()) == 7
+        assert cluster.metrics.parallel_tasks > 0
+        assert cluster.metrics.cluster_fallbacks == 0
+        assert cluster.metrics.shuffle_map_tasks > 0
+        assert cluster.metrics.shuffle_reduce_tasks > 0
 
-    def test_os_errors_from_user_code_are_task_errors_not_fallbacks(self):
-        # Regression: OSError subclasses raised by user code must not be
-        # mistaken for pool-infrastructure failures (which would silently
-        # re-run the job in the driver and leak the raw exception).
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            with pytest.raises(ExecutionError):
-                ctx.parallelize(range(8)).map(_failing_os_step).collect()
-            assert ctx.metrics.process_fallbacks == 0
+    def test_a_closure_in_a_wide_stage_ships_by_value(self, cluster):
+        captured = {"offset": 1}
+        cluster.metrics.reset()
+        ds = cluster.parallelize([(i % 5, i) for i in range(50)])
+        result = ds.reduce_by_key(lambda a, b: a + b + captured["offset"] - 1)
+        assert sorted(result.collect()) == [(k, sum(range(k, 50, 5))) for k in range(5)]
+        assert cluster.metrics.cluster_fallbacks == 0
 
-    def test_values_match_helper_tolerates_float_noise(self):
-        assert values_match(1.0, 1.0 + 1e-12)
-        assert not values_match(1.0, 1.1)
+    @pytest.mark.parametrize(
+        "step, error", [(_failing_step, ZeroDivisionError), (_failing_os_step, FileNotFoundError)]
+    )
+    def test_task_errors_carry_the_user_exception(self, cluster, step, error):
+        """An exception raised by user code -- an ``OSError`` included -- is a
+        task error, not a lost worker, and the cluster keeps running."""
+        with pytest.raises(ExecutionError) as caught:
+            cluster.parallelize(range(10)).map(step).collect()
+        assert not isinstance(caught.value, WorkerLostError)
+        assert type(caught.value.__cause__) is error
+        assert sorted(cluster.parallelize(range(5)).collect()) == list(range(5))

@@ -15,6 +15,7 @@ from repro import Diablo
 from repro.api import Bag, DiabloConfig, Matrix, Vector
 from repro.loop_lang import ast
 from repro.loop_lang.interpreter import interpret_program
+from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.translate.cache import CompilationCache
 from repro.workloads import workload_for_program
@@ -322,19 +323,19 @@ class TestTypedSignatures:
 class TestConfiguration:
     def test_options_scope_changes_the_runtime(self):
         base_partitions = pagerank.runtime().num_partitions
-        with diablo.options(num_partitions=3, executor_mode="processes"):
+        with diablo.options(num_partitions=3, adaptive=False):
             scoped = pagerank.runtime()
             assert scoped.num_partitions == 3
-            assert scoped.executor == "processes"
+            assert scoped.adaptive is False
         assert pagerank.runtime().num_partitions == base_partitions
 
     def test_options_nest_and_restore_on_error(self):
         with diablo.options(num_partitions=5):
-            with diablo.options(executor_mode="processes"):
+            with diablo.options(adaptive=False):
                 config = diablo.current_config()
                 assert config.num_partitions == 5
-                assert config.executor_mode == "processes"
-            assert diablo.current_config().executor_mode == "sequential"
+                assert config.adaptive is False
+            assert diablo.current_config().adaptive is True
         with pytest.raises(RuntimeError):
             with diablo.options(num_partitions=2):
                 raise RuntimeError("boom")
@@ -349,10 +350,10 @@ class TestConfiguration:
             return total
 
         assert pinned_partitions.runtime().num_partitions == 2
-        with diablo.options(executor_mode="processes"):
+        with diablo.options(adaptive=False):
             runtime = pinned_partitions.runtime()
             assert runtime.num_partitions == 2
-            assert runtime.executor == "processes"
+            assert runtime.adaptive is False
         pinned_partitions.close()
 
     def test_unknown_and_invalid_options_are_rejected(self):
@@ -360,7 +361,7 @@ class TestConfiguration:
             DiabloConfig().replace(num_partition=4)
         with pytest.raises(ValueError, match="executor_mode"):
             DiabloConfig(executor_mode="gpu")
-        with pytest.raises(ValueError, match=r"\('sequential', 'processes', 'cluster'\)"):
+        with pytest.raises(ValueError, match=r"\('sequential', 'cluster'\)"):
             DiabloConfig(executor_mode="threads")
         with pytest.raises(TypeError, match="unknown DiabloConfig option"):
 
@@ -374,10 +375,17 @@ class TestConfiguration:
     def test_executor_modes_agree(self):
         values = random_doubles(4_000, seed=9)
         expected = conditional_sum(values)
-        for mode in ("processes",):
-            with diablo.options(executor_mode=mode):
-                assert abs(conditional_sum(values) - expected) < 1e-9
+        with diablo.options(executor_mode="cluster"):
+            assert abs(conditional_sum(values) - expected) < 1e-9
         conditional_sum.close()
+
+    def test_the_processes_executor_is_gone(self):
+        with pytest.raises(ValueError, match=r"\('sequential', 'cluster'\)"):
+            DiabloConfig(executor_mode="processes")
+        with pytest.raises(TypeError):
+            DistributedContext(executor="processes")
+        with pytest.raises(TypeError):
+            DistributedContext(num_processes=2)
 
     def test_facade_picks_up_scoped_config(self):
         with diablo.options(num_partitions=3):
@@ -394,7 +402,7 @@ class TestConfiguration:
 
 class TestLifecycle:
     def test_jit_function_as_context_manager(self):
-        @diablo.jit(cache=CompilationCache(), executor_mode="processes")
+        @diablo.jit(cache=CompilationCache())
         def totals(V):
             total: float = 0.0
             for v in V:

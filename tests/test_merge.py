@@ -8,7 +8,7 @@ write the merged records straight from the coGroup's reduce side
 every output partition must hold the same records in the same order, with
 the same value bits and types, under the same partitioner -- on the shuffle
 path, with one side pre-partitioned, and on the co-partitioned zip path,
-spilling or not, under every local executor and on two cluster workers.
+spilling or not, on the sequential executor and on two cluster workers.
 
 One allowance is documented in ``stage._merge_sides``: right values are
 folded in stream order, so when ``⊕`` raises on two different keys, which of
@@ -27,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.cluster import ClusterContext
+from test_executor_equivalence import context_on
+
+from repro.api.config import EXECUTOR_MODES
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 
@@ -89,15 +91,13 @@ def snapshot(dataset):
 
 @pytest.fixture(scope="module")
 def contexts():
-    opened = {}
-    for executor in ("sequential", "processes"):
-        for spill in (None, 1):
-            opened[executor, spill] = DistributedContext(
-                num_partitions=NUM_PARTITIONS,
-                executor=executor,
-                num_processes=2,
-                spill_threshold_bytes=spill,
-            )
+    opened = {
+        (executor, spill): context_on(
+            executor, num_partitions=NUM_PARTITIONS, spill_threshold_bytes=spill
+        )
+        for executor in EXECUTOR_MODES
+        for spill in (None, 1)
+    }
     yield opened
     for context in opened.values():
         context.shutdown()
@@ -145,7 +145,7 @@ def side(values):
 
 
 @pytest.mark.parametrize("spill", [None, 1], ids=["in-memory", "spill=1"])
-@pytest.mark.parametrize("executor", ["sequential", "processes"])
+@pytest.mark.parametrize("executor", EXECUTOR_MODES)
 @settings(max_examples=25, deadline=None)
 @given(
     data=st.data(),
@@ -153,6 +153,9 @@ def side(values):
     placement=st.sampled_from(["shuffle", "one-side", "zip"]),
 )
 def test_merge_equals_the_cogroup_composition(contexts, executor, spill, data, name, placement):
+    """On the cluster the merge processors ship to the workers (⊕ by value
+    when it is not importable there); outputs stay resident and are compared
+    on read."""
     function, values = OPERATIONS[name]
     left = data.draw(side(values), label="left")
     right = data.draw(side(values), label="right")
@@ -164,33 +167,7 @@ def test_merge_equals_the_cogroup_composition(contexts, executor, spill, data, n
     assert snapshot(actual) == snapshot(expected)
     assert actual.partitioner == expected.partitioner
     assert actual.partitioner == HashPartitioner(NUM_PARTITIONS)
-
-
-@pytest.fixture(scope="module")
-def cluster():
-    context = ClusterContext(num_partitions=NUM_PARTITIONS, cluster_workers=2)
-    yield context
-    context.shutdown()
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    data=st.data(),
-    name=st.sampled_from(sorted(OPERATIONS)),
-    placement=st.sampled_from(["shuffle", "one-side", "zip"]),
-)
-def test_merge_on_cluster_workers_equals_the_cogroup_composition(cluster, data, name, placement):
-    """The merge processors ship to the workers (⊕ by value when it is not
-    importable there); outputs stay resident and are compared on read."""
-    function, values = OPERATIONS[name]
-    left = data.draw(side(values), label="left")
-    right = data.draw(side(values), label="right")
-    left_ds, right_ds = inputs(cluster, left, right, placement)
-    expected = reference(left_ds, right_ds, function)
-    actual = merged(left_ds, right_ds, function)
-    assert snapshot(actual) == snapshot(expected)
-    assert actual.partitioner == expected.partitioner
-    assert cluster.metrics.cluster_fallbacks == 0
+    assert context.metrics.cluster_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +207,7 @@ def raised(run):
     return None
 
 
-@pytest.mark.parametrize("executor", ["sequential", "processes"])
+@pytest.mark.parametrize("executor", EXECUTOR_MODES)
 @settings(max_examples=25, deadline=None)
 @given(
     left=st.lists(st.tuples(st.integers(0, 5), st.sampled_from(["p", "q", "r!"])), max_size=8),
@@ -305,10 +282,3 @@ class TestOnePass:
             assert len(calls) == 1
             assert result.partitioner == partitioner
             assert dict(result.collect()) == {**dict(left.collect()), **dict(right.collect())}
-
-    def test_processes_executor_runs_the_merge_in_the_pool(self):
-        with DistributedContext(num_partitions=4, executor="processes", num_processes=2) as context:
-            left = context.parallelize([(i % 7, str(i)) for i in range(30)])
-            right = context.parallelize([(i % 5, str(-i)) for i in range(20)])
-            assert len(left.merge_with(right, concat).collect()) == 7
-            assert context.metrics.process_fallbacks == 0

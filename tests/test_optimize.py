@@ -69,13 +69,6 @@ class TestRangeElimination:
         optimizer.optimize(self.make_range_join())
         assert optimizer.stats.ranges_eliminated == 1
 
-    def test_disabled_range_elimination(self):
-        optimizer = Optimizer(array_variables={"W"}, enable_range_elimination=False)
-        result = optimizer.optimize(self.make_range_join())
-        assert any(
-            isinstance(q, ir.Generator) and isinstance(q.domain, ir.RangeTerm)
-            for q in result.qualifiers
-        )
 
 
 class TestGroupByElimination:
@@ -160,10 +153,6 @@ class TestGroupByElimination:
         result = compiler.compile("var s: double = 0.0; for v in V do s += v;")
         assert result.optimizer_stats.constant_key_group_bys_removed >= 1
 
-    def test_disabled_group_by_elimination(self):
-        compiler = DiabloCompiler(enable_group_by_elimination=False)
-        result = compiler.compile("var s: double = 0.0; for v in V do s += v;")
-        assert result.optimizer_stats.constant_key_group_bys_removed == 0
 
 
 class TestOptimizedTranslationShapes:

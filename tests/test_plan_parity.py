@@ -63,7 +63,7 @@ def _inputs(name):
 
 
 def _counts(run) -> tuple[int, ...]:
-    with DistributedContext(num_partitions=4, executor="sequential") as context:
+    with DistributedContext(num_partitions=4) as context:
         waves = 0
         run_tasks = context.run_tasks
 

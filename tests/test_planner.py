@@ -10,7 +10,7 @@ Covers the PR 5 acceptance criteria:
   shuffle only the mutated side (asserted on the per-iteration structural
   metrics in ``ProgramResult.iteration_metrics``);
 * every Figure 3 workload produces identical outputs with the planner on and
-  off, under every executor mode, including with spilling forced at a 1-byte
+  off, under both executors, including with spilling forced at a 1-byte
   threshold.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from test_executor_equivalence import context_on
 from test_soundness_programs import assert_same_outputs, values_match
 
 from repro import Diablo
@@ -26,10 +27,11 @@ from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator
 from repro.algebra.explain import explain_metrics
 from repro.algebra.plan import HashJoinNode, NarrowNode, render_plan
 from repro.algebra.planner import LoopInvariantCache
+from repro.api.config import EXECUTOR_MODES
 from repro.comprehension import ir
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program, table2_program_names
-from repro.runtime.context import EXECUTOR_MODES, DistributedContext
+from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
 from repro.workloads import workload_for_program
 
@@ -153,7 +155,7 @@ class TestNarrowFastPaths:
     def test_narrow_paths_agree_across_executors(self):
         collected = {}
         for mode in EXECUTOR_MODES:
-            with DistributedContext(num_partitions=4, executor=mode) as ctx:
+            with context_on(mode, num_partitions=4) as ctx:
                 left, right = self._sides(ctx)
                 ctx.metrics.reset()
                 collected[mode] = {
@@ -163,7 +165,7 @@ class TestNarrowFastPaths:
                     "shuffles": ctx.metrics.shuffles,
                     "eliminated": ctx.metrics.shuffles_eliminated,
                 }
-        assert collected["sequential"] == collected["processes"]
+        assert collected["sequential"] == collected["cluster"]
         assert collected["sequential"]["shuffles"] == 0
 
 
@@ -472,9 +474,9 @@ class TestLoopInvariantHoisting:
 # ---------------------------------------------------------------------------
 
 
-def _run_program(name, inputs, **context_kwargs):
+def _run_program(name, inputs, executor="sequential", **context_kwargs):
     spec = get_program(name)
-    with DistributedContext(num_partitions=4, **context_kwargs) as context:
+    with context_on(executor, num_partitions=4, **context_kwargs) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**inputs)
         outputs = translated_outputs(name, result)
@@ -707,8 +709,6 @@ def test_planner_with_spilling_matches_unoptimized(name, mode):
     inputs = _workload(name)
     if name == "pagerank":
         inputs["num_steps"] = 2
-    _r1, on_outputs, _m1 = _run_program(
-        name, inputs, executor=mode, spill_threshold_bytes=1
-    )
+    _r1, on_outputs, _m1 = _run_program(name, inputs, executor=mode, spill_threshold_bytes=1)
     _r2, off_outputs, _m2 = _run_program(name, inputs, plan_optimize=False)
     _outputs_match(spec, on_outputs, off_outputs)

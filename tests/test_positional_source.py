@@ -9,8 +9,8 @@ key, an output, ``collect``, a shipped task) gets the pairs from the stage.
 The reference for every case is the same program over the ``(position,
 element)`` pairs built on the driver -- what a list input used to become --
 and, for the programs, the sequential interpreter.  Results must be
-bit-identical to the first and equal to the second on the sequential,
-processes and cluster executors, at 1, 7 and 32 partitions, with every
+bit-identical to the first and equal to the second on the sequential and
+cluster executors, at 1, 7 and 32 partitions, with every
 shuffle spilled or none, with adaptive execution on and off.  Element values
 are exact binary fractions, so the interpreter's sums are exact too.
 """
@@ -66,9 +66,13 @@ for i = 0, n-1 do
 #: Input sizes: empty, fewer elements than 7 or 32 partitions, more.
 SIZES = (0, 5, 50)
 
+#: (executor, columnar): the record path on both executors, plus the batch
+#: path on the sequential one.
+LEGS = (("sequential", False), ("sequential", True), ("cluster", False))
+
 CONFIGS = [
-    (executor, partitions, spill, adaptive)
-    for executor in ("sequential", "processes", "cluster")
+    (executor, columnar, partitions, spill, adaptive)
+    for executor, columnar in LEGS
     for partitions in (1, 7, 32)
     for spill in (None, 1)
     for adaptive in (True, False)
@@ -78,15 +82,18 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[f"{e}-p{p}-spill{s}-{'adaptive' if a else 'static'}" for e, p, s, a in CONFIGS],
+    ids=[
+        f"{e}{'-columnar' if c else ''}-p{p}-spill{s}-{'adaptive' if a else 'static'}"
+        for e, c, p, s, a in CONFIGS
+    ],
 )
 def ctx(request):
-    executor, partitions, spill, adaptive = request.param
-    options = {"spill_threshold_bytes": spill, "adaptive": adaptive}
+    executor, columnar, partitions, spill, adaptive = request.param
+    options = {"spill_threshold_bytes": spill, "adaptive": adaptive, "columnar": columnar}
     if executor == "cluster":
         context = ClusterContext(num_partitions=partitions, cluster_workers=2, **options)
     else:
-        context = DistributedContext(num_partitions=partitions, executor=executor, num_processes=2, **options)
+        context = DistributedContext(num_partitions=partitions, **options)
     yield context
     context.shutdown()
 

@@ -6,6 +6,7 @@ from dataclasses import MISSING
 import pytest
 
 from repro.errors import ExecutionError
+from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.runtime.metrics import Metrics
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
@@ -51,16 +52,6 @@ class TestContext:
         with pytest.raises(ValueError):
             DistributedContext(num_partitions=0)
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedContext(executor="gpu")
-        with pytest.raises(ValueError):
-            DistributedContext(executor="threads")
-
-    def test_process_executor_runs_tasks(self):
-        with DistributedContext(num_partitions=4, executor="processes") as ctx:
-            result = ctx.parallelize(range(100)).map(lambda x: x * 2).collect()
-            assert sorted(result) == [x * 2 for x in range(100)]
 
 
 class TestLazyEngine:
@@ -187,10 +178,11 @@ class TestNarrowOperations:
         # partition, so results depended on partition evaluation order.  Each
         # partition now derives its own generator from (seed, index).
         results = {}
-        for executor in ("sequential", "processes"):
-            with DistributedContext(num_partitions=4, executor=executor) as ctx:
-                results[executor] = ctx.parallelize(range(200)).sample(0.3, seed=5).collect()
-        assert results["sequential"] == results["processes"]
+        with DistributedContext(num_partitions=4) as ctx:
+            results["sequential"] = ctx.parallelize(range(200)).sample(0.3, seed=5).collect()
+        with ClusterContext(num_partitions=4, cluster_workers=2) as ctx:
+            results["cluster"] = ctx.parallelize(range(200)).sample(0.3, seed=5).collect()
+        assert results["sequential"] == results["cluster"]
         assert 0 < len(results["sequential"]) < 200
 
     def test_sample_varies_with_seed(self, ctx):

@@ -147,9 +147,13 @@ def reference(name):
         return _outputs(result, inputs), scalars, interpreted
 
 
+#: (executor, columnar): the record path and the batch path on both
+#: executors.
+LEGS = (("sequential", False), ("sequential", True), ("cluster", False), ("cluster", True))
+
 CONFIGS = [
-    (executor, spill, adaptive)
-    for executor in ("sequential", "processes", "cluster")
+    (executor, columnar, spill, adaptive)
+    for executor, columnar in LEGS
     for spill in (None, 1)
     for adaptive in (True, False)
 ]
@@ -158,15 +162,23 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[f"{e}-spill{s}-{'adaptive' if a else 'static'}" for e, s, a in CONFIGS],
+    ids=[
+        f"{e}{'-columnar' if c else ''}-spill{s}-{'adaptive' if a else 'static'}"
+        for e, c, s, a in CONFIGS
+    ],
 )
 def ctx(request):
-    executor, spill, adaptive = request.param
-    options = {"num_partitions": 4, "spill_threshold_bytes": spill, "adaptive": adaptive}
+    executor, columnar, spill, adaptive = request.param
+    options = {
+        "num_partitions": 4,
+        "spill_threshold_bytes": spill,
+        "adaptive": adaptive,
+        "columnar": columnar,
+    }
     if executor == "cluster":
         context = ClusterContext(cluster_workers=2, **options)
     else:
-        context = DistributedContext(executor=executor, num_processes=2, **options)
+        context = DistributedContext(**options)
     yield context
     context.shutdown()
 
