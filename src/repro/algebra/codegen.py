@@ -15,13 +15,16 @@ evaluator used to emit for these chains.
 Semantics are those of :meth:`TermEvaluator.evaluate_local`, the reference
 the generator is tested against: arithmetic and comparisons are inlined,
 ``&&``/``||`` short-circuit to ``bool``, and everything with layered
-semantics (``/``, monoid operators, projections, ``_update_field``) calls the
-shared :mod:`repro.operators` helpers.  A term outside the inlined fragment
-(nested comprehensions, ranges, aggregates over real bags) becomes a call to
-``evaluate_local`` itself, so it never ends a segment.
+semantics (``/``, monoid operators, projections, ``_update_field``,
+aggregations) calls the shared helpers of :mod:`repro.operators` and this
+module.  A comprehension nested in a term becomes a helper function the
+segment defines and calls where the term is evaluated (see
+:class:`Segment`).  A term with no local meaning (an array merge, a group-by
+inside a nested comprehension) is a :class:`~repro.errors.CompilationError`
+when the segment is generated.
 
 Names that are not row variables are driver scalars: they resolve once per
-non-empty partition through a :class:`SegmentScope` (the evaluator's
+non-empty partition through a :class:`SegmentScope` (the comprehension's
 binding snapshot first, then the live program environment) and registered
 functions through the function registry.  A name that does not resolve is
 simply left unassigned, so the ``ExecutionError`` surfaces where -- and only
@@ -29,9 +32,11 @@ if -- a record reaches its use, exactly as with per-record lookups.
 
 Source text depends on the segment's structure alone, so compiled factories
 are memoised by the :class:`Segment` itself (in a per-program dict); the
-bindings arrive as closure cells.  On the cluster wire the function ships by
-value: helpers are module globals here (resolved by reference on the worker)
-and :class:`SegmentScope` pickles only the scalars the segment reads.
+bindings arrive as closure cells.  A generated function closes over data
+only -- its scope, constants, functions and monoids -- never over the
+evaluator.  On the cluster wire it ships by value: helpers are module
+globals here (resolved by reference on the worker) and :class:`SegmentScope`
+pickles only the scalars the segment reads.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ from typing import Any, Callable, NamedTuple
 
 from repro.comprehension import ir
 from repro.comprehension.monoids import _logical_and, _logical_or
-from repro.errors import ExecutionError
+from repro.errors import CompilationError, ExecutionError
 from repro.operators import apply_binary, apply_unary, project_value, update_field  # noqa: F401
 from repro.runtime.columnar import ScalarScope
+from repro.runtime.dataset import Dataset
 from repro.runtime.stage import FoldedRecords  # noqa: F401
 
 _SEQUENCE = (tuple, list)
@@ -119,9 +125,15 @@ class Segment(NamedTuple):
     spells ``⊕`` as the Python operator instead of calling the registry's
     ``combine``.
 
+    A nested comprehension other than a singleton ``[e]`` is a helper
+    function defined before the record loop and called, with the row locals
+    it reads, where its term is evaluated.  Like ``_local_comprehension`` it
+    runs one qualifier at a time over the list of all its rows (tuples of
+    the locals bound so far), then the head.
+
     A ``let`` of a variable to a term in the pure inlined fragment (variables,
     constants, projections, arithmetic and comparisons, ``/`` and unary
-    operators -- never a function call or an ``evaluate_local`` fallback)
+    operators -- never a function call, an aggregation or a comprehension)
     whose source text an earlier such ``let`` already computed, with none of
     the locals it reads rebound since, aliases that let's local instead of
     computing the term again.
@@ -134,15 +146,14 @@ class Segment(NamedTuple):
 
 @dataclass(frozen=True)
 class Bindings:
-    """What a comprehension's generated functions close over."""
+    """What a comprehension's generated functions close over: the driver
+    bindings, the live program environment (the runner only updates it in
+    place), and the function and monoid registries."""
 
     base: dict[str, Any]
-    values: Callable[[], dict[str, Any]]
+    values: dict[str, Any]
     functions: Any
     monoids: Any
-    evaluate_local: Callable[[ir.Term, dict[str, Any]], Any]
-    #: A per-row generator domain's value as the list it ranges over.
-    local_bag: Callable[[Any], list[Any]]
 
 
 @dataclass
@@ -156,8 +167,8 @@ class PreAggregated:
 class SegmentScope(ScalarScope):
     """A :class:`ScalarScope` that ships only the names its segment reads."""
 
-    def __init__(self, base: dict[str, Any], values_provider: Any, names: tuple[str, ...]):
-        super().__init__(base, values_provider)
+    def __init__(self, base: dict[str, Any], values: dict[str, Any] | None, names: tuple[str, ...]):
+        super().__init__(base, values)
         self.names = names
 
     def __reduce__(self) -> tuple:
@@ -178,6 +189,29 @@ def check_bind(pattern: ir.PTuple, value: Any) -> None:
 
 def in_range(value: Any, lower: Any, upper: Any) -> bool:
     return lower <= value <= upper
+
+
+def local_bag(value: Any) -> list[Any]:
+    """A bag term's value as the list a generator ranges over."""
+    if isinstance(value, Dataset):
+        return value.collect()
+    if isinstance(value, dict):
+        return list(value.items())
+    if isinstance(value, (list, tuple, set)):
+        return list(value)
+    return [value]
+
+
+def aggregate(op: Any, operand: Any, monoids: Any, fuse: Any = None) -> Any:
+    """``op/operand``: a :class:`PreAggregated` value is already reduced; a
+    dataset folds inside its tasks (``fuse`` as in ``fold_partitions``), the
+    partials in partition order, so nothing is collected."""
+    if isinstance(operand, PreAggregated):
+        return operand.value
+    monoid = monoids.get(op)
+    if isinstance(operand, Dataset):
+        return monoid.reduce(operand.fold_partitions(monoid.reduce, fuse))
+    return monoid.reduce(local_bag(operand))
 
 
 def fold_operator(op: str | tuple[str, ...], monoids: Any) -> tuple[Any, Any]:
@@ -207,7 +241,7 @@ def _mentions(text: str, local: str) -> bool:
     return re.search(rf"\b{re.escape(local)}\b", text) is not None
 
 
-def unresolved(error: UnboundLocalError, messages: dict[str, str]) -> BaseException:
+def unresolved(error: NameError, messages: dict[str, str]) -> BaseException:
     """The ``ExecutionError`` for a scalar or function left unassigned."""
     match = re.search(r"'(\w+)'", str(error))
     message = messages.get(match.group(1)) if match else None
@@ -247,6 +281,8 @@ class _Emitter:
         self.emits_raw = payload == "element"
         #: Whether a positional entry counts positions (see :class:`Segment`).
         self.counted = False
+        #: The definitions of the nested comprehensions' helper functions.
+        self.helpers: list[str] = []
 
     # -- naming ----------------------------------------------------------------
 
@@ -298,9 +334,12 @@ class _Emitter:
 
     # -- patterns --------------------------------------------------------------
 
-    def bind(self, pattern: ir.Pattern, expression: str) -> None:
+    def bind(self, pattern: ir.Pattern, expression: str, target: Callable[[str], str] | None = None) -> None:
+        """Emit the binding of ``pattern`` to ``expression``; ``target``
+        names the local each variable assigns (default :meth:`target`)."""
+        target = target or self.target
         if isinstance(pattern, ir.PVar):
-            self.emit(f"{self.target(pattern.name)} = {expression}")
+            self.emit(f"{target(pattern.name)} = {expression}")
         elif isinstance(pattern, ir.PWildcard):
             self.emit(f"_ = {expression}")  # still evaluated: it may raise
         elif isinstance(pattern, ir.PTuple):
@@ -309,7 +348,7 @@ class _Emitter:
                 self.emit(f"{holder} = {expression}")
                 expression = holder
             for name in pattern.variables():
-                self.target(name)  # row keys take the pattern's depth-first order
+                target(name)  # row keys take the pattern's depth-first order
             width = len(pattern.elements)
             self.emit(f"if type({expression}) is not tuple or len({expression}) != {width}:")
             self.emit(f"    check_bind({self.const(pattern)}, {expression})")
@@ -317,7 +356,7 @@ class _Emitter:
             parts = []
             for element in pattern.elements:
                 if isinstance(element, ir.PVar):
-                    parts.append(self.target(element.name))
+                    parts.append(target(element.name))
                 elif isinstance(element, ir.PWildcard):
                     parts.append("_")
                 else:
@@ -326,7 +365,7 @@ class _Emitter:
             if parts:
                 self.emit(f"{', '.join(parts)}, = {expression}")
             for element, part in nested:
-                self.bind(element, part)
+                self.bind(element, part, target)
         else:
             raise ExecutionError(f"unknown pattern {pattern!r}")
 
@@ -338,12 +377,6 @@ class _Emitter:
         if name not in self.scalars:
             self.scalars[name] = self.fresh("s", name)
         return self.scalars[name]
-
-    def fallback(self, term: ir.Term) -> str:
-        """A call to ``evaluate_local`` under the row variables ``term`` reads."""
-        names = sorted(name for name in ir.free_variables(term) if name in self.row)
-        items = "".join(f", {name!r}: {self.row[name]}" for name in names)
-        return f"evaluate_local({self.const(term)}, {{**base{items}}})"
 
     def expr(self, term: ir.Term) -> str:
         if isinstance(term, ir.CVar):
@@ -383,7 +416,7 @@ class _Emitter:
         if isinstance(term, ir.CCall):
             if term.function == "_update_field":
                 if len(term.arguments) != 3:
-                    return self.fallback(term)
+                    raise CompilationError(f"_update_field takes 3 arguments: {term}")
                 record, attribute, value = (self.expr(argument) for argument in term.arguments)
                 return f"update_field({record}, str({attribute}), {value})"
             arguments = [self.expr(argument) for argument in term.arguments]
@@ -394,7 +427,7 @@ class _Emitter:
             operand = term.operand
             if isinstance(operand, ir.CVar) and operand.name == self.reduced:
                 return f"{self.row[operand.name]}.value"
-            return self.fallback(term)
+            return f"aggregate({term.op!r}, {self.expr(operand)}, monoids)"
         if isinstance(term, ir.InRange):
             parts = [self.expr(part) for part in (term.value, term.lower, term.upper)]
             inert = all(
@@ -404,9 +437,68 @@ class _Emitter:
             if inert:
                 return f"({parts[1]} <= {parts[0]} <= {parts[2]})"
             return f"in_range({', '.join(parts)})"
+        if isinstance(term, ir.RangeTerm):
+            return f"list({self.range(term)})"
+        if isinstance(term, ir.Comprehension):
+            return self.comprehension(term)
         if isinstance(term, ir.EmptyBag):
             return "[]"
-        return self.fallback(term)
+        raise CompilationError(f"cannot evaluate term {term} locally")
+
+    def range(self, term: ir.RangeTerm) -> str:
+        return f"range(int({self.expr(term.lower)}), int({self.expr(term.upper)}) + 1)"
+
+    def comprehension(self, term: ir.Comprehension) -> str:
+        """A nested comprehension: ``[head]`` for a singleton, otherwise a
+        call of a helper function (see :class:`Segment`)."""
+        if not term.qualifiers:
+            return f"[{self.expr(term.head)}]"
+        if any(isinstance(qualifier, ir.GroupBy) for qualifier in term.qualifiers):
+            raise CompilationError(f"group-by inside a locally evaluated comprehension: {term}")
+        outer = {name: self.row[name] for name in sorted(ir.free_variables(term)) if name in self.row}
+        saved = self.row, self.lines, self.depth, self.reduced
+        self.row, self.lines, self.depth = dict(outer), [], 1
+        bound: dict[str, str] = {}  # variable -> its local, in row-tuple order
+
+        def each_row() -> None:
+            self.open(f"for {', '.join(bound.values()) + ',' if bound else '_'} in rows:")
+
+        def row() -> str:
+            return f"({', '.join(bound.values())},)" if bound else "()"
+
+        self.emit("rows = [()]")
+        for qualifier in term.qualifiers:
+            self.emit("kept = []")
+            each_row()
+            if isinstance(qualifier, ir.Condition):
+                self.open(f"if {self.expr(qualifier.term)}:")
+            else:
+                if isinstance(qualifier, ir.Generator):
+                    domain, value = qualifier.domain, self.fresh("e")
+                    if isinstance(domain, ir.RangeTerm):
+                        self.open(f"for {value} in {self.range(domain)}:")
+                    else:
+                        self.open(f"for {value} in local_bag({self.expr(domain)}):")
+                else:
+                    value = self.expr(qualifier.term)
+                for name in qualifier.pattern.variables():
+                    bound.setdefault(name, self.fresh("r", name))
+                self.bind(qualifier.pattern, value, bound.__getitem__)
+                self.row.update((name, bound[name]) for name in qualifier.pattern.variables())
+                if self.reduced in bound:
+                    self.reduced = None
+            self.emit(f"kept.append({row()})")
+            self.depth = 1
+            self.emit("rows = kept")
+        self.emit("result = []")
+        each_row()
+        self.emit(f"result.append({self.expr(term.head)})")
+        self.depth = 1
+        self.emit("return result")
+        helper, parameters = self.fresh("n"), ", ".join(dict.fromkeys(outer.values()))
+        self.helpers += [f"def {helper}({parameters}):", *self.lines]
+        self.row, self.lines, self.depth, self.reduced = saved
+        return f"{helper}({parameters})"
 
     def project(self, term: ir.CProject) -> str:
         """``project_value`` with an exact-type fast path for tuples and dicts."""
@@ -578,8 +670,7 @@ class _Emitter:
         """Open the inner loop of an ``expand`` step (see :class:`Segment`)."""
         element = self.fresh("e")
         if isinstance(source, ir.RangeTerm):
-            lower, upper = self.expr(source.lower), self.expr(source.upper)
-            bag = f"range(int({lower}), int({upper}) + 1)"
+            bag = self.range(source)
         elif isinstance(source, ir.CVar) and source.name not in self.row:
             bag = self.variable(source.name)
         else:
@@ -626,7 +717,7 @@ class _Emitter:
         setup, fetch, result = self.leave(extends)
 
         lines = [
-            "def __segment_factory__(scope, consts, base, functions, monoids, evaluate_local, local_bag):",
+            "def __segment_factory__(scope, consts, functions, monoids):",
             f"    def segment(records{', index' if self.counted else ''}):",
             *(f"        {line}" for line in setup),
             "        if not records:",
@@ -644,6 +735,7 @@ class _Emitter:
             lines += [f"        if {name!r} in functions:", f"            {local} = functions[{name!r}]"]
         if self.counted:
             lines.append(f"        start = {self.scalars[OFFSETS]}[index]")
+        lines += [f"        {line}" for line in self.helpers]
         loop = self.lines
         if self.scalars or self.functions:
             messages = {local: f"undefined variable {name!r}" for name, local in self.scalars.items()}
@@ -651,7 +743,8 @@ class _Emitter:
             loop = [
                 "try:",
                 *(f"    {line}" for line in loop),
-                "except UnboundLocalError as error:",
+                # A helper reading an unassigned scalar raises NameError.
+                "except NameError as error:",
                 f"    raise unresolved(error, {self.const(messages)}) from None",
             ]
         lines += [f"        {line}" for line in loop]
@@ -699,11 +792,8 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     function = factory(
         SegmentScope(bindings.base, bindings.values, scalars),
         consts,
-        bindings.base,
         {name: registry.get(name) for name in called if name in registry},
         bindings.monoids,
-        bindings.evaluate_local,
-        bindings.local_bag,
     )
     function.source = source
     function.segment = segment

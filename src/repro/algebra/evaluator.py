@@ -138,11 +138,6 @@ class TermEvaluator:
         #: Compiled row-segment factories (see :func:`codegen.generate`);
         #: the runner passes the program's memo, so they compile once.
         self.segments: dict[Any, Any] = segments if segments is not None else {}
-        # Keyed by id() for speed but the value keeps a strong reference to
-        # the keyed object *and* re-checks identity on lookup: a bare
-        # id()-keyed dict would silently serve a stale bag when the original
-        # object was garbage collected and its id reused.
-        self._local_bag_cache: dict[int, tuple[Any, list[Any]]] = {}
         #: Per-statement CSE memo: comprehension sub-term -> lowered Dataset.
         self._term_dataset_cache: dict[Any, Dataset] = {}
         #: While-loop cache shared across iterations (None outside loops).
@@ -320,13 +315,7 @@ class TermEvaluator:
             head_key_term = head.elements[0]
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=vectorize.head_map(
-                head,
-                frozenset(build.bound_order),
-                build.bindings.base,
-                self._scope_values,
-                self.env.functions,
-            ),
+            kernel=vectorize.head_map(head, frozenset(build.bound_order), build.bindings),
             child=build.rows,
             describe="head",
             head_key_term=head_key_term,
@@ -388,16 +377,6 @@ class TermEvaluator:
         self.last_plan = root
         return self._planner().lower(root)
 
-    def _scope_values(self) -> dict[str, Any]:
-        """Late-bound driver variables for vectorized kernels.
-
-        Plan nodes are CSE/loop-cached, so a kernel built in one loop
-        iteration may run in a later one; resolving free scalars through
-        this hook (instead of a snapshot) keeps the batch path aligned with
-        the record closures, which read ``env.values`` at call time.
-        """
-        return self.env.values
-
     # -- generators -----------------------------------------------------------
 
     def _generator(
@@ -428,7 +407,7 @@ class TermEvaluator:
         )
         if dataset is None:
             # The domain is a local (driver) bag: bind it per element.
-            bag = self._as_local_bag(self.evaluate_local(domain, dict(build.driver_bindings)))
+            bag = codegen.local_bag(self.evaluate_local(domain, dict(build.driver_bindings)))
             if build.rows is None:
                 if len(bag) == 1:
                     binding = _bind_pattern(pattern, bag[0])
@@ -477,14 +456,11 @@ class TermEvaluator:
 
         if build.rows is None:
             # Driver-level qualifiers cannot follow a row node, so the driver
-            # bindings are final here.
+            # bindings are final here.  Other scalars resolve late, through
+            # the live ``env.values``: plan nodes are CSE/loop-cached, so a
+            # function built in one loop iteration may run in a later one.
             build.bindings = codegen.Bindings(
-                dict(build.driver_bindings),
-                self._scope_values,
-                self.env.functions,
-                self.env.monoids,
-                self.evaluate_local,
-                self._as_local_bag,
+                dict(build.driver_bindings), self.env.values, self.env.functions, self.env.monoids
             )
             node = NarrowNode(
                 kind=plan_mod.MAP,
@@ -638,7 +614,11 @@ class TermEvaluator:
         pattern = qualifier.pattern
         term = qualifier.term
         if build.rows is None:
-            value = self.evaluate_local_or_dataset(term, dict(build.driver_bindings))
+            bag = isinstance(term, (ir.Comprehension, ir.Merge, ir.MergeWith, ir.RangeTerm))
+            if bag and not ir.free_variables(term) & build.driver_bindings.keys():
+                value = self.evaluate(term)  # may be a Dataset
+            else:
+                value = self.evaluate_local(term, dict(build.driver_bindings))
             binding = _bind_pattern(pattern, value)
             build.driver_bindings.update(binding)
             build.driver_invariant = build.driver_invariant and self._term_is_invariant(
@@ -647,14 +627,7 @@ class TermEvaluator:
             return
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=vectorize.let_map(
-                pattern,
-                term,
-                frozenset(build.bound_order),
-                build.bindings.base,
-                self._scope_values,
-                self.env.functions,
-            ),
+            kernel=vectorize.let_map(pattern, term, frozenset(build.bound_order), build.bindings),
             child=build.rows,
             describe=f"let {pattern}",
             key_transparent=True,
@@ -681,13 +654,7 @@ class TermEvaluator:
         term = qualifier.term
         node = NarrowNode(
             kind=plan_mod.FILTER,
-            kernel=vectorize.row_filter(
-                term,
-                frozenset(build.bound_order),
-                build.bindings.base,
-                self._scope_values,
-                self.env.functions,
-            ),
+            kernel=vectorize.row_filter(term, frozenset(build.bound_order), build.bindings),
             child=build.rows,
             describe=f"filter {term}",
             key_transparent=True,
@@ -740,12 +707,7 @@ class TermEvaluator:
                 pattern_term=pattern_term,
                 monoid_op=op,
                 key_kernel=vectorize.key_value_map(
-                    key_term,
-                    value_name,
-                    frozenset(build.bound_order),
-                    build.bindings.base,
-                    self._scope_values,
-                    self.env.functions,
+                    key_term, value_name, frozenset(build.bound_order), build.bindings
                 ),
             )
             node.sig = ("reduce-by-key", op, key_term, pattern)
@@ -774,16 +736,6 @@ class TermEvaluator:
     # ------------------------------------------------------------------
     # local (per-task) evaluation
     # ------------------------------------------------------------------
-
-    def evaluate_local_or_dataset(self, term: ir.Term, bindings: dict[str, Any]) -> Any:
-        """Evaluate locally, but allow the result to be a driver Dataset."""
-        if isinstance(term, ir.CVar) and term.name not in bindings:
-            return self._lookup(term.name, bindings)
-        if isinstance(term, (ir.Comprehension, ir.Merge, ir.MergeWith, ir.RangeTerm)):
-            free = ir.free_variables(term)
-            if not (free & set(bindings)):
-                return self.evaluate(term)
-        return self.evaluate_local(term, bindings)
 
     def evaluate_local(self, term: ir.Term, bindings: dict[str, Any]) -> Any:
         """Evaluate a scalar (or local-bag) term under per-row bindings."""
@@ -841,98 +793,38 @@ class TermEvaluator:
         raise ExecutionError(f"cannot evaluate term {term!r} locally")
 
     def _aggregate(self, op: str, operand: Any) -> Any:
-        if isinstance(operand, codegen.PreAggregated):
-            return operand.value
-        monoid = self.env.monoids.get(op)
-        if not isinstance(operand, Dataset):
-            return monoid.reduce(self._as_local_bag(operand))
-
         def fuse(function: Any) -> Any:
+            # A dataset's fold runs inside the generated loop where it can.
             twin = folding_twin(function, op, self.env.monoids)
             if twin is not None:
                 self.trace.append(f"{ir.op_text(op)}/ folded inside the generated loop: {twin.label}")
             return twin
 
-        # Distributed: one left fold per partition inside its task (inside the
-        # generated loop where the producing stage is generated), then the
-        # partials in partition order -- nothing is collected.
-        return monoid.reduce(operand.fold_partitions(monoid.reduce, fuse))
+        return codegen.aggregate(op, operand, self.env.monoids, fuse)
 
     def _local_comprehension(self, comp: ir.Comprehension, bindings: dict[str, Any]) -> list[Any]:
-        """Evaluate a comprehension entirely locally (no dataset operations)."""
+        """Evaluate a comprehension entirely locally (no dataset operations),
+        one qualifier at a time over the list of its rows."""
+        if any(isinstance(qualifier, ir.GroupBy) for qualifier in comp.qualifiers):
+            raise CompilationError(f"group-by inside a locally evaluated comprehension: {comp}")
         rows: list[dict[str, Any]] = [dict(bindings)]
         for qualifier in comp.qualifiers:
             if isinstance(qualifier, ir.Generator):
-                next_rows: list[dict[str, Any]] = []
-                for row in rows:
-                    bag = self._as_local_bag(self.evaluate_local_or_dataset(qualifier.domain, row))
-                    for element in bag:
-                        next_rows.append({**row, **_bind_pattern(qualifier.pattern, element)})
-                rows = next_rows
+                rows = [
+                    {**row, **_bind_pattern(qualifier.pattern, element)}
+                    for row in rows
+                    for element in codegen.local_bag(self.evaluate_local(qualifier.domain, row))
+                ]
             elif isinstance(qualifier, ir.LetBinding):
                 rows = [
-                    {
-                        **row,
-                        **_bind_pattern(
-                            qualifier.pattern, self.evaluate_local_or_dataset(qualifier.term, row)
-                        ),
-                    }
+                    {**row, **_bind_pattern(qualifier.pattern, self.evaluate_local(qualifier.term, row))}
                     for row in rows
                 ]
             elif isinstance(qualifier, ir.Condition):
                 rows = [row for row in rows if bool(self.evaluate_local(qualifier.term, row))]
-            elif isinstance(qualifier, ir.GroupBy):
-                rows = self._local_group_by(qualifier, rows, bindings)
             else:
                 raise ExecutionError(f"unknown qualifier {qualifier!r}")
         return [self.evaluate_local(comp.head, row) for row in rows]
-
-    def _local_group_by(
-        self, qualifier: ir.GroupBy, rows: list[dict[str, Any]], outer: dict[str, Any]
-    ) -> list[dict[str, Any]]:
-        key_term = qualifier.key_term()
-        pattern_variables = set(qualifier.pattern.variables())
-        groups: dict[Any, list[dict[str, Any]]] = {}
-        order: list[Any] = []
-        for row in rows:
-            key = self.evaluate_local(key_term, row)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row)
-        lifted_names: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in outer and name not in pattern_variables and name not in lifted_names:
-                    lifted_names.append(name)
-        result: list[dict[str, Any]] = []
-        for key in order:
-            members = groups[key]
-            new_row = dict(outer)
-            new_row.update(_bind_pattern(qualifier.pattern, key))
-            for name in lifted_names:
-                new_row[name] = [member.get(name) for member in members]
-            result.append(new_row)
-        return result
-
-    def _as_local_bag(self, value: Any) -> list[Any]:
-        if isinstance(value, Dataset):
-            cache_key = id(value)
-            entry = self._local_bag_cache.get(cache_key)
-            # The identity check guards against id() reuse: holding the
-            # dataset in the entry keeps it alive, so a live cache entry can
-            # only collide with a *different* object if the entry was
-            # planted externally -- recompute in that case.
-            if entry is not None and entry[0] is value:
-                return entry[1]
-            collected = value.collect()
-            self._local_bag_cache[cache_key] = (value, collected)
-            return collected
-        if isinstance(value, dict):
-            return list(value.items())
-        if isinstance(value, (list, tuple, set)):
-            return list(value)
-        return [value]
 
     def _lookup(self, name: str, bindings: dict[str, Any]) -> Any:
         if name in bindings:

@@ -8,7 +8,9 @@ record function from :mod:`repro.runtime.columnar`.  The kernels for plan
 nodes come without an ``oracle``: when the planner keeps a node as its own
 stage it attaches the generated one-step function
 (:mod:`repro.algebra.codegen`) as the record path, so record-at-a-time
-execution is the same code the unbatched plan runs.
+execution is the same code the unbatched plan runs.  A kernel resolves its
+driver scalars through the comprehension's :class:`~repro.algebra.codegen.Bindings`
+(the binding snapshot, then the live environment), as the generated code does.
 
 Every function here returns ``None`` when the term falls outside the
 vectorizable fragment (projections, comprehensions, unregistered calls, ...).
@@ -104,38 +106,22 @@ def pattern_spec(pattern: ir.Pattern) -> tuple[Any, ...] | None:
     return None
 
 
-def _scope(
-    base: dict[str, Any], values_provider: Callable[[], dict[str, Any]]
-) -> columnar.ScalarScope:
-    return columnar.ScalarScope(base, values_provider)
-
-
-def head_map(
-    head: ir.Term,
-    row_names: frozenset[str],
-    base: dict[str, Any],
-    values_provider: Callable[[], dict[str, Any]],
-    functions: Any = None,
-) -> columnar.VectorizedMap | None:
+def head_map(head: ir.Term, row_names: frozenset[str], bindings: Any) -> columnar.VectorizedMap | None:
     """The head-projection ``map`` as a batch kernel, or None."""
-    spec = lower_output(head, row_names, functions)
+    spec = lower_output(head, row_names, bindings.functions)
     if spec is None:
         return None
-    return columnar.VectorizedMap(spec, _scope(base, values_provider))
+    return columnar.VectorizedMap(spec, columnar.ScalarScope(bindings.base, bindings.values))
 
 
 def row_filter(
-    term: ir.Term,
-    row_names: frozenset[str],
-    base: dict[str, Any],
-    values_provider: Callable[[], dict[str, Any]],
-    functions: Any = None,
+    term: ir.Term, row_names: frozenset[str], bindings: Any
 ) -> columnar.VectorizedFilter | None:
     """A condition qualifier's ``filter`` as a batch kernel, or None."""
-    predicate = lower_term(term, row_names, functions)
+    predicate = lower_term(term, row_names, bindings.functions)
     if predicate is None:
         return None
-    return columnar.VectorizedFilter(predicate, _scope(base, values_provider))
+    return columnar.VectorizedFilter(predicate, columnar.ScalarScope(bindings.base, bindings.values))
 
 
 def bind_map(pattern: ir.Pattern) -> columnar.VectorizedBind | None:
@@ -147,36 +133,26 @@ def bind_map(pattern: ir.Pattern) -> columnar.VectorizedBind | None:
 
 
 def let_map(
-    pattern: ir.Pattern,
-    term: ir.Term,
-    row_names: frozenset[str],
-    base: dict[str, Any],
-    values_provider: Callable[[], dict[str, Any]],
-    functions: Any = None,
+    pattern: ir.Pattern, term: ir.Term, row_names: frozenset[str], bindings: Any
 ) -> columnar.VectorizedLet | None:
     """The let-binding ``map`` as a batch kernel (single fresh variable only)."""
     if not isinstance(pattern, ir.PVar):
         return None
-    expr = lower_term(term, row_names, functions)
+    expr = lower_term(term, row_names, bindings.functions)
     if expr is None:
         return None
-    return columnar.VectorizedLet(pattern.name, expr, _scope(base, values_provider))
+    return columnar.VectorizedLet(pattern.name, expr, columnar.ScalarScope(bindings.base, bindings.values))
 
 
 def key_value_map(
-    key_term: ir.Term,
-    value_name: str,
-    row_names: frozenset[str],
-    base: dict[str, Any],
-    values_provider: Callable[[], dict[str, Any]],
-    functions: Any = None,
+    key_term: ir.Term, value_name: str, row_names: frozenset[str], bindings: Any
 ) -> columnar.VectorizedMap | None:
     """The reduceByKey keying ``map`` ``row -> (key, row[value])``, or None."""
-    key_spec = lower_output(key_term, row_names, functions)
+    key_spec = lower_output(key_term, row_names, bindings.functions)
     if key_spec is None:
         return None
     out = columnar.OutTuple([key_spec, columnar.Col((value_name,))])
-    return columnar.VectorizedMap(out, _scope(base, values_provider))
+    return columnar.VectorizedMap(out, columnar.ScalarScope(bindings.base, bindings.values))
 
 
 def vector_combine(op: str, fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:

@@ -1,11 +1,10 @@
 """Closure-capable serialization for the cluster wire.
 
 Translated plans are full of *local* functions: the planner's generated
-row-segment functions (:mod:`repro.algebra.codegen`) and the evaluator's row
-expansions are closures, and the builtin monoid registry holds lambdas.  Plain
-:mod:`pickle` refuses all of them, which would defeat the cluster backend: a
-map-side chain that cannot ship forces its shuffle payloads through the
-driver.
+row-segment functions (:mod:`repro.algebra.codegen`) are closures, and the
+builtin monoid registry holds lambdas.  Plain :mod:`pickle` refuses all of
+them, which would defeat the cluster backend: a map-side chain that cannot
+ship forces its shuffle payloads through the driver.
 
 :func:`cluster_dumps` therefore extends pickle with two rules:
 
@@ -20,10 +19,10 @@ driver.
   marshal is version-specific -- which the registration handshake enforces.
 
 * **Driver-only objects ship as inert stubs.**  A
-  :class:`~repro.runtime.context.DistributedContext` (reachable from every
-  shipped evaluator through its environment) and the driver-side
+  :class:`~repro.runtime.context.DistributedContext` and the driver-side
   :class:`~repro.runtime.dataset.Dataset` partitions it holds must never be
-  *used* inside a worker task, but they are routinely *reachable* from one.
+  *used* inside a worker task, but they can be *reachable* from one (a
+  dataset among the scalars a vectorized kernel's scope snapshots).
   They serialize as stubs that raise :class:`DriverOnlyError` on first use, so
   a task that genuinely needs them fails with a clear message instead of
   silently dragging the driver state across the wire.

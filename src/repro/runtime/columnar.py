@@ -575,27 +575,21 @@ class ScalarScope:
     """Driver-level name resolution for :class:`Ref` nodes.
 
     Mirrors the evaluator's ``_lookup``: the lowering-time binding snapshot
-    first, then the live program environment.  ``values_provider`` is a
-    zero-argument callable returning the *current* environment dict, so a
-    plan node cached across loop iterations sees each iteration's updated
-    scalars -- exactly like the record closure it shadows.
+    ``base`` first, then ``values``, the live program environment dict.  The
+    runner updates that dict in place, so a plan node cached across loop
+    iterations sees each iteration's scalars -- exactly like the record
+    closure it shadows.
     """
 
-    def __init__(
-        self,
-        base: dict[str, Any] | None = None,
-        values_provider: Callable[[], dict[str, Any]] | None = None,
-    ):
+    def __init__(self, base: dict[str, Any] | None = None, values: dict[str, Any] | None = None):
         self.base = base or {}
-        self.values_provider = values_provider
+        self.values = values if values is not None else {}
 
     def resolve(self, name: str) -> Any:
         if name in self.base:
             return self.base[name]
-        if self.values_provider is not None:
-            values = self.values_provider()
-            if name in values:
-                return values[name]
+        if name in self.values:
+            return self.values[name]
         raise ExecutionError(f"undefined variable {name!r}")
 
 

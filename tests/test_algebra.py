@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra import codegen
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator
 from repro.algebra.explain import explain_term
 from repro.algebra.runner import ProgramRunner
@@ -231,36 +232,30 @@ class TestExplain:
         assert summary.shuffle_operations >= 1
 
 
-class TestLocalBagCache:
-    """Regression: the per-evaluator collect() cache used to key on bare
-    ``id(value)`` -- after the dataset was garbage collected, a *new* object
-    reusing the id would silently be served the stale collected bag."""
+class TestLocalBag:
+    """``codegen.local_bag``, the one conversion of a bag value to the list a
+    generator ranges over (driver and generated code alike).  It keeps no
+    cache: an id-keyed one used to serve stale bags and pin datasets."""
 
-    def test_cache_keeps_the_dataset_alive(self, ctx):
+    def test_the_dataset_is_not_kept_alive(self, ctx):
         import gc
         import weakref
 
-        ev = evaluator(ctx)
         dataset = ctx.parallelize([1, 2, 3])
         reference = weakref.ref(dataset)
-        assert ev._as_local_bag(dataset) == [1, 2, 3]
+        assert codegen.local_bag(dataset) == [1, 2, 3]
         del dataset
         gc.collect()
-        # The cache entry holds a strong reference, so the id can never be
-        # reused while the entry is alive.
-        assert reference() is not None
+        assert reference() is None
 
-    def test_id_collision_is_detected_by_identity_check(self, ctx):
-        ev = evaluator(ctx)
-        stale = ctx.parallelize(["stale"])
-        fresh = ctx.parallelize(["fresh"])
-        # Simulate the historical failure mode: an entry recorded under the
-        # *fresh* dataset's id but holding a different (collected) object.
-        ev._local_bag_cache[id(fresh)] = (stale, ["stale"])
-        assert ev._as_local_bag(fresh) == ["fresh"], "stale bag must not be served"
+    def test_every_call_reads_its_own_value(self, ctx):
+        first, second = ctx.parallelize(["first"]), ctx.parallelize(["second"])
+        assert codegen.local_bag(first) == ["first"]
+        assert codegen.local_bag(second) == ["second"]
+        bag = codegen.local_bag(first)
+        assert codegen.local_bag(first) == bag and codegen.local_bag(first) is not bag
 
-    def test_repeated_collects_hit_the_cache(self, ctx):
-        ev = evaluator(ctx)
-        dataset = ctx.parallelize([1, 2])
-        first = ev._as_local_bag(dataset)
-        assert ev._as_local_bag(dataset) is first, "second lookup must reuse the list"
+    def test_values_become_lists(self):
+        assert codegen.local_bag({1: "a"}) == [(1, "a")]
+        assert codegen.local_bag((1, 2)) == [1, 2] and codegen.local_bag({3}) == [3]
+        assert codegen.local_bag(7) == [7]

@@ -211,6 +211,44 @@ def test_cluster_matches_interpreter_and_sequential(name, cluster):
         assert moved > 0, f"{name}: shuffled but no worker read any payload"
 
 
+#: The programs whose unoptimized plans aggregate a group's values or build a
+#: singleton bag inside a generated segment: generated code (no evaluator
+#: inside) that must run on the workers like any other segment.
+UNOPTIMIZED = [
+    "conditional_sum",
+    "equal",
+    "string_match",
+    "linear_regression",
+    "average",
+    "count",
+    "sum",
+    "conditional_count",
+    "equal_frequency",
+]
+
+
+@pytest.fixture(scope="module")
+def default_cluster():
+    with ClusterContext(num_partitions=4, cluster_workers=_WORKERS) as context:
+        yield context
+
+
+@pytest.mark.parametrize("name", UNOPTIMIZED)
+def test_unoptimized_plans_match_on_the_cluster(name, default_cluster):
+    spec = get_program(name)
+    inputs = workload_for_program(name, SUITE_SIZES[name] * _SCALE)
+    before = default_cluster.metrics.snapshot()
+    program = diablo_for(spec, default_cluster, optimize=False).compile(spec.source)
+    outputs = translated_outputs(name, program.run(**inputs))
+    after = default_cluster.metrics.snapshot()
+    with DistributedContext(num_partitions=4) as context:
+        result = diablo_for(spec, context, optimize=False).compile(spec.source).run(**inputs)
+        assert outputs == translated_outputs(name, result), f"{name}: not bit-identical"
+    assert_same_outputs(spec, _Outputs(outputs), diablo_for(spec).interpret(spec.source, dict(inputs)))
+    assert after["cluster_fallbacks"] == before["cluster_fallbacks"], f"{name}: fell back to the driver"
+    assert after["generated_segments"] > before["generated_segments"]
+
+
 def test_program_suite_leaves_nothing_resident():
     """Leak check over the real programs: all 18 on one long-lived context;
     once the last outputs are dropped the workers hold no captured payload

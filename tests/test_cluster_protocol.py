@@ -248,24 +248,14 @@ class TestWireSerialization:
 # ---------------------------------------------------------------------------
 
 
-class _Env:
-    """A driver-side environment whose scalars mutate between forces."""
-
-    def __init__(self):
-        self.values = {"threshold": 2}
-
-    def current(self):
-        return self.values
-
-
 class TestColumnarWireSerialization:
     """Vectorized plan functions must survive the trip to a cluster worker.
 
     The kernel classes live in the ``repro.*`` codebase so they ship by
     reference; what needs regression coverage is a :class:`ScalarScope`
-    carrying *captures* -- a ``values_provider`` bound to a driver object.
-    That provider ships by value (a worker cannot import driver state), so
-    the clone must keep resolving names against the shipped snapshot.
+    carrying the live program environment -- a driver dict that mutates
+    between forces.  It ships by value (a worker cannot import driver
+    state), so the clone must keep resolving names against the snapshot.
     """
 
     def round_trip(self, obj):
@@ -280,8 +270,7 @@ class TestColumnarWireSerialization:
     def test_capture_bearing_scalar_scope_survives(self):
         from repro.runtime import columnar
 
-        env = _Env()
-        scope = columnar.ScalarScope(values_provider=env.current)
+        scope = columnar.ScalarScope(values={"threshold": 2})
         predicate = columnar.BinOp(">", columnar.Col((0,)), columnar.Ref("threshold"))
         fn = columnar.VectorizedFilter(predicate, scope, oracle=None)
 
@@ -295,11 +284,11 @@ class TestColumnarWireSerialization:
         # The record path of the clone agrees with the batch path.
         assert [p for p in part.to_records() if clone(p)] == filtered
 
-    def test_shipped_provider_is_a_snapshot_not_a_live_link(self):
+    def test_shipped_environment_is_a_snapshot_not_a_live_link(self):
         from repro.runtime import columnar
 
-        env = _Env()
-        scope = columnar.ScalarScope(values_provider=env.current)
+        values = {"threshold": 2}
+        scope = columnar.ScalarScope(values=values)
         clone = self.round_trip(scope)
-        env.values["threshold"] = 99  # driver-side mutation after shipping
+        values["threshold"] = 99  # driver-side mutation after shipping
         assert clone.resolve("threshold") == 2

@@ -33,7 +33,7 @@ from repro.algebra.codegen import Segment
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator, _bind_pattern
 from repro.comprehension import ir
 from repro.comprehension.monoids import Monoid, MonoidRegistry
-from repro.errors import ExecutionError
+from repro.errors import CompilationError, ExecutionError
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.functions import FunctionRegistry
 from repro.programs import get_program
@@ -67,15 +67,14 @@ FOLD_OPS = ["+", "*", "min", "++", "append"]
 
 def bindings_for(context, values=None, base=None, monoids=MONOIDS) -> codegen.Bindings:
     environment = EvaluationEnvironment(context, values if values is not None else {}, monoids=monoids)
-    evaluator = TermEvaluator(environment)
-    return codegen.Bindings(
-        base or {},
-        evaluator._scope_values,
-        environment.functions,
-        environment.monoids,
-        evaluator.evaluate_local,
-        evaluator._as_local_bag,
-    )
+    return codegen.Bindings(base or {}, environment.values, environment.functions, environment.monoids)
+
+
+def oracle(bindings: codegen.Bindings) -> TermEvaluator:
+    """The evaluator whose ``evaluate_local`` is the reference under
+    ``bindings`` (local evaluation never reaches the context)."""
+    environment = EvaluationEnvironment(None, bindings.values, bindings.functions, bindings.monoids)
+    return TermEvaluator(environment)
 
 
 def generated(segment: Segment, bindings: codegen.Bindings, records: list) -> list:
@@ -91,7 +90,7 @@ def expand_closure(pattern, domain, base, evaluator):
 
     def expand(row):
         local = {**base, **row}
-        bag = evaluator._as_local_bag(evaluator.evaluate_local(domain, local))
+        bag = codegen.local_bag(evaluator.evaluate_local(domain, local))
         out = []
         for element in bag:
             binding = _bind_pattern(pattern, element)
@@ -126,7 +125,8 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
     if exit_[0] == "fold":
         heads = reference(segment._replace(exit=("head", exit_[1])), bindings, records)
         return [bindings.monoids.get(exit_[2]).reduce(heads)]
-    evaluate, base = bindings.evaluate_local, bindings.base
+    evaluator, base = oracle(bindings), bindings.base
+    evaluate = evaluator.evaluate_local
     scope = ScalarScope(base, bindings.values)
     kind = segment.entry[0]
     out = []
@@ -143,7 +143,7 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
                 if isinstance(source, ir.CVar) and source.name not in row:
                     expand = expand_local_closure(step[1], scope.resolve(source.name))
                 else:
-                    expand = expand_closure(step[1], source, base, evaluate.__self__)
+                    expand = expand_closure(step[1], source, base, evaluator)
                 for extended in expand(row):
                     run(extended, steps[position + 1 :], record)
                 return
@@ -671,6 +671,128 @@ def test_cogroup_consumer_equals_the_join_it_replaces(context, left, right, step
 
 
 # ---------------------------------------------------------------------------
+# Nested comprehensions: generated helpers == _local_comprehension
+# ---------------------------------------------------------------------------
+
+#: A nested comprehension reads the entry's ``a``/``b``, the scalars and its
+#: own ``x``/``y``; ``a`` may be rebound inside it.
+NESTED_NAMES = ["a", "b", "s", "base$1", "x", "y"] * 2 + ["ghost"]
+nested_patterns = st.sampled_from(
+    [ir.PVar("x")] * 3
+    + [ir.PVar("y"), ir.PVar("a"), ir.PWildcard(), ir.PTuple((ir.PVar("x"), ir.PVar("y")))]
+)
+#: Mostly terms that evaluate (so rows survive to the head and conditions
+#: really filter), some adversarial ones.
+nested_terms = st.one_of(
+    *[
+        st.sampled_from(
+            [
+                ir.CVar("x"),
+                ir.CVar("a"),
+                ir.CTuple((ir.CVar("x"), ir.CVar("a"))),
+                ir.CBinOp("+", ir.CVar("x"), ir.CConst(1)),
+                ir.CBinOp("!=", ir.CVar("x"), ir.CConst(2)),
+                ir.CBinOp("<", ir.CVar("x"), ir.CVar("y")),
+                ir.CBinOp("==", ir.CBinOp("%", ir.CVar("x"), ir.CConst(2)), ir.CConst(0)),
+            ]
+        )
+    ]
+    * 3,
+    terms(NESTED_NAMES),
+)
+
+
+def comprehensions(domains):
+    qualifiers = st.one_of(
+        st.builds(ir.Generator, nested_patterns, domains),
+        st.builds(ir.LetBinding, nested_patterns, nested_terms),
+        st.builds(ir.Condition, nested_terms),
+    )
+    return st.builds(ir.Comprehension, nested_terms, st.lists(qualifiers, max_size=3).map(tuple))
+
+
+nested_domains = st.one_of(
+    st.builds(ir.RangeTerm, bounds, bounds),
+    st.sampled_from([ir.CVar("b"), ir.CTuple((ir.CVar("a"), ir.CVar("s"))), ir.EmptyBag(), ir.CVar("ghost")]),
+)
+#: Two levels: a generator of the outer comprehension may range over another.
+nested = comprehensions(st.one_of(nested_domains, comprehensions(nested_domains)))
+nested_uses = st.one_of(
+    nested,
+    st.builds(ir.Aggregate, st.sampled_from(["+", "min", "++"]), nested),
+    # Lazy on the right of && / ||: a falsy (truthy) ``a`` never runs it.
+    st.builds(ir.CBinOp, st.sampled_from(["&&", "||"]), st.just(ir.CVar("a")), nested),
+    st.builds(lambda comprehension: ir.CTuple((comprehension, ir.CVar("a"))), nested),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(st.tuples(small, values), min_size=1, max_size=3),
+    step_list=st.lists(
+        st.one_of(
+            st.tuples(st.just("let"), patterns, nested_uses),
+            st.tuples(st.just("filter"), nested_uses),
+        ),
+        max_size=1,
+    ),
+    term=nested_uses,
+    scalar=values,
+)
+def test_nested_comprehensions_equal_the_local_comprehension(context, records, step_list, term, scalar):
+    """Qualifier by qualifier over all rows, as ``_local_comprehension``
+    runs them: same rows in the same order, and the same first error."""
+    bindings = bindings_for(context, {"s": scalar}, {"base$1": 3})
+    segment = Segment(("bind", ir.PTuple((ir.PVar("a"), ir.PVar("b")))), tuple(step_list), ("head", term))
+    assert_same(segment, bindings, records)
+
+
+class TestNestedComprehensions:
+    def test_a_group_by_is_rejected_on_the_driver_and_the_generated_path(self, context):
+        nested = ir.Comprehension(
+            ir.CVar("k"),
+            (
+                ir.Generator(ir.PVar("x"), ir.RangeTerm(ir.CConst(1), ir.CVar("v$1"))),
+                ir.GroupBy(ir.PVar("k"), ir.CBinOp("%", ir.CVar("x"), ir.CConst(2))),
+            ),
+        )
+        term = ir.Aggregate("+", nested)
+        bindings = bindings_for(context)
+        message = f"group-by inside a locally evaluated comprehension: {nested}"
+        with pytest.raises(CompilationError) as generated_error:
+            codegen.generate(head(term), bindings, {})
+        with pytest.raises(CompilationError) as driver_error:
+            oracle(bindings).evaluate_local(term, {"i": 0, "v$1": 4})
+        assert str(generated_error.value) == str(driver_error.value) == message
+
+    def test_breadth_first_the_first_error_is_the_condition_s(self, context):
+        """``{ x.f | x <- range(1, 2), 10 / (2 - x) > 0 }``: the condition
+        runs over both rows (and fails on the second) before the head runs
+        over any (and would fail on the first)."""
+        ten_over = ir.CBinOp("/", ir.CConst(10), ir.CBinOp("-", ir.CConst(2), ir.CVar("x")))
+        nested = ir.Comprehension(
+            ir.CProject(ir.CVar("x"), "f"),
+            (
+                ir.Generator(ir.PVar("x"), ir.RangeTerm(ir.CConst(1), ir.CConst(2))),
+                ir.Condition(ir.CBinOp(">", ten_over, ir.CConst(0))),
+            ),
+        )
+        result = assert_same(head(nested), bindings_for(context), [(0, 0)])
+        assert result[0] == "error" and "zero" in result[2]
+
+    def test_an_unresolved_scalar_inside_fails_lazily_after_shipping(self, context):
+        nested = ir.Comprehension(
+            ir.CVar("ghost"), (ir.Generator(ir.PVar("x"), ir.RangeTerm(ir.CConst(1), ir.CVar("v$1"))),)
+        )
+        function = codegen.generate(head(nested), bindings_for(context), {})
+        assert "def n" in function.source
+        shipped = wire.cluster_loads(wire.cluster_dumps(function))
+        assert shipped([(1, 0)]) == [[]]
+        with pytest.raises(ExecutionError, match="undefined variable 'ghost'"):
+            shipped([(1, 1)])
+
+
+# ---------------------------------------------------------------------------
 # Error and edge parity, pinned
 # ---------------------------------------------------------------------------
 
@@ -778,15 +900,27 @@ class TestWideEntries:
         assert assert_same(grouped, bindings, [(1, members)]) == ("ok", canonical([(1, 4)]))
         assert_same(grouped._replace(exit=("row",)), bindings, [(1, members)])
 
-    def test_terms_outside_the_inlined_fragment_call_evaluate_local(self, context):
+    def test_terms_outside_the_inlined_fragment_are_generated(self, context):
+        """An aggregation over a nested comprehension, a singleton bag and a
+        range are generated code that closes over no evaluator."""
         nested = ir.Comprehension(
             ir.CBinOp("*", ir.CVar("x"), ir.CVar("i")),
             (ir.Generator(ir.PVar("x"), ir.RangeTerm(ir.CConst(1), ir.CVar("v$1"))),),
         )
-        term = ir.Aggregate("+", nested)
-        function = codegen.generate(head(term), bindings_for(context), {})
-        assert "evaluate_local(" in function.source
-        assert assert_same(head(term), bindings_for(context), [(2, 3)]) == ("ok", canonical([12]))
+        term = ir.CTuple(
+            (
+                ir.Aggregate("+", nested),
+                ir.Comprehension(ir.CVar("i")),
+                ir.RangeTerm(ir.CVar("i"), ir.CConst(3)),
+            )
+        )
+        bindings = bindings_for(context)
+        function = codegen.generate(head(term), bindings, {})
+        assert "evaluate_local" not in function.source and "TermEvaluator" not in function.source
+        assert "aggregate('+', " in function.source and "[r1_i]" in function.source
+        assert b"TermEvaluator" not in wire.cluster_dumps(function)
+        result = assert_same(head(term), bindings, [(2, 3)])
+        assert result == ("ok", canonical([(12, [2], [2, 3])]))
 
 
 class TestGenerators:
@@ -995,11 +1129,7 @@ class TestLetReuse:
         calls: list = []
         functions = FunctionRegistry()
         functions.register("tick", _count_calls(calls))
-        environment = EvaluationEnvironment(context, {}, functions, MONOIDS)
-        evaluator = TermEvaluator(environment)
-        bindings = codegen.Bindings(
-            {}, evaluator._scope_values, functions, MONOIDS, evaluator.evaluate_local, evaluator._as_local_bag
-        )
+        bindings = codegen.Bindings({}, {}, functions, MONOIDS)
         call = ir.CCall("tick", (ir.CVar("v$1"),))
         pair = ir.CTuple((ir.CVar("a"), ir.CVar("b")))
         segment = head(pair, ("let", ir.PVar("a"), call), ("let", ir.PVar("b"), call))
