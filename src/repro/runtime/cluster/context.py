@@ -15,6 +15,12 @@ backend* has the full account):
   without a placement table; each worker has one scheduler thread and a
   FIFO queue, and requests on one control socket are strict
   request/response;
+* **a task spec ships once per worker**: the pickled spec's exact bytes map
+  to a resident id (a bounded LRU), every frame names ``task_id``, and the
+  bytes ride along only to a worker that has not acknowledged that id --
+  acknowledged meaning it answered a frame that carried them with a
+  ``task_result`` (prepare/commit), so a spec that failed to load is sent
+  again;
 * **what a task produces stays on the worker that computed it**: a wave
   files each output under ``(result id, partition index)`` (bucket payloads
   under ``(id, map task, bucket)`` for a map-side ``shuffle_write``) and
@@ -32,8 +38,8 @@ backend* has the full account):
 * **the driver object's lifetime is the resident id's**: a result's handles
   share one :class:`_Lease`; when the last is garbage the id is queued, and
   the queue rides in the ``free`` field of the next request to each worker
-  -- no free round trip.  Evicted pushed lists and a finished shuffle's
-  captures go the same way;
+  -- no free round trip.  Evicted pushed lists and task specs, and a
+  finished shuffle's captures go the same way;
 * failure handling is fail-fast: a worker that drops its socket, times out,
   or misses heartbeats marks the job with :class:`~repro.errors.
   WorkerLostError`, and so does reading a handle whose worker is gone.
@@ -74,6 +80,8 @@ _WRITER_FUNCTIONS = (
 
 #: How many distinct partition lists stay push-cached on the workers.
 _PUSH_CACHE_CAPACITY = 16
+#: How many distinct task specs stay registered on the workers.
+_TASK_CACHE_CAPACITY = 64
 
 
 class _RemoteTaskError(Exception):
@@ -109,6 +117,8 @@ class _WorkerHandle:
         self.busy = False
         #: Dead resident ids this worker has not been told to drop yet.
         self.unfreed: list[int] = []
+        #: Task ids this worker has loaded and acknowledged with a result.
+        self.registered: set[int] = set()
         self.queue: queue.Queue = queue.Queue()
         self.thread = threading.Thread(
             target=self._loop, name=f"cluster-worker-{index}", daemon=True
@@ -181,33 +191,38 @@ class _WorkerHandle:
         self.sock.close()
 
 
-class _PushCache:
-    """LRU of driver-held partition lists already resident on the workers.
+class _ResidentCache:
+    """LRU of driver-side objects already resident on the workers.
 
-    Holds *strong* references: partition lists cannot be weak-referenced,
-    and a strong reference also pins the list's ``id`` so a recycled id can
-    never alias a dead entry.  Eviction returns the freed data ids so the
+    Maps ``key(obj)`` to the object's resident id.  Holds *strong* references:
+    the push cache keys partition lists by ``id`` (lists cannot be
+    weak-referenced), and pinning the list also pins its ``id`` so a
+    recycled id can never alias a dead entry; the task registry keys the
+    pickled spec bytes by value.  Eviction returns the freed ids so the
     context can queue them for the workers to drop.
     """
 
-    def __init__(self, capacity: int = _PUSH_CACHE_CAPACITY):
+    def __init__(self, capacity: int, key: Callable[[Any], Any] = lambda obj: obj):
         self.capacity = capacity
-        self._entries: collections.OrderedDict[int, tuple[int, list[list[Any]]]] = (
-            collections.OrderedDict()
-        )
+        self._key = key
+        self._entries: collections.OrderedDict[Any, tuple[int, Any]] = collections.OrderedDict()
 
-    def lookup(self, partitions: list[list[Any]]) -> int | None:
-        entry = self._entries.get(id(partitions))
+    def lookup(self, obj: Any) -> int | None:
+        key = self._key(obj)
+        entry = self._entries.get(key)
         if entry is None:
             return None
-        self._entries.move_to_end(id(partitions))
+        self._entries.move_to_end(key)
         return entry[0]
 
-    def insert(self, partitions: list[list[Any]], data_id: int) -> list[int]:
-        """Register a freshly shipped list; returns evicted data ids."""
-        self._entries[id(partitions)] = (data_id, partitions)
+    def insert(self, obj: Any, data_id: int) -> list[int]:
+        """Register a freshly shipped object; returns evicted data ids."""
+        self._entries[self._key(obj)] = (data_id, obj)
         overflow = max(0, len(self._entries) - self.capacity)
         return [self._entries.popitem(last=False)[1][0] for _ in range(overflow)]
+
+    def discard(self, obj: Any) -> None:
+        self._entries.pop(self._key(obj), None)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -271,7 +286,9 @@ class ClusterContext(DistributedContext):
             cluster_address = os.environ.get("DIABLO_CLUSTER_ADDRESS") or None
         self._local_cluster = None
         self._workers: list[_WorkerHandle] | None = None
-        self._push_cache = _PushCache()
+        self._push_cache = _ResidentCache(_PUSH_CACHE_CAPACITY, key=id)
+        #: Pickled task spec -> its id on the workers that acknowledged it.
+        self._task_cache = _ResidentCache(_TASK_CACHE_CAPACITY)
         #: One id space for all that is resident: pushed lists, results, captures.
         self._resident_ids = itertools.count(1)
         self._capture_stack: list[list[int]] = []
@@ -399,6 +416,7 @@ class ClusterContext(DistributedContext):
                 dead = self._garbage.popleft()
                 for worker in self._workers or ():
                     worker.unfreed.append(dead)
+                    worker.registered.discard(dead)
             frees, handle.unfreed = handle.unfreed, []
         return frees
 
@@ -476,8 +494,9 @@ class ClusterContext(DistributedContext):
         pushed_bytes = stored = driver_bytes = 0
         entries: dict[int, list[tuple[int, tuple]]] = {}
         try:
-            # Pickled once per wave, not once per worker: the generated code
-            # and broadcast tables in it are the bulk of a frame.
+            # Pickled once per wave, and shipped only to workers that have not
+            # registered these exact bytes: the generated code and broadcast
+            # tables in it are the bulk of a frame.
             task_bytes = wire.cluster_dumps(task_spec)
             for index, partition in enumerate(partitions):
                 worker = workers[index % len(workers)]
@@ -509,16 +528,24 @@ class ClusterContext(DistributedContext):
         except wire.UnshippableError:
             return None
         # From here on nothing can fail to encode, so the frees taken for a
-        # frame are sure to leave with it -- the list this wave's push evicts
-        # included.
+        # frame are sure to leave with it -- the list this wave's push and the
+        # spec its registration evict included.
         if fresh:
             self._garbage.extend(self._push_cache.insert(partitions, store_as))
+        task_id = self._task_cache.lookup(task_bytes)
+        if task_id is None:
+            task_id = next(self._resident_ids)
+            self._garbage.extend(self._task_cache.insert(task_bytes, task_id))
+        # Prepare/commit: a worker counts as holding the spec only once it
+        # has answered a frame that carried it.
+        carries = {i for i in shipped_entries if task_id not in workers[i].registered}
         result_id = None if read and not capture else next(self._resident_ids)
         frames = {
             worker_index: protocol.encode_message(
                 protocol.SHUFFLE_WRITE if capture else protocol.RUN_TASKS,
                 {
-                    "task": task_bytes,
+                    "task_id": task_id,
+                    "task": task_bytes if worker_index in carries else None,
                     "partitions": entries_bytes,
                     "columnar": self.columnar,
                     "store_as": store_as if fresh else None,
@@ -545,17 +572,19 @@ class ClusterContext(DistributedContext):
             for worker_index, frame in frames.items()
         ]
         by_index: dict[int, Any] = {}
-        task_error: _RemoteTaskError | None = None
+        task_errors: list[_RemoteTaskError] = []
         lost_error: WorkerLostError | None = None
         for worker, future in futures:
             try:
                 _, response, frame_bytes = future.result()
             except _RemoteTaskError as error:
-                task_error = task_error or error
+                task_errors.append(error)
                 continue
             except WorkerLostError as error:
                 lost_error = lost_error or error
                 continue
+            if worker.index in carries:
+                worker.registered.add(task_id)
             counters = response.get("counters") or {}
             self.metrics.record_worker_payload(
                 counters.get("payload_fetches", 0),
@@ -584,15 +613,20 @@ class ClusterContext(DistributedContext):
                     by_index[index] = ResidentPartition(
                         worker.serve_address, (result_id, index), output, lease
                     )
+        if fresh and (task_errors or lost_error is not None):
+            # Like a spec, a push counts only once every worker took it: the
+            # failed wave's partial copies are freed, the next wave pushes again.
+            self._push_cache.discard(partitions)
+            self._garbage.append(store_as)
         if lost_error is not None:
             raise lost_error
-        if task_error is not None:
+        if task_errors:
+            task_error = task_errors[0]
+            failed = f"{len(task_errors)} of {len(futures)} worker task batch(es) failed"
             cause = task_error.cause
             if isinstance(cause, BaseException):
-                raise ExecutionError(f"1 task(s) failed: {cause}") from cause
-            raise ExecutionError(
-                f"1 task(s) failed: {task_error}\n{task_error.remote_traceback}"
-            )
+                raise ExecutionError(f"{failed}: {cause}") from cause
+            raise ExecutionError(f"{failed}: {task_error}\n{task_error.remote_traceback}")
         if driver_bytes:
             self.metrics.record_driver_payload(driver_bytes)
         self.metrics.record_parallel_tasks(len(partitions))
@@ -638,6 +672,7 @@ class ClusterContext(DistributedContext):
             if self._local_cluster is not None:
                 self._local_cluster.close()
             self._push_cache.clear()
+            self._task_cache.clear()
             store_mod.FETCH_CONNECTIONS.close()
         super().shutdown(cancel_pending)
 

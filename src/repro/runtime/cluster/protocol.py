@@ -35,8 +35,9 @@ from repro.runtime.cluster import wire
 
 #: First bytes of every frame; reject non-cluster peers immediately.
 MAGIC = b"DBLO"
-#: Bumped on any incompatible change to framing or message payloads.
-PROTOCOL_VERSION = 2
+#: Bumped on any incompatible change to framing or message payloads (v3:
+#: ``run_tasks`` / ``shuffle_write`` name their spec by ``task_id``).
+PROTOCOL_VERSION = 3
 #: magic, version byte, 3 pad bytes, u64 body length.
 _WIRE_HEADER = struct.Struct(">4sB3xQ")
 #: Hard per-frame cap: a length beyond this is a corrupt or hostile header.
@@ -45,7 +46,10 @@ MAX_FRAME_BYTES = 1 << 31
 # -- message types ------------------------------------------------------------
 # Every driver -> worker request may carry ``"free"``: resident ids whose driver
 # objects are gone, dropped before the request is served (there is no
-# stand-alone free message).
+# stand-alone free message).  ``run_tasks`` / ``shuffle_write`` always carry
+# ``"task_id"`` and carry the pickled spec in ``"task"`` only to a worker that
+# has not yet answered a frame with those bytes (else ``None``); the worker
+# keeps the loaded spec under that id until a ``free`` names it.
 REGISTER = "register"  #: worker -> driver: here I am (pid, serve address, versions)
 REGISTERED = "registered"  #: driver -> worker: accepted, here is your index
 RUN_TASKS = "run_tasks"  #: driver -> worker: run a fused narrow chain, keep the outputs
@@ -54,7 +58,7 @@ TASK_RESULT = "task_result"  #: worker -> driver: per-partition record counts + 
 FETCH_PAYLOAD = "fetch_payload"  #: reader -> worker: send the records under these store keys
 PAYLOAD = "payload"  #: worker -> reader: one record list per requested key
 HEARTBEAT = "heartbeat"  #: driver -> worker: liveness probe
-HEARTBEAT_ACK = "heartbeat_ack"  #: worker -> driver: still here, holding this much
+HEARTBEAT_ACK = "heartbeat_ack"  #: worker -> driver: resident partitions, payloads, tasks
 SHUTDOWN = "shutdown"  #: driver -> worker: exit cleanly
 SHUTDOWN_ACK = "shutdown_ack"  #: worker -> driver: exiting
 ERROR = "error"  #: worker -> driver: the request failed (message + cause)

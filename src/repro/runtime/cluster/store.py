@@ -11,13 +11,16 @@ dropped as a whole when the driver says so.
 * ``(id, map partition, bucket)`` -- a **captured payload**: the
   :class:`~repro.runtime.spill.BucketPayload` a map-side shuffle chain wrote
   for one reduce bucket, routed by the driver as a :class:`RemotePayload`.
+* ``(id,)`` -- a **registered task**: a fused stage chain loaded from the
+  first frame that carried its bytes; later waves name it by id.
 
-Both references are :class:`RemoteRecords`: address, key and record count
-travel (``__reduce__``), the records are read only where somebody looks at
-them -- straight out of the store when that is the worker that owns them,
-over **one** ``FETCH_PAYLOAD`` request per peer otherwise (:func:`localize`
-groups a task's references by address).  The driver is just another reader:
-what it pulls is charged to its :class:`~repro.runtime.metrics.Metrics`.
+Partitions and payloads are referenced as :class:`RemoteRecords`: address, key
+and record count travel (``__reduce__``), the records are read only where
+somebody looks at them -- straight out of the store when that is the worker
+that owns them, over **one** ``FETCH_PAYLOAD`` request per peer otherwise
+(:func:`localize` groups a task's references by address).  The driver is just
+another reader: what it pulls is charged to its
+:class:`~repro.runtime.metrics.Metrics`.
 
 A :class:`RemotePayload` quacks like an in-memory ``BucketPayload`` (``runs``
 is the empty tuple, ``records`` materializes on first access), so the
@@ -30,6 +33,7 @@ merge consume payloads in that order.
 
 from __future__ import annotations
 
+import collections
 import socket
 import threading
 from collections.abc import Sequence
@@ -85,11 +89,11 @@ class WorkerStore:
             for key in [key for key in self._entries if key[0] in dead]:
                 del self._entries[key]
 
-    def resident_counts(self) -> tuple[int, int]:
-        """``(resident partitions, captured payloads)`` currently held."""
+    def resident_counts(self) -> tuple[int, int, int]:
+        """``(resident partitions, captured payloads, registered tasks)`` held."""
         with self._lock:
-            partitions = sum(1 for key in self._entries if len(key) == 2)
-            return partitions, len(self._entries) - partitions
+            sizes = collections.Counter(len(key) for key in self._entries)
+        return sizes[2], sizes[3], sizes[1]
 
     def drain_counters(self) -> dict[str, int]:
         """The payload-transfer counters since the last drain."""

@@ -234,20 +234,27 @@ class _ClusterPickler(pickle.Pickler):
         return NotImplemented
 
 
+#: ``(type, stub label)`` of every driver-only class; resolved on first use
+#: to keep the wire module free of runtime-layer import cycles.
+_DRIVER_ONLY: tuple[tuple[type, str], ...] = ()
+
+
 def _driver_only_kind(obj: Any) -> str | None:
     """The stub label for ``obj`` when it must not cross the wire, else None."""
-    # Imported lazily (and only when a candidate type is seen) to keep the
-    # wire module free of runtime-layer import cycles.
-    from repro.runtime.context import DistributedContext
-    from repro.runtime.dataset import Dataset
-    from repro.runtime.spill import ShuffleStore
+    global _DRIVER_ONLY
+    if not _DRIVER_ONLY:
+        from repro.runtime.context import DistributedContext
+        from repro.runtime.dataset import Dataset
+        from repro.runtime.spill import ShuffleStore
 
-    if isinstance(obj, DistributedContext):
-        return "DistributedContext"
-    if isinstance(obj, Dataset):
-        return "Dataset"
-    if isinstance(obj, ShuffleStore):
-        return "ShuffleStore"
+        _DRIVER_ONLY = (
+            (DistributedContext, "DistributedContext"),
+            (Dataset, "Dataset"),
+            (ShuffleStore, "ShuffleStore"),
+        )
+    for cls, kind in _DRIVER_ONLY:
+        if isinstance(obj, cls):
+            return kind
     return None
 
 

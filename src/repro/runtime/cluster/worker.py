@@ -5,7 +5,8 @@ A worker makes two kinds of connections:
 * **one outbound control connection to the driver** -- it registers, then
   serves driver requests in lockstep (one request, one response):
   ``run_tasks`` / ``shuffle_write`` execute fused stage chains over the
-  partitions named in the request and *keep* what they produce,
+  partitions named in the request and *keep* what they produce (and the
+  chain itself, so a repeated wave names it by id),
   ``heartbeat`` answers liveness probes, ``shutdown`` exits; every request
   first drops the resident ids listed in its ``free`` field;
 * **one listening *serve* socket for readers** -- other workers, and the
@@ -71,9 +72,14 @@ def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -
     a map-side chain, the output partition otherwise -- the reply carries
     record counts.  Only a request without a ``result_id`` (the driver is
     running an action that reads every record right away) gets the records
-    back instead.
+    back instead.  The task spec arrives once per worker: a frame that
+    carries its bytes files the loaded chain under ``(task_id,)``, later
+    frames name the id alone.
     """
-    task = stage_mod.compose(wire.cluster_loads(request["task"]), request["columnar"])
+    task_key = (request["task_id"],)
+    if request["task"] is not None:
+        store.put(task_key, stage_mod.compose(wire.cluster_loads(request["task"]), request["columnar"]))
+    task = store.get(task_key)
     store_as = request["store_as"]
     result_id = request["result_id"]
     results: list[tuple[int, Any]] = []
@@ -215,11 +221,16 @@ class WorkerDaemon:
                 logger.info("shutdown requested; exiting")
                 return 0
             if message_type == protocol.HEARTBEAT:
-                partitions, payloads = self.store.resident_counts()
+                partitions, payloads, tasks = self.store.resident_counts()
                 protocol.send_message(
                     sock,
                     protocol.HEARTBEAT_ACK,
-                    {"index": self.index, "partitions": partitions, "payloads": payloads},
+                    {
+                        "index": self.index,
+                        "partitions": partitions,
+                        "payloads": payloads,
+                        "tasks": tasks,
+                    },
                 )
                 continue
             if message_type in (protocol.RUN_TASKS, protocol.SHUFFLE_WRITE):

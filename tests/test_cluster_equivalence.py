@@ -31,7 +31,7 @@ import os
 
 import pytest
 
-from test_cluster_runtime import _resident
+from test_cluster_runtime import _registered_tasks, _resident
 from test_executor_equivalence import GENERATED_PROGRAMS, _Outputs, assert_folding_consumer
 from test_soundness_programs import assert_same_outputs
 
@@ -39,6 +39,7 @@ from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program, table2_program_names
 from repro.programs.sources import PROGRAMS
 from repro.runtime.cluster import ClusterContext
+from repro.runtime.cluster import context as context_mod
 from repro.runtime.context import DistributedContext
 from repro.workloads import generators, workload_for_program
 
@@ -251,8 +252,9 @@ def test_unoptimized_plans_match_on_the_cluster(name, default_cluster):
 
 def test_program_suite_leaves_nothing_resident():
     """Leak check over the real programs: all 18 on one long-lived context;
-    once the last outputs are dropped the workers hold no captured payload
-    and no partition but the driver lists the push cache still vouches for."""
+    once the last outputs are dropped the workers hold no captured payload,
+    no partition but the driver lists the push cache still vouches for, and
+    no more task specs than the registry's cap."""
     with ClusterContext(num_partitions=4, cluster_workers=_WORKERS) as context:
         for name in PROGRAMS:
             spec = get_program(name)
@@ -266,3 +268,4 @@ def test_program_suite_leaves_nothing_resident():
         pinned = sum(len(held) for _, held in context._push_cache._entries.values())
         assert _resident(context) == (pinned, 0)
         assert context.metrics.cluster_fallbacks == 0
+        assert max(_registered_tasks(context)) <= context_mod._TASK_CACHE_CAPACITY

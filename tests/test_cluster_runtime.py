@@ -12,12 +12,14 @@ import socket
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.api import DiabloConfig
 from repro.errors import ExecutionError, WorkerLostError
-from repro.runtime.cluster import ClusterContext, LocalCluster, protocol
+from repro.runtime.cluster import ClusterContext, LocalCluster, protocol, wire
+from repro.runtime.cluster import context as context_mod
 from repro.runtime.cluster import store as store_mod
 from repro.runtime.cluster.store import ResidentPartition
 from repro.runtime.context import DistributedContext
@@ -48,14 +50,24 @@ def _pair_key(pair):
     return pair[0]
 
 
-def _resident(ctx) -> tuple[int, int]:
-    """``(resident partitions, captured payloads)`` over all workers, as their
-    heartbeat acks report them."""
-    acks = [
+def _heartbeat_acks(ctx) -> list[dict]:
+    """One heartbeat ack per worker: what each one holds."""
+    return [
         handle.submit(protocol.encode_message(protocol.HEARTBEAT, {}), 5.0).result(timeout=5.0)[1]
         for handle in ctx._workers
     ]
+
+
+def _resident(ctx) -> tuple[int, int]:
+    """``(resident partitions, captured payloads)`` over all workers, as their
+    heartbeat acks report them."""
+    acks = _heartbeat_acks(ctx)
     return sum(ack["partitions"] for ack in acks), sum(ack["payloads"] for ack in acks)
+
+
+def _registered_tasks(ctx) -> list[int]:
+    """How many task specs each worker keeps registered."""
+    return [ack["tasks"] for ack in _heartbeat_acks(ctx)]
 
 
 @pytest.fixture()
@@ -347,6 +359,84 @@ class TestWorkerErrors:
             cluster.parallelize(range(10)).map(boom).collect()
         # The cluster survives a task failure (unlike a lost worker).
         assert sorted(cluster.parallelize(range(5)).collect()) == list(range(5))
+
+    def test_failure_message_counts_the_failed_batches(self, cluster):
+        def boom(x):
+            raise ZeroDivisionError("cluster boom")
+
+        with pytest.raises(ExecutionError, match="2 of 2 worker task batch"):
+            cluster.parallelize(range(10)).map(boom).collect()
+
+
+def _task_frames(monkeypatch) -> list[tuple[int, dict]]:
+    """Record every task frame the driver sends, as ``(worker index, payload)``."""
+    sent: list[tuple[int, dict]] = []
+    submit = context_mod._WorkerHandle.submit
+
+    def recording(handle, frame, timeout):
+        message_type, payload = wire.cluster_loads(frame[protocol._WIRE_HEADER.size :])
+        if message_type in (protocol.RUN_TASKS, protocol.SHUFFLE_WRITE):
+            sent.append((handle.index, payload))
+        return submit(handle, frame, timeout)
+
+    monkeypatch.setattr(context_mod._WorkerHandle, "submit", recording)
+    return sent
+
+
+def _unloadable_function():
+    """A by-value function whose one global is a module no worker can import."""
+    namespace = {"__name__": "diablo_test_origin", "ghost": types.ModuleType("diablo_ghost_module")}
+    exec("def through_ghost(x):\n    return ghost.value(x)\n", namespace)
+    return namespace["through_ghost"]
+
+
+class TestTaskRegistry:
+    def test_a_repeated_spec_ships_its_bytes_once_per_worker(self, cluster, monkeypatch):
+        sent = _task_frames(monkeypatch)
+        source = cluster.parallelize(range(40))
+        first = source.map(_key_mod5).collect()
+        assert source.map(_key_mod5).collect() == first
+        assert len(sent) == 4, "two waves, one frame per worker each"
+        task_ids = {payload["task_id"] for _, payload in sent}
+        assert len(task_ids) == 1, "the same bytes keep the same id"
+        assert [payload["task"] is not None for _, payload in sent] == [True, True, False, False]
+        assert [handle.registered for handle in cluster._workers] == [task_ids, task_ids]
+        assert _registered_tasks(cluster) == [1, 1]
+
+    def test_a_worker_the_first_wave_skipped_gets_the_bytes_on_its_first_wave(
+        self, cluster, monkeypatch
+    ):
+        sent = _task_frames(monkeypatch)
+        assert cluster.parallelize(range(10), 1).map(_key_mod5).collect()
+        assert cluster.parallelize(range(40), 4).map(_key_mod5).collect()
+        carried = [(index, payload["task"] is not None) for index, payload in sent]
+        assert sorted(carried) == [(0, False), (0, True), (1, True)]
+        assert len({payload["task_id"] for _, payload in sent}) == 1
+        assert _registered_tasks(cluster) == [1, 1]
+
+    def test_a_spec_that_fails_to_load_is_resent(self, cluster, monkeypatch):
+        sent = _task_frames(monkeypatch)
+        source = cluster.parallelize(range(8))
+        through_ghost = _unloadable_function()
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match="diablo_ghost_module"):
+                source.map(through_ghost).collect()
+        assert len(sent) == 4 and all(payload["task"] is not None for _, payload in sent)
+        assert len({payload["task_id"] for _, payload in sent}) == 1
+        assert all(handle.lost is None and not handle.registered for handle in cluster._workers)
+        assert _registered_tasks(cluster) == [0, 0]
+        assert sorted(source.map(_key_mod5).collect()) == sorted(map(_key_mod5, range(8)))
+
+    def test_eviction_past_the_cap_frees_registered_tasks(self, monkeypatch):
+        monkeypatch.setattr(context_mod, "_TASK_CACHE_CAPACITY", 2)
+        with ClusterContext(num_partitions=4, cluster_workers=2) as ctx:
+            source = ctx.parallelize(range(40))
+            for function in (_key_mod5, str, abs, float):
+                assert len(source.map(function).collect()) == 40
+            assert len(ctx._task_cache._entries) == 2
+            # The fourth wave's frames carried the frees of the first two specs.
+            assert _registered_tasks(ctx) == [2, 2]
+            assert [len(handle.registered) for handle in ctx._workers] == [2, 2]
 
 
 class TestLocalCluster:
