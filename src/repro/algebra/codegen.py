@@ -50,7 +50,7 @@ from typing import Any, Callable, NamedTuple
 from repro.comprehension import ir
 from repro.comprehension.monoids import _logical_and, _logical_or
 from repro.errors import CompilationError, ExecutionError
-from repro.operators import apply_binary, apply_unary, project_value, update_field  # noqa: F401
+from repro.operators import apply_binary, apply_unary, divide, project_value, update_field  # noqa: F401
 from repro.runtime.columnar import ScalarScope
 from repro.runtime.dataset import Dataset
 from repro.runtime.stage import FoldedRecords  # noqa: F401
@@ -83,14 +83,18 @@ class Segment(NamedTuple):
       start)``, ``start`` the partition's offset looked up in the driver
       binding :data:`OFFSETS` by the partition index, the function's second
       argument.  When nothing reads ``i`` (it is not in the steps' or the
-      exit's terms, and the exit does not rebuild the row or emit the raw
-      pair) the loop is ``for v in records`` and the function takes the
-      records only; ``function.indexed`` says which.  The pair shape is
+      exit's terms, and the exit does not rebuild the row) the loop is
+      ``for v in records`` and the function takes the records only;
+      ``function.indexed`` says which.  The pair shape is
       known by construction, so only a nested ``v`` pattern is checked;
     * ``("row", names)`` -- a dict row with exactly the keys ``names``;
-    * ``("cogroup", left_names, pattern)`` -- a join's co-grouped sides
-      ``(key, [left rows], [right elements])``: the function is the join's
-      *consumer*, a nested loop over the pairs that are never materialised;
+    * ``("cogroup", left_names, right_names)`` -- a join's co-grouped sides
+      ``(key, [left rows], [right tuples])``: the function is the join's
+      *consumer*, a nested loop over the pairs that are never materialised.
+      A right tuple holds the values of ``right_names`` in that order (what
+      the right side's keying run emitted through a ``("values", names)``
+      payload, its shape checked there once), unpacked in the pair loop's
+      header: ``for r1, …, rn, in rights:``;
     * ``("product", left_names, pattern, rows)`` -- a no-key product's right
       elements, each paired with every left row of the driver list named
       ``rows`` (a broadcast of the rows), or with ``rows`` None cartesian
@@ -109,7 +113,8 @@ class Segment(NamedTuple):
     is ``("head", term)``, ``("row",)`` (the dict row, with the keys and
     insertion order the per-qualifier maps produced) or ``("keyed", term,
     payload)`` emitting ``(key, payload)`` for a wide operator, the payload
-    being ``"row"``, ``"element"`` (the raw record) or ``("value", name)``.
+    being ``"row"``, ``("value", name)`` or ``("values", names)`` (the flat
+    tuple of those variables' values, a join's right side).
     The folding exits accumulate inside the loop what the next operator
     would fold anyway: ``("fold_by_key", term, payload, op, inline)`` keeps
     ``acc[key] = acc[key] ⊕ payload`` in a dict and returns its items as
@@ -248,6 +253,28 @@ def unresolved(error: NameError, messages: dict[str, str]) -> BaseException:
     return ExecutionError(message) if message else error
 
 
+def _payload(exit: tuple) -> Any:
+    return exit[2] if exit[0] in ("keyed", "fold_by_key") else None
+
+
+def reads(steps: tuple, exit: tuple) -> set[str]:
+    """The names a segment's ``steps`` and ``exit`` read: their terms' free
+    variables and the names the exit's payload emits."""
+    terms = [step[-1] for step in steps]
+    if exit[0] != "row":
+        terms.append(exit[1])
+    names: set[str] = set().union(*(ir.free_variables(term) for term in terms))
+    payload = _payload(exit)
+    if isinstance(payload, tuple):
+        names.update(payload[1] if payload[0] == "values" else payload[1:])
+    return names
+
+
+def rebuilds_row(exit: tuple) -> bool:
+    """Whether ``exit`` rebuilds the dict row, so needs every row variable."""
+    return exit[0] == "row" or _payload(exit) == "row"
+
+
 class _Emitter:
     """Builds the source of one segment function."""
 
@@ -259,7 +286,6 @@ class _Emitter:
         self.consts: list[Any] = []
         self.row: dict[str, str] = {}  # row variable -> local, in row-key order
         self.depths: dict[str, int] = {}  # row variable -> loop depth its local was bound at
-        self.raw = "rec"  # the expression for the raw input record
         self.scalars: dict[str, str] = {}
         self.functions: dict[str, str] = {}
         self.assigned: list[str] = []  # row variables bound past the entry dict
@@ -268,17 +294,8 @@ class _Emitter:
         #: local's depth, while no local the text reads is rebound.
         self.computed: dict[str, tuple[str, int]] = {}
         self.count = 0
-        terms = [step[-1] for step in segment.steps]
-        if segment.exit[0] != "row":
-            terms.append(segment.exit[1])
-        self.reads: set[str] = set().union(*(ir.free_variables(term) for term in terms))
-        payload = segment.exit[2] if segment.exit[0] in ("keyed", "fold_by_key") else None
-        if isinstance(payload, tuple):
-            self.reads.add(payload[1])
-        #: Exits that rebuild the dict row need every row variable loaded.
-        self.needs_row = segment.exit[0] == "row" or payload == "row"
-        #: The exit emits the raw input record.
-        self.emits_raw = payload == "element"
+        self.reads = reads(segment.steps, segment.exit)
+        self.needs_row = rebuilds_row(segment.exit)
         #: Whether a positional entry counts positions (see :class:`Segment`).
         self.counted = False
         #: The definitions of the nested comprehensions' helper functions.
@@ -404,7 +421,7 @@ class _Emitter:
             if term.op in _INLINE_BINOPS:
                 return f"({left} {term.op} {right})"
             if term.op == "/":
-                return f"apply_binary('/', {left}, {right})"
+                return f"divide({left}, {right})"
             return f"apply_binary({term.op!r}, {left}, {right}, monoids)"
         if isinstance(term, ir.CUnaryOp):
             operand = self.expr(term.operand)
@@ -525,21 +542,26 @@ class _Emitter:
         """Emit the record loop and unpacking; returns the dict the row
         extends, if any."""
         kind = self.segment.entry[0]
-        if kind in ("cogroup", "product"):
-            # The left row is unpacked once per pairing, the right element
-            # bound after it: pair order is the join's (the product's).
-            _, left_names, pattern, *rows = self.segment.entry
-            if kind == "cogroup":
-                self.open("for _, lefts, rights in records:", "for left in lefts:")
-            elif rows[0] is None:
-                self.open("for left, element in records:")
-                self.raw = "(left, element)"
-            else:
-                self.open("for element in records:", f"for left in {self.variable(rows[0])}:")
-                self.raw = "element"
+        if kind == "cogroup":
+            # The left row is unpacked once per left record, the right
+            # values in the pair loop's header: pair order is the join's.
+            _, left_names, right_names = self.segment.entry
+            self.open("for _, lefts, rights in records:", "for left in lefts:")
             self.load(left_names, "left")
-            if kind == "cogroup":
-                self.open("for element in rights:")
+            self.depth += 1  # the right values are bound at the pair loop's depth
+            targets = [self.target(name) for name in right_names]
+            self.depth -= 1
+            self.open(f"for {', '.join(targets)}, in rights:" if targets else "for _ in rights:")
+            return "left"
+        if kind == "product":
+            # The left row is unpacked once per pairing, the right element
+            # bound after it: pair order is the product's.
+            _, left_names, pattern, rows = self.segment.entry
+            if rows is None:
+                self.open("for left, element in records:")
+            else:
+                self.open("for element in records:", f"for left in {self.variable(rows)}:")
+            self.load(left_names, "left")
             self.bind(pattern, "element")
             return "left"
         if kind == "positional":
@@ -571,15 +593,12 @@ class _Emitter:
         """The loop of a ``positional`` entry: the element is ``rec`` (kept
         intact: a rebinding gets a fresh local), the position a counter."""
         position, element = pattern.elements
-        live = isinstance(position, ir.PVar) and (self.needs_row or position.name in self.reads)
-        self.counted = live or self.emits_raw
+        self.counted = isinstance(position, ir.PVar) and (self.needs_row or position.name in self.reads)
         if self.counted:
-            index = self.fresh("r", position.name) if live else "position"
+            index = self.fresh("r", position.name)
             self.variable(OFFSETS)
             self.open(f"for {index}, rec in enumerate(records, start):")
-            self.raw = f"({index}, rec)"
-            if live:
-                self.row[position.name], self.depths[position.name] = index, self.depth
+            self.row[position.name], self.depths[position.name] = index, self.depth
         else:
             self.open("for rec in records:")
         if isinstance(element, ir.PVar):
@@ -599,8 +618,8 @@ class _Emitter:
     def payload(self, payload: Any, extends: str | None) -> str:
         if payload == "row":
             return self.row_dict(extends)
-        if payload == "element":
-            return self.raw
+        if payload[0] == "values":
+            return "(" + "".join(f"{self.row[name]}, " for name in payload[1]) + ")"
         return self.row.get(payload[1], "None")
 
     def leave(self, extends: str | None) -> tuple[list[str], list[str], str]:

@@ -29,6 +29,12 @@ makes the *decisions* a direct emission could not:
   the runtime's hash joins use.  Whichever it picks, the product is the
   first step of the generated run above it: no joined row is built for a
   later stage to unpack.
+* **per-side steps below the join** (:func:`_push_below`): the filters and
+  one-variable lets right above a hash join that read one side only, in a
+  fragment that cannot raise or call out, move into that side's keying run
+  and run once per record of the side instead of once per joined pair.  The
+  right side emits flat tuples of the values the consumer still reads, which
+  its pair loop unpacks in the loop header.
 * **loop-invariant caching**: subtrees whose :meth:`PlanNode.signature` is
   defined (structurally identifiable *and* independent of every variable the
   enclosing ``while`` body assigns) are looked up in the loop's
@@ -199,6 +205,109 @@ def _chain_label(run: list[_Op]) -> str:
     return "→".join(label if count == 1 else f"{label}×{count}" for label, count in parts)
 
 
+class _Pushdown(NamedTuple):
+    """The steps a hash join's sides run before the join (each in run
+    order) and the entry names of its consumer (see :func:`_push_below`)."""
+
+    left: tuple[_Op, ...]
+    right: tuple[_Op, ...]
+    left_names: tuple[str, ...]
+    right_names: tuple[str, ...]
+
+
+#: The binary operators of the pushable fragment (see :func:`_pushable`).
+_PUSHABLE_BINOPS = frozenset({"+", "-", "*", "<", "<=", ">", ">=", "==", "!=", "&&", "||"})
+
+
+def _pushable(term: ir.Term) -> bool:
+    """Whether a step over ``term`` may run below a join, on records the
+    join leaves unpaired too: variables, constants, tuples, ``+ - *``,
+    comparisons, ``&&`` / ``||``, unary ``-`` / ``!`` and ``inRange``.  No
+    ``/`` or ``%`` (a zero divisor raises), no call, projection, aggregation
+    or nested comprehension."""
+    if isinstance(term, (ir.CVar, ir.CConst)):
+        return True
+    if isinstance(term, ir.CTuple):
+        return all(map(_pushable, term.elements))
+    if isinstance(term, ir.CBinOp):
+        return term.op in _PUSHABLE_BINOPS and _pushable(term.left) and _pushable(term.right)
+    if isinstance(term, ir.CUnaryOp):
+        return term.op in ("-", "!") and _pushable(term.operand)
+    if isinstance(term, ir.InRange):
+        return all(map(_pushable, (term.value, term.lower, term.upper)))
+    return False
+
+
+def _step_text(spec: tuple) -> str:
+    return f"let {spec[1]} = {spec[2]}" if spec[0] == "let" else str(spec[1])
+
+
+def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[str] | None]) -> _Pushdown:
+    """Move the steps right above ``join`` that read one side only into
+    that side's keying run, so that they run once per record of the side
+    instead of once per joined pair.
+
+    ``ops`` is the run above the join, top first: its tail is walked and
+    popped in run order.  A ``filter``, or a ``let`` of one variable, moves
+    when its term is :func:`_pushable` and reads the variables of one side
+    only, plus scalars the join's bindings already hold.  A side the loop
+    cache keeps across iterations has ``frozen[side]``, the loop's
+    invariants: a step whose scalars are not all among them stays above the
+    join, so the cached side never depends on a value the loop reassigns
+    (an inner loop's assignment never invalidates it).  The walk stops at
+    the first step that does not, and at a let that would rebind one of its
+    side's join-key variables (the key is computed after the side's steps),
+    bind a right variable on the left (the pair loop binds the right values
+    after the left row), or add a variable to the left row while the
+    consumer rebuilds the row dict (its keys would change order).
+
+    The right side then emits the flat tuple of the right variables the
+    consumer still reads (all of them when it rebuilds the row), in the
+    order they were first bound; the left side's rows carry its lets.
+    """
+    right = dict.fromkeys(join.pattern.variables())
+    left = dict.fromkeys(join.left.rows)  # the left row's keys; a right variable shadows one
+    keys = {
+        "left": set().union(*map(ir.free_variables, join.left_key_terms)),
+        "right": set().union(*map(ir.free_variables, join.right_key_terms)),
+    }
+    bindings = join.bindings
+    last = _segment(None, ops[::-1]).exit if ops else ("row",)
+    needs_row = codegen.rebuilds_row(last)
+    moved: dict[str, list[_Op]] = {"left": [], "right": []}
+    while ops and ops[-1].spec[0] in ("let", "filter"):
+        spec = ops[-1].spec
+        names = ir.free_variables(spec[-1])
+        reads_left = names & left.keys() - right.keys()
+        side = "left" if reads_left else "right"
+        scalars = names - left.keys() - right.keys()
+        if (
+            (reads_left and names & right.keys())
+            or not _pushable(spec[-1])
+            or any(name not in bindings.base and name not in bindings.values for name in scalars)
+            or (frozen[side] is not None and not scalars <= frozen[side])
+        ):
+            break
+        if spec[0] == "let":
+            name = spec[1].name if isinstance(spec[1], ir.PVar) else None
+            if name is None or name in keys[side]:
+                break
+            if side == "right":
+                right[name] = None
+            elif name in right or (needs_row and name not in left):
+                break
+            else:
+                left[name] = None
+        moved[side].append(ops.pop()._replace(keep=True))
+    reads = codegen.reads(_segment(None, ops[::-1]).steps if ops else (), last)
+    return _Pushdown(
+        tuple(moved["left"]),
+        tuple(moved["right"]),
+        tuple(left),
+        tuple(name for name in right if needs_row or name in reads),
+    )
+
+
 class Planner:
     """Annotates a logical plan and lowers it to a runtime Dataset."""
 
@@ -367,7 +476,7 @@ class Planner:
     def _lower_chain(
         self,
         top: PlanNode,
-        tail: _Op | None = None,
+        tail: tuple[_Op, ...] = (),
         entry: tuple | None = None,
         bindings: Any = None,
         reduce: ReduceByKeyNode | None = None,
@@ -381,13 +490,14 @@ class Planner:
         that feeder, and emits the whole run over it.  Driver-side bags the
         run iterates (local bags, a product's broadcast side) reach its
         generated functions under fresh driver names in its ``bindings``.
-        ``tail`` is the keying map a wide node above needs (which also
-        supplies its ``bindings``); ``entry`` makes ``top`` a scan of raw
+        ``tail`` ends the run, last operator first: the keying map a wide
+        node above needs (which also supplies its ``bindings``), after the
+        steps a join pushed below itself; ``entry`` makes ``top`` a scan of raw
         elements entering the run by that bind; ``reduce`` is the node whose
         reduceByKey consumes the keyed run (see :meth:`_emit`).
         """
         bindings = bindings or top.bindings
-        ops = [tail] if tail is not None else []
+        ops = list(tail)
         bags: dict[str, list[Any]] = {}
         node = top
         while isinstance(node, NarrowNode) and node.sig[0] in _ROW_OPERATORS:
@@ -407,18 +517,23 @@ class Planner:
         elif isinstance(node, HashJoinNode):
             # Not a dataset yet: the run's generated function is the join's
             # consumer, so the join is built once that function exists.
-            source = functools.partial(self._join, node)
-            entry = ("cogroup", node.left.rows, node.pattern)
+            frozen = {
+                name: self.loop_cache.invariants if self._side_signature(side) is not None else None
+                for name, side in (("left", node.left), ("right", node.right))
+            }
+            pushdown = _push_below(node, ops, frozen)
+            source = functools.partial(self._join, node, pushdown)
+            entry = ("cogroup", pushdown.left_names, pushdown.right_names)
             first = _Op(MAP, entry, "cogroup", None, False, node.rows)
         elif isinstance(node, ReduceByKeyNode):
             payload = ("value", node.value_name)
             key = _key_op(node.key_term, payload, node.key_kernel, node.input_prepartitioned)
-            source = self._lower_chain(node.child, key, bindings=node.bindings, reduce=node)
+            source = self._lower_chain(node.child, (key,), bindings=node.bindings, reduce=node)
             entry = ("reduced", node.pattern, node.value_name)
             first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
         elif isinstance(node, GroupByKeyNode):
             key = _key_op(node.key_term, "row", None, node.input_prepartitioned)
-            source = self._lower_chain(node.child, key, bindings=node.bindings).group_by_key()
+            source = self._lower_chain(node.child, (key,), bindings=node.bindings).group_by_key()
             entry = ("grouped", node.pattern, node.lifted)
             first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
         elif isinstance(node, ProductNode):
@@ -511,13 +626,22 @@ class Planner:
             dataset = dataset.reduce_by_key(reduce.combine_fn, folded=folded)
         return dataset
 
-    def _join(self, node: HashJoinNode, consumer: Any) -> Dataset:
+    def _join(self, node: HashJoinNode, pushdown: _Pushdown, consumer: Any) -> Dataset:
         """A hash join whose co-grouped sides go straight to ``consumer``
         (the generated function of the run above it) inside the join task;
-        the result holds the consumer's records, not joined pairs."""
-        note = f"consumer fused into the join task: {consumer.label}"
-        self.trace.append(f"{node.label}: {note}")
-        _note(node, note)
+        the result holds the consumer's records, not joined pairs.  Each
+        side's keying run first runs the steps ``pushdown`` moved to it."""
+        notes = [f"consumer fused into the join task: {consumer.label}"]
+        moved = [
+            f"{_step_text(op.spec)} → {side} side"
+            for side, ops in (("left", pushdown.left), ("right", pushdown.right))
+            for op in ops
+        ]
+        if moved:
+            notes.append(f"pushed below the join: {', '.join(moved)}")
+        for note in notes:
+            self.trace.append(f"{node.label}: {note}")
+            _note(node, note)
         single = len(node.left_key_terms) == 1
         # Single-key joins key records by the raw value (not a 1-tuple): the
         # record key then coincides with the scanned pair's own key, so when
@@ -527,34 +651,26 @@ class Planner:
         # same convention, so join-key equality is unaffected.
         left_key = node.left_key_terms[0] if single else ir.CTuple(node.left_key_terms)
         right_key = node.right_key_terms[0] if single else ir.CTuple(node.right_key_terms)
+        left_key_op = _key_op(left_key, "row", None, node.left_prepartitioned)
+        right_payload = ("values", pushdown.right_names)
+        right_key_op = _key_op(right_key, right_payload, None, node.right_prepartitioned)
         keyed_left = self._keyed_join_side(
-            node,
-            node.left,
-            _key_op(left_key, "row", None, node.left_prepartitioned),
-            None,
-            node.left_key_terms,
-            "build rows",
+            node, node.left, (left_key_op, *reversed(pushdown.left)), None, "build rows"
         )
         keyed_right = self._keyed_join_side(
             node,
             node.right,
-            _key_op(right_key, "element", None, node.right_prepartitioned),
+            (right_key_op, *reversed(pushdown.right)),
             ("bind", node.pattern),
-            node.right_key_terms,
             node.domain_label,
         )
         return keyed_left.join(keyed_right, consumer=consumer)
 
     def _keyed_join_side(
-        self,
-        join: HashJoinNode,
-        side: PlanNode,
-        key: _Op,
-        entry: tuple | None,
-        key_terms: tuple[ir.Term, ...],
-        label: str,
+        self, join: HashJoinNode, side: PlanNode, tail: tuple[_Op, ...], entry: tuple | None, label: str
     ) -> Dataset:
-        """Lower one join input keyed by its join-key terms.
+        """Lower one join input, its run ending in ``tail``: the steps pushed
+        below the join and the keying map by the join-key terms.
 
         Loop-invariant sides are materialized once per loop: placed with the
         shuffle's hash partitioner when they are too big to broadcast (the
@@ -563,12 +679,12 @@ class Planner:
         The joins inside a side being cached are not cached themselves: later
         iterations reuse the whole side and never lower them again.
         """
-        side_signature = None
-        if self.loop_cache is not None and not self._in_cached_side:
-            side_signature = side.signature()
+        side_signature = self._side_signature(side)
         if side_signature is None:
-            return self._lower_chain(side, key, entry, join.bindings)
-        cache_key = ("join-side", side_signature, key_terms)
+            return self._lower_chain(side, tail, entry, join.bindings)
+        # The tail's specs hold the key term, the payload's names and the
+        # pushed steps (which read loop invariants only, see _push_below).
+        cache_key = ("join-side", side_signature, entry, tuple(op.spec for op in tail))
         hit = self.loop_cache.get(cache_key)
         if hit is not None:
             self.context.metrics.record_loop_invariant_reuse()
@@ -577,7 +693,7 @@ class Planner:
             return hit
         self._in_cached_side = True
         try:
-            keyed = self._lower_chain(side, key, entry, join.bindings).materialize()
+            keyed = self._lower_chain(side, tail, entry, join.bindings).materialize()
         finally:
             self._in_cached_side = False
         if keyed.count() > self.context.broadcast_join_threshold:
@@ -589,6 +705,14 @@ class Planner:
         self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
         _note(join, f"loop-invariant side cached ({placement}): {label}")
         return keyed
+
+    def _side_signature(self, side: PlanNode) -> tuple | None:
+        """The loop-cache signature of a join side, or None when the side is
+        lowered afresh (no loop cache, not invariant, or inside a side being
+        cached)."""
+        if self.loop_cache is None or self._in_cached_side:
+            return None
+        return side.signature()
 
     def _product(self, node: ProductNode, bags: dict[str, list[Any]]) -> tuple[Any, tuple, tuple]:
         """The no-key nested loop: broadcast the smaller side when it fits.

@@ -27,9 +27,7 @@ def apply_binary(op: str, left: Any, right: Any, monoids: MonoidRegistry | None 
     if op == "*":
         return left * right
     if op == "/":
-        if isinstance(left, int) and isinstance(right, int) and right != 0 and left % right == 0:
-            return left // right
-        return left / right
+        return divide(left, right)
     if op == "%":
         return left % right
     if op == "==":
@@ -51,6 +49,13 @@ def apply_binary(op: str, left: Any, right: Any, monoids: MonoidRegistry | None 
     if monoids is not None and op in monoids:
         return monoids.get(op).combine(left, right)
     raise ExecutionError(f"unknown binary operator {op!r}")
+
+
+def divide(left: Any, right: Any) -> Any:
+    """The loop language's ``/``: an exact integer quotient stays an int."""
+    if isinstance(left, int) and isinstance(right, int) and right != 0 and left % right == 0:
+        return left // right
+    return left / right
 
 
 def apply_unary(op: str, operand: Any) -> Any:

@@ -242,15 +242,13 @@ class DiabloCompiler:
     def _optimize_statement(
         self, statement: TargetStatement, optimizer: Optimizer, fresh: ir.NameGenerator
     ) -> TargetStatement:
+        # Optimizer.optimize normalises first, so a term is normalised once.
+        simplify = optimizer.optimize if self.optimize else normalize
         if isinstance(statement, TargetAssign):
-            term = normalize(statement.term, fresh)
-            if self.optimize:
-                term = optimizer.optimize(term, fresh)
+            term = simplify(statement.term, fresh)
             return TargetAssign(statement.variable, term, statement.scalar, origin=statement.origin)
         if isinstance(statement, TargetWhile):
-            condition = normalize(statement.condition, fresh)
-            if self.optimize:
-                condition = optimizer.optimize(condition, fresh)
+            condition = simplify(statement.condition, fresh)
             body = tuple(self._optimize_statement(s, optimizer, fresh) for s in statement.body)
             return TargetWhile(condition, body)
         raise TypeError(f"unknown target statement {statement!r}")

@@ -10,8 +10,9 @@ pattern, and failures in exception type and message.
 The folding exits and the join consumer are held to the forms they replaced:
 ``fold_by_key`` to ``apply_combiner(("reduce", ⊕), keyed segment output)``,
 ``fold`` to ``Monoid.reduce(head segment output)``, and a ``cogroup``
-consumer inside a physical join to that join's materialised pairs run
-through the (reference-only) ``("join", ...)`` entry.  The ``expand`` step
+consumer inside a physical join, over the right side's keyed flat tuples,
+to that join's materialised pairs run through the (reference-only)
+``("join", ...)`` entry.  The ``expand`` step
 and the ``product`` entry are held to the record closures generators used
 to run as -- the per-row ``expand`` / driver-bag ``expand_local`` closures
 and the product's broadcast and cartesian lambdas -- kept below.
@@ -156,8 +157,8 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
             payload = exit_[2]
             if payload == "row":
                 out.append((key, row))
-            elif payload == "element":
-                out.append((key, record))
+            elif payload[0] == "values":
+                out.append((key, tuple(row.get(name) for name in payload[1])))
             else:
                 out.append((key, row.get(payload[1])))
 
@@ -304,7 +305,8 @@ steps = st.one_of(
 exits = st.one_of(
     st.tuples(st.just("head"), terms(NAMES + ["c", "v$9"])),
     st.just(("row",)),
-    st.tuples(st.just("keyed"), terms(), st.sampled_from(["row", "element", ("value", "c")])),
+    # Every entry binds ``a``: a ``values`` payload names bound variables only.
+    st.tuples(st.just("keyed"), terms(), st.sampled_from(["row", ("values", ("a",)), ("value", "c")])),
 )
 #: Mostly small key terms over the entry variables, so that keys repeat.
 fold_keys = st.one_of(
@@ -502,10 +504,10 @@ expand_entries = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@example(  # the product's raw record is the (row, element) pair it pairs
+@example(  # a cartesian product's pair leaves as the flat tuple of its values
     entry=(("product", ("a", "b"), ir.PVar("c"), None), [({"a": 2, "b": 0}, 1)]),
     step_list=[("filter", ir.CBinOp("!=", ir.CVar("c"), ir.CConst(2)))],
-    exit_=("keyed", ir.CVar("a"), "element"),
+    exit_=("keyed", ir.CVar("a"), ("values", ("c", "a"))),
     scalar=False,
     bag=[],
     lefts=[],
@@ -600,17 +602,38 @@ PHYSICAL_JOINS = {
 }
 
 
-def assert_consumer_same(segment: Segment, bindings, left, right):
+def assert_consumer_same(segment: Segment, bindings, left, right, pushed=()):
     """In every physical join, the ``cogroup`` consumer of ``segment`` does
-    what the flat loop did over the pairs that join used to materialise."""
-    flat = segment._replace(entry=("join", *segment.entry[1:]))
+    what the flat loop did over the pairs that join used to materialise.
+
+    ``segment``'s entry names the right side by its pattern, as a hash join
+    node does, and is lowered as the planner lowers it: the right side's
+    keying run binds each element once (a malformed one fails there, with
+    the error the pair's bind raised), runs the ``pushed`` steps and emits
+    the flat tuple of the pattern's and pushed lets' variables, which the
+    consumer unpacks.  The flat loop runs the ``pushed`` steps first on
+    every pair."""
+    _, left_names, pattern = segment.entry
+    lets = [step[1].name for step in pushed if step[0] == "let"]
+    names = tuple(dict.fromkeys([*pattern.variables(), *lets]))
+    keying = Segment(
+        ("bind", ir.PTuple((ir.PVar("key#"), pattern))),
+        tuple(pushed),
+        ("keyed", ir.CVar("key#"), ("values", names)),
+    )
+    keyed = assert_same(keying, bindings, right)
+    if keyed[0] == "error":
+        return dict.fromkeys(PHYSICAL_JOINS, keyed)
+    flat_right = codegen.generate(keying, bindings, {})(right)
+    flat = segment._replace(entry=("join", left_names, pattern), steps=(*pushed, *segment.steps))
+    consumer_segment = segment._replace(entry=("cogroup", left_names, names))
     outcomes = {}
     for name, join in PHYSICAL_JOINS.items():
         pairs = join(copy.deepcopy(left), copy.deepcopy(right), None)
 
         def fused(_segment, _bindings, _pairs, join=join):
-            consumer = codegen.generate(segment, bindings, {})
-            result = join(copy.deepcopy(left), copy.deepcopy(right), consumer)
+            consumer = codegen.generate(consumer_segment, bindings, {})
+            result = join(copy.deepcopy(left), copy.deepcopy(flat_right), consumer)
             return list(result) if segment.exit[0] == "fold_by_key" else result
 
         outcomes[name] = assert_same(flat, bindings, pairs, run=fused)
@@ -622,6 +645,22 @@ join_keys = st.sampled_from([1] * 6 + [2] * 3 + [True, 0.0, -0.0, math.nan, "x",
 group_keys = st.sampled_from([1] * 4 + [2, True, 0.0, -0.0, math.nan, "x"])
 join_rows = st.fixed_dictionaries({"a": fold_payload_values, "b": group_keys})
 join_elements = st.one_of(*[st.tuples(group_keys, fold_numbers)] * 5, values)
+join_sides = st.one_of(
+    st.lists(st.tuples(join_keys, join_elements), min_size=1, max_size=6),
+    st.lists(st.tuples(join_keys, st.tuples(group_keys, fold_numbers)), min_size=1, max_size=6),
+)
+#: Right-only steps in the fragment the planner pushes into the keying run;
+#: over well-formed elements they never raise.
+pushed_steps = st.lists(
+    st.sampled_from(
+        [
+            ("filter", ir.CBinOp("!=", ir.CVar("k"), ir.CConst(2))),
+            ("filter", ir.CBinOp("<=", ir.CVar("v"), ir.CVar("s"))),
+            ("let", ir.PVar("w"), ir.CBinOp("-", ir.CVar("v"), ir.CConst(1))),
+        ]
+    ),
+    max_size=2,
+)
 join_steps = st.one_of(
     st.just([]),
     st.lists(
@@ -638,7 +677,8 @@ join_steps = st.one_of(
     ),
 )
 join_exits = st.one_of(
-    exits.filter(lambda exit_: exit_[-1] != "element"),
+    exits,
+    st.tuples(st.just("keyed"), terms(), st.just(("values", ("v", "a", "k")))),
     st.sampled_from(FOLD_OPS).flatmap(
         lambda op: st.tuples(
             st.just("fold_by_key"),
@@ -655,19 +695,22 @@ join_exits = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(
     left=st.lists(st.tuples(join_keys, join_rows), min_size=1, max_size=6),
-    right=st.lists(st.tuples(join_keys, join_elements), min_size=1, max_size=6),
+    right=join_sides,
+    pushed=pushed_steps,
     step_list=join_steps,
     exit_=join_exits,
     scalar=fold_numbers,
 )
-def test_cogroup_consumer_equals_the_join_it_replaces(context, left, right, step_list, exit_, scalar):
+def test_cogroup_consumer_equals_the_join_it_replaces(context, left, right, pushed, step_list, exit_, scalar):
     """Shuffle bucket, co-partitioned zip and broadcast (either side): the
-    consumer fused into the join task == ``_join_sides("inner", ...)``'s pairs
-    through the flat ``("join", ...)`` loop -- same pair order, so the same
-    rows, keys, left folds and first error."""
+    consumer fused into the join task, over the flat right tuples the keying
+    run emits after its pushed steps, == ``_join_sides("inner", ...)``'s
+    pairs through the flat ``("join", ...)`` loop that runs those steps per
+    pair -- same pair order, so the same rows, keys, left folds and first
+    error."""
     bindings = bindings_for(context, {"s": scalar}, {"base$1": 3})
     segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN), tuple(step_list), exit_)
-    assert_consumer_same(segment, bindings, left, right)
+    assert_consumer_same(segment, bindings, left, right, pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -1214,7 +1257,7 @@ class TestShipping:
         shifted = ir.CBinOp("+", ir.CVar("v"), ir.CVar("s"))
         product = ("let", ir.PVar("p"), ir.CBinOp("*", ir.CVar("a"), shifted))
         exit_ = ("fold_by_key", ir.CVar("b"), ("value", "p"), *codegen.fold_operator("+", MONOIDS))
-        segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN), (product,), exit_)
+        segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN.variables()), (product,), exit_)
         live = {"s": 1, "unread": list(range(10_000))}
         consumer = codegen.generate(segment, bindings_for(context, live), {})
         join = functools.partial(stage.join_bucket, "inner", consumer=consumer)
@@ -1287,7 +1330,7 @@ class TestObservability:
         from repro.algebra.explain import explain_dataset, explain_plan
 
         spec = get_program("matrix_multiplication")
-        label = "cogroup→filter→let×2→fold_by_key(+)"
+        label = "cogroup→let×2→fold_by_key(+)"
         with DistributedContext(num_partitions=2, broadcast_join_threshold=0) as ctx:
             values = {
                 # Join keys 0 and 2 meet in one of the two join buckets.
@@ -1303,8 +1346,11 @@ class TestObservability:
             plan = explain_plan(evaluator.last_plan)
             assert f"* consumer fused into the join task: {label}" in plan
             assert f"* generated: {label}" in plan
+            # N's bounds check moved into N's keying run, before the join.
+            assert "* generated: filter→key" in plan
+            assert "* pushed below the join: inRange(i$48, 0, hi$10) → right side" in plan
             nested = explain_plan(evaluator.last_plan, sources=True)
-            assert "for left in lefts:" in nested and "for element in rights:" in nested
+            assert "for left in lefts:" in nested and "for r4_i_48, r5_v_49, in rights:" in nested
             loop = nested.split("for left in lefts:")[1].split("return")[0]
             assert "acc[fold_key] = " in loop and "append(" not in loop
             pending = explain_dataset(dataset)
