@@ -15,13 +15,14 @@ evaluator used to emit for these chains.
 Semantics are those of :meth:`TermEvaluator.evaluate_local`, the reference
 the generator is tested against: arithmetic and comparisons are inlined,
 ``&&``/``||`` short-circuit to ``bool``, and everything with layered
-semantics (``/``, monoid operators, projections, ``_update_field``,
-aggregations) calls the shared helpers of :mod:`repro.operators` and this
-module.  A comprehension nested in a term becomes a helper function the
-segment defines and calls where the term is evaluated (see
-:class:`Segment`).  A term with no local meaning (an array merge, a group-by
-inside a nested comprehension) is a :class:`~repro.errors.CompilationError`
-when the segment is generated.
+semantics (monoid operators, projections, ``_update_field``, aggregations,
+and ``/`` unless an operand is a float, see :meth:`_Emitter.divide`) calls
+the shared helpers of :mod:`repro.operators` and this module.  A
+comprehension nested in a term becomes a helper function the segment
+defines and calls where the term is evaluated (see :class:`Segment`).  A
+term with no local meaning (an array merge, a group-by inside a nested
+comprehension) is a :class:`~repro.errors.CompilationError` when the
+segment is generated.
 
 Names that are not row variables are driver scalars: they resolve once per
 non-empty partition through a :class:`SegmentScope` (the comprehension's
@@ -95,6 +96,12 @@ class Segment(NamedTuple):
       the right side's keying run emitted through a ``("values", names)``
       payload, its shape checked there once), unpacked in the pair loop's
       header: ``for r1, …, rn, in rights:``;
+    * ``("probe", side, left_names, right_names)`` -- the same consumer as
+      a broadcast join's probe task: the function takes the broadcast
+      ``side``'s lookup table too and loops over the probe records, each
+      paired with its matches (``rights = match(key)``, or for a broadcast
+      left side ``lefts``) in probe-record order, then match order -- the
+      pairs the broadcast join would have built, in their order;
     * ``("product", left_names, pattern, rows)`` -- a no-key product's right
       elements, each paired with every left row of the driver list named
       ``rows`` (a broadcast of the rows), or with ``rows`` None cartesian
@@ -421,7 +428,7 @@ class _Emitter:
             if term.op in _INLINE_BINOPS:
                 return f"({left} {term.op} {right})"
             if term.op == "/":
-                return f"divide({left}, {right})"
+                return self.divide(term, left, right)
             return f"apply_binary({term.op!r}, {left}, {right}, monoids)"
         if isinstance(term, ir.CUnaryOp):
             operand = self.expr(term.operand)
@@ -446,14 +453,19 @@ class _Emitter:
                 return f"{self.row[operand.name]}.value"
             return f"aggregate({term.op!r}, {self.expr(operand)}, monoids)"
         if isinstance(term, ir.InRange):
-            parts = [self.expr(part) for part in (term.value, term.lower, term.upper)]
-            inert = all(
-                isinstance(part, ir.CConst) or (isinstance(part, ir.CVar) and part.name in self.row)
-                for part in (term.value, term.lower, term.upper)
-            )
-            if inert:
-                return f"({parts[1]} <= {parts[0]} <= {parts[2]})"
-            return f"in_range({', '.join(parts)})"
+            operands = (term.value, term.lower, term.upper)
+            parts = [self.expr(part) for part in operands]
+            if not all(isinstance(part, (ir.CConst, ir.CVar)) for part in operands):
+                return f"in_range({', '.join(parts)})"
+            # A driver scalar may be unassigned: each is read first, in
+            # argument order, as the call would, then the chain (which may
+            # skip its upper bound) compares.
+            reads = [
+                f"{part} is {part} and "
+                for operand, part in zip(operands, parts)
+                if isinstance(operand, ir.CVar) and operand.name not in self.row
+            ]
+            return f"({''.join(reads)}{parts[1]} <= {parts[0]} <= {parts[2]})"
         if isinstance(term, ir.RangeTerm):
             return f"list({self.range(term)})"
         if isinstance(term, ir.Comprehension):
@@ -461,6 +473,17 @@ class _Emitter:
         if isinstance(term, ir.EmptyBag):
             return "[]"
         raise CompilationError(f"cannot evaluate term {term} locally")
+
+    def divide(self, term: ir.CBinOp, left: str, right: str) -> str:
+        """``/``, exactly :func:`divide`: plain ``/`` when an operand is a
+        float constant, a per-call float check when both are locals (each
+        is read more than once), the call otherwise."""
+        if any(isinstance(part, ir.CConst) and type(part.value) is float for part in (term.left, term.right)):
+            return f"({left} / {right})"
+        if left.isidentifier() and right.isidentifier():
+            floats = f"type({left}) is float or type({right}) is float"
+            return f"({left} / {right} if {floats} else divide({left}, {right}))"
+        return f"divide({left}, {right})"
 
     def range(self, term: ir.RangeTerm) -> str:
         return f"range(int({self.expr(term.lower)}), int({self.expr(term.upper)}) + 1)"
@@ -542,11 +565,26 @@ class _Emitter:
         """Emit the record loop and unpacking; returns the dict the row
         extends, if any."""
         kind = self.segment.entry[0]
-        if kind == "cogroup":
+        if kind in ("cogroup", "probe"):
             # The left row is unpacked once per left record, the right
             # values in the pair loop's header: pair order is the join's.
-            _, left_names, right_names = self.segment.entry
-            self.open("for _, lefts, rights in records:", "for left in lefts:")
+            left_names, right_names = self.segment.entry[-2:]
+            if kind == "cogroup":
+                self.open("for _, lefts, rights in records:", "for left in lefts:")
+            else:
+                # A broadcast join's probe record, then its matches.
+                probe, matches = ("right", "lefts") if self.segment.entry[1] == "left" else ("left", "rights")
+                self.open(f"for key, {probe} in records:")
+                self.emit(f"{matches} = match(key)")
+                self.emit(f"if not {matches}:")
+                self.emit("    continue")
+                if probe == "right":  # the mirror: right values once, then each left row
+                    targets = [self.target(name) for name in right_names]
+                    if targets:
+                        self.emit(f"{', '.join(targets)}, = right")
+                    self.open("for left in lefts:")
+                    self.load(left_names, "left")
+                    return "left"
             self.load(left_names, "left")
             self.depth += 1  # the right values are bound at the pair loop's depth
             targets = [self.target(name) for name in right_names]
@@ -734,14 +772,16 @@ class _Emitter:
                 self.emit(f"if not {self.expr(step[1])}:")
                 self.emit("    continue")
         setup, fetch, result = self.leave(extends)
+        probe = self.segment.entry[0] == "probe"
 
         lines = [
             "def __segment_factory__(scope, consts, functions, monoids):",
-            f"    def segment(records{', index' if self.counted else ''}):",
+            f"    def segment(records{', index' if self.counted else ''}{', lookup' if probe else ''}):",
             *(f"        {line}" for line in setup),
             "        if not records:",
             f"            return {result}",
             *(f"        {line}" for line in fetch),
+            *(["        match = lookup.get"] if probe else []),
         ]
         for name, local in self.scalars.items():
             lines += [
@@ -784,7 +824,9 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     the runtime's adaptive sampler needs the key stream as it was before
     the fold.  A ``positional`` function offers ``paired()``, its ``bind``
     twin over ``(position, element)`` pairs, for the sampler's strided
-    sample whose positions are not those of the partition offsets.
+    sample whose positions are not those of the partition offsets.  A
+    ``cogroup`` function offers ``probe(side)``, its ``probe`` twin, called
+    as ``twin(records, lookup=table)`` by a broadcast join's probe task.
     """
     try:
         compiled = memo.get(segment)
@@ -823,4 +865,8 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     if segment.entry[0] == "positional":
         paired = segment._replace(entry=("bind", segment.entry[1]))
         function.paired = lambda: generate(paired, bindings, memo)
+    if segment.entry[0] == "cogroup":
+        function.probe = lambda side: generate(
+            segment._replace(entry=("probe", side, *segment.entry[1:])), bindings, memo
+        )
     return function

@@ -174,6 +174,22 @@ def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
     return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
 
 
+def _identity(segment: codegen.Segment) -> bool:
+    """Whether ``segment`` turns each reduced ``(k, v)`` pair into ``(k, ⊕/v)``:
+    the pair itself, since ``⊕/`` of a reduced value is that value."""
+    entry, exit_ = segment.entry, segment.exit
+    if entry[0] != "reduced" or not isinstance(entry[1], ir.PVar) or segment.steps or exit_[0] != "head":
+        return False
+    head = exit_[1]
+    return (
+        isinstance(head, ir.CTuple)
+        and len(head.elements) == 2
+        and head.elements[0] == ir.CVar(entry[1].name)
+        and isinstance(head.elements[1], ir.Aggregate)
+        and head.elements[1].operand == ir.CVar(entry[2])
+    )
+
+
 def folding_twin(function: Any, op: str | tuple[str, ...], monoids: Any) -> Any | None:
     """``function`` folding its head with ``op`` inside its loop, or None.
 
@@ -598,6 +614,12 @@ class Planner:
             if scan is not None:
                 dataset, entry, bindings = _positional(dataset, entry, bindings)
             segment = _segment(entry, ops)
+            if _identity(segment) and all(op.keep for op in ops):
+                # ``(k, ⊕/v)`` over the reduced pairs rebuilds each pair.
+                note = f"identity run after the reduce skipped: {segment.exit[1]}"
+                if _note(node, note):
+                    self.trace.append(note)
+                return dataset
             if reduce is not None:
                 fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
                 segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))

@@ -810,14 +810,13 @@ class DistributedContext:
                 lookup.setdefault(key, []).append(value)
         self.metrics.record_broadcast()
 
-        probe_chain = (
-            NarrowStage(
-                stage_mod.PARTITIONS,
-                functools.partial(
-                    stage_mod.broadcast_join_partition, how, side, lookup, consumer=shuffle.consumer
-                ),
-            ),
-        )
+        if shuffle.consumer is None:
+            probe = functools.partial(stage_mod.broadcast_join_partition, how, side, lookup)
+        else:
+            # The consumer's probe twin loops over the probe records and
+            # their matches itself: no co-grouped sides are built.
+            probe = functools.partial(shuffle.consumer.probe(side), lookup=lookup)
+        probe_chain = (NarrowStage(stage_mod.PARTITIONS, probe),)
         result = self.run_tasks(
             stage_mod.compose(probe_chain), probe_partitions, task_spec=probe_chain
         )

@@ -948,35 +948,17 @@ def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> 
     return _join_sides(how, _group_values(left_records), _group_values(right_records), consumer)
 
 
-def _probed_groups(
-    broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
-) -> Iterator[tuple[Any, Any, Any]]:
-    """A broadcast inner join's matches as ``(key, left values, right values)``
-    groups, one per probe record."""
-    probe_is_left = broadcast_side == "right"
-    for key, value in records:
-        matches = lookup.get(key)
-        if matches:
-            yield (key, (value,), matches) if probe_is_left else (key, matches, (value,))
-
-
 def broadcast_join_partition(
-    how: str,
-    broadcast_side: str,
-    lookup: dict[Any, list[Any]],
-    records: list[Any],
-    consumer: Any = None,
+    how: str, broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
 ) -> list[Any]:
     """Probe-side task of a broadcast hash join.
 
     ``lookup`` holds the broadcast (build) side; ``records`` are the probe
     side's key-value records.  A ``functools.partial`` over this function
     ships the lookup table to worker processes like a real broadcast variable.
-    An inner join's ``consumer`` receives the matches as groups, as in
-    :func:`_join_sides`.
+    A join with a consumer runs the consumer's ``probe`` twin instead (see
+    :func:`repro.algebra.codegen.generate`), which does this loop itself.
     """
-    if consumer is not None:
-        return consumer(_probed_groups(broadcast_side, lookup, records))
     out: list[Any] = []
     if broadcast_side == "right":
         for key, value in records:

@@ -10,9 +10,10 @@ pattern, and failures in exception type and message.
 The folding exits and the join consumer are held to the forms they replaced:
 ``fold_by_key`` to ``apply_combiner(("reduce", ⊕), keyed segment output)``,
 ``fold`` to ``Monoid.reduce(head segment output)``, and a ``cogroup``
-consumer inside a physical join, over the right side's keyed flat tuples,
-to that join's materialised pairs run through the (reference-only)
-``("join", ...)`` entry.  The ``expand`` step
+consumer inside a physical join (a broadcast join's through the consumer's
+``probe`` twin), over the right side's keyed flat tuples, to that join's
+materialised pairs run through the (reference-only) ``("join", ...)``
+entry.  The ``expand`` step
 and the ``product`` entry are held to the record closures generators used
 to run as -- the per-row ``expand`` / driver-bag ``expand_local`` closures
 and the product's broadcast and cartesian lambdas -- kept below.
@@ -584,6 +585,14 @@ def _tagged_bucket(left, right):
     return [BucketPayload((), tuple(tagged))]
 
 
+def _broadcast(side, probe, build, consumer):
+    """A broadcast join's probe task, as the runtime builds it: the
+    consumer's ``probe`` twin when there is a consumer."""
+    if consumer is None:
+        return stage.broadcast_join_partition("inner", side, _lookup(build), probe)
+    return consumer.probe(side)(probe, lookup=_lookup(build))
+
+
 #: Every physical inner join as ``run(left, right, consumer)``; without a
 #: consumer it returns the ``(key, (row, element))`` pairs it used to build.
 PHYSICAL_JOINS = {
@@ -593,12 +602,8 @@ PHYSICAL_JOINS = {
     "zip": lambda left, right, consumer: stage.zip_join_partition(
         "inner", [left, right], consumer=consumer
     ),
-    "broadcast-right": lambda left, right, consumer: stage.broadcast_join_partition(
-        "inner", "right", _lookup(right), left, consumer=consumer
-    ),
-    "broadcast-left": lambda left, right, consumer: stage.broadcast_join_partition(
-        "inner", "left", _lookup(left), right, consumer=consumer
-    ),
+    "broadcast-right": lambda left, right, consumer: _broadcast("right", left, right, consumer),
+    "broadcast-left": lambda left, right, consumer: _broadcast("left", right, left, consumer),
 }
 
 

@@ -43,15 +43,15 @@ EXPECTED = {
     "conditional_sum": ((0, 0, 400, 1), (0, 0, 400, 1)),
     "equal": ((0, 0, 400, 1), (0, 0, 400, 1)),
     "string_match": ((0, 0, 400, 1), (0, 0, 400, 1)),
-    "word_count": ((1, 149, 189, 3), (1, 149, 400, 2)),
-    "histogram": ((3, 782, 1307, 9), (3, 782, 900, 6)),
+    "word_count": ((1, 149, 149, 2), (1, 149, 400, 2)),
+    "histogram": ((3, 782, 782, 6), (3, 782, 900, 6)),
     "linear_regression": ((0, 0, 600, 2), (0, 0, 1200, 4)),
-    "group_by": ((1, 109, 139, 3), (1, 109, 300, 2)),
+    "group_by": ((1, 109, 109, 2), (1, 109, 300, 2)),
     "matrix_addition": ((0, 0, 192, 3), (0, 0, 128, 2)),
     "matrix_multiplication": ((2, 84, 234, 9), (1, 48, 324, 5)),
-    "pagerank": ((7, 598, 3518, 32), (7, 610, 2160, 22)),
-    "kmeans": ((4, 454, 1494, 15), (1, 114, 220, 3)),
-    "matrix_factorization": ((7, 137, 509, 34), (5, 93, 270, 22)),
+    "pagerank": ((7, 598, 3358, 28), (7, 610, 2160, 22)),
+    "kmeans": ((4, 454, 1274, 13), (1, 114, 220, 3)),
+    "matrix_factorization": ((7, 137, 473, 33), (5, 93, 270, 22)),
 }
 
 
