@@ -80,34 +80,29 @@ class Segment(NamedTuple):
     * ``("bind", pattern)`` -- a raw scan element destructured by ``pattern``;
     * ``("positional", (i, v))`` -- a plain element of a positional source
       (:meth:`~repro.runtime.context.DistributedContext.indexed`) bound to
-      ``v``, with ``i`` its position: ``for i, v in enumerate(records,
-      start)``, ``start`` the partition's offset looked up in the driver
-      binding :data:`OFFSETS` by the partition index, the function's second
-      argument.  When nothing reads ``i`` (it is not in the steps' or the
-      exit's terms, and the exit does not rebuild the row) the loop is
-      ``for v in records`` and the function takes the records only;
-      ``function.indexed`` says which.  The pair shape is
-      known by construction, so only a nested ``v`` pattern is checked;
-    * ``("row", names)`` -- a dict row with exactly the keys ``names``;
+      ``v``, ``i`` counted from the partition's offset (the driver binding
+      :data:`OFFSETS` indexed by the function's second argument) unless no
+      step or exit reads it; ``function.indexed`` says which.  Only a
+      nested ``v`` pattern is checked;
+    * ``("slots", names)`` -- a *slot row*: the flat tuple of the values of
+      ``names`` another generated run emitted.  Every slot row is unpacked
+      positionally in a loop header, unchecked: the producer's layout is
+      fixed when the plan is lowered;
+    * ``("columnar", names)`` -- a columnar kernel stage's dict row with the
+      keys ``names`` (the only dict rows left);
     * ``("cogroup", left_names, right_names)`` -- a join's co-grouped sides
-      ``(key, [left rows], [right tuples])``: the function is the join's
-      *consumer*, a nested loop over the pairs that are never materialised.
-      A right tuple holds the values of ``right_names`` in that order (what
-      the right side's keying run emitted through a ``("values", names)``
-      payload, its shape checked there once), unpacked in the pair loop's
-      header: ``for r1, …, rn, in rights:``;
+      ``(key, [left slot rows], [right slot rows])``: the function is the
+      join's *consumer*, a nested loop over pairs never materialised;
     * ``("probe", side, left_names, right_names)`` -- the same consumer as
-      a broadcast join's probe task: the function takes the broadcast
-      ``side``'s lookup table too and loops over the probe records, each
-      paired with its matches (``rights = match(key)``, or for a broadcast
-      left side ``lefts``) in probe-record order, then match order -- the
-      pairs the broadcast join would have built, in their order;
+      a broadcast join's probe task, taking the broadcast ``side``'s lookup
+      table too: each probe record, then each of its matches, the pairs the
+      broadcast join would have built, in their order;
     * ``("product", left_names, pattern, rows)`` -- a no-key product's right
-      elements, each paired with every left row of the driver list named
-      ``rows`` (a broadcast of the rows), or with ``rows`` None cartesian
-      ``(left row, element)`` pairs;
+      elements, each paired with every left slot row of the driver list
+      ``rows``, or (``rows`` None) cartesian ``(left slot row, element)``;
     * ``("reduced", pattern, value_name)`` -- a reduced ``(key, aggregate)``;
-    * ``("grouped", pattern, lifted)`` -- a grouped ``(key, [rows])``.
+    * ``("grouped", pattern, lifted)`` -- a grouped ``(key, [slot rows])``,
+      lifted variable j bound to the list of the members' slot j.
 
     ``steps`` are ``("let", pattern, term)``, ``("filter", term)`` and
     ``("expand", pattern, source)``, which binds ``pattern`` to each element
@@ -117,11 +112,10 @@ class Segment(NamedTuple):
     scope like any driver scalar) iterated as it is; a ``range`` is inlined;
     any other term is evaluated per row to a local bag, which a tuple
     pattern binds whole before its first element goes on.  ``exit``
-    is ``("head", term)``, ``("row",)`` (the dict row, with the keys and
-    insertion order the per-qualifier maps produced) or ``("keyed", term,
-    payload)`` emitting ``(key, payload)`` for a wide operator, the payload
-    being ``"row"``, ``("value", name)`` or ``("values", names)`` (the flat
-    tuple of those variables' values, a join's right side).
+    is ``("head", term)`` (a slot row is the head of a tuple of variables)
+    or ``("keyed", term, payload)`` emitting ``(key, payload)`` for a wide
+    operator, the payload being ``("value", name)`` or ``("values",
+    names)``, the slot row of those variables.
     The folding exits accumulate inside the loop what the next operator
     would fold anyway: ``("fold_by_key", term, payload, op, inline)`` keeps
     ``acc[key] = acc[key] ⊕ payload`` in a dict and returns its items as
@@ -144,11 +138,13 @@ class Segment(NamedTuple):
     the locals bound so far), then the head.
 
     A ``let`` of a variable to a term in the pure inlined fragment (variables,
-    constants, projections, arithmetic and comparisons, ``/`` and unary
-    operators -- never a function call, an aggregation or a comprehension)
-    whose source text an earlier such ``let`` already computed, with none of
-    the locals it reads rebound since, aliases that let's local instead of
-    computing the term again.
+    constants, tuples, projections, arithmetic and comparisons, ``inRange``,
+    ``/`` and unary operators -- never a function call, an aggregation or a
+    comprehension) whose source text an earlier such ``let`` already
+    computed, with none of the locals it reads rebound since, aliases that
+    let's local instead of computing the term again.  So does a flat tuple
+    pattern over a tuple of row variables (no shape check), and a pure
+    filter already tested is not tested again.
     """
 
     entry: tuple
@@ -242,10 +238,14 @@ def _pure(term: ir.Term) -> bool:
         return True
     if isinstance(term, ir.CProject):
         return _pure(term.base)
+    if isinstance(term, ir.CTuple):
+        return all(map(_pure, term.elements))
     if isinstance(term, ir.CBinOp):
         return (term.op in _INLINE_BINOPS or term.op == "/") and _pure(term.left) and _pure(term.right)
     if isinstance(term, ir.CUnaryOp):
         return _pure(term.operand)
+    if isinstance(term, ir.InRange):
+        return all(map(_pure, (term.value, term.lower, term.upper)))
     return False
 
 
@@ -260,26 +260,16 @@ def unresolved(error: NameError, messages: dict[str, str]) -> BaseException:
     return ExecutionError(message) if message else error
 
 
-def _payload(exit: tuple) -> Any:
-    return exit[2] if exit[0] in ("keyed", "fold_by_key") else None
-
-
-def reads(steps: tuple, exit: tuple) -> set[str]:
-    """The names a segment's ``steps`` and ``exit`` read: their terms' free
-    variables and the names the exit's payload emits."""
-    terms = [step[-1] for step in steps]
-    if exit[0] != "row":
-        terms.append(exit[1])
-    names: set[str] = set().union(*(ir.free_variables(term) for term in terms))
-    payload = _payload(exit)
-    if isinstance(payload, tuple):
-        names.update(payload[1] if payload[0] == "values" else payload[1:])
+def live(steps: tuple, exit: tuple) -> set[str]:
+    """What a run of ``steps`` then ``exit`` reads before binding it: what its entry must supply."""
+    names = ir.free_variables(exit[1])
+    if exit[0] in ("keyed", "fold_by_key"):
+        names.update(exit[2][1] if exit[2][0] == "values" else exit[2][1:])
+    for step in reversed(steps):
+        if step[0] != "filter":
+            names.difference_update(step[1].variables())
+        names |= ir.free_variables(step[-1])
     return names
-
-
-def rebuilds_row(exit: tuple) -> bool:
-    """Whether ``exit`` rebuilds the dict row, so needs every row variable."""
-    return exit[0] == "row" or _payload(exit) == "row"
 
 
 class _Emitter:
@@ -295,14 +285,15 @@ class _Emitter:
         self.depths: dict[str, int] = {}  # row variable -> loop depth its local was bound at
         self.scalars: dict[str, str] = {}
         self.functions: dict[str, str] = {}
-        self.assigned: list[str] = []  # row variables bound past the entry dict
         self.reduced: str | None = None  # row variable known to be PreAggregated
-        #: Source text of a pure let's term -> the local holding it and that
-        #: local's depth, while no local the text reads is rebound.
-        self.computed: dict[str, tuple[str, int]] = {}
+        #: Source text of a pure let's term -> the local holding it, that
+        #: local's depth and, for a tuple of row variables, their locals and
+        #: depths; of a tested pure filter's statement -> ("", depth, ()):
+        #: while no local the text reads is rebound.
+        self.computed: dict[str, tuple[str, int, tuple]] = {}
         self.count = 0
-        self.reads = reads(segment.steps, segment.exit)
-        self.needs_row = rebuilds_row(segment.exit)
+        #: The names the entry must supply (see :func:`live`).
+        self.reads = live(segment.steps, segment.exit)
         #: Whether a positional entry counts positions (see :class:`Segment`).
         self.counted = False
         #: The definitions of the nested comprehensions' helper functions.
@@ -346,15 +337,9 @@ class _Emitter:
             for text, known in self.computed.items()
             if known[0] != local and not _mentions(text, local)
         }
-        self.rebound(name)
-        return local
-
-    def rebound(self, name: str) -> None:
-        """Bookkeeping for a row variable bound past the entry."""
-        if name not in self.assigned:
-            self.assigned.append(name)
         if name == self.reduced:
             self.reduced = None
+        return local
 
     # -- patterns --------------------------------------------------------------
 
@@ -554,84 +539,72 @@ class _Emitter:
 
     # -- entry, steps, exit ------------------------------------------------------
 
-    def load(self, names: tuple[str, ...], source: str) -> None:
-        """Unpack the row variables the segment reads out of a dict row."""
-        for name in dict.fromkeys(names):
-            local = self.row[name] = self.fresh("r", name)
-            if name in self.reads:
-                self.emit(f"{local} = {source}[{name!r}]")
+    def slots(self, names: tuple[str, ...]) -> str:
+        """A loop target unpacking slot rows of ``names``, bound at the loop's depth."""
+        self.depth += 1
+        targets = [self.target(name) for name in names]
+        self.depth -= 1
+        return f"({', '.join(targets)},)" if targets else "_"
 
-    def entry(self) -> str | None:
-        """Emit the record loop and unpacking; returns the dict the row
-        extends, if any."""
+    def entry(self) -> None:
+        """Emit the record loop and unpacking."""
         kind = self.segment.entry[0]
-        if kind in ("cogroup", "probe"):
-            # The left row is unpacked once per left record, the right
-            # values in the pair loop's header: pair order is the join's.
-            left_names, right_names = self.segment.entry[-2:]
-            if kind == "cogroup":
-                self.open("for _, lefts, rights in records:", "for left in lefts:")
-            else:
-                # A broadcast join's probe record, then its matches.
-                probe, matches = ("right", "lefts") if self.segment.entry[1] == "left" else ("left", "rights")
-                self.open(f"for key, {probe} in records:")
-                self.emit(f"{matches} = match(key)")
-                self.emit(f"if not {matches}:")
-                self.emit("    continue")
-                if probe == "right":  # the mirror: right values once, then each left row
-                    targets = [self.target(name) for name in right_names]
-                    if targets:
-                        self.emit(f"{', '.join(targets)}, = right")
-                    self.open("for left in lefts:")
-                    self.load(left_names, "left")
-                    return "left"
-            self.load(left_names, "left")
-            self.depth += 1  # the right values are bound at the pair loop's depth
-            targets = [self.target(name) for name in right_names]
-            self.depth -= 1
-            self.open(f"for {', '.join(targets)}, in rights:" if targets else "for _ in rights:")
-            return "left"
-        if kind == "product":
-            # The left row is unpacked once per pairing, the right element
-            # bound after it: pair order is the product's.
+        if kind == "cogroup":
+            # Pair order is the join's: each left slot row, then each right one.
+            self.open("for _, lefts, rights in records:")
+            self.open(f"for {self.slots(self.segment.entry[1])} in lefts:")
+            self.open(f"for {self.slots(self.segment.entry[2])} in rights:")
+        elif kind == "probe":
+            # A broadcast join's probe record, then each of its matches.
+            side, left_names, right_names = self.segment.entry[1:]
+            probe, matches = ("right", "lefts") if side == "left" else ("left", "rights")
+            names = dict(left=left_names, right=right_names)
+            self.open(f"for key, {self.slots(names[probe])} in records:")
+            self.emit(f"{matches} = match(key)")
+            self.emit(f"if not {matches}:")
+            self.emit("    continue")
+            self.open(f"for {self.slots(names[side])} in {matches}:")
+        elif kind == "product":
+            # The left slot row, then the right element: the product's pair order.
             _, left_names, pattern, rows = self.segment.entry
             if rows is None:
-                self.open("for left, element in records:")
+                self.open(f"for {self.slots(left_names)}, element in records:")
             else:
-                self.open("for element in records:", f"for left in {self.variable(rows)}:")
-            self.load(left_names, "left")
+                self.open("for element in records:")
+                self.open(f"for {self.slots(left_names)} in {self.variable(rows)}:")
             self.bind(pattern, "element")
-            return "left"
-        if kind == "positional":
+        elif kind == "positional":
             self.positional(self.segment.entry[1])
-            return None
-        self.open("for rec in records:")
-        if kind == "bind":
+        elif kind == "slots":
+            self.open(f"for {self.slots(self.segment.entry[1])} in records:")
+        elif kind == "columnar":
+            self.open("for rec in records:")
+            for name in self.segment.entry[1]:
+                local = self.row[name] = self.fresh("r", name)
+                if name in self.reads:
+                    self.emit(f"{local} = rec[{name!r}]")
+        elif kind == "bind":
+            self.open("for rec in records:")
             self.bind(self.segment.entry[1], "rec")
-            self.assigned.clear()
-            return None
-        if kind == "row":
-            self.load(self.segment.entry[1], "rec")
-            return "rec"
-        _, pattern, extra = self.segment.entry
-        self.emit("key, value = rec")
-        self.bind(pattern, "key")
-        if kind == "reduced":
-            self.emit(f"{self.target('__aggregate_' + extra)} = value")
-            self.emit(f"{self.target(extra)} = PreAggregated(value)")
-            self.reduced = extra
         else:
-            for name in dict.fromkeys(extra):
-                if self.needs_row or name in self.reads:
-                    self.emit(f"{self.target(name)} = [member.get({name!r}) for member in value]")
-        self.assigned.clear()
-        return None
+            _, pattern, extra = self.segment.entry
+            self.open("for rec in records:")
+            self.emit("key, value = rec")
+            self.bind(pattern, "key")
+            if kind == "reduced":
+                self.emit(f"{self.target('__aggregate_' + extra)} = value")
+                self.emit(f"{self.target(extra)} = PreAggregated(value)")
+                self.reduced = extra
+            else:
+                for position, name in enumerate(extra):
+                    if name in self.reads:
+                        self.emit(f"{self.target(name)} = [member[{position}] for member in value]")
 
     def positional(self, pattern: ir.PTuple) -> None:
         """The loop of a ``positional`` entry: the element is ``rec`` (kept
         intact: a rebinding gets a fresh local), the position a counter."""
         position, element = pattern.elements
-        self.counted = isinstance(position, ir.PVar) and (self.needs_row or position.name in self.reads)
+        self.counted = isinstance(position, ir.PVar) and position.name in self.reads
         if self.counted:
             index = self.fresh("r", position.name)
             self.variable(OFFSETS)
@@ -643,24 +616,13 @@ class _Emitter:
             self.row[element.name], self.depths[element.name] = "rec", 0
         elif isinstance(element, ir.PTuple):
             self.bind(element, "rec")
-        self.assigned.clear()
 
-    def row_dict(self, extends: str | None) -> str:
-        if extends is None:
-            return "{" + ", ".join(f"{name!r}: {local}" for name, local in self.row.items()) + "}"
-        if not self.assigned:
-            return extends
-        items = ", ".join(f"{name!r}: {self.row[name]}" for name in self.assigned)
-        return f"{{**{extends}, {items}}}"
-
-    def payload(self, payload: Any, extends: str | None) -> str:
-        if payload == "row":
-            return self.row_dict(extends)
+    def payload(self, payload: Any) -> str:
         if payload[0] == "values":
             return "(" + "".join(f"{self.row[name]}, " for name in payload[1]) + ")"
         return self.row.get(payload[1], "None")
 
-    def leave(self, extends: str | None) -> tuple[list[str], list[str], str]:
+    def leave(self) -> tuple[list[str], list[str], str]:
         """Emit the exit.  Returns the statements before and after the
         empty-partition check, and the expression the function returns."""
         exit_ = self.segment.exit
@@ -693,7 +655,7 @@ class _Emitter:
             combine = _INLINE_COMBINES[op][1] if inline else "combine({}, {})"
             fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
             self.emit(f"fold_key = {self.expr(exit_[1])}")
-            value = self.payload(exit_[2], extends)
+            value = self.payload(exit_[2])
             self.emit("held = get(fold_key, MISSING)")
             self.emit(f"acc[fold_key] = {value} if held is MISSING else {combine.format('held', value)}")
             self.emit("consumed += 1")
@@ -701,10 +663,8 @@ class _Emitter:
             return ["acc = {}", "consumed = 0"], fetch, "FoldedRecords(acc.items(), consumed)"
         if kind == "head":
             item = self.expr(exit_[1])
-        elif kind == "row":
-            item = self.row_dict(extends)
         else:
-            item = f"({self.expr(exit_[1])}, {self.payload(exit_[2], extends)})"
+            item = f"({self.expr(exit_[1])}, {self.payload(exit_[2])})"
         self.emit(f"append({item})")
         return ["out = []"], ["append = out.append"], "out"
 
@@ -744,34 +704,56 @@ class _Emitter:
             self.bind(pattern, element)
 
     def let(self, pattern: ir.Pattern, term: ir.Term) -> None:
-        """Emit a ``let`` step; a pure term computed before is not computed
-        again (see :class:`Segment`).  The alias is in scope: loop depth only
-        grows within a segment."""
+        """Emit a ``let`` step, aliasing what was computed before (see
+        :class:`Segment`).  The alias is in scope: loop depth only grows."""
+        if isinstance(pattern, ir.PTuple) and self.alias(pattern, term):
+            return
         if not (isinstance(pattern, ir.PVar) and _pure(term)):
             self.bind(pattern, self.expr(term))
             return
         text, name = self.expr(term), pattern.name
         known = self.computed.get(text)
         if known is None:
+            parts = ()
+            if isinstance(term, ir.CTuple) and all(
+                isinstance(element, ir.CVar) and element.name in self.row for element in term.elements
+            ):
+                parts = tuple((self.row[e.name], self.depths.get(e.name, 0)) for e in term.elements)
             local = self.target(name)
             self.emit(f"{local} = {text}")
             if not _mentions(text, local):
-                self.computed[text] = (local, self.depth)
+                self.computed[text] = (local, self.depth, parts)
             return
-        self.row[name], self.depths[name] = known
-        self.rebound(name)
+        self.row[name], self.depths[name] = known[:2]
+        self.reduced = None if name == self.reduced else self.reduced
+
+    def alias(self, pattern: ir.PTuple, term: ir.Term) -> bool:
+        """Bind a flat tuple ``pattern`` over a variable holding a tuple of
+        row locals of its arity to those locals; False for any other let."""
+        held = self.row.get(term.name) if isinstance(term, ir.CVar) else None
+        parts = next((known[2] for known in self.computed.values() if known[0] == held), ())
+        flat = all(isinstance(element, (ir.PVar, ir.PWildcard)) for element in pattern.elements)
+        if not parts or len(parts) != len(pattern.elements) or not flat:
+            return False
+        for element, known in zip(pattern.elements, parts, strict=True):
+            if isinstance(element, ir.PVar):
+                self.row[element.name], self.depths[element.name] = known
+                self.reduced = None if element.name == self.reduced else self.reduced
+        return True
 
     def source(self) -> str:
-        extends = self.entry()
+        self.entry()
         for step in self.segment.steps:
             if step[0] == "let":
                 self.let(step[1], step[2])
             elif step[0] == "expand":
                 self.expand(step[1], step[2])
-            else:
-                self.emit(f"if not {self.expr(step[1])}:")
+            elif (test := f"if not {self.expr(step[1])}:") not in self.computed:
+                self.emit(test)  # unless a pure filter tested it (see Segment)
                 self.emit("    continue")
-        setup, fetch, result = self.leave(extends)
+                if _pure(step[1]):
+                    self.computed[test] = ("", self.depth, ())
+        setup, fetch, result = self.leave()
         probe = self.segment.entry[0] == "probe"
 
         lines = [

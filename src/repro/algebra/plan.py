@@ -65,8 +65,9 @@ class PlanNode:
             rows are placed across partitions, or None when placement is
             unknown.  Filled in by the planner's annotate pass.
         notes: planner decision annotations, rendered by ``render_plan``.
-        rows: the keys, in insertion order, of the dict rows this node emits
-            (empty for nodes that do not emit rows: scans and heads).
+        rows: the variables this node's rows bind, in binding order (empty
+            for nodes that do not emit rows: scans and heads); a run passes
+            on only those its consumer reads (see the planner).
         bindings: the :class:`~repro.algebra.codegen.Bindings` generated
             functions over this node close over (None for scans).
         generated: the functions the planner generated for the row chains
@@ -177,8 +178,7 @@ class HashJoinNode(PlanNode):
     ``left``/``right`` produce the two inputs; ``left_key_terms`` (over the
     rows built so far) and ``right_key_terms`` (over the variables ``pattern``
     binds from a scanned element) are the join-key expressions.  A joined
-    pair is merged back into one row dict: the left row extended by the
-    pattern's bindings.
+    pair binds the left row's variables, then the pattern's.
     """
 
     left: PlanNode

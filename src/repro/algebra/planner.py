@@ -32,9 +32,10 @@ makes the *decisions* a direct emission could not:
 * **per-side steps below the join** (:func:`_push_below`): the filters and
   one-variable lets right above a hash join that read one side only, in a
   fragment that cannot raise or call out, move into that side's keying run
-  and run once per record of the side instead of once per joined pair.  The
-  right side emits flat tuples of the values the consumer still reads, which
-  its pair loop unpacks in the loop header.
+  and run once per record of the side instead of once per joined pair.
+* **slot rows** (:func:`_live`): a generated run feeding another one emits
+  the flat tuple of the variables the next run reads before binding them,
+  unpacked there positionally.  Only columnar kernels still pass dict rows.
 * **loop-invariant caching**: subtrees whose :meth:`PlanNode.signature` is
   defined (structurally identifiable *and* independent of every variable the
   enclosing ``while`` body assigns) are looked up in the loop's
@@ -51,7 +52,7 @@ import dataclasses
 import functools
 from typing import Any, Callable, NamedTuple
 
-from repro.algebra import codegen
+from repro.algebra import codegen, vectorize
 from repro.algebra.plan import (
     FILTER,
     MAP,
@@ -64,7 +65,6 @@ from repro.algebra.plan import (
     ScanNode,
 )
 from repro.comprehension import ir
-from repro.errors import ExecutionError
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset, choose_broadcast_side
 from repro.runtime.partitioner import HashPartitioner
@@ -168,10 +168,23 @@ _ROW_OPERATORS = ("let", "filter", "expand", "local-expand", "head")
 
 
 def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
-    """The segment for ``run`` applied to records of form ``entry``."""
+    """The segment for ``run`` (ending in its ``head`` or keying operator)
+    applied to records of form ``entry``."""
     steps = tuple(op.spec for op in run if op.spec[0] in ("let", "filter", "expand"))
-    last = run[-1].spec
-    return codegen.Segment(entry, steps, last if last[0] in ("head", "keyed") else ("row",))
+    return codegen.Segment(entry, steps, run[-1].spec)
+
+
+def _live(ops: list[_Op]) -> set[str]:
+    """The names the run ``ops`` (top first) reads from its entry."""
+    return codegen.live(*_segment(None, ops[::-1])[1:])
+
+
+def _one_step(entry: tuple, op: _Op) -> codegen.Segment:
+    """A kernel stage's record path: ``op`` over one record of form
+    ``entry``, leaving as the record (a dict row, a head) its kernel emits."""
+    segment = _segment(entry, [op])
+    row = ir.CRecord(tuple((name, ir.CVar(name)) for name in op.rows))
+    return segment if op.spec[0] in ("head", "keyed") else segment._replace(exit=("head", row))
 
 
 def _identity(segment: codegen.Segment) -> bool:
@@ -272,24 +285,21 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
     join, so the cached side never depends on a value the loop reassigns
     (an inner loop's assignment never invalidates it).  The walk stops at
     the first step that does not, and at a let that would rebind one of its
-    side's join-key variables (the key is computed after the side's steps),
-    bind a right variable on the left (the pair loop binds the right values
-    after the left row), or add a variable to the left row while the
-    consumer rebuilds the row dict (its keys would change order).
+    side's join-key variables (the key is computed after the side's steps)
+    or bind a right variable on the left (the pair loop binds the right
+    values after the left ones).
 
-    The right side then emits the flat tuple of the right variables the
-    consumer still reads (all of them when it rebuilds the row), in the
-    order they were first bound; the left side's rows carry its lets.
+    Each side then emits the slot rows of the variables the consumer reads
+    from it (its live-in variables), in the order they were first bound; a
+    right variable shadows a left one of its name.
     """
     right = dict.fromkeys(join.pattern.variables())
-    left = dict.fromkeys(join.left.rows)  # the left row's keys; a right variable shadows one
+    left = dict.fromkeys(join.left.rows)
     keys = {
         "left": set().union(*map(ir.free_variables, join.left_key_terms)),
         "right": set().union(*map(ir.free_variables, join.right_key_terms)),
     }
     bindings = join.bindings
-    last = _segment(None, ops[::-1]).exit if ops else ("row",)
-    needs_row = codegen.rebuilds_row(last)
     moved: dict[str, list[_Op]] = {"left": [], "right": []}
     while ops and ops[-1].spec[0] in ("let", "filter"):
         spec = ops[-1].spec
@@ -306,21 +316,16 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
             break
         if spec[0] == "let":
             name = spec[1].name if isinstance(spec[1], ir.PVar) else None
-            if name is None or name in keys[side]:
+            if name is None or name in keys[side] or (side == "left" and name in right):
                 break
-            if side == "right":
-                right[name] = None
-            elif name in right or (needs_row and name not in left):
-                break
-            else:
-                left[name] = None
+            (right if side == "right" else left)[name] = None
         moved[side].append(ops.pop()._replace(keep=True))
-    reads = codegen.reads(_segment(None, ops[::-1]).steps if ops else (), last)
+    live = _live(ops)
     return _Pushdown(
         tuple(moved["left"]),
         tuple(moved["right"]),
-        tuple(left),
-        tuple(name for name in right if needs_row or name in reads),
+        tuple(name for name in left if name in live and name not in right),
+        tuple(name for name in right if name in live),
     )
 
 
@@ -339,7 +344,6 @@ class Planner:
         self.loop_cache = loop_cache if context.plan_optimize else None
         #: Memo of compiled row-segment factories (per program, see the runner).
         self.segments: dict[Any, Any] = segments if segments is not None else {}
-        self._lowered: dict[int, Dataset] = {}
         #: Set while a loop-invariant join side is lowered for the loop cache.
         self._in_cached_side = False
 
@@ -477,17 +481,8 @@ class Planner:
     # -- lowering ----------------------------------------------------------------
 
     def _lower(self, node: PlanNode) -> Dataset:
-        cached = self._lowered.get(id(node))
-        if cached is not None:
-            return cached
-        if isinstance(node, ScanNode):
-            dataset = node.dataset
-        elif isinstance(node, (NarrowNode, HashJoinNode, ProductNode, ReduceByKeyNode, GroupByKeyNode)):
-            dataset = self._lower_chain(node)
-        else:  # pragma: no cover - the evaluator only builds the above
-            raise ExecutionError(f"unknown plan node {node!r}")
-        self._lowered[id(node)] = dataset
-        return dataset
+        """A scan's dataset, or the chain ending at the plan's root."""
+        return node.dataset if isinstance(node, ScanNode) else self._lower_chain(node)
 
     def _lower_chain(
         self,
@@ -548,15 +543,15 @@ class Planner:
             entry = ("reduced", node.pattern, node.value_name)
             first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
         elif isinstance(node, GroupByKeyNode):
-            key = _key_op(node.key_term, "row", None, node.input_prepartitioned)
+            live = _live(ops)
+            lifted = tuple(name for name in dict.fromkeys(node.lifted) if name in live)
+            key = _key_op(node.key_term, ("values", lifted), None, node.input_prepartitioned)
             source = self._lower_chain(node.child, (key,), bindings=node.bindings).group_by_key()
-            entry = ("grouped", node.pattern, node.lifted)
+            entry = ("grouped", node.pattern, lifted)
             first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
-        elif isinstance(node, ProductNode):
-            source, entry, spec = self._product(node, bags)
+        else:  # a ProductNode: every row chain starts at one of these nodes
+            source, entry, spec = self._product(node, bags, _live(ops))
             first = _Op(MAP, spec, "product", None, False, node.rows)
-        else:
-            source, entry = self._lower(node), ("row", node.rows)
         if first is not None:
             ops.append(first)
         ops.reverse()
@@ -603,13 +598,13 @@ class Planner:
                 dataset = dataset.materialize()
             for op in ops:
                 if op.kernel.oracle is None:
-                    one_step = codegen.generate(_segment(entry, [op]), bindings, self.segments)
+                    one_step = codegen.generate(_one_step(entry, op), bindings, self.segments)
                     op.kernel.oracle = _record_oracle(one_step, op.kind)
                 if op.kind == FILTER:
                     dataset = dataset.filter(op.kernel)
                 else:
                     dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
-                entry = ("row", op.rows)
+                entry = ("columnar", op.rows)
         else:
             if scan is not None:
                 dataset, entry, bindings = _positional(dataset, entry, bindings)
@@ -673,9 +668,8 @@ class Planner:
         # same convention, so join-key equality is unaffected.
         left_key = node.left_key_terms[0] if single else ir.CTuple(node.left_key_terms)
         right_key = node.right_key_terms[0] if single else ir.CTuple(node.right_key_terms)
-        left_key_op = _key_op(left_key, "row", None, node.left_prepartitioned)
-        right_payload = ("values", pushdown.right_names)
-        right_key_op = _key_op(right_key, right_payload, None, node.right_prepartitioned)
+        left_key_op = _key_op(left_key, ("values", pushdown.left_names), None, node.left_prepartitioned)
+        right_key_op = _key_op(right_key, ("values", pushdown.right_names), None, node.right_prepartitioned)
         keyed_left = self._keyed_join_side(
             node, node.left, (left_key_op, *reversed(pushdown.left)), None, "build rows"
         )
@@ -736,17 +730,24 @@ class Planner:
             return None
         return side.signature()
 
-    def _product(self, node: ProductNode, bags: dict[str, list[Any]]) -> tuple[Any, tuple, tuple]:
+    def _product(
+        self, node: ProductNode, bags: dict[str, list[Any]], live: set[str]
+    ) -> tuple[Any, tuple, tuple]:
         """The no-key nested loop: broadcast the smaller side when it fits.
 
         This is the plan-time broadcast-vs-shuffle selection for products --
         the same heuristic (and threshold) the runtime applies to hash joins
-        at force time.  Returns the run's source, its entry and the spec of
-        its first operator: over the rows with the broadcast elements as an
-        ``expand`` step, over the elements with the broadcast rows as a
-        ``product`` entry, or over the cartesian pairs.
+        at force time.  The left rows are slot rows of the ``live`` names
+        the pattern does not rebind.  Returns the run's source, its entry
+        and the spec of its first operator: over the rows with the broadcast
+        elements as an ``expand`` step, over the elements with the broadcast
+        rows as a ``product`` entry, or over the cartesian pairs.
         """
-        rows = self._lower(node.left)
+        bound = set(node.pattern.variables())
+        names = tuple(name for name in node.left.rows if name in live and name not in bound)
+        head = ir.CTuple(tuple(map(ir.CVar, names)))
+        kernel = vectorize.head_map(head, frozenset(node.left.rows), node.left.bindings)
+        rows = self._lower_chain(node.left, (_Op(MAP, ("head", head), "slots", kernel, True, ()),))
         dataset = self._lower(node.right)
         context = self.context
         side = choose_broadcast_side(rows.count(), dataset.count(), context.broadcast_join_threshold)
@@ -754,22 +755,22 @@ class Planner:
             elements = dataset.collect()
             # Bound once here, so an element that does not fit raises before
             # any row goes on.
-            bind = codegen.Segment(("bind", node.pattern), (), ("row",))
+            bind = codegen.Segment(("bind", node.pattern), (), ("head", ir.CConst(None)))
             codegen.generate(bind, node.bindings, self.segments)(elements)
             context.metrics.record_broadcast()
             context.metrics.record_join_strategy("broadcast")
             _note(node, "broadcast right side")
             spec = ("expand", node.pattern, _bag(bags, elements))
-            return rows, ("row", node.left.rows), spec
+            return rows, ("slots", names), spec
         if side == "left":
             context.metrics.record_broadcast()
             context.metrics.record_join_strategy("broadcast")
             _note(node, "broadcast left side (rows)")
-            entry = ("product", node.left.rows, node.pattern, _bag(bags, rows.collect()).name)
+            entry = ("product", names, node.pattern, _bag(bags, rows.collect()).name)
             return dataset.map_partitions, entry, entry
         context.metrics.record_join_strategy("cartesian")
         _note(node, "cartesian (both sides above the broadcast threshold)")
-        entry = ("product", node.left.rows, node.pattern, None)
+        entry = ("product", names, node.pattern, None)
         return rows.cartesian(dataset).map_partitions, entry, entry
 
 

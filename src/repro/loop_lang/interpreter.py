@@ -30,22 +30,33 @@ from repro.loop_lang import ast
 MAX_WHILE_ITERATIONS = 10_000_000
 
 
+class _Absent(Exception):
+    """An absent array entry was read; the message names the read."""
+
+
 class Interpreter:
     """Evaluates loop-language programs sequentially.
+
+    An absent array entry reads as the translation reads it: as no row.  The
+    ``Assign``, ``IncrementalUpdate`` or ``If`` instance whose right-hand
+    side, index or condition reads it does not run (an ``If`` runs neither
+    branch); ``d := d ⊕ e`` with ⊕ a registered monoid runs as ``d ⊕= e``,
+    so an absent ``d`` is ⊕'s identity.  Anywhere else (a ``var``
+    initialiser, a ``for`` bound, a ``while`` condition) an absent read is
+    an :class:`InterpreterError` naming it.
 
     Args:
         functions: scalar function registry (defaults to the built-ins).
         monoids: commutative monoid registry (defaults to the built-ins).
-        missing_default: value returned when reading an array index that is
-            not present.  The paper treats sparse arrays as zero-filled, so the
-            default is ``0``; pass ``None`` to raise an error instead.
+        missing_default: ``"skip"`` (the default) for the semantics above;
+            ``None`` makes every absent read an :class:`InterpreterError`.
     """
 
     def __init__(
         self,
         functions: FunctionRegistry | None = None,
         monoids: MonoidRegistry | None = None,
-        missing_default: Any = 0,
+        missing_default: str | None = "skip",
     ):
         self.functions = functions or DEFAULT_FUNCTIONS
         self.monoids = monoids or DEFAULT_MONOIDS
@@ -71,40 +82,48 @@ class Interpreter:
             self._execute(stmt, state)
 
     def _execute(self, stmt: ast.Stmt, state: dict[str, Any]) -> None:
-        if isinstance(stmt, ast.VarDecl):
-            state[stmt.name] = self._evaluate(stmt.init, state)
-        elif isinstance(stmt, ast.Assign):
-            value = self._evaluate(stmt.value, state)
-            self._store(stmt.destination, value, state)
-        elif isinstance(stmt, ast.IncrementalUpdate):
-            self._execute_incremental(stmt, state)
-        elif isinstance(stmt, ast.ForRange):
-            lower = self._int(self._evaluate(stmt.lower, state), "for-loop lower bound")
-            upper = self._int(self._evaluate(stmt.upper, state), "for-loop upper bound")
-            for value in range(lower, upper + 1):
-                state[stmt.variable] = value
-                self._execute(stmt.body, state)
-        elif isinstance(stmt, ast.ForIn):
-            collection = self._evaluate(stmt.source, state)
-            for element in self._iterate(collection):
-                state[stmt.variable] = element
-                self._execute(stmt.body, state)
-        elif isinstance(stmt, ast.While):
-            iterations = 0
-            while self._truthy(self._evaluate(stmt.condition, state)):
-                self._execute(stmt.body, state)
-                iterations += 1
-                if iterations > MAX_WHILE_ITERATIONS:
-                    raise InterpreterError("while loop exceeded the iteration limit")
-        elif isinstance(stmt, ast.If):
-            if self._truthy(self._evaluate(stmt.condition, state)):
-                self._execute(stmt.then_branch, state)
-            elif stmt.else_branch is not None:
-                self._execute(stmt.else_branch, state)
-        elif isinstance(stmt, ast.Block):
-            self._execute_block(stmt.statements, state)
-        else:
-            raise InterpreterError(f"unknown statement node: {stmt!r}")
+        try:
+            if isinstance(stmt, ast.VarDecl):
+                state[stmt.name] = self._evaluate(stmt.init, state)
+            elif isinstance(stmt, ast.Assign):
+                value, destination = stmt.value, stmt.destination
+                if isinstance(value, ast.BinOp) and value.op in self.monoids and value.left == destination:
+                    update = ast.IncrementalUpdate(destination, value.op, value.right)
+                    self._execute_incremental(update, state)
+                else:
+                    self._store(destination, self._evaluate(value, state), state)
+            elif isinstance(stmt, ast.IncrementalUpdate):
+                self._execute_incremental(stmt, state)
+            elif isinstance(stmt, ast.ForRange):
+                lower = self._int(self._evaluate(stmt.lower, state), "for-loop lower bound")
+                upper = self._int(self._evaluate(stmt.upper, state), "for-loop upper bound")
+                for value in range(lower, upper + 1):
+                    state[stmt.variable] = value
+                    self._execute(stmt.body, state)
+            elif isinstance(stmt, ast.ForIn):
+                collection = self._evaluate(stmt.source, state)
+                for element in self._iterate(collection):
+                    state[stmt.variable] = element
+                    self._execute(stmt.body, state)
+            elif isinstance(stmt, ast.While):
+                iterations = 0
+                while self._truthy(self._evaluate(stmt.condition, state)):
+                    self._execute(stmt.body, state)
+                    iterations += 1
+                    if iterations > MAX_WHILE_ITERATIONS:
+                        raise InterpreterError("while loop exceeded the iteration limit")
+            elif isinstance(stmt, ast.If):
+                if self._truthy(self._evaluate(stmt.condition, state)):
+                    self._execute(stmt.then_branch, state)
+                elif stmt.else_branch is not None:
+                    self._execute(stmt.else_branch, state)
+            elif isinstance(stmt, ast.Block):
+                self._execute_block(stmt.statements, state)
+            else:
+                raise InterpreterError(f"unknown statement node: {stmt!r}")
+        except _Absent as absent:
+            if not isinstance(stmt, (ast.Assign, ast.IncrementalUpdate, ast.If)):
+                raise InterpreterError(f"absent entry {absent} read in a {type(stmt).__name__}") from None
 
     def _execute_incremental(self, stmt: ast.IncrementalUpdate, state: dict[str, Any]) -> None:
         value = self._evaluate(stmt.value, state)
@@ -211,16 +230,13 @@ class Interpreter:
             # same convention the distributed runner uses for list inputs.
             if isinstance(key, int) and 0 <= key < len(array):
                 return array[key]
-            if self.missing_default is None:
-                raise InterpreterError(f"missing array entry {expr.array}[{key!r}]")
-            return self.missing_default
-        if not isinstance(array, dict):
+        elif not isinstance(array, dict):
             raise InterpreterError(f"cannot index non-array value in {expr}")
-        if key in array:
+        elif key in array:
             return array[key]
         if self.missing_default is None:
             raise InterpreterError(f"missing array entry {expr.array}[{key!r}]")
-        return self.missing_default
+        raise _Absent(f"{expr.array}[{key!r}]")
 
     def _load_for_update(self, dest: ast.Expr, state: dict[str, Any], identity: Any) -> Any:
         """Current value of ``dest`` or ``identity`` if not present."""
@@ -307,7 +323,7 @@ def interpret_program(
     env: dict[str, Any] | None = None,
     functions: FunctionRegistry | None = None,
     monoids: MonoidRegistry | None = None,
-    missing_default: Any = 0,
+    missing_default: str | None = "skip",
 ) -> dict[str, Any]:
     """Parse (if necessary) and interpret a loop program, returning final state."""
     from repro.loop_lang.parser import parse_program

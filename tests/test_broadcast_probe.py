@@ -104,7 +104,7 @@ def test_the_probe_twin_rebinds_a_variable_per_pair(side):
     """A let rebinding a probe-side variable inside the pair loop leaves the
     next pair reading the probe record's own value (the mirror form binds
     the right values once, outside the loop over the left matches)."""
-    rows = [{"a": 1}, {"a": 2}, {"a": 3}]
+    rows = [(1,), (2,), (3,)]  # slot rows of ("a",)
     elements = [(7, 10), (7, 20), (8, 30)]
     segment = Segment(
         ("cogroup", ("a",), ("k", "v")),
@@ -112,7 +112,7 @@ def test_the_probe_twin_rebinds_a_variable_per_pair(side):
         ("head", ir.CTuple((ir.CVar("a"), V, ir.CVar("k")))),
     )
     consumer = codegen.generate(segment, _bindings(), {})
-    left = [(7, row) for row in rows] + [(9, {"a": 4})]
+    left = [(7, row) for row in rows] + [(9, (4,))]
     right = list(zip([7, 7, 8], elements))
     table: dict = {}
     for key, value in left if side == "left" else right:

@@ -11,9 +11,11 @@ The folding exits and the join consumer are held to the forms they replaced:
 ``fold_by_key`` to ``apply_combiner(("reduce", ⊕), keyed segment output)``,
 ``fold`` to ``Monoid.reduce(head segment output)``, and a ``cogroup``
 consumer inside a physical join (a broadcast join's through the consumer's
-``probe`` twin), over the right side's keyed flat tuples, to that join's
+``probe`` twin), over both sides' keyed slot rows, to that join's
 materialised pairs run through the (reference-only) ``("join", ...)``
-entry.  The ``expand`` step
+entry.  Where a generated run passes a slot row (a flat tuple of its live
+variables) the closures passed the dict row of the same names: the
+reference reads one as the other.  The ``expand`` step
 and the ``product`` entry are held to the record closures generators used
 to run as -- the per-row ``expand`` / driver-bag ``expand_local`` closures
 and the product's broadcast and cartesian lambdas -- kept below.
@@ -112,13 +114,25 @@ def expand_local_closure(pattern, bag):
     return expand_local
 
 
+def slot_row(names: tuple[str, ...], values: tuple) -> dict:
+    """A slot row as the dict row the closures passed on."""
+    return dict(zip(names, values, strict=True))
+
+
+def slots(*names: str) -> tuple:
+    """The head emitting the slot row of ``names``."""
+    return ("head", ir.CTuple(tuple(map(ir.CVar, names))))
+
+
 def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> list:
     """The per-qualifier closure composition the generator replaced.
 
     A folding exit is the ``keyed`` / ``head`` composition followed by the
-    fold the runtime used to run over its output.  The ``("join", names,
-    pattern)`` entry -- a materialised ``(key, (row, element))`` pair -- only
-    exists here: it is what a ``cogroup`` consumer is compared against.
+    fold the runtime used to run over its output.  The closures passed dict
+    rows where generated runs pass slot rows: a slot row enters here as the
+    dict row of its names.  The ``("join", names, pattern)`` entry -- a
+    materialised ``(key, (left slot row, element))`` pair -- only exists
+    here: it is what a ``cogroup`` consumer is compared against.
     """
     exit_ = segment.exit
     if exit_[0] == "fold_by_key":
@@ -151,14 +165,10 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
                 return
         if exit_[0] == "head":
             out.append(evaluate(exit_[1], {**base, **row}))
-        elif exit_[0] == "row":
-            out.append(row)
         else:
             key = evaluate(exit_[1], {**base, **row})
             payload = exit_[2]
-            if payload == "row":
-                out.append((key, row))
-            elif payload[0] == "values":
+            if payload[0] == "values":
                 out.append((key, tuple(row.get(name) for name in payload[1])))
             else:
                 out.append((key, row.get(payload[1])))
@@ -166,15 +176,19 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
     for record in records:
         if kind == "bind":
             rows = [{**_bind_pattern(segment.entry[1], record)}]
-        elif kind == "row":
+        elif kind == "slots":
+            rows = [slot_row(segment.entry[1], record)]
+        elif kind == "columnar":
             rows = [record]
         elif kind == "join":
-            rows = [{**record[1][0], **_bind_pattern(segment.entry[2], record[1][1])}]
+            left = slot_row(segment.entry[1], record[1][0])
+            rows = [{**left, **_bind_pattern(segment.entry[2], record[1][1])}]
         elif kind == "product" and segment.entry[3] is None:  # the cartesian pairs' map
-            rows = [{**record[0], **_bind_pattern(segment.entry[2], record[1])}]
+            left = slot_row(segment.entry[1], record[0])
+            rows = [{**left, **_bind_pattern(segment.entry[2], record[1])}]
         elif kind == "product":  # the broadcast-left flat_map
             pattern, lefts = segment.entry[2], scope.resolve(segment.entry[3])
-            rows = [{**row, **_bind_pattern(pattern, record)} for row in lefts]
+            rows = [{**slot_row(segment.entry[1], row), **_bind_pattern(pattern, record)} for row in lefts]
         elif kind == "reduced":
             key, value = record
             row = _bind_pattern(segment.entry[1], key)
@@ -184,8 +198,8 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
         else:
             key, members = record
             row = _bind_pattern(segment.entry[1], key)
-            for name in segment.entry[2]:
-                row[name] = [member.get(name) for member in members]
+            for position, name in enumerate(segment.entry[2]):
+                row[name] = [member[position] for member in members]
             rows = [row]
         for row in rows:
             run(row, segment.steps, record)
@@ -218,11 +232,17 @@ def assert_same(segment, bindings, records, run=generated, against=reference):
     One allowance, for folding exits only: the fold now runs inside the loop,
     so where a *fold* fails on an early record and a *term* on a later one,
     the fold's error surfaces first.  It must then be the error the two-pass
-    form raises on the shortest failing prefix of the records.
+    form raises on the shortest failing prefix of the records -- for a
+    product over a driver bag of left rows, of the (left row, element) pairs
+    its loop folds, in their order.
     """
     expected = outcome(against, segment, bindings, records)
     actual = outcome(run, segment, bindings, records)
     if actual != expected and expected[0] == "error" and segment.exit[0] in ("fold", "fold_by_key"):
+        if segment.entry[0] == "product" and segment.entry[3] is not None:
+            lefts = ScalarScope(bindings.base, bindings.values).resolve(segment.entry[3])
+            records = [(left, element) for element in records for left in lefts]
+            segment = segment._replace(entry=(*segment.entry[:3], None))  # the same pairs, as cartesian ones
         prefixes = (outcome(against, segment, bindings, records[:n]) for n in range(1, len(records)))
         expected = next((prefix for prefix in prefixes if prefix[0] == "error"), expected)
     assert actual == expected
@@ -305,9 +325,9 @@ steps = st.one_of(
 )
 exits = st.one_of(
     st.tuples(st.just("head"), terms(NAMES + ["c", "v$9"])),
-    st.just(("row",)),
+    st.just(slots("a", "c")),
     # Every entry binds ``a``: a ``values`` payload names bound variables only.
-    st.tuples(st.just("keyed"), terms(), st.sampled_from(["row", ("values", ("a",)), ("value", "c")])),
+    st.tuples(st.just("keyed"), terms(), st.sampled_from([("values", ("a",)), ("value", "c")])),
 )
 #: Mostly small key terms over the entry variables, so that keys repeat.
 fold_keys = st.one_of(
@@ -483,16 +503,18 @@ small = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, -0.0, math.nan, "x",
 element_values = st.one_of(
     *[st.tuples(small, small)] * 3, st.tuples(st.tuples(small, small), small), small, values
 )
-rows_ab = st.fixed_dictionaries(
-    {
-        "a": st.one_of(small, small, values),
-        "b": st.one_of(st.lists(element_values, max_size=3).map(tuple), small, values),
-    }
+#: Slot rows of ``("a", "b")``.
+rows_ab = st.tuples(
+    st.one_of(small, small, values), st.one_of(st.lists(element_values, max_size=3).map(tuple), small, values)
 )
 #: Every way records enter a run with a generator in it.
 expand_entries = st.one_of(
     entries,
-    st.tuples(st.just(("row", ("a", "b"))), st.lists(rows_ab, min_size=1, max_size=3)),
+    st.tuples(st.just(("slots", ("a", "b"))), st.lists(rows_ab, min_size=1, max_size=3)),
+    st.tuples(
+        st.just(("columnar", ("a", "b"))),
+        st.lists(rows_ab.map(functools.partial(slot_row, ("a", "b"))), min_size=1, max_size=3),
+    ),
     st.tuples(
         st.builds(lambda pattern: ("product", ("a", "b"), pattern, None), expand_patterns),
         st.lists(st.tuples(rows_ab, element_values), min_size=1, max_size=3),
@@ -506,7 +528,7 @@ expand_entries = st.one_of(
 
 @settings(max_examples=400, deadline=None)
 @example(  # a cartesian product's pair leaves as the flat tuple of its values
-    entry=(("product", ("a", "b"), ir.PVar("c"), None), [({"a": 2, "b": 0}, 1)]),
+    entry=(("product", ("a", "b"), ir.PVar("c"), None), [((2, 0), 1)]),
     step_list=[("filter", ir.CBinOp("!=", ir.CVar("c"), ir.CConst(2)))],
     exit_=("keyed", ir.CVar("a"), ("values", ("c", "a"))),
     scalar=False,
@@ -519,10 +541,10 @@ expand_entries = st.one_of(
         ("expand", ir.PVar("c"), ir.RangeTerm(ir.CBinOp("%", ir.CVar("a"), ir.CConst(3)), ir.CConst(1))),
         ("let", ir.PVar("a"), ir.CUnaryOp("!", ir.CVar("a"))),
     ],
-    exit_=("row",),
+    exit_=slots("a", "b", "c"),
     scalar=0,
     bag=[],
-    lefts=[{"a": 0, "b": ()}],
+    lefts=[(0, ())],
 )
 @given(
     entry=expand_entries,
@@ -530,7 +552,7 @@ expand_entries = st.one_of(
         st.one_of(expand_steps, expand_steps, after_steps, after_steps, steps), min_size=1, max_size=4
     ),
     exit_=st.one_of(
-        st.just(("row",)), st.just(("head", ir.CTuple((ir.CVar("c"), ir.CVar("a"))))), exits, folding_exits
+        st.just(slots("a", "b", "c")), st.just(slots("c", "a")), exits, folding_exits
     ),
     scalar=values,
     bag=st.lists(element_values, max_size=3),
@@ -611,6 +633,7 @@ def assert_consumer_same(segment: Segment, bindings, left, right, pushed=()):
     """In every physical join, the ``cogroup`` consumer of ``segment`` does
     what the flat loop did over the pairs that join used to materialise.
 
+    ``left`` holds keyed slot rows of the entry's left names.
     ``segment``'s entry names the right side by its pattern, as a hash join
     node does, and is lowered as the planner lowers it: the right side's
     keying run binds each element once (a malformed one fails there, with
@@ -648,7 +671,7 @@ def assert_consumer_same(segment: Segment, bindings, left, right, pushed=()):
 #: Join keys that mostly match (and sometimes only by ``==``: ``1 == True``).
 join_keys = st.sampled_from([1] * 6 + [2] * 3 + [True, 0.0, -0.0, math.nan, "x", (1, 2), INT64 - 1])
 group_keys = st.sampled_from([1] * 4 + [2, True, 0.0, -0.0, math.nan, "x"])
-join_rows = st.fixed_dictionaries({"a": fold_payload_values, "b": group_keys})
+join_rows = st.tuples(fold_payload_values, group_keys)  # slot rows of JOIN_NAMES
 join_elements = st.one_of(*[st.tuples(group_keys, fold_numbers)] * 5, values)
 join_sides = st.one_of(
     st.lists(st.tuples(join_keys, join_elements), min_size=1, max_size=6),
@@ -900,9 +923,9 @@ class TestErrorParity:
             ("let", ir.PVar("v$1"), ir.CBinOp("+", ir.CVar("v$1"), ir.CConst(1))),
             ("let", ir.PTuple((ir.PWildcard(), ir.PVar("i"))), ir.CTuple((ir.CVar("i"), ir.CVar("v$1")))),
         )
-        segment = Segment(("bind", PAIR), steps_, ("row",))
+        segment = Segment(("bind", PAIR), steps_, slots("i", "v$1"))
         result = assert_same(segment, bindings_for(context), [(1, 2)])
-        assert result == ("ok", canonical([{"i": 3, "v$1": 3}]))
+        assert result == ("ok", canonical([(3, 3)]))
 
     def test_row_variables_win_over_base_and_base_over_environment(self, context):
         bindings = bindings_for(context, {"i": "env", "x": "env", "y": "env"}, {"i": "base", "x": "base"})
@@ -922,14 +945,12 @@ class TestWideEntries:
     def test_cogroup_reduced_and_grouped_entries(self, context):
         bindings = bindings_for(context, {"s": 10})
         total = ir.CBinOp("+", ir.CVar("a"), ir.CVar("v"))
-        cogroup = Segment(("cogroup", ("a", "b"), ir.PTuple((ir.PVar("k"), ir.PVar("v")))), (), ("row",))
-        left = [(7, {"a": 1, "b": 2}), (7, {"a": 5, "b": 6}), (8, {"a": 0, "b": 0})]
+        pattern = ir.PTuple((ir.PVar("k"), ir.PVar("v")))
+        cogroup = Segment(("cogroup", ("a", "b"), pattern), (), slots("a", "b", "k", "v"))
+        left = [(7, (1, 2)), (7, (5, 6)), (8, (0, 0))]
         right = [(7, (7, 3)), (9, (9, 9)), (7, (7, 4))]
         rows = assert_consumer_same(cogroup, bindings, left, right)
-        assert rows["shuffle"] == ("ok", canonical([
-            {"a": 1, "b": 2, "k": 7, "v": 3}, {"a": 1, "b": 2, "k": 7, "v": 4},
-            {"a": 5, "b": 6, "k": 7, "v": 3}, {"a": 5, "b": 6, "k": 7, "v": 4},
-        ]))  # fmt: skip
+        assert rows["shuffle"] == ("ok", canonical([(1, 2, 7, 3), (1, 2, 7, 4), (5, 6, 7, 3), (5, 6, 7, 4)]))
         assert rows["broadcast-left"] != rows["shuffle"], "each join keeps its own pair order"
         assert_consumer_same(cogroup._replace(exit=("keyed", total, ("value", "v"))), bindings, left, right)
         reduced = Segment(
@@ -938,15 +959,16 @@ class TestWideEntries:
             ("head", ir.CTuple((ir.CVar("k"), ir.Aggregate("+", ir.CVar("v"))))),
         )
         assert assert_same(reduced, bindings, [(1, 2.5)]) == ("ok", canonical([(1, 2.5)]))
-        assert_same(reduced._replace(exit=("row",)), bindings, [(1, 2.5)])
+        assert_same(reduced._replace(exit=slots("k", "v")), bindings, [(1, 2.5)])
         grouped = Segment(
             ("grouped", ir.PVar("k"), ("a", "b")),
             (),
             ("head", ir.CTuple((ir.CVar("k"), ir.Aggregate("+", ir.CVar("a"))))),
         )
-        members = [{"a": 1, "b": 2}, {"a": 3}]
+        members = [(1, 2), (3, None)]  # slot rows of ("a", "b")
         assert assert_same(grouped, bindings, [(1, members)]) == ("ok", canonical([(1, 4)]))
-        assert_same(grouped._replace(exit=("row",)), bindings, [(1, members)])
+        result = assert_same(grouped._replace(exit=slots("k", "a", "b")), bindings, [(1, members)])
+        assert result == ("ok", canonical([(1, [1, 3], [2, None])]))
 
     def test_terms_outside_the_inlined_fragment_are_generated(self, context):
         """An aggregation over a nested comprehension, a singleton bag and a
@@ -979,31 +1001,30 @@ class TestGenerators:
         error for ``5`` before ``"x" + 1`` was ever evaluated."""
         expand = ("expand", ir.PTuple((ir.PVar("c"), ir.PVar("d"))), ir.CVar("b"))
         let = ("let", ir.PVar("z"), ir.CBinOp("+", ir.CVar("d"), ir.CConst(1)))
-        segment = Segment(("row", self.ROWS), (expand, let), ("row",))
-        result = assert_same(segment, bindings_for(context), [{"a": 0, "b": ((1, "x"), 5)}])
+        segment = Segment(("slots", self.ROWS), (expand, let), slots("a", "b", "c", "d", "z"))
+        result = assert_same(segment, bindings_for(context), [(0, ((1, "x"), 5))])
         assert result == ("error", "ExecutionError", "cannot bind pattern (c, d) to value 5")
 
     def test_ranges_and_local_bags_per_row(self, context):
         bindings = bindings_for(context)
         upper = ir.CBinOp("+", ir.CVar("a"), ir.CConst(0.5))
         step = ("expand", ir.PVar("j"), ir.RangeTerm(ir.CConst(1), upper))
-        span = Segment(("row", self.ROWS), (step,), ("row",))
+        span = Segment(("slots", self.ROWS), (step,), slots("a", "b", "j"))
         function = codegen.generate(span, bindings, {})
         assert "range(int(" in function.source and "local_bag(" not in function.source
-        assert assert_same(span, bindings, [{"a": 2, "b": 0}, {"a": 0, "b": 0}]) == ("ok", canonical([
-            {"a": 2, "b": 0, "j": 1}, {"a": 2, "b": 0, "j": 2},
-        ]))  # fmt: skip
-        items = Segment(("row", self.ROWS), (("expand", ir.PVar("b"), ir.CVar("b")),), ("row",))
-        result = assert_same(items, bindings, [{"a": 1, "b": {"k": 7}}, {"a": 2, "b": 3.5}])
-        assert result == ("ok", canonical([{"a": 1, "b": ("k", 7)}, {"a": 2, "b": 3.5}])), "rebound in place"
+        result = assert_same(span, bindings, [(2, 0), (0, 0)])
+        assert result == ("ok", canonical([(2, 0, 1), (2, 0, 2)]))
+        items = Segment(("slots", self.ROWS), (("expand", ir.PVar("b"), ir.CVar("b")),), slots("a", "b"))
+        result = assert_same(items, bindings, [(1, {"k": 7}), (2, 3.5)])
+        assert result == ("ok", canonical([(1, ("k", 7)), (2, 3.5)])), "rebound in place"
 
     def test_a_driver_bag_is_read_once_per_partition_and_iterated_as_it_is(self, context):
         bindings = bindings_for(context, base={"bag#0": [(1, 2), (3, 4)]})
         step = ("expand", ir.PTuple((ir.PVar("c"), ir.PWildcard())), ir.CVar("bag#0"))
-        segment = Segment(("row", self.ROWS), (step,), ("head", ir.CTuple((ir.CVar("a"), ir.CVar("c")))))
+        segment = Segment(("slots", self.ROWS), (step,), slots("a", "c"))
         function = codegen.generate(segment, bindings, {})
         assert function.source.count("scope.resolve('bag#0')") == 1 and "local_bag(" not in function.source
-        assert assert_same(segment, bindings, [{"a": 0, "b": 0}, {"a": 9, "b": 0}]) == ("ok", canonical([
+        assert assert_same(segment, bindings, [(0, 0), (9, 0)]) == ("ok", canonical([
             (0, 1), (0, 3), (9, 1), (9, 3),
         ]))  # fmt: skip
 
@@ -1011,17 +1032,15 @@ class TestGenerators:
         """Broadcast rows: element-major; cartesian: one pair per record.  A
         rebound left name (``a``) keeps its key position and takes the
         element's value."""
-        lefts = [{"a": 1, "b": "L1"}, {"a": 2, "b": "L2"}]
+        lefts = [(1, "L1"), (2, "L2")]
         bindings = bindings_for(context, base={"bag#0": lefts})
-        broadcast = Segment(("product", self.ROWS, ir.PVar("a"), "bag#0"), (), ("row",))
+        broadcast = Segment(("product", self.ROWS, ir.PVar("a"), "bag#0"), (), slots("a", "b"))
         assert assert_same(broadcast, bindings, ["x", "y"]) == ("ok", canonical([
-            {"a": "x", "b": "L1"}, {"a": "x", "b": "L2"}, {"a": "y", "b": "L1"}, {"a": "y", "b": "L2"},
+            ("x", "L1"), ("x", "L2"), ("y", "L1"), ("y", "L2"),
         ]))  # fmt: skip
-        cartesian = Segment(("product", self.ROWS, ir.PVar("c"), None), (), ("row",))
+        cartesian = Segment(("product", self.ROWS, ir.PVar("c"), None), (), slots("a", "b", "c"))
         pairs = [(lefts[0], "x"), (lefts[1], "x")]
-        assert assert_same(cartesian, bindings, pairs) == ("ok", canonical([
-            {"a": 1, "b": "L1", "c": "x"}, {"a": 2, "b": "L2", "c": "x"},
-        ]))  # fmt: skip
+        assert assert_same(cartesian, bindings, pairs) == ("ok", canonical([(1, "L1", "x"), (2, "L2", "x")]))
 
 
 def fold_by_key(op: str, *step_list, key=None, registry=MONOIDS) -> Segment:
@@ -1170,7 +1189,7 @@ class TestLetReuse:
         assert source.count("project_value(") == 1 and source.count(" - ") == 1
         result = assert_same(segment, bindings, [(0, (3.5, 0)), (1, (1.0, 0))])
         assert result == ("ok", canonical([4.0, 0.25]))
-        row = segment._replace(exit=("row",))
+        row = segment._replace(exit=slots("i", "v$1", "a", "b", "c", "d", "e"))
         assert_same(row, bindings, [(0, (3.5, 0)), (1, {"_1": 2.0})])
 
     def test_a_function_called_twice_is_called_twice(self, context):
@@ -1194,8 +1213,8 @@ class TestLetReuse:
         inner = ("let", ir.PVar("d"), plus)
         pair = ir.CTuple((ir.CVar("c"), ir.CVar("d")))
         bindings = bindings_for(context)
-        records = [{"a": 1, "b": (10, 20)}, {"a": 2, "b": (30,)}]
-        rows = ("row", ("a", "b"))
+        records = [(1, (10, 20)), (2, (30,))]
+        rows = ("slots", ("a", "b"))
         rebound = Segment(rows, (outer, ("expand", ir.PVar("a"), ir.CVar("b")), inner), ("head", pair))
         assert assert_same(rebound, bindings, records) == ("ok", canonical([(2, 11), (2, 21), (3, 31)]))
         kept = Segment(rows, (outer, ("expand", ir.PVar("e"), ir.CVar("b")), inner), ("head", pair))
@@ -1230,6 +1249,61 @@ class TestLetReuse:
         )
         segment = head(ir.CTuple((ir.CVar("a"), ir.CVar("b"), ir.CVar("c"))), *steps)
         assert assert_same(segment, bindings_for(context), [(0, (2,))]) == ("ok", canonical([(20, 2, 2)]))
+
+    def test_a_tuple_let_over_a_held_tuple_aliases_and_its_filters_run_once(self, context):
+        """PageRank's E keying run: ``k = (i, v$1)``, range checks, ``(p, q)
+        = k`` and the same checks on p and q: no shape check for k, and each
+        range check is emitted once."""
+        names = ("i", "v$1", "q", "p")
+        in_range = [("filter", ir.InRange(ir.CVar(name), ir.CConst(0), ir.CVar("s"))) for name in names]
+        steps = (
+            ("let", ir.PVar("k"), ir.CTuple((ir.CVar("i"), ir.CVar("v$1")))),
+            *in_range[:2],
+            ("let", ir.PTuple((ir.PVar("p"), ir.PVar("q"))), ir.CVar("k")),
+            *in_range[2:],
+        )
+        segment = head(ir.CTuple((ir.CVar("p"), ir.CVar("q"))), *steps)
+        bindings = bindings_for(context, {"s": 3})
+        source = codegen.generate(segment, bindings, {}).source
+        assert source.count("check_bind(") == 1 and source.count(" <= ") == 2 * 2
+        result = assert_same(segment, bindings, [(0, 3), (1, 4), (-1, 2), (2, 2)])
+        assert result == ("ok", canonical([(0, 3), (2, 2)]))
+
+
+#: Steps that build a tuple of row variables (``k``), alias its parts, test
+#: them, and rebind a part in place or inside a generated loop in between.
+ALIAS_STEPS = [
+    ("let", ir.PVar("k"), ir.CTuple((ir.CVar("a"), ir.CVar("b")))),
+    ("let", ir.PVar("k"), ir.CTuple((ir.CVar("c"), ir.CVar("a")))),
+    ("let", ir.PTuple((ir.PVar("c"), ir.PVar("d"))), ir.CVar("k")),
+    ("let", ir.PTuple((ir.PVar("c"), ir.PWildcard())), ir.CVar("k")),
+    ("let", ir.PTuple((ir.PVar("a"), ir.PVar("c"))), ir.CVar("k")),
+    ("let", ir.PTuple((ir.PVar("c"), ir.PVar("d"), ir.PVar("e"))), ir.CVar("k")),
+    ("let", ir.PVar("a"), ir.CBinOp("+", ir.CVar("a"), ir.CConst(1))),
+    ("let", ir.PVar("b"), ir.CVar("c")),
+    ("filter", ir.InRange(ir.CVar("c"), ir.CConst(0), ir.CVar("s"))),
+    ("filter", ir.InRange(ir.CVar("a"), ir.CConst(0), ir.CVar("s"))),
+    ("filter", ir.CBinOp("<", ir.CVar("c"), ir.CVar("d"))),
+    ("expand", ir.PVar("e"), ir.RangeTerm(ir.CConst(0), ir.CBinOp("%", ir.CVar("a"), ir.CConst(3)))),
+    ("expand", ir.PVar("a"), ir.CVar("bag#0")),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    step_list=st.lists(st.sampled_from(ALIAS_STEPS), max_size=6),
+    exit_=st.sampled_from([slots("a", "b", "c", "d", "k"), slots("c", "d", "e"), slots("k", "a")]),
+    records=st.lists(st.tuples(small, small), min_size=1, max_size=4),
+    scalar=st.integers(-1, 4),
+    bag=st.lists(st.integers(-1, 3), max_size=3),
+)
+def test_tuple_aliases_and_repeated_filters_equal_evaluate_local(
+    context, step_list, exit_, records, scalar, bag
+):
+    """A tuple let's alias and a filter not tested again stay exact across
+    rebindings of the parts, in place and inside a generated loop."""
+    segment = Segment(("bind", ir.PTuple((ir.PVar("a"), ir.PVar("b")))), tuple(step_list), exit_)
+    assert_same(segment, bindings_for(context, {"s": scalar}, {"bag#0": bag}), records)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,7 +1343,7 @@ class TestShipping:
         chain = (stage.NarrowStage(stage.PARTITIONS, join),)
         data = wire.cluster_dumps(chain)
         assert b"TermEvaluator" not in data and b"MonoidRegistry" not in data and len(data) < 4_000
-        left = [(7, {"a": 2, "b": "x"}), (7, {"a": 3, "b": "y"})]
+        left = [(7, (2, "x")), (7, (3, "y"))]
         right = [(7, (7, 10)), (7, (7, 20))]
         live["s"] = 5  # the shipped copy keeps the value at dispatch time
         shipped = stage.compose(wire.cluster_loads(data))(_tagged_bucket(left, right), 0)
@@ -1355,13 +1429,15 @@ class TestObservability:
             assert "* generated: filter→key" in plan
             assert "* pushed below the join: inRange(i$48, 0, hi$10) → right side" in plan
             nested = explain_plan(evaluator.last_plan, sources=True)
-            assert "for left in lefts:" in nested and "for r4_i_48, r5_v_49, in rights:" in nested
-            loop = nested.split("for left in lefts:")[1].split("return")[0]
+            # Both sides arrive as slot rows, unpacked in the pair loops' headers.
+            assert "for (r1_i_44, r2_v_46,) in lefts:" in nested
+            assert "for (r3_i_48, r4_v_49,) in rights:" in nested
+            loop = nested.split(" in lefts:")[1].split("return")[0]
             assert "acc[fold_key] = " in loop and "append(" not in loop
             pending = explain_dataset(dataset)
             assert "ShuffleStage(reduceByKey" in pending and "combiner=yes" in pending
             assert "ShuffleStage(join" in pending and f"generated: {label}" in pending
-            assert "for left in lefts:" in explain_dataset(dataset, sources=True)
+            assert "for (r1_i_44, r2_v_46,) in lefts:" in explain_dataset(dataset, sources=True)
             assert dataset.collect() == [((0, 0), 11.0)]
             snapshot = ctx.metrics.snapshot()
             assert (snapshot["combiner_input_records"], snapshot["combiner_output_records"]) == (2, 1)

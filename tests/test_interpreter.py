@@ -93,6 +93,36 @@ class TestArrays:
         with pytest.raises(InterpreterError):
             interpret_program("var x: int = 0; x := V[99];", {"V": {1: 5}}, missing_default=None)
 
+    def test_an_absent_read_skips_that_statement_instance_only(self):
+        source = """
+var W: vector[int] = vector();
+var n: int = 0;
+var m: int = 0;
+for i = 1, 3 do W[i] := V[i] * 10;
+for i = 1, 3 do if (V[i] > 4) n += 1; else m += 1;
+for i = 1, 3 do m += V[i];
+"""
+        state = interpret_program(source, {"V": {1: 5, 3: 4}})
+        assert state["W"] == {1: 50, 3: 40}
+        assert (state["n"], state["m"]) == (1, 1 + 9), "the If at i = 2 runs neither branch"
+
+    def test_an_assignment_folding_its_destination_is_an_update(self):
+        """``d := d ⊕ e`` runs as ``d ⊕= e``: an absent ``d`` is ⊕'s identity."""
+        source = "var W: vector[int] = vector(); for i = 1, 2 do W[i] := W[i] * V[i];"
+        assert interpret_program(source, {"V": {1: 3, 2: 4}})["W"] == {1: 3, 2: 4}
+
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            ("var x: int = V[9];", "VarDecl"),
+            ("var x: int = 0; for i = 1, V[9] do x += i;", "ForRange"),
+            ("var x: int = 0; while (V[9] > x) x += 1;", "While"),
+        ],
+    )
+    def test_an_absent_read_outside_an_update_is_an_error_naming_it(self, source, where):
+        with pytest.raises(InterpreterError, match=rf"absent entry V\[9\] read in a {where}$"):
+            interpret_program(source, {"V": {1: 5}})
+
     def test_incremental_update_on_missing_entry_uses_identity(self):
         state = interpret_program(
             "var C: map[string,int] = map(); for w in words do C[w] += 1;", {"words": ["a", "a", "b"]}

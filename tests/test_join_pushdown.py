@@ -226,10 +226,11 @@ def test_a_right_only_filter_moves_into_the_right_keying_run():
     assert _pushed(result.trace) == ["inRange(i$48, 0, hi$10) → right side"]
     consumer = "HashJoin[N on (i$47)]: consumer fused into the join task: cogroup→let×2→fold_by_key(+)"
     assert consumer in result.trace
+    # N's keying run: the one binding N's j (both sides' keying runs emit slot rows).
     right_runs = [
         segment
         for segment in compiled.translation.target.segments
-        if segment.entry[0] == "bind" and segment.exit[0] == "keyed" and segment.exit[2][0] == "values"
+        if segment.entry[0] == "bind" and "i$48" in segment.entry[1].variables()
     ]
     assert [segment.steps for segment in right_runs] == [
         (("filter", ir.InRange(ir.CVar("i$48"), ir.CConst(0), ir.CVar("hi$10"))),)

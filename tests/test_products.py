@@ -96,8 +96,7 @@ def run_case(program: str, strategy: str, monkeypatch, **config):
     with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold, **config) as ctx:
         diablo = diablo_for(spec, ctx) if spec is not None else Diablo(ctx)
         result = diablo.compile(source).run(**make_inputs())
-        oracle = (program, strategy) != ("kmeans", "left")  # see the test below
-        sequential = diablo.interpret(source, make_inputs()) if oracle else None
+        sequential = diablo.interpret(source, make_inputs())
         strategies = dict(ctx.metrics.join_strategies)
     notes = [
         note
@@ -123,16 +122,6 @@ def test_every_product_strategy_matches_the_interpreter(program, strategy, monke
     # kmeans also joins its points to their closest centroid (a hash join).
     assert strategies.get("cartesian", 0) == (strategy == "none")
     assert strategies.get("broadcast", 0) >= (strategy != "none")
-    if program == "kmeans" and strategy == "left":
-        # Fewer points than centroids leaves a centroid without points; the
-        # interpreter reads its absent average as 0 (ROADMAP 7(b)), so this
-        # case is held to the cartesian lowering of the same inputs instead.
-        cartesian = DistributedContext(num_partitions=3, broadcast_join_threshold=0)
-        with cartesian as ctx:
-            expected = diablo_for("kmeans", ctx).compile(get_program("kmeans").source)
-            expected = expected.run(**CASES[("kmeans", "left")][0]())
-        assert result.array("C") == expected.array("C")
-        return
     spec = get_program("kmeans") if program == "kmeans" else _OuterSpec
     assert_same_outputs(spec, result, sequential)
 

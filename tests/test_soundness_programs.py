@@ -82,6 +82,15 @@ def test_matrix_factorization_matches_interpreter_on_dense_ratings():
     assert_same_outputs(spec, distributed, sequential)
 
 
+@pytest.mark.parametrize("size", [6, 8, 20])
+def test_matrix_factorization_matches_interpreter_on_sparse_ratings(size):
+    # The interpreter skips an update that reads an absent rating, as the
+    # translation's generators find no row for it.
+    inputs = workload_for_program("matrix_factorization", size, seed=7)
+    spec, distributed, sequential = run_both("matrix_factorization", inputs)
+    assert_same_outputs(spec, distributed, sequential)
+
+
 def test_pagerank_two_steps_matches_interpreter():
     inputs = workload_for_program("pagerank", 30)
     inputs["num_steps"] = 2
