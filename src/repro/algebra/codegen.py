@@ -144,7 +144,9 @@ class Segment(NamedTuple):
     computed, with none of the locals it reads rebound since, aliases that
     let's local instead of computing the term again.  So does a flat tuple
     pattern over a tuple of row variables (no shape check), and a pure
-    filter already tested is not tested again.
+    filter already tested is not tested again.  A ``let`` of a tuple of row
+    variables that no other line reads is not emitted, and an ``inRange``
+    reads a driver scalar first only if no earlier ``inRange`` filter did.
     """
 
     entry: tuple
@@ -291,6 +293,10 @@ class _Emitter:
         #: depths; of a tested pure filter's statement -> ("", depth, ()):
         #: while no local the text reads is rebound.
         self.computed: dict[str, tuple[str, int, tuple]] = {}
+        #: Driver scalar locals an earlier ``inRange`` filter read (loop depth only grows).
+        self.resolved: set[str] = set()
+        #: ``(line, local)`` of each emitted let of a tuple of row variables.
+        self.inert: list[tuple[int, str]] = []
         self.count = 0
         #: The names the entry must supply (see :func:`live`).
         self.reads = live(segment.steps, segment.exit)
@@ -447,8 +453,8 @@ class _Emitter:
             # skip its upper bound) compares.
             reads = [
                 f"{part} is {part} and "
-                for operand, part in zip(operands, parts)
-                if isinstance(operand, ir.CVar) and operand.name not in self.row
+                for arg, part in zip(operands, parts, strict=True)
+                if isinstance(arg, ir.CVar) and arg.name not in self.row and part not in self.resolved
             ]
             return f"({''.join(reads)}{parts[1]} <= {parts[0]} <= {parts[2]})"
         if isinstance(term, ir.RangeTerm):
@@ -720,6 +726,8 @@ class _Emitter:
             ):
                 parts = tuple((self.row[e.name], self.depths.get(e.name, 0)) for e in term.elements)
             local = self.target(name)
+            if parts:
+                self.inert.append((len(self.lines), local))
             self.emit(f"{local} = {text}")
             if not _mentions(text, local):
                 self.computed[text] = (local, self.depth, parts)
@@ -748,12 +756,21 @@ class _Emitter:
                 self.let(step[1], step[2])
             elif step[0] == "expand":
                 self.expand(step[1], step[2])
-            elif (test := f"if not {self.expr(step[1])}:") not in self.computed:
-                self.emit(test)  # unless a pure filter tested it (see Segment)
+            else:  # unless a pure filter tested it, its scalar reads aside (see Segment)
+                test = f"if not {self.expr(step[1])}:"
+                if (key := re.sub(r"(\w+) is \1 and ", "", test)) in self.computed:
+                    continue
+                self.emit(test)
                 self.emit("    continue")
                 if _pure(step[1]):
-                    self.computed[test] = ("", self.depth, ())
+                    self.computed[key] = ("", self.depth, ())
+                if isinstance(step[1], ir.InRange):
+                    names = {arg.name for arg in step[1].children() if isinstance(arg, ir.CVar)}
+                    self.resolved.update(self.scalars[name] for name in names - self.row.keys())
         setup, fetch, result = self.leave()
+        for line, local in reversed(self.inert):
+            if not any(_mentions(text, local) for text in self.lines[:line] + self.lines[line + 1 :]):
+                del self.lines[line]
         probe = self.segment.entry[0] == "probe"
 
         lines = [

@@ -12,9 +12,12 @@ backend* has the full account):
 
 * partition ``i`` always runs on worker ``i % N`` -- deterministic placement
   is what makes resident partitions and shuffle-payload locality work
-  without a placement table; each worker has one scheduler thread and a
-  FIFO queue, and requests on one control socket are strict
-  request/response;
+  without a placement table;
+* **a wave is one send-all / receive-all exchange** (:func:`_exchange`): the
+  calling thread writes each worker's one frame, then reads every reply
+  under one ``task_timeout`` deadline -- no relay threads.  Requests on a
+  control socket are strict request/response under the handle's lock, and
+  a wave takes its workers' locks in worker order;
 * **a task spec ships once per worker**: the pickled spec's exact bytes map
   to a resident id (a bounded LRU), every frame names ``task_id``, and the
   bytes ride along only to a worker that has not acknowledged that id --
@@ -30,7 +33,8 @@ backend* has the full account):
   a handle anywhere else (zipped sides, a reversed or unioned list) travels
   as a reference the worker resolves from its own store or from its peer;
 * records reach the driver only when driver code reads a handle (a
-  ``collect``, the adaptive sampler's strided slice) or an action asks for
+  ``collect``, the adaptive sampler's strided slices -- one request per
+  worker for all of them) or an action asks for
   them in the task reply (``read=True``); ``driver_payload_bytes``,
   ``driver_pushed_bytes`` and ``driver_fetched_bytes`` count what did.  A
   handle answers ``len()`` and a slice exactly as the list would, so plans,
@@ -53,12 +57,10 @@ import collections
 import functools
 import itertools
 import os
-import queue
 import socket
 import sys
 import threading
 import time
-from concurrent.futures import Future
 from typing import Any, Callable
 
 from repro.errors import ExecutionError, WorkerLostError
@@ -106,89 +108,77 @@ def _load_exception(shipped: bytes | None) -> BaseException | None:
 
 
 class _WorkerHandle:
-    """Driver-side state for one registered worker: socket + scheduler."""
+    """Driver-side state for one registered worker: its control socket.
+
+    ``lock`` is held from sending a request to reading its reply, so the
+    socket stays strictly request/response whichever driver thread talks
+    to the worker (see :func:`_exchange`).
+    """
 
     def __init__(self, index: int, sock: socket.socket, serve_address: str, pid: int):
         self.index = index
         self.sock = sock
         self.serve_address = serve_address
         self.pid = pid
+        self.lock = threading.Lock()
         self.lost: WorkerLostError | None = None
-        self.busy = False
         #: Dead resident ids this worker has not been told to drop yet.
         self.unfreed: list[int] = []
         #: Task ids this worker has loaded and acknowledged with a result.
         self.registered: set[int] = set()
-        self.queue: queue.Queue = queue.Queue()
-        self.thread = threading.Thread(
-            target=self._loop, name=f"cluster-worker-{index}", daemon=True
-        )
-        self.thread.start()
 
-    def submit(self, frame: bytes, timeout: float | None) -> Future:
-        """Queue one pre-encoded request frame; the future gets the response."""
-        future: Future = Future()
+    def _step(self, action: Callable[[socket.socket], Any], deadline: float, timeout: float) -> Any:
+        """``action(sock)`` before ``deadline``; a failure marks the worker
+        lost for good and is returned in place of the result."""
         if self.lost is not None:
-            future.set_exception(self.lost)
-            return future
-        self.queue.put((frame, timeout, future))
-        return future
+            return self.lost
+        try:
+            self.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            return action(self.sock)
+        except protocol.ConnectionClosed:
+            reason = "closed its connection"
+        except TimeoutError:
+            reason = f"did not respond within {timeout:.0f}s"
+        except (OSError, protocol.ProtocolError) as error:
+            reason = f"connection failed ({error})"
+        self.lost = WorkerLostError(f"cluster worker {self.index} (pid {self.pid}) {reason}")
+        self.sock.close()
+        return self.lost
 
-    def _loop(self) -> None:
-        while True:
-            item = self.queue.get()
-            if item is None:
-                return
-            frame, timeout, future = item
-            if self.lost is not None:
-                future.set_exception(self.lost)
-                continue
-            self.busy = True
-            try:
-                self.sock.settimeout(timeout)
-                protocol.send_frame(self.sock, frame)
-                message_type, payload, frame_bytes = protocol.recv_message_sized(self.sock)
-            except protocol.ConnectionClosed:
-                self._mark_lost(future, "closed its connection")
-                continue
-            except TimeoutError:
-                self._mark_lost(future, f"did not respond within {timeout:.0f}s")
-                continue
-            except (OSError, protocol.ProtocolError) as error:
-                self._mark_lost(future, f"connection failed ({error})")
-                continue
-            finally:
-                self.busy = False
-            if message_type == protocol.ERROR:
-                future.set_exception(
-                    _RemoteTaskError(
-                        payload.get("message", "task failed"),
-                        _load_exception(payload.get("exception")),
-                        payload.get("traceback", ""),
-                    )
+
+def _exchange(requests: list[tuple[_WorkerHandle, bytes]], timeout: float, locked: bool = False) -> list[Any]:
+    """One lockstep round: send every frame, then read every reply.
+
+    Returns per request ``(message type, payload, frame bytes)``, or the
+    :class:`WorkerLostError` of a lost worker or a :class:`_RemoteTaskError`
+    for an ``ERROR`` reply in its place.  Every reply is read, whatever the
+    others did, so the control streams stay in step; one ``timeout`` covers
+    the round.  The locks are taken in worker order (two driver threads
+    cannot deadlock), unless the caller holds them.
+    """
+    handles = [] if locked else sorted((handle for handle, _ in requests), key=lambda h: h.index)
+    for handle in handles:
+        handle.lock.acquire()
+    try:
+        deadline = time.monotonic() + timeout
+        sent = [
+            handle._step(functools.partial(protocol.send_frame, frame=frame), deadline, timeout)
+            for handle, frame in requests
+        ]
+        replies = []
+        for (handle, _), error in zip(requests, sent, strict=True):
+            reply = error or handle._step(protocol.recv_message_sized, deadline, timeout)
+            if type(reply) is tuple and reply[0] == protocol.ERROR:
+                reply = _RemoteTaskError(
+                    reply[1].get("message", "task failed"),
+                    _load_exception(reply[1].get("exception")),
+                    reply[1].get("traceback", ""),
                 )
-            else:
-                future.set_result((message_type, payload, frame_bytes))
-
-    def _mark_lost(self, future: Future, reason: str) -> None:
-        """Fail this request, every queued request, and all future ones."""
-        self.busy = False
-        self.lost = WorkerLostError(
-            f"cluster worker {self.index} (pid {self.pid}) {reason}"
-        )
-        self.sock.close()
-        future.set_exception(self.lost)
-        while True:
-            try:
-                item = self.queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not None:
-                item[2].set_exception(self.lost)
-
-    def stop(self) -> None:
-        self.queue.put(None)
-        self.sock.close()
+            replies.append(reply)
+        return replies
+    finally:
+        for handle in handles:
+            handle.lock.release()
 
 
 class _ResidentCache:
@@ -336,7 +326,7 @@ class ClusterContext(DistributedContext):
             if self._local_cluster is not None:
                 self._local_cluster.close()
             for handle in self._workers or []:
-                handle.stop()
+                handle.sock.close()
             raise
         finally:
             listener.close()
@@ -398,11 +388,13 @@ class ClusterContext(DistributedContext):
         """Probe idle workers so a silently dead one is noticed between jobs."""
         while not self._stop_monitor.wait(self.heartbeat_interval):
             for handle in self._workers or []:
-                if handle.lost is None and not handle.busy and handle.queue.empty():
-                    frame = protocol.encode_message(
-                        protocol.HEARTBEAT, {"free": self._frees_for(handle)}
-                    )
-                    handle.submit(frame, self.heartbeat_interval * 2)
+                # A busy worker is in a wave, which notices if it is lost.
+                if handle.lost is None and handle.lock.acquire(blocking=False):
+                    try:
+                        frame = protocol.encode_message(protocol.HEARTBEAT, {"free": self._frees_for(handle)})
+                        _exchange([(handle, frame)], self.heartbeat_interval * 2, locked=True)
+                    finally:
+                        handle.lock.release()
 
     def _frees_for(self, handle: _WorkerHandle) -> list[int]:
         """The dead resident ids ``handle``'s worker has not heard of yet.
@@ -512,6 +504,8 @@ class ClusterContext(DistributedContext):
                             # about to ride through the driver to a worker.
                             driver_bytes += sum(run.length for run in element.runs)
                             driver_bytes += sum(approximate_size(r) for r in element.records)
+                    if not all(isinstance(element, RemoteRecords) for element in partition):
+                        wire.cluster_dumps(partition)  # driver data rides the frame: can it?
                     spec = ("shipped", partition)
                 elif fresh:
                     blob = wire.cluster_dumps(partition)
@@ -521,15 +515,12 @@ class ClusterContext(DistributedContext):
                     spec = ("stored", store_as)
                 stored += spec[0] == "stored"
                 entries.setdefault(worker.index, []).append((index, spec))
-            shipped_entries = {
-                worker_index: wire.cluster_dumps(worker_entries)
-                for worker_index, worker_entries in entries.items()
-            }
         except wire.UnshippableError:
             return None
-        # From here on nothing can fail to encode, so the frees taken for a
-        # frame are sure to leave with it -- the list this wave's push and the
-        # spec its registration evict included.
+        # From here on nothing can fail to encode (the entries hold ids, bytes
+        # and references, or driver data just pickled), so the frees taken for
+        # a frame are sure to leave with it -- the list this wave's push and
+        # the spec its registration evict included.
         if fresh:
             self._garbage.extend(self._push_cache.insert(partitions, store_as))
         task_id = self._task_cache.lookup(task_bytes)
@@ -538,7 +529,7 @@ class ClusterContext(DistributedContext):
             self._garbage.extend(self._task_cache.insert(task_bytes, task_id))
         # Prepare/commit: a worker counts as holding the spec only once it
         # has answered a frame that carried it.
-        carries = {i for i in shipped_entries if task_id not in workers[i].registered}
+        carries = {i for i in entries if task_id not in workers[i].registered}
         result_id = None if read and not capture else next(self._resident_ids)
         frames = {
             worker_index: protocol.encode_message(
@@ -546,14 +537,14 @@ class ClusterContext(DistributedContext):
                 {
                     "task_id": task_id,
                     "task": task_bytes if worker_index in carries else None,
-                    "partitions": entries_bytes,
+                    "partitions": worker_entries,
                     "columnar": self.columnar,
                     "store_as": store_as if fresh else None,
                     "result_id": result_id,
                     "free": self._frees_for(workers[worker_index]),
                 },
             )
-            for worker_index, entries_bytes in shipped_entries.items()
+            for worker_index, worker_entries in entries.items()
         }
 
         lease = None
@@ -567,22 +558,18 @@ class ClusterContext(DistributedContext):
         self.metrics.record_driver_push(pushed_bytes)
         self.metrics.record_resident_reuse(stored)
 
-        futures = [
-            (workers[worker_index], workers[worker_index].submit(frame, self.task_timeout))
-            for worker_index, frame in frames.items()
-        ]
+        requests = [(workers[worker_index], frame) for worker_index, frame in frames.items()]
         by_index: dict[int, Any] = {}
         task_errors: list[_RemoteTaskError] = []
         lost_error: WorkerLostError | None = None
-        for worker, future in futures:
-            try:
-                _, response, frame_bytes = future.result()
-            except _RemoteTaskError as error:
-                task_errors.append(error)
+        for (worker, _), reply in zip(requests, _exchange(requests, self.task_timeout), strict=True):
+            if isinstance(reply, _RemoteTaskError):
+                task_errors.append(reply)
                 continue
-            except WorkerLostError as error:
-                lost_error = lost_error or error
+            if isinstance(reply, WorkerLostError):
+                lost_error = lost_error or reply
                 continue
+            _, response, frame_bytes = reply
             if worker.index in carries:
                 worker.registered.add(task_id)
             counters = response.get("counters") or {}
@@ -622,7 +609,7 @@ class ClusterContext(DistributedContext):
             raise lost_error
         if task_errors:
             task_error = task_errors[0]
-            failed = f"{len(task_errors)} of {len(futures)} worker task batch(es) failed"
+            failed = f"{len(task_errors)} of {len(requests)} worker task batch(es) failed"
             cause = task_error.cause
             if isinstance(cause, BaseException):
                 raise ExecutionError(f"{failed}: {cause}") from cause
@@ -631,6 +618,15 @@ class ClusterContext(DistributedContext):
             self.metrics.record_driver_payload(driver_bytes)
         self.metrics.record_parallel_tasks(len(partitions))
         return [by_index[index] for index in range(len(partitions))]
+
+    def _strided(self, partitions: list[Any], steps: list[int]) -> list[Any]:
+        """The sampler's slices, cut on the workers: one fetch per worker for
+        every handle not read yet."""
+        unread = [isinstance(p, ResidentPartition) and p._records is None for p in partitions]
+        jobs = list(zip(partitions, steps, unread, strict=True))
+        cuts = [(p, (None, None, step)) for p, step, fetch in jobs if fetch]
+        pulled = iter(store_mod.read_all([p for p, _ in cuts], [cut for _, cut in cuts]))
+        return [next(pulled) if fetch else p[::step] for p, step, fetch in jobs]
 
     # -- shuffle lifecycle ---------------------------------------------------
 
@@ -654,21 +650,15 @@ class ClusterContext(DistributedContext):
         workers = self._workers
         if workers is not None:
             self._stop_monitor.set()
-            goodbyes = []
-            for handle in workers:
-                if handle.lost is None:
-                    frame = protocol.encode_message(
-                        protocol.SHUTDOWN, {"free": self._frees_for(handle)}
-                    )
-                    goodbyes.append(handle.submit(frame, 5.0))
-            for future in goodbyes:
-                try:
-                    future.result(timeout=5.0)
-                except Exception:
-                    pass
+            goodbyes = [
+                (handle, protocol.encode_message(protocol.SHUTDOWN, {"free": self._frees_for(handle)}))
+                for handle in workers
+                if handle.lost is None
+            ]
+            _exchange(goodbyes, 5.0)
             self._workers = None
             for handle in workers:
-                handle.stop()
+                handle.sock.close()
             if self._local_cluster is not None:
                 self._local_cluster.close()
             self._push_cache.clear()

@@ -36,8 +36,10 @@ from repro.runtime.cluster import wire
 #: First bytes of every frame; reject non-cluster peers immediately.
 MAGIC = b"DBLO"
 #: Bumped on any incompatible change to framing or message payloads (v3:
-#: ``run_tasks`` / ``shuffle_write`` name their spec by ``task_id``).
-PROTOCOL_VERSION = 3
+#: ``run_tasks`` / ``shuffle_write`` name their spec by ``task_id``; v4: their
+#: ``partitions`` ride in the payload as they are, not pickled apart, and
+#: ``fetch_payload`` takes one slice per key in ``parts``).
+PROTOCOL_VERSION = 4
 #: magic, version byte, 3 pad bytes, u64 body length.
 _WIRE_HEADER = struct.Struct(">4sB3xQ")
 #: Hard per-frame cap: a length beyond this is a corrupt or hostile header.
@@ -55,7 +57,7 @@ REGISTERED = "registered"  #: driver -> worker: accepted, here is your index
 RUN_TASKS = "run_tasks"  #: driver -> worker: run a fused narrow chain, keep the outputs
 SHUFFLE_WRITE = "shuffle_write"  #: driver -> worker: run a map-side chain, keep payloads
 TASK_RESULT = "task_result"  #: worker -> driver: per-partition record counts + counters
-FETCH_PAYLOAD = "fetch_payload"  #: reader -> worker: send the records under these store keys
+FETCH_PAYLOAD = "fetch_payload"  #: reader -> worker: send the records under these keys, sliced
 PAYLOAD = "payload"  #: worker -> reader: one record list per requested key
 HEARTBEAT = "heartbeat"  #: driver -> worker: liveness probe
 HEARTBEAT_ACK = "heartbeat_ack"  #: worker -> driver: resident partitions, payloads, tasks

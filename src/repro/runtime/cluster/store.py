@@ -18,7 +18,8 @@ Partitions and payloads are referenced as :class:`RemoteRecords`: address, key
 and record count travel (``__reduce__``), the records are read only where
 somebody looks at them -- straight out of the store when that is the worker
 that owns them, over **one** ``FETCH_PAYLOAD`` request per peer otherwise
-(:func:`localize` groups a task's references by address).  The driver is just
+(:func:`read_all` groups references by address: a worker's task batch, and
+the driver's adaptive sample, fetch once per peer).  The driver is just
 another reader: what it pulls is charged to its
 :class:`~repro.runtime.metrics.Metrics`.
 
@@ -129,15 +130,15 @@ class _FetchConnections:
         self._sockets: dict[str, socket.socket] = {}
 
     def fetch(
-        self, address: str, keys: list[tuple[int, ...]], part: Part
+        self, address: str, keys: list[tuple[int, ...]], parts: list[Part]
     ) -> tuple[list[list[Any]], int]:
-        """``(one record list per key, frame_bytes)`` from the store at ``address``."""
+        """``(each key's records cut to its part, frame_bytes)`` from ``address``."""
         with self._lock:
             sock = self._sockets.pop(address, None)
         try:
             if sock is None:
                 sock = socket.create_connection(protocol.parse_address(address), timeout=60.0)
-            protocol.send_message(sock, protocol.FETCH_PAYLOAD, {"keys": keys, "part": part})
+            protocol.send_message(sock, protocol.FETCH_PAYLOAD, {"keys": keys, "parts": parts})
             message_type, payload, frame_bytes = protocol.recv_message_sized(sock)
         except (OSError, protocol.ProtocolError) as error:
             if sock is not None:
@@ -194,9 +195,9 @@ class RemoteRecords:
         return f"{type(self).__name__}({self.address}, key={self.key}, records={self.record_count})"
 
 
-def _pull(address: str, references: list[RemoteRecords], part: Part = None) -> list[list[Any]]:
+def _pull(address: str, references: list[RemoteRecords], parts: list[Part]) -> list[list[Any]]:
     """One ``FETCH_PAYLOAD`` round trip for references that all live at ``address``."""
-    records, frame_bytes = FETCH_CONNECTIONS.fetch(address, [ref.key for ref in references], part)
+    records, frame_bytes = FETCH_CONNECTIONS.fetch(address, [ref.key for ref in references], parts)
     store = _ACTIVE_STORE
     if store is not None:
         with store._lock:
@@ -208,16 +209,25 @@ def _pull(address: str, references: list[RemoteRecords], part: Part = None) -> l
     return records
 
 
-def _load(reference: RemoteRecords, part: Part = None) -> list[Any]:
-    """The (slice of the) records behind one reference, wherever this runs."""
+def read_all(references: list[RemoteRecords], parts: list[Part]) -> list[list[Any]]:
+    """The records behind each reference, cut to its part, wherever this runs:
+    this worker's own from its store, the rest with one ``FETCH_PAYLOAD`` per peer."""
+    out: list[Any] = [None] * len(references)
+    by_peer: dict[str, list[int]] = {}
     store = _ACTIVE_STORE
-    if store is None or _ACTIVE_ADDRESS != reference.address:
-        return _pull(reference.address, [reference], part)[0]
-    records = store.records(reference.key, part)
-    if records is None:
-        raise ExecutionError(f"local entry {reference.key} missing from the worker store")
-    store.payload_local_reads += 1
-    return records
+    for position, reference in enumerate(references):
+        if store is None or reference.address != _ACTIVE_ADDRESS:
+            by_peer.setdefault(reference.address, []).append(position)
+            continue
+        out[position] = store.records(reference.key, parts[position])
+        if out[position] is None:
+            raise ExecutionError(f"local entry {reference.key} missing from the worker store")
+        store.payload_local_reads += 1
+    for address, positions in by_peer.items():
+        pulled = _pull(address, [references[p] for p in positions], [parts[p] for p in positions])
+        for position, records in zip(positions, pulled, strict=True):
+            out[position] = records
+    return out
 
 
 class RemotePayload(RemoteRecords):
@@ -240,7 +250,7 @@ class RemotePayload(RemoteRecords):
     @property
     def records(self) -> tuple[Any, ...]:
         if self._records is None:
-            self._records = _load(self)
+            self._records = read_all([self], [None])[0]
         return self._records
 
 
@@ -263,41 +273,39 @@ class ResidentPartition(RemoteRecords, Sequence):
 
     def _list(self) -> list[Any]:
         if self._records is None:
-            self._records = _load(self)
+            self._records = read_all([self], [None])[0]
         return self._records
 
     def __getitem__(self, item: Any) -> Any:
         if self._records is None and isinstance(item, slice):
-            return _load(self, (item.start, item.stop, item.step))
+            return read_all([self], [(item.start, item.stop, item.step)])[0]
         return self._list()[item]
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._list())
 
 
-def localize(partition: Any) -> Any:
-    """Turn a shipped partition's references into records this task can read.
+def resolve(partitions: list[Any]) -> None:
+    """Read every reference the shipped partitions of one task batch hold
+    and have not read yet: one ``FETCH_PAYLOAD`` per peer for the batch.
 
-    ``partition`` is a handle away from its home position, a reduce bucket's
+    A partition is a handle away from its home position, a reduce bucket's
     list of routed payloads, or the zipped sides of a co-partitioned join.
-    Local references are read from the store; the others are fetched with one
-    request per peer, not one per reference.  Handles are replaced by their
-    record lists, payloads keep their ``BucketPayload`` face.
     """
-    whole = isinstance(partition, ResidentPartition)
-    elements = [partition] if whole else partition
-    by_peer: dict[str, list[RemoteRecords]] = {}
-    for element in elements:
-        if isinstance(element, RemoteRecords) and element._records is None:
-            if element.address == _ACTIVE_ADDRESS:
-                element._records = _load(element)
-            else:
-                by_peer.setdefault(element.address, []).append(element)
-    for address, references in by_peer.items():
-        for reference, records in zip(references, _pull(address, references), strict=True):
-            reference._records = records
-    resolved = [
-        element._list() if isinstance(element, ResidentPartition) else element
-        for element in elements
+    pending = [
+        element
+        for partition in partitions
+        for element in ([partition] if isinstance(partition, ResidentPartition) else partition)
+        if isinstance(element, RemoteRecords) and element._records is None
     ]
-    return resolved[0] if whole else resolved
+    for reference, records in zip(pending, read_all(pending, [None] * len(pending)), strict=True):
+        reference._records = records
+
+
+def localize(partition: Any) -> Any:
+    """A shipped partition as records a task can read: handles are replaced
+    by their record lists, payloads keep their ``BucketPayload`` face.  What
+    :func:`resolve` did not read already is read here, one reference at a time."""
+    if isinstance(partition, ResidentPartition):
+        return partition._list()
+    return [element._list() if isinstance(element, ResidentPartition) else element for element in partition]

@@ -6,7 +6,8 @@ A worker makes two kinds of connections:
   serves driver requests in lockstep (one request, one response):
   ``run_tasks`` / ``shuffle_write`` execute fused stage chains over the
   partitions named in the request and *keep* what they produce (and the
-  chain itself, so a repeated wave names it by id),
+  chain itself, so a repeated wave names it by id); the inputs a batch
+  reads from other workers arrive in one ``fetch_payload`` per peer,
   ``heartbeat`` answers liveness probes, ``shutdown`` exits; every request
   first drops the resident ids listed in its ``free`` field;
 * **one listening *serve* socket for readers** -- other workers, and the
@@ -74,7 +75,8 @@ def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -
     running an action that reads every record right away) gets the records
     back instead.  The task spec arrives once per worker: a frame that
     carries its bytes files the loaded chain under ``(task_id,)``, later
-    frames name the id alone.
+    frames name the id alone.  The shipped partitions' references are all
+    read before the first task runs: one fetch per peer for the batch.
     """
     task_key = (request["task_id"],)
     if request["task"] is not None:
@@ -83,7 +85,9 @@ def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -
     store_as = request["store_as"]
     result_id = request["result_id"]
     results: list[tuple[int, Any]] = []
-    for index, spec in wire.cluster_loads(request["partitions"]):
+    entries = request["partitions"]
+    store_mod.resolve([value for _, (kind, value) in entries if kind == "shipped"])
+    for index, spec in entries:
         output = task(_resolve_partition(store, index, spec, store_as), index)
         if capture:
             # Map-side shuffle: keep every non-empty bucket payload resident
@@ -135,8 +139,10 @@ class WorkerDaemon:
                         conn, protocol.ERROR, {"message": f"unexpected {message_type}"}
                     )
                     return
-                part = payload.get("part")
-                records = [self.store.records(tuple(key), part) for key in payload["keys"]]
+                records = [
+                    self.store.records(tuple(key), part)
+                    for key, part in zip(payload["keys"], payload["parts"], strict=True)
+                ]
                 protocol.send_message(conn, protocol.PAYLOAD, {"records": records})
 
     def _serve_loop(self) -> None:

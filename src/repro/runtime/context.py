@@ -395,11 +395,10 @@ class DistributedContext:
                 stages = rest
             task = stage_mod.compose(stages) if stages else None
             histogram: Counter = Counter()
-            for index, partition in enumerate(partitions):
-                if not partition:
-                    continue
-                step = max(1, len(partition) // ADAPTIVE_SAMPLE_PER_PARTITION)
-                sample = partition[::step]
+            sampled = [(index, partition) for index, partition in enumerate(partitions) if partition]
+            steps = [max(1, len(partition) // ADAPTIVE_SAMPLE_PER_PARTITION) for _, partition in sampled]
+            samples = self._strided([partition for _, partition in sampled], steps)
+            for (index, partition), step, sample in zip(sampled, steps, samples, strict=True):
                 if offsets is not None:
                     start = offsets[index]
                     sample = list(zip(range(start, start + len(partition), step), sample))
@@ -410,6 +409,10 @@ class DistributedContext:
             return histogram
         except Exception:
             return None
+
+    def _strided(self, partitions: list[Any], steps: list[int]) -> list[Any]:
+        """``partition[::step]`` of each partition: the adaptive sampler's reads."""
+        return [partition[::step] for partition, step in zip(partitions, steps, strict=True)]
 
     def _adapt_shuffle(
         self, shuffle: ShuffleStage

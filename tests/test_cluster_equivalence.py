@@ -41,7 +41,7 @@ from repro.programs.sources import PROGRAMS
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.cluster import context as context_mod
 from repro.runtime.context import DistributedContext
-from repro.workloads import generators, workload_for_program
+from repro.workloads import workload_for_program
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("DIABLO_CLUSTER_TESTS") != "1",
@@ -96,12 +96,7 @@ def _size(name: str) -> int:
 
 
 def workload(name: str) -> dict:
-    inputs = workload_for_program(name, _size(name))
-    if name == "matrix_factorization":
-        # Dense R so the interpreter's implicit-zero reads coincide with the
-        # translator's sparse semantics (see test_executor_equivalence).
-        inputs["R"] = generators.random_matrix(_size(name), _size(name), seed=3)
-    return inputs
+    return workload_for_program(name, _size(name))
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ clusters, small data -- the full Figure 3 differential suite lives in
 from __future__ import annotations
 
 import gc
+import os
 import socket
 import sys
 import threading
@@ -52,10 +53,8 @@ def _pair_key(pair):
 
 def _heartbeat_acks(ctx) -> list[dict]:
     """One heartbeat ack per worker: what each one holds."""
-    return [
-        handle.submit(protocol.encode_message(protocol.HEARTBEAT, {}), 5.0).result(timeout=5.0)[1]
-        for handle in ctx._workers
-    ]
+    frame = protocol.encode_message(protocol.HEARTBEAT, {})
+    return [reply[1] for reply in context_mod._exchange([(h, frame) for h in ctx._workers], 5.0)]
 
 
 def _resident(ctx) -> tuple[int, int]:
@@ -223,11 +222,10 @@ class TestResidentResults:
         keyed = ctx.parallelize(range(40)).map(_key_mod5).materialize()
         assert sorted(keyed.collect()) == sorted(_key_mod5(x) for x in range(40))
         processes = list(ctx._local_cluster.processes)
-        threads = [handle.thread for handle in ctx._workers] + [ctx._monitor_thread]
+        monitor = ctx._monitor_thread
         ctx.shutdown()
-        for thread in threads:
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
+        monitor.join(timeout=5.0)
+        assert not monitor.is_alive()
         assert all(process.returncode == 0 for process in processes), "resident state went with them"
         assert not store_mod.FETCH_CONNECTIONS._sockets, "the driver's fetch sockets are closed"
         assert not ctx._push_cache._entries
@@ -343,9 +341,9 @@ class TestFailureDetection:
             handle._mark_lost_probe = None  # silence linters about unused vars
             error = WorkerLostError("test")
             handle.lost = error
-            future = handle.submit(b"ignored", 1.0)
+            (reply,) = context_mod._exchange([(handle, b"ignored")], 1.0)
             with pytest.raises(WorkerLostError):
-                future.result(timeout=1.0)
+                raise reply
         finally:
             ctx.shutdown()
 
@@ -371,16 +369,114 @@ class TestWorkerErrors:
 def _task_frames(monkeypatch) -> list[tuple[int, dict]]:
     """Record every task frame the driver sends, as ``(worker index, payload)``."""
     sent: list[tuple[int, dict]] = []
-    submit = context_mod._WorkerHandle.submit
+    exchange = context_mod._exchange
 
-    def recording(handle, frame, timeout):
-        message_type, payload = wire.cluster_loads(frame[protocol._WIRE_HEADER.size :])
-        if message_type in (protocol.RUN_TASKS, protocol.SHUFFLE_WRITE):
-            sent.append((handle.index, payload))
-        return submit(handle, frame, timeout)
+    def recording(requests, timeout, locked=False):
+        for handle, frame in requests:
+            message_type, payload = wire.cluster_loads(frame[protocol._WIRE_HEADER.size :])
+            if message_type in (protocol.RUN_TASKS, protocol.SHUFFLE_WRITE):
+                sent.append((handle.index, payload))
+        return exchange(requests, timeout, locked)
 
-    monkeypatch.setattr(context_mod._WorkerHandle, "submit", recording)
+    monkeypatch.setattr(context_mod, "_exchange", recording)
     return sent
+
+
+def _exit_in(pid):
+    """A map function that kills the worker process ``pid`` when it runs there."""
+
+    def exit_here(x):
+        if os.getpid() == pid:
+            os._exit(1)
+        return x
+
+    return exit_here
+
+
+class TestLeanWave:
+    """A wave is one send-all / receive-all exchange; reads batch per peer."""
+
+    def test_two_driver_threads_share_one_context(self, cluster):
+        expected = sorted(map(_key_mod5, range(200)))
+        results, errors = [], []
+        together = threading.Barrier(2, timeout=30.0)
+
+        def collect_repeatedly():
+            try:
+                for _ in range(25):
+                    together.wait()  # both waves in flight at once
+                    results.append(sorted(cluster.parallelize(range(200)).map(_key_mod5).collect()))
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=collect_repeatedly, daemon=True) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads), "the driver threads deadlocked"
+        assert not errors
+        assert results == [expected] * 50
+
+    @pytest.mark.parametrize("doomed", [0, 1])
+    def test_a_worker_killed_mid_wave_is_lost_and_its_peer_drained(self, doomed):
+        ctx = ClusterContext(num_partitions=2, cluster_workers=2, task_timeout=20.0)
+        try:
+            survivor = ctx._workers[1 - doomed]
+            started = time.monotonic()
+            with pytest.raises(WorkerLostError, match=f"worker {doomed}"):
+                ctx.parallelize(range(8)).map(_exit_in(ctx._workers[doomed].pid)).collect()
+            assert time.monotonic() - started < ctx.task_timeout
+            assert survivor.lost is None
+            # The survivor's task reply was read: its next request gets its own answer.
+            if survivor.index == 0:
+                assert ctx.parallelize(range(4), 1).map(_key_mod5).collect() == [
+                    _key_mod5(x) for x in range(4)
+                ]
+            frame = protocol.encode_message(protocol.HEARTBEAT, {})
+            (reply,) = context_mod._exchange([(survivor, frame)], 5.0)
+            assert reply[0] == protocol.HEARTBEAT_ACK and reply[1]["index"] == survivor.index
+        finally:
+            ctx.shutdown()
+
+    def test_a_reduce_fetches_once_per_batch_and_peer(self, cluster):
+        keyed = cluster.parallelize(range(400)).map(_key_mod5)
+        assert cluster.metrics.worker_payload_fetches == 0
+        reduced = keyed.reduce_by_key(_add).materialize()
+        # Four map tasks, two per worker, each with a payload for every
+        # bucket: each worker's two-task reduce batch reads its peer once.
+        assert cluster.metrics.worker_payload_fetches == 2
+        assert sorted(reduced.collect()) == sorted(
+            (k, sum(x for x in range(400) if x % 5 == k)) for k in range(5)
+        )
+
+    def test_an_adaptive_sample_fetches_once_per_worker(self, cluster, monkeypatch):
+        records = [("hot", f"<{i}>") for i in range(500)] + [(f"c{i}", "-") for i in range(30)]
+        samples = []
+        strided = ClusterContext._strided
+
+        def counted(ctx, partitions, steps):
+            before = ctx.metrics.driver_fetches
+            sliced = strided(ctx, partitions, steps)
+            samples.append((ctx.metrics.driver_fetches - before, sliced, steps))
+            return sliced
+
+        monkeypatch.setattr(ClusterContext, "_strided", counted)
+
+        def run(ctx):
+            keyed = ctx.parallelize(records).map(_swap).map(_swap).materialize()
+            reduced = keyed.reduce_by_key(_concat).materialize()
+            return keyed, sorted(reduced.collect()), ctx.metrics.adaptive_log
+
+        with DistributedContext(num_partitions=4) as sequential:
+            _, expected, expected_log = run(sequential)
+        keyed, result, log = run(cluster)
+        [(fetches, sliced, steps)] = samples
+        assert fetches == len(cluster._workers) == 2, "one slice request per worker"
+        # Record for record the slices the sequential executor samples.
+        assert sliced == [list(part)[::step] for part, step in zip(keyed.partitions, steps, strict=True)]
+        assert expected_log, "the sample decided something"
+        assert log == expected_log and result == expected
 
 
 def _unloadable_function():

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -1269,6 +1270,25 @@ class TestLetReuse:
         result = assert_same(segment, bindings, [(0, 3), (1, 4), (-1, 2), (2, 2)])
         assert result == ("ok", canonical([(0, 3), (2, 2)]))
 
+    def test_the_dead_tuple_let_is_dropped_and_the_scalar_read_first_once(self, context):
+        """The same run builds no tuple for ``k`` (nothing reads it once p
+        and q alias its parts), and only its first range check reads ``s``
+        first; an unassigned ``s`` still fails at the first record."""
+        in_range = [("filter", ir.InRange(ir.CVar(name), ir.CConst(0), ir.CVar("s"))) for name in "iv"]
+        steps = (
+            ("let", ir.PVar("k"), ir.CTuple((ir.CVar("i"), ir.CVar("v")))),
+            *in_range,
+            ("let", ir.PTuple((ir.PVar("p"), ir.PVar("q"))), ir.CVar("k")),
+        )
+        segment = Segment(("bind", ir.PTuple((ir.PVar("i"), ir.PVar("v")))), steps, slots("q", "p"))
+        records = [(3, 0), (0, 2), (5, 1)]
+        source = codegen.generate(segment, bindings_for(context, {"s": 2}), {}).source
+        assert not re.search(r"\br\d+_k = ", source)
+        assert len(re.findall(r"\b(\w+) is \1 and ", source)) == 1
+        assert assert_same(segment, bindings_for(context, {"s": 2}), records) == ("ok", canonical([(2, 0)]))
+        missing = assert_same(segment, bindings_for(context), records)
+        assert missing == ("error", "ExecutionError", "undefined variable 's'")
+
 
 #: Steps that build a tuple of row variables (``k``), alias its parts, test
 #: them, and rebind a part in place or inside a generated loop in between.
@@ -1294,16 +1314,18 @@ ALIAS_STEPS = [
     step_list=st.lists(st.sampled_from(ALIAS_STEPS), max_size=6),
     exit_=st.sampled_from([slots("a", "b", "c", "d", "k"), slots("c", "d", "e"), slots("k", "a")]),
     records=st.lists(st.tuples(small, small), min_size=1, max_size=4),
-    scalar=st.integers(-1, 4),
+    scalar=st.one_of(st.none(), st.integers(-1, 4)),
     bag=st.lists(st.integers(-1, 3), max_size=3),
 )
 def test_tuple_aliases_and_repeated_filters_equal_evaluate_local(
     context, step_list, exit_, records, scalar, bag
 ):
-    """A tuple let's alias and a filter not tested again stay exact across
-    rebindings of the parts, in place and inside a generated loop."""
+    """A tuple let's alias, a dropped dead let and a filter not tested (or a
+    scalar not read) again stay exact across rebindings of the parts, in
+    place and inside a generated loop; ``None`` leaves ``s`` unassigned."""
     segment = Segment(("bind", ir.PTuple((ir.PVar("a"), ir.PVar("b")))), tuple(step_list), exit_)
-    assert_same(segment, bindings_for(context, {"s": scalar}, {"bag#0": bag}), records)
+    scalars = {} if scalar is None else {"s": scalar}
+    assert_same(segment, bindings_for(context, scalars, {"bag#0": bag}), records)
 
 
 # ---------------------------------------------------------------------------

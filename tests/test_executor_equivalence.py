@@ -23,7 +23,7 @@ from repro.programs import get_program, table2_program_names
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
-from repro.workloads import generators, workload_for_program
+from repro.workloads import workload_for_program
 
 #: Programs whose plans must run generated row segments
 #: (asserted inside the differential sweeps here, in test_columnar and in
@@ -63,12 +63,7 @@ SIZES = {
 
 
 def workload(name: str) -> dict:
-    inputs = workload_for_program(name, SIZES[name])
-    if name == "matrix_factorization":
-        # With a dense R the interpreter's implicit-zero reads coincide with
-        # the translator's sparse semantics (see sources.py notes).
-        inputs["R"] = generators.random_matrix(SIZES[name], SIZES[name], seed=3)
-    return inputs
+    return workload_for_program(name, SIZES[name])
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from repro.runtime import columnar as columnar_mod
 from repro.runtime import stage
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
-from repro.workloads import generators, workload_for_program
+from repro.workloads import workload_for_program
 
 #: ``S[i] += P[i] * Q[j]``: the rows are P's, the product's elements Q's.
 OUTER = """
@@ -140,8 +140,7 @@ def test_every_product_strategy_is_identical_under_columnar(strategy, monkeypatc
 # One record path: every narrow stage a program runs is generated
 # ---------------------------------------------------------------------------
 
-#: Small inputs for every program (matrix_factorization's R dense, as in the
-#: differential suites).
+#: Small inputs for every program.
 GUARD_SIZES = {
     "conditional_sum": 60, "equal": 40, "string_match": 40, "word_count": 80, "histogram": 40,
     "linear_regression": 40, "group_by": 60, "matrix_addition": 4, "matrix_multiplication": 4,
@@ -151,10 +150,7 @@ GUARD_SIZES = {
 
 
 def guard_inputs(name: str) -> dict:
-    inputs = workload_for_program(name, GUARD_SIZES[name])
-    if name == "matrix_factorization":
-        inputs["R"] = generators.random_matrix(4, 4, seed=3)
-    return inputs
+    return workload_for_program(name, GUARD_SIZES[name])
 
 
 def generated_or_runtime(function) -> bool:

@@ -11,6 +11,8 @@ positionally, with no shape check.  These tests hold that to:
   where user data enters a run (a ``bind`` or ``positional`` entry, a
   product's scanned elements), and every slot a consumer's entry names is
   one its run reads;
+* no run reads a driver scalar first twice or builds a tuple no line
+  reads (PageRank's E keying run did both);
 * outputs bit-identical with spill forced and without, both when joins
   shuffle (threshold 0) and when they broadcast (the default); with
   ``DIABLO_CLUSTER_TESTS=1`` a 2-worker cluster is held to the sequential
@@ -86,6 +88,22 @@ def test_every_program_passes_slot_rows_and_keeps_its_outputs(name, threshold):
                 assert segment.entry[0] in SCANNED, source
             read = codegen.live(segment.steps, segment.exit)
             assert set(entry_slots(segment.entry)) <= read, f"a slot nobody reads: {segment.entry}"
+
+
+#: An ``inRange`` chain reading a driver scalar first: ``s6_N is s6_N and``.
+SCALAR_READ = re.compile(r"\b(\w+) is \1 and ")
+#: A row local bound to a tuple display.
+TUPLE_LET = re.compile(r"^\s*(r\d+_\w+) = \(", re.MULTILINE)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_no_run_reads_a_scalar_first_twice_or_builds_a_tuple_nobody_reads(name):
+    for size in SIZES:
+        for _, source in program_run(name, size, DEFAULT_BROADCAST_JOIN_THRESHOLD, None)[1]:
+            reads = SCALAR_READ.findall(source)
+            assert len(reads) == len(set(reads)), source
+            for local in TUPLE_LET.findall(source):
+                assert len(re.findall(rf"\b{local}\b", source)) > 1, source
 
 
 @pytest.mark.skipif(

@@ -7,7 +7,7 @@ import pytest
 from repro.comprehension.monoids import ArgMin
 from repro.evaluation.harness import diablo_for
 from repro.programs import PROGRAMS, get_program
-from repro.workloads import generators, workload_for_program
+from repro.workloads import workload_for_program
 
 #: (program, workload size) pairs small enough for the tree-walking interpreter.
 CASES = [
@@ -20,6 +20,7 @@ CASES = [
     ("group_by", 300),
     ("matrix_addition", 6),
     ("matrix_multiplication", 5),
+    ("matrix_factorization", 6),
     ("pagerank", 40),
     ("kmeans", 220),
     ("pca", 15),
@@ -70,15 +71,6 @@ def assert_same_outputs(spec, distributed, sequential):
 def test_translated_program_matches_interpreter(name, size):
     inputs = workload_for_program(name, size)
     spec, distributed, sequential = run_both(name, inputs)
-    assert_same_outputs(spec, distributed, sequential)
-
-
-def test_matrix_factorization_matches_interpreter_on_dense_ratings():
-    # With a dense R the interpreter's implicit-zero reads coincide with the
-    # translator's sparse semantics (see sources.py notes).
-    inputs = workload_for_program("matrix_factorization", 6)
-    inputs["R"] = generators.random_matrix(6, 6, seed=3)
-    spec, distributed, sequential = run_both("matrix_factorization", inputs)
     assert_same_outputs(spec, distributed, sequential)
 
 
