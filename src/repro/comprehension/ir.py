@@ -24,8 +24,9 @@ structurally in tests and shared freely between rewrite passes.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 # ---------------------------------------------------------------------------
 # Patterns
@@ -100,6 +101,13 @@ class Term:
     def children(self) -> tuple["Term", ...]:
         return ()
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        """This node with ``function`` applied to each direct child term;
+        the node itself when every child comes back unchanged (identity), so
+        a rewrite that touches nothing allocates nothing.  Comprehensions map
+        their head and qualifier terms without regard to binders."""
+        return self
+
 
 @dataclass(frozen=True)
 class CVar(Term):
@@ -132,6 +140,10 @@ class CTuple(Term):
     def children(self) -> tuple[Term, ...]:
         return self.elements
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        elements = _map_all(function, self.elements)
+        return self if elements is None else CTuple(elements)
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.elements) + ")"
 
@@ -144,6 +156,10 @@ class CRecord(Term):
 
     def children(self) -> tuple[Term, ...]:
         return tuple(e for _, e in self.fields)
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        values = _map_all(function, self.children())
+        return self if values is None else CRecord(tuple(zip((n for n, _ in self.fields), values)))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n} = {e}" for n, e in self.fields)
@@ -160,6 +176,10 @@ class CProject(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.base,)
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        base = function(self.base)
+        return self if base is self.base else CProject(base, self.attribute)
+
     def __str__(self) -> str:
         return f"{self.base}.{self.attribute}"
 
@@ -175,6 +195,10 @@ class CBinOp(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        left, right = function(self.left), function(self.right)
+        return self if left is self.left and right is self.right else CBinOp(self.op, left, right)
+
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
 
@@ -189,6 +213,10 @@ class CUnaryOp(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.operand,)
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        operand = function(self.operand)
+        return self if operand is self.operand else CUnaryOp(self.op, operand)
+
     def __str__(self) -> str:
         return f"{self.op}({self.operand})"
 
@@ -202,6 +230,10 @@ class CCall(Term):
 
     def children(self) -> tuple[Term, ...]:
         return self.arguments
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        arguments = _map_all(function, self.arguments)
+        return self if arguments is None else CCall(self.function, arguments)
 
     def __str__(self) -> str:
         return f"{self.function}({', '.join(str(a) for a in self.arguments)})"
@@ -227,6 +259,10 @@ class Aggregate(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.operand,)
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        operand = function(self.operand)
+        return self if operand is self.operand else Aggregate(self.op, operand)
+
     def __str__(self) -> str:
         return f"{op_text(self.op)}/{self.operand}"
 
@@ -244,6 +280,10 @@ class Merge(Term):
 
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        left, right = function(self.left), function(self.right)
+        return self if left is self.left and right is self.right else Merge(left, right)
 
     def __str__(self) -> str:
         return f"({self.left} <| {self.right})"
@@ -269,6 +309,10 @@ class MergeWith(Term):
     def children(self) -> tuple[Term, ...]:
         return (self.left, self.right)
 
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        left, right = function(self.left), function(self.right)
+        return self if left is self.left and right is self.right else MergeWith(self.op, left, right)
+
     def __str__(self) -> str:
         return f"({self.left} <|{self.op} {self.right})"
 
@@ -282,6 +326,10 @@ class RangeTerm(Term):
 
     def children(self) -> tuple[Term, ...]:
         return (self.lower, self.upper)
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        lower, upper = function(self.lower), function(self.upper)
+        return self if lower is self.lower and upper is self.upper else RangeTerm(lower, upper)
 
     def __str__(self) -> str:
         return f"range({self.lower}, {self.upper})"
@@ -297,6 +345,10 @@ class InRange(Term):
 
     def children(self) -> tuple[Term, ...]:
         return (self.value, self.lower, self.upper)
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        children = _map_all(function, self.children())
+        return self if children is None else InRange(*children)
 
     def __str__(self) -> str:
         return f"inRange({self.value}, {self.lower}, {self.upper})"
@@ -317,6 +369,17 @@ class Comprehension(Term):
         for qualifier in self.qualifiers:
             terms.extend(qualifier.terms())
         return tuple(terms)
+
+    def map_children(self, function: Callable[[Term], Term]) -> Term:
+        # The head first: a normalizing ``function`` draws fresh names in
+        # that order.
+        head = function(self.head)
+        qualifiers = _map_all(lambda q: q.map_terms(function), self.qualifiers)
+        if qualifiers is None:
+            if head is self.head:
+                return self
+            qualifiers = self.qualifiers
+        return Comprehension(head, qualifiers)
 
     def is_singleton(self) -> bool:
         """True for ``{ e | }`` which denotes the singleton bag ``{e}``."""
@@ -359,6 +422,12 @@ class Qualifier:
         """The variables bound by this qualifier."""
         return ()
 
+    def map_terms(self, function: Callable[[Term], Term]) -> "Qualifier":
+        """This qualifier with ``function`` applied to its terms (itself when
+        none changes).  A group-by's omitted key is materialized: it is the
+        pattern read as a term over the *current* bindings."""
+        return self
+
 
 @dataclass(frozen=True)
 class Generator(Qualifier):
@@ -369,6 +438,10 @@ class Generator(Qualifier):
 
     def terms(self) -> tuple[Term, ...]:
         return (self.domain,)
+
+    def map_terms(self, function: Callable[[Term], Term]) -> Qualifier:
+        domain = function(self.domain)
+        return self if domain is self.domain else Generator(self.pattern, domain)
 
     def bound_variables(self) -> tuple[str, ...]:
         return self.pattern.variables()
@@ -387,6 +460,10 @@ class LetBinding(Qualifier):
     def terms(self) -> tuple[Term, ...]:
         return (self.term,)
 
+    def map_terms(self, function: Callable[[Term], Term]) -> Qualifier:
+        term = function(self.term)
+        return self if term is self.term else LetBinding(self.pattern, term)
+
     def bound_variables(self) -> tuple[str, ...]:
         return self.pattern.variables()
 
@@ -402,6 +479,10 @@ class Condition(Qualifier):
 
     def terms(self) -> tuple[Term, ...]:
         return (self.term,)
+
+    def map_terms(self, function: Callable[[Term], Term]) -> Qualifier:
+        term = function(self.term)
+        return self if term is self.term else Condition(term)
 
     def __str__(self) -> str:
         return str(self.term)
@@ -426,6 +507,10 @@ class GroupBy(Qualifier):
     def bound_variables(self) -> tuple[str, ...]:
         return self.pattern.variables()
 
+    def map_terms(self, function: Callable[[Term], Term]) -> Qualifier:
+        key = function(self.key_term())
+        return self if key is self.key else GroupBy(self.pattern, key)
+
     def key_term(self) -> Term:
         """The group-by key expression (the pattern read as a term when omitted)."""
         if self.key is not None:
@@ -441,6 +526,16 @@ class GroupBy(Qualifier):
 # ---------------------------------------------------------------------------
 # Traversals and helpers
 # ---------------------------------------------------------------------------
+
+
+def _map_all(function: Callable, items: tuple) -> tuple | None:
+    """``function`` applied to each item in order, as a tuple; None when every
+    item comes back unchanged (identity)."""
+    for index, item in enumerate(items):
+        new = function(item)
+        if new is not item:
+            return (*items[:index], new, *map(function, items[index + 1 :]))
+    return None
 
 
 def pattern_to_term(pattern: Pattern) -> Term:
@@ -463,21 +558,27 @@ def walk_terms(term: Term) -> Iterator[Term]:
 
 def free_variables(term: Term, bound: frozenset[str] = frozenset()) -> set[str]:
     """Free variables of a term, respecting comprehension binders."""
-    if isinstance(term, CVar):
-        return set() if term.name in bound else {term.name}
-    if isinstance(term, Comprehension):
-        names: set[str] = set()
-        inner_bound = set(bound)
+    names: set[str] = set()
+    collect_free(term, names, bound)
+    return names
+
+
+def collect_free(term: Term, names: set[str], bound: frozenset[str] | set[str] = frozenset()) -> None:
+    """Add the free variables of ``term`` to ``names``."""
+    cls = type(term)
+    if cls is CVar:
+        if term.name not in bound:
+            names.add(term.name)
+    elif cls is Comprehension:
+        inner = set(bound)
         for qualifier in term.qualifiers:
             for sub in qualifier.terms():
-                names |= free_variables(sub, frozenset(inner_bound))
-            inner_bound.update(qualifier.bound_variables())
-        names |= free_variables(term.head, frozenset(inner_bound))
-        return names
-    names = set()
-    for child in term.children():
-        names |= free_variables(child, bound)
-    return names
+                collect_free(sub, names, inner)
+            inner.update(qualifier.bound_variables())
+        collect_free(term.head, names, inner)
+    else:
+        for child in term.children():
+            collect_free(child, names, bound)
 
 
 def qualifier_variables(qualifiers: tuple[Qualifier, ...]) -> list[str]:
@@ -493,118 +594,93 @@ def substitute_term(term: Term, mapping: dict[str, Term]) -> Term:
 
     Comprehension binders shadow outer variables; binders themselves are never
     renamed here (the normalizer guarantees uniqueness of bound names before
-    substitution is used across comprehension boundaries).
+    substitution is used across comprehension boundaries).  Sub-terms the
+    mapping does not touch are returned as they are (identity).
     """
-    if not mapping:
-        return term
-    if isinstance(term, CVar):
-        return mapping.get(term.name, term)
-    if isinstance(term, CConst) or isinstance(term, EmptyBag):
-        return term
-    if isinstance(term, CTuple):
-        return CTuple(tuple(substitute_term(e, mapping) for e in term.elements))
-    if isinstance(term, CRecord):
-        return CRecord(tuple((n, substitute_term(e, mapping)) for n, e in term.fields))
-    if isinstance(term, CProject):
-        return CProject(substitute_term(term.base, mapping), term.attribute)
-    if isinstance(term, CBinOp):
-        return CBinOp(term.op, substitute_term(term.left, mapping), substitute_term(term.right, mapping))
-    if isinstance(term, CUnaryOp):
-        return CUnaryOp(term.op, substitute_term(term.operand, mapping))
-    if isinstance(term, CCall):
-        return CCall(term.function, tuple(substitute_term(a, mapping) for a in term.arguments))
-    if isinstance(term, Aggregate):
-        return Aggregate(term.op, substitute_term(term.operand, mapping))
-    if isinstance(term, Merge):
-        return Merge(substitute_term(term.left, mapping), substitute_term(term.right, mapping))
-    if isinstance(term, MergeWith):
-        return MergeWith(
-            term.op, substitute_term(term.left, mapping), substitute_term(term.right, mapping)
-        )
-    if isinstance(term, RangeTerm):
-        return RangeTerm(substitute_term(term.lower, mapping), substitute_term(term.upper, mapping))
-    if isinstance(term, InRange):
-        return InRange(
-            substitute_term(term.value, mapping),
-            substitute_term(term.lower, mapping),
-            substitute_term(term.upper, mapping),
-        )
-    if isinstance(term, Comprehension):
-        remaining = dict(mapping)
-        new_qualifiers: list[Qualifier] = []
-        for qualifier in term.qualifiers:
-            new_qualifiers.append(substitute_qualifier(qualifier, remaining))
-            for name in qualifier.bound_variables():
-                remaining.pop(name, None)
-        new_head = substitute_term(term.head, remaining)
-        return Comprehension(new_head, tuple(new_qualifiers))
-    raise TypeError(f"unknown term node: {term!r}")
+    return _substitution(mapping)(term)
 
 
 def substitute_qualifier(qualifier: Qualifier, mapping: dict[str, Term]) -> Qualifier:
-    """Apply a substitution to the terms inside a qualifier."""
-    if isinstance(qualifier, Generator):
-        return Generator(qualifier.pattern, substitute_term(qualifier.domain, mapping))
-    if isinstance(qualifier, LetBinding):
-        return LetBinding(qualifier.pattern, substitute_term(qualifier.term, mapping))
-    if isinstance(qualifier, Condition):
-        return Condition(substitute_term(qualifier.term, mapping))
-    if isinstance(qualifier, GroupBy):
-        # When the key is omitted it is the pattern read as a term and refers
-        # to the *current* bindings of those variables, so it participates in
-        # the substitution; materialize it explicitly.
-        return GroupBy(qualifier.pattern, substitute_term(qualifier.key_term(), mapping))
-    raise TypeError(f"unknown qualifier: {qualifier!r}")
+    """Apply a substitution to the terms inside a qualifier (an omitted
+    group-by key is materialized, as it reads the current bindings)."""
+    return qualifier.map_terms(_substitution(mapping))
 
 
-def rename_bound_variables(comp: Comprehension, fresh: "NameGenerator") -> Comprehension:
+def _substitution(mapping: dict[str, Term], hides: list[str] | None = None) -> Callable[[Term], Term]:
+    """:func:`substitute_term` as a function of the term; it reads ``mapping``
+    when called, so the caller may extend the mapping between calls.  Each
+    mapped name a nested binder hides is appended to ``hides``."""
+
+    def substitute(node: Term) -> Term:
+        kind = type(node)
+        if kind is CConst or not mapping:
+            return node
+        if kind is CVar:
+            return mapping.get(node.name, node)
+        if kind is not Comprehension:
+            return node.map_children(substitute)
+        remaining = dict(mapping)
+        inner = _substitution(remaining, hides)
+        qualifiers: list[Qualifier] = []
+        for qualifier in node.qualifiers:
+            qualifiers.append(qualifier.map_terms(inner))
+            for name in qualifier.bound_variables():
+                if remaining.pop(name, None) is not None and hides is not None:
+                    hides.append(name)
+        head = inner(node.head)
+        if head is node.head and all(map(operator.is_, qualifiers, node.qualifiers)):
+            return node
+        return Comprehension(head, tuple(qualifiers))
+
+    return substitute
+
+
+def rename_bound_variables(
+    comp: Comprehension, fresh: "NameGenerator", shadowed: Callable[[Term], Term] | None = None
+) -> Comprehension:
     """Alpha-rename every variable bound inside ``comp`` to a fresh name.
 
     Used before unnesting a nested comprehension into an outer one so that the
-    inner binders cannot capture outer variables (Rule 2 requires it).
+    inner binders cannot capture outer variables (Rule 2 requires it).  An
+    omitted group-by key is materialized under the renaming before its own
+    pattern's.  ``shadowed`` is applied to each renamed term where a nested
+    binder hides a renamed variable (there ``let x = x`` may become
+    ``let x = x$1``): the normalizer passes itself.
     """
     mapping: dict[str, Term] = {}
-    new_qualifiers: list[Qualifier] = []
+    hides: list[str] = []
+    substitute = _substitution(mapping, hides)
+
+    def rename(term: Term) -> Term:
+        renamed = substitute(term)
+        if hides and shadowed is not None:
+            hides.clear()
+            return shadowed(renamed)
+        return renamed
+
+    qualifiers: list[Qualifier] = []
     for qualifier in comp.qualifiers:
+        qualifier = qualifier.map_terms(rename)
         if isinstance(qualifier, Generator):
-            domain = substitute_term(qualifier.domain, mapping)
-            pattern, mapping = _rename_pattern(qualifier.pattern, mapping, fresh)
-            new_qualifiers.append(Generator(pattern, domain))
+            qualifier = Generator(_rename_pattern(qualifier.pattern, mapping, fresh), qualifier.domain)
         elif isinstance(qualifier, LetBinding):
-            term = substitute_term(qualifier.term, mapping)
-            pattern, mapping = _rename_pattern(qualifier.pattern, mapping, fresh)
-            new_qualifiers.append(LetBinding(pattern, term))
-        elif isinstance(qualifier, Condition):
-            new_qualifiers.append(Condition(substitute_term(qualifier.term, mapping)))
+            qualifier = LetBinding(_rename_pattern(qualifier.pattern, mapping, fresh), qualifier.term)
         elif isinstance(qualifier, GroupBy):
-            # When the key is omitted it is the pattern read as a term, which
-            # refers to the *previously bound* variables; resolve it under the
-            # current renaming before the pattern itself is alpha-renamed.
-            key = substitute_term(qualifier.key_term(), mapping)
-            pattern, mapping = _rename_pattern(qualifier.pattern, mapping, fresh)
-            new_qualifiers.append(GroupBy(pattern, key))
-        else:
-            raise TypeError(f"unknown qualifier: {qualifier!r}")
-    head = substitute_term(comp.head, mapping)
-    return Comprehension(head, tuple(new_qualifiers))
+            qualifier = GroupBy(_rename_pattern(qualifier.pattern, mapping, fresh), qualifier.key)
+        qualifiers.append(qualifier)
+    return Comprehension(rename(comp.head), tuple(qualifiers))
 
 
-def _rename_pattern(
-    pattern: Pattern, mapping: dict[str, Term], fresh: "NameGenerator"
-) -> tuple[Pattern, dict[str, Term]]:
-    new_mapping = dict(mapping)
-    if isinstance(pattern, PVar):
+def _rename_pattern(pattern: Pattern, mapping: dict[str, Term], fresh: "NameGenerator") -> Pattern:
+    """``pattern`` with fresh names, recorded in ``mapping`` (updated in place)."""
+    if type(pattern) is PVar:
         new_name = fresh.fresh(pattern.name)
-        new_mapping[pattern.name] = CVar(new_name)
-        return PVar(new_name), new_mapping
-    if isinstance(pattern, PTuple):
-        elements: list[Pattern] = []
-        for element in pattern.elements:
-            renamed, new_mapping = _rename_pattern(element, new_mapping, fresh)
-            elements.append(renamed)
-        return PTuple(tuple(elements)), new_mapping
-    if isinstance(pattern, PWildcard):
-        return pattern, new_mapping
+        mapping[pattern.name] = CVar(new_name)
+        return PVar(new_name)
+    if type(pattern) is PTuple:
+        return PTuple(tuple(_rename_pattern(element, mapping, fresh) for element in pattern.elements))
+    if type(pattern) is PWildcard:
+        return pattern
     raise TypeError(f"unknown pattern: {pattern!r}")
 
 
@@ -617,7 +693,7 @@ class NameGenerator:
 
     def fresh(self, hint: str = "") -> str:
         index = next(self._counter)
-        base = hint.split("$")[0] if hint else "x"
+        base = hint.partition("$")[0] if hint else "x"
         return f"{base}${index}"
 
 

@@ -79,70 +79,20 @@ class Optimizer:
     def optimize(self, term: ir.Term, fresh: ir.NameGenerator | None = None) -> ir.Term:
         """Optimize ``term`` (descending into nested comprehensions)."""
         fresh = fresh or ir.NameGenerator()
-        term = normalize(term, fresh)
-        return self._optimize_term(term, fresh)
 
-    def _optimize_term(self, term: ir.Term, fresh: ir.NameGenerator) -> ir.Term:
-        if isinstance(term, ir.Comprehension):
-            return self._optimize_comprehension(term, fresh)
-        if not term.children():
-            return term
-        rebuilt = self._rebuild(term, tuple(self._optimize_term(c, fresh) for c in term.children()))
-        return rebuilt
+        def visit(node: ir.Term) -> ir.Term:
+            if type(node) is not ir.Comprehension:
+                return node.map_children(visit)
+            # Optimize nested comprehensions inside qualifier domains / head first.
+            current = node.map_children(visit)
+            current = self._eliminate_ranges(current)
+            current = self._eliminate_group_bys(current, fresh)
+            # ``node`` is a sub-term of a normal form, hence itself normal:
+            # when no rewrite fired here or below, there is nothing to
+            # re-normalize.
+            return node if current is node else normalize(current, fresh)
 
-    @staticmethod
-    def _rebuild(term: ir.Term, children: tuple[ir.Term, ...]) -> ir.Term:
-        """Rebuild a non-comprehension term with new children."""
-        if isinstance(term, ir.CTuple):
-            return ir.CTuple(children)
-        if isinstance(term, ir.CRecord):
-            return ir.CRecord(tuple((n, c) for (n, _), c in zip(term.fields, children, strict=False)))
-        if isinstance(term, ir.CProject):
-            return ir.CProject(children[0], term.attribute)
-        if isinstance(term, ir.CBinOp):
-            return ir.CBinOp(term.op, children[0], children[1])
-        if isinstance(term, ir.CUnaryOp):
-            return ir.CUnaryOp(term.op, children[0])
-        if isinstance(term, ir.CCall):
-            return ir.CCall(term.function, children)
-        if isinstance(term, ir.Aggregate):
-            return ir.Aggregate(term.op, children[0])
-        if isinstance(term, ir.Merge):
-            return ir.Merge(children[0], children[1])
-        if isinstance(term, ir.MergeWith):
-            return ir.MergeWith(term.op, children[0], children[1])
-        if isinstance(term, ir.RangeTerm):
-            return ir.RangeTerm(children[0], children[1])
-        if isinstance(term, ir.InRange):
-            return ir.InRange(children[0], children[1], children[2])
-        return term
-
-    def _optimize_comprehension(self, comp: ir.Comprehension, fresh: ir.NameGenerator) -> ir.Term:
-        # Optimize nested comprehensions inside qualifier domains / head first.
-        head = self._optimize_term(comp.head, fresh)
-        qualifiers: list[ir.Qualifier] = []
-        for qualifier in comp.qualifiers:
-            if isinstance(qualifier, ir.Generator):
-                qualifiers.append(
-                    ir.Generator(qualifier.pattern, self._optimize_term(qualifier.domain, fresh))
-                )
-            elif isinstance(qualifier, ir.LetBinding):
-                qualifiers.append(
-                    ir.LetBinding(qualifier.pattern, self._optimize_term(qualifier.term, fresh))
-                )
-            elif isinstance(qualifier, ir.Condition):
-                qualifiers.append(ir.Condition(self._optimize_term(qualifier.term, fresh)))
-            elif isinstance(qualifier, ir.GroupBy):
-                qualifiers.append(
-                    ir.GroupBy(qualifier.pattern, self._optimize_term(qualifier.key_term(), fresh))
-                )
-            else:
-                raise TypeError(f"unknown qualifier: {qualifier!r}")
-        current = ir.Comprehension(head, tuple(qualifiers))
-
-        current = self._eliminate_ranges(current)
-        current = self._eliminate_group_bys(current, fresh)
-        return normalize(current, fresh)
+        return visit(normalize(term, fresh))
 
     # -- Section 3.6: loop-iteration elimination -------------------------------
 

@@ -8,8 +8,8 @@ are written ``+=``, ``*=``, ``^=`` and so on, and for-loops use the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import NamedTuple
 
 from repro.errors import LexerError, SourceLocation
 
@@ -51,9 +51,8 @@ MULTI_CHAR_SYMBOLS = [
 SINGLE_CHAR_SYMBOLS = "+-*/%^<>=!(){}[],;:."
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (a named tuple: cheap to build, one per token).
 
     Attributes:
         kind: one of ``ident``, ``int``, ``float``, ``string``, ``keyword``,
@@ -76,151 +75,75 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+#: Escape sequences inside string literals; any other escaped character
+#: stands for itself.
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+#: The master pattern: one alternative per token class, tried in order at
+#: each position.  ``space`` covers whitespace and every comment; the
+#: ``open_*`` and ``other`` alternatives only match where the source is
+#: malformed.  ``\d`` is a Unicode decimal digit and ``[^\W\d]`` a letter or
+#: ``_`` (or a non-decimal numeric, rejected in :func:`tokenize`).
+_TOKEN = re.compile(
+    "|".join(
+        (
+            r"(?P<space>[ \t\r\n]+|//[^\n]*|#[^\n]*|/\*.*?\*/)",
+            r"(?P<open_comment>/\*)",
+            r"(?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))",
+            r"(?P<int>\d+)",
+            r"(?P<ident>[^\W\d]\w*)",
+            r"""(?P<string>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')""",
+            r"""(?P<open_string>["'])""",
+            f"(?P<symbol>{'|'.join(map(re.escape, MULTI_CHAR_SYMBOLS))}|[{re.escape(SINGLE_CHAR_SYMBOLS)}])",
+            r"(?P<other>.)",
+        )
+    ),
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class Lexer:
-    """Converts loop-language source text into a stream of :class:`Token`."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.position = 0
-        self.line = 1
-        self.column = 1
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.position >= len(self.source):
-                return
-            if self.source[self.position] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.position += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        if index < len(self.source):
-            return self.source[index]
-        return ""
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.position < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.position < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.position >= len(self.source):
-                    raise LexerError("unterminated block comment", self._location())
-                self._advance(2)
-            elif ch == "#":
-                while self.position < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _scan_number(self) -> Token:
-        location = self._location()
-        start = self.position
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit() or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.position]
-        return Token("float" if is_float else "int", text, location)
-
-    def _scan_identifier(self) -> Token:
-        location = self._location()
-        start = self.position
-        while _is_ident_char(self._peek()):
-            self._advance()
-        text = self.source[start : self.position]
-        kind = "keyword" if text in KEYWORDS else "ident"
-        return Token(kind, text, location)
-
-    def _scan_string(self) -> Token:
-        location = self._location()
-        quote = self._peek()
-        self._advance()
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexerError("unterminated string literal", location)
-            if ch == quote:
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escaped = self._peek()
-                escapes = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
-                chars.append(escapes.get(escaped, escaped))
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        return Token("string", "".join(chars), location)
-
-    def _scan_symbol(self) -> Token:
-        location = self._location()
-        for symbol in MULTI_CHAR_SYMBOLS:
-            if self.source.startswith(symbol, self.position):
-                self._advance(len(symbol))
-                return Token("symbol", symbol, location)
-        ch = self._peek()
-        if ch in SINGLE_CHAR_SYMBOLS:
-            self._advance()
-            return Token("symbol", ch, location)
-        raise LexerError(f"unexpected character {ch!r}", location)
-
-    def tokens(self) -> Iterator[Token]:
-        """Yield tokens until end of input, ending with a single ``eof``."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self.position >= len(self.source):
-                yield Token("eof", "", self._location())
-                return
-            ch = self._peek()
-            if ch.isdigit():
-                yield self._scan_number()
-            elif _is_ident_start(ch):
-                yield self._scan_identifier()
-            elif ch in "\"'":
-                yield self._scan_string()
-            else:
-                yield self._scan_symbol()
+def _unescape(match: re.Match[str]) -> str:
+    escaped = match.group(1)
+    return _ESCAPES.get(escaped, escaped)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source`` and return the full token list (including ``eof``)."""
-    return list(Lexer(source).tokens())
+    """Tokenize ``source`` and return the full token list (including ``eof``).
+
+    Raises:
+        LexerError: at an unterminated string (located at its opening quote),
+            an unterminated block comment (located at the end of the input)
+            or a character no token starts with.
+    """
+    tokens: list[Token] = []
+    line, line_start = 1, 0  # the column of offset i is i - line_start + 1
+    for match in _TOKEN.finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        if kind == "space":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            continue
+        location = SourceLocation(line, start - line_start + 1)
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+            elif not (text[0].isalpha() or text[0] == "_"):
+                raise LexerError(f"unexpected character {text[0]!r}", location)
+        elif kind == "string":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+            text = _ESCAPE.sub(_unescape, text[1:-1]) if "\\" in text else text[1:-1]
+        elif kind == "open_comment":  # reported where the input ends
+            line += source.count("\n", start)
+            line_start = max(line_start, source.rfind("\n") + 1)
+            raise LexerError("unterminated block comment", SourceLocation(line, len(source) - line_start + 1))
+        elif kind == "open_string":
+            raise LexerError("unterminated string literal", location)
+        elif kind == "other":
+            raise LexerError(f"unexpected character {text!r}", location)
+        tokens.append(Token(kind, text, location))
+    tokens.append(Token("eof", "", SourceLocation(line, len(source) - line_start + 1)))
+    return tokens

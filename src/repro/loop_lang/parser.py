@@ -51,10 +51,12 @@ class Parser:
         return token
 
     def _check_symbol(self, text: str) -> bool:
-        return self._current().is_symbol(text)
+        token = self.tokens[self.position]
+        return token.kind == "symbol" and token.text == text
 
     def _check_keyword(self, text: str) -> bool:
-        return self._current().is_keyword(text)
+        token = self.tokens[self.position]
+        return token.kind == "keyword" and token.text == text
 
     def _match_symbol(self, text: str) -> bool:
         if self._check_symbol(text):

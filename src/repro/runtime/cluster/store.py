@@ -55,6 +55,8 @@ class WorkerStore:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._entries: dict[tuple[int, ...], Any] = {}
+        #: id -> the keys filed under it, so a free costs what it drops.
+        self._keys: dict[int, set[tuple[int, ...]]] = {}
         self.payload_fetches = 0
         self.payload_fetch_bytes = 0
         self.payload_local_reads = 0
@@ -62,6 +64,7 @@ class WorkerStore:
     def put(self, key: tuple[int, ...], value: Any) -> None:
         with self._lock:
             self._entries[key] = value
+            self._keys.setdefault(key[0], set()).add(key)
 
     def get(self, key: tuple[int, ...]) -> Any:
         with self._lock:
@@ -85,10 +88,10 @@ class WorkerStore:
 
     def free(self, ids: Iterable[int]) -> None:
         """Drop every entry of the given ids."""
-        dead = set(ids)
         with self._lock:
-            for key in [key for key in self._entries if key[0] in dead]:
-                del self._entries[key]
+            for data_id in ids:
+                for key in self._keys.pop(data_id, ()):
+                    del self._entries[key]
 
     def resident_counts(self) -> tuple[int, int, int]:
         """``(resident partitions, captured payloads, registered tasks)`` held."""

@@ -1,4 +1,5 @@
-"""Unit tests for the cluster wire protocol and the closure-capable pickler.
+"""Unit tests for the cluster wire protocol, the closure-capable pickler and
+the worker store.
 
 These run without any worker processes: framing is exercised over
 ``socket.socketpair`` and serialization round-trips happen in-process.
@@ -13,6 +14,7 @@ import threading
 import pytest
 
 from repro.runtime.cluster import protocol, wire
+from repro.runtime.cluster.store import WorkerStore
 
 # ---------------------------------------------------------------------------
 # Framing
@@ -292,3 +294,55 @@ class TestColumnarWireSerialization:
         clone = self.round_trip(scope)
         values["threshold"] = 99  # driver-side mutation after shipping
         assert clone.resolve("threshold") == 2
+
+
+# ---------------------------------------------------------------------------
+# The worker's keyspace
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerStore:
+    @staticmethod
+    def filled():
+        store = WorkerStore()
+        for data_id in (1, 2, 3):
+            store.put((data_id, 0), [data_id])
+            store.put((data_id, 1), [data_id, data_id])
+        store.put((4, 0, 1), ["payload"])
+        store.put((5,), "task")
+        return store
+
+    def test_free_drops_only_the_listed_ids(self):
+        store = self.filled()
+        store.free([2, 4])
+        assert sorted(store._entries) == [(1, 0), (1, 1), (3, 0), (3, 1), (5,)]
+        assert store.records((1, 1)) == [1, 1]
+        assert store.records((2, 0)) is None
+        assert store.resident_counts() == (4, 0, 1)
+
+    def test_freeing_an_unknown_id_is_a_no_op(self):
+        store = self.filled()
+        store.free([99, 2])
+        store.free([2])
+        assert store.resident_counts() == (4, 1, 1)
+
+    def test_put_after_free(self):
+        store = self.filled()
+        store.free([1, 5])
+        store.put((1, 3), ["again"])
+        store.put((5,), "reloaded")
+        assert store.get((1, 3)) == ["again"]
+        assert store.resident_counts() == (5, 1, 1)
+        store.free([1])
+        assert store.records((1, 3)) is None
+        assert store.resident_counts() == (4, 1, 1)
+
+    def test_overwriting_a_key_counts_it_once(self):
+        store = self.filled()
+        store.put((3, 0), ["replaced"])
+        assert store.resident_counts() == (6, 1, 1)
+        store.free([3])
+        assert store.resident_counts() == (4, 1, 1)
+        store.free([1, 2, 4, 5])
+        assert store.resident_counts() == (0, 0, 0)
+        assert not store._entries and not store._keys

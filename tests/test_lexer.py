@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
-from repro.loop_lang.lexer import Token, tokenize
+from repro.loop_lang.lexer import MULTI_CHAR_SYMBOLS, SINGLE_CHAR_SYMBOLS, Token, tokenize
 
 
 def kinds(source):
@@ -124,3 +124,122 @@ class TestTokenHelpers:
 
     def test_str_representation(self):
         assert "int" in str(Token("int", "3", tokenize("3")[0].location))
+
+
+def located(source):
+    return [
+        (token.kind, token.text, token.location.line, token.location.column) for token in tokenize(source)
+    ]
+
+
+def lexer_error(source):
+    with pytest.raises(LexerError) as caught:
+        tokenize(source)
+    return str(caught.value), (caught.value.location.line, caught.value.location.column)
+
+
+class TestPinnedBehaviour:
+    """Exact tokens, locations and messages, pinned against rewrites of the scanner."""
+
+    def test_locations_after_a_multiline_block_comment(self):
+        assert located("a /* one\n two\n  three */ b\n\tc") == [
+            ("ident", "a", 1, 1),
+            ("ident", "b", 3, 12),
+            ("ident", "c", 4, 2),
+            ("eof", "", 4, 3),
+        ]
+
+    def test_locations_after_a_multiline_string(self):
+        assert located('x := "ab\ncd" ;\n y') == [
+            ("ident", "x", 1, 1),
+            ("symbol", ":=", 1, 3),
+            ("string", "ab\ncd", 1, 6),
+            ("symbol", ";", 2, 5),
+            ("ident", "y", 3, 2),
+            ("eof", "", 3, 3),
+        ]
+
+    def test_escaped_newline_and_quotes_inside_strings(self):
+        assert located("'a\\\nb\\'' \"\\q\\\"\" z") == [
+            ("string", "a\nb'", 1, 1),
+            ("string", 'q"', 2, 6),
+            ("ident", "z", 2, 13),
+            ("eof", "", 2, 14),
+        ]
+
+    def test_comments_to_end_of_line(self):
+        assert located("a // x := 1\r\n# y\nb") == [
+            ("ident", "a", 1, 1),
+            ("ident", "b", 3, 1),
+            ("eof", "", 3, 2),
+        ]
+
+    def test_unicode_identifiers(self):
+        assert located("größe := αβ1 + _ü2 + 日本") == [
+            ("ident", "größe", 1, 1),
+            ("symbol", ":=", 1, 7),
+            ("ident", "αβ1", 1, 10),
+            ("symbol", "+", 1, 14),
+            ("ident", "_ü2", 1, 16),
+            ("symbol", "+", 1, 20),
+            ("ident", "日本", 1, 22),
+            ("eof", "", 1, 24),
+        ]
+
+    def test_unicode_digits_inside_an_identifier(self):
+        assert texts("x٣ ٣") == ["x٣", "٣"]
+        assert kinds("٣")[:-1] == ["int"]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("1e5", [("float", "1e5")]),
+            ("1.5E-3", [("float", "1.5E-3")]),
+            ("2E+10", [("float", "2E+10")]),
+            ("2.x", [("int", "2"), ("symbol", "."), ("ident", "x")]),
+            ("3.", [("int", "3"), ("symbol", ".")]),
+            ("1e", [("int", "1"), ("ident", "e")]),
+            ("1e+", [("int", "1"), ("ident", "e"), ("symbol", "+")]),
+            ("1.5e-x", [("float", "1.5"), ("ident", "e"), ("symbol", "-"), ("ident", "x")]),
+            ("1.2.3", [("float", "1.2"), ("symbol", "."), ("int", "3")]),
+            ("007", [("int", "007")]),
+            ("12ab", [("int", "12"), ("ident", "ab")]),
+        ],
+    )
+    def test_numbers(self, source, expected):
+        assert [(token.kind, token.text) for token in tokenize(source)][:-1] == expected
+
+    @pytest.mark.parametrize("symbol", MULTI_CHAR_SYMBOLS)
+    def test_longest_match_for_every_multi_character_symbol(self, symbol):
+        assert located(f"a{symbol}b") == [
+            ("ident", "a", 1, 1),
+            ("symbol", symbol, 1, 2),
+            ("ident", "b", 1, 2 + len(symbol)),
+            ("eof", "", 1, 3 + len(symbol)),
+        ]
+
+    def test_adjacent_symbols_split_greedily(self):
+        assert texts(":==^^^=!==") == [":=", "=", "^^", "^=", "!=", "="]
+
+    def test_every_single_character_symbol(self):
+        assert texts(" ".join(SINGLE_CHAR_SYMBOLS)) == list(SINGLE_CHAR_SYMBOLS)
+
+    def test_unterminated_string_message_and_location(self):
+        assert lexer_error('x := 1;\n  y := "abc\n') == (
+            "unterminated string literal at line 2, column 8",
+            (2, 8),
+        )
+        assert lexer_error("'abc\\") == ("unterminated string literal at line 1, column 1", (1, 1))
+
+    def test_unterminated_block_comment_message_and_location(self):
+        # Reported where the input ends, not where the comment opened.
+        assert lexer_error("x;\n/* never\n closed") == (
+            "unterminated block comment at line 3, column 8",
+            (3, 8),
+        )
+        assert lexer_error("/*/") == ("unterminated block comment at line 1, column 4", (1, 4))
+
+    def test_unexpected_character_message_and_location(self):
+        assert lexer_error("a := 1;\n  b @ c") == ("unexpected character '@' at line 2, column 5", (2, 5))
+        assert lexer_error("x $") == ("unexpected character '$' at line 1, column 3", (1, 3))
+        assert lexer_error("x\n\n  ½") == ("unexpected character '½' at line 3, column 3", (3, 3))
