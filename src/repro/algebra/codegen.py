@@ -304,6 +304,8 @@ class _Emitter:
         self.counted = False
         #: The definitions of the nested comprehensions' helper functions.
         self.helpers: list[str] = []
+        #: Leading steps the entry emitted itself (a product's element filters).
+        self.hoisted = 0
 
     # -- naming ----------------------------------------------------------------
 
@@ -575,6 +577,23 @@ class _Emitter:
             _, left_names, pattern, rows = self.segment.entry
             if rows is None:
                 self.open(f"for {self.slots(left_names)}, element in records:")
+            elif set(pattern.variables()).isdisjoint(left_names):
+                # Each element is checked, and tested by the leading filters
+                # that read no left slot, once -- not once per left row; an
+                # empty ``rows`` checks nothing, as the nested form does.
+                bag = self.variable(rows)
+                self.open(f"for element in records if {bag} else ():")
+                self.bind(pattern, "element")
+                steps = self.segment.steps
+                while (
+                    self.hoisted < len(steps)
+                    and steps[self.hoisted][0] == "filter"
+                    and ir.free_variables(steps[self.hoisted][1]).isdisjoint(left_names)
+                ):
+                    self.filter(steps[self.hoisted][1])
+                    self.hoisted += 1
+                self.open(f"for {self.slots(left_names)} in {bag}:")
+                return
             else:
                 self.open("for element in records:")
                 self.open(f"for {self.slots(left_names)} in {self.variable(rows)}:")
@@ -749,24 +768,29 @@ class _Emitter:
                 self.reduced = None if element.name == self.reduced else self.reduced
         return True
 
+    def filter(self, term: ir.Term) -> None:
+        """Emit a filter step, unless a pure filter tested it, its scalar
+        reads aside (see :class:`Segment`)."""
+        test = f"if not {self.expr(term)}:"
+        if (key := re.sub(r"(\w+) is \1 and ", "", test)) in self.computed:
+            return
+        self.emit(test)
+        self.emit("    continue")
+        if _pure(term):
+            self.computed[key] = ("", self.depth, ())
+        if isinstance(term, ir.InRange):
+            names = {arg.name for arg in term.children() if isinstance(arg, ir.CVar)}
+            self.resolved.update(self.scalars[name] for name in names - self.row.keys())
+
     def source(self) -> str:
         self.entry()
-        for step in self.segment.steps:
+        for step in self.segment.steps[self.hoisted :]:
             if step[0] == "let":
                 self.let(step[1], step[2])
             elif step[0] == "expand":
                 self.expand(step[1], step[2])
-            else:  # unless a pure filter tested it, its scalar reads aside (see Segment)
-                test = f"if not {self.expr(step[1])}:"
-                if (key := re.sub(r"(\w+) is \1 and ", "", test)) in self.computed:
-                    continue
-                self.emit(test)
-                self.emit("    continue")
-                if _pure(step[1]):
-                    self.computed[key] = ("", self.depth, ())
-                if isinstance(step[1], ir.InRange):
-                    names = {arg.name for arg in step[1].children() if isinstance(arg, ir.CVar)}
-                    self.resolved.update(self.scalars[name] for name in names - self.row.keys())
+            else:
+                self.filter(step[1])
         setup, fetch, result = self.leave()
         for line, local in reversed(self.inert):
             if not any(_mentions(text, local) for text in self.lines[:line] + self.lines[line + 1 :]):

@@ -182,8 +182,8 @@ class TermEvaluator:
 
     def _traced_merge(self, op: str, merged: Dataset) -> Dataset:
         """Log an array merge and how it runs: co-partitioned sides merge in
-        a narrow zip pass (already done), anything else in a coGroup shuffle."""
-        how = "narrow zip of co-partitioned sides" if merged.is_materialized else "shuffle"
+        a narrow zip pass, anything else in a coGroup shuffle."""
+        how = "narrow zip of co-partitioned sides" if merged.provenance else "shuffle"
         self.trace.append(f"merge ({op}) via coGroup: {how}")
         return merged
 

@@ -17,16 +17,16 @@ The compiler pipeline reports problems through these exceptions so that callers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class DiabloError(Exception):
     """Base class for every error raised by the reproduction."""
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position inside a loop-language source text.
+class SourceLocation(NamedTuple):
+    """A position inside a loop-language source text (a tuple: the lexer
+    builds one per token).
 
     Attributes:
         line: 1-based line number.

@@ -456,16 +456,19 @@ class ClusterContext(DistributedContext):
         """How the partitions that are *not* handles travel.
 
         ``None``: there are none.  ``"shipped"``: they are lists of references
-        (a reduce bucket's routed payloads, zipped sides) and ride in the
-        frame as they are.  ``"records"``: driver data, pushed once and named
-        afterwards.  A handle is never touched to find out.
+        (a reduce bucket's routed payloads, zipped sides, both for a reduce
+        with zips) and ride in the frame as they are.  ``"records"``: driver
+        data, pushed once and named afterwards.  A handle is never touched to
+        find out.
         """
         held = None
         for partition in partitions:
             if isinstance(partition, ResidentPartition):
                 continue
             if partition:
-                is_reference = isinstance(partition[0], (BucketPayload, RemoteRecords))
+                is_reference = isinstance(partition, stage_mod.ZippedBucket) or isinstance(
+                    partition[0], (BucketPayload, RemoteRecords)
+                )
                 return "shipped" if is_reference else "records"
             held = "records"
         return held

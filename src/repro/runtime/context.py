@@ -63,7 +63,7 @@ GROUP_COMBINE_MIN_DUPLICATION = 4.0
 class _ResolvedSource:
     """A stand-in ``ShuffleInput.source`` holding already-computed partitions.
 
-    ``_try_broadcast_join`` runs each join input's captured narrow chain
+    ``resolve_join`` runs each join input's captured narrow chain
     eagerly (the post-chain record counts drive the broadcast decision); when
     the join falls back to a shuffle, the rewritten input carries the chained
     partitions through this shim so the shuffle pass does not run the chain a
@@ -73,6 +73,16 @@ class _ResolvedSource:
 
     def __init__(self, partitions: list[list[Any]]):
         self.partitions = partitions
+
+
+def _fused_input(shuffle_input: Any) -> Any:
+    """A shuffle input whose source is a pending join that broadcasts, with
+    the join's probe chain spliced in front of its own stages."""
+    source = shuffle_input.source
+    chain = source._broadcast_chain() if isinstance(source, Dataset) else None
+    if chain is None:
+        return shuffle_input
+    return shuffle_input._replace(source=chain[0], stages=chain[1] + shuffle_input.stages)
 
 
 def _spill_threshold_from_env() -> int | None:
@@ -323,25 +333,24 @@ class DistributedContext:
         plus the in-memory remainder -- and the driver only *routes* those
         descriptors; it never concatenates record lists.  The reduce side
         (streaming merge/group/join of each bucket) is a second
-        :meth:`run_tasks` pass.  Joins with an ``"auto"``/``"broadcast"``
-        strategy may instead resolve to a broadcast hash join (no shuffle).
+        :meth:`run_tasks` pass.  A join with an ``"auto"``/``"broadcast"``
+        strategy is resolved by its dataset first (:meth:`resolve_join`):
+        only one that shuffles gets here.  With ``plan_optimize``, an input
+        over a join that broadcasts takes over its probe
+        (:meth:`Dataset._broadcast_chain`), so the probe, the input's chain
+        and the writer run in one map task.
 
         The shuffle's spill directory is removed as soon as the reduce side
         has consumed the runs -- including when either side raises.
 
         Returns ``(partitions, partitioner)`` for the result dataset.
         """
+        if self.plan_optimize:
+            shuffle = shuffle._replace(inputs=tuple(map(_fused_input, shuffle.inputs)))
         if shuffle.consumer is not None:
             # Whichever physical join runs, the consumer is one fused stage
             # of its task.
             self.metrics.record_consumer(shuffle.consumer, self.columnar)
-        if shuffle.join_type is not None and shuffle.strategy != "shuffle":
-            resolved = self._try_broadcast_join(shuffle)
-            if not isinstance(resolved, ShuffleStage):
-                return resolved
-            # Falling back to a shuffle: the returned stage carries the
-            # already-chained inputs (the sizing pass ran their chains).
-            shuffle = resolved
         if shuffle.join_type is not None:
             self.metrics.record_join_strategy("shuffle")
 
@@ -378,9 +387,10 @@ class DistributedContext:
         stage is replaced by its pair-reading form (the positions stage
         dropped, a generated loop's ``paired`` twin).
         """
+        # Forced outside the ``try``: an upstream failure raises here, once.
+        source = shuffle_input.source
+        partitions = source.partitions
         try:
-            source = shuffle_input.source
-            partitions = source.partitions
             stages = tuple(
                 stage._replace(function=stage.function.unfolded())
                 if hasattr(stage.function, "unfolded")
@@ -434,9 +444,14 @@ class DistributedContext:
           collapses each task's records to one ``(key, [values])`` partial
           per key and the reduce side concatenates partials -- same output,
           a fraction of the shuffled records.
+
+        An input whose chain probes a broadcast join is not sampled: the
+        sample would run the probe, and the consumer's user code in it, a
+        second time.
         """
         if (
             len(shuffle.inputs) != 1
+            or any(map(stage_mod.is_probe, shuffle.inputs[0].stages))
             or shuffle.partitioner is None
             or shuffle.key_function is not None
             or shuffle.sort_ascending is not None
@@ -555,7 +570,13 @@ class DistributedContext:
         spill: Any,
         salt_plan: tuple[tuple[Any, ...], Callable[[Any, Any], Any]] | None = None,
     ) -> tuple[list[list[Any]], Any]:
-        """The map and reduce passes of a shuffle, writing through ``spill``."""
+        """The map and reduce passes of a shuffle, writing through ``spill``.
+
+        The ``zips`` run in the reduce tasks, each task reading partition
+        ``i`` of every zipped side after its bucket -- unless hot keys were
+        salted: their partials are folded in the driver after the reduce, so
+        the zips run after that fold, one wave each."""
+        sides = [side.partitions for side, _, _ in shuffle.zips]
         tagged = len(shuffle.inputs) > 1
         sort_spec = (
             (shuffle.key_function, shuffle.sort_ascending)
@@ -654,7 +675,18 @@ class DistributedContext:
         if spill is not None:
             self.metrics.record_spill(spilled_bytes, spill_files, peak_memory)
 
-        if shuffle.reduce_stages:
+        if sides and salt_plan is None:
+            read_stages = (NarrowStage(stage_mod.PARTITIONS, stage_mod.read_bucket),)
+            zips = tuple((function, left) for _, function, left in shuffle.zips)
+            zipped = functools.partial(stage_mod.zipped_reduce, shuffle.reduce_stages or read_stages, zips)
+            reduce_stages = (NarrowStage(stage_mod.PARTITIONS_INDEXED, zipped),)
+            inputs = [
+                stage_mod.ZippedBucket(bucket + [side[index] for side in sides])
+                for index, bucket in enumerate(merged)
+            ]
+            result = self.run_tasks(stage_mod.compose(reduce_stages), inputs, task_spec=reduce_stages)
+            reduce_tasks = len(merged)
+        elif shuffle.reduce_stages:
             result = self.run_tasks(
                 stage_mod.compose(shuffle.reduce_stages, self.columnar),
                 merged,
@@ -680,6 +712,9 @@ class DistributedContext:
             result = list(reversed(result))
         if salt_plan is not None:
             result = self._fold_salted(result, salt_plan, shuffle.partitioner)
+            for (_, function, left), side in zip(shuffle.zips, sides, strict=True):
+                pair = (result, side) if left else (side, result)
+                result = self.run_zip(function, *pair)
         self.metrics.record_shuffle_stage(
             shuffle.operation, total_records, total_bytes, map_tasks, reduce_tasks
         )
@@ -736,19 +771,35 @@ class DistributedContext:
         )
         return resolved, chained
 
-    def _try_broadcast_join(self, shuffle: ShuffleStage) -> tuple[list[list[Any]], Any] | ShuffleStage:
-        """Resolve a join with an auto/broadcast strategy.
+    def run_zip(
+        self,
+        function: Callable[[list[Any]], list[Any]],
+        left: list[list[Any]],
+        right: list[list[Any]],
+    ) -> list[list[Any]]:
+        """One wave of ``function`` over each ``[left partition, right
+        partition]`` pair: a co-partitioned two-input operator run on its own."""
+        stages = (NarrowStage(stage_mod.PARTITIONS, function),)
+        pairs = [[left_part, right_part] for left_part, right_part in zip(left, right, strict=True)]
+        result = self.run_tasks(stage_mod.compose(stages), pairs, task_spec=stages)
+        self.metrics.record_narrow(len(pairs), sum(len(lp) + len(rp) for lp, rp in pairs))
+        return result
 
-        Returns the executed broadcast hash join, or a (possibly rewritten)
-        :class:`ShuffleStage` when the join must shuffle (both sides above
-        the threshold, or an unsupported direction -- full outer joins always
-        shuffle).  Sizes compare each side's record count *after* its
-        captured narrow chain runs: the chain has to run either way, and
-        sizing the raw source would never broadcast a side that a captured
-        ``filter`` shrinks under the threshold."""
+    def resolve_join(self, shuffle: ShuffleStage) -> ShuffleStage | tuple[Dataset, tuple[NarrowStage, ...]]:
+        """Settle an auto/broadcast join's strategy and build its lookup table.
+
+        A broadcast comes back as the narrow chain that probes the table --
+        ``(probe side source, (probe stage,))`` -- for a consumer to run in
+        its own task (or on its own); a join that must shuffle (both sides
+        above the threshold, or an unsupported direction -- full outer joins
+        always shuffle) as its shuffle stage, inputs already chained and
+        strategy ``"shuffle"``.  Sizes compare each side's record count
+        *after* its captured narrow chain runs: the chain has to run either
+        way, and sizing the raw source would never broadcast a side that a
+        captured ``filter`` shrinks under the threshold."""
         how = shuffle.join_type
         if how == "full":
-            return shuffle
+            return shuffle._replace(strategy="shuffle")
         left_input, right_input = shuffle.inputs
         eligible = {"inner": ("left", "right"), "left": ("right",), "right": ("left",)}.get(how, ())
         threshold = self.broadcast_join_threshold
@@ -792,7 +843,7 @@ class DistributedContext:
                 if other in eligible and other_count <= threshold:
                     side = other
                 else:
-                    return shuffle
+                    return shuffle._replace(strategy="shuffle")
             if self.adaptive:
                 self.metrics.record_adaptive_decision(
                     shuffle.operation,
@@ -806,7 +857,6 @@ class DistributedContext:
             shuffle = shuffle._replace(inputs=(left_input, right_input))
 
         build_partitions = left_partitions if side == "left" else right_partitions
-        probe_partitions = right_partitions if side == "left" else left_partitions
         lookup: dict[Any, list[Any]] = {}
         for partition in build_partitions:
             for key, value in partition:
@@ -819,15 +869,15 @@ class DistributedContext:
             # The consumer's probe twin loops over the probe records and
             # their matches itself: no co-grouped sides are built.
             probe = functools.partial(shuffle.consumer.probe(side), lookup=lookup)
-        probe_chain = (NarrowStage(stage_mod.PARTITIONS, probe),)
-        result = self.run_tasks(
-            stage_mod.compose(probe_chain), probe_partitions, task_spec=probe_chain
-        )
-        self.metrics.record_narrow(
-            len(probe_partitions), sum(len(p) for p in probe_partitions)
-        )
         self.metrics.record_join_strategy("broadcast")
-        return result, None
+        if shuffle.consumer is not None:
+            self.metrics.record_consumer(shuffle.consumer, self.columnar)
+        source, partitions = (
+            (right_input.source, right_partitions) if side == "left" else (left_input.source, left_partitions)
+        )
+        if not isinstance(source, Dataset):
+            source = Dataset(self, partitions)
+        return source, (NarrowStage(stage_mod.PARTITIONS, probe),)
 
     def shutdown(self, cancel_pending: bool = True) -> None:
         """Remove spill files; safe to call twice.

@@ -230,10 +230,13 @@ class Dataset:
 
     def _force(self, read: bool = False) -> None:
         """Run the pending plan: a shuffle node via ``run_shuffle``, a narrow
-        stage chain fused into one ``run_tasks`` pass."""
+        stage chain fused into one ``run_tasks`` pass (a join that
+        broadcasts is the narrow chain of its probe, see
+        :meth:`_resolve_join`)."""
+        metrics = self.context.metrics
+        log_start = len(metrics.adaptive_log)
+        self._resolve_join()
         if self._shuffle is not None:
-            metrics = self.context.metrics
-            log_start = len(metrics.adaptive_log)
             new_partitions, partitioner = self.context.run_shuffle(self._shuffle)
             # Adaptive decisions are made at force time; keep the ones this
             # shuffle triggered so ``explain()`` can render what actually ran.
@@ -249,10 +252,12 @@ class Dataset:
             self._shuffle = None
             return
         assert self._source is not None
-        source_partitions = self._source.partitions
-        stages = self._stages
+        source, stages = self._source, self._stages
+        chain = source._broadcast_chain()
+        if chain is not None:
+            source, stages = chain[0], chain[1] + stages
+        source_partitions = source.partitions
         task = stage_mod.compose(stages, self.context.columnar)
-        metrics = self.context.metrics
         if self.context.columnar:
             metrics.record_vectorization(*stage_mod.vectorization_counts(stages))
         self.stage_notes = _stage_notes(stages, self.context.columnar)
@@ -262,11 +267,41 @@ class Dataset:
         metrics.record_narrow(
             len(source_partitions), sum(len(partition) for partition in source_partitions)
         )
-        metrics.record_fused(stage_mod.operator_count(stages))
+        operators = stage_mod.operator_count(stages)
+        if operators:  # a lone join probe: its join counted the consumer
+            metrics.record_fused(operators)
         metrics.record_dataset()
         self._materialized = new_partitions
         self._source = None
         self._stages = ()
+
+    def _resolve_join(self) -> None:
+        """Under the force lock: settle a pending auto/broadcast join's
+        strategy.  A join that broadcasts becomes a pending narrow chain --
+        the probe side's source and the probe stage over the built lookup
+        table; a join that shuffles keeps its shuffle node."""
+        shuffle = self._shuffle
+        if shuffle is None or shuffle.join_type is None or shuffle.strategy == "shuffle":
+            return
+        resolved = self.context.resolve_join(shuffle)
+        if isinstance(resolved, ShuffleStage):
+            self._shuffle = resolved
+        else:
+            self._source, self._stages = resolved
+            self._shuffle = None
+
+    def _broadcast_chain(self) -> tuple["Dataset", tuple[NarrowStage, ...]] | None:
+        """``(source, stages)`` when this dataset is a pending narrow chain
+        once a pending join is resolved (:meth:`_resolve_join`), else None:
+        with ``plan_optimize`` a consumer captured before the join resolved
+        takes its probe into its own task this way, instead of forcing it."""
+        if not self.context.plan_optimize:
+            return None
+        with self._force_lock:
+            self._resolve_join()
+            if self._materialized is None and self._shuffle is None:
+                return self._source, self._stages
+        return None
 
     def materialize(self) -> "Dataset":
         """Force the pending stage chain (if any) and return self."""
@@ -463,6 +498,9 @@ class Dataset:
                     shuffle_input.source._explain_into(lines, depth + 2, sources)
                 else:
                     shuffle_input.source._explain_into(lines, depth + 1, sources)
+            for side, _, _ in shuffle.zips:
+                lines.append(f"{pad}  ZippedIntoReduce")
+                side._explain_into(lines, depth + 2, sources)
             return
         note = f" (shuffle eliminated: {self.provenance})" if self.provenance else ""
         lines.append(f"{pad}NarrowChain({stage_mod.describe(stages)}){note}")
@@ -743,39 +781,44 @@ class Dataset:
         None when the partition counts disagree (metadata was stale; the
         caller falls back to the shuffle path).
 
-        Runs **eagerly** (like ``partition_by``): zipping needs both sides'
-        real partitions, so the pass executes at call time rather than
-        becoming a pending plan node.  Callers in this stack force joins at
-        statement boundaries anyway; the trade is noted here because it
-        shifts *when* upstream user-code exceptions surface.
+        When a side is a pending shuffle (placing its output like the other
+        side, as the caller checked), the zip joins that shuffle's reduce task
+        (``ShuffleStage.zips``): reduce task ``i`` reads partition ``i`` of
+        the other side after its bucket, and the result is that shuffle,
+        still pending.  A zip over that result joins the same task again.
+        Otherwise the pass runs **eagerly** (like ``partition_by``): zipping
+        needs both sides' real partitions, so it executes at call time; the
+        trade is noted here because it shifts *when* upstream user-code
+        exceptions surface.
         """
-        left_partitions = self.partitions
-        right_partitions = other.partitions
-        if len(left_partitions) != len(right_partitions):
-            return None
-        combined = [
-            [left, right] for left, right in zip(left_partitions, right_partitions, strict=False)
-        ]
-        stages = (NarrowStage(stage_mod.PARTITIONS, task_function),)
-        new_partitions = self.context.run_tasks(
-            stage_mod.compose(stages), combined, task_spec=stages
-        )
+        # A consumer's records are no longer the join's keyed pairs.
+        partitioner = self.partitioner if consumer is None else None
+        for reduced, side, reduced_left in ((self, other, True), (other, self, False)):
+            with reduced._force_lock:
+                shuffle = reduced._shuffle
+            if (
+                shuffle is not None
+                and side is not reduced
+                and side.num_partitions == shuffle.num_output_partitions
+            ):
+                zips = shuffle.zips + ((side, task_function, reduced_left),)
+                zipped = shuffle._replace(zips=zips, result_partitioner=partitioner)
+                result = Dataset._pending_shuffle(self.context, zipped)
+                break
+        else:
+            left_partitions = self.partitions
+            right_partitions = other.partitions
+            if len(left_partitions) != len(right_partitions):
+                return None
+            new_partitions = self.context.run_zip(task_function, left_partitions, right_partitions)
+            result = Dataset(self.context, new_partitions, partitioner)
         metrics = self.context.metrics
-        metrics.record_narrow(
-            len(combined),
-            sum(len(left) + len(right) for left, right in zip(left_partitions, right_partitions, strict=False)),
-        )
         reason = f"both sides partitioned by {_partitioner_label(self.partitioner)}"
         metrics.record_shuffle_eliminated(operation, reason, narrow_join=True)
         if is_join:
             metrics.record_join_strategy("narrow")
         if consumer is not None:
             metrics.record_consumer(consumer, self.context.columnar)
-        # A consumer's records are no longer the join's keyed pairs.
-        result = Dataset(
-            self.context, new_partitions, self.partitioner if consumer is None else None
-        )
-        if consumer is not None:
             result.stage_notes = _consumer_notes(consumer)
         result.provenance = f"{operation}: {reason}"
         return result

@@ -269,8 +269,9 @@ def describe(stages: Iterable[NarrowStage]) -> str:
 
 def operator_count(stages: Iterable[NarrowStage]) -> int:
     """Logical operators behind a stage chain: a generated row-segment stage
-    (:mod:`repro.algebra.codegen`) stands for as many as it replaced."""
-    return sum(getattr(stage.function, "operators", 1) for stage in stages)
+    (:mod:`repro.algebra.codegen`) stands for as many as it replaced, a
+    broadcast join's probe for none (its join counts it)."""
+    return sum(0 if is_probe(stage) else getattr(stage.function, "operators", 1) for stage in stages)
 
 
 def positions(offsets: tuple[int, ...], records: list[Any], index: int) -> list[Any]:
@@ -364,6 +365,11 @@ class ShuffleStage(NamedTuple):
         consumer: the planner's generated function an inner join hands its
             co-grouped sides to inside the join task (already bound into
             ``reduce_stages``; kept here for the broadcast resolution).
+        zips: co-partitioned two-input operators run inside the reduce task
+            (:meth:`Dataset._zip_narrow`), in order, each ``(side, function,
+            reduced_left)``: ``function`` gets ``[reduced, side partition]``
+            (``[side partition, reduced]`` when ``reduced_left`` is False),
+            ``reduced`` being the reduce output or the previous zip's.
     """
 
     operation: str
@@ -378,6 +384,7 @@ class ShuffleStage(NamedTuple):
     reverse_output: bool = False
     sort_ascending: bool | None = None
     consumer: Callable[[Iterable[Any]], list[Any]] | None = None
+    zips: tuple[tuple[Any, Callable[[list[Any]], list[Any]], bool], ...] = ()
 
 
 class ShuffleWriteStats(NamedTuple):
@@ -942,6 +949,29 @@ def zip_merge_partition(function: Callable[[Any, Any], Any] | None, partition: l
     return _merge_sides(function, left_records, right_records)
 
 
+class ZippedBucket(list):
+    """One reduce task's input when co-partitioned operators run inside it:
+    the bucket's payloads, then partition ``i`` of each zipped side."""
+
+
+def zipped_reduce(
+    stages: tuple[NarrowStage, ...],
+    zips: tuple[tuple[Callable[[list[Any]], list[Any]], bool], ...],
+    partition: list[Any],
+    index: int,
+) -> list[Any]:
+    """A reduce task that runs ``stages`` over its bucket's payloads, then
+    each ``(function, reduced_left)`` zip with the next side partition: the
+    zip passes of :meth:`Dataset._zip_narrow`, in the same task."""
+    cut = len(partition) - len(zips)
+    records = partition[:cut]
+    for stage in stages:
+        records = apply_stage(stage, records, index)
+    for (function, reduced_left), side in zip(zips, partition[cut:], strict=True):
+        records = function([records, side] if reduced_left else [side, records])
+    return records
+
+
 def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> list[Any]:
     """Join of co-partitioned inputs; ``partition`` is ``[left, right]``."""
     left_records, right_records = partition
@@ -975,6 +1005,14 @@ def broadcast_join_partition(
             elif how == "right":
                 out.append((key, (None, value)))
     return out
+
+
+def is_probe(stage: NarrowStage) -> bool:
+    """Whether ``stage`` is a broadcast hash join's probe (either form)."""
+    function = stage.function
+    return isinstance(function, functools.partial) and (
+        function.func is broadcast_join_partition or "lookup" in function.keywords
+    )
 
 
 def sort_bucket(

@@ -47,11 +47,11 @@ EXPECTED = {
     "histogram": ((3, 782, 782, 6), (3, 782, 900, 6)),
     "linear_regression": ((0, 0, 600, 2), (0, 0, 1200, 4)),
     "group_by": ((1, 109, 109, 2), (1, 109, 300, 2)),
-    "matrix_addition": ((0, 0, 192, 3), (0, 0, 128, 2)),
-    "matrix_multiplication": ((2, 84, 234, 9), (1, 48, 324, 5)),
-    "pagerank": ((7, 598, 3358, 28), (7, 610, 2160, 22)),
-    "kmeans": ((4, 454, 1274, 13), (1, 114, 220, 3)),
-    "matrix_factorization": ((7, 137, 473, 33), (5, 93, 270, 22)),
+    "matrix_addition": ((0, 0, 192, 3), (0, 0, 64, 1)),
+    "matrix_multiplication": ((2, 84, 198, 8), (1, 48, 288, 4)),
+    "pagerank": ((7, 598, 1598, 18), (7, 610, 2000, 20)),
+    "kmeans": ((4, 454, 914, 11), (1, 114, 220, 3)),
+    "matrix_factorization": ((7, 137, 365, 29), (5, 93, 246, 20)),
 }
 
 

@@ -11,6 +11,7 @@ sequential interpreter on kmeans and on a small two-generator program.
 from __future__ import annotations
 
 import functools
+import re
 
 import pytest
 
@@ -20,7 +21,11 @@ from repro import Diablo
 from repro.algebra import codegen
 from repro.algebra.explain import explain_plan
 from repro.algebra.planner import Planner
+from repro.comprehension import ir
+from repro.comprehension.monoids import MonoidRegistry
+from repro.errors import ExecutionError
 from repro.evaluation.harness import diablo_for
+from repro.functions import FunctionRegistry
 from repro.programs import get_program
 from repro.runtime import columnar as columnar_mod
 from repro.runtime import stage
@@ -262,3 +267,61 @@ def test_plan_notes_do_not_grow_with_the_number_of_iterations(program, source, m
     short, long = rendered.values()
     assert short == long
     assert sum(len(text.splitlines()) for text in short) == sum(len(text.splitlines()) for text in long)
+
+
+# ---------------------------------------------------------------------------
+# A broadcast-left product binds each element once
+# ---------------------------------------------------------------------------
+
+#: The element loop of a broadcast-left product: the element is bound,
+#: shape-checked and range-tested before the loop over the broadcast rows.
+ELEMENT_LOOP = re.compile(
+    r"for element in records if (\w+) else \(\):\n(?P<checks>(?:.*\n)*?)\s+for \(.*\) in \1:\n"
+)
+
+
+def test_kmeans_checks_each_centroid_once_not_once_per_point():
+    spec = get_program("kmeans")
+    inputs = workload_for_program("kmeans", 6, seed=7)
+    with DistributedContext(num_partitions=3) as ctx:
+        diablo = diablo_for(spec, ctx)
+        program = diablo.compile(spec.source)
+        result = program.run(**inputs)
+        sequential = diablo.interpret(spec.source, workload_for_program("kmeans", 6, seed=7))
+    sources = [
+        compiled[1] for segment, compiled in program.target.segments.items() if segment.entry[0] == "product"
+    ]
+    assert sources
+    for source in sources:
+        loop = ELEMENT_LOOP.search(source)
+        assert loop is not None, source
+        checks = loop.group("checks")
+        assert "check_bind(" in checks and "<=" in checks and "continue" in checks, source
+    assert_same_outputs(spec, result, sequential)
+
+
+def _product_function():
+    """A broadcast-left product over elements ``(i, v)``, keeping ``i >= 0``."""
+    i, v, a = ir.CVar("i"), ir.CVar("v"), ir.CVar("a")
+    segment = codegen.Segment(
+        ("product", ("a",), ir.PTuple((ir.PVar("i"), ir.PVar("v"))), "rows"),
+        (("filter", ir.CBinOp(">=", i, ir.CConst(0))),),
+        ("head", ir.CTuple((a, i, v))),
+    )
+    return lambda rows: codegen.generate(
+        segment, codegen.Bindings({"rows": rows}, {}, FunctionRegistry(), MonoidRegistry()), {}
+    )
+
+
+def test_an_empty_rows_list_checks_no_element():
+    function = _product_function()
+    malformed = [(0, 1.0), "not a pair"]
+    assert function([])(malformed) == []
+    with pytest.raises(ExecutionError, match="cannot bind pattern"):
+        function([(5,)])(malformed)
+    assert function([(5,), (6,)])([(1, 2.0), (-1, 3.0), (2, 4.0)]) == [
+        (5, 1, 2.0),
+        (6, 1, 2.0),
+        (5, 2, 4.0),
+        (6, 2, 4.0),
+    ]
