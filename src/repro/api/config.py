@@ -77,8 +77,7 @@ class DiabloConfig:
             sampled at force time; hot keys in keyed reductions are salted
             into per-task partials with an exact driver-side final fold,
             heavily duplicated group-by keys switch to map-side grouping,
-            ``sort_by`` range bounds come from the frequency-weighted
-            histogram, and broadcast-vs-shuffle joins re-decide from actual
+            and broadcast-vs-shuffle joins re-decide from actual
             post-chain sizes.  Affects performance and the ``salted_keys``/
             ``adaptive_decisions`` counters only, never results.
         plan_cache: plan-skeleton caching across ``while`` iterations --

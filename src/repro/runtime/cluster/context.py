@@ -76,7 +76,6 @@ from repro.runtime.spill import BucketPayload, approximate_size
 _WRITER_FUNCTIONS = (
     stage_mod.shuffle_write,
     stage_mod.salted_shuffle_write,
-    stage_mod.repartition_write,
     stage_mod.prepartitioned_write,
 )
 

@@ -24,9 +24,8 @@ This module executes such chains one *partition* at a time instead:
   :class:`VectorizedLet` are *callable record functions* that additionally
   carry an ``apply_batch`` kernel, and
   :func:`combine_batch` is the grouped kernel behind vectorized
-  ``("reduce", fn)`` / ``("seq", zero, seq_op)`` map-side combiners as well
-  as the ``("group",)`` grouped-collect used by high-duplication
-  ``group_by_key``.
+  ``("reduce", fn)`` map-side combiners as well as the ``("group",)``
+  grouped-collect used by high-duplication ``group_by_key``.
 
 **The record path is the oracle.**  Every vectorized function holds the
 original record-at-a-time closure (``oracle``) and delegates ``__call__`` to
@@ -974,27 +973,20 @@ class VectorizedCombine:
 
 
 def combiner_vectorizable(combiner: tuple[Any, ...]) -> bool:
-    """Whether a combiner spec has a batch kernel: a ``("reduce", fn)`` /
-    ``("seq", zero, seq_op)`` carrying a foldable :class:`VectorizedCombine`,
-    or the adaptive layer's map-side ``("group",)`` collector."""
+    """Whether a combiner spec has a batch kernel: a ``("reduce", fn)``
+    carrying a foldable :class:`VectorizedCombine`, or the adaptive layer's
+    map-side ``("group",)`` collector."""
     kind = combiner[0]
     if kind == "reduce":
         fn = combiner[1]
         return isinstance(fn, VectorizedCombine) and fn.op in VECTOR_COMBINE_OPS
-    if kind == "seq":
-        _, zero, seq_op = combiner
-        return (
-            isinstance(seq_op, VectorizedCombine)
-            and seq_op.op in VECTOR_COMBINE_OPS
-            and type(zero) in (int, float)
-        )
     return kind == "group"
 
 
 _FOLD_UFUNC_NAMES = {"+": "add", "*": "multiply", "min": "minimum", "max": "maximum"}
 
 
-def _guard_fold(op: str, values: Any, zero: Any = None) -> None:
+def _guard_fold(op: str, values: Any) -> None:
     """Refuse folds where a ufunc could diverge from a Python left-fold."""
     if values.dtype.kind == "i":
         if op == "*":
@@ -1010,9 +1002,6 @@ def _guard_fold(op: str, values: Any, zero: Any = None) -> None:
             raise ColumnarFallback("NaN under min/max fold")
         if ((values == 0.0) & np.signbit(values)).any():
             raise ColumnarFallback("negative zero under min/max fold")
-    if zero is not None and isinstance(zero, float):
-        if zero != zero or (zero == 0.0 and math.copysign(1.0, zero) < 0.0):
-            raise ColumnarFallback("NaN/negative-zero seed")
 
 
 def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
@@ -1031,8 +1020,7 @@ def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
     part = ColumnarPartition.from_records(records)
     if part is None:
         raise ColumnarFallback("records are not columnar")
-    kind = combiner[0]
-    if kind == "group":
+    if combiner[0] == "group":
         return _grouped_collect(part)
     template = part.template
     if template == "*" or template[0] != "tuple" or len(template[1]) != 2 or template[1][1] != "*":
@@ -1041,13 +1029,8 @@ def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
     if values.dtype.kind not in ("i", "f"):
         raise ColumnarFallback("non-numeric value column")
 
-    if kind == "reduce":
-        op = combiner[1].op
-        zero = None
-    else:
-        _, zero, seq_op = combiner
-        op = seq_op.op
-    _guard_fold(op, values, zero)
+    op = combiner[1].op
+    _guard_fold(op, values)
 
     keys = part.subpart((0,)).to_records()
     group_of: dict[Any, int] = {}
@@ -1066,20 +1049,12 @@ def combine_batch(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
         raise ColumnarFallback("unhashable key") from error
 
     ufunc = getattr(np, _FOLD_UFUNC_NAMES[op])
-    if kind == "reduce":
-        first = np.array(first_position, dtype=np.int64)
-        accumulator = values[first]
-        rest = np.ones(part.length, dtype=np.bool_)
-        rest[first] = False
-        with np.errstate(all="ignore"):
-            ufunc.at(accumulator, group_ids[rest], values[rest])
-    else:
-        dtype = np.float64 if (isinstance(zero, float) or values.dtype.kind == "f") else np.int64
-        if dtype == np.int64:
-            _guard_int(zero)
-        accumulator = np.full(len(ordered_keys), zero, dtype=dtype)
-        with np.errstate(all="ignore"):
-            ufunc.at(accumulator, group_ids, values)
+    first = np.array(first_position, dtype=np.int64)
+    accumulator = values[first]
+    rest = np.ones(part.length, dtype=np.bool_)
+    rest[first] = False
+    with np.errstate(all="ignore"):
+        ufunc.at(accumulator, group_ids[rest], values[rest])
     return list(zip(ordered_keys, accumulator.tolist(), strict=False))
 
 

@@ -148,12 +148,11 @@ class DistributedContext:
         adaptive: adaptive skew-aware execution.  At force time the driver
             stride-samples an eligible keyed shuffle's input (through its
             captured narrow chain) into a per-key histogram; hot keys in
-            ``reduce_by_key``/``aggregate_by_key`` are salted into per-task
-            partials folded back exactly by the driver, heavily duplicated
-            ``group_by_key`` inputs switch to a map-side grouping combiner,
-            ``sort_by`` derives its range bounds from the frequency-weighted
-            histogram, and auto-strategy joins size broadcast-vs-shuffle
-            from actual post-chain record counts.  On by default; only
+            ``reduce_by_key`` are salted into per-task partials folded back
+            exactly by the driver, heavily duplicated ``group_by_key``
+            inputs switch to a map-side grouping combiner, and
+            auto-strategy joins size broadcast-vs-shuffle from actual
+            post-chain record counts.  On by default; only
             performance and the ``salted_keys``/``adaptive_decisions``
             counters change, never results.
         plan_cache: plan-skeleton caching across ``while`` iterations.  The
@@ -432,7 +431,7 @@ class DistributedContext:
         Two rewrites, both decided in the driver *before* any map task runs
         (so every task agrees on the plan):
 
-        * **salted reduce** (``reduceByKey``/``aggregateByKey``): keys whose
+        * **salted reduce** (``reduceByKey``): keys whose
           sampled share fills at least half an average reduce partition are
           salted by map task index (see
           :func:`repro.runtime.stage.salted_shuffle_write`); returns a salt
@@ -452,9 +451,6 @@ class DistributedContext:
         if (
             len(shuffle.inputs) != 1
             or any(map(stage_mod.is_probe, shuffle.inputs[0].stages))
-            or shuffle.partitioner is None
-            or shuffle.key_function is not None
-            or shuffle.sort_ascending is not None
             or shuffle.join_type is not None
             or len(shuffle.reduce_stages) != 1
         ):
@@ -462,7 +458,7 @@ class DistributedContext:
         shuffle_input = shuffle.inputs[0]
         reduce_fn = shuffle.reduce_stages[0].function
         wants_salting = (
-            shuffle.operation in ("reduceByKey", "aggregateByKey")
+            shuffle.operation == "reduceByKey"
             and shuffle_input.combiner is not None
             and isinstance(reduce_fn, functools.partial)
             and reduce_fn.func is stage_mod.reduce_bucket
@@ -578,11 +574,6 @@ class DistributedContext:
         the zips run after that fold, one wave each."""
         sides = [side.partitions for side, _, _ in shuffle.zips]
         tagged = len(shuffle.inputs) > 1
-        sort_spec = (
-            (shuffle.key_function, shuffle.sort_ascending)
-            if shuffle.sort_ascending is not None and spill is not None
-            else None
-        )
         merged: list[list[Any]] = [[] for _ in range(shuffle.num_output_partitions)]
         total_records = total_bytes = map_tasks = 0
         spilled_bytes = spill_files = peak_memory = 0
@@ -606,37 +597,25 @@ class DistributedContext:
                     f"input {input_index} already partitioned by "
                     f"{type(shuffle.partitioner).__name__}({shuffle.partitioner.num_partitions})",
                 )
-            elif shuffle.partitioner is None:
-                writer = functools.partial(
-                    stage_mod.repartition_write,
-                    shuffle.num_output_partitions,
-                    spill,
-                    input_index,
-                )
             elif salt_plan is not None:
                 writer = functools.partial(
                     stage_mod.salted_shuffle_write,
                     shuffle.partitioner,
                     shuffle_input.combiner,
-                    shuffle.key_function or stage_mod.pair_key,
+                    stage_mod.pair_key,
                     spill,
                     input_index,
-                    sort_spec,
                     frozenset(salt_plan[0]),
                     columnar=self.columnar,
                 )
             else:
-                key_of = shuffle.key_function or (
-                    stage_mod.tagged_key if tagged else stage_mod.pair_key
-                )
                 writer = functools.partial(
                     stage_mod.shuffle_write,
                     shuffle.partitioner,
                     shuffle_input.combiner,
-                    key_of,
+                    stage_mod.tagged_key if tagged else stage_mod.pair_key,
                     spill,
                     input_index,
-                    sort_spec,
                     columnar=self.columnar,
                 )
             chain += (NarrowStage(stage_mod.PARTITIONS_INDEXED, writer),)
@@ -694,7 +673,7 @@ class DistributedContext:
             )
             reduce_tasks = len(merged)
         elif spill is not None or self._reduce_in_tasks:
-            # The routed payloads *are* the result (repartition/partitionBy),
+            # The routed payloads *are* the result (partitionBy),
             # but spilled runs still need reading -- a real reduce pass.
             # The cluster backend forces this path even without spilling:
             # its payloads are remote references that workers resolve.
@@ -708,8 +687,6 @@ class DistributedContext:
             # run_tasks pass here would only do the same thing as a task.
             result = [stage_mod.read_bucket(bucket) for bucket in merged]
             reduce_tasks = 0
-        if shuffle.reverse_output:
-            result = list(reversed(result))
         if salt_plan is not None:
             result = self._fold_salted(result, salt_plan, shuffle.partitioner)
             for (_, function, left), side in zip(shuffle.zips, sides, strict=True):
@@ -727,15 +704,12 @@ class DistributedContext:
 
         Requires the input's effective partitioner (tracked through its
         pending narrow chain) to equal the shuffle's bucketing partitioner,
-        with default pair-key bucketing and no map-side combiner (single-
-        input combiner operators are already eliminated at the Dataset layer,
-        so this guard is for correctness, not coverage).
+        and no map-side combiner (single-input combiner operators are
+        already eliminated at the Dataset layer, so this guard is for
+        correctness, not coverage).
         """
         return (
             self.plan_optimize
-            and shuffle.partitioner is not None
-            and shuffle.key_function is None
-            and shuffle.sort_ascending is None
             and shuffle_input.combiner is None
             and shuffle_input.partitioner is not None
             and shuffle_input.partitioner == shuffle.partitioner
@@ -791,21 +765,17 @@ class DistributedContext:
         A broadcast comes back as the narrow chain that probes the table --
         ``(probe side source, (probe stage,))`` -- for a consumer to run in
         its own task (or on its own); a join that must shuffle (both sides
-        above the threshold, or an unsupported direction -- full outer joins
-        always shuffle) as its shuffle stage, inputs already chained and
-        strategy ``"shuffle"``.  Sizes compare each side's record count
-        *after* its captured narrow chain runs: the chain has to run either
-        way, and sizing the raw source would never broadcast a side that a
-        captured ``filter`` shrinks under the threshold."""
-        how = shuffle.join_type
-        if how == "full":
+        above the threshold, or a full outer join) as its shuffle stage,
+        inputs already chained and strategy ``"shuffle"``.  Sizes compare
+        each side's record count *after* its captured narrow chain runs: the
+        chain has to run either way, and sizing the raw source would never
+        broadcast a side that a captured ``filter`` shrinks under the
+        threshold."""
+        if shuffle.join_type == "full":
             return shuffle._replace(strategy="shuffle")
         left_input, right_input = shuffle.inputs
-        eligible = {"inner": ("left", "right"), "left": ("right",), "right": ("left",)}.get(how, ())
         threshold = self.broadcast_join_threshold
-        side = None
-        if shuffle.strategy == "broadcast":
-            side = "left" if how == "right" else "right"
+        side = "right" if shuffle.strategy == "broadcast" else None
         resolved = self.adaptive or side is not None
         if resolved:
             # Adaptive sizing: run the captured narrow chains first and
@@ -819,8 +789,6 @@ class DistributedContext:
                 sum(len(p) for p in right_input.source.partitions),
                 threshold,
             )
-            if likely not in eligible:
-                likely = None
             left_input, left_partitions = self._resolve_join_input(left_input, likely == "left")
             right_input, right_partitions = self._resolve_join_input(
                 right_input, likely == "right"
@@ -835,15 +803,8 @@ class DistributedContext:
         right_count = sum(len(p) for p in right_partitions)
         if side is None:
             side = choose_broadcast_side(left_count, right_count, threshold)
-            if side not in eligible:
-                # The smaller side cannot be broadcast for this join type;
-                # the other side may still qualify.
-                other = "left" if side == "right" else "right"
-                other_count = left_count if other == "left" else right_count
-                if other in eligible and other_count <= threshold:
-                    side = other
-                else:
-                    return shuffle._replace(strategy="shuffle")
+            if side == "none":
+                return shuffle._replace(strategy="shuffle")
             if self.adaptive:
                 self.metrics.record_adaptive_decision(
                     shuffle.operation,
@@ -864,7 +825,7 @@ class DistributedContext:
         self.metrics.record_broadcast()
 
         if shuffle.consumer is None:
-            probe = functools.partial(stage_mod.broadcast_join_partition, how, side, lookup)
+            probe = functools.partial(stage_mod.broadcast_join_partition, side, lookup)
         else:
             # The consumer's probe twin loops over the probe records and
             # their matches itself: no co-grouped sides are built.

@@ -1,18 +1,17 @@
 """An RDD-like partitioned dataset with a lazy, operator-fusing core.
 
-:class:`Dataset` mirrors the part of the Spark Core API that the paper's
-generated and hand-written programs use.  Data lives in a list of partitions;
-*narrow* operations transform each partition independently, *shuffle*
-operations redistribute records across partitions by key (and are counted by
-the context's :class:`~repro.runtime.metrics.Metrics`).
+:class:`Dataset` carries the operators the paper's generated and hand-written
+programs run.  Data lives in a list of partitions; *narrow* operations
+transform each partition independently, *shuffle* operations redistribute
+records across partitions by key (and are counted by the context's
+:class:`~repro.runtime.metrics.Metrics`).
 
 Narrow operations are **lazy**: ``map``/``flat_map``/``filter``/``map_values``/
-``map_partitions``/``sample`` do not run anything -- they append a
+``map_partitions`` do not run anything -- they append a
 :class:`~repro.runtime.stage.NarrowStage` to a pending chain hanging off the
 nearest materialized ancestor.  **Wide operations are lazy plan nodes too**:
-``reduce_by_key``/``group_by_key``/``aggregate_by_key``/``distinct``/
-``co_group``/the joins/``repartition``/``sort_by`` capture the pending narrow
-chain of their input as the map side of a
+``reduce_by_key``/``group_by_key``/``co_group``/the joins/the array merges
+capture the pending narrow chain of their input as the map side of a
 :class:`~repro.runtime.stage.ShuffleStage` and return a pending dataset whose
 force runs the whole shuffle -- map side, bucketing, and reduce side -- through
 :meth:`DistributedContext.run_tasks`, so the cluster executor runs the hot
@@ -22,8 +21,7 @@ Pending chains are *forced* at force points:
 
 * **actions** (``collect``, ``count``, ``reduce``, ``take``, iteration, ...),
 * **driver-side inspection** that needs real partitions
-  (``zip_with_index``, ``zip_partitions``, ``cartesian``, sampling bounds for
-  ``sort_by``), and
+  (``zip_partitions``, ``cartesian``, ``partition_by``), and
 * **cache()** / **materialize()**, the explicit materialization points.
 
 At a force point a narrow chain is fused by
@@ -36,9 +34,9 @@ processes.
 Shuffles move :class:`~repro.runtime.spill.BucketPayload` descriptors, not
 record lists: when the context enables ``spill_threshold_bytes`` the map side
 spills bucket runs to disk past the budget and the reduce side streams them
-back (``sort_by`` external-merges pre-sorted runs), so datasets larger than
-the memory budget shuffle correctly -- with identical results, because the
-streamed record order equals the in-memory order.
+back, so datasets larger than the memory budget shuffle correctly -- with
+identical results, because the streamed record order equals the in-memory
+order.
 
 Joins pick a strategy when forced: a **broadcast hash join** when one side has
 at most ``context.broadcast_join_threshold`` records (the build side is
@@ -46,22 +44,20 @@ collected into a lookup table shipped inside the probe tasks), a **shuffle
 join** otherwise.  ``Dataset.explain()`` renders the pending plan.
 
 Partitioner metadata is tracked through pending stages without forcing:
-``filter``/``map_values``/``sample`` preserve the partitioner, ``map``/
-``flat_map``/``map_partitions`` drop it, and shuffle nodes know their output
-partitioner upfront.
+``filter``/``map_values`` preserve the partitioner, ``map``/``flat_map``/
+``map_partitions`` drop it, and shuffle nodes know their output partitioner
+upfront.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import threading
-from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.runtime import stage as stage_mod
-from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.runtime.partitioner import HashPartitioner, Partitioner
 from repro.runtime.stage import NarrowStage, ShuffleInput, ShuffleStage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,19 +71,15 @@ DEFAULT_BROADCAST_JOIN_THRESHOLD = 100_000
 #: Join strategies accepted by :meth:`Dataset.join`.
 JOIN_STRATEGIES = ("auto", "shuffle", "broadcast")
 
-#: Records sampled per output partition when ``sort_by`` derives range bounds.
-SORT_SAMPLE_PER_PARTITION = 20
-
 
 def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> str:
     """The shared size heuristic for broadcast strategies.
 
     Returns ``"right"``/``"left"`` for the side worth broadcasting (the
     smaller one, when it fits under ``threshold``) or ``"none"`` when neither
-    side does.  Used by ``DistributedContext._try_broadcast_join`` (which then
-    applies per-join-type eligibility) and by the comprehension evaluator's
-    nested-loop products, so the runtime and the query layer agree on one
-    strategy knob.
+    side does.  Used by ``DistributedContext.resolve_join`` and by the
+    comprehension evaluator's nested-loop products, so the runtime and the
+    query layer agree on one strategy knob.
     """
     if right_count <= left_count and right_count <= threshold:
         return "right"
@@ -385,13 +377,6 @@ class Dataset:
         source = self.positional_source()
         return all(not partition for partition in (self if source is None else source).partitions)
 
-    def first(self) -> Any:
-        """The first record; raises if the dataset is empty."""
-        taken = self.take(1)
-        if not taken:
-            raise ExecutionError("first() on an empty dataset")
-        return taken[0]
-
     def take(self, count: int) -> list[Any]:
         """Up to ``count`` records.
 
@@ -568,41 +553,8 @@ class Dataset:
             keep_partitioner=preserves_partitioning,
         )
 
-    def key_by(self, function: Callable[[Any], Any]) -> "Dataset":
-        """Turn records into ``(function(record), record)`` pairs."""
-        return self.map(lambda record: (function(record), record))
-
-    def keys(self) -> "Dataset":
-        return self.map(lambda pair: pair[0])
-
     def values(self) -> "Dataset":
         return self.map(lambda pair: pair[1])
-
-    def sample(self, fraction: float, seed: int = 17) -> "Dataset":
-        """A deterministic pseudo-random sample of ``fraction`` of the records.
-
-        Each partition samples with its own generator derived from
-        ``(seed, partition index)``, so the result is identical under every
-        executor mode and partition evaluation order.
-        """
-        return self._with_stage(
-            NarrowStage(
-                stage_mod.PARTITIONS_INDEXED,
-                functools.partial(stage_mod.sample_partition, fraction, seed),
-            ),
-            keep_partitioner=True,
-        )
-
-    def zip_with_index(self) -> "Dataset":
-        """Pair every record with its global index: ``(record, index)``."""
-        partitions = self.partitions
-        offsets = list(itertools.accumulate([0] + [len(p) for p in partitions[:-1]]))
-        new_partitions = [
-            [(record, offset + position) for position, record in enumerate(partition)]
-            for offset, partition in zip(offsets, partitions, strict=False)
-        ]
-        self.context.metrics.record_narrow(self.num_partitions, self.count())
-        return Dataset(self.context, new_partitions)
 
     def zip_partitions(
         self, other: "Dataset", function: Callable[[list[Any], list[Any]], Iterable[Any]]
@@ -617,19 +569,6 @@ class Dataset:
         ]
         self.context.metrics.record_narrow(self.num_partitions, self.count() + other.count())
         return Dataset(self.context, new_partitions, self.partitioner)
-
-    def union(self, other: "Dataset", num_partitions: int | None = None) -> "Dataset":
-        """Concatenate two datasets (no shuffle).
-
-        Like Spark, the result has ``self.num_partitions + other.num_partitions``
-        partitions -- repeated unions grow the partition count.  Pass
-        ``num_partitions`` to repartition the result back down (this costs a
-        round-robin shuffle).
-        """
-        combined = Dataset(self.context, self.partitions + other.partitions)
-        if num_partitions is not None:
-            return combined.repartition(num_partitions)
-        return combined
 
     def cartesian(self, other: "Dataset") -> "Dataset":
         """All pairs of records; a shuffle in any distributed implementation."""
@@ -829,24 +768,18 @@ class Dataset:
         partitioner: Partitioner | None,
         combiner: tuple[Any, ...] | None,
         reduce_stages: tuple[NarrowStage, ...],
-        extra_map_stages: tuple[NarrowStage, ...] = (),
-        result_partitioner: Partitioner | None | str = "chosen",
     ) -> "Dataset":
         """Build the single-input :class:`ShuffleStage` plan node every keyed
         wide operator shares (Section 'shuffles are plan nodes')."""
         chosen = partitioner or self.partitioner or HashPartitioner(self.context.num_partitions)
         source, stages, captured = self._capture_plan()
-        # ``extra_map_stages`` re-key the records (distinct keys them by
-        # themselves), so the captured partitioner metadata no longer
-        # describes the keys being bucketed.
-        claimed = None if extra_map_stages else self.partitioner
         shuffle = ShuffleStage(
             operation=operation,
-            inputs=(ShuffleInput(source, stages + extra_map_stages, combiner, captured, claimed),),
+            inputs=(ShuffleInput(source, stages, combiner, captured, self.partitioner),),
             num_output_partitions=chosen.num_partitions,
             reduce_stages=reduce_stages,
             partitioner=chosen,
-            result_partitioner=chosen if result_partitioner == "chosen" else result_partitioner,
+            result_partitioner=chosen,
         )
         return Dataset._pending_shuffle(self.context, shuffle)
 
@@ -861,21 +794,6 @@ class Dataset:
             return self
         placed = self._key_shuffle("partitionBy", partitioner, None, reduce_stages=())
         return placed.materialize()
-
-    def repartition(self, num_partitions: int) -> "Dataset":
-        """Redistribute records round-robin into ``num_partitions`` partitions
-        (lazy; a key-less shuffle through the same plan layer)."""
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        source, stages, captured = self._capture_plan()
-        shuffle = ShuffleStage(
-            operation="repartition",
-            inputs=(ShuffleInput(source, stages, None, captured),),
-            num_output_partitions=num_partitions,
-            reduce_stages=(),
-            partitioner=None,
-        )
-        return Dataset._pending_shuffle(self.context, shuffle)
 
     def group_by_key(self, partitioner: Partitioner | None = None) -> "Dataset":
         """Group a key-value dataset into ``(key, [values])``.
@@ -892,10 +810,6 @@ class Dataset:
             None,
             reduce_stages=(NarrowStage(stage_mod.PARTITIONS, stage_mod.group_bucket),),
         )
-
-    def group_by(self, key_function: Callable[[Any], Any]) -> "Dataset":
-        """Group records by ``key_function`` into ``(key, [records])``."""
-        return self.map(lambda record: (key_function(record), record)).group_by_key()
 
     def reduce_by_key(
         self,
@@ -938,117 +852,6 @@ class Dataset:
                 ),
             ),
         )
-
-    def aggregate_by_key(
-        self,
-        zero: Any,
-        seq_op: Callable[[Any, Any], Any],
-        comb_op: Callable[[Any, Any], Any],
-        partitioner: Partitioner | None = None,
-    ) -> "Dataset":
-        """Per-key aggregation with a zero element (Spark's aggregateByKey)."""
-        if self._narrow_keyed_eligible(partitioner):
-            return self._narrow_keyed_pass(
-                "aggregateByKey",
-                functools.partial(
-                    stage_mod.apply_combiner,
-                    ("seq", zero, seq_op),
-                    columnar=self.context.columnar,
-                ),
-            )
-        return self._key_shuffle(
-            "aggregateByKey",
-            partitioner,
-            ("seq", zero, seq_op),
-            reduce_stages=(
-                NarrowStage(
-                    stage_mod.PARTITIONS, functools.partial(stage_mod.reduce_bucket, comb_op)
-                ),
-            ),
-        )
-
-    def distinct(self) -> "Dataset":
-        """Remove duplicate records (a shuffle with a dedup combiner)."""
-        return self._key_shuffle(
-            "distinct",
-            HashPartitioner(self.context.num_partitions),
-            ("reduce", stage_mod.keep_first),
-            reduce_stages=(
-                NarrowStage(
-                    stage_mod.PARTITIONS,
-                    functools.partial(stage_mod.reduce_bucket, stage_mod.keep_first),
-                ),
-                NarrowStage(stage_mod.MAP, stage_mod.take_key),
-            ),
-            extra_map_stages=(NarrowStage(stage_mod.MAP, stage_mod.pair_with_none),),
-            result_partitioner=None,
-        )
-
-    def sort_by(self, key_function: Callable[[Any], Any], ascending: bool = True) -> "Dataset":
-        """Globally sort records via a sampled range-partitioned shuffle.
-
-        Split points come from a stride sample of the (materialized) input;
-        each reduce task then sorts one contiguous key range, so nothing is
-        collected to the driver and -- for ascending sorts -- the output keeps
-        a meaningful :class:`RangePartitioner`.
-        """
-        partitions = self.partitions  # the sample needs real records
-        total = sum(len(partition) for partition in partitions)
-        num_output = self.context.num_partitions
-        if total == 0:
-            return Dataset(self.context, [[] for _ in range(num_output)])
-        step = max(1, total // max(1, num_output * SORT_SAMPLE_PER_PARTITION))
-        sample = [
-            key_function(record)
-            for partition in partitions
-            for record in partition[::step]
-        ]
-        if self.context.adaptive:
-            # Adaptive bounds: aggregate the sample into a per-key histogram
-            # and place split points at frequency-weighted quantiles, so a
-            # hot key pulls a whole partition range to itself instead of
-            # dragging its neighbours' keys into one overloaded partition.
-            histogram = Counter(sample)
-            range_partitioner = RangePartitioner.from_histogram(
-                num_output, histogram.items()
-            )
-            self.context.metrics.record_adaptive_decision(
-                "sortBy",
-                "histogram-range-bounds",
-                f"bounds from a {len(histogram)}-key histogram of "
-                f"{len(sample)} sampled records",
-            )
-        else:
-            range_partitioner = RangePartitioner.from_sample(num_output, sample)
-        # Bound dedup on skewed samples may shrink the effective split count;
-        # the shuffle's output width must follow the partitioner.
-        num_output = range_partitioner.num_partitions
-        # Partitioner metadata promises "records are placed by record[0]", so
-        # only sort_by_key (whose sort key IS the pair key) may keep it; an
-        # arbitrary key_function would poison downstream keyed shuffles.
-        keyed_by_pair = key_function is stage_mod.pair_key
-        shuffle = ShuffleStage(
-            operation="sortBy",
-            inputs=(ShuffleInput(self, (), None, 0),),
-            num_output_partitions=num_output,
-            reduce_stages=(
-                NarrowStage(
-                    stage_mod.PARTITIONS,
-                    functools.partial(stage_mod.sort_bucket, key_function, ascending),
-                ),
-            ),
-            partitioner=range_partitioner,
-            result_partitioner=range_partitioner if (ascending and keyed_by_pair) else None,
-            key_function=key_function,
-            reverse_output=not ascending,
-            # Lets a spill-enabled context write pre-sorted runs on the map
-            # side and external-merge them on the reduce side.
-            sort_ascending=ascending,
-        )
-        return Dataset._pending_shuffle(self.context, shuffle)
-
-    def sort_by_key(self, ascending: bool = True) -> "Dataset":
-        return self.sort_by(stage_mod.pair_key, ascending)
 
     # -- joins ---------------------------------------------------------------------
 
@@ -1178,38 +981,10 @@ class Dataset:
         """
         return self._join(other, "inner", partitioner, strategy, consumer)
 
-    def left_outer_join(
-        self,
-        other: "Dataset",
-        partitioner: Partitioner | None = None,
-        strategy: str | None = None,
-    ) -> "Dataset":
-        """Left outer join: right side is ``None`` when the key is missing.
-        Only the right side is eligible for broadcasting."""
-        return self._join(other, "left", partitioner, strategy)
-
-    def right_outer_join(
-        self,
-        other: "Dataset",
-        partitioner: Partitioner | None = None,
-        strategy: str | None = None,
-    ) -> "Dataset":
-        """Right outer join; only the left side is eligible for broadcasting."""
-        return self._join(other, "right", partitioner, strategy)
-
     def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":
         """Full outer join (always a shuffle join: neither side can be
         broadcast without losing unmatched build-side keys)."""
         return self._join(other, "full", partitioner, "shuffle")
-
-    def broadcast_join(self, other: "Dataset") -> "Dataset":
-        """Map-side inner join: ``other`` is collected and broadcast.
-
-        Use when ``other`` is small (e.g. the centroid table in KMeans); no
-        shuffle of the left side is needed.  Equivalent to
-        ``join(other, strategy="broadcast")``.
-        """
-        return self._join(other, "inner", None, "broadcast")
 
     # -- array-merge helpers (Section 3.4) ------------------------------------------
 

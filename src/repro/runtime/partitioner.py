@@ -143,56 +143,6 @@ class RangePartitioner(Partitioner):
         if len(self.bounds) != num_partitions - 1:
             raise ValueError("expected num_partitions - 1 bounds")
 
-    @classmethod
-    def from_sample(cls, num_partitions: int, sample: Iterable[Any]) -> "RangePartitioner":
-        """Build a partitioner from a sample of keys, using evenly spaced
-        quantiles of the sorted sample as split points (Spark's sortByKey
-        strategy).  The sample must be non-empty when ``num_partitions > 1``.
-
-        Skewed or low-cardinality samples repeat quantile values; duplicate
-        split points would make ``bisect_left`` route *every* record for the
-        repeated key range to one hot partition and leave the others empty,
-        so duplicates are dropped and the partitioner covers fewer (but
-        non-degenerate) ranges.  Callers must use the returned partitioner's
-        ``num_partitions``, which may be smaller than requested."""
-        ordered = sorted(sample)
-        if num_partitions > 1 and not ordered:
-            raise ValueError("cannot derive range bounds from an empty sample")
-        bounds: list[Any] = []
-        for index in range(1, num_partitions):
-            bound = ordered[(index * len(ordered)) // num_partitions]
-            if not bounds or bound != bounds[-1]:
-                bounds.append(bound)
-        return cls(len(bounds) + 1, bounds)
-
-    @classmethod
-    def from_histogram(
-        cls, num_partitions: int, histogram: Iterable[tuple[Any, int]]
-    ) -> "RangePartitioner":
-        """Build a partitioner from a sampled ``(key, count)`` histogram.
-
-        Split points are placed at even quantiles of the *frequency-weighted*
-        key distribution, so a key that appears 1000x as often as another
-        pulls 1000x the weight toward its range -- under zipf-skewed data
-        this balances per-partition record counts where an unweighted sample
-        of distinct keys would pack the hot range into one partition.  Like
-        :meth:`from_sample`, duplicate split points are dropped, so the
-        returned partitioner may cover fewer ranges than requested."""
-        ordered = sorted(histogram)
-        if num_partitions > 1 and not ordered:
-            raise ValueError("cannot derive range bounds from an empty histogram")
-        total = sum(count for _key, count in ordered)
-        bounds: list[Any] = []
-        cumulative = 0
-        next_split = 1
-        for key, count in ordered:
-            cumulative += count
-            while next_split < num_partitions and cumulative * num_partitions >= next_split * total:
-                if not bounds or key != bounds[-1]:
-                    bounds.append(key)
-                next_split += 1
-        return cls(len(bounds) + 1, bounds)
-
     def partition(self, key: Any) -> int:
         index = bisect.bisect_left(self.bounds, key)
         return min(index, self.num_partitions - 1)

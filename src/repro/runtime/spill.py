@@ -20,10 +20,6 @@ alternative:
   order, then the in-memory remainder), which reproduces exactly the record
   order of the in-memory path -- reduce-side merges and group-bys therefore
   yield byte-identical results with and without spilling.
-* for ``sort_by``, runs are written **pre-sorted** and
-  :func:`merge_sorted_payloads` performs a k-way external merge
-  (``heapq.merge`` is stable across its inputs, so ties keep chronological
-  order just like a stable in-memory sort).
 
 File framing: a run is a sequence of **chunk frames**, each ``[8-byte
 payload length | 4-byte record count | pickle bytes of a record chunk]``
@@ -44,7 +40,6 @@ backstop for contexts that are never closed.
 
 from __future__ import annotations
 
-import heapq
 import os
 import pickle
 import shutil
@@ -53,7 +48,7 @@ import sys
 import tempfile
 import weakref
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 #: Chunk frame header: payload byte length + record count.
 _FRAME_HEADER = struct.Struct(">QI")
@@ -183,30 +178,6 @@ def iter_merged(payloads: Iterable[BucketPayload]) -> Iterator[Any]:
     return chain.from_iterable(_payload_chunks(payloads))
 
 
-def merge_sorted_payloads(
-    payloads: Iterable[BucketPayload],
-    key: Callable[[Any], Any],
-    ascending: bool,
-) -> Iterator[Any]:
-    """External merge of a sort shuffle's payloads.
-
-    Requires each run to have been written sorted with the same
-    ``(key, ascending)`` (the map side does this when the shuffle carries a
-    sort spec).  Remainders are sorted here.  ``heapq.merge`` resolves ties
-    in favour of earlier inputs, and inputs are ordered chronologically, so
-    the merged stream equals a stable in-memory sort of the concatenation.
-    Runs are streamed chunk-frame by chunk-frame, so the merge holds one
-    chunk per run -- not the whole bucket -- in memory.
-    """
-    streams: list[Iterable[Any]] = []
-    for payload in payloads:
-        for run in payload.runs:
-            streams.append(chain.from_iterable(stream_run(run)))
-        if payload.records:
-            streams.append(sorted(payload.records, key=key, reverse=not ascending))
-    return heapq.merge(*streams, key=key, reverse=not ascending)
-
-
 class BucketWriter:
     """Accumulates one map task's buckets, spilling once over budget.
 
@@ -216,16 +187,9 @@ class BucketWriter:
     partition), and successive flushes append runs to it.
     """
 
-    def __init__(
-        self,
-        num_buckets: int,
-        spill: SpillSpec | None,
-        task_tag: str = "m0",
-        sort_spec: tuple[Callable[[Any], Any], bool] | None = None,
-    ):
+    def __init__(self, num_buckets: int, spill: SpillSpec | None, task_tag: str = "m0"):
         self.spill = spill
         self.task_tag = task_tag
-        self.sort_spec = sort_spec
         self.buckets: list[list[Any]] = [[] for _ in range(num_buckets)]
         self._paths: list[str | None] = [None] * num_buckets
         self.runs: list[list[SpillRun]] = [[] for _ in range(num_buckets)]
@@ -268,9 +232,6 @@ class BucketWriter:
         for bucket_index, bucket in enumerate(self.buckets):
             if not bucket:
                 continue
-            if self.sort_spec is not None:
-                key, ascending = self.sort_spec
-                bucket.sort(key=key, reverse=not ascending)
             path = self._paths[bucket_index]
             if path is None:
                 path = os.path.join(
@@ -285,8 +246,7 @@ class BucketWriter:
         self.buffered = 0
 
     def finish(self) -> list[BucketPayload]:
-        """The per-bucket payloads (in-memory remainders stay unsorted; the
-        reduce side merges them)."""
+        """The per-bucket payloads (runs, then the in-memory remainder)."""
         return [
             BucketPayload(tuple(self.runs[index]), tuple(self.buckets[index]))
             for index in range(len(self.buckets))

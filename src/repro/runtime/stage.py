@@ -27,8 +27,7 @@ task's output per reduce partition is a
 :mod:`repro.runtime.spill`) plus the in-memory remainder.  The driver only
 *routes* payload descriptors to reduce partitions; it never concatenates
 record lists.  Every reduce-side processor streams the records back with
-:func:`repro.runtime.spill.iter_merged` (or an external
-``heapq.merge`` for sorted runs), applying its merge/group/join combiner
+:func:`repro.runtime.spill.iter_merged`, applying its merge/group/join combiner
 incrementally, so reduce-side memory is bounded by the live accumulator --
 not by the shuffled partition -- and the behaviour is identical in the
 sequential and cluster executor modes.
@@ -36,10 +35,8 @@ sequential and cluster executor modes.
 
 from __future__ import annotations
 
-import copy
 import functools
 import pickle
-import random
 import sys
 from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -56,9 +53,9 @@ FILTER = "filter"
 MAP_VALUES = "map_values"
 #: Whole-partition transform; the function receives the partition list.
 PARTITIONS = "partitions"
-#: Whole-partition transform that also receives the partition index
-#: (:meth:`Dataset.sample` derives per-partition generators from it, a
-#: positional source its start offsets).
+#: Whole-partition transform that also receives the partition index (a
+#: positional source numbers its elements from it, a map-side writer names
+#: its spill files).
 PARTITIONS_INDEXED = "partitions_indexed"
 
 _KINDS = (MAP, FLAT_MAP, FILTER, MAP_VALUES, PARTITIONS, PARTITIONS_INDEXED)
@@ -287,16 +284,6 @@ def is_positions(stage: NarrowStage) -> bool:
     return isinstance(function, functools.partial) and function.func is positions
 
 
-def sample_partition(fraction: float, seed: int, records: list[Any], index: int) -> list[Any]:
-    """Sample one partition with a generator derived from ``(seed, index)``.
-
-    Each partition gets its own deterministic stream, so the sample is
-    identical no matter which executor runs the partitions or in what order.
-    """
-    generator = random.Random(seed * 2_654_435_761 + index)
-    return [record for record in records if generator.random() < fraction]
-
-
 # ---------------------------------------------------------------------------
 # Shuffle plan nodes
 # ---------------------------------------------------------------------------
@@ -309,10 +296,9 @@ class ShuffleInput(NamedTuple):
         source: the upstream :class:`~repro.runtime.dataset.Dataset` whose
             partitions feed the map side (forced when the shuffle runs).
         stages: the map-side narrow chain fused into the shuffle (the pending
-            operators captured from a lazy dataset, plus any keying stages the
-            wide operator injects).
+            operators captured from a lazy dataset).
         combiner: map-side pre-aggregation applied before bucketing --
-            ``None``, ``("reduce", fn)`` or ``("seq", zero, seq_op)``.
+            ``None``, ``("reduce", fn)``, ``("folded", fn)`` or ``("group",)``.
         captured_operators: how many *user* narrow operators were folded into
             ``stages`` (drives the fused-stage metrics).
         partitioner: the *effective* partitioner of the (possibly pending)
@@ -347,21 +333,13 @@ class ShuffleStage(NamedTuple):
             (records are then tagged with their input index on the map side).
         num_output_partitions: reduce-side partition count.
         reduce_stages: stage chain applied to each merged bucket (empty for
-            pure repartitioning -- the buckets *are* the result).
-        partitioner: bucketing partitioner; ``None`` selects the round-robin
-            writer used by ``repartition``.
+            ``partitionBy`` -- the buckets *are* the result).
+        partitioner: bucketing partitioner, applied to the pair key (the
+            tagged pair's key for two inputs).
         result_partitioner: partitioner metadata of the output dataset.
-        key_function: custom bucketing key (``sortBy`` range-partitions on the
-            sort key); defaults to the pair key (tag-aware for two inputs).
-        join_type: ``"inner"``/``"left"``/``"right"``/``"full"`` for joins.
+        join_type: ``"inner"``/``"full"`` for joins.
         strategy: ``"shuffle"``, ``"auto"`` (pick broadcast hash join when a
             side is small enough) or ``"broadcast"`` (force it).
-        reverse_output: reverse the output partition order (descending sorts).
-        sort_ascending: set (by ``sort_by``) when the reduce side is an
-            order-preserving sort of ``key_function``; the map side then
-            writes *pre-sorted* spill runs so the reduce side can external-
-            merge instead of materializing the bucket.  ``None`` for every
-            other operator.
         consumer: the planner's generated function an inner join hands its
             co-grouped sides to inside the join task (already bound into
             ``reduce_stages``; kept here for the broadcast resolution).
@@ -378,11 +356,8 @@ class ShuffleStage(NamedTuple):
     reduce_stages: tuple[NarrowStage, ...]
     partitioner: Any = None
     result_partitioner: Any = None
-    key_function: Callable[[Any], Any] | None = None
     join_type: str | None = None
     strategy: str = "shuffle"
-    reverse_output: bool = False
-    sort_ascending: bool | None = None
     consumer: Callable[[Iterable[Any]], list[Any]] | None = None
     zips: tuple[tuple[Any, Callable[[list[Any]], list[Any]], bool], ...] = ()
 
@@ -487,16 +462,6 @@ def apply_combiner(
                 accumulator[key] = function(accumulator[key], value)
             else:
                 accumulator[key] = value
-    elif kind == "seq":
-        _, zero, seq_op = combiner
-        for key, value in records:
-            if key in accumulator:
-                accumulator[key] = seq_op(accumulator[key], value)
-            else:
-                # Every key needs its OWN zero: an in-place-mutating seq_op
-                # (list/dict accumulators) would otherwise fold every key's
-                # values into one shared object.
-                accumulator[key] = seq_op(copy.deepcopy(zero), value)
     elif kind == "group":
         # Adaptive map-side grouping (groupByKey on heavily duplicated
         # keys): collapse each task's records into one (key, [values])
@@ -615,7 +580,6 @@ def shuffle_write(
     key_of: Callable[[Any], Any],
     spill: SpillSpec | None,
     input_index: int,
-    sort_spec: tuple[Callable[[Any], Any], bool] | None,
     records: list[Any],
     index: int,
     columnar: bool = False,
@@ -652,9 +616,7 @@ def shuffle_write(
                     salted = keys[position] = SaltedKey(key, index)
                     records[position] = (salted, records[position][1])
         targets = partitioner.partition_all(keys)
-    writer = spill_mod.BucketWriter(
-        partitioner.num_partitions, spill, f"i{input_index}-m{index}", sort_spec
-    )
+    writer = spill_mod.BucketWriter(partitioner.num_partitions, spill, f"i{input_index}-m{index}")
     writer.write(targets, records)
     return _writer_output(writer, records_in, combined_in)
 
@@ -665,7 +627,6 @@ def salted_shuffle_write(
     key_of: Callable[[Any], Any],
     spill: SpillSpec | None,
     input_index: int,
-    sort_spec: tuple[Callable[[Any], Any], bool] | None,
     hot_keys: frozenset,
     records: list[Any],
     index: int,
@@ -681,7 +642,7 @@ def salted_shuffle_write(
     shuffles whose records are plain ``(key, value)`` pairs.
     """
     return shuffle_write(
-        partitioner, combiner, key_of, spill, input_index, sort_spec, records, index, columnar, hot_keys
+        partitioner, combiner, key_of, spill, input_index, records, index, columnar, hot_keys
     )
 
 
@@ -705,6 +666,7 @@ def prepartitioned_write(
     return [ShuffleWriteStats(len(records), 0, 0), *payloads]
 
 
+# No shuffle runs this writer: bench/trace.py's WRAP_TABLE is its only reader.
 def repartition_write(
     num_output: int,
     spill: SpillSpec | None,
@@ -733,8 +695,8 @@ def repartition_write(
 
 
 def read_bucket(payloads: list[BucketPayload]) -> list[Any]:
-    """Materialize one reduce partition (repartition / partitionBy, where the
-    routed records *are* the result)."""
+    """Materialize one reduce partition (partitionBy, where the routed
+    records *are* the result)."""
     return list(spill_mod.iter_merged(payloads))
 
 
@@ -892,14 +854,6 @@ def _join_sides(
             return consumer(groups)
         for key, left_values, right_values in groups:
             out.extend((key, (a, b)) for a in left_values for b in right_values)
-    elif how == "left":
-        for key, left_values in left.items():
-            right_values = right.get(key) or [None]
-            out.extend((key, (a, b)) for a in left_values for b in right_values)
-    elif how == "right":
-        for key, right_values in right.items():
-            left_values = left.get(key) or [None]
-            out.extend((key, (a, b)) for a in left_values for b in right_values)
     elif how == "full":
         for key, left_values in left.items():
             right_values = right.get(key) or [None]
@@ -979,9 +933,9 @@ def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> 
 
 
 def broadcast_join_partition(
-    how: str, broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
+    broadcast_side: str, lookup: dict[Any, list[Any]], records: list[Any]
 ) -> list[Any]:
-    """Probe-side task of a broadcast hash join.
+    """Probe-side task of a broadcast (inner) hash join.
 
     ``lookup`` holds the broadcast (build) side; ``records`` are the probe
     side's key-value records.  A ``functools.partial`` over this function
@@ -995,15 +949,11 @@ def broadcast_join_partition(
             matches = lookup.get(key)
             if matches:
                 out.extend((key, (value, match)) for match in matches)
-            elif how == "left":
-                out.append((key, (value, None)))
     else:
         for key, value in records:
             matches = lookup.get(key)
             if matches:
                 out.extend((key, (match, value)) for match in matches)
-            elif how == "right":
-                out.append((key, (None, value)))
     return out
 
 
@@ -1015,32 +965,12 @@ def is_probe(stage: NarrowStage) -> bool:
     )
 
 
+# No shuffle runs this reducer: bench/trace.py's WRAP_TABLE is its only reader.
 def sort_bucket(
     key_function: Callable[[Any], Any], ascending: bool, payloads: list[BucketPayload]
 ) -> list[Any]:
-    """sortBy reduce side: ordered merge of one range-partitioned bucket.
-
-    Spilled runs were written pre-sorted by the map side (the shuffle carries
-    ``sort_ascending``), so this is an external k-way merge over sorted runs
-    plus the sorted in-memory remainders.  ``heapq.merge``'s tie-breaking by
-    input order makes the result identical to a stable in-memory sort.
-    """
-    return list(spill_mod.merge_sorted_payloads(payloads, key_function, ascending))
-
-
-def pair_with_none(record: Any) -> tuple[Any, None]:
-    """Key a record by itself (map side of ``distinct``)."""
-    return (record, None)
-
-
-def keep_first(value: Any, _other: Any) -> Any:
-    """Combiner for ``distinct``: any duplicate is as good as the first."""
-    return value
-
-
-def take_key(pair: Any) -> Any:
-    """Strip the ``None`` payload after a ``distinct`` reduce."""
-    return pair[0]
+    """One bucket's records, stably sorted by ``key_function``."""
+    return sorted(read_bucket(payloads), key=key_function, reverse=not ascending)
 
 
 def _stage_combiner(function: functools.partial) -> tuple[Any, ...] | None:

@@ -612,7 +612,7 @@ def _broadcast(side, probe, build, consumer):
     """A broadcast join's probe task, as the runtime builds it: the
     consumer's ``probe`` twin when there is a consumer."""
     if consumer is None:
-        return stage.broadcast_join_partition("inner", side, _lookup(build), probe)
+        return stage.broadcast_join_partition(side, _lookup(build), probe)
     return consumer.probe(side)(probe, lookup=_lookup(build))
 
 

@@ -422,13 +422,6 @@ class TestCombinerKernels:
             record = stage_mod.apply_combiner(combiner, list(records), columnar=False)
             assert batch == record, op
 
-    def test_seq_combiner_matches_record_path(self):
-        combiner = ("seq", 0.0, columnar.VectorizedCombine("+", _sum_combine))
-        records = self._records()
-        batch = stage_mod.apply_combiner(combiner, list(records), columnar=True)
-        record = stage_mod.apply_combiner(combiner, list(records), columnar=False)
-        assert batch == record
-
     def test_combiner_preserves_first_seen_key_order(self):
         records = [(3, 1.0), (1, 2.0), (3, 3.0), (2, 4.0), (1, 5.0)]
         combiner = ("reduce", columnar.VectorizedCombine("+", _sum_combine))

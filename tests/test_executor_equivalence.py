@@ -82,7 +82,7 @@ def context_on(executor: str, **options) -> DistributedContext:
 
 #: Counters of where tasks ran and how data moved between processes: they
 #: differ between the executors by design.  ``shuffle_reduce_tasks`` is one:
-#: an in-memory repartition concatenates its buckets in the driver, while the
+#: an in-memory partitionBy concatenates its buckets in the driver, while the
 #: cluster reads its remote buckets in reduce tasks.
 EXECUTOR_COUNTERS = (
     "parallel_tasks",
@@ -185,7 +185,7 @@ class TestFusion:
         ctx = DistributedContext(num_partitions=4)
         partitioner = HashPartitioner(4)
         placed = ctx.parallelize([(i, i) for i in range(20)]).partition_by(partitioner)
-        pipeline = placed.filter(lambda p: p[0] > 2).map_values(lambda v: v + 1).sample(0.9)
+        pipeline = placed.filter(lambda p: p[0] > 2).map_values(lambda v: v + 1)
         assert pipeline.partitioner == partitioner, "pending chain keeps the partitioner"
         pipeline.materialize()
         assert pipeline.partitioner == partitioner, "forcing keeps the partitioner"
@@ -240,18 +240,6 @@ def _key_value(i):
     return (f"k{i % 7}", i)
 
 
-def _pair_sum(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _seq_count_sum(acc, value):
-    return (acc[0] + 1, acc[1] + value)
-
-
-def _identity(x):
-    return x
-
-
 #: Left/right key-value inputs shared by the join/co_group oracle tests;
 #: overlapping, disjoint and duplicated keys included.
 _LEFT_PAIRS = [(f"k{i % 5}", i) for i in range(40)]
@@ -260,7 +248,6 @@ _RIGHT_PAIRS = [(f"k{i % 8}", i * 10) for i in range(24)]
 
 def _wide_pipelines(ctx):
     """Every wide operator, as (name, thunk) pairs over fresh datasets."""
-    records = [i - 30 for i in range(120)]
     pairs = [_key_value(i) for i in range(150)]
     left = ctx.parallelize(_LEFT_PAIRS)
     right = ctx.parallelize(_RIGHT_PAIRS)
@@ -271,29 +258,17 @@ def _wide_pipelines(ctx):
         ("reduce_by_key", lambda: sorted(
             ctx.parallelize(pairs).reduce_by_key(_add).collect()
         )),
-        ("aggregate_by_key", lambda: sorted(
-            ctx.parallelize(pairs).aggregate_by_key((0, 0), _seq_count_sum, _pair_sum).collect()
-        )),
-        ("distinct", lambda: sorted(
-            ctx.parallelize([i % 9 for i in range(90)]).distinct().collect()
-        )),
-        ("sort_by", lambda: ctx.parallelize(records).sort_by(_identity).collect()),
-        ("sort_by_desc", lambda: ctx.parallelize(records).sort_by(_identity, ascending=False).collect()),
-        ("repartition", lambda: sorted(ctx.parallelize(records).repartition(3).collect())),
         ("co_group", lambda: sorted(
             (k, (sorted(ls), sorted(rs))) for k, (ls, rs) in left.co_group(right).collect()
         )),
         ("join", lambda: sorted(left.join(right, strategy="shuffle").collect())),
         ("join_broadcast", lambda: sorted(left.join(right, strategy="broadcast").collect())),
-        ("left_outer_join", lambda: sorted(left.left_outer_join(right).collect())),
-        ("right_outer_join", lambda: sorted(left.right_outer_join(right).collect())),
         ("full_outer_join", lambda: sorted(left.full_outer_join(right).collect())),
     ]
 
 
 def _oracle_results():
     """Plain-Python reference results for :func:`_wide_pipelines`."""
-    records = [i - 30 for i in range(120)]
     pairs = [_key_value(i) for i in range(150)]
     groups: dict = {}
     for k, v in pairs:
@@ -314,12 +289,6 @@ def _oracle_results():
         for a in left_groups[k]
         for b in (right_groups.get(k) or [None])
     )
-    right_outer = sorted(
-        (k, (a, b))
-        for k in right_groups
-        for b in right_groups[k]
-        for a in (left_groups.get(k) or [None])
-    )
     # Full outer = every left row (None-filled when unmatched) plus the
     # unmatched right rows.
     full_outer = sorted(
@@ -329,19 +298,12 @@ def _oracle_results():
     return {
         "group_by_key": sorted((k, sorted(vs)) for k, vs in groups.items()),
         "reduce_by_key": sorted((k, sum(vs)) for k, vs in groups.items()),
-        "aggregate_by_key": sorted((k, (len(vs), sum(vs))) for k, vs in groups.items()),
-        "distinct": sorted(set(i % 9 for i in range(90))),
-        "sort_by": sorted(records),
-        "sort_by_desc": sorted(records, reverse=True),
-        "repartition": sorted(records),
         "co_group": sorted(
             (k, (sorted(left_groups.get(k, [])), sorted(right_groups.get(k, []))))
             for k in all_keys
         ),
         "join": inner,
         "join_broadcast": inner,
-        "left_outer_join": left_outer,
-        "right_outer_join": right_outer,
         "full_outer_join": full_outer,
     }
 
@@ -364,49 +326,6 @@ class TestWideOperatorEquivalence:
                     thunk()
                 snapshots[mode] = plan_counters(ctx)
         assert snapshots["sequential"] == snapshots["cluster"]
-
-    def test_sort_by_key_output_keeps_a_range_partitioner(self):
-        from repro.runtime.partitioner import RangePartitioner
-
-        with DistributedContext(num_partitions=4) as ctx:
-            pairs = [(i % 50, i) for i in range(200)]
-            ordered = ctx.parallelize(pairs).sort_by_key()
-            ordered.materialize()
-            assert isinstance(ordered.partitioner, RangePartitioner)
-            # Every partition holds one contiguous key range.
-            previous_max = None
-            for partition in ordered.partitions:
-                if not partition:
-                    continue
-                if previous_max is not None:
-                    assert partition[0][0] >= previous_max
-                previous_max = partition[-1][0]
-            # The partitioner is *usable*: a follow-up keyed shuffle honors it.
-            regrouped = ordered.reduce_by_key(_add)
-            assert len(regrouped.collect()) == 50
-
-    def test_sort_by_arbitrary_key_drops_the_partitioner(self):
-        # A RangePartitioner over key_function(record) values must NOT be
-        # advertised as a record[0] partitioner: downstream keyed shuffles
-        # would bucket with the wrong key type.
-        with DistributedContext(num_partitions=4) as ctx:
-            pairs = [(f"k{i}", i % 13) for i in range(60)]
-            by_value = ctx.parallelize(pairs).sort_by(lambda pair: pair[1])
-            assert by_value.partitioner is None
-            # The regression: this used to crash comparing str keys against
-            # the int range bounds inherited from the sort.
-            regrouped = by_value.reduce_by_key(_add)
-            assert len(regrouped.collect()) == 60
-
-    def test_repartition_is_lazy_and_counted_as_a_shuffle(self):
-        with DistributedContext(num_partitions=4) as ctx:
-            ds = ctx.parallelize(range(40)).map(_identity).repartition(6)
-            assert not ds.is_materialized
-            assert ctx.metrics.shuffles == 0
-            assert ds.num_partitions == 6
-            assert sorted(ds.collect()) == list(range(40))
-            assert ctx.metrics.shuffle_operations.get("repartition") == 1
-
 
 # ---------------------------------------------------------------------------
 # Out-of-core shuffles: the spill path must be invisible in the results
@@ -472,14 +391,9 @@ class TestSpillEquivalence:
                 return {
                     "reduce": ctx.parallelize(pairs).reduce_by_key(_add).collect(),
                     "group": ctx.parallelize(pairs).group_by_key().collect(),
-                    "sort": ctx.parallelize([i % 13 for i in range(120)]).sort_by(_identity).collect(),
-                    "sort_desc": ctx.parallelize([i % 13 for i in range(120)])
-                    .sort_by(_identity, ascending=False)
-                    .collect(),
                     "join": ctx.parallelize(_LEFT_PAIRS)
                     .join(ctx.parallelize(_RIGHT_PAIRS), strategy="shuffle")
                     .collect(),
-                    "repartition": ctx.parallelize(range(75)).repartition(3).collect(),
                 }
 
         assert harvest(None) == harvest(TINY_SPILL)
@@ -555,12 +469,11 @@ class TestJoinStrategySelection:
             assert ctx.metrics.shuffle_operations.get("join") == 1
 
     def test_broadcast_and_shuffle_agree_on_results(self):
-        for how in ("join", "left_outer_join", "right_outer_join"):
-            with DistributedContext(num_partitions=4) as ctx:
-                left, right = self._sides(ctx, 7)
-                broadcast = sorted(getattr(left, how)(right, strategy="broadcast").collect())
-                shuffled = sorted(getattr(left, how)(right, strategy="shuffle").collect())
-                assert broadcast == shuffled, how
+        with DistributedContext(num_partitions=4) as ctx:
+            left, right = self._sides(ctx, 7)
+            broadcast = sorted(left.join(right, strategy="broadcast").collect())
+            shuffled = sorted(left.join(right, strategy="shuffle").collect())
+            assert broadcast == shuffled
 
     def test_full_outer_join_never_broadcasts(self):
         with DistributedContext(num_partitions=4, broadcast_join_threshold=1_000) as ctx:

@@ -11,7 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,6 @@ from repro.errors import ExecutionError
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
 from repro.runtime.stage import SaltedKey
-from repro.workloads import zipf_keys
 
 
 @pytest.fixture
@@ -64,7 +63,7 @@ class TestPartitionerEquality:
 class TestPartitionerPreservation:
     """Which narrow operators may keep partitioner metadata.
 
-    Key-preserving operators (filter / map_values / sample) keep it; anything
+    Key-preserving operators (filter / map_values) keep it; anything
     that can rewrite the record (map / flat_map / map_partitions) must drop
     it unless the caller promises key stability via
     ``preserves_partitioning=True``.
@@ -80,10 +79,6 @@ class TestPartitionerPreservation:
     def test_map_values_preserves(self, ctx):
         placed = self._placed(ctx)
         assert placed.map_values(lambda v: v + 1).partitioner == HashPartitioner(4)
-
-    def test_sample_preserves(self, ctx):
-        placed = self._placed(ctx)
-        assert placed.sample(0.5).partitioner == HashPartitioner(4)
 
     def test_map_drops_by_default(self, ctx):
         placed = self._placed(ctx)
@@ -109,7 +104,7 @@ class TestPartitionerPreservation:
 
     def test_preservation_survives_forcing(self, ctx):
         placed = self._placed(ctx)
-        chain = placed.filter(lambda p: True).map_values(lambda v: v).sample(0.9)
+        chain = placed.filter(lambda p: True).map_values(lambda v: v)
         chain.materialize()
         assert chain.partitioner == HashPartitioner(4)
 
@@ -151,51 +146,7 @@ class TestPlacement:
 
 
 class TestSkewAwarePartitioning:
-    """Range bounds from skewed samples, and hot-key salting (PR 7).
-
-    Under a Zipf key distribution, split points taken from *distinct* keys
-    would pack the hot head range into one partition; both ``from_sample``
-    (duplicates in the raw sample carry the frequency) and ``from_histogram``
-    (explicit counts) must spread the load instead.
-    """
-
-    ZIPF_KEYS = 1_000
-    ZIPF_DRAWS = 4_000
-
-    def _balance(self, partitioner: RangePartitioner, keys: list[int]) -> list[int]:
-        counts = [0] * partitioner.num_partitions
-        for key in keys:
-            counts[partitioner.partition(key)] += 1
-        return counts
-
-    def test_from_sample_balances_zipf_keys(self):
-        keys = zipf_keys(self.ZIPF_DRAWS, self.ZIPF_KEYS, seed=101)
-        partitioner = RangePartitioner.from_sample(4, keys)
-        counts = self._balance(partitioner, keys)
-        assert partitioner.num_partitions >= 2
-        assert all(count > 0 for count in counts), "a partition went empty"
-        # The hottest key (~1/5 of the mass) cannot be split, so perfect 25%
-        # quarters are unreachable -- but no partition may own a majority.
-        assert max(counts) < len(keys) // 2, f"skewed split: {counts}"
-
-    def test_from_histogram_balances_zipf_keys(self):
-        keys = zipf_keys(self.ZIPF_DRAWS, self.ZIPF_KEYS, seed=103)
-        histogram = sorted(Counter(keys).items())
-        partitioner = RangePartitioner.from_histogram(4, histogram)
-        counts = self._balance(partitioner, keys)
-        assert partitioner.num_partitions >= 2
-        assert all(count > 0 for count in counts), "a partition went empty"
-        assert max(counts) < len(keys) // 2, f"skewed split: {counts}"
-
-    def test_from_histogram_matches_from_sample_on_exact_counts(self):
-        # A histogram with the sample's exact multiplicities must induce the
-        # same frequency-weighted quantiles as the raw sample itself.
-        keys = zipf_keys(500, 40, seed=107)
-        by_sample = RangePartitioner.from_sample(4, keys)
-        by_histogram = RangePartitioner.from_histogram(4, sorted(Counter(keys).items()))
-        assert self._balance(by_histogram, keys) == pytest.approx(
-            self._balance(by_sample, keys), rel=0.25
-        )
+    """Hot-key salting (PR 7)."""
 
     def test_salted_keys_hash_stably_and_spread(self):
         key = "hot-key"

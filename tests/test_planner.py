@@ -81,16 +81,13 @@ class TestNarrowFastPaths:
         assert ctx.metrics.narrow_joins == 1
         assert {k for k, _ in result} == set(range(7))
 
-    def test_copartitioned_outer_joins_match_shuffle_results(self, ctx):
+    def test_copartitioned_full_outer_join_matches_shuffle_results(self, ctx):
         partitioner = HashPartitioner(4)
         left = ctx.parallelize([(i % 5, i) for i in range(30)]).partition_by(partitioner)
         right = ctx.parallelize([(i % 8, -i) for i in range(24)]).partition_by(partitioner)
-        for how in ("left_outer_join", "right_outer_join", "full_outer_join"):
-            narrow = sorted(getattr(left, how)(right).collect())
-            shuffled = sorted(
-                getattr(left, how)(right, partitioner=HashPartitioner(2)).collect()
-            )
-            assert narrow == shuffled, how
+        narrow = sorted(left.full_outer_join(right).collect())
+        shuffled = sorted(left.full_outer_join(right, partitioner=HashPartitioner(2)).collect())
+        assert narrow == shuffled
 
     def test_keyed_reduce_on_partitioned_input_runs_zero_shuffles(self, ctx):
         left, _right = self._sides(ctx)
@@ -103,18 +100,12 @@ class TestNarrowFastPaths:
         assert ctx.metrics.shuffles_eliminated == 1
         assert reduced.partitioner == HashPartitioner(4), "narrow reduce keeps placement"
 
-    def test_keyed_group_and_aggregate_on_partitioned_input(self, ctx):
+    def test_keyed_group_on_partitioned_input(self, ctx):
         left, _right = self._sides(ctx)
         ctx.metrics.reset()
         grouped = dict(left.group_by_key().map_values(sorted).collect())
-        aggregated = dict(
-            left.aggregate_by_key((0, 0), lambda acc, v: (acc[0] + 1, acc[1] + v), _add).collect()
-        )
         assert ctx.metrics.shuffles == 0
         assert grouped == {k: sorted(i for i in range(42) if i % 7 == k) for k in range(7)}
-        assert aggregated == {
-            k: (6, sum(i for i in range(42) if i % 7 == k)) for k in range(7)
-        }
 
     def test_requesting_a_different_partitioner_still_shuffles(self, ctx):
         left, _right = self._sides(ctx)

@@ -3,8 +3,8 @@
 The differential coverage (every wide operator and every Figure 3 workload
 forced through the spill path under every executor) lives in
 ``tests/test_executor_equivalence.py``; this file tests the spill machinery
-itself: run framing, writer budgets, the external sort merge, store
-lifecycle/cleanup, and the configuration plumbing.
+itself: run framing, writer budgets, store lifecycle/cleanup, and the
+configuration plumbing.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from test_executor_equivalence import context_on
 from repro.api.config import DiabloConfig
 from repro.runtime import spill
 from repro.runtime.context import DistributedContext
+from repro.runtime.partitioner import HashPartitioner
 
 
 def _payloads_of(writer: spill.BucketWriter) -> list[spill.BucketPayload]:
@@ -105,36 +106,17 @@ class TestBucketWriter:
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
         ]
 
-    def test_sorted_runs_merge_like_a_stable_sort(self, tmp_path):
-        records = [(i * 7 + 3) % 10 for i in range(300)]  # lots of duplicate keys
-        spec = spill.SpillSpec(str(tmp_path), 1)
-        writer = spill.BucketWriter(1, spec, sort_spec=(lambda x: x, True))
-        decorated = [(value, position) for position, value in enumerate(records)]
-        writer.write([0] * len(decorated), decorated)
-        payloads = writer.finish()
-        assert len(payloads[0].runs) == 5
-        merged = list(spill.merge_sorted_payloads(payloads, key=lambda r: r[0], ascending=True))
-        assert merged == sorted(decorated, key=lambda r: r[0])  # stable: ties by position
-
-    def test_descending_merge(self, tmp_path):
-        spec = spill.SpillSpec(str(tmp_path), 1)
-        writer = spill.BucketWriter(1, spec, sort_spec=(lambda x: x, False))
-        values = [5, 1, 9, 3, 9, 0] * 30
-        writer.write([0] * len(values), values)
-        merged = list(
-            spill.merge_sorted_payloads(writer.finish(), key=lambda x: x, ascending=False)
-        )
-        assert merged == sorted(values, reverse=True)
-
 
 def _concat(left, right):
     return left + right
 
 
 def _spill_counters(executor: str) -> dict[str, tuple[int, int, int]]:
-    """Spill counters of a spilling reduce, a salted reduce and a repartition."""
+    """Spill counters of a spilling reduce, a salted reduce and a partitionBy
+    (whose reduce side reads the spilled runs back without a key)."""
     pairs = [(i % 37, str(i)) for i in range(3000)]
     skewed = [("hot", str(i)) for i in range(2000)] + [(f"cold-{i}", "x") for i in range(200)]
+    keyed = [(i, i) for i in range(4000)]
     counters = {}
     with context_on(
         executor, num_partitions=4, adaptive=True, spill_threshold_bytes=2048
@@ -142,7 +124,7 @@ def _spill_counters(executor: str) -> dict[str, tuple[int, int, int]]:
         for name, run in (
             ("reduce", lambda: ctx.parallelize(pairs).reduce_by_key(_concat).collect()),
             ("salted", lambda: ctx.parallelize(skewed).reduce_by_key(_concat).collect()),
-            ("repartition", lambda: ctx.parallelize(list(range(4000))).repartition(3).collect()),
+            ("partition_by", lambda: ctx.parallelize(keyed).partition_by(HashPartitioner(3)).collect()),
         ):
             ctx.metrics.reset()
             run()
