@@ -18,6 +18,18 @@ The important plan decisions are the ones the paper relies on:
   a **reduceByKey**; otherwise it is a **groupByKey**;
 * the array merges ⊳ and ⊳⊕ become **coGroups**.
 
+Evaluating a comprehension is two steps.  The **bind** evaluates, in
+qualifier order, what the driver must: the lets, conditions and group-by keys
+before the first scan, and every domain that reads no row variable (each
+scan's dataset, each local bag), stopping at the first empty domain.  The
+**build** is structure only -- the qualifier walk, join keys, invariance,
+the annotate pass -- and runs once per program: the plan is stored with the
+:class:`~repro.translate.target.TargetProgram`, keyed by the term, the
+bind's *shape* (which domains are scans, which scans are placed), the loop
+invariants and the knobs it reads, and every later run and loop iteration
+only binds it and lowers it.  A domain that turns into a different kind of
+input, or a scan whose placement changes, keys another plan.
+
 Building the plan first (instead of emitting Dataset calls inline) lets the
 planner eliminate work the inline emission could not see:
 
@@ -42,8 +54,9 @@ for which :meth:`TermEvaluator.evaluate_local` is the reference semantics.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro import operators
 from repro.algebra import codegen
@@ -67,6 +80,7 @@ from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
 from repro.translate import facts
+from repro.translate.target import TargetProgram
 
 
 @dataclass
@@ -87,41 +101,64 @@ class EvaluationEnvironment:
     monoids: MonoidRegistry = field(default_factory=lambda: DEFAULT_MONOIDS)
 
 
+#: Terms whose value is a bag: a driver-level let binds their Dataset.
+_BAG_TERMS = (ir.Comprehension, ir.Merge, ir.MergeWith, ir.RangeTerm)
+
+
+@dataclass
+class _Bound:
+    """One evaluation's run-time inputs: the ``driver`` bindings; per
+    generator the driver evaluated, its ``shape`` entry (a scan: whether its
+    dataset is placed; a local bag: None); the plan's slots, ``inputs`` (the
+    scans' datasets and the per-row bags); and whether a scan started rows."""
+
+    driver: dict[str, Any] = field(default_factory=dict)
+    shape: list[bool | None] = field(default_factory=list)
+    inputs: list[Any] = field(default_factory=list)
+    rows: bool = False
+
+
 @dataclass
 class _CompBuild:
-    """Mutable state of one comprehension's plan construction.
+    """Mutable state of one comprehension's plan construction (the *build*).
 
-    ``driver_invariant`` tracks whether every driver-level binding so far was
-    computed from loop-invariant data -- a prerequisite for marking plan
-    nodes (whose closures capture those bindings) loop-invariant.
+    It reads no run-time value: the bind's ``shape`` stands for what the
+    domains were, ``driver`` names what the driver binds.  ``driver_invariant``
+    tracks whether every driver-level binding so far was computed from
+    loop-invariant data -- a prerequisite for marking plan nodes invariant.
     """
 
+    shape: Iterator[bool | None]
+    #: The names with one value per comprehension besides the driver's.
+    program_scalars: frozenset[str]
     rows: PlanNode | None = None
     bound_order: list[str] = field(default_factory=list)
-    driver_bindings: dict[str, Any] = field(default_factory=dict)
+    driver: set[str] = field(default_factory=set)
     driver_invariant: bool = True
-    driver_alive: bool = True
-    #: Set when a generator's domain is empty: the comprehension denotes the
-    #: empty bag and the remaining qualifiers are neither built nor
-    #: evaluated (matching the sequential interpreter, which never reaches
-    #: inner loops of an empty outer loop).
-    dead: bool = False
-    #: Whether the finished plan tree may enter the per-loop
-    #: :class:`~repro.algebra.planner.LoopInvariantCache` as a skeleton.
-    #: Cleared whenever a build-time snapshot (a local bag held by an expand
-    #: node, a driver-evaluated condition, a derived scan dataset) captured a
-    #: value that could change across iterations; everything else in the tree's
-    #: closures resolves late through ``env.values`` or is rebound on reuse.
-    skeleton_safe: bool = True
-    #: Scan leaves over mutable bare program variables, with the variable
-    #: name: a reused skeleton rebinds each to the variable's current value.
-    rebind_scans: list[tuple[ScanNode, str]] = field(default_factory=list)
-    #: What the comprehension's generated functions close over; created with
-    #: the first row node, when the driver bindings are final.
-    bindings: codegen.Bindings | None = None
+    slots: int = 0
+    #: The plan decisions, traced each time the plan runs.
+    trace: list[str] = field(default_factory=list)
 
     def bound_names(self) -> frozenset[str]:
-        return frozenset(self.bound_order) | frozenset(self.driver_bindings)
+        return frozenset(self.bound_order) | frozenset(self.driver)
+
+    def scalars(self) -> frozenset[str]:
+        return self.program_scalars | frozenset(self.driver)
+
+    def slot(self) -> int:
+        self.slots += 1
+        return self.slots - 1
+
+
+@dataclass(frozen=True)
+class StoredPlan:
+    """A comprehension (holding it keeps its id, part of the key, unique),
+    its annotated plan and the build's trace lines: no per-run value, so a
+    program's plans serve every run, on any context."""
+
+    comp: ir.Comprehension
+    root: PlanNode
+    trace: tuple[str, ...]
 
 
 class TermEvaluator:
@@ -132,22 +169,25 @@ class TermEvaluator:
         environment: EvaluationEnvironment,
         trace: list[str] | None = None,
         loop_cache: LoopInvariantCache | None = None,
-        segments: dict[Any, Any] | None = None,
+        program: TargetProgram | None = None,
     ):
         self.env = environment
-        #: Compiled row-segment factories (see :func:`codegen.generate`);
-        #: the runner passes the program's memo, so they compile once.
-        self.segments: dict[Any, Any] = segments if segments is not None else {}
+        #: Compiled row-segment factories (see :func:`codegen.generate`) and
+        #: the stored plans with their structural facts: the program's, when
+        #: the runner passes it, so both outlive the run.
+        self.segments: dict[Any, Any] = program.segments if program is not None else {}
+        self.plans: dict[Any, Any] = program.plans if program is not None else {}
+        #: Names with one value per comprehension (join keys may read them);
+        #: without a program, the non-collection values of the environment.
+        self._scalars = program.facts.scalars if program is not None else None
         #: Per-statement CSE memo: comprehension sub-term -> lowered Dataset.
         self._term_dataset_cache: dict[Any, Dataset] = {}
         #: While-loop cache shared across iterations (None outside loops).
         #: It holds loop-invariant datasets when the context's
-        #: ``plan_optimize`` knob is on and plan skeletons when its
-        #: ``plan_cache`` knob is.
+        #: ``plan_optimize`` knob is on.
         self.loop_cache = loop_cache
         hoist = loop_cache is not None and environment.context.plan_optimize
         self._invariants = loop_cache.invariants if hoist else None
-        self._skeletons = loop_cache is not None and environment.context.plan_cache
         #: The last logical plan lowered by :meth:`evaluate_comprehension`.
         self.last_plan: PlanNode | None = None
         #: Human-readable log of plan decisions (joins, group-bys, merges).
@@ -229,7 +269,7 @@ class TermEvaluator:
                 .materialize()
                 .partition_by(HashPartitioner(self.env.context.num_partitions))
             )
-            self.loop_cache.put(key, placed, ir.free_variables(term))
+            self.loop_cache.put(key, placed, self._free(term))
             self.trace.append(f"loop-invariant merge side cached (hash-partitioned): {term}")
             return placed
         return self.as_dataset(self.evaluate(term))
@@ -238,14 +278,22 @@ class TermEvaluator:
     # loop-invariance helpers
     # ------------------------------------------------------------------
 
+    def _free(self, term: ir.Term) -> frozenset[str]:
+        """``term``'s free variables, computed once per term and kept with
+        the stored plans (the entry holds the term, so its id stays unique)."""
+        key = ("free", id(term))
+        entry = self.plans.get(key)
+        if entry is None:
+            entry = self.plans[key] = (term, frozenset(ir.free_variables(term)))
+        return entry[1]
+
     def _term_is_invariant(self, term: ir.Term, bound: frozenset[str] = frozenset()) -> bool:
         """Whether ``term``'s free variables are loop-invariant (or locally bound)."""
         invariants = self._invariants
         if invariants is None:
             return False
-        return all(
-            name in invariants or name in bound for name in ir.free_variables(term)
-        )
+        free = self._free(term)
+        return free <= invariants or free - bound <= invariants
 
     def _node_invariant(
         self,
@@ -267,115 +315,146 @@ class TermEvaluator:
         )
 
     # ------------------------------------------------------------------
-    # comprehension evaluation
+    # comprehension evaluation: bind the run's inputs, build the plan once
     # ------------------------------------------------------------------
 
     def evaluate_comprehension(self, comp: ir.Comprehension) -> Dataset | list[Any]:
-        """Build and lower the logical plan for one comprehension.
+        """Bind one comprehension's run-time inputs and lower its plan, built
+        on its first evaluation (see the module docstring).
 
         Returns a Dataset when the comprehension ranges over at least one
         dataset generator, or a plain list for purely local comprehensions
         (e.g. singleton bags).
         """
-        if self._skeletons:
-            reused = self._reuse_plan_skeleton(comp)
-            if reused is not None:
-                return reused
-        build = _CompBuild()
+        if not comp.qualifiers:
+            return [self.evaluate_local(comp.head, {})]
+        bound = self._bind(comp)
+        if bound is None:
+            # A generator's domain is empty: the comprehension denotes the
+            # empty bag and the remaining qualifiers were never evaluated.
+            return self.env.context.empty()
+        if not isinstance(bound, _Bound):
+            return bound
+        if not bound.rows:
+            return [self.evaluate_local(comp.head, dict(bound.driver))]
+        context = self.env.context
+        knobs = (context.plan_optimize, context.num_partitions)
+        key = ("plan", id(comp), tuple(bound.shape), self._invariants, knobs)
+        plan = stored = self.plans.get(key)
+        if plan is None:
+            plan = self._build(comp, bound.shape)
+        else:
+            context.metrics.record_plan_cache_hit()
+        self.trace.extend(plan.trace)
+        self.last_plan = plan.root
+        bindings = codegen.Bindings(bound.driver, self.env.values, self.env.functions, self.env.monoids)
+        planner = Planner(context, self.trace, self.loop_cache, self.segments)
+        if stored is not None:
+            return planner.relower(plan.root, bindings, bound.inputs)
+        dataset = planner.lower(plan.root, bindings, bound.inputs)  # annotates the new plan first
+        # Published once annotated and lowered: a run on another thread
+        # never binds a plan whose first lowering is under way.
+        self.plans[key] = plan
+        return dataset
+
+    def _bind(self, comp: ir.Comprehension) -> _Bound | list[Any] | None:
+        """Evaluate what the driver must, in qualifier order: the lets,
+        conditions and group-by keys before the first scan, and every domain
+        that reads no row variable.  Stops at an empty domain (None) and at a
+        false driver condition (``[]``), so later domains are never
+        evaluated -- the interpreter oracle never reaches them either."""
+        bound = _Bound()
+        driver = bound.driver
+        rows: set[str] = set()
+        for qualifier in comp.qualifiers:
+            names = qualifier.bound_variables()
+            if isinstance(qualifier, ir.Generator):
+                free = self._free(qualifier.domain)
+                if bound.rows and free & rows:
+                    rows.update(names)  # a per-row domain: planned, not bound
+                    continue
+                pattern, domain = qualifier.pattern, qualifier.domain
+                dataset = self._domain_dataset(domain, free, driver)
+                if dataset is None:
+                    # The domain is a local (driver) bag.
+                    bag = codegen.local_bag(self.evaluate_local(domain, driver))
+                    if not bound.rows and len(bag) == 1:
+                        driver.update(_bind_pattern(pattern, bag[0]))
+                        bound.shape.append(None)
+                        continue
+                    if bound.rows:
+                        if not bag:
+                            return None
+                        for element in bag:
+                            _bind_pattern(pattern, element)  # an element that does not fit raises here
+                        bound.shape.append(None)
+                        bound.inputs.append(bag)
+                        rows.update(names)
+                        continue
+                    dataset = self.env.context.parallelize(bag)
+                if dataset.is_empty():
+                    return None
+                bound.shape.append(dataset.partitioner is not None)
+                bound.inputs.append(dataset)
+                bound.rows = True
+                rows.update(names)
+            elif bound.rows:
+                rows.update(names)
+            elif isinstance(qualifier, ir.LetBinding):
+                term = qualifier.term
+                if isinstance(term, _BAG_TERMS) and not self._free(term) & driver.keys():
+                    value = self.evaluate(term)  # may be a Dataset
+                else:
+                    value = self.evaluate_local(term, driver)
+                driver.update(_bind_pattern(qualifier.pattern, value))
+            elif isinstance(qualifier, ir.Condition):
+                if not self.evaluate_local(qualifier.term, driver):
+                    return []
+            elif isinstance(qualifier, ir.GroupBy):
+                # With no generators the group-by degenerates to a let of the
+                # key; every "lifted" variable is already a single value.
+                key = self.evaluate_local(qualifier.key_term(), driver)
+                driver.update(_bind_pattern(qualifier.pattern, key))
+            else:
+                raise CompilationError(f"unknown qualifier {qualifier!r}")
+        return bound
+
+    def _build(self, comp: ir.Comprehension, shape: list[bool | None]) -> StoredPlan:
+        """Build ``comp``'s plan for a bind of ``shape`` (annotated by its
+        first lowering): the qualifier walk, join keys, invariance, the head.
+        Structure only -- scans and local bags are slots each bind fills."""
+        scalars = self._scalars
+        if scalars is None:
+            values = self.env.values.items()
+            scalars = frozenset(name for name, value in values if not isinstance(value, Dataset))
+        build = _CompBuild(iter(shape), scalars)
         consumed: set[int] = set()
         qualifiers = list(comp.qualifiers)
-
         for position, qualifier in enumerate(qualifiers):
             if position in consumed:
                 continue
-            if not build.driver_alive or build.dead:
-                break
             if isinstance(qualifier, ir.Generator):
                 self._generator(qualifier, qualifiers, position, consumed, build)
             elif isinstance(qualifier, ir.LetBinding):
                 self._let(qualifier, build)
-            elif isinstance(qualifier, ir.Condition):
-                self._condition(qualifier, build)
             elif isinstance(qualifier, ir.GroupBy):
                 self._group_by(qualifier, qualifiers[position + 1 :], comp.head, build)
-            else:
-                raise CompilationError(f"unknown qualifier {qualifier!r}")
-
-        if build.dead:
-            # Nothing left to do; the result is empty regardless of the
-            # remaining qualifiers.
-            return self.env.context.empty()
-        if not build.driver_alive:
-            return []
-        if build.rows is None:
-            return [self.evaluate_local(comp.head, dict(build.driver_bindings))]
+            elif build.rows is not None:
+                self._condition(qualifier, build)
         head = comp.head
         head_key_term = None
         if isinstance(head, ir.CTuple) and len(head.elements) == 2:
             head_key_term = head.elements[0]
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=vectorize.head_map(head, frozenset(build.bound_order), build.bindings),
+            kernel=functools.partial(vectorize.head_map, head, frozenset(build.bound_order)),
             child=build.rows,
             describe="head",
             head_key_term=head_key_term,
         )
         node.sig = ("head", head)
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, head)
-        lowered = self._lower_plan(node)
-        if self._skeletons and build.skeleton_safe and build.driver_invariant:
-            depends = frozenset(ir.free_variables(comp)) & (self._invariants or frozenset())
-            try:
-                skeleton = (node, tuple(build.rebind_scans))
-                self.loop_cache.put(("skeleton", comp), skeleton, depends)
-            except TypeError:
-                # A term holding an unhashable constant cannot key the cache.
-                pass
-            else:
-                self.trace.append(
-                    f"plan skeleton cached ({len(build.rebind_scans)} rebindable scan(s))"
-                )
-        return lowered
-
-    def _planner(self) -> Planner:
-        return Planner(self.env.context, self.trace, self.loop_cache, self.segments)
-
-    def _reuse_plan_skeleton(self, comp: ir.Comprehension) -> Dataset | None:
-        """Rebind and re-lower a cached plan skeleton for ``comp``, if any.
-
-        Returns None (build from scratch) when there is no cached skeleton, a
-        mutated scan variable no longer holds a collection, or its placement
-        differs from what the skeleton was annotated over (the annotate pass
-        reads each scan's partitioner)."""
-        try:
-            entry = self.loop_cache.get(("skeleton", comp))
-        except TypeError:
-            return None
-        if entry is None:
-            return None
-        root, rebinds = entry
-        datasets: dict[str, Dataset] = {}
-        for _scan, name in rebinds:
-            if name not in datasets:
-                dataset = self._collection(self.env.values.get(name))
-                if dataset is None:
-                    return None
-                datasets[name] = dataset
-        for scan, name in rebinds:
-            if datasets[name].partitioner != scan.dataset.partitioner:
-                self.trace.append(f"plan skeleton rebuilt: {name} changed placement")
-                return None
-        for scan, name in rebinds:
-            scan.dataset = datasets[name]
-        self.env.context.metrics.record_plan_cache_hit()
-        self.trace.append(f"plan skeleton reused ({len(rebinds)} scan(s) rebound)")
-        self.last_plan = root
-        return self._planner().relower(root)
-
-    def _lower_plan(self, root: PlanNode) -> Dataset:
-        self.last_plan = root
-        return self._planner().lower(root)
+        return StoredPlan(comp, node, tuple(build.trace))
 
     # -- generators -----------------------------------------------------------
 
@@ -389,144 +468,93 @@ class TermEvaluator:
     ) -> None:
         pattern = qualifier.pattern
         domain = qualifier.domain
-        domain_variables = ir.free_variables(domain)
-        row_dependent = build.rows is not None and any(
-            name in build.bound_order for name in domain_variables
-        )
-
-        if row_dependent:
+        if build.rows is not None and self._free(domain) & set(build.bound_order):
             # The domain depends on per-row values: a loop over it per row.
-            self.trace.append(f"per-row expansion of generator over {domain}")
+            build.trace.append(f"per-row expansion of generator over {domain}")
             self._expand(build, ("expand", pattern, domain), f"expand {domain}")
             return
 
-        dataset = self._domain_dataset(domain, build.driver_bindings)
-        from_environment = dataset is not None
+        placed = next(build.shape)
         domain_invariant = build.driver_invariant and self._term_is_invariant(
-            domain, frozenset(build.driver_bindings)
+            domain, frozenset(build.driver)
         )
-        if dataset is None:
-            # The domain is a local (driver) bag: bind it per element.
-            bag = codegen.local_bag(self.evaluate_local(domain, dict(build.driver_bindings)))
+        if placed is None:
+            # The domain is a local (driver) bag: one element binds at the
+            # driver before the first scan, after it the bag is a slot that
+            # each row loops over.
             if build.rows is None:
-                if len(bag) == 1:
-                    binding = _bind_pattern(pattern, bag[0])
-                    build.driver_bindings.update(binding)
-                    build.driver_invariant = build.driver_invariant and domain_invariant
-                    return
-                dataset = self.env.context.parallelize(bag)
+                build.driver.update(pattern.variables())
+                build.driver_invariant = domain_invariant
             else:
-                if not bag:
-                    build.dead = True
-                    return
-                for element in bag:
-                    _bind_pattern(pattern, element)  # an element that does not fit raises here
-                sig = ("local-expand", pattern, domain)
-                self._expand(build, sig, f"expand local {domain}", bag)
-                if not domain_invariant:
-                    # The node snapshots the bag; a variant domain would
-                    # serve iteration 1's elements forever.
-                    build.skeleton_safe = False
-                return
-
-        if dataset.is_empty():
-            # A generator over an empty bag empties the whole comprehension:
-            # stop here so the remaining qualifiers' domains are never
-            # evaluated (the interpreter oracle never reaches them either).
-            build.dead = True
+                self._expand(build, ("local-expand", pattern, domain), f"expand local {domain}", build.slot())
             return
 
-        scan = ScanNode(dataset=dataset, term=domain, name=str(domain))
+        scan = ScanNode(term=domain, name=str(domain), placed=placed, slot=build.slot())
         scan.sig = ("scan", domain)
         scan.invariant = domain_invariant
-        if not domain_invariant:
-            if (
-                from_environment
-                and isinstance(domain, ir.CVar)
-                and domain.name not in build.driver_bindings
-            ):
-                # A mutable bare program variable: a reused skeleton rebinds
-                # this leaf to the variable's current dataset.
-                build.rebind_scans.append((scan, domain.name))
-            else:
-                # A variant derived dataset (range over a mutated bound, a
-                # nested comprehension, a parallelized local bag) is baked in
-                # at build time and cannot be refreshed structurally.
-                build.skeleton_safe = False
 
         if build.rows is None:
-            # Driver-level qualifiers cannot follow a row node, so the driver
-            # bindings are final here.  Other scalars resolve late, through
-            # the live ``env.values``: plan nodes are CSE/loop-cached, so a
-            # function built in one loop iteration may run in a later one.
-            build.bindings = codegen.Bindings(
-                dict(build.driver_bindings), self.env.values, self.env.functions, self.env.monoids
-            )
             node = NarrowNode(
                 kind=plan_mod.MAP,
-                kernel=vectorize.bind_map(pattern),
+                kernel=functools.partial(vectorize.bind_map, pattern),
                 child=scan,
                 describe=f"bind {pattern}",
             )
             node.sig = ("bind", pattern)
             node.rows = _row_names((), pattern)
-            node.bindings = build.bindings
             node.invariant = scan.invariant
-            self.trace.append(f"scan {domain}")
+            build.trace.append(f"scan {domain}")
             build.rows = node
             build.bound_order.extend(pattern.variables())
             return
 
         # Try to find equi-join conditions linking the new pattern to the rows
         # built so far.
-        scalars = set(build.driver_bindings)
-        scalars.update(
-            name for name, value in self.env.values.items() if not isinstance(value, Dataset)
-        )
         join_conditions = facts.join_keys(
-            qualifiers, position, set(build.bound_order), scalars, consumed
+            qualifiers, position, set(build.bound_order), build.scalars(), consumed
         )
         if join_conditions:
             node = self._hash_join_node(build, scan, pattern, join_conditions, domain)
             for condition_position, _left, _right in join_conditions:
                 consumed.add(condition_position)
-            self.trace.append(
-                f"hash join on {len(join_conditions)} key(s) with {domain}"
-            )
+            build.trace.append(f"hash join on {len(join_conditions)} key(s) with {domain}")
         else:
             node = self._product_node(build, scan, pattern, domain)
-            self.trace.append(f"broadcast nested-loop join with {domain} (no join key)")
+            build.trace.append(f"broadcast nested-loop join with {domain} (no join key)")
         build.rows = node
         build.bound_order.extend(pattern.variables())
 
-    def _expand(self, build: _CompBuild, sig: tuple, describe: str, bag: list[Any] | None = None) -> None:
-        """Extend the rows by a generator over a per-row domain or a
-        driver-local ``bag``: a nested loop of the generated function."""
+    def _expand(self, build: _CompBuild, sig: tuple, describe: str, slot: int | None = None) -> None:
+        """Extend the rows by a generator over a per-row domain or the
+        driver-local bag in ``slot``: a nested loop of the generated function."""
         _, pattern, domain = sig
-        node = NarrowNode(child=build.rows, describe=describe, bag=bag)
+        node = NarrowNode(child=build.rows, describe=describe, slot=slot)
         node.sig = sig
         node.rows = _row_names(build.rows.rows, pattern)
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, domain)
         build.rows = node
         build.bound_order.extend(pattern.variables())
 
-    def _domain_dataset(self, domain: ir.Term, driver_bindings: dict[str, Any]) -> Dataset | None:
-        """Return the domain as a Dataset when it is naturally one, else None.
+    def _domain_dataset(
+        self, domain: ir.Term, free: frozenset[str], driver_bindings: dict[str, Any]
+    ) -> Dataset | None:
+        """Return the domain (whose free variables are ``free``) as a Dataset
+        when it is naturally one, else None.
 
         Datasets are memoized per statement by the domain *term* (common
         sub-expression elimination) and, when the term only mentions
         loop-invariant variables, per while loop -- so a sub-term scanned by
         several generators (or re-scanned every iteration) is computed once.
         """
-        cacheable = not (ir.free_variables(domain) & set(driver_bindings))
-        cache_key = ("bag", domain)
+        cacheable = not (free & driver_bindings.keys())
+        invariant = cacheable and self._invariants is not None and free <= self._invariants
         if cacheable:
+            cache_key = ("bag", domain)
             hit = self._term_dataset_cache.get(cache_key)
             if hit is not None:
                 self.trace.append(f"CSE: reused sub-term dataset for {domain}")
                 return hit
-            if self._term_is_invariant(domain):
+            if invariant:
                 loop_hit = self.loop_cache.get(cache_key)
                 if loop_hit is not None:
                     self.env.context.metrics.record_loop_invariant_reuse()
@@ -536,10 +564,10 @@ class TermEvaluator:
         dataset = self._build_domain_dataset(domain, driver_bindings)
         if dataset is not None and cacheable:
             self._term_dataset_cache[cache_key] = dataset
-            if self._term_is_invariant(domain) and not isinstance(domain, ir.CVar):
+            if invariant and not isinstance(domain, ir.CVar):
                 # Environment variables are already shared objects; derived
                 # datasets (ranges, nested comprehensions) are worth hoisting.
-                self.loop_cache.put(cache_key, dataset, ir.free_variables(domain))
+                self.loop_cache.put(cache_key, dataset, free)
                 self.trace.append(f"loop-invariant sub-term cached: {domain}")
         return dataset
 
@@ -580,7 +608,7 @@ class TermEvaluator:
         )
         node.sig = ("hash-join", left_terms, right_terms, pattern)
         node.rows = _row_names(build.rows.rows, pattern)
-        node.bindings = build.bindings
+        node.scalars = build.scalars()
         node.invariant = self._node_invariant(
             build,
             build.rows.invariant and scan.invariant,
@@ -602,7 +630,6 @@ class TermEvaluator:
         node = ProductNode(left=build.rows, right=scan, pattern=pattern, domain_label=str(domain))
         node.sig = ("product", pattern, domain)
         node.rows = _row_names(build.rows.rows, pattern)
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(
             build, build.rows.invariant and scan.invariant
         )
@@ -614,20 +641,14 @@ class TermEvaluator:
         pattern = qualifier.pattern
         term = qualifier.term
         if build.rows is None:
-            bag = isinstance(term, (ir.Comprehension, ir.Merge, ir.MergeWith, ir.RangeTerm))
-            if bag and not ir.free_variables(term) & build.driver_bindings.keys():
-                value = self.evaluate(term)  # may be a Dataset
-            else:
-                value = self.evaluate_local(term, dict(build.driver_bindings))
-            binding = _bind_pattern(pattern, value)
-            build.driver_bindings.update(binding)
+            build.driver.update(pattern.variables())
             build.driver_invariant = build.driver_invariant and self._term_is_invariant(
-                term, frozenset(build.driver_bindings)
+                term, frozenset(build.driver)
             )
             return
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=vectorize.let_map(pattern, term, frozenset(build.bound_order), build.bindings),
+            kernel=functools.partial(vectorize.let_map, pattern, term, frozenset(build.bound_order)),
             child=build.rows,
             describe=f"let {pattern}",
             key_transparent=True,
@@ -635,33 +656,21 @@ class TermEvaluator:
         )
         node.sig = ("let", pattern, term)
         node.rows = _row_names(build.rows.rows, pattern)
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, term)
         build.rows = node
         build.bound_order.extend(pattern.variables())
 
     def _condition(self, qualifier: ir.Condition, build: _CompBuild) -> None:
-        if build.rows is None:
-            value = self.evaluate_local(qualifier.term, dict(build.driver_bindings))
-            build.driver_alive = build.driver_alive and bool(value)
-            if not self._term_is_invariant(
-                qualifier.term, frozenset(build.driver_bindings)
-            ):
-                # The plan's shape depends on this driver-evaluated truth
-                # value; a variant condition could flip on a later iteration.
-                build.skeleton_safe = False
-            return
         term = qualifier.term
         node = NarrowNode(
             kind=plan_mod.FILTER,
-            kernel=vectorize.row_filter(term, frozenset(build.bound_order), build.bindings),
+            kernel=functools.partial(vectorize.row_filter, term, frozenset(build.bound_order)),
             child=build.rows,
             describe=f"filter {term}",
             key_transparent=True,
         )
         node.sig = ("filter", term)
         node.rows = build.rows.rows
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, term)
         build.rows = node
 
@@ -674,17 +683,14 @@ class TermEvaluator:
         head: ir.Term,
         build: _CompBuild,
     ) -> None:
-        if build.rows is None:
-            # With no generators the group-by degenerates to a let of the key;
-            # every "lifted" variable is already a single value.
-            key_value = self.evaluate_local(qualifier.key_term(), dict(build.driver_bindings))
-            build.driver_bindings.update(_bind_pattern(qualifier.pattern, key_value))
-            build.driver_invariant = build.driver_invariant and self._term_is_invariant(
-                qualifier.key_term(), frozenset(build.driver_bindings)
-            )
-            return
         key_term = qualifier.key_term()
         pattern = qualifier.pattern
+        if build.rows is None:
+            build.driver.update(pattern.variables())
+            build.driver_invariant = build.driver_invariant and self._term_is_invariant(
+                key_term, frozenset(build.driver)
+            )
+            return
         pattern_variables = list(pattern.variables())
         lifted = [name for name in build.bound_order if name not in pattern_variables]
         pattern_term = ir.pattern_to_term(pattern)
@@ -692,33 +698,30 @@ class TermEvaluator:
         aggregation = facts.reduce_shape(head, post_qualifiers, pattern_variables, lifted)
         if aggregation is not None:
             op, value_name = aggregation
-            monoid = self.env.monoids.get(op)
-            self.trace.append(f"group-by on {key_term} compiled to reduceByKey({op})")
+            build.trace.append(f"group-by on {key_term} compiled to reduceByKey({op})")
             # Rows are keyed (key, row[value]); a reduced pair is rebuilt into
             # a row binding the pattern to the key and the lifted variable to
             # its already-reduced aggregate, which local evaluation of
             # Aggregate(op, var) returns unchanged.
             node = ReduceByKeyNode(
                 child=build.rows,
-                combine_fn=vectorize.vector_combine(op, monoid.combine),
                 key_term=key_term,
                 pattern=pattern,
                 value_name=value_name,
                 pattern_term=pattern_term,
                 monoid_op=op,
-                key_kernel=vectorize.key_value_map(
-                    key_term, value_name, frozenset(build.bound_order), build.bindings
+                key_kernel=functools.partial(
+                    vectorize.key_value_map, key_term, value_name, frozenset(build.bound_order)
                 ),
             )
             node.sig = ("reduce-by-key", op, key_term, pattern)
             node.rows = _row_names((), pattern, f"__aggregate_{value_name}", value_name)
-            node.bindings = build.bindings
             node.invariant = self._node_invariant(build, build.rows.invariant, key_term)
             build.rows = node
             build.bound_order[:] = pattern_variables + lifted
             return
 
-        self.trace.append(f"group-by on {key_term} compiled to groupByKey")
+        build.trace.append(f"group-by on {key_term} compiled to groupByKey")
         node = GroupByKeyNode(
             child=build.rows,
             key_term=key_term,
@@ -728,7 +731,6 @@ class TermEvaluator:
         )
         node.sig = ("group-by-key", key_term, pattern, tuple(lifted))
         node.rows = _row_names((), pattern, *lifted)
-        node.bindings = build.bindings
         node.invariant = self._node_invariant(build, build.rows.invariant, key_term)
         build.rows = node
         build.bound_order[:] = pattern_variables + lifted

@@ -172,7 +172,7 @@ def explain_metrics(metrics: Metrics) -> list[str]:
     if metrics.loop_invariant_reuses:
         lines.append(f"loop-invariant reuses: {metrics.loop_invariant_reuses}")
     if metrics.plan_cache_hits:
-        lines.append(f"plan-skeleton cache hits: {metrics.plan_cache_hits}")
+        lines.append(f"stored-plan reuses: {metrics.plan_cache_hits}")
     if metrics.adaptive_decisions or metrics.salted_keys:
         lines.append(
             f"adaptive decisions: {metrics.adaptive_decisions} "

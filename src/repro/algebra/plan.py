@@ -24,13 +24,17 @@ is what enables the partition-aware optimizations of this layer:
   memoizes domain datasets per statement), so the sub-term is computed once.
 
 Nodes hold the IR terms and patterns they were compiled from and the
-planner metadata (invariance, placement); no node carries a record closure.
+planner metadata (invariance, placement); no node carries a record closure,
+a Dataset or any other value of one run.  A plan is built once per program
+and comprehension (see the evaluator): each run binds its scans' datasets
+and its local bags by slot, and the driver scalars its functions read.
 The planner turns each run of bind / let / filter / expand / head nodes --
 together with the keying and rebuild steps around wide nodes and the nested
 loop of a product -- into one generated per-partition function (see
 :mod:`repro.algebra.codegen`); under ``columnar=True`` a run in which every
-node has a kernel keeps one stage per node instead, each node's ``kernel``
-carrying a generated one-step function as its record-path oracle.
+node's ``kernel`` makes a batch kernel keeps one stage per node instead,
+each kernel carrying a generated one-step function as its record-path
+oracle.
 
 ``render_plan`` pretty-prints a plan tree; the planner adds per-node
 decisions (cache hits, eliminated shuffles, chosen strategies) as
@@ -40,7 +44,7 @@ annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.comprehension import ir
 
@@ -68,10 +72,12 @@ class PlanNode:
         rows: the variables this node's rows bind, in binding order (empty
             for nodes that do not emit rows: scans and heads); a run passes
             on only those its consumer reads (see the planner).
-        bindings: the :class:`~repro.algebra.codegen.Bindings` generated
-            functions over this node close over (None for scans).
-        generated: the functions the planner generated for the row chains
-            ending at this node, for ``render_plan(sources=True)``.
+        generated: the source text of the functions the planner generated
+            for the row chains ending at this node, for
+            ``render_plan(sources=True)``.
+        memo: what the planner decided from structure on the node's first
+            lowering (a join's pushed steps, a side's loop-cache key, the
+            chain ending here), reused by every later lowering.
     """
 
     invariant: bool = field(default=False, init=False)
@@ -79,8 +85,8 @@ class PlanNode:
     row_key_term: ir.Term | None = field(default=None, init=False)
     notes: list[str] = field(default_factory=list, init=False)
     rows: tuple[str, ...] = field(default=(), init=False)
-    bindings: Any = field(default=None, init=False)
-    generated: list[Any] = field(default_factory=list, init=False)
+    generated: list[str] = field(default_factory=list, init=False)
+    memo: dict[Any, Any] = field(default_factory=dict, init=False)
 
     @property
     def children(self) -> tuple["PlanNode", ...]:
@@ -106,16 +112,18 @@ class PlanNode:
 
 @dataclass(eq=False)
 class ScanNode(PlanNode):
-    """A leaf over an already-available runtime Dataset.
+    """A leaf over a runtime Dataset the evaluator binds on every run.
 
-    ``term`` is the comprehension sub-term the dataset came from (a program
-    variable, a range, a nested comprehension already lowered by the
-    evaluator); it drives the CSE and loop-invariance machinery.
+    ``term`` is the comprehension sub-term the dataset comes from (a program
+    variable, a range, a nested comprehension).  ``slot`` is the dataset's
+    position among the plan's run-time inputs; ``placed`` whether the plan
+    was built for a dataset with a partitioner (annotate reads it).
     """
 
-    dataset: Any
     term: ir.Term | None = None
     name: str = ""
+    placed: bool = False
+    slot: int = 0
 
     @property
     def label(self) -> str:
@@ -134,12 +142,13 @@ class NarrowNode(PlanNode):
 
     ``sig`` names the operation: ``("bind", pattern)``, ``("let", pattern,
     term)``, ``("filter", term)`` and ``("head", term)`` nodes are lowered
-    from those terms (``kernel`` is their columnar batch kernel, when one
-    exists).  A generator over a bag becomes a nested loop of the generated
-    function: ``("expand", pattern, domain)`` evaluates a row-dependent
-    domain per row, ``("local-expand", pattern, domain)`` iterates the
-    driver-local ``bag`` the evaluator computed once (the planner binds it
-    to a fresh driver name).  ``key_transparent`` marks operations that
+    from those terms (``kernel`` makes their columnar batch kernel from a
+    run's bindings, or None outside the batch fragment).  A generator over a
+    bag becomes a nested loop of the generated function: ``("expand",
+    pattern, domain)`` evaluates a row-dependent domain per row,
+    ``("local-expand", pattern, domain)`` iterates the driver-local bag the
+    evaluator binds in ``slot`` once per run (the planner binds it to a
+    fresh driver name).  ``key_transparent`` marks operations that
     neither drop nor rebind rows (lets, conditions, group-by rebuilds): they
     preserve the child's ``row_key_term`` placement.  ``head_key_term`` is
     set on the final head-projection map of a comprehension whose head is a
@@ -149,7 +158,7 @@ class NarrowNode(PlanNode):
 
     kind: str = MAP
     kernel: Any = None
-    bag: list[Any] | None = None
+    slot: int | None = None
     child: PlanNode | None = None
     describe: str = ""
     key_transparent: bool = False
@@ -178,7 +187,9 @@ class HashJoinNode(PlanNode):
     ``left``/``right`` produce the two inputs; ``left_key_terms`` (over the
     rows built so far) and ``right_key_terms`` (over the variables ``pattern``
     binds from a scanned element) are the join-key expressions.  A joined
-    pair binds the left row's variables, then the pattern's.
+    pair binds the left row's variables, then the pattern's.  ``scalars``
+    are the names with one value per comprehension, which steps pushed
+    below the join may read.
     """
 
     left: PlanNode
@@ -187,6 +198,7 @@ class HashJoinNode(PlanNode):
     right_key_terms: tuple[ir.Term, ...] = ()
     pattern: ir.Pattern = ir.PWildcard()
     domain_label: str = ""
+    scalars: frozenset[str] = frozenset()
     #: Set by the planner: the side's keying map keeps an already-correct
     #: placement (the records are hash-placed by the single join key), so the
     #: join lowers to a narrow or map-side-bypassed shuffle.
@@ -234,14 +246,14 @@ class ReduceByKeyNode(PlanNode):
 
     Rows are keyed ``(key_term, row[value_name])``; a reduced pair is rebuilt
     into a row binding ``pattern`` to the key and ``value_name`` to the
-    pre-aggregated value.  ``key_kernel`` is the keying map's batch kernel,
-    when one exists.  ``pattern_term`` (the group-by pattern read as a term)
-    is the key term the *output rows* are placed by -- the anchor of
-    partitioner propagation.
+    pre-aggregated value, ``monoid_op`` combining.  ``key_kernel`` makes
+    the keying map's batch kernel, like ``NarrowNode.kernel``.
+    ``pattern_term`` (the group-by pattern read as a term) is the key term
+    the *output rows* are placed by -- the anchor of partitioner
+    propagation.
     """
 
     child: PlanNode
-    combine_fn: Callable[[Any, Any], Any]
     key_term: ir.Term
     pattern: ir.Pattern
     value_name: str
@@ -310,7 +322,7 @@ def _render_into(node: PlanNode, lines: list[str], depth: int, sources: bool) ->
     for note in node.notes:
         lines.append(f"{pad}  * {note}")
     if sources:
-        for function in node.generated:
-            lines.extend(f"{pad}  | {line}" for line in function.source.splitlines())
+        for source in node.generated:
+            lines.extend(f"{pad}  | {line}" for line in source.splitlines())
     for child in node.children:
         _render_into(child, lines, depth + 1, sources)

@@ -12,8 +12,11 @@ in which case each operator stays its own kernel stage.  A generated run
 never materialises what the next operator folds: the run feeding a
 ``reduceByKey(⊕)`` folds by key inside its loop, and the run after a hash
 join *is* the join's consumer -- it receives the co-grouped sides inside the
-join task, so the joined pairs are never built.  Beyond that the planner
-makes the *decisions* a direct emission could not:
+join task, so the joined pairs are never built.  A plan is annotated once,
+when it is built, and lowered on every run (:meth:`Planner.relower`) against
+that run's inputs; what a node's first lowering decides from structure alone
+is kept in its ``memo``.  Beyond that the planner makes the *decisions* a
+direct emission could not:
 
 * **partitioner propagation** (:meth:`Planner.annotate`): group-by nodes
   place their output rows by the group key term; key-transparent nodes
@@ -71,25 +74,15 @@ from repro.runtime.partitioner import HashPartitioner
 
 
 class LoopInvariantCache:
-    """What a ``while`` loop's iterations reuse: hoisted data and plan skeletons.
+    """The datasets a ``while`` loop's iterations reuse.
 
     Created by the :class:`~repro.algebra.runner.ProgramRunner` per ``while``
-    statement.  ``invariants`` are the environment variables the loop body
-    never assigns.  Two kinds of entry share it:
-
-    * **Datasets** keyed by plan signature or sub-term (``plan_optimize``):
-      only values derived exclusively from invariants are admitted, so
-      iterations 2+ reuse them materialized and placed.
-    * **Plan skeletons** keyed ``("skeleton", comp)`` (``plan_cache``): the
-      annotated :class:`~repro.algebra.plan.PlanNode` tree a loop-body
-      comprehension's first evaluation built, plus the scan leaves that read
-      mutated program variables.  Iterations 2+ rebind those scans to the
-      variables' current datasets and re-lower the tree, skipping the
-      qualifier walk, CSE bookkeeping and the annotate pass
-      (``metrics.plan_cache_hits`` counts the reuses).  The evaluator only
-      admits *skeleton-safe* builds: every value snapshotted into the tree's
-      closures at build time was loop-invariant, and every mutated input is
-      a bare program variable readable from the live environment.
+    statement when ``plan_optimize`` is on.  ``invariants`` are the
+    environment variables the loop body never assigns.  Entries are keyed by
+    plan signature or sub-term, and only values derived exclusively from
+    invariants are admitted, so iterations 2+ reuse them materialized and
+    placed.  (Plans themselves are stored with the program and outlive the
+    loop; see the evaluator.)
 
     Every entry records the environment variables it was derived from, so a
     defensive :meth:`invalidate` on each assignment drops entries even if the
@@ -146,8 +139,9 @@ class _Op(NamedTuple):
 
     ``spec`` is the :class:`~repro.algebra.codegen.Segment` entry, step or
     exit the operator stands for; ``kind``/``kernel``/``keep`` are its stage
-    kind, batch kernel and ``preserves_partitioning`` flag when it runs as a
-    stage of its own; ``rows`` are the row keys after it.
+    kind, batch-kernel maker (called with the run's bindings) and
+    ``preserves_partitioning`` flag when it runs as a stage of its own;
+    ``rows`` are the row keys after it.
     """
 
     kind: str
@@ -234,6 +228,26 @@ def _chain_label(run: list[_Op]) -> str:
     return "→".join(label if count == 1 else f"{label}×{count}" for label, count in parts)
 
 
+class _Chain(NamedTuple):
+    """A generated run, fixed by its top node, entry and fold: its segment
+    (None for an identity run to skip), label, operator count and
+    ``preserves_partitioning`` flag."""
+
+    segment: codegen.Segment | None
+    label: str
+    operators: int
+    keep: bool
+
+
+def _remember(node: PlanNode, key: Any, make: Callable[[], Any]) -> Any:
+    """``make()``, decided on ``node``'s first lowering and kept in its memo."""
+    try:
+        return node.memo[key]
+    except KeyError:
+        value = node.memo[key] = make()
+        return value
+
+
 class _Pushdown(NamedTuple):
     """The steps a hash join's sides run before the join (each in run
     order) and the entry names of its consumer (see :func:`_push_below`)."""
@@ -279,7 +293,7 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
     ``ops`` is the run above the join, top first: its tail is walked and
     popped in run order.  A ``filter``, or a ``let`` of one variable, moves
     when its term is :func:`_pushable` and reads the variables of one side
-    only, plus scalars the join's bindings already hold.  A side the loop
+    only, plus the join's ``scalars``.  A side the loop
     cache keeps across iterations has ``frozen[side]``, the loop's
     invariants: a step whose scalars are not all among them stays above the
     join, so the cached side never depends on a value the loop reassigns
@@ -299,7 +313,6 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
         "left": set().union(*map(ir.free_variables, join.left_key_terms)),
         "right": set().union(*map(ir.free_variables, join.right_key_terms)),
     }
-    bindings = join.bindings
     moved: dict[str, list[_Op]] = {"left": [], "right": []}
     while ops and ops[-1].spec[0] in ("let", "filter"):
         spec = ops[-1].spec
@@ -310,7 +323,7 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
         if (
             (reads_left and names & right.keys())
             or not _pushable(spec[-1])
-            or any(name not in bindings.base and name not in bindings.values for name in scalars)
+            or not scalars <= join.scalars
             or (frozen[side] is not None and not scalars <= frozen[side])
         ):
             break
@@ -330,7 +343,8 @@ def _push_below(join: HashJoinNode, ops: list[_Op], frozen: dict[str, frozenset[
 
 
 class Planner:
-    """Annotates a logical plan and lowers it to a runtime Dataset."""
+    """Annotates a logical plan and lowers it, bound to one run's inputs, to
+    a runtime Dataset."""
 
     def __init__(
         self,
@@ -346,21 +360,23 @@ class Planner:
         self.segments: dict[Any, Any] = segments if segments is not None else {}
         #: Set while a loop-invariant join side is lowered for the loop cache.
         self._in_cached_side = False
+        #: The run's inputs while a plan is lowered (see :meth:`relower`).
+        self._bindings: codegen.Bindings | None = None
+        self._inputs: list[Any] = []
 
-    # -- the public entry point --------------------------------------------------
+    # -- the public entry points -------------------------------------------------
 
-    def lower(self, root: PlanNode) -> Dataset:
-        """Annotate ``root`` and lower it to a Dataset."""
+    def lower(self, root: PlanNode, bindings: codegen.Bindings, inputs: list[Any]) -> Dataset:
+        """Annotate a freshly built ``root``, then lower it (:meth:`relower`)."""
         self.annotate(root)
-        return self._lower(root)
+        return self.relower(root, bindings, inputs)
 
-    def relower(self, root: PlanNode) -> Dataset:
-        """Lower an already-annotated tree (plan-skeleton cache hits).
-
-        The annotate pass is structural -- it compares IR terms, never
-        datasets -- so its per-node decisions from the first lowering are
-        still exact after the skeleton's mutated scans were rebound; only
-        the Dataset emission needs to run again."""
+    def relower(self, root: PlanNode, bindings: codegen.Bindings, inputs: list[Any]) -> Dataset:
+        """Lower an annotated plan, bound to one run: ``bindings`` are what
+        its generated functions close over, ``inputs`` hold by slot each
+        scan's dataset and each local expansion's bag.  Annotation reads no
+        dataset, so a stored plan is lowered as it is, run after run."""
+        self._bindings, self._inputs = bindings, inputs
         return self._lower(root)
 
     # -- annotation --------------------------------------------------------------
@@ -407,8 +423,7 @@ class Planner:
                 and node.sig
                 and node.sig[0] == "bind"
                 and isinstance(node.child, ScanNode)
-                and node.child.dataset is not None
-                and node.child.dataset.partitioner is not None
+                and node.child.placed
             ):
                 # The first generator scans a placed pair dataset: after the
                 # bind map its rows are (still) grouped by the pattern's key
@@ -452,9 +467,7 @@ class Planner:
         The scan feeds the join as raw (key, value) pairs; the join signature
         carries the generator pattern, so the placement claim holds exactly
         when the join key is the pattern's key variable."""
-        if not isinstance(side, ScanNode) or side.dataset is None:
-            return False
-        if side.dataset.partitioner is None:
+        if not isinstance(side, ScanNode) or not side.placed:
             return False
         if join_sig is None or len(join_sig) < 4:
             return False
@@ -482,14 +495,13 @@ class Planner:
 
     def _lower(self, node: PlanNode) -> Dataset:
         """A scan's dataset, or the chain ending at the plan's root."""
-        return node.dataset if isinstance(node, ScanNode) else self._lower_chain(node)
+        return self._inputs[node.slot] if isinstance(node, ScanNode) else self._lower_chain(node)
 
     def _lower_chain(
         self,
         top: PlanNode,
         tail: tuple[_Op, ...] = (),
         entry: tuple | None = None,
-        bindings: Any = None,
         reduce: ReduceByKeyNode | None = None,
     ) -> Dataset:
         """Lower the run of row operators ending at ``top`` (then ``tail``).
@@ -500,21 +512,22 @@ class Planner:
         product (whose nested loop does) or any other row producer -- lowers
         that feeder, and emits the whole run over it.  Driver-side bags the
         run iterates (local bags, a product's broadcast side) reach its
-        generated functions under fresh driver names in its ``bindings``.
-        ``tail`` ends the run, last operator first: the keying map a wide
-        node above needs (which also supplies its ``bindings``), after the
-        steps a join pushed below itself; ``entry`` makes ``top`` a scan of raw
+        generated functions under fresh driver names added to the run's
+        bindings.  ``tail`` ends the run, last operator first: the keying map
+        a wide node above needs, after the steps a join pushed below itself
+        (the first lowering decides which, later ones reuse that decision);
+        ``entry`` makes ``top`` a scan of raw
         elements entering the run by that bind; ``reduce`` is the node whose
         reduceByKey consumes the keyed run (see :meth:`_emit`).
         """
-        bindings = bindings or top.bindings
+        bindings = self._bindings
         ops = list(tail)
         bags: dict[str, list[Any]] = {}
         node = top
         while isinstance(node, NarrowNode) and node.sig[0] in _ROW_OPERATORS:
             spec = node.sig
-            if node.bag is not None:
-                spec = ("expand", spec[1], _bag(bags, node.bag))
+            if node.slot is not None:
+                spec = ("expand", spec[1], _bag(bags, self._inputs[node.slot]))
             keep = node.kind == FILTER or node.carry_partitioner
             ops.append(_Op(node.kind, spec, spec[0], node.kernel, keep, node.rows))
             node = node.child
@@ -528,29 +541,30 @@ class Planner:
         elif isinstance(node, HashJoinNode):
             # Not a dataset yet: the run's generated function is the join's
             # consumer, so the join is built once that function exists.
-            frozen = {
+            count = len(ops)
+            pushdown = _remember(node, "pushdown", lambda: _push_below(node, ops, {
                 name: self.loop_cache.invariants if self._side_signature(side) is not None else None
                 for name, side in (("left", node.left), ("right", node.right))
-            }
-            pushdown = _push_below(node, ops, frozen)
+            }))
+            del ops[count - len(pushdown.left) - len(pushdown.right) :]  # what the first lowering moved
             source = functools.partial(self._join, node, pushdown)
             entry = ("cogroup", pushdown.left_names, pushdown.right_names)
             first = _Op(MAP, entry, "cogroup", None, False, node.rows)
         elif isinstance(node, ReduceByKeyNode):
             payload = ("value", node.value_name)
             key = _key_op(node.key_term, payload, node.key_kernel, node.input_prepartitioned)
-            source = self._lower_chain(node.child, (key,), bindings=node.bindings, reduce=node)
+            source = self._lower_chain(node.child, (key,), reduce=node)
             entry = ("reduced", node.pattern, node.value_name)
             first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
         elif isinstance(node, GroupByKeyNode):
-            live = _live(ops)
+            live = _remember(node, "live", lambda: _live(ops))
             lifted = tuple(name for name in dict.fromkeys(node.lifted) if name in live)
             key = _key_op(node.key_term, ("values", lifted), None, node.input_prepartitioned)
-            source = self._lower_chain(node.child, (key,), bindings=node.bindings).group_by_key()
+            source = self._lower_chain(node.child, (key,)).group_by_key()
             entry = ("grouped", node.pattern, lifted)
             first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
         else:  # a ProductNode: every row chain starts at one of these nodes
-            source, entry, spec = self._product(node, bags, _live(ops))
+            source, entry, spec = self._product(node, bags, _remember(node, "live", lambda: _live(ops)))
             first = _Op(MAP, spec, "product", None, False, node.rows)
         if first is not None:
             ops.append(first)
@@ -592,73 +606,88 @@ class Planner:
         reduceByKey is told its input is already combined; kernel stages
         keep the runtime's map-side combiner.
         """
-        folded = False
-        if self.context.columnar and all(op.kernel is not None for op in ops):
+        kernels = [op.kernel and op.kernel(bindings) for op in ops] if self.context.columnar else [None]
+        if all(kernels):
             if scan is not None and dataset.positional_source() is not None:
                 dataset = dataset.materialize()
-            for op in ops:
-                if op.kernel.oracle is None:
-                    one_step = codegen.generate(_one_step(entry, op), bindings, self.segments)
-                    op.kernel.oracle = _record_oracle(one_step, op.kind)
+            for op, kernel in zip(ops, kernels):
+                one_step = codegen.generate(_one_step(entry, op), bindings, self.segments)
+                kernel.oracle = _record_oracle(one_step, op.kind)
                 if op.kind == FILTER:
-                    dataset = dataset.filter(op.kernel)
+                    dataset = dataset.filter(kernel)
                 else:
-                    dataset = dataset.map(op.kernel, preserves_partitioning=op.keep)
+                    dataset = dataset.map(kernel, preserves_partitioning=op.keep)
                 entry = ("columnar", op.rows)
         else:
             if scan is not None:
                 dataset, entry, bindings = _positional(dataset, entry, bindings)
-            segment = _segment(entry, ops)
-            if _identity(segment) and all(op.keep for op in ops):
-                # ``(k, ⊕/v)`` over the reduced pairs rebuilds each pair.
-                note = f"identity run after the reduce skipped: {segment.exit[1]}"
-                if _note(node, note):
-                    self.trace.append(note)
+            fold = None if reduce is None else codegen.fold_operator(reduce.monoid_op, bindings.monoids)
+            chain = _remember(node, ("chain", entry, fold), lambda: self._chain(entry, ops, fold, node))
+            if chain.segment is None:
                 return dataset
-            if reduce is not None:
-                fold = codegen.fold_operator(reduce.monoid_op, bindings.monoids)
-                segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))
-                ops[-1] = ops[-1]._replace(label=f"fold_by_key({reduce.monoid_op})")
-                folded = True
-            function = codegen.generate(segment, bindings, self.segments)
-            function.label = _chain_label(ops)
-            function.operators = len(ops)
+            function = codegen.generate(chain.segment, bindings, self.segments)
+            function.label = chain.label
+            function.operators = chain.operators
+            if _note(node, f"generated: {function.label}"):
+                node.generated.append(function.source)
             if isinstance(dataset, Dataset):
-                keep = all(op.keep for op in ops)
                 if function.indexed:
-                    dataset = dataset.map_partitions_with_index(function, keep)
+                    dataset = dataset.map_partitions_with_index(function, chain.keep)
                 else:
-                    dataset = dataset.map_partitions(function, preserves_partitioning=keep)
+                    dataset = dataset.map_partitions(function, preserves_partitioning=chain.keep)
             else:
                 dataset = dataset(function)
             self.context.metrics.record_generated_segment()
-            if _note(node, f"generated: {function.label}"):
-                node.generated.append(function)
             if entry[0] == "positional":
                 how = "index from partition offset" if function.indexed else "index dead"
                 note = f"positional scan of {scan.name}: {how}"
                 self.trace.append(note)
                 _note(node, note)
         if reduce is not None:
-            dataset = dataset.reduce_by_key(reduce.combine_fn, folded=folded)
+            combine = bindings.monoids.get(reduce.monoid_op).combine
+            if self.context.columnar:
+                # Tagged with its operator, so that a batch fold kernel exists.
+                combine = vectorize.vector_combine(reduce.monoid_op, combine)
+            dataset = dataset.reduce_by_key(combine, folded=not all(kernels))
         return dataset
+
+    def _chain(self, entry: tuple, ops: list[_Op], fold: tuple | None, node: PlanNode) -> _Chain:
+        """The generated run of ``ops`` over records of form ``entry``,
+        folding by key with ``fold`` when a reduceByKey consumes it.  A
+        ``(k, ⊕/v)`` run over reduced pairs rebuilds each pair: it is
+        skipped (no segment), and said so once."""
+        segment = _segment(entry, ops)
+        keep = all(op.keep for op in ops)
+        if _identity(segment) and keep:
+            note = f"identity run after the reduce skipped: {segment.exit[1]}"
+            if _note(node, note):
+                self.trace.append(note)
+            return _Chain(None, "", 0, keep)
+        if fold is not None:
+            segment = segment._replace(exit=("fold_by_key", *segment.exit[1:], *fold))
+            ops[-1] = ops[-1]._replace(label=f"fold_by_key({fold[0]})")
+        return _Chain(segment, _chain_label(ops), len(ops), keep)
 
     def _join(self, node: HashJoinNode, pushdown: _Pushdown, consumer: Any) -> Dataset:
         """A hash join whose co-grouped sides go straight to ``consumer``
         (the generated function of the run above it) inside the join task;
         the result holds the consumer's records, not joined pairs.  Each
         side's keying run first runs the steps ``pushdown`` moved to it."""
-        notes = [f"consumer fused into the join task: {consumer.label}"]
-        moved = [
-            f"{_step_text(op.spec)} → {side} side"
-            for side, ops in (("left", pushdown.left), ("right", pushdown.right))
-            for op in ops
-        ]
-        if moved:
-            notes.append(f"pushed below the join: {', '.join(moved)}")
-        for note in notes:
-            self.trace.append(f"{node.label}: {note}")
-            _note(node, note)
+
+        def notes() -> tuple[str, ...]:
+            notes = [f"consumer fused into the join task: {consumer.label}"]
+            moved = [
+                f"{_step_text(op.spec)} → {side} side"
+                for side, ops in (("left", pushdown.left), ("right", pushdown.right))
+                for op in ops
+            ]
+            if moved:
+                notes.append(f"pushed below the join: {', '.join(moved)}")
+            for note in notes:
+                _note(node, note)
+            return tuple(f"{node.label}: {note}" for note in notes)
+
+        self.trace.extend(_remember(node, ("trace", consumer.label), notes))
         single = len(node.left_key_terms) == 1
         # Single-key joins key records by the raw value (not a 1-tuple): the
         # record key then coincides with the scanned pair's own key, so when
@@ -670,16 +699,11 @@ class Planner:
         right_key = node.right_key_terms[0] if single else ir.CTuple(node.right_key_terms)
         left_key_op = _key_op(left_key, ("values", pushdown.left_names), None, node.left_prepartitioned)
         right_key_op = _key_op(right_key, ("values", pushdown.right_names), None, node.right_prepartitioned)
-        keyed_left = self._keyed_join_side(
-            node, node.left, (left_key_op, *reversed(pushdown.left)), None, "build rows"
-        )
-        keyed_right = self._keyed_join_side(
-            node,
-            node.right,
-            (right_key_op, *reversed(pushdown.right)),
-            ("bind", node.pattern),
-            node.domain_label,
-        )
+        left_tail = (left_key_op, *reversed(pushdown.left))
+        right_tail = (right_key_op, *reversed(pushdown.right))
+        keyed_left = self._keyed_join_side(node, node.left, left_tail, None, "build rows")
+        right_entry = ("bind", node.pattern)
+        keyed_right = self._keyed_join_side(node, node.right, right_tail, right_entry, node.domain_label)
         return keyed_left.join(keyed_right, consumer=consumer)
 
     def _keyed_join_side(
@@ -695,12 +719,9 @@ class Planner:
         The joins inside a side being cached are not cached themselves: later
         iterations reuse the whole side and never lower them again.
         """
-        side_signature = self._side_signature(side)
-        if side_signature is None:
-            return self._lower_chain(side, tail, entry, join.bindings)
-        # The tail's specs hold the key term, the payload's names and the
-        # pushed steps (which read loop invariants only, see _push_below).
-        cache_key = ("join-side", side_signature, entry, tuple(op.spec for op in tail))
+        cache_key = self._side_key(side, entry, tail)
+        if cache_key is None:
+            return self._lower_chain(side, tail, entry)
         hit = self.loop_cache.get(cache_key)
         if hit is not None:
             self.context.metrics.record_loop_invariant_reuse()
@@ -709,7 +730,7 @@ class Planner:
             return hit
         self._in_cached_side = True
         try:
-            keyed = self._lower_chain(side, tail, entry, join.bindings).materialize()
+            keyed = self._lower_chain(side, tail, entry).materialize()
         finally:
             self._in_cached_side = False
         if keyed.count() > self.context.broadcast_join_threshold:
@@ -717,10 +738,27 @@ class Planner:
             placement = "hash-partitioned"
         else:
             placement = "materialized"
-        self.loop_cache.put(cache_key, keyed, signature_env_deps(cache_key))
+        depends = _remember(side, "loop-deps", lambda: signature_env_deps(cache_key))
+        self.loop_cache.put(cache_key, keyed, depends)
         self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
         _note(join, f"loop-invariant side cached ({placement}): {label}")
         return keyed
+
+    def _side_key(self, side: PlanNode, entry: tuple | None, tail: tuple[_Op, ...]) -> tuple | None:
+        """The loop-cache key of a join side, made on its first lowering (a
+        side has one join and one role, so its entry and tail never change),
+        or None when the side is lowered afresh.  The tail's specs hold the
+        key term, the payload's names and the pushed steps (which read loop
+        invariants only, see :func:`_push_below`)."""
+        if self.loop_cache is None or self._in_cached_side:
+            return None
+
+        def make() -> tuple | None:
+            signature = side.signature()
+            specs = tuple(op.spec for op in tail)
+            return None if signature is None else ("join-side", signature, entry, specs)
+
+        return _remember(side, "loop-key", make)
 
     def _side_signature(self, side: PlanNode) -> tuple | None:
         """The loop-cache signature of a join side, or None when the side is
@@ -746,7 +784,7 @@ class Planner:
         bound = set(node.pattern.variables())
         names = tuple(name for name in node.left.rows if name in live and name not in bound)
         head = ir.CTuple(tuple(map(ir.CVar, names)))
-        kernel = vectorize.head_map(head, frozenset(node.left.rows), node.left.bindings)
+        kernel = functools.partial(vectorize.head_map, head, frozenset(node.left.rows))
         rows = self._lower_chain(node.left, (_Op(MAP, ("head", head), "slots", kernel, True, ()),))
         dataset = self._lower(node.right)
         context = self.context
@@ -756,7 +794,7 @@ class Planner:
             # Bound once here, so an element that does not fit raises before
             # any row goes on.
             bind = codegen.Segment(("bind", node.pattern), (), ("head", ir.CConst(None)))
-            codegen.generate(bind, node.bindings, self.segments)(elements)
+            codegen.generate(bind, self._bindings, self.segments)(elements)
             context.metrics.record_broadcast()
             context.metrics.record_join_strategy("broadcast")
             _note(node, "broadcast right side")

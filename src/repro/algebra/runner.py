@@ -4,7 +4,10 @@ A :class:`ProgramRunner` binds a :class:`~repro.translate.target.TargetProgram`
 to caller-supplied inputs and executes its statements in order: bulk
 assignments are evaluated by the :class:`~repro.algebra.evaluator.TermEvaluator`
 and stored back into the variable environment; ``while`` statements loop in the
-driver, re-evaluating their (scalar) condition between iterations.
+driver, re-evaluating their (scalar) condition between iterations.  Each
+comprehension's plan is built on its first evaluation and kept with the
+program (``TargetProgram.plans``), so later runs of a statement, loop iterations
+and program runs only bind their inputs to it and lower it.
 
 Inputs may be given as runtime Datasets, as Python dicts (sparse arrays), as
 lists (plain collections -- automatically indexed), or as scalars.  Results
@@ -28,8 +31,7 @@ environment variables are *loop-invariant*.  A
 handed to each iteration's evaluators, which use it to evaluate invariant
 sub-terms and join/merge sides once -- materialized and hash-partitioned --
 and reuse them on iterations 2+, so only the data the loop actually mutates
-is recomputed and re-shuffled; the same cache holds the loop body's plan
-skeletons.  The cache is defensively invalidated on
+is recomputed and re-shuffled.  The cache is defensively invalidated on
 every assignment (entries record the variables they derive from), so a
 mutated variable can never serve stale data.  Per-iteration snapshots of the
 shuffle counters land in :attr:`ProgramResult.iteration_metrics`, which is
@@ -232,7 +234,7 @@ class ProgramRunner:
     ) -> None:
         if statement.rule is not None:
             state.trace.append(f"{statement.variable}: {statement.rule}")
-        evaluator = TermEvaluator(environment, state.trace, state.loop_cache, program.segments)
+        evaluator = TermEvaluator(environment, state.trace, state.loop_cache, program)
         fused_before = self.context.metrics.fused_stages
         shuffles_before = self.context.metrics.shuffles
         result = evaluator.evaluate(statement.term)
@@ -309,7 +311,7 @@ class ProgramRunner:
         side of their joins.  A loop-assigned variable's assignment before
         the loop is placed: the loop's merges keep it hash-partitioned, so
         the first iteration then sees the placement every later one does
-        and its plan skeletons stay valid from iteration 1."""
+        and binds the plans built for it from iteration 1."""
         if not self.context.plan_optimize or state.in_loop:
             return dataset
         demand = facts.keyed_demand.get(variable, 0)
@@ -379,8 +381,7 @@ class ProgramRunner:
         invariants = frozenset(name for name in environment.values if name not in assigned)
         context = self.context
         outer_cache = state.loop_cache
-        caching = context.plan_optimize or context.plan_cache
-        state.loop_cache = LoopInvariantCache(invariants) if caching else None
+        state.loop_cache = LoopInvariantCache(invariants) if context.plan_optimize else None
         state.loops_seen += 1
         loop_index = state.loops_seen
         outer_in_loop, state.in_loop = state.in_loop, True
@@ -393,9 +394,7 @@ class ProgramRunner:
         iterations = 0
         try:
             while True:
-                evaluator = TermEvaluator(
-                    environment, state.trace, state.loop_cache, program.segments
-                )
+                evaluator = TermEvaluator(environment, state.trace, state.loop_cache, program)
                 condition = evaluator.evaluate(statement.condition)
                 if isinstance(condition, Dataset):
                     condition_values = condition.take(1)
@@ -425,10 +424,8 @@ class ProgramRunner:
                 if iterations > MAX_WHILE_ITERATIONS:
                     raise ExecutionError("while loop exceeded the iteration limit")
         finally:
-            # The loop's evaluators and plans reference each other (their
-            # generated functions read the evaluator's scope), so only the
-            # cyclic GC frees them; emptying the cache here returns the
-            # cached datasets as soon as the loop ends.
+            # Emptying the cache here returns the cached datasets as soon as
+            # the loop ends.
             if state.loop_cache is not None:
                 state.loop_cache.clear()
             state.loop_cache = outer_cache

@@ -124,8 +124,9 @@ def row_filter(
     return columnar.VectorizedFilter(predicate, columnar.ScalarScope(bindings.base, bindings.values))
 
 
-def bind_map(pattern: ir.Pattern) -> columnar.VectorizedBind | None:
-    """The generator-binding ``map`` as a (structural) batch kernel, or None."""
+def bind_map(pattern: ir.Pattern, bindings: Any = None) -> columnar.VectorizedBind | None:
+    """The generator-binding ``map`` as a (structural) batch kernel, or None
+    (``bindings`` unread: taken last, as by every kernel maker)."""
     spec = pattern_spec(pattern)
     if spec is None:
         return None
@@ -158,9 +159,9 @@ def key_value_map(
 def vector_combine(op: str, fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
     """Tag a monoid combine with its operator when a fold kernel exists.
 
-    The wrapper delegates ``__call__`` to ``fn``, so wrapping is free for the
-    record path and merely *enables* the grouped-fold kernel when columnar
-    execution is on.
+    The wrapper delegates ``__call__`` to ``fn`` and *enables* the
+    grouped-fold kernel; the planner wraps only under columnar execution,
+    because each record-path call through it costs a Python call.
     """
     if op in columnar.VECTOR_COMBINE_OPS:
         return columnar.VectorizedCombine(op, fn)

@@ -80,11 +80,6 @@ class DiabloConfig:
             and broadcast-vs-shuffle joins re-decide from actual
             post-chain sizes.  Affects performance and the ``salted_keys``/
             ``adaptive_decisions`` counters only, never results.
-        plan_cache: plan-skeleton caching across ``while`` iterations --
-            loop bodies reuse the lowered plan tree from iteration 1 and
-            only rebind mutated inputs, instead of re-running
-            CSE/annotate/lower (measured by ``plan_cache_hits``).  Affects
-            performance only, never results.
         check_restrictions: reject programs violating Definition 3.1.
         optimize: apply the Section 3.6 / Section 4 rewrites.
         strict: run the full static-diagnostics suite (type/shape inference,
@@ -104,7 +99,6 @@ class DiabloConfig:
     plan_optimize: bool = True
     columnar: bool = False
     adaptive: bool = True
-    plan_cache: bool = True
     check_restrictions: bool = True
     optimize: bool = True
     strict: bool = False
@@ -151,7 +145,6 @@ class DiabloConfig:
             self.plan_optimize,
             self.columnar,
             self.adaptive,
-            self.plan_cache,
         )
 
     def compiler_options(self) -> dict[str, bool]:

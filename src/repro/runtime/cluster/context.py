@@ -302,7 +302,6 @@ class ClusterContext(DistributedContext):
             plan_optimize=getattr(config, "plan_optimize", True),
             columnar=getattr(config, "columnar", None),
             adaptive=getattr(config, "adaptive", True),
-            plan_cache=getattr(config, "plan_cache", True),
         )
 
     # -- cluster bring-up ----------------------------------------------------

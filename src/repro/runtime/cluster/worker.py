@@ -46,6 +46,9 @@ logger = logging.getLogger("repro.worker")
 #: How long the initial driver connection is retried (the two-terminal flow:
 #: workers may start before the driver binds its address).
 CONNECT_RETRY_SECONDS = 15.0
+#: How long a worker waits for the driver to answer its registration (a live
+#: driver answers at once); then it exits on its own instead of hanging.
+REGISTER_REPLY_SECONDS = 3.0
 
 
 def _resolve_partition(
@@ -175,7 +178,7 @@ class WorkerDaemon:
         threading.Thread(target=self._serve_loop, daemon=True).start()
 
         sock = self._connect_driver()
-        sock.settimeout(None)
+        sock.settimeout(REGISTER_REPLY_SECONDS)
         protocol.send_message(
             sock,
             protocol.REGISTER,
@@ -186,7 +189,12 @@ class WorkerDaemon:
                 "python": tuple(sys.version_info[:3]),
             },
         )
-        message_type, payload = protocol.recv_message(sock)
+        try:
+            message_type, payload = protocol.recv_message(sock)
+        except TimeoutError:
+            logger.error("driver did not answer the registration within %.0fs", REGISTER_REPLY_SECONDS)
+            return 1
+        sock.settimeout(None)
         if message_type == protocol.ERROR:
             logger.error("driver rejected registration: %s", payload.get("message"))
             return 1

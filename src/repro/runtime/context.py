@@ -155,13 +155,6 @@ class DistributedContext:
             post-chain record counts.  On by default; only
             performance and the ``salted_keys``/``adaptive_decisions``
             counters change, never results.
-        plan_cache: plan-skeleton caching across ``while`` iterations.  The
-            algebra layer reuses iteration 1's lowered plan tree for a loop
-            body statement on iterations 2+, rebinding only the mutated
-            input datasets instead of re-running the full build/annotate
-            pass (``metrics.plan_cache_hits`` counts the reuses).  On by
-            default; only performance and that counter change, never
-            results.
     """
 
     #: Whether an unspilled shuffle's reduce side must still go through
@@ -183,7 +176,6 @@ class DistributedContext:
         plan_optimize: bool = True,
         columnar: bool | None = None,
         adaptive: bool = True,
-        plan_cache: bool = True,
     ):
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
@@ -196,7 +188,6 @@ class DistributedContext:
         self.plan_optimize = plan_optimize
         self.columnar = columnar
         self.adaptive = adaptive
-        self.plan_cache = plan_cache
         if spill_threshold_bytes is None:
             spill_threshold_bytes = _spill_threshold_from_env()
         self.spill_threshold_bytes = spill_threshold_bytes
@@ -226,7 +217,6 @@ class DistributedContext:
             plan_optimize=getattr(config, "plan_optimize", True),
             columnar=getattr(config, "columnar", None),
             adaptive=getattr(config, "adaptive", True),
-            plan_cache=getattr(config, "plan_cache", True),
         )
 
     # -- dataset creation -------------------------------------------------------
@@ -760,31 +750,27 @@ class DistributedContext:
         return result
 
     def resolve_join(self, shuffle: ShuffleStage) -> ShuffleStage | tuple[Dataset, tuple[NarrowStage, ...]]:
-        """Settle an auto/broadcast join's strategy and build its lookup table.
+        """Settle an auto join's strategy and build its lookup table.
 
         A broadcast comes back as the narrow chain that probes the table --
         ``(probe side source, (probe stage,))`` -- for a consumer to run in
         its own task (or on its own); a join that must shuffle (both sides
-        above the threshold, or a full outer join) as its shuffle stage,
+        above the threshold) as its shuffle stage,
         inputs already chained and strategy ``"shuffle"``.  Sizes compare
         each side's record count *after* its captured narrow chain runs: the
         chain has to run either way, and sizing the raw source would never
         broadcast a side that a captured ``filter`` shrinks under the
         threshold."""
-        if shuffle.join_type == "full":
-            return shuffle._replace(strategy="shuffle")
         left_input, right_input = shuffle.inputs
         threshold = self.broadcast_join_threshold
-        side = "right" if shuffle.strategy == "broadcast" else None
-        resolved = self.adaptive or side is not None
-        if resolved:
+        if self.adaptive:
             # Adaptive sizing: run the captured narrow chains first and
             # re-decide broadcast-vs-shuffle from the *actual* post-chain
             # record counts (a captured filter may shrink a side far under
             # the threshold; the chain has to run either way).  Building the
             # lookup table reads every build-side record, so the side the raw
             # sizes point at is asked to bring its records with its results.
-            likely = side or choose_broadcast_side(
+            likely = choose_broadcast_side(
                 sum(len(p) for p in left_input.source.partitions),
                 sum(len(p) for p in right_input.source.partitions),
                 threshold,
@@ -801,18 +787,17 @@ class DistributedContext:
             right_partitions = right_input.source.partitions
         left_count = sum(len(p) for p in left_partitions)
         right_count = sum(len(p) for p in right_partitions)
-        if side is None:
-            side = choose_broadcast_side(left_count, right_count, threshold)
-            if side == "none":
-                return shuffle._replace(strategy="shuffle")
-            if self.adaptive:
-                self.metrics.record_adaptive_decision(
-                    shuffle.operation,
-                    "broadcast-join",
-                    f"post-chain sizes {left_count}/{right_count} records, "
-                    f"broadcast {side} (threshold {threshold})",
-                )
-        if not resolved:
+        side = choose_broadcast_side(left_count, right_count, threshold)
+        if side == "none":
+            return shuffle._replace(strategy="shuffle")
+        if self.adaptive:
+            self.metrics.record_adaptive_decision(
+                shuffle.operation,
+                "broadcast-join",
+                f"post-chain sizes {left_count}/{right_count} records, "
+                f"broadcast {side} (threshold {threshold})",
+            )
+        else:
             left_input, left_partitions = self._resolve_join_input(left_input, side == "left")
             right_input, right_partitions = self._resolve_join_input(right_input, side == "right")
             shuffle = shuffle._replace(inputs=(left_input, right_input))

@@ -68,10 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: threshold only affects performance, never results.
 DEFAULT_BROADCAST_JOIN_THRESHOLD = 100_000
 
-#: Join strategies accepted by :meth:`Dataset.join`.
-JOIN_STRATEGIES = ("auto", "shuffle", "broadcast")
-
-
 def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> str:
     """The shared size heuristic for broadcast strategies.
 
@@ -923,18 +919,13 @@ class Dataset:
         self,
         other: "Dataset",
         how: str,
-        partitioner: Partitioner | None,
-        strategy: str | None,
+        partitioner: Partitioner | None = None,
         consumer: Callable[..., Any] | None = None,
     ) -> "Dataset":
-        if strategy is None:
-            # An explicit partitioner is a placement request; honor it with a
-            # shuffle join.  Otherwise let the planner pick at force time.
-            strategy = "shuffle" if partitioner is not None else "auto"
-        if strategy not in JOIN_STRATEGIES:
-            raise ValueError(f"unknown join strategy {strategy!r}")
+        """An inner join settles broadcast or shuffle when it is forced; a
+        full outer join always shuffles (by ``partitioner``, when given)."""
         operation = "join" if how == "inner" else f"{how}OuterJoin"
-        if strategy != "broadcast" and self._narrow_zip_eligible(other, partitioner):
+        if self._narrow_zip_eligible(other, partitioner):
             narrow = self._zip_narrow(
                 other,
                 operation,
@@ -955,23 +946,16 @@ class Dataset:
                 ),
             ),
             join_type=how,
-            strategy=strategy,
+            strategy="auto" if how == "inner" else "shuffle",
             consumer=consumer,
         )
 
-    def join(
-        self,
-        other: "Dataset",
-        partitioner: Partitioner | None = None,
-        strategy: str | None = None,
-        consumer: Callable[..., Any] | None = None,
-    ) -> "Dataset":
+    def join(self, other: "Dataset", consumer: Callable[..., Any] | None = None) -> "Dataset":
         """Inner equi-join of key-value datasets: ``(key, (left, right))``.
 
         The strategy is chosen when the plan is forced: a broadcast hash join
         when one side has at most ``context.broadcast_join_threshold``
-        records, a shuffle join otherwise.  Pass ``strategy="shuffle"`` or
-        ``"broadcast"`` to override.
+        records, a shuffle join otherwise.
 
         With a ``consumer`` (the planner's generated function, see
         :mod:`repro.algebra.codegen`) the joined pairs are never built: every
@@ -979,12 +963,12 @@ class Dataset:
         to ``consumer`` inside the join task, and the result holds whatever
         records the consumer returns per partition (no partitioner).
         """
-        return self._join(other, "inner", partitioner, strategy, consumer)
+        return self._join(other, "inner", consumer=consumer)
 
     def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":
         """Full outer join (always a shuffle join: neither side can be
         broadcast without losing unmatched build-side keys)."""
-        return self._join(other, "full", partitioner, "shuffle")
+        return self._join(other, "full", partitioner)
 
     # -- array-merge helpers (Section 3.4) ------------------------------------------
 

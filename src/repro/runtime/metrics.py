@@ -97,9 +97,8 @@ class Metrics:
     #: Map-side shuffle tasks whose bucket assignment ran vectorized over a
     #: resident int key column instead of hashing record-at-a-time.
     columnar_vector_bucket_tasks: int = 0
-    #: Loop-body statements whose lowered plan skeleton was served from the
-    #: while-loop plan cache (iterations 2+ rebind mutated scans instead of
-    #: re-running CSE / annotation / lowering from the IR).
+    #: Comprehension evaluations served from a plan stored with the program
+    #: (the run only bound its inputs and lowered it, building nothing).
     plan_cache_hits: int = 0
     #: Hot keys salted by the adaptive shuffle path: their per-map-task
     #: partials were spread across reduce partitions and final-folded by the
@@ -222,7 +221,7 @@ class Metrics:
         self.loop_invariant_reuses += 1
 
     def record_plan_cache_hit(self) -> None:
-        """Account for one statement plan served from the plan-skeleton cache."""
+        """Account for one comprehension evaluation served from a stored plan."""
         self.plan_cache_hits += 1
 
     def record_salted_keys(self, count: int) -> None:

@@ -32,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from typing import AbstractSet
 
 from repro.comprehension import ir
-from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile
+from repro.translate.target import TargetAssign, TargetProgram, TargetStatement, TargetWhile, is_temporary
 
 #: A join key: (condition position, key term over the rows built so far,
 #: key term over the new generator's pattern variables).
@@ -357,6 +357,8 @@ class ProgramFacts:
         keyed_demand: per variable, how many operators consume it by its
             pair key (:func:`keyed_consumers`) across the whole program.
         top_level_demand: the same, counting top-level statements only.
+        scalars: the variables with one value, not a collection: the
+            scalar variables and the compiler's temporaries.
     """
 
     def __init__(self, program: TargetProgram) -> None:
@@ -367,6 +369,9 @@ class ProgramFacts:
         self._loop_assigned: dict[int, frozenset[str]] = {}
         self._walk(program.statements, top_level=True)
         self.assigned = frozenset(assigned_names(program.statements))
+        self.scalars = frozenset(
+            name for name, info in program.variables.items() if not info.is_collection
+        ) | frozenset(name for name in self.assigned if is_temporary(name))
 
     def assigned_in(self, loop: TargetWhile) -> frozenset[str]:
         """The variables ``loop``'s body assigns, nested loops included."""

@@ -112,6 +112,11 @@ class TargetProgram:
     #: (compiled factories by segment structure, filled in as the program
     #: runs; see :mod:`repro.algebra.codegen`); not part of equality.
     segments: dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
+    #: The annotated plans the evaluator built for this program's
+    #: comprehensions, with their structural facts (built on each one's
+    #: first run, bound on every run; see :mod:`repro.algebra.evaluator`);
+    #: not part of equality.
+    plans: dict[Any, Any] = field(default_factory=dict, compare=False, repr=False)
 
     def __str__(self) -> str:
         return "\n".join(str(s) for s in self.statements)

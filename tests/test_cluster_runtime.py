@@ -22,6 +22,7 @@ from repro.errors import ExecutionError, WorkerLostError
 from repro.runtime.cluster import ClusterContext, LocalCluster, protocol, wire
 from repro.runtime.cluster import context as context_mod
 from repro.runtime.cluster import store as store_mod
+from repro.runtime.cluster import worker as worker_mod
 from repro.runtime.cluster.store import ResidentPartition
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner
@@ -541,12 +542,18 @@ class TestLocalCluster:
         finally:
             ctx.shutdown()
 
-    def test_close_is_idempotent(self):
+    def test_close_is_idempotent(self, tmp_path):
+        # The listener's backlog completes the connection, but nothing ever
+        # reads the registration: the worker gives up on its own (slack for
+        # interpreter start-up on a loaded machine), so close has nothing
+        # left to wait for.
         port = _free_port()
         listener = socket.create_server(("127.0.0.1", port))
+        local = LocalCluster(1, f"127.0.0.1:{port}", log_dir=str(tmp_path))
         try:
-            local = LocalCluster(1, f"127.0.0.1:{port}")
-            local.close()
-            local.close()
+            assert local.processes[0].wait(timeout=worker_mod.REGISTER_REPLY_SECONDS + 10) == 1
         finally:
+            local.close()
+            local.close()
             listener.close()
+        assert "did not answer the registration" in (tmp_path / "worker-0.log").read_text()

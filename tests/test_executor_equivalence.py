@@ -10,6 +10,7 @@ the shuffle/record metrics untouched.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import pytest
@@ -71,6 +72,22 @@ def interpreter_outputs(name: str) -> dict:
     """The sequential-interpreter oracle, computed once per program."""
     spec = get_program(name)
     return diablo_for(spec).interpret(spec.source, dict(workload(name)))
+
+
+@contextlib.contextmanager
+def broadcast_threshold(ctx: DistributedContext, threshold: int):
+    """``ctx`` with its broadcast-join threshold at ``threshold`` inside the
+    block: 0 makes every join shuffle, a large one broadcasts the smaller side."""
+    saved, ctx.broadcast_join_threshold = ctx.broadcast_join_threshold, threshold
+    try:
+        yield ctx
+    finally:
+        ctx.broadcast_join_threshold = saved
+
+
+def _joined(left, right, threshold: int) -> list:
+    with broadcast_threshold(left.context, threshold):
+        return sorted(left.join(right).collect())
 
 
 def context_on(executor: str, **options) -> DistributedContext:
@@ -261,8 +278,8 @@ def _wide_pipelines(ctx):
         ("co_group", lambda: sorted(
             (k, (sorted(ls), sorted(rs))) for k, (ls, rs) in left.co_group(right).collect()
         )),
-        ("join", lambda: sorted(left.join(right, strategy="shuffle").collect())),
-        ("join_broadcast", lambda: sorted(left.join(right, strategy="broadcast").collect())),
+        ("join", lambda: _joined(left, right, 0)),
+        ("join_broadcast", lambda: _joined(left, right, 1_000)),
         ("full_outer_join", lambda: sorted(left.full_outer_join(right).collect())),
     ]
 
@@ -386,14 +403,14 @@ class TestSpillEquivalence:
         monkeypatch.delenv("DIABLO_SPILL_THRESHOLD_BYTES", raising=False)
 
         def harvest(threshold):
-            with DistributedContext(num_partitions=4, spill_threshold_bytes=threshold) as ctx:
+            with DistributedContext(
+                num_partitions=4, spill_threshold_bytes=threshold, broadcast_join_threshold=0
+            ) as ctx:
                 pairs = [_key_value(i) for i in range(150)]
                 return {
                     "reduce": ctx.parallelize(pairs).reduce_by_key(_add).collect(),
                     "group": ctx.parallelize(pairs).group_by_key().collect(),
-                    "join": ctx.parallelize(_LEFT_PAIRS)
-                    .join(ctx.parallelize(_RIGHT_PAIRS), strategy="shuffle")
-                    .collect(),
+                    "join": ctx.parallelize(_LEFT_PAIRS).join(ctx.parallelize(_RIGHT_PAIRS)).collect(),
                 }
 
         assert harvest(None) == harvest(TINY_SPILL)
@@ -471,8 +488,9 @@ class TestJoinStrategySelection:
     def test_broadcast_and_shuffle_agree_on_results(self):
         with DistributedContext(num_partitions=4) as ctx:
             left, right = self._sides(ctx, 7)
-            broadcast = sorted(left.join(right, strategy="broadcast").collect())
-            shuffled = sorted(left.join(right, strategy="shuffle").collect())
+            broadcast = _joined(left, right, 1_000)
+            shuffled = _joined(left, right, 0)
+            assert ctx.metrics.join_strategies == {"broadcast": 1, "shuffle": 1}
             assert broadcast == shuffled
 
     def test_full_outer_join_never_broadcasts(self):
@@ -480,12 +498,6 @@ class TestJoinStrategySelection:
             left, right = self._sides(ctx, 4)
             left.full_outer_join(right).materialize()
             assert ctx.metrics.join_strategies == {"shuffle": 1}
-
-    def test_invalid_strategy_rejected(self):
-        with DistributedContext(num_partitions=4) as ctx:
-            left, right = self._sides(ctx, 4)
-            with pytest.raises(ValueError):
-                left.join(right, strategy="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -515,8 +527,9 @@ class TestClusterDispatch:
         keyed = cluster.parallelize(range(200)).map(_key_value)
         grouped = keyed.reduce_by_key(_add)
         lookup = cluster.parallelize([(f"k{i}", i) for i in range(7)])
-        joined = grouped.join(lookup, strategy="shuffle")
-        assert len(joined.collect()) == 7
+        with broadcast_threshold(cluster, 0):
+            joined = grouped.join(lookup).collect()
+        assert len(joined) == 7
         assert cluster.metrics.parallel_tasks > 0
         assert cluster.metrics.cluster_fallbacks == 0
         assert cluster.metrics.shuffle_map_tasks > 0

@@ -5,9 +5,9 @@ collapse S's duplicate keys.  When S's keys are provably unique the compiler
 drops the merge (a coGroup against an empty side) and the dead constructor.
 These tests pin where that fires on the benchmark programs, check that the
 pass touches nothing else, and check interpreter == translated on the shapes
-where it must not fire.  The plan-skeleton guard it needs (an array assigned
-straight from a comprehension can change placement between iterations) is
-tested at the end.
+where it must not fire.  What it needs from the stored plans (an array
+assigned straight from a comprehension can change placement between
+iterations, which keys another plan) is tested at the end.
 """
 
 from __future__ import annotations
@@ -204,24 +204,22 @@ while (k < 3) {
 """
 
 
-def test_plan_skeleton_rebuilds_when_a_scan_changes_placement():
+def test_a_scan_that_changes_placement_binds_another_plan():
     """Iteration 1 reads X out of a reduce (hash-placed); iterations 2+ read
-    X straight from a range-keyed comprehension (unplaced).  Z's skeleton
-    was annotated over the placed X, so iteration 2 must rebuild it, and
-    iteration 3 reuses the rebuilt one."""
+    X straight from a range-keyed comprehension (unplaced).  Z's plan was
+    annotated over the placed X, so iteration 2 builds another one, and
+    iteration 3 binds that one: the plans are keyed by the scans' placement."""
     inputs = {"W": W, "V": {i: i / 3 for i in range(12)}, "n": 12}
-    outputs = {}
-    for plan_cache in (True, False):
-        with DistributedContext(num_partitions=4, plan_cache=plan_cache) as context:
-            diablo = Diablo(context)
-            result = diablo.compile(GUARD_SOURCE).run(**inputs)
-            outputs[plan_cache] = (result["Z"].collect(), result["X"].collect())
-            hits = [entry["plan_cache_hits"] for entry in result.iteration_metrics]
-            rebuilt = [line for line in result.trace if line.startswith("plan skeleton rebuilt")]
-            if plan_cache:
-                assert rebuilt == ["plan skeleton rebuilt: X changed placement"]
-                assert hits == [0, 1, 2]
-                _assert_same(result["Z"], diablo.interpret(GUARD_SOURCE, dict(inputs))["Z"])
-            else:
-                assert rebuilt == [] and hits == [0, 0, 0]
-    assert outputs[True] == outputs[False]
+    with DistributedContext(num_partitions=4) as context:
+        diablo = Diablo(context)
+        compiled = diablo.compile(GUARD_SOURCE)
+        result = compiled.run(**inputs)
+        _assert_same(result["Z"], diablo.interpret(GUARD_SOURCE, dict(inputs))["Z"])
+        hits = [entry["plan_cache_hits"] for entry in result.iteration_metrics]
+        assert hits == [0, 1, 2]
+        outputs = (result["Z"].collect(), result["X"].collect())
+        # A second run builds nothing: Z's and X's comprehensions bind a
+        # stored plan on every iteration, Z's the one for its placement.
+        again = compiled.run(**inputs)
+        assert [entry["plan_cache_hits"] for entry in again.iteration_metrics] == [2, 2, 2]
+        assert (again["Z"].collect(), again["X"].collect()) == outputs

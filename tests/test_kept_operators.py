@@ -16,7 +16,7 @@ import operator
 
 import pytest
 
-from test_executor_equivalence import context_on
+from test_executor_equivalence import broadcast_threshold, context_on
 
 from repro.runtime import spill, stage
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
@@ -96,11 +96,13 @@ class TestKeptOperators:
             (lk, (lv, rv)) for lk, lv in left.collect() for rk, rv in right.collect() if lk == rk
         )
         ctx.metrics.reset()
-        assert sorted(left.join(right, strategy="broadcast").collect()) == expected
+        with broadcast_threshold(ctx, 1_000):
+            assert sorted(left.join(right).collect()) == expected
         assert ctx.metrics.join_strategies == {"broadcast": 1}
         assert ctx.metrics.shuffles == 0
         ctx.metrics.reset()
-        assert sorted(left.join(right, strategy="shuffle").collect()) == expected
+        with broadcast_threshold(ctx, 0):
+            assert sorted(left.join(right).collect()) == expected
         assert ctx.metrics.join_strategies == {"shuffle": 1}
 
     def test_zip_partitions_pairs_partitions_by_index(self, ctx):

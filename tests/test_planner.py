@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from test_executor_equivalence import context_on
+from test_executor_equivalence import broadcast_threshold, context_on
 from test_soundness_programs import assert_same_outputs, values_match
 
 from repro import Diablo
@@ -68,8 +68,11 @@ class TestNarrowFastPaths:
         assert ctx.metrics.shuffles_eliminated == 1
         assert ctx.metrics.narrow_joins == 1
         assert ctx.metrics.join_strategies == {"narrow": 1}
-        # Same records as the forced shuffle join.
-        shuffled = sorted(left.join(right, strategy="shuffle").collect())
+        # Same records as a shuffle join of the same pairs, unplaced.
+        with broadcast_threshold(ctx, 0):
+            unplaced = ctx.parallelize(left.collect()).join(ctx.parallelize(right.collect()))
+            shuffled = sorted(unplaced.collect())
+        assert ctx.metrics.join_strategies == {"narrow": 1, "shuffle": 1}
         assert result == shuffled
 
     def test_copartitioned_cogroup_runs_zero_shuffles(self, ctx):
@@ -534,51 +537,6 @@ class TestKMeansElimination:
             assert set(optimized[array]) == set(unoptimized[array])
             for key in optimized[array]:
                 assert values_match(optimized[array][key], unoptimized[array][key])
-
-
-class TestPlanSkeletonCache:
-    """Loop bodies cache their lowered plan trees (PR 7): iterations 2+ only
-    rebind the mutated inputs instead of re-running comprehension evaluation
-    and lowering, without changing a single shuffle."""
-
-    def _pagerank(self, **context_kwargs):
-        inputs = workload_for_program("pagerank", 40)
-        inputs["num_steps"] = 4
-        return _run_program("pagerank", inputs, **context_kwargs)
-
-    def test_pagerank_iterations_2_plus_hit_the_plan_cache(self):
-        result, outputs, metrics = self._pagerank()
-        iterations = [m for m in result.iteration_metrics if m["loop"] == 1]
-        assert len(iterations) == 4
-        # Iteration 1 builds and caches the skeletons; 2+ reuse them.
-        assert iterations[0]["plan_cache_hits"] == 0
-        for entry in iterations[1:]:
-            assert entry["plan_cache_hits"] >= 1
-        assert metrics.plan_cache_hits >= 3
-
-        # Reusing a skeleton must not change what executes: same shuffle
-        # structure, same bytes, same outputs as the uncached run.
-        result_off, outputs_off, metrics_off = self._pagerank(plan_cache=False)
-        assert metrics_off.plan_cache_hits == 0
-        assert dict(metrics.shuffle_operations) == dict(metrics_off.shuffle_operations)
-        assert metrics.shuffled_bytes == metrics_off.shuffled_bytes
-        assert metrics.loop_invariant_reuses == metrics_off.loop_invariant_reuses
-        spec = get_program("pagerank")
-        _outputs_match(spec, outputs, outputs_off)
-
-    def test_plan_cache_hits_render_in_explain_metrics(self):
-        _result, _outputs, metrics = self._pagerank()
-        report = "\n".join(explain_metrics(metrics))
-        assert f"plan-skeleton cache hits: {metrics.plan_cache_hits}" in report
-
-    def test_skeleton_reuse_is_traced(self):
-        result, _outputs, metrics = self._pagerank()
-        cached = [line for line in result.trace if "plan skeleton cached" in line]
-        reused = [line for line in result.trace if "plan skeleton reused" in line]
-        assert cached, result.trace
-        assert reused, result.trace
-        # Every cache hit shows up as one reuse trace line.
-        assert len(reused) == metrics.plan_cache_hits
 
 
 class TestProgramLevelPlacement:

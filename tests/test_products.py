@@ -71,16 +71,16 @@ STRATEGIES = {"right": "broadcast", "left": "broadcast", "none": "cartesian"}
 
 
 def lowered_roots(monkeypatch) -> list:
-    """Every plan root the planner lowers (first lowering or skeleton reuse)."""
+    """Every plan root the planner lowers (a stored plan's first lowering
+    or a later one)."""
     roots: list = []
-    for method in ("lower", "relower"):
-        original = getattr(Planner, method)
+    original = Planner.relower
 
-        def recording(self, root, original=original):
-            roots.append(root)
-            return original(self, root)
+    def recording(self, root, *inputs):
+        roots.append(root)
+        return original(self, root, *inputs)
 
-        monkeypatch.setattr(Planner, method, recording)
+    monkeypatch.setattr(Planner, "relower", recording)
     return roots
 
 
@@ -253,8 +253,8 @@ def test_kmeans_steps_compile_each_distinct_segment_once(monkeypatch):
     ids=["pagerank", "kmeans-steps"],
 )
 def test_plan_notes_do_not_grow_with_the_number_of_iterations(program, source, monkeypatch):
-    """A skeleton-cached loop lowers the same plan every iteration: each
-    decision is noted on its node once, not once per iteration."""
+    """A loop lowers the same stored plan every iteration: each decision is
+    noted on its node once, not once per iteration."""
     rendered = {}
     for steps in (2, 40 if program == "pagerank" else 6):
         roots = lowered_roots(monkeypatch)

@@ -224,8 +224,8 @@ class TestPlanLint:
         from repro.algebra.plan import ProductNode, ScanNode
 
         root = ProductNode(
-            left=ScanNode(dataset=None, name="P"),
-            right=ScanNode(dataset=None, name="Q"),
+            left=ScanNode(name="P"),
+            right=ScanNode(name="Q"),
             domain_label="Q",
         )
         codes = {d.code for d in lint_plan(root, diablo.current_config())}
@@ -236,8 +236,8 @@ class TestPlanLint:
         from repro.comprehension import ir
 
         join = HashJoinNode(
-            left=ScanNode(dataset=None, name="A"),
-            right=ScanNode(dataset=None, name="B"),
+            left=ScanNode(name="A"),
+            right=ScanNode(name="B"),
             left_key_terms=(ir.CVar("k"),),
             right_key_terms=(ir.CVar("k"),),
             domain_label="B",
