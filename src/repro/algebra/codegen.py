@@ -93,10 +93,13 @@ class Segment(NamedTuple):
     * ``("cogroup", left_names, right_names)`` -- a join's co-grouped sides
       ``(key, [left slot rows], [right slot rows])``: the function is the
       join's *consumer*, a nested loop over pairs never materialised;
-    * ``("probe", side, left_names, right_names)`` -- the same consumer as
-      a broadcast join's probe task, taking the broadcast ``side``'s lookup
-      table too: each probe record, then each of its matches, the pairs the
-      broadcast join would have built, in their order;
+    * ``("probe", side, unique, left_names, right_names)`` -- the same
+      consumer as a broadcast join's probe task, taking the broadcast
+      ``side``'s lookup table too: each probe record, then each of its
+      matches, the pairs the broadcast join would have built, in their
+      order.  The table maps a key to its list of slot rows, or, when
+      ``unique`` (no build-side key repeats), to its one slot row, tested
+      against ``MISSING`` (a slot row may be falsy);
     * ``("product", left_names, pattern, rows)`` -- a no-key product's right
       elements, each paired with every left slot row of the driver list
       ``rows``, or (``rows`` None) cartesian ``(left slot row, element)``;
@@ -547,11 +550,12 @@ class _Emitter:
 
     # -- entry, steps, exit ------------------------------------------------------
 
-    def slots(self, names: tuple[str, ...]) -> str:
-        """A loop target unpacking slot rows of ``names``, bound at the loop's depth."""
-        self.depth += 1
+    def slots(self, names: tuple[str, ...], depth: int | None = None) -> str:
+        """A target unpacking slot rows of ``names``, bound at ``depth``
+        (default: the loop about to open, one level deeper)."""
+        outer, self.depth = self.depth, self.depth + 1 if depth is None else depth
         targets = [self.target(name) for name in names]
-        self.depth -= 1
+        self.depth = outer
         return f"({', '.join(targets)},)" if targets else "_"
 
     def entry(self) -> None:
@@ -563,15 +567,23 @@ class _Emitter:
             self.open(f"for {self.slots(self.segment.entry[1])} in lefts:")
             self.open(f"for {self.slots(self.segment.entry[2])} in rights:")
         elif kind == "probe":
-            # A broadcast join's probe record, then each of its matches.
-            side, left_names, right_names = self.segment.entry[1:]
+            # A broadcast join's probe record, then each of its matches, or
+            # its one match: a unique table maps a key to its slot row.
+            side, unique, left_names, right_names = self.segment.entry[1:]
             probe, matches = ("right", "lefts") if side == "left" else ("left", "rights")
             names = dict(left=left_names, right=right_names)
             self.open(f"for key, {self.slots(names[probe])} in records:")
-            self.emit(f"{matches} = match(key)")
-            self.emit(f"if not {matches}:")
-            self.emit("    continue")
-            self.open(f"for {self.slots(names[side])} in {matches}:")
+            if unique:
+                self.emit(f"{matches} = match(key, MISSING)")
+                self.emit(f"if {matches} is MISSING:")
+                self.emit("    continue")
+                # The match's slots bind in the probe record's loop.
+                self.emit(f"{self.slots(names[side], self.depth)} = {matches}")
+            else:
+                self.emit(f"{matches} = match(key)")
+                self.emit(f"if not {matches}:")
+                self.emit("    continue")
+                self.open(f"for {self.slots(names[side])} in {matches}:")
         elif kind == "product":
             # The left slot row, then the right element: the product's pair order.
             _, left_names, pattern, rows = self.segment.entry
@@ -848,8 +860,9 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
     the fold.  A ``positional`` function offers ``paired()``, its ``bind``
     twin over ``(position, element)`` pairs, for the sampler's strided
     sample whose positions are not those of the partition offsets.  A
-    ``cogroup`` function offers ``probe(side)``, its ``probe`` twin, called
-    as ``twin(records, lookup=table)`` by a broadcast join's probe task.
+    ``cogroup`` function offers ``probe(side, unique=False)``, its ``probe``
+    twin, called as ``twin(records, lookup=table)`` by a broadcast join's
+    probe task.
     """
     try:
         compiled = memo.get(segment)
@@ -889,7 +902,7 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
         paired = segment._replace(entry=("bind", segment.entry[1]))
         function.paired = lambda: generate(paired, bindings, memo)
     if segment.entry[0] == "cogroup":
-        function.probe = lambda side: generate(
-            segment._replace(entry=("probe", side, *segment.entry[1:])), bindings, memo
+        function.probe = lambda side, unique=False: generate(
+            segment._replace(entry=("probe", side, unique, *segment.entry[1:])), bindings, memo
         )
     return function

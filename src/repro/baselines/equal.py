@@ -1,12 +1,10 @@
 """Hand-written Equal (Figure 3.B).
 
-Spark original::
-
-    val x = V.first()
-    V.map(_ == x).reduce(_ && _)
-
-The DIABLO program compares against an explicit input value ``x``; the
-baseline does the same so the two are directly comparable.
+The paper's hand-written Spark program compares every element with the
+first one.  The DIABLO program compares against an explicit input value
+``x``; this baseline does the same, mapping each element of ``words`` to
+``word == x`` and folding with logical and, so the two are directly
+comparable.
 """
 
 from __future__ import annotations

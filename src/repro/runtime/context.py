@@ -592,7 +592,7 @@ class DistributedContext:
                     stage_mod.salted_shuffle_write,
                     shuffle.partitioner,
                     shuffle_input.combiner,
-                    stage_mod.pair_key,
+                    False,
                     spill,
                     input_index,
                     frozenset(salt_plan[0]),
@@ -603,7 +603,7 @@ class DistributedContext:
                     stage_mod.shuffle_write,
                     shuffle.partitioner,
                     shuffle_input.combiner,
-                    stage_mod.tagged_key if tagged else stage_mod.pair_key,
+                    tagged,
                     spill,
                     input_index,
                     columnar=self.columnar,
@@ -803,10 +803,24 @@ class DistributedContext:
             shuffle = shuffle._replace(inputs=(left_input, right_input))
 
         build_partitions = left_partitions if side == "left" else right_partitions
-        lookup: dict[Any, list[Any]] = {}
-        for partition in build_partitions:
-            for key, value in partition:
-                lookup.setdefault(key, []).append(value)
+        # While no build-side key repeats, a consumer's twin probes a table
+        # holding each key's one slot row; from the first repeat on (or
+        # with no consumer), each key maps to its list of matches.
+        lookup: dict[Any, Any] | None = None
+        if shuffle.consumer is not None:
+            lookup, count = {}, 0
+            for partition in build_partitions:
+                lookup.update(partition)
+                count += len(partition)
+                if len(lookup) != count:
+                    lookup = None
+                    break
+        unique = lookup is not None
+        if lookup is None:
+            lookup = {}
+            for partition in build_partitions:
+                for key, value in partition:
+                    lookup.setdefault(key, []).append(value)
         self.metrics.record_broadcast()
 
         if shuffle.consumer is None:
@@ -814,7 +828,7 @@ class DistributedContext:
         else:
             # The consumer's probe twin loops over the probe records and
             # their matches itself: no co-grouped sides are built.
-            probe = functools.partial(shuffle.consumer.probe(side), lookup=lookup)
+            probe = functools.partial(shuffle.consumer.probe(side, unique), lookup=lookup)
         self.metrics.record_join_strategy("broadcast")
         if shuffle.consumer is not None:
             self.metrics.record_consumer(shuffle.consumer, self.columnar)

@@ -222,7 +222,7 @@ class Dataset:
         broadcasts is the narrow chain of its probe, see
         :meth:`_resolve_join`)."""
         metrics = self.context.metrics
-        log_start = len(metrics.adaptive_log)
+        decided = metrics.adaptive_decisions
         self._resolve_join()
         if self._shuffle is not None:
             new_partitions, partitioner = self.context.run_shuffle(self._shuffle)
@@ -230,7 +230,7 @@ class Dataset:
             # shuffle triggered so ``explain()`` can render what actually ran.
             self.adaptive_notes = tuple(
                 f"{entry['kind']}: {entry['reason']}"
-                for entry in metrics.adaptive_log[log_start:]
+                for entry in metrics.decisions_after(decided)
             )
             metrics.record_dataset()
             if self._shuffle.consumer is not None:

@@ -14,6 +14,18 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any
 
+#: Entries ``elimination_log`` and ``adaptive_log`` keep: the most recent
+#: ones, so a long-lived context's logs stop growing (the counters beside
+#: them still count every entry).
+LOG_ENTRIES = 512
+
+
+def _log(entries: list[dict], entry: dict) -> None:
+    """Append ``entry``, dropping the oldest past :data:`LOG_ENTRIES`."""
+    entries.append(entry)
+    if len(entries) > LOG_ENTRIES:
+        del entries[0]
+
 
 @dataclass
 class Metrics:
@@ -140,15 +152,15 @@ class Metrics:
     shuffle_operations: dict[str, int] = field(default_factory=dict)
     #: Chosen join strategies ("broadcast" / "shuffle" / "cartesian" -> count).
     join_strategies: dict[str, int] = field(default_factory=dict)
-    #: Per-stage detail log: one dict per executed shuffle stage.
-    shuffle_stage_log: list[dict] = field(default_factory=list)
-    #: One dict per eliminated (or partially eliminated) shuffle:
-    #: ``{"operation": ..., "kind": "narrow"|"prepartitioned-input",
-    #: "reason": ...}`` -- rendered by ``explain_metrics``.
+    #: One dict per eliminated (or partially eliminated) shuffle, the
+    #: latest :data:`LOG_ENTRIES` of them: ``{"operation": ..., "kind":
+    #: "narrow"|"prepartitioned-input", "reason": ...}`` -- rendered by
+    #: ``explain_metrics``.
     elimination_log: list[dict] = field(default_factory=list)
-    #: One dict per adaptive decision: ``{"operation": ..., "kind":
-    #: "salted-reduce"|"map-side-grouping"|"histogram-range-bounds"|
-    #: "broadcast-join", "reason": ...}`` -- rendered by ``explain_metrics``.
+    #: One dict per adaptive decision, the latest :data:`LOG_ENTRIES` of
+    #: them: ``{"operation": ..., "kind": "salted-reduce"|"map-side-grouping"|
+    #: "histogram-range-bounds"|"broadcast-join", "reason": ...}`` --
+    #: rendered by ``explain_metrics``.
     adaptive_log: list[dict] = field(default_factory=list)
 
     def record_shuffle(self, operation: str, records: int) -> None:
@@ -170,15 +182,6 @@ class Metrics:
         self.shuffled_bytes += bytes_moved
         self.shuffle_map_tasks += map_tasks
         self.shuffle_reduce_tasks += reduce_tasks
-        self.shuffle_stage_log.append(
-            {
-                "operation": operation,
-                "records": records,
-                "bytes": bytes_moved,
-                "map_tasks": map_tasks,
-                "reduce_tasks": reduce_tasks,
-            }
-        )
 
     def record_combiner(self, records_in: int, records_out: int) -> None:
         """Account for one map-side combine pass (pre-shuffle aggregation)."""
@@ -205,15 +208,14 @@ class Metrics:
         self.shuffles_eliminated += 1
         if narrow_join:
             self.narrow_joins += 1
-        self.elimination_log.append(
-            {"operation": operation, "kind": "narrow", "reason": reason}
-        )
+        _log(self.elimination_log, {"operation": operation, "kind": "narrow", "reason": reason})
 
     def record_prepartitioned_input(self, operation: str, reason: str) -> None:
         """Account for one shuffle input whose map-side shuffle was skipped."""
         self.prepartitioned_inputs += 1
-        self.elimination_log.append(
-            {"operation": operation, "kind": "prepartitioned-input", "reason": reason}
+        _log(
+            self.elimination_log,
+            {"operation": operation, "kind": "prepartitioned-input", "reason": reason},
         )
 
     def record_loop_invariant_reuse(self) -> None:
@@ -231,7 +233,14 @@ class Metrics:
     def record_adaptive_decision(self, operation: str, kind: str, reason: str) -> None:
         """Account for one force-time adaptive execution decision."""
         self.adaptive_decisions += 1
-        self.adaptive_log.append({"operation": operation, "kind": kind, "reason": reason})
+        _log(self.adaptive_log, {"operation": operation, "kind": kind, "reason": reason})
+
+    def decisions_after(self, count: int) -> list[dict]:
+        """The logged adaptive decisions made after the first ``count`` (an
+        earlier ``adaptive_decisions``): counted, not sliced at a position,
+        so the log's trimming cannot shift them."""
+        made = self.adaptive_decisions - count
+        return self.adaptive_log[-made:] if made > 0 else []
 
     def record_join_strategy(self, strategy: str) -> None:
         """Account for one join planned as ``strategy``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 #: The hash of every NaN float: ``hash(nan)`` depends on the object's
 #: identity since Python 3.10, so two NaNs (or one NaN after a pickle round
@@ -21,7 +21,7 @@ from typing import Any, Iterable, Sequence
 _NAN_HASH = 0
 
 #: Key types for which :func:`stable_hash` is exactly the built-in ``hash``
-#: (NaN floats aside): :meth:`HashPartitioner.partition_all` and
+#: (NaN floats aside): :meth:`HashPartitioner.place` and
 #: :func:`_tuple_hash` skip the recursive call for them.
 _BUILTIN_HASHED = frozenset((int, float, bool))
 
@@ -86,10 +86,14 @@ class Partitioner:
     def partition(self, key: Any) -> int:
         raise NotImplementedError
 
-    def partition_all(self, keys: Iterable[Any]) -> list[int]:
-        """The partition of every key, in order (one map partition's bucket
-        targets)."""
-        return [self.partition(key) for key in keys]
+    def place(self, records: Iterable[Any], appends: Sequence[Callable[[Any], None]], tagged: bool) -> None:
+        """Append each record, in order, to the bucket of its key: its
+        ``record[0]``, or ``record[1][0]`` when ``tagged`` (a two-input
+        shuffle's ``(side, (key, value))``).  ``appends[i]`` appends to
+        bucket ``i``: one pass reads, places and writes each record."""
+        partition = self.partition
+        for record in records:
+            appends[partition(record[1][0] if tagged else record[0])](record)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -112,22 +116,24 @@ class HashPartitioner(Partitioner):
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
 
-    def partition_all(self, keys: Iterable[Any]) -> list[int]:
-        # ``key == key`` is False only for NaN among the builtin-hashed types.
-        # Exact tuples and strs skip stable_hash's type tests (subclasses,
-        # such as SaltedKey or namedtuples, still go through it); the str
-        # branch is stable_hash's own, so the tuple test costs str keys nothing.
+    def place(self, records: Iterable[Any], appends: Sequence[Callable[[Any], None]], tagged: bool) -> None:
+        # :meth:`partition` in line.  ``key == key`` is False only for NaN
+        # among the builtin-hashed types.  Exact tuples and strs skip
+        # stable_hash's type tests (subclasses, such as SaltedKey or
+        # namedtuples, still go through it); the str branch is stable_hash's
+        # own, so the tuple test costs str keys nothing.
         n = self.num_partitions
-        return [
-            hash(key) % n
-            if type(key) in _BUILTIN_HASHED and key == key
-            else _tuple_hash(key) % n
-            if type(key) is tuple
-            else zlib.crc32(key.encode("utf-8", "surrogatepass")) % n
-            if type(key) is str
-            else stable_hash(key) % n
-            for key in keys
-        ]
+        for record in records:
+            key = record[1][0] if tagged else record[0]
+            kind = type(key)
+            if kind is int or (kind in _BUILTIN_HASHED and key == key):
+                appends[hash(key) % n](record)
+            elif kind is tuple:
+                appends[_tuple_hash(key) % n](record)
+            elif kind is str:
+                appends[zlib.crc32(key.encode("utf-8", "surrogatepass")) % n](record)
+            else:
+                appends[stable_hash(key) % n](record)
 
 
 class RangePartitioner(Partitioner):

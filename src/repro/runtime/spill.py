@@ -5,9 +5,10 @@ materializes all of its buckets and the driver concatenates whole bucket
 lists before the reduce side runs.  This module provides the spillable
 alternative:
 
-* a **map task** hands its whole partition, with one bucket target per
-  record, to a :class:`BucketWriter`; the estimated buffered bytes are
-  charged per slice of :data:`SIZE_SAMPLE_RECORDS` records, and once they
+* a **map task** hands its whole partition to a :class:`BucketWriter`,
+  which places each record by its key as it appends it; the estimated
+  buffered bytes are charged per slice of :data:`SIZE_SAMPLE_RECORDS`
+  records, and once they
   exceed ``spill_threshold_bytes`` the writer appends each non-empty bucket
   as one **framed-pickle run** to that bucket's per-(task, partition) spill
   file and empties the buffers.
@@ -212,17 +213,35 @@ class BucketWriter:
             for target, record in zip(targets, records, strict=True):
                 appends[target](record)
             return
-        threshold = self.spill.threshold_bytes
         for start in range(0, len(records), SIZE_SAMPLE_RECORDS):
             stop = start + SIZE_SAMPLE_RECORDS
             piece = records[start:stop]
             for target, record in zip(targets[start:stop], piece, strict=True):
                 appends[target](record)
-            self.buffered += approximate_size(piece[0]) * len(piece)
-            if self.buffered > self.peak_memory:
-                self.peak_memory = self.buffered
-            if self.buffered > threshold:
-                self.flush()
+            self._charge(piece)
+
+    def write_keyed(self, partitioner: Any, records: Sequence[Any], tagged: bool = False) -> None:
+        """Append each record to the bucket of its key, in order, placed by
+        ``partitioner.place`` (see
+        :meth:`~repro.runtime.partitioner.Partitioner.place`): one pass
+        reads, places and appends each record, with the budget charged per
+        slice as in :meth:`write`."""
+        appends = [bucket.append for bucket in self.buckets]
+        if self.spill is None:
+            partitioner.place(records, appends, tagged)
+            return
+        for start in range(0, len(records), SIZE_SAMPLE_RECORDS):
+            piece = records[start : start + SIZE_SAMPLE_RECORDS]
+            partitioner.place(piece, appends, tagged)
+            self._charge(piece)
+
+    def _charge(self, piece: Sequence[Any]) -> None:
+        """Charge one written slice to the budget; flush once over it."""
+        self.buffered += approximate_size(piece[0]) * len(piece)
+        if self.buffered > self.peak_memory:
+            self.peak_memory = self.buffered
+        if self.buffered > self.spill.threshold_bytes:  # type: ignore[union-attr]
+            self.flush()
 
     def flush(self) -> None:
         """Spill every non-empty bucket as one run and empty the buffers

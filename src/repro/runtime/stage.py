@@ -395,16 +395,6 @@ class SaltedKey(NamedTuple):
     salt: int
 
 
-def pair_key(record: Any) -> Any:
-    """Bucketing key of an untagged key-value record."""
-    return record[0]
-
-
-def tagged_key(record: Any) -> Any:
-    """Bucketing key of a ``(side, (key, value))`` record."""
-    return record[1][0]
-
-
 def tag_record(side: int, record: Any) -> tuple[int, Any]:
     """Tag a record with its input index (map side of two-input shuffles)."""
     return (side, record)
@@ -541,7 +531,7 @@ def _writer_output(
 
 
 def _vector_buckets(
-    partitioner: Any, key_of: Callable[[Any], Any], records: list[Any], columnar: bool
+    partitioner: Any, tagged: bool, records: list[Any], columnar: bool
 ) -> list[int] | None:
     """Vectorized map-side bucket assignment for scalar int keys, or None.
 
@@ -554,7 +544,7 @@ def _vector_buckets(
     for a positive modulus, so ``np.mod`` reproduces ``partition()`` exactly.
     """
     np = columnar_mod.np
-    if not columnar or np is None or key_of is not pair_key:
+    if not columnar or np is None or tagged:
         return None
     if type(partitioner) is not HashPartitioner:
         return None
@@ -577,7 +567,7 @@ def _vector_buckets(
 def shuffle_write(
     partitioner: Any,
     combiner: tuple[Any, ...] | None,
-    key_of: Callable[[Any], Any],
+    tagged: bool,
     spill: SpillSpec | None,
     input_index: int,
     records: list[Any],
@@ -594,37 +584,34 @@ def shuffle_write(
     :func:`repro.runtime.partitioner.stable_hash`) and ``spill`` must point
     at a directory shared with worker processes.  A combiner's accumulator
     stays in memory (bounded by the task's distinct keys); the bucketed
-    *output* is what spills.  The whole partition is placed in one
-    :meth:`~repro.runtime.partitioner.Partitioner.partition_all` call and
-    handed to the writer in one :meth:`~repro.runtime.spill.BucketWriter.write`.
+    *output* is what spills.  Records are ``(key, value)`` pairs, or
+    ``(side, (key, value))`` when ``tagged``; the writer reads, places and
+    appends each record in one pass
+    (:meth:`~repro.runtime.spill.BucketWriter.write_keyed`).
     ``hot_keys`` salts those keys (see :func:`salted_shuffle_write`).
     """
     records_in = len(records)
     combined_in = getattr(records, "consumed", records_in)
     if combiner is not None:
         records = apply_combiner(combiner, records, columnar)
-    targets = None if hot_keys else _vector_buckets(partitioner, key_of, records, columnar)
-    if targets is None:
-        if key_of is pair_key:
-            keys = [record[0] for record in records]
-        else:
-            keys = list(map(key_of, records))
-        if hot_keys:
-            records = list(records)
-            for position, key in enumerate(keys):
-                if key in hot_keys:
-                    salted = keys[position] = SaltedKey(key, index)
-                    records[position] = (salted, records[position][1])
-        targets = partitioner.partition_all(keys)
     writer = spill_mod.BucketWriter(partitioner.num_partitions, spill, f"i{input_index}-m{index}")
-    writer.write(targets, records)
+    targets = None if hot_keys else _vector_buckets(partitioner, tagged, records, columnar)
+    if targets is not None:
+        writer.write(targets, records)
+    else:
+        if hot_keys:
+            records = [
+                (SaltedKey(record[0], index), record[1]) if record[0] in hot_keys else record
+                for record in records
+            ]
+        writer.write_keyed(partitioner, records, tagged)
     return _writer_output(writer, records_in, combined_in)
 
 
 def salted_shuffle_write(
     partitioner: Any,
     combiner: tuple[Any, ...] | None,
-    key_of: Callable[[Any], Any],
+    tagged: bool,
     spill: SpillSpec | None,
     input_index: int,
     hot_keys: frozenset,
@@ -642,7 +629,7 @@ def salted_shuffle_write(
     shuffles whose records are plain ``(key, value)`` pairs.
     """
     return shuffle_write(
-        partitioner, combiner, key_of, spill, input_index, records, index, columnar, hot_keys
+        partitioner, combiner, tagged, spill, input_index, records, index, columnar, hot_keys
     )
 
 
@@ -708,12 +695,23 @@ def reduce_bucket(function: Callable[[Any, Any], Any], payloads: list[BucketPayl
     many records were shuffled.
     """
     accumulator: dict[Any, Any] = {}
-    for key, value in spill_mod.iter_merged(payloads):
-        if key in accumulator:
-            accumulator[key] = function(accumulator[key], value)
-        else:
-            accumulator[key] = value
+    _fold_into(accumulator, function, spill_mod.iter_merged(payloads))
     return list(accumulator.items())
+
+
+_MISSING = object()
+
+
+def _fold_into(
+    accumulator: dict[Any, Any], function: Callable[[Any, Any], Any], records: Iterable[Any]
+) -> None:
+    """Fold each ``(key, value)`` into ``accumulator``: ``held ⊕ value``
+    when the key is held, else ``value``.  One ``get`` hashes each key
+    once before the store (a tuple does not cache its hash)."""
+    get = accumulator.get
+    for key, value in records:
+        held = get(key, _MISSING)
+        accumulator[key] = value if held is _MISSING else function(held, value)
 
 
 def group_bucket(payloads: list[BucketPayload]) -> list[Any]:
@@ -782,9 +780,6 @@ def cogroup_bucket(payloads: list[BucketPayload]) -> list[Any]:
     return _cogroup_sides(left, right)
 
 
-_MISSING = object()
-
-
 def _merge_sides(
     function: Callable[[Any, Any], Any] | None, left: Iterable[Any], right: Iterable[Any]
 ) -> list[Any]:
@@ -807,12 +802,8 @@ def _merge_sides(
         merged.update(right)
         return list(merged.items())
     folded: dict[Any, Any] = {}
-    for key, value in right:
-        held = folded.get(key, _MISSING)
-        folded[key] = value if held is _MISSING else function(held, value)
-    for key, value in folded.items():
-        held = merged.get(key, _MISSING)
-        merged[key] = value if held is _MISSING else function(held, value)
+    _fold_into(folded, function, right)
+    _fold_into(merged, function, folded.items())
     return list(merged.items())
 
 

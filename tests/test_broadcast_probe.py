@@ -14,6 +14,11 @@ with it to exactly what they replace:
 * the inline spelling of ``/`` is :func:`repro.operators.divide`;
 * the run ``(k, ⊕/v)`` over reduced pairs is skipped exactly when it
   rebuilds each pair unchanged.
+
+The broadcast table maps each key to its one slot row when no build-side
+key repeats (the twin's one-match form), and to its list of slot rows
+otherwise: both layouts give the interpreter's outputs on every executor,
+with and without spill and adaptive sizing.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import os
 
 import pytest
 
+from repro import Diablo
 from repro.algebra import codegen, planner
 from repro.algebra.codegen import Segment
 from repro.comprehension import ir
@@ -38,6 +44,8 @@ from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD
 from repro.workloads import workload_for_program
 
 THRESHOLDS = {"shuffled": 0, "broadcast": DEFAULT_BROADCAST_JOIN_THRESHOLD}
+#: Workers of the cluster legs (the nightly differential step runs 4).
+WORKERS = int(os.environ.get("DIABLO_CLUSTER_WORKERS", "2"))
 SIZES = (6, 20)
 #: Programs with a hash join whose consumer is generated.
 JOIN_PROGRAMS = ("matrix_multiplication", "pagerank")
@@ -81,7 +89,7 @@ def test_outputs_are_bit_identical_with_and_without_spill(name, threshold):
 @pytest.mark.parametrize("threshold", THRESHOLDS.values(), ids=THRESHOLDS.keys())
 def test_cluster_outputs_are_those_of_the_sequential_executor(threshold, spill):
     with ClusterContext(
-        cluster_workers=2, num_partitions=4, broadcast_join_threshold=threshold, spill_threshold_bytes=spill
+        cluster_workers=WORKERS, num_partitions=4, broadcast_join_threshold=threshold, spill_threshold_bytes=spill
     ) as context:
         for name in sorted(PROGRAMS):
             for size in SIZES:
@@ -124,6 +132,151 @@ def test_the_probe_twin_rebinds_a_variable_per_pair(side):
         groups = [(key, [value], table[key]) for key, value in probe if key in table]
     assert consumer.probe(side)(probe, lookup=table) == consumer(groups)
     assert len(consumer(groups)) == 6
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("names, row", [((), ()), (("a",), (0,))], ids=["empty", "zero"])
+def test_the_one_match_twin_matches_a_falsy_slot_row(side, names, row):
+    """A unique table maps a key straight to its slot row: the twin tests
+    the lookup against ``MISSING``, so a falsy row -- ``()`` when the
+    consumer reads nothing of the build side -- still matches."""
+    segment = Segment(
+        ("cogroup", names, ("k", "v")) if side == "left" else ("cogroup", ("k", "v"), names),
+        (),
+        ("head", ir.CTuple((ir.CVar("k"), V, *(ir.CVar(name) for name in names)))),
+    )
+    consumer = codegen.generate(segment, _bindings(), {})
+    probe = [(7, (1, 10)), (8, (2, 20)), (7, (3, 30))]
+    table = {7: row, 9: row}
+    groups = [
+        (key, [row], [value]) if side == "left" else (key, [value], [row])
+        for key, value in probe
+        if key in table
+    ]
+    expected = consumer(groups)
+    assert len(expected) == 2
+    assert consumer.probe(side, unique=True)(probe, lookup=table) == expected
+    assert consumer.probe(side)(probe, lookup={key: [value] for key, value in table.items()}) == expected
+
+
+# ---------------------------------------------------------------------------
+# The two table layouts
+# ---------------------------------------------------------------------------
+
+MATVEC = """
+var R: vector[double] = vector();
+for i = 0, n-1 do
+  for j = 0, m-1 do
+    R[i] += A[i,j]*X[j];
+"""
+
+#: ``(n, m, len(X))`` and whether the broadcast table is the one-match
+#: layout.  X broadcasts when it is the smaller side (its keys are unique),
+#: A otherwise: one row of A has unique keys ``j``, three rows repeat each.
+BUILD_SIDES = {
+    "unique-x": ((5, 4, 4), True),
+    "unique-a": ((1, 4, 40), True),
+    "repeated-a": ((3, 4, 40), False),
+}
+
+
+def _matvec_inputs(n: int, m: int, size: int) -> dict:
+    # Integral floats: every sum is exact in any order.  X[0] is 0.0.
+    return {
+        "A": {(i, j): float(3 * i + j + 1) for i in range(n) for j in range(m)},
+        "X": {j: float(j) for j in range(size)},
+        "n": n,
+        "m": m,
+    }
+
+
+def _layouts(monkeypatch) -> list[tuple[bool, dict]]:
+    """Records each broadcast probe's (one-match layout?, table)."""
+    layouts = []
+    resolve = DistributedContext.resolve_join
+
+    def recording(self, shuffle):
+        resolved = resolve(self, shuffle)
+        if isinstance(resolved, tuple):
+            probe = resolved[1][0].function
+            layouts.append((probe.func.segment.entry[2], probe.keywords["lookup"]))
+        return resolved
+
+    monkeypatch.setattr(DistributedContext, "resolve_join", recording)
+    return layouts
+
+
+CONTEXTS = [
+    (executor, spill, adaptive)
+    for executor in ("sequential", "cluster")
+    for spill in (None, 1)
+    for adaptive in (True, False)
+]
+
+
+@pytest.mark.parametrize(
+    "executor, spill, adaptive", CONTEXTS, ids=[f"{e}-spill{s}-adaptive{a}" for e, s, a in CONTEXTS]
+)
+def test_both_table_layouts_give_the_interpreters_outputs(monkeypatch, executor, spill, adaptive):
+    layouts = _layouts(monkeypatch)
+    options = dict(num_partitions=4, spill_threshold_bytes=spill, adaptive=adaptive)
+    if executor == "cluster":
+        context = ClusterContext(cluster_workers=WORKERS, **options)
+    else:
+        context = DistributedContext(**options)
+    with context:
+        for name, (shape, unique) in BUILD_SIDES.items():
+            inputs = _matvec_inputs(*shape)
+            layouts.clear()
+            result = Diablo(context, outputs=("R",)).compile(MATVEC).run(**inputs)
+            ((chosen, table),) = layouts
+            assert chosen == unique, name
+            if not unique:  # the list layout only where a key repeats
+                assert any(len(matches) > 1 for matches in table.values()), name
+            outputs = repr(sorted(result.array("R").items()))
+            expected = Diablo().interpret(MATVEC, dict(inputs))["R"]
+            # Exact sums: equal to the oracle's is bit-identical across contexts.
+            assert outputs == repr(sorted(expected.items())), name
+
+
+CHAINS = {
+    # Four source records become eight over the same four keys: as many
+    # distinct keys as *source* records, yet every key repeats.
+    "expanding": (lambda record: [record, (record[0], (record[1][0] + 1,))], False),
+    # Eight source records over four keys, each key's second dropped:
+    # repeated in the source, unique once chained.
+    "dropping": (lambda record: [record] if record[1][0] < 4 else [], True),
+}
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+@pytest.mark.parametrize("chain", CHAINS, ids=CHAINS.keys())
+def test_the_layout_counts_the_build_records_after_their_chain(monkeypatch, chain, adaptive):
+    """The one-match layout is chosen from the records the table is built
+    from, after the build side's captured chain, also when the broadcast
+    side is sized from the raw sources (adaptive off)."""
+    expand, unique = CHAINS[chain]
+    consumer = codegen.generate(
+        Segment(("cogroup", ("a",), ("b",)), (), ("head", ir.CTuple((ir.CVar("a"), ir.CVar("b"))))),
+        _bindings(),
+        {},
+    )
+    build = [(j, (10 * j,)) for j in range(4)] if chain == "expanding" else [
+        (j % 4, (j,)) for j in range(8)
+    ]
+    probe = [(j % 4, (j,)) for j in range(40)]
+    with DistributedContext(num_partitions=4, adaptive=adaptive) as context:
+
+        def joined(consumer):
+            left = context.parallelize(build).flat_map(expand)
+            return left.join(context.parallelize(probe), consumer=consumer).collect()
+
+        pairs = sorted((left[0], right[0]) for _, (left, right) in joined(None))
+        layouts = _layouts(monkeypatch)
+        assert sorted(joined(consumer)) == pairs
+    ((chosen, _),) = layouts
+    assert chosen == unique
+    assert len(pairs) == (80 if chain == "expanding" else 40)
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,9 @@ class TestWireSerialization:
         assert self.round_trip(value) == value
 
     def test_codebase_function_ships_by_reference(self):
-        from repro.runtime.stage import pair_key
+        from repro.runtime.stage import group_bucket
 
-        assert self.round_trip(pair_key) is pair_key
+        assert self.round_trip(group_bucket) is group_bucket
 
     def test_test_module_function_ships_by_value(self):
         # Functions importable only through the driver's extra sys.path

@@ -689,7 +689,7 @@ class TestBatchRuntime:
         partitioner = HashPartitioner(4)
         fn = stage_mod.compose([_vector_filter_stage()], columnar=True)
         records = fn([(i - 3, float(i)) for i in range(40)], 0)
-        buckets = stage_mod._vector_buckets(partitioner, stage_mod.pair_key, records, True)
+        buckets = stage_mod._vector_buckets(partitioner, False, records, True)
         assert buckets is not None
         assert buckets == [partitioner.partition(key) for key, _ in records]
         assert stage_mod.consume_batch_stats()["vector_bucket_tasks"] == 1
@@ -709,15 +709,15 @@ class TestBatchRuntime:
         fn = stage_mod.compose([keep_all], columnar=True)
         # hash(-1) == -2: a -1 key must disable the vectorized path outright.
         records = fn([(i, float(i)) for i in range(3, 10)] + [(-1, 0.0)], 0)
-        assert stage_mod._vector_buckets(partitioner, stage_mod.pair_key, records, True) is None
+        assert stage_mod._vector_buckets(partitioner, False, records, True) is None
 
     def test_vector_buckets_require_residency_and_columnar(self):
         partitioner = HashPartitioner(4)
         records = [(i, float(i)) for i in range(10)]
-        assert stage_mod._vector_buckets(partitioner, stage_mod.pair_key, records, True) is None
+        assert stage_mod._vector_buckets(partitioner, False, records, True) is None
         fn = stage_mod.compose([_vector_filter_stage()], columnar=True)
         out = fn(records, 0)
-        assert stage_mod._vector_buckets(partitioner, stage_mod.pair_key, out, False) is None
+        assert stage_mod._vector_buckets(partitioner, False, out, False) is None
 
     def test_runtime_counters_reach_metrics_and_explain(self):
         """pagerank's map-side shuffles bucket vectorially end to end."""

@@ -6,7 +6,8 @@ four: range placement through ``partition_by``, ``aggregate``, the full
 outer join, ``co_group``, forced broadcast and shuffle inner joins,
 ``zip_partitions``, ``count_by_value`` and ``take``.  The stage-level tests
 pin ``sort_bucket`` and ``repartition_write`` (no shuffle runs them, but the
-trace table wraps them, so they must keep working) and the build-left form of
+trace table wraps them, so they must keep working), ``reduce_bucket``'s
+fold order, and the build-left form of
 ``broadcast_join_partition``.
 """
 
@@ -166,6 +167,26 @@ class TestSortBucket:
 
     def test_empty_bucket(self):
         assert stage.sort_bucket(lambda record: record, True, []) == []
+
+
+class TestReduceBucket:
+    """The reduce side gives the left fold in stream order, types and signed
+    zeros included, for built-in and Python-level combines alike."""
+
+    VALUES = [1, -0.0, 2.5, True, 0.0, 3, -1, 2**70, 0.5, -0.0]
+    RECORDS = [((position % 3, "k"), value) for position, value in enumerate(VALUES)]
+
+    @pytest.mark.parametrize(
+        "function",
+        [operator.add, operator.mul, lambda a, b: a + b, lambda a, b: a * b],
+        ids=["add", "mul", "called-add", "called-mul"],
+    )
+    def test_folds_left_in_stream_order(self, function):
+        expected = {}
+        for key, value in self.RECORDS:
+            expected[key] = function(expected[key], value) if key in expected else value
+        payloads = _payloads(self.RECORDS[:4], [0] * 4, None) + _payloads(self.RECORDS[4:], [0] * 6, None)
+        assert repr(stage.reduce_bucket(function, payloads)) == repr(list(expected.items()))
 
 
 class TestRepartitionWrite:

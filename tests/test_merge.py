@@ -136,6 +136,7 @@ anything = st.one_of(numbers, texts, st.tuples(numbers, texts))
 OPERATIONS = {
     "merge": (None, anything),
     "merge_with(+)": (operator.add, numbers),
+    "merge_with(*)": (operator.mul, numbers),
     "merge_with(concat)": (concat, texts),
 }
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import ExecutionError
+from repro.runtime import spill
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
 from repro.runtime.stage import SaltedKey
@@ -239,27 +240,111 @@ def recursive_stable_hash(key):
     return stable_hash(key)
 
 
+def placed(partitioner, keys, tagged=False):
+    """Each key's bucket as :meth:`Partitioner.place` puts its record: the
+    records are ``(key, position)`` (``(side, (key, position))`` when
+    ``tagged``)."""
+    buckets = {}  # only the buckets used: num_partitions may be 2**31 - 1
+
+    class Appends:
+        def __getitem__(self, target):
+            return buckets.setdefault(target, []).append
+
+    records = [(key, position) for position, key in enumerate(keys)]
+    if tagged:
+        records = [(position % 2, record) for position, record in enumerate(records)]
+    partitioner.place(records, Appends(), tagged)
+    targets = [None] * len(keys)
+    for target, bucket in buckets.items():
+        for record in bucket:
+            targets[(record[1] if tagged else record)[1]] = target
+    return targets
+
+
+#: Keys at the edges of placement: hash(-1) == -2, the Mersenne modulus,
+#: bool and signed zero equal to ints, NaN, None's fixed hash, bytes,
+#: frozensets and the tuple subclass salting emits.
+_PLACEMENT_EDGES = [
+    -1,
+    2**61 - 1,
+    -(2**61 - 1),
+    True,
+    -0.0,
+    float("nan"),
+    None,
+    b"bytes",
+    frozenset({1, "a"}),
+    SaltedKey("hot", 3),
+    (1, "a"),
+    "key",
+    7,
+    2.5,
+]
+
+
 class TestBulkPlacement:
-    """``partition_all`` places a whole map partition; it must agree with
-    per-key ``stable_hash`` placement bit for bit."""
+    """``place`` reads, places and appends a whole map partition in one
+    pass; it must agree with per-key ``stable_hash`` placement bit for bit."""
 
     @settings(max_examples=500, deadline=None)
     @given(
         keys=st.lists(st.one_of(_KEYS, _TUPLE_KEYS), max_size=30),
         num_partitions=st.one_of(st.integers(min_value=1, max_value=64), st.just(2**31 - 1)),
+        tagged=st.booleans(),
     )
-    @example(keys=["", "\ud800", "a\udfffb", "été", (2, 3), ()], num_partitions=2**31 - 1)
-    def test_partition_all_equals_stable_hash(self, keys, num_partitions):
+    @example(keys=["", "\ud800", "a\udfffb", "été", (2, 3), ()], num_partitions=2**31 - 1, tagged=False)
+    def test_place_equals_stable_hash(self, keys, num_partitions, tagged):
         partitioner = HashPartitioner(num_partitions)
         expected = [stable_hash(key) % num_partitions for key in keys]
         assert expected == [recursive_stable_hash(key) % num_partitions for key in keys]
-        assert partitioner.partition_all(keys) == expected
+        assert placed(partitioner, keys, tagged) == expected
         assert [partitioner.partition(key) for key in keys] == expected
 
     def test_base_class_places_key_by_key(self):
         partitioner = RangePartitioner(3, [10, 20])
         keys = [25, 5, 10, 15, 20, 21]
-        assert partitioner.partition_all(keys) == [partitioner.partition(key) for key in keys]
+        for tagged in (False, True):
+            assert placed(partitioner, keys, tagged) == [partitioner.partition(key) for key in keys]
+
+    @pytest.mark.parametrize("num_partitions", [1, 4, 7])
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_writer_places_like_partition_with_and_without_spill(self, tmp_path, num_partitions, tagged):
+        # Every edge key several times over, so the 1-byte budget flushes
+        # mid-bucket and each bucket holds several runs.
+        keys = _PLACEMENT_EDGES * 9
+        records = [(key, position) for position, key in enumerate(keys)]
+        if tagged:
+            records = [(position % 2, record) for position, record in enumerate(records)]
+        partitioner = HashPartitioner(num_partitions)
+        targets = [partitioner.partition(key) for key in keys]
+        runs = {}
+        for threshold in (None, 1):
+            for how in ("keyed", "targets"):
+                spec = None
+                if threshold is not None:
+                    directory = tmp_path / f"{how}-{threshold}"
+                    directory.mkdir()
+                    spec = spill.SpillSpec(str(directory), threshold)
+                writer = spill.BucketWriter(num_partitions, spec)
+                if how == "keyed":
+                    writer.write_keyed(partitioner, records, tagged)
+                else:
+                    writer.write(targets, records)
+                # Positions, not records: a NaN key read back from a spill
+                # run is another object, and NaN != NaN.
+                buckets = [
+                    [(record[1] if tagged else record)[1] for record in spill.iter_payload(payload)]
+                    for payload in writer.finish()
+                ]
+                counters = (writer.spilled_bytes, writer.spill_files, writer.peak_memory)
+                runs[threshold, how] = buckets, counters
+            assert runs[threshold, "keyed"] == runs[threshold, "targets"]
+        buckets, counters = runs[None, "keyed"]
+        assert runs[1, "keyed"][0] == buckets
+        assert counters == (0, 0, 0)
+        assert runs[1, "keyed"][1][1] == sum(1 for bucket in buckets if bucket)
+        for target, bucket in enumerate(buckets):
+            assert bucket == [position for position, placed_at in enumerate(targets) if placed_at == target]
 
     @pytest.mark.parametrize("num_partitions", [4, 1_000_003, 2**31 - 1])
     def test_nan_keys_place_deterministically(self, num_partitions):
@@ -270,9 +355,9 @@ class TestBulkPlacement:
         assert len({id(nan) for nan in nans}) == len(nans)
         partitioner = HashPartitioner(num_partitions)
         for keys in (nans, [(1, nan) for nan in nans], [frozenset({nan}) for nan in nans]):
-            placed = partitioner.partition_all(keys)
-            assert len(set(placed)) == 1, placed
-            assert [partitioner.partition(key) for key in keys] == placed
+            targets = placed(partitioner, keys)
+            assert len(set(targets)) == 1, targets
+            assert [partitioner.partition(key) for key in keys] == targets
 
     def test_string_placement_ignores_the_hash_seed(self):
         keys = ["alpha", "", "été", ("a", "b"), ("a", 1), ("nested", ("x", 1))]
@@ -282,7 +367,12 @@ class TestBulkPlacement:
             "keys = [tuple(k) if isinstance(k, list) else k for k in json.loads(sys.argv[1])]\n"
             "keys[-1] = ('nested', ('x', 1))\n"
             "partitioner = HashPartitioner(97)\n"
-            "print(json.dumps([partitioner.partition_all(keys), [partitioner.partition(k) for k in keys]]))\n"
+            "buckets = [[] for _ in range(97)]\n"
+            "partitioner.place([(k, i) for i, k in enumerate(keys)], [b.append for b in buckets], False)\n"
+            "targets = [b for b, bucket in enumerate(buckets) for _, i in bucket]\n"
+            "order = [i for bucket in buckets for _, i in bucket]\n"
+            "targets = [t for _, t in sorted(zip(order, targets))]\n"
+            "print(json.dumps([targets, [partitioner.partition(k) for k in keys]]))\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         placements = []
@@ -297,5 +387,5 @@ class TestBulkPlacement:
                 check=True,
             )
             placements.append(json.loads(completed.stdout))
-        local = HashPartitioner(97).partition_all(keys)
+        local = placed(HashPartitioner(97), keys)
         assert placements[0] == placements[1] == [local, local]

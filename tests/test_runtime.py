@@ -5,9 +5,13 @@ from dataclasses import MISSING
 
 import pytest
 
+from repro.algebra.explain import explain_metrics
 from repro.errors import ExecutionError
+from repro.evaluation.harness import diablo_for
+from repro.programs import get_program
 from repro.runtime.context import DistributedContext
-from repro.runtime.metrics import Metrics
+from repro.runtime.metrics import LOG_ENTRIES, Metrics
+from repro.workloads import workload_for_program
 from repro.runtime.partitioner import HashPartitioner, RangePartitioner
 
 
@@ -315,7 +319,6 @@ class TestMetrics:
             setattr(metrics, name, value)
         metrics.join_strategies = {"broadcast": 2, "shuffle": 3}
         metrics.shuffle_operations = {"groupByKey": 1}
-        metrics.shuffle_stage_log.append({})
         metrics.elimination_log.append({})
         metrics.adaptive_log.append({})
         snapshot = metrics.snapshot()
@@ -325,6 +328,39 @@ class TestMetrics:
         metrics.reset()
         assert metrics == Metrics()
         assert set(metrics.snapshot().values()) == {0}
+
+    def test_a_long_lived_context_keeps_its_logs_bounded(self):
+        spec = get_program("pagerank")
+        inputs = {**workload_for_program("pagerank", 20, seed=7), "num_steps": 10}
+        with DistributedContext(num_partitions=4) as context:
+            program = diablo_for(spec, context).compile(spec.source)
+            program.run(**inputs)
+            context.metrics.reset()
+            program.run(**inputs)
+            single = explain_metrics(context.metrics)
+            per_run = (context.metrics.adaptive_decisions, len(context.metrics.elimination_log))
+            assert 0 < min(per_run) and max(per_run) < LOG_ENTRIES
+            for _ in range(199):
+                program.run(**inputs)
+                assert len(context.metrics.adaptive_log) <= LOG_ENTRIES
+                assert len(context.metrics.elimination_log) <= LOG_ENTRIES
+            assert len(context.metrics.adaptive_log) == len(context.metrics.elimination_log) == LOG_ENTRIES
+            assert context.metrics.adaptive_decisions == 200 * per_run[0]
+            context.metrics.reset()
+            program.run(**inputs)
+            assert explain_metrics(context.metrics) == single
+
+    def test_decisions_after_counts_past_the_trimmed_entries(self):
+        metrics = Metrics()
+        for index in range(LOG_ENTRIES + 3):
+            metrics.record_adaptive_decision("op", "kind", str(index))
+        assert len(metrics.adaptive_log) == LOG_ENTRIES
+        assert metrics.adaptive_log[0]["reason"] == "3"
+        before = metrics.adaptive_decisions
+        assert metrics.decisions_after(before) == []
+        metrics.record_adaptive_decision("op", "kind", "new")
+        assert [entry["reason"] for entry in metrics.decisions_after(before)] == ["new"]
+        assert len(metrics.decisions_after(0)) == LOG_ENTRIES
 
     def test_shuffle_operations_are_named(self, ctx):
         ctx.parallelize([("a", 1)]).group_by_key().materialize()
