@@ -52,7 +52,6 @@ from repro.comprehension import ir
 from repro.comprehension.monoids import _logical_and, _logical_or
 from repro.errors import CompilationError, ExecutionError
 from repro.operators import apply_binary, apply_unary, divide, project_value, update_field  # noqa: F401
-from repro.runtime.columnar import ScalarScope
 from repro.runtime.dataset import Dataset
 from repro.runtime.stage import FoldedRecords  # noqa: F401
 
@@ -88,8 +87,6 @@ class Segment(NamedTuple):
       ``names`` another generated run emitted.  Every slot row is unpacked
       positionally in a loop header, unchecked: the producer's layout is
       fixed when the plan is lowered;
-    * ``("columnar", names)`` -- a columnar kernel stage's dict row with the
-      keys ``names`` (the only dict rows left);
     * ``("cogroup", left_names, right_names)`` -- a join's co-grouped sides
       ``(key, [left slot rows], [right slot rows])``: the function is the
       join's *consumer*, a nested loop over pairs never materialised;
@@ -175,6 +172,27 @@ class PreAggregated:
     returns the value unchanged."""
 
     value: Any
+
+
+class ScalarScope:
+    """Driver-level name resolution for a generated function's free names.
+
+    The lowering-time binding snapshot ``base`` first, then ``values``, the
+    live program environment dict.  The runner updates that dict in place,
+    so a plan node cached across loop iterations sees each iteration's
+    scalars.
+    """
+
+    def __init__(self, base: dict[str, Any] | None = None, values: dict[str, Any] | None = None):
+        self.base = base or {}
+        self.values = values if values is not None else {}
+
+    def resolve(self, name: str) -> Any:
+        if name in self.base:
+            return self.base[name]
+        if name in self.values:
+            return self.values[name]
+        raise ExecutionError(f"undefined variable {name!r}")
 
 
 class SegmentScope(ScalarScope):
@@ -614,12 +632,6 @@ class _Emitter:
             self.positional(self.segment.entry[1])
         elif kind == "slots":
             self.open(f"for {self.slots(self.segment.entry[1])} in records:")
-        elif kind == "columnar":
-            self.open("for rec in records:")
-            for name in self.segment.entry[1]:
-                local = self.row[name] = self.fresh("r", name)
-                if name in self.reads:
-                    self.emit(f"{local} = rec[{name!r}]")
         elif kind == "bind":
             self.open("for rec in records:")
             self.bind(self.segment.entry[1], "rec")

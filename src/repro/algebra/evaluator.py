@@ -54,7 +54,6 @@ for which :meth:`TermEvaluator.evaluate_local` is the reference semantics.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -70,7 +69,6 @@ from repro.algebra.plan import (
     ReduceByKeyNode,
     ScanNode,
 )
-from repro.algebra import vectorize
 from repro.algebra.planner import LoopInvariantCache, Planner, folding_twin
 from repro.comprehension import ir
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
@@ -447,7 +445,6 @@ class TermEvaluator:
             head_key_term = head.elements[0]
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=functools.partial(vectorize.head_map, head, frozenset(build.bound_order)),
             child=build.rows,
             describe="head",
             head_key_term=head_key_term,
@@ -496,7 +493,6 @@ class TermEvaluator:
         if build.rows is None:
             node = NarrowNode(
                 kind=plan_mod.MAP,
-                kernel=functools.partial(vectorize.bind_map, pattern),
                 child=scan,
                 describe=f"bind {pattern}",
             )
@@ -648,7 +644,6 @@ class TermEvaluator:
             return
         node = NarrowNode(
             kind=plan_mod.MAP,
-            kernel=functools.partial(vectorize.let_map, pattern, term, frozenset(build.bound_order)),
             child=build.rows,
             describe=f"let {pattern}",
             key_transparent=True,
@@ -664,7 +659,6 @@ class TermEvaluator:
         term = qualifier.term
         node = NarrowNode(
             kind=plan_mod.FILTER,
-            kernel=functools.partial(vectorize.row_filter, term, frozenset(build.bound_order)),
             child=build.rows,
             describe=f"filter {term}",
             key_transparent=True,
@@ -710,9 +704,6 @@ class TermEvaluator:
                 value_name=value_name,
                 pattern_term=pattern_term,
                 monoid_op=op,
-                key_kernel=functools.partial(
-                    vectorize.key_value_map, key_term, value_name, frozenset(build.bound_order)
-                ),
             )
             node.sig = ("reduce-by-key", op, key_term, pattern)
             node.rows = _row_names((), pattern, f"__aggregate_{value_name}", value_name)

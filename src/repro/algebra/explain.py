@@ -182,22 +182,6 @@ def explain_metrics(metrics: Metrics) -> list[str]:
             lines.append(
                 f"  {entry['operation']} [{entry['kind']}]: {entry['reason']}"
             )
-    if metrics.vectorized_stages or metrics.columnar_fallbacks:
-        lines.append(
-            f"vectorized stages: {metrics.vectorized_stages} "
-            f"(record-path fallbacks: {metrics.columnar_fallbacks})"
-        )
-        if (
-            metrics.columnar_memoized_skips
-            or metrics.columnar_resident_reuses
-            or metrics.columnar_vector_bucket_tasks
-        ):
-            lines.append(
-                f"  batch runtime: {metrics.columnar_memoized_skips} memoized "
-                f"fallback skip(s), {metrics.columnar_resident_reuses} resident "
-                f"partition reuse(s), {metrics.columnar_vector_bucket_tasks} "
-                f"vectorized bucket task(s)"
-            )
     if metrics.combiner_input_records:
         lines.append(
             f"combiner: {metrics.combiner_input_records} -> "

@@ -31,10 +31,7 @@ and its local bags by slot, and the driver scalars its functions read.
 The planner turns each run of bind / let / filter / expand / head nodes --
 together with the keying and rebuild steps around wide nodes and the nested
 loop of a product -- into one generated per-partition function (see
-:mod:`repro.algebra.codegen`); under ``columnar=True`` a run in which every
-node's ``kernel`` makes a batch kernel keeps one stage per node instead,
-each kernel carrying a generated one-step function as its record-path
-oracle.
+:mod:`repro.algebra.codegen`).
 
 ``render_plan`` pretty-prints a plan tree; the planner adds per-node
 decisions (cache hits, eliminated shuffles, chosen strategies) as
@@ -142,22 +139,20 @@ class NarrowNode(PlanNode):
 
     ``sig`` names the operation: ``("bind", pattern)``, ``("let", pattern,
     term)``, ``("filter", term)`` and ``("head", term)`` nodes are lowered
-    from those terms (``kernel`` makes their columnar batch kernel from a
-    run's bindings, or None outside the batch fragment).  A generator over a
-    bag becomes a nested loop of the generated function: ``("expand",
-    pattern, domain)`` evaluates a row-dependent domain per row,
-    ``("local-expand", pattern, domain)`` iterates the driver-local bag the
-    evaluator binds in ``slot`` once per run (the planner binds it to a
-    fresh driver name).  ``key_transparent`` marks operations that
-    neither drop nor rebind rows (lets, conditions, group-by rebuilds): they
-    preserve the child's ``row_key_term`` placement.  ``head_key_term`` is
-    set on the final head-projection map of a comprehension whose head is a
-    ``(key, value)`` pair: when it equals the incoming ``row_key_term`` the
-    planner lowers the whole chain with ``preserves_partitioning=True``.
+    from those terms.  A generator over a bag becomes a nested loop of the
+    generated function: ``("expand", pattern, domain)`` evaluates a
+    row-dependent domain per row, ``("local-expand", pattern, domain)``
+    iterates the driver-local bag the evaluator binds in ``slot`` once per
+    run (the planner binds it to a fresh driver name).  ``key_transparent``
+    marks operations that neither drop nor rebind rows (lets, conditions,
+    group-by rebuilds): they preserve the child's ``row_key_term``
+    placement.  ``head_key_term`` is set on the final head-projection map of
+    a comprehension whose head is a ``(key, value)`` pair: when it equals the
+    incoming ``row_key_term`` the planner lowers the whole chain with
+    ``preserves_partitioning=True``.
     """
 
     kind: str = MAP
-    kernel: Any = None
     slot: int | None = None
     child: PlanNode | None = None
     describe: str = ""
@@ -246,8 +241,7 @@ class ReduceByKeyNode(PlanNode):
 
     Rows are keyed ``(key_term, row[value_name])``; a reduced pair is rebuilt
     into a row binding ``pattern`` to the key and ``value_name`` to the
-    pre-aggregated value, ``monoid_op`` combining.  ``key_kernel`` makes
-    the keying map's batch kernel, like ``NarrowNode.kernel``.
+    pre-aggregated value, ``monoid_op`` combining.
     ``pattern_term`` (the group-by pattern read as a term) is the key term
     the *output rows* are placed by -- the anchor of partitioner
     propagation.
@@ -259,7 +253,6 @@ class ReduceByKeyNode(PlanNode):
     value_name: str
     pattern_term: ir.Term
     monoid_op: str = ""
-    key_kernel: Any = None
     #: Set by the planner: the keying map keeps an already-correct placement.
     input_prepartitioned: bool = field(default=False, init=False)
     #: Set by the planner: carry the output partitioner through the rebuild.

@@ -6,9 +6,7 @@ runtime :class:`~repro.runtime.dataset.Dataset` dataflows.  Wide nodes lower
 to the Dataset operators of the same name; every run of narrow row operators
 between them -- bind, lets, filters, the head, and the keying / rebuild steps
 the wide nodes need -- lowers to **one** generated per-partition function
-(:meth:`Planner._lower_chain`, :mod:`repro.algebra.codegen`), unless the
-context's ``columnar`` mode batches the run (every operator has a kernel),
-in which case each operator stays its own kernel stage.  A generated run
+(:meth:`Planner._lower_chain`, :mod:`repro.algebra.codegen`).  A generated run
 never materialises what the next operator folds: the run feeding a
 ``reduceByKey(⊕)`` folds by key inside its loop, and the run after a hash
 join *is* the join's consumer -- it receives the co-grouped sides inside the
@@ -38,7 +36,7 @@ direct emission could not:
   and run once per record of the side instead of once per joined pair.
 * **slot rows** (:func:`_live`): a generated run feeding another one emits
   the flat tuple of the variables the next run reads before binding them,
-  unpacked there positionally.  Only columnar kernels still pass dict rows.
+  unpacked there positionally.
 * **loop-invariant caching**: subtrees whose :meth:`PlanNode.signature` is
   defined (structurally identifiable *and* independent of every variable the
   enclosing ``while`` body assigns) are looked up in the loop's
@@ -55,10 +53,9 @@ import dataclasses
 import functools
 from typing import Any, Callable, NamedTuple
 
-from repro.algebra import codegen, vectorize
+from repro.algebra import codegen
 from repro.algebra.plan import (
     FILTER,
-    MAP,
     GroupByKeyNode,
     HashJoinNode,
     NarrowNode,
@@ -138,23 +135,18 @@ class _Op(NamedTuple):
     """One logical row operator of a chain being lowered.
 
     ``spec`` is the :class:`~repro.algebra.codegen.Segment` entry, step or
-    exit the operator stands for; ``kind``/``kernel``/``keep`` are its stage
-    kind, batch-kernel maker (called with the run's bindings) and
-    ``preserves_partitioning`` flag when it runs as a stage of its own;
-    ``rows`` are the row keys after it.
+    exit the operator stands for; ``keep`` says whether it keeps the rows'
+    placement.
     """
 
-    kind: str
     spec: tuple
     label: str
-    kernel: Any
     keep: bool
-    rows: tuple[str, ...]
 
 
-def _key_op(term: ir.Term, payload: Any, kernel: Any, keep: bool) -> _Op:
+def _key_op(term: ir.Term, payload: Any, keep: bool) -> _Op:
     """The keying map ``row -> (term, payload)`` a wide operator needs."""
-    return _Op(MAP, ("keyed", term, payload), "key", kernel, keep, ())
+    return _Op(("keyed", term, payload), "key", keep)
 
 
 #: The row operators a chain walk collects: the steps and the head.
@@ -171,14 +163,6 @@ def _segment(entry: tuple, run: list[_Op]) -> codegen.Segment:
 def _live(ops: list[_Op]) -> set[str]:
     """The names the run ``ops`` (top first) reads from its entry."""
     return codegen.live(*_segment(None, ops[::-1])[1:])
-
-
-def _one_step(entry: tuple, op: _Op) -> codegen.Segment:
-    """A kernel stage's record path: ``op`` over one record of form
-    ``entry``, leaving as the record (a dict row, a head) its kernel emits."""
-    segment = _segment(entry, [op])
-    row = ir.CRecord(tuple((name, ir.CVar(name)) for name in op.rows))
-    return segment if op.spec[0] in ("head", "keyed") else segment._replace(exit=("head", row))
 
 
 def _identity(segment: codegen.Segment) -> bool:
@@ -529,7 +513,7 @@ class Planner:
             if node.slot is not None:
                 spec = ("expand", spec[1], _bag(bags, self._inputs[node.slot]))
             keep = node.kind == FILTER or node.carry_partitioner
-            ops.append(_Op(node.kind, spec, spec[0], node.kernel, keep, node.rows))
+            ops.append(_Op(spec, spec[0], keep))
             node = node.child
         first: _Op | None = None
         scan: ScanNode | None = None
@@ -537,7 +521,7 @@ class Planner:
             source, scan = self._lower(node), node
         elif isinstance(node, NarrowNode) and node.sig[0] == "bind":
             source, entry, scan = self._lower(node.child), node.sig, node.child
-            first = _Op(MAP, entry, "bind", node.kernel, node.carry_partitioner, node.rows)
+            first = _Op(entry, "bind", node.carry_partitioner)
         elif isinstance(node, HashJoinNode):
             # Not a dataset yet: the run's generated function is the join's
             # consumer, so the join is built once that function exists.
@@ -549,23 +533,23 @@ class Planner:
             del ops[count - len(pushdown.left) - len(pushdown.right) :]  # what the first lowering moved
             source = functools.partial(self._join, node, pushdown)
             entry = ("cogroup", pushdown.left_names, pushdown.right_names)
-            first = _Op(MAP, entry, "cogroup", None, False, node.rows)
+            first = _Op(entry, "cogroup", False)
         elif isinstance(node, ReduceByKeyNode):
             payload = ("value", node.value_name)
-            key = _key_op(node.key_term, payload, node.key_kernel, node.input_prepartitioned)
+            key = _key_op(node.key_term, payload, node.input_prepartitioned)
             source = self._lower_chain(node.child, (key,), reduce=node)
             entry = ("reduced", node.pattern, node.value_name)
-            first = _Op(MAP, entry, "rebuild", None, node.carry_partitioner, node.rows)
+            first = _Op(entry, "rebuild", node.carry_partitioner)
         elif isinstance(node, GroupByKeyNode):
             live = _remember(node, "live", lambda: _live(ops))
             lifted = tuple(name for name in dict.fromkeys(node.lifted) if name in live)
-            key = _key_op(node.key_term, ("values", lifted), None, node.input_prepartitioned)
+            key = _key_op(node.key_term, ("values", lifted), node.input_prepartitioned)
             source = self._lower_chain(node.child, (key,)).group_by_key()
             entry = ("grouped", node.pattern, lifted)
-            first = _Op(MAP, entry, "lift", None, node.carry_partitioner, node.rows)
+            first = _Op(entry, "lift", node.carry_partitioner)
         else:  # a ProductNode: every row chain starts at one of these nodes
             source, entry, spec = self._product(node, bags, _remember(node, "live", lambda: _live(ops)))
-            first = _Op(MAP, spec, "product", None, False, node.rows)
+            first = _Op(spec, "product", False)
         if first is not None:
             ops.append(first)
         ops.reverse()
@@ -583,72 +567,49 @@ class Planner:
         reduce: ReduceByKeyNode | None = None,
         scan: ScanNode | None = None,
     ) -> Dataset:
-        """Emit ``ops`` over ``dataset``, whose records have form ``entry``.
-
-        Under the context's ``columnar`` mode a run in which every operator
-        has a kernel stays per-operator kernel stages, the generated
-        one-step function attached as each kernel's record-path oracle.
-        Every other run becomes one generated per-partition stage.
+        """Emit ``ops`` over ``dataset``, whose records have form ``entry``,
+        as one generated per-partition stage.
 
         ``scan`` is the scan a ``bind`` entry reads directly.  When it is a
         positional source (:meth:`Dataset.positional_source`) and the pattern
         is ``(i, v)``, the generated run peels the source's positions stage
         off: it scans the plain elements through a ``positional`` entry,
         counting ``i`` from the partition offset, or not at all when ``i`` is
-        dead.  Kernel stages read pairs, so there the positions stage runs
-        first.
+        dead.
 
-        A hash join arrives as ``dataset(consumer)``: its run (the
-        ``cogroup`` entry has no kernel, so that run is always generated) is
-        handed to the join as the consumer of its co-grouped sides.  With
-        ``reduce``, the keyed output is reduced by key here: a generated run
-        folds inside its loop (``fold_by_key`` instead of ``keyed``) and the
-        reduceByKey is told its input is already combined; kernel stages
-        keep the runtime's map-side combiner.
+        A hash join arrives as ``dataset(consumer)``: its run is handed to
+        the join as the consumer of its co-grouped sides.  With ``reduce``,
+        the keyed output is reduced by key here: the generated run folds
+        inside its loop (``fold_by_key`` instead of ``keyed``) and the
+        reduceByKey is told its input is already combined.
         """
-        kernels = [op.kernel and op.kernel(bindings) for op in ops] if self.context.columnar else [None]
-        if all(kernels):
-            if scan is not None and dataset.positional_source() is not None:
-                dataset = dataset.materialize()
-            for op, kernel in zip(ops, kernels):
-                one_step = codegen.generate(_one_step(entry, op), bindings, self.segments)
-                kernel.oracle = _record_oracle(one_step, op.kind)
-                if op.kind == FILTER:
-                    dataset = dataset.filter(kernel)
-                else:
-                    dataset = dataset.map(kernel, preserves_partitioning=op.keep)
-                entry = ("columnar", op.rows)
-        else:
-            if scan is not None:
-                dataset, entry, bindings = _positional(dataset, entry, bindings)
-            fold = None if reduce is None else codegen.fold_operator(reduce.monoid_op, bindings.monoids)
-            chain = _remember(node, ("chain", entry, fold), lambda: self._chain(entry, ops, fold, node))
-            if chain.segment is None:
-                return dataset
-            function = codegen.generate(chain.segment, bindings, self.segments)
-            function.label = chain.label
-            function.operators = chain.operators
-            if _note(node, f"generated: {function.label}"):
-                node.generated.append(function.source)
-            if isinstance(dataset, Dataset):
-                if function.indexed:
-                    dataset = dataset.map_partitions_with_index(function, chain.keep)
-                else:
-                    dataset = dataset.map_partitions(function, preserves_partitioning=chain.keep)
+        if scan is not None:
+            dataset, entry, bindings = _positional(dataset, entry, bindings)
+        fold = None if reduce is None else codegen.fold_operator(reduce.monoid_op, bindings.monoids)
+        chain = _remember(node, ("chain", entry, fold), lambda: self._chain(entry, ops, fold, node))
+        if chain.segment is None:
+            return dataset
+        function = codegen.generate(chain.segment, bindings, self.segments)
+        function.label = chain.label
+        function.operators = chain.operators
+        if _note(node, f"generated: {function.label}"):
+            node.generated.append(function.source)
+        if isinstance(dataset, Dataset):
+            if function.indexed:
+                dataset = dataset.map_partitions_with_index(function, chain.keep)
             else:
-                dataset = dataset(function)
-            self.context.metrics.record_generated_segment()
-            if entry[0] == "positional":
-                how = "index from partition offset" if function.indexed else "index dead"
-                note = f"positional scan of {scan.name}: {how}"
-                self.trace.append(note)
-                _note(node, note)
+                dataset = dataset.map_partitions(function, preserves_partitioning=chain.keep)
+        else:
+            dataset = dataset(function)
+        self.context.metrics.record_generated_segment()
+        if entry[0] == "positional":
+            how = "index from partition offset" if function.indexed else "index dead"
+            note = f"positional scan of {scan.name}: {how}"
+            self.trace.append(note)
+            _note(node, note)
         if reduce is not None:
             combine = bindings.monoids.get(reduce.monoid_op).combine
-            if self.context.columnar:
-                # Tagged with its operator, so that a batch fold kernel exists.
-                combine = vectorize.vector_combine(reduce.monoid_op, combine)
-            dataset = dataset.reduce_by_key(combine, folded=not all(kernels))
+            dataset = dataset.reduce_by_key(combine, folded=True)
         return dataset
 
     def _chain(self, entry: tuple, ops: list[_Op], fold: tuple | None, node: PlanNode) -> _Chain:
@@ -697,8 +658,8 @@ class Planner:
         # same convention, so join-key equality is unaffected.
         left_key = node.left_key_terms[0] if single else ir.CTuple(node.left_key_terms)
         right_key = node.right_key_terms[0] if single else ir.CTuple(node.right_key_terms)
-        left_key_op = _key_op(left_key, ("values", pushdown.left_names), None, node.left_prepartitioned)
-        right_key_op = _key_op(right_key, ("values", pushdown.right_names), None, node.right_prepartitioned)
+        left_key_op = _key_op(left_key, ("values", pushdown.left_names), node.left_prepartitioned)
+        right_key_op = _key_op(right_key, ("values", pushdown.right_names), node.right_prepartitioned)
         left_tail = (left_key_op, *reversed(pushdown.left))
         right_tail = (right_key_op, *reversed(pushdown.right))
         keyed_left = self._keyed_join_side(node, node.left, left_tail, None, "build rows")
@@ -784,8 +745,7 @@ class Planner:
         bound = set(node.pattern.variables())
         names = tuple(name for name in node.left.rows if name in live and name not in bound)
         head = ir.CTuple(tuple(map(ir.CVar, names)))
-        kernel = functools.partial(vectorize.head_map, head, frozenset(node.left.rows))
-        rows = self._lower_chain(node.left, (_Op(MAP, ("head", head), "slots", kernel, True, ()),))
+        rows = self._lower_chain(node.left, (_Op(("head", head), "slots", True),))
         dataset = self._lower(node.right)
         context = self.context
         side = choose_broadcast_side(rows.count(), dataset.count(), context.broadcast_join_threshold)
@@ -844,11 +804,3 @@ def _note(node: PlanNode, note: str) -> bool:
         return False
     node.notes.append(note)
     return True
-
-
-def _record_oracle(function: Any, kind: str) -> Any:
-    """A per-partition one-step function as the per-record callable a kernel
-    stage's record path needs."""
-    if kind == FILTER:
-        return lambda record: bool(function((record,)))
-    return lambda record: function((record,))[0]

@@ -65,14 +65,6 @@ class DiabloConfig:
             elimination over co-partitioned inputs, pre-partitioned map-side
             bypass and while-loop invariant caching.  Affects performance
             and structural metrics only, never results.
-        columnar: columnar vectorized execution -- fully lowerable narrow
-            chains and vectorizable map-side combiners run as batch kernels
-            over unzipped column arrays, with per-partition fallback to the
-            record path (see :mod:`repro.runtime.columnar`).  ``False``
-            (default) keeps everything on the record path, which is faster
-            on every measured program.  Affects performance and the
-            ``vectorized_stages``/``columnar_fallbacks`` counters only,
-            never results.
         adaptive: adaptive skew-aware execution -- shuffle inputs are
             sampled at force time; hot keys in keyed reductions are salted
             into per-task partials with an exact driver-side final fold,
@@ -97,7 +89,6 @@ class DiabloConfig:
     spill_threshold_bytes: int | None = None
     spill_dir: str | None = None
     plan_optimize: bool = True
-    columnar: bool = False
     adaptive: bool = True
     check_restrictions: bool = True
     optimize: bool = True
@@ -114,8 +105,6 @@ class DiabloConfig:
             raise ValueError("cluster_workers must be positive")
         if self.spill_threshold_bytes is not None and self.spill_threshold_bytes <= 0:
             raise ValueError("spill_threshold_bytes must be positive (or None to disable)")
-        if not isinstance(self.columnar, bool):
-            raise ValueError(f"columnar must be True or False, got {self.columnar!r}")
 
     def replace(self, **overrides: Any) -> "DiabloConfig":
         """A copy with the given fields changed; unknown names raise TypeError."""
@@ -143,7 +132,6 @@ class DiabloConfig:
             self.spill_threshold_bytes,
             self.spill_dir,
             self.plan_optimize,
-            self.columnar,
             self.adaptive,
         )
 

@@ -300,7 +300,6 @@ class ClusterContext(DistributedContext):
             spill_threshold_bytes=config.spill_threshold_bytes,
             spill_dir=config.spill_dir,
             plan_optimize=getattr(config, "plan_optimize", True),
-            columnar=getattr(config, "columnar", None),
             adaptive=getattr(config, "adaptive", True),
         )
 
@@ -539,7 +538,6 @@ class ClusterContext(DistributedContext):
                     "task_id": task_id,
                     "task": task_bytes if worker_index in carries else None,
                     "partitions": worker_entries,
-                    "columnar": self.columnar,
                     "store_as": store_as if fresh else None,
                     "result_id": result_id,
                     "free": self._frees_for(workers[worker_index]),

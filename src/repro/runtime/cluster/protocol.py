@@ -38,8 +38,9 @@ MAGIC = b"DBLO"
 #: Bumped on any incompatible change to framing or message payloads (v3:
 #: ``run_tasks`` / ``shuffle_write`` name their spec by ``task_id``; v4: their
 #: ``partitions`` ride in the payload as they are, not pickled apart, and
-#: ``fetch_payload`` takes one slice per key in ``parts``).
-PROTOCOL_VERSION = 4
+#: ``fetch_payload`` takes one slice per key in ``parts``; v5: they carry no
+#: ``columnar`` flag).
+PROTOCOL_VERSION = 5
 #: magic, version byte, 3 pad bytes, u64 body length.
 _WIRE_HEADER = struct.Struct(">4sB3xQ")
 #: Hard per-frame cap: a length beyond this is a corrupt or hostile header.

@@ -22,7 +22,7 @@ ship forces its shuffle payloads through the driver.
   :class:`~repro.runtime.context.DistributedContext` and the driver-side
   :class:`~repro.runtime.dataset.Dataset` partitions it holds must never be
   *used* inside a worker task, but they can be *reachable* from one (a
-  dataset among the scalars a vectorized kernel's scope snapshots).
+  dataset among the driver values a generated function's scope ships).
   They serialize as stubs that raise :class:`DriverOnlyError` on first use, so
   a task that genuinely needs them fails with a clear message instead of
   silently dragging the driver state across the wire.

@@ -83,7 +83,7 @@ def _execute_batch(store: WorkerStore, request: dict[str, Any], capture: bool) -
     """
     task_key = (request["task_id"],)
     if request["task"] is not None:
-        store.put(task_key, stage_mod.compose(wire.cluster_loads(request["task"]), request["columnar"]))
+        store.put(task_key, stage_mod.compose(wire.cluster_loads(request["task"])))
     task = store.get(task_key)
     store_as = request["store_as"]
     result_id = request["result_id"]

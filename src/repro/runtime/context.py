@@ -101,17 +101,6 @@ def _spill_threshold_from_env() -> int | None:
     return value if value > 0 else None
 
 
-def _columnar_from_env() -> bool:
-    """The ``DIABLO_COLUMNAR`` default: a truthy or a falsy flag; unset or
-    empty means the record path."""
-    raw = os.environ.get("DIABLO_COLUMNAR", "").strip().lower()
-    if raw in ("", "0", "false", "off", "no"):
-        return False
-    if raw in ("1", "true", "on", "yes"):
-        return True
-    raise ValueError(f"DIABLO_COLUMNAR must be a truthy or a falsy flag (True/False), got {raw!r}")
-
-
 class DistributedContext:
     """Creates and executes datasets on the local DISC runtime.
 
@@ -133,18 +122,6 @@ class DistributedContext:
             bypass).  On by default; turning it off forces every wide
             operator down the full shuffle path (ablation / debugging knob;
             only affects performance and metrics, never results).
-        columnar: execute fully lowerable narrow chains and vectorizable
-            map-side combiners as columnar batch kernels (see
-            :mod:`repro.runtime.columnar` and
-            :func:`~repro.runtime.stage.batch_length`),
-            memoizing runtime fallbacks so a chain that failed batch
-            execution once never pays the conversion tax again.  ``False``
-            keeps everything record-at-a-time; ``None`` (the default) reads
-            the ``DIABLO_COLUMNAR`` flag, falling back to ``False``.
-            Per-partition fallback to the record path keeps results
-            identical either way (performance and the ``vectorized_stages``
-            / ``columnar_fallbacks`` counters are the only observable
-            difference).
         adaptive: adaptive skew-aware execution.  At force time the driver
             stride-samples an eligible keyed shuffle's input (through its
             captured narrow chain) into a per-key histogram; hot keys in
@@ -174,19 +151,13 @@ class DistributedContext:
         spill_threshold_bytes: int | None = None,
         spill_dir: str | None = None,
         plan_optimize: bool = True,
-        columnar: bool | None = None,
         adaptive: bool = True,
     ):
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
-        if columnar is None:
-            columnar = _columnar_from_env()
-        if not isinstance(columnar, bool):
-            raise ValueError(f"columnar must be True or False, got {columnar!r}")
         self.num_partitions = num_partitions
         self.broadcast_join_threshold = broadcast_join_threshold
         self.plan_optimize = plan_optimize
-        self.columnar = columnar
         self.adaptive = adaptive
         if spill_threshold_bytes is None:
             spill_threshold_bytes = _spill_threshold_from_env()
@@ -215,7 +186,6 @@ class DistributedContext:
             spill_threshold_bytes=config.spill_threshold_bytes,
             spill_dir=config.spill_dir,
             plan_optimize=getattr(config, "plan_optimize", True),
-            columnar=getattr(config, "columnar", None),
             adaptive=getattr(config, "adaptive", True),
         )
 
@@ -301,14 +271,7 @@ class DistributedContext:
         output record; it only matters to an executor that would otherwise
         leave the outputs where they were computed (the cluster backend).
         """
-        try:
-            return [task(partition, index) for index, partition in enumerate(partitions)]
-        finally:
-            if self.columnar:
-                # Fold the module-global batch-runtime counters (memoized
-                # fallback skips, resident partition reuses, ...) into this
-                # context's metrics.
-                self.metrics.record_columnar_runtime(stage_mod.consume_batch_stats())
+        return [task(partition, index) for index, partition in enumerate(partitions)]
 
     # -- shuffle execution ---------------------------------------------------------
 
@@ -339,7 +302,7 @@ class DistributedContext:
         if shuffle.consumer is not None:
             # Whichever physical join runs, the consumer is one fused stage
             # of its task.
-            self.metrics.record_consumer(shuffle.consumer, self.columnar)
+            self.metrics.record_consumer(shuffle.consumer)
         if shuffle.join_type is not None:
             self.metrics.record_join_strategy("shuffle")
 
@@ -596,7 +559,6 @@ class DistributedContext:
                     spill,
                     input_index,
                     frozenset(salt_plan[0]),
-                    columnar=self.columnar,
                 )
             else:
                 writer = functools.partial(
@@ -606,14 +568,9 @@ class DistributedContext:
                     tagged,
                     spill,
                     input_index,
-                    columnar=self.columnar,
                 )
             chain += (NarrowStage(stage_mod.PARTITIONS_INDEXED, writer),)
-            if self.columnar:
-                self.metrics.record_vectorization(*stage_mod.vectorization_counts(chain))
-            outputs = self.run_tasks(
-                stage_mod.compose(chain, self.columnar), source_partitions, task_spec=chain
-            )
+            outputs = self.run_tasks(stage_mod.compose(chain), source_partitions, task_spec=chain)
             records_in = records_out = bytes_out = combined_in = 0
             for output in outputs:
                 stats: stage_mod.ShuffleWriteStats = output[0]
@@ -657,9 +614,7 @@ class DistributedContext:
             reduce_tasks = len(merged)
         elif shuffle.reduce_stages:
             result = self.run_tasks(
-                stage_mod.compose(shuffle.reduce_stages, self.columnar),
-                merged,
-                task_spec=shuffle.reduce_stages,
+                stage_mod.compose(shuffle.reduce_stages), merged, task_spec=shuffle.reduce_stages
             )
             reduce_tasks = len(merged)
         elif spill is not None or self._reduce_in_tasks:
@@ -719,10 +674,8 @@ class DistributedContext:
         partitions = shuffle_input.source.partitions
         if not shuffle_input.stages:
             return shuffle_input, partitions
-        if self.columnar:
-            self.metrics.record_vectorization(*stage_mod.vectorization_counts(shuffle_input.stages))
         chained = self.run_tasks(
-            stage_mod.compose(shuffle_input.stages, self.columnar),
+            stage_mod.compose(shuffle_input.stages),
             partitions,
             task_spec=shuffle_input.stages,
             read=read,
@@ -831,7 +784,7 @@ class DistributedContext:
             probe = functools.partial(shuffle.consumer.probe(side, unique), lookup=lookup)
         self.metrics.record_join_strategy("broadcast")
         if shuffle.consumer is not None:
-            self.metrics.record_consumer(shuffle.consumer, self.columnar)
+            self.metrics.record_consumer(shuffle.consumer)
         source, partitions = (
             (right_input.source, right_partitions) if side == "left" else (left_input.source, left_partitions)
         )

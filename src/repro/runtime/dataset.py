@@ -84,11 +84,10 @@ def choose_broadcast_side(left_count: int, right_count: int, threshold: int) -> 
     return "none"
 
 
-def _stage_notes(stages: tuple[Any, ...], columnar: bool, sources: bool = False) -> tuple[str, ...]:
+def _stage_notes(stages: tuple[Any, ...], sources: bool = False) -> tuple[str, ...]:
     """Human-readable per-stage notes for ``explain()``: which logical
     operators each generated row-segment stage stands for (with its source
-    text on request) and, under columnar execution, every record-function
-    stage's vectorization outcome."""
+    text on request)."""
     notes = []
     for stage in stages:
         function = stage.function
@@ -96,19 +95,12 @@ def _stage_notes(stages: tuple[Any, ...], columnar: bool, sources: bool = False)
             notes.append(f"generated: {function.label}")
             if sources:
                 notes.extend(f"  | {line}" for line in function.source.splitlines())
-    if columnar:
-        notes.extend(
-            f"vectorized: {kind}: {kernel}"
-            if kernel is not None
-            else f"vectorized: {kind}: record path ({note})"
-            for kind, kernel, note in stage_mod.vectorization_report(stages)
-        )
     return tuple(notes)
 
 
 def _consumer_notes(consumer: Any, sources: bool = False) -> tuple[str, ...]:
     """The explain notes of a join's fused consumer."""
-    return _stage_notes((NarrowStage(stage_mod.PARTITIONS, consumer),), False, sources)
+    return _stage_notes((NarrowStage(stage_mod.PARTITIONS, consumer),), sources)
 
 
 class Dataset:
@@ -245,10 +237,8 @@ class Dataset:
         if chain is not None:
             source, stages = chain[0], chain[1] + stages
         source_partitions = source.partitions
-        task = stage_mod.compose(stages, self.context.columnar)
-        if self.context.columnar:
-            metrics.record_vectorization(*stage_mod.vectorization_counts(stages))
-        self.stage_notes = _stage_notes(stages, self.context.columnar)
+        task = stage_mod.compose(stages)
+        self.stage_notes = _stage_notes(stages)
         new_partitions = self.context.run_tasks(
             task, source_partitions, task_spec=stages, read=read
         )
@@ -393,7 +383,7 @@ class Dataset:
             partitions: list[list[Any]] = materialized
         elif source is not None and shuffle is None:
             partitions = source.partitions
-            task = stage_mod.compose(stages, self.context.columnar)
+            task = stage_mod.compose(stages)
         else:
             partitions = self.partitions
         taken: list[Any] = []
@@ -474,7 +464,7 @@ class Dataset:
                     )
                     lines.extend(
                         f"{pad}    {note}"
-                        for note in _stage_notes(shuffle_input.stages, False, sources)
+                        for note in _stage_notes(shuffle_input.stages, sources)
                     )
                     shuffle_input.source._explain_into(lines, depth + 2, sources)
                 else:
@@ -485,9 +475,7 @@ class Dataset:
             return
         note = f" (shuffle eliminated: {self.provenance})" if self.provenance else ""
         lines.append(f"{pad}NarrowChain({stage_mod.describe(stages)}){note}")
-        lines.extend(
-            f"{pad}  {note}" for note in _stage_notes(stages, self.context.columnar, sources)
-        )
+        lines.extend(f"{pad}  {note}" for note in _stage_notes(stages, sources))
         source._explain_into(lines, depth + 1, sources)
 
     # -- narrow transformations --------------------------------------------------
@@ -753,7 +741,7 @@ class Dataset:
         if is_join:
             metrics.record_join_strategy("narrow")
         if consumer is not None:
-            metrics.record_consumer(consumer, self.context.columnar)
+            metrics.record_consumer(consumer)
             result.stage_notes = _consumer_notes(consumer)
         result.provenance = f"{operation}: {reason}"
         return result
@@ -832,11 +820,7 @@ class Dataset:
                 "reduceByKey",
                 None
                 if folded
-                else functools.partial(
-                    stage_mod.apply_combiner,
-                    ("reduce", function),
-                    columnar=self.context.columnar,
-                ),
+                else functools.partial(stage_mod.apply_combiner, ("reduce", function)),
             )
         return self._key_shuffle(
             "reduceByKey",

@@ -88,27 +88,12 @@ class Metrics:
     #: Loop-invariant datasets reused from the while-loop cache instead of
     #: being recomputed (and re-shuffled) by a later iteration.
     loop_invariant_reuses: int = 0
-    #: Record-function stages planned to run as columnar batch kernels
-    #: (``map``/``flat_map``/``filter``/``map_values`` chains and
-    #: vectorizable map-side combiners).  Counted at plan time, so identical
-    #: across executor modes; 0 unless the context runs with ``columnar=True``.
+    # Always 0, never written: bench/measure.py's COUNTERS is their only
+    # reader, and ROADMAP item 0(a) deletes them.
     vectorized_stages: int = 0
-    #: Record-function stages that stayed on the record path while columnar
-    #: execution was on (unrecognized functions, combiners without a kernel,
-    #: and whole chains that were not fully lowerable).
     columnar_fallbacks: int = 0
-    #: Batch runs skipped straight to the record path because an earlier
-    #: partition of the same (plan-cached) segment already fell back -- the
-    #: memoized-fallback conversion-tax savings.  Runtime counters, so only
-    #: the driver-side (sequential) executor reports them; cluster workers
-    #: keep theirs worker-side.
     columnar_memoized_skips: int = 0
-    #: Batch runs that resumed from a resident ColumnarPartition produced by
-    #: the previous force instead of re-running ``from_records``.
     columnar_resident_reuses: int = 0
-    #: Map-side shuffle tasks whose bucket assignment ran vectorized over a
-    #: resident int key column instead of hashing record-at-a-time.
-    columnar_vector_bucket_tasks: int = 0
     #: Comprehension evaluations served from a plan stored with the program
     #: (the run only bound its inputs and lowered it, building nothing).
     plan_cache_hits: int = 0
@@ -256,29 +241,15 @@ class Metrics:
         self.fused_stages += 1
         self.fused_operators += operators
 
-    def record_consumer(self, consumer: Any, columnar: bool) -> None:
+    def record_consumer(self, consumer: Any) -> None:
         """Account for a join consumer: one fused stage of the join task,
         standing for as many record-path operators as a generated function
         says it replaced (see ``stage.operator_count``)."""
-        operators = getattr(consumer, "operators", 1)
-        self.record_fused(operators)
-        if columnar:
-            self.record_vectorization(0, operators)
+        self.record_fused(getattr(consumer, "operators", 1))
 
     def record_generated_segment(self) -> None:
         """Account for one row segment lowered to a generated function."""
         self.generated_segments += 1
-
-    def record_vectorization(self, vectorized: int, fallbacks: int) -> None:
-        """Account for one columnar-enabled plan's stage classification."""
-        self.vectorized_stages += vectorized
-        self.columnar_fallbacks += fallbacks
-
-    def record_columnar_runtime(self, stats: dict[str, int]) -> None:
-        """Merge one batch of :func:`repro.runtime.stage.consume_batch_stats`."""
-        self.columnar_memoized_skips += stats.get("memoized_skips", 0)
-        self.columnar_resident_reuses += stats.get("resident_reuses", 0)
-        self.columnar_vector_bucket_tasks += stats.get("vector_bucket_tasks", 0)
 
     def record_parallel_tasks(self, tasks: int) -> None:
         """Account for ``tasks`` tasks dispatched to cluster workers."""

@@ -38,12 +38,9 @@ from __future__ import annotations
 import functools
 import pickle
 import sys
-from collections import OrderedDict
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from repro.runtime import columnar as columnar_mod
 from repro.runtime import spill as spill_mod
-from repro.runtime.partitioner import HashPartitioner
 from repro.runtime.spill import BucketPayload, SpillSpec
 
 #: Stage kinds understood by :func:`apply_stage`.
@@ -87,172 +84,12 @@ def apply_stage(stage: NarrowStage, records: list[Any], index: int) -> list[Any]
     raise ValueError(f"unknown stage kind {kind!r}")
 
 
-#: Stage kinds whose record functions may carry a batch kernel, mapped to the
-#: :mod:`repro.runtime.columnar` classes whose ``apply_batch`` matches the
-#: stage semantics (a vectorized marker on a mismatched kind is ignored).
-_VECTOR_CLASSES = {
-    MAP: (columnar_mod.VectorizedMap, columnar_mod.VectorizedBind, columnar_mod.VectorizedLet),
-    FILTER: (columnar_mod.VectorizedFilter,),
-    MAP_VALUES: (columnar_mod.VectorizedMapValues,),
-}
-
-#: The record-function stage kinds (the kinds a batch kernel may replace).
-_VECTOR_KINDS = (MAP, FLAT_MAP, FILTER, MAP_VALUES)
-
-
-def stage_vectorizable(stage: NarrowStage) -> bool:
-    """Whether one narrow stage has a batch kernel compatible with its kind."""
-    classes = _VECTOR_CLASSES.get(stage.kind)
-    return classes is not None and isinstance(stage.function, classes)
-
-
-# -- batch-runtime memoization ---------------------------------------------------
-#
-# Both caches live at module level so they are shared by every task of every
-# force within one interpreter: the driver's for the sequential executor,
-# each worker's own for the cluster executor (a worker
-# is long-lived, so its caches warm up the same way).
-
-#: Stage runs whose batch execution failed once (any partition): keyed by the
-#: functions' identities, with the function objects pinned as the value so a
-#: key id can never be recycled by a new function while its entry is live.  A
-#: memoized run skips straight to the record path -- the chain never pays the
-#: records->columns conversion tax again.
-_FALLBACK_MEMO: OrderedDict[tuple[int, ...], tuple[Any, ...]] = OrderedDict()
-_FALLBACK_MEMO_LIMIT = 256
-
-#: Output record lists of successful batch runs mapped (by identity) to the
-#: ColumnarPartition they were materialized from, so a consecutive narrow
-#: force over the same partition resumes columnar instead of re-running
-#: ``from_records``.  Entries pin both objects; the small bound caps the
-#: doubled (records + columns) residency.
-_RESIDENT: OrderedDict[int, tuple[list[Any], Any]] = OrderedDict()
-_RESIDENT_LIMIT = 16
-
-#: Batch-runtime counters (reported through ``consume_batch_stats``).
-_BATCH_STATS = {"memoized_skips": 0, "resident_reuses": 0, "vector_bucket_tasks": 0}
-
-
-def consume_batch_stats() -> dict[str, int]:
-    """Return and reset the interpreter-wide batch-runtime counters.
-
-    The counters are updated inside executor tasks, so they are only
-    observable from the driver for the executor sharing its interpreter
-    (sequential); cluster workers accumulate into their own
-    interpreters and their counts stay worker-side.
-    """
-    stats = dict(_BATCH_STATS)
-    for key in _BATCH_STATS:
-        _BATCH_STATS[key] = 0
-    return stats
-
-
-def _segment_key(segment: tuple[NarrowStage, ...]) -> tuple[int, ...]:
-    return tuple(id(stage.function) for stage in segment)
-
-
-def _memoized_fallback(segment: tuple[NarrowStage, ...]) -> bool:
-    return _segment_key(segment) in _FALLBACK_MEMO
-
-
-def _record_fallback(segment: tuple[NarrowStage, ...]) -> None:
-    key = _segment_key(segment)
-    if key not in _FALLBACK_MEMO:
-        _FALLBACK_MEMO[key] = tuple(stage.function for stage in segment)
-        while len(_FALLBACK_MEMO) > _FALLBACK_MEMO_LIMIT:
-            _FALLBACK_MEMO.popitem(last=False)
-
-
-def _resident_part(records: list[Any]) -> Any | None:
-    entry = _RESIDENT.get(id(records))
-    if entry is None:
-        return None
-    cached_records, part = entry
-    if cached_records is not records or part.length != len(records):
-        return None
-    return part
-
-
-def _remember_resident(records: list[Any], part: Any) -> None:
-    _RESIDENT[id(records)] = (records, part)
-    while len(_RESIDENT) > _RESIDENT_LIMIT:
-        _RESIDENT.popitem(last=False)
-
-
-def _run_batch_segment(
-    segment: tuple[NarrowStage, ...], records: list[Any], index: int
-) -> list[Any]:
-    """Run one batchable run columnar-side, falling back per partition.
-
-    The kernels are pure (they never mutate ``records`` or call user code),
-    so *any* failure -- a :class:`~repro.runtime.columnar.ColumnarFallback`,
-    a dtype surprise, an operand TypeError -- can safely replay the same
-    records through the record path, which then produces the canonical
-    result (or raises the canonical error).  Every fallback is memoized by
-    the segment's function identities, so later partitions and later forces
-    of the same (plan-cached) segment skip the conversion attempt entirely.
-    """
-    if _memoized_fallback(segment):
-        _BATCH_STATS["memoized_skips"] += 1
-        for stage in segment:
-            records = apply_stage(stage, records, index)
-        return records
-    try:
-        part = _resident_part(records)
-        if part is not None:
-            _BATCH_STATS["resident_reuses"] += 1
-        else:
-            part = columnar_mod.ColumnarPartition.from_records(records)
-        if part is None:
-            raise columnar_mod.ColumnarFallback("records are not columnar")
-        for stage in segment:
-            part = stage.function.apply_batch(part)
-        out = part.to_records()
-        _remember_resident(out, part)
-        return out
-    except Exception:
-        _record_fallback(segment)
-        for stage in segment:
-            records = apply_stage(stage, records, index)
-        return records
-
-
-def batch_length(chain: tuple[NarrowStage, ...]) -> int:
-    """How many leading stages of ``chain`` run as one batch under
-    ``columnar=True``; 0 when the chain stays on the record path.
-
-    A chain batches only when it is fully lowerable: every record-function
-    stage carries a kernel, there is at least one, and they all come before
-    any whole-partition stage (a fold or a shuffle write, which then runs on
-    the records the batch produces).  Anything less would pay the
-    records->columns conversion tax for part of a chain and round-trip back.
-    """
-    length = 0
-    while length < len(chain) and stage_vectorizable(chain[length]):
-        length += 1
-    if any(stage.kind in _VECTOR_KINDS for stage in chain[length:]):
-        return 0
-    return length
-
-
-def compose(
-    stages: Iterable[NarrowStage], columnar: bool = False
-) -> Callable[[list[Any], int], list[Any]]:
-    """Fuse a stage chain into a single per-partition task.
-
-    With ``columnar`` the chain's :func:`batch_length` leading kernel stages
-    run over a :class:`~repro.runtime.columnar.ColumnarPartition` with a
-    per-partition record-path fallback; everything else runs
-    record-at-a-time.
-    """
+def compose(stages: Iterable[NarrowStage]) -> Callable[[list[Any], int], list[Any]]:
+    """Fuse a stage chain into a single per-partition task."""
     chain = tuple(stages)
-    split = batch_length(chain) if columnar else 0
-    batch, rest = chain[:split], chain[split:]
 
     def fused(records: list[Any], index: int) -> list[Any]:
-        if batch:
-            records = _run_batch_segment(batch, records, index)
-        for stage in rest:
+        for stage in chain:
             records = apply_stage(stage, records, index)
         return records
 
@@ -421,29 +258,15 @@ def fold_partition(fold: Callable[[list[Any]], Any], records: list[Any]) -> list
     return [fold(records)]
 
 
-def apply_combiner(
-    combiner: tuple[Any, ...], records: list[Any], columnar: bool = False
-) -> list[Any]:
+def apply_combiner(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
     """Run a map-side combiner spec over one partition's key-value records.
 
     ``("folded", fn)`` marks records a generated fold exit already combined
     with ``fn`` (:class:`FoldedRecords`): they pass through untouched.
-
-    With ``columnar`` and a combiner
-    :func:`~repro.runtime.columnar.combiner_vectorizable` accepts (a
-    :class:`~repro.runtime.columnar.VectorizedCombine` fold or the adaptive
-    ``("group",)`` collect), the grouped fold runs through
-    :func:`~repro.runtime.columnar.combine_batch`; any failure there falls
-    back to this record path (the kernel never mutates ``records``).
     """
     kind = combiner[0]
     if kind == "folded":
         return records
-    if columnar and records and columnar_mod.combiner_vectorizable(combiner):
-        try:
-            return columnar_mod.combine_batch(combiner, records)
-        except Exception:
-            pass
     accumulator: dict[Any, Any] = {}
     if kind == "reduce":
         function = combiner[1]
@@ -530,40 +353,6 @@ def _writer_output(
     return [stats, *payloads]
 
 
-def _vector_buckets(
-    partitioner: Any, tagged: bool, records: list[Any], columnar: bool
-) -> list[int] | None:
-    """Vectorized map-side bucket assignment for scalar int keys, or None.
-
-    Valid only when per-record bucketing provably equals ``key % n``: a plain
-    :class:`HashPartitioner` over untagged pairs whose key column is resident
-    as an int64 array (the upstream batch segment just produced it) and every
-    key satisfies ``hash(key) == key`` -- i.e. ``|key| < 2**61 - 1`` (CPython
-    hashes ints modulo the Mersenne prime ``2**61 - 1``) and ``key != -1``
-    (``hash(-1)`` is ``-2``).  Python and numpy agree on the sign of ``%``
-    for a positive modulus, so ``np.mod`` reproduces ``partition()`` exactly.
-    """
-    np = columnar_mod.np
-    if not columnar or np is None or tagged:
-        return None
-    if type(partitioner) is not HashPartitioner:
-        return None
-    part = _resident_part(records)
-    if part is None:
-        return None
-    template = part.template
-    if template == "*" or template[0] != "tuple" or not template[1] or template[1][0] != "*":
-        return None
-    keys = part.columns[0]
-    if not isinstance(keys, np.ndarray) or keys.dtype.kind != "i":
-        return None
-    bound = (1 << 61) - 1
-    if not bool(np.all((keys > -bound) & (keys < bound) & (keys != -1))):
-        return None
-    _BATCH_STATS["vector_bucket_tasks"] += 1
-    return np.mod(keys, partitioner.num_partitions).tolist()
-
-
 def shuffle_write(
     partitioner: Any,
     combiner: tuple[Any, ...] | None,
@@ -572,7 +361,6 @@ def shuffle_write(
     input_index: int,
     records: list[Any],
     index: int,
-    columnar: bool = False,
     hot_keys: frozenset = frozenset(),
 ) -> list[Any]:
     """Map-side shuffle writer: combine (optionally), bucket by key, spill
@@ -593,18 +381,14 @@ def shuffle_write(
     records_in = len(records)
     combined_in = getattr(records, "consumed", records_in)
     if combiner is not None:
-        records = apply_combiner(combiner, records, columnar)
+        records = apply_combiner(combiner, records)
     writer = spill_mod.BucketWriter(partitioner.num_partitions, spill, f"i{input_index}-m{index}")
-    targets = None if hot_keys else _vector_buckets(partitioner, tagged, records, columnar)
-    if targets is not None:
-        writer.write(targets, records)
-    else:
-        if hot_keys:
-            records = [
-                (SaltedKey(record[0], index), record[1]) if record[0] in hot_keys else record
-                for record in records
-            ]
-        writer.write_keyed(partitioner, records, tagged)
+    if hot_keys:
+        records = [
+            (SaltedKey(record[0], index), record[1]) if record[0] in hot_keys else record
+            for record in records
+        ]
+    writer.write_keyed(partitioner, records, tagged)
     return _writer_output(writer, records_in, combined_in)
 
 
@@ -617,7 +401,6 @@ def salted_shuffle_write(
     hot_keys: frozenset,
     records: list[Any],
     index: int,
-    columnar: bool = False,
 ) -> list[Any]:
     """:func:`shuffle_write` with hot-key salting (adaptive skew handling).
 
@@ -629,7 +412,7 @@ def salted_shuffle_write(
     shuffles whose records are plain ``(key, value)`` pairs.
     """
     return shuffle_write(
-        partitioner, combiner, tagged, spill, input_index, records, index, columnar, hot_keys
+        partitioner, combiner, tagged, spill, input_index, records, index, hot_keys
     )
 
 
@@ -962,90 +745,3 @@ def sort_bucket(
 ) -> list[Any]:
     """One bucket's records, stably sorted by ``key_function``."""
     return sorted(read_bucket(payloads), key=key_function, reverse=not ascending)
-
-
-def _stage_combiner(function: functools.partial) -> tuple[Any, ...] | None:
-    """The combiner spec a whole-partition stage closure runs, if any (a
-    ``"folded"`` spec runs nothing: its fold is the generated stage before)."""
-    combiner = None
-    if function.func is apply_combiner and function.args:
-        combiner = function.args[0]
-    elif function.func in (shuffle_write, salted_shuffle_write) and len(function.args) > 1:
-        combiner = function.args[1]
-    return None if combiner is None or combiner[0] == "folded" else combiner
-
-
-def vectorization_counts(stages: Iterable[NarrowStage]) -> tuple[int, int]:
-    """Plan-time vectorization accounting for one stage chain.
-
-    Returns ``(vectorized, fallbacks)``: record-function stages that will run
-    as batch kernels vs. those that stay on the record path while columnar
-    execution is on -- a stage outside the chain's :func:`batch_length`
-    prefix is a fallback even when it has a kernel, matching what
-    :func:`compose` will execute.  Counted from the *plan* -- like
-    ``shuffles_eliminated`` -- so the numbers are identical across executor
-    modes (a worker-side per-partition fallback cannot be observed from the
-    driver under the process executor).  Whole-partition stages are only
-    counted when they are ``apply_combiner`` / ``shuffle_write`` closures
-    carrying a combiner (the shapes with a grouped-fold/collect kernel) and
-    when they are generated row-segment stages, which stand for that many
-    record-path operators; structural passes such as ``read_bucket`` do no
-    per-record work and are skipped.
-    """
-    chain = tuple(stages)
-    vectorized = batch_length(chain)
-    fallbacks = 0
-    for stage in chain[vectorized:]:
-        function = stage.function
-        if stage.kind in _VECTOR_KINDS:
-            fallbacks += 1
-        elif hasattr(function, "operators"):
-            fallbacks += function.operators
-        elif isinstance(function, functools.partial):
-            combiner = _stage_combiner(function)
-            if combiner is not None:
-                enabled = bool(function.keywords.get("columnar"))
-                if enabled and columnar_mod.combiner_vectorizable(combiner):
-                    vectorized += 1
-                else:
-                    fallbacks += 1
-    return vectorized, fallbacks
-
-
-def vectorization_report(stages: Iterable[NarrowStage]) -> list[tuple[str, str | None, str]]:
-    """Per-stage vectorization outcomes for explain output.
-
-    One ``(kind, kernel, note)`` entry per counted stage (same selection as
-    :func:`vectorization_counts`): ``kernel`` is the batch-kernel name when
-    the stage will run batched (note ``"batch"``), else ``None`` with the
-    fallback reason -- ``"no batch kernel"``, ``"chain not fully
-    lowerable"``, or ``"memoized record-path fallback"`` once a runtime
-    fallback has been memoized for the chain's batch.
-    """
-    chain = tuple(stages)
-    batch = chain[: batch_length(chain)]
-    memoized = bool(batch) and _memoized_fallback(batch)
-    entries: list[tuple[str, str | None, str]] = []
-    for stage in batch:
-        if memoized:
-            entries.append((stage.kind, None, "memoized record-path fallback"))
-        else:
-            entries.append((stage.kind, type(stage.function).__name__, "batch"))
-    for stage in chain[len(batch) :]:
-        function = stage.function
-        if stage.kind in _VECTOR_KINDS:
-            if stage_vectorizable(stage):
-                entries.append((stage.kind, None, "chain not fully lowerable"))
-            else:
-                entries.append((stage.kind, None, "no batch kernel"))
-        elif isinstance(function, functools.partial):
-            combiner = _stage_combiner(function)
-            if combiner is None:
-                continue
-            enabled = bool(function.keywords.get("columnar"))
-            if enabled and columnar_mod.combiner_vectorizable(combiner):
-                kernel = "grouped-collect" if combiner[0] == "group" else "grouped-fold"
-                entries.append(("combine", kernel, "batch"))
-            else:
-                entries.append(("combine", None, "no combiner kernel"))
-    return entries

@@ -1,8 +1,7 @@
 """The cluster-mode differential oracle: every Figure 3 workload, bit-identical.
 
-Each configuration (spill threshold 1 and default, adaptive on and off, plus
-a ``columnar=True`` leg at the harshest spill setting) gets one shared
-multi-worker :class:`ClusterContext`; every Figure 3 program runs under it
+Each configuration (spill threshold 1 and default, adaptive on and off) gets
+one shared multi-worker :class:`ClusterContext`; every Figure 3 program runs under it
 and must produce
 
 * the same outputs as the sequential loop-language interpreter (the
@@ -78,16 +77,12 @@ SUITE_SIZES = {
     "pca": 40,
 }
 
-#: (spill_threshold_bytes, adaptive, columnar) -- the full differential grid.
-#: The four record-path legs cover spill x adaptive; the fifth runs
-#: columnar=True under the harshest spill setting, proving the batch kernels
-#: ship to workers and stay bit-identical there too.
+#: (spill_threshold_bytes, adaptive) -- the full differential grid.
 CONFIGS = [
-    (None, True, False),
-    (None, False, False),
-    (1, True, False),
-    (1, False, False),
-    (1, True, True),
+    (None, True),
+    (None, False),
+    (1, True),
+    (1, False),
 ]
 
 
@@ -106,13 +101,11 @@ def interpreter_outputs(name: str) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def sequential_outputs(
-    name: str, spill: int | None, adaptive: bool, columnar: bool = False
-) -> dict:
+def sequential_outputs(name: str, spill: int | None, adaptive: bool) -> dict:
     """The translated plan under the sequential executor (bitwise reference)."""
     spec = get_program(name)
     with DistributedContext(
-        num_partitions=4, spill_threshold_bytes=spill, adaptive=adaptive, columnar=columnar
+        num_partitions=4, spill_threshold_bytes=spill, adaptive=adaptive
     ) as context:
         result = diablo_for(spec, context).compile(spec.source).run(**workload(name))
         return translated_outputs(name, result)
@@ -121,18 +114,17 @@ def sequential_outputs(
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=lambda c: f"spill={c[0]}-adaptive={c[1]}-columnar={c[2]}",
+    ids=lambda c: f"spill={c[0]}-adaptive={c[1]}",
 )
 def cluster(request):
-    spill, adaptive, columnar = request.param
+    spill, adaptive = request.param
     context = ClusterContext(
         num_partitions=4,
         cluster_workers=_WORKERS,
         spill_threshold_bytes=spill,
         adaptive=adaptive,
-        columnar=columnar,
     )
-    context._equivalence_config = (spill, adaptive, columnar)
+    context._equivalence_config = (spill, adaptive)
     yield context
     context.shutdown()
 
@@ -171,16 +163,10 @@ def test_cluster_matches_interpreter_and_sequential(name, cluster):
     # Correctness: interpreter oracle (tolerant) and sequential translated
     # run (bit-identical).
     assert_same_outputs(spec, _Outputs(outputs), interpreter_outputs(name))
-    spill, adaptive, columnar = cluster._equivalence_config
-    assert outputs == sequential_outputs(name, spill, adaptive, columnar), (
+    spill, adaptive = cluster._equivalence_config
+    assert outputs == sequential_outputs(name, spill, adaptive), (
         f"{name}: cluster outputs are not bit-identical to the sequential executor"
     )
-    if columnar:
-        # The columnar leg's reference must itself equal the record path:
-        # cluster == sequential(columnar) == sequential(record).
-        assert sequential_outputs(name, spill, adaptive, columnar) == sequential_outputs(
-            name, spill, adaptive, False
-        ), f"{name}: columnar sequential reference diverged from the record path"
 
     # Acceptance criteria: reduce inputs never transit the driver, and any
     # shuffling program actually moved its payloads between workers.

@@ -246,51 +246,25 @@ class TestWireSerialization:
 
 
 # ---------------------------------------------------------------------------
-# Columnar kernels over the wire
+# Driver scopes over the wire
 # ---------------------------------------------------------------------------
 
 
-class TestColumnarWireSerialization:
-    """Vectorized plan functions must survive the trip to a cluster worker.
-
-    The kernel classes live in the ``repro.*`` codebase so they ship by
-    reference; what needs regression coverage is a :class:`ScalarScope`
-    carrying the live program environment -- a driver dict that mutates
-    between forces.  It ships by value (a worker cannot import driver
-    state), so the clone must keep resolving names against the snapshot.
+class TestScopeWireSerialization:
+    """A :class:`~repro.algebra.codegen.ScalarScope` carrying the live
+    program environment -- a driver dict that mutates between forces --
+    ships by value (a worker cannot import driver state), so the clone must
+    keep resolving names against the snapshot.
     """
 
     def round_trip(self, obj):
         return wire.cluster_loads(wire.cluster_dumps(obj))
 
-    def test_kernel_classes_ship_by_reference(self):
-        from repro.runtime import columnar
-
-        assert self.round_trip(columnar.VectorizedFilter) is columnar.VectorizedFilter
-        assert self.round_trip(columnar.ColumnarPartition) is columnar.ColumnarPartition
-
-    def test_capture_bearing_scalar_scope_survives(self):
-        from repro.runtime import columnar
-
-        scope = columnar.ScalarScope(values={"threshold": 2})
-        predicate = columnar.BinOp(">", columnar.Col((0,)), columnar.Ref("threshold"))
-        fn = columnar.VectorizedFilter(predicate, scope, oracle=None)
-
-        clone = self.round_trip(fn)
-        assert type(clone) is columnar.VectorizedFilter
-        assert clone.scope.resolve("threshold") == 2
-
-        part = columnar.ColumnarPartition.from_records([(i, float(i)) for i in range(6)])
-        filtered = clone.apply_batch(part).to_records()
-        assert filtered == [(3, 3.0), (4, 4.0), (5, 5.0)]
-        # The record path of the clone agrees with the batch path.
-        assert [p for p in part.to_records() if clone(p)] == filtered
-
     def test_shipped_environment_is_a_snapshot_not_a_live_link(self):
-        from repro.runtime import columnar
+        from repro.algebra.codegen import ScalarScope
 
         values = {"threshold": 2}
-        scope = columnar.ScalarScope(values=values)
+        scope = ScalarScope(values=values)
         clone = self.round_trip(scope)
         values["threshold"] = 99  # driver-side mutation after shipping
         assert clone.resolve("threshold") == 2

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro import Diablo
 from repro.algebra import codegen
-from repro.algebra.codegen import Segment
+from repro.algebra.codegen import ScalarScope, Segment
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator, _bind_pattern
 from repro.comprehension import ir
 from repro.comprehension.monoids import Monoid, MonoidRegistry
@@ -45,7 +45,6 @@ from repro.programs import get_program
 from repro.runtime import stage
 from repro.runtime.cluster import wire
 from repro.runtime.context import DistributedContext
-from repro.runtime.columnar import ScalarScope
 from repro.runtime.spill import BucketPayload
 from repro.workloads import workload_for_program
 
@@ -179,8 +178,6 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
             rows = [{**_bind_pattern(segment.entry[1], record)}]
         elif kind == "slots":
             rows = [slot_row(segment.entry[1], record)]
-        elif kind == "columnar":
-            rows = [record]
         elif kind == "join":
             left = slot_row(segment.entry[1], record[1][0])
             rows = [{**left, **_bind_pattern(segment.entry[2], record[1][1])}]
@@ -512,10 +509,6 @@ rows_ab = st.tuples(
 expand_entries = st.one_of(
     entries,
     st.tuples(st.just(("slots", ("a", "b"))), st.lists(rows_ab, min_size=1, max_size=3)),
-    st.tuples(
-        st.just(("columnar", ("a", "b"))),
-        st.lists(rows_ab.map(functools.partial(slot_row, ("a", "b"))), min_size=1, max_size=3),
-    ),
     st.tuples(
         st.builds(lambda pattern: ("product", ("a", "b"), pattern, None), expand_patterns),
         st.lists(st.tuples(rows_ab, element_values), min_size=1, max_size=3),
@@ -1467,9 +1460,7 @@ class TestObservability:
             assert f"HashJoin[N on (i$47)]: consumer fused into the join task: {label}" in evaluator.trace
 
     def test_a_scalar_aggregate_folds_inside_the_generated_loop(self):
-        # Pinned to the record path: under DIABLO_COLUMNAR=1 this fully
-        # lowerable chain would batch instead of folding in a generated loop.
-        with DistributedContext(num_partitions=4, columnar=False) as ctx:
+        with DistributedContext(num_partitions=4) as ctx:
             diablo = Diablo(ctx)
             result = diablo.compile("var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;").run(
                 V=[1.0, 2.0, 5.0, 0.5]
@@ -1477,22 +1468,9 @@ class TestObservability:
             assert result["s"] == 7.0
             assert "+/ folded inside the generated loop: bind→let→filter→let→fold(+)" in result.trace
 
-    def test_a_chain_columnar_batches_keeps_its_kernel_stages(self):
+    def test_a_chain_runs_as_a_generated_stage(self):
         source = "var s: double = 0.0; for v in V do if (v < 3.0) s += v * 2.0;"
-        for columnar, expect_generated in ((False, True), (True, False)):
-            with DistributedContext(num_partitions=2, columnar=columnar) as ctx:
-                result = Diablo(ctx).run(source, V=[1.0, 2.0, 5.0])
-                assert result["s"] == 6.0
-                assert (ctx.metrics.generated_segments > 0) == expect_generated
-                assert (ctx.metrics.vectorized_stages > 0) == (not expect_generated)
-
-    def test_a_partly_lowerable_run_is_one_generated_stage_under_columnar(self):
-        # sqrt has no batch kernel: the lowerable bind / filter beside it do
-        # not split the run into kernel stages, the whole run is generated.
-        source = "var s: double = 0.0; for v in V do if (v < 4.5) s += sqrt(v);"
-        with DistributedContext(num_partitions=2, columnar=True) as ctx:
-            result = Diablo(ctx).run(source, V=[1.0, 4.0, 5.0])
-            assert result["s"] == 3.0
-            assert ctx.metrics.generated_segments == 1
-            assert ctx.metrics.vectorized_stages == 0
-            assert ctx.metrics.columnar_fallbacks == 5
+        with DistributedContext(num_partitions=2) as ctx:
+            result = Diablo(ctx).run(source, V=[1.0, 2.0, 5.0])
+            assert result["s"] == 6.0
+            assert ctx.metrics.generated_segments > 0

@@ -27,7 +27,7 @@ from repro.runtime.partitioner import HashPartitioner
 from repro.workloads import workload_for_program
 
 #: Programs whose plans must run generated row segments
-#: (asserted inside the differential sweeps here, in test_columnar and in
+#: (asserted inside the differential sweeps here and in
 #: test_cluster_equivalence): a scalar fold, a join → reduceByKey and a loop.
 GENERATED_PROGRAMS = ("linear_regression", "matrix_multiplication", "pagerank")
 

@@ -136,13 +136,9 @@ def reference(name):
         return _outputs(result, inputs), diablo.interpret(source, dict(inputs))
 
 
-#: (executor, columnar): the record path and the batch path on both
-#: executors.
-LEGS = (("sequential", False), ("sequential", True), ("cluster", False), ("cluster", True))
-
 CONFIGS = [
-    (executor, columnar, spill, adaptive)
-    for executor, columnar in LEGS
+    (executor, spill, adaptive)
+    for executor in ("sequential", "cluster")
     for spill in (None, 1)
     for adaptive in (True, False)
 ]
@@ -151,19 +147,11 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[
-        f"{e}{'-columnar' if c else ''}-spill{s}-{'adaptive' if a else 'static'}"
-        for e, c, s, a in CONFIGS
-    ],
+    ids=[f"{e}-spill{s}-{'adaptive' if a else 'static'}" for e, s, a in CONFIGS],
 )
 def ctx(request):
-    executor, columnar, spill, adaptive = request.param
-    options = {
-        "num_partitions": 4,
-        "spill_threshold_bytes": spill,
-        "adaptive": adaptive,
-        "columnar": columnar,
-    }
+    executor, spill, adaptive = request.param
+    options = {"num_partitions": 4, "spill_threshold_bytes": spill, "adaptive": adaptive}
     if executor == "cluster":
         context = ClusterContext(cluster_workers=2, **options)
     else:

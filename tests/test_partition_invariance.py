@@ -5,9 +5,9 @@ splits its inputs: with everything in one partition (every shuffle is a
 local regroup, every combiner sees all keys), with a prime count (hash
 buckets that do not divide the key space evenly) and with far more
 partitions than keys (most map and reduce tasks see empty input).  The
-differential suites in ``test_executor_equivalence`` and ``test_columnar``
-hold the count at four; this file sweeps it on the default executor, on the
-record path, under the harshest spill budget and under columnar batches.
+differential suites in ``test_executor_equivalence`` hold the count at
+four; this file sweeps it on the default executor, in memory and under the
+harshest spill budget.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from repro.runtime.context import DistributedContext
 #: have keys (matrix_addition's 6x6 input fills at most a few of 32).
 PARTITION_COUNTS = (1, 7, 32)
 
-#: The spilled and columnar sweeps skip the many-empty-partitions case: it
-#: adds nothing there that the record-path sweep does not already cover.
+#: The spilled sweep skips the many-empty-partitions case: it adds nothing
+#: there that the in-memory sweep does not already cover.
 SMALL_PARTITION_COUNTS = (1, 7)
 
 
@@ -42,14 +42,11 @@ def run_at(
     name: str,
     num_partitions: int,
     spill_threshold_bytes: int | None = None,
-    columnar: bool = False,
 ) -> tuple[dict, DistributedContext]:
     """One Figure 3 workload at ``num_partitions``; outputs and the context."""
     spec = get_program(name)
     with DistributedContext(
-        num_partitions=num_partitions,
-        spill_threshold_bytes=spill_threshold_bytes,
-        columnar=columnar,
+        num_partitions=num_partitions, spill_threshold_bytes=spill_threshold_bytes
     ) as context:
         diablo = diablo_for(spec, context)
         result = diablo.compile(spec.source).run(**workload(name))
@@ -58,7 +55,7 @@ def run_at(
 
 @functools.lru_cache(maxsize=None)
 def record_path_at(name: str, num_partitions: int) -> dict:
-    """The record-at-a-time outputs at ``num_partitions``, once per pair."""
+    """The in-memory outputs at ``num_partitions``, once per pair."""
     outputs, _context = run_at(name, num_partitions)
     return outputs
 
@@ -81,14 +78,3 @@ def test_figure3_wide_workloads_spilled_match_in_memory_at_any_partition_count(
         assert context.metrics.spilled_bytes > 0, f"{name}: shuffled but never spilled"
     assert spilled == record_path_at(name, num_partitions)
 
-
-@pytest.mark.parametrize("num_partitions", SMALL_PARTITION_COUNTS)
-@pytest.mark.parametrize("name", table2_program_names())
-def test_every_figure3_workload_is_bit_identical_under_columnar_at_any_partition_count(
-    name, num_partitions
-):
-    """Batch kernels reproduce the record path exactly, whatever the split."""
-    columnar, _context = run_at(name, num_partitions, columnar=True)
-    assert columnar == record_path_at(name, num_partitions), (
-        f"{name} at {num_partitions} partitions: columnar results differ from the record path"
-    )

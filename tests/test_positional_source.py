@@ -66,13 +66,9 @@ for i = 0, n-1 do
 #: Input sizes: empty, fewer elements than 7 or 32 partitions, more.
 SIZES = (0, 5, 50)
 
-#: (executor, columnar): the record path on both executors, plus the batch
-#: path on the sequential one.
-LEGS = (("sequential", False), ("sequential", True), ("cluster", False))
-
 CONFIGS = [
-    (executor, columnar, partitions, spill, adaptive)
-    for executor, columnar in LEGS
+    (executor, partitions, spill, adaptive)
+    for executor in ("sequential", "cluster")
     for partitions in (1, 7, 32)
     for spill in (None, 1)
     for adaptive in (True, False)
@@ -82,14 +78,11 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[
-        f"{e}{'-columnar' if c else ''}-p{p}-spill{s}-{'adaptive' if a else 'static'}"
-        for e, c, p, s, a in CONFIGS
-    ],
+    ids=[f"{e}-p{p}-spill{s}-{'adaptive' if a else 'static'}" for e, p, s, a in CONFIGS],
 )
 def ctx(request):
-    executor, columnar, partitions, spill, adaptive = request.param
-    options = {"spill_threshold_bytes": spill, "adaptive": adaptive, "columnar": columnar}
+    executor, partitions, spill, adaptive = request.param
+    options = {"spill_threshold_bytes": spill, "adaptive": adaptive}
     if executor == "cluster":
         context = ClusterContext(num_partitions=partitions, cluster_workers=2, **options)
     else:

@@ -27,7 +27,6 @@ from repro.errors import ExecutionError
 from repro.evaluation.harness import diablo_for
 from repro.functions import FunctionRegistry
 from repro.programs import get_program
-from repro.runtime import columnar as columnar_mod
 from repro.runtime import stage
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
@@ -93,12 +92,12 @@ def plan_nodes(root) -> list:
     return nodes
 
 
-def run_case(program: str, strategy: str, monkeypatch, **config):
+def run_case(program: str, strategy: str, monkeypatch):
     make_inputs, threshold = CASES[(program, strategy)]
     spec = get_program("kmeans") if program == "kmeans" else None
     source = spec.source if spec is not None else OUTER
     roots = lowered_roots(monkeypatch)
-    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold, **config) as ctx:
+    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold) as ctx:
         diablo = diablo_for(spec, ctx) if spec is not None else Diablo(ctx)
         result = diablo.compile(source).run(**make_inputs())
         sequential = diablo.interpret(source, make_inputs())
@@ -131,16 +130,6 @@ def test_every_product_strategy_matches_the_interpreter(program, strategy, monke
     assert_same_outputs(spec, result, sequential)
 
 
-@pytest.mark.parametrize("strategy", ["right", "left", "none"])
-def test_every_product_strategy_is_identical_under_columnar(strategy, monkeypatch):
-    """Each lowering gives the record path's bits, kernels on or off."""
-    outputs = []
-    for columnar in (False, True):
-        result, _, _, _ = run_case("kmeans", strategy, monkeypatch, columnar=columnar)
-        outputs.append(repr(sorted(result.array("C").items())))
-    assert outputs[0] == outputs[1]
-
-
 # ---------------------------------------------------------------------------
 # One record path: every narrow stage a program runs is generated
 # ---------------------------------------------------------------------------
@@ -159,12 +148,9 @@ def guard_inputs(name: str) -> dict:
 
 
 def generated_or_runtime(function) -> bool:
-    """A generated segment, a columnar kernel, or the runtime's own per-partition
-    fold (a scalar ``⊕/`` appended after a kernel stage)."""
-    return (
-        hasattr(function, "segment")
-        or isinstance(function, columnar_mod.VectorizedFunction)
-        or (isinstance(function, functools.partial) and function.func is stage.fold_partition)
+    """A generated segment, or the runtime's own per-partition fold."""
+    return hasattr(function, "segment") or (
+        isinstance(function, functools.partial) and function.func is stage.fold_partition
     )
 
 
@@ -180,16 +166,15 @@ def recorded_stage_functions(monkeypatch) -> list:
     return functions
 
 
-@pytest.mark.parametrize("columnar", [False, True])
 @pytest.mark.parametrize("threshold", [0, 100_000])
 @pytest.mark.parametrize("name", sorted(GUARD_SIZES))
-def test_every_narrow_stage_is_a_generated_segment_or_a_kernel(name, threshold, columnar, monkeypatch):
+def test_every_narrow_stage_is_a_generated_segment(name, threshold, monkeypatch):
     """No stage function is a hand-written record closure: per-row
     generators and products run inside the generated loops (threshold 0
     lowers kmeans' product as a cartesian, the default as a broadcast)."""
     functions = recorded_stage_functions(monkeypatch)
     spec = get_program(name)
-    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold, columnar=columnar) as ctx:
+    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold) as ctx:
         result = diablo_for(spec, ctx).compile(spec.source).run(**guard_inputs(name))
         explained = [value.explain() for value in result.values.values() if isinstance(value, Dataset)]
     assert functions

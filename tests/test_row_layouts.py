@@ -19,8 +19,8 @@ positionally, with no shape check.  These tests hold that to:
   executor as well;
 * hand-written comprehensions for each boundary: a consumer reading a subset
   of the left slots, a let pushed below a join that shadows a left
-  variable, a join feeding a join, a group-by over slot rows and, under
-  ``columnar=True``, a product fed by kernel stages.
+  variable, a join feeding a join, a group-by over slot rows and a
+  product's left rows.
 """
 
 from __future__ import annotations
@@ -146,11 +146,10 @@ def equal(left: str, right: str) -> ir.Condition:
     return ir.Condition(ir.CBinOp("==", VAR(left), VAR(right)))
 
 
-def evaluate(comprehension: ir.Comprehension, threshold: int, columnar: bool = False):
+def evaluate(comprehension: ir.Comprehension, threshold: int):
     """The comprehension's sorted result, the evaluator (trace, segments)
     and the context's metrics."""
-    options = dict(num_partitions=3, broadcast_join_threshold=threshold, columnar=columnar)
-    with DistributedContext(**options) as context:
+    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold) as context:
         values = {name: context.parallelize_pairs(data) for name, data in (("X", X), ("Y", Y), ("Z", Z))}
         evaluator = TermEvaluator(EvaluationEnvironment(context, values))
         result = sorted(evaluator.evaluate(comprehension).collect())
@@ -246,18 +245,13 @@ def test_a_group_by_over_slot_rows_lifts_only_what_it_reads():
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS.values(), ids=THRESHOLDS.keys())
-def test_a_columnar_product_is_fed_slot_rows_by_kernel_stages(threshold):
-    """With no join key, X × Y is a product: under ``columnar=True`` its
-    left rows come out of kernel stages (the bind and the slot row head),
-    whose record path is generated over the kernels' dict rows -- the only
-    dict rows left -- and the outputs are the record path's."""
+def test_a_product_is_fed_slot_rows(threshold):
+    """With no join key, X × Y is a product: its left rows reach it as slot
+    rows of the live names."""
     comprehension = ir.Comprehension(
         ir.CTuple((VAR("i"), VAR("j"), ir.CBinOp("*", VAR("x"), VAR("y")))), (SCAN_X, scan("j", "y", "Y"))
     )
-    record_path, plain, _ = evaluate(comprehension, threshold)
-    batched, evaluator, metrics = evaluate(comprehension, threshold, columnar=True)
-    assert batched == record_path == sorted((i, j, x * y) for i, (x, _) in X.items() for j, y in Y.items())
-    assert metrics.vectorized_stages > 0
+    record_path, evaluator, _ = evaluate(comprehension, threshold)
+    assert record_path == sorted((i, j, x * y) for i, (x, _) in X.items() for j, y in Y.items())
     consumers = entries(evaluator, "product", "slots")
     assert consumers and all(entry[1] == ("i", "x") for entry in consumers)
-    assert entries(evaluator, "columnar") and not entries(plain, "columnar")

@@ -1,4 +1,4 @@
-"""Regression tests for latent runtime bugs fixed alongside the columnar work.
+"""Regression tests for latent runtime bugs in the join, take and field-update paths.
 
 Each test encodes the *observable* wrong behaviour of the pre-fix code:
 

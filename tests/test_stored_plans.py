@@ -302,7 +302,7 @@ _LEAVES = (types.ModuleType, type, types.FunctionType, types.BuiltinFunctionType
 
 def _reachable(root) -> list:
     """Every object reachable from ``root``, not descending into modules,
-    classes or functions (a kernel maker references its module's globals)."""
+    classes or functions (a function references its module's globals)."""
     seen: dict[int, object] = {}
     stack = [root]
     while stack:
