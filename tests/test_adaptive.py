@@ -84,7 +84,8 @@ class TestSamplerSeesThePreFoldKeyStream:
     loop, so its output shows every key once per task.  The adaptive sampler
     must keep deciding from the key stream as it was *before* the fold."""
 
-    def test_translated_skewed_group_by_still_salts_its_hot_key(self):
+    @pytest.mark.parametrize("spill", [None, 1], ids=["in-memory", "spill1"])
+    def test_translated_skewed_group_by_still_salts_its_hot_key(self, spill):
         from repro.evaluation.harness import diablo_for, translated_outputs
         from repro.programs import get_program
         from repro.workloads import skewed_workload_for_program
@@ -93,7 +94,7 @@ class TestSamplerSeesThePreFoldKeyStream:
         inputs = skewed_workload_for_program("group_by", 4_000)
         outputs, metrics = {}, {}
         for adaptive in (True, False):
-            with DistributedContext(num_partitions=4, adaptive=adaptive) as ctx:
+            with DistributedContext(num_partitions=4, adaptive=adaptive, spill_threshold_bytes=spill) as ctx:
                 compiled = diablo_for(spec, ctx).compile(spec.source)
                 outputs[adaptive] = translated_outputs("group_by", compiled.run(**inputs))
                 metrics[adaptive] = ctx.metrics

@@ -269,6 +269,27 @@ class TestScopeWireSerialization:
         values["threshold"] = 99  # driver-side mutation after shipping
         assert clone.resolve("threshold") == 2
 
+    def test_scope_classes_ship_by_reference(self):
+        from repro.algebra.codegen import ScalarScope, SegmentScope
+
+        assert self.round_trip(ScalarScope) is ScalarScope
+        assert self.round_trip(SegmentScope) is SegmentScope
+
+    def test_a_segment_scope_ships_only_the_names_its_segment_reads(self):
+        from repro.algebra.codegen import SegmentScope
+        from repro.errors import ExecutionError
+
+        values = {"b": 2, "unread": list(range(1000))}
+        scope = SegmentScope({"a": 1}, values, ("a", "b", "undefined"))
+        clone = self.round_trip(scope)
+        assert type(clone) is SegmentScope
+        assert (clone.base, clone.values, clone.names) == ({"a": 1, "b": 2}, {}, ("a", "b", "undefined"))
+        values["b"] = 99  # driver-side mutation after shipping
+        assert (clone.resolve("a"), clone.resolve("b")) == (1, 2)
+        for name in ("unread", "undefined"):
+            with pytest.raises(ExecutionError, match="undefined variable"):
+                clone.resolve(name)
+
 
 # ---------------------------------------------------------------------------
 # The worker's keyspace

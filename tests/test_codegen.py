@@ -1474,3 +1474,10 @@ class TestObservability:
             result = Diablo(ctx).run(source, V=[1.0, 2.0, 5.0])
             assert result["s"] == 6.0
             assert ctx.metrics.generated_segments > 0
+
+    def test_a_run_with_a_builtin_call_is_one_generated_stage(self):
+        source = "var s: double = 0.0; for v in V do if (v < 4.5) s += sqrt(v);"
+        with DistributedContext(num_partitions=2) as ctx:
+            result = Diablo(ctx).run(source, V=[1.0, 4.0, 5.0])
+            assert result["s"] == 3.0
+            assert ctx.metrics.generated_segments == 1

@@ -8,11 +8,12 @@ outer join, ``co_group``, forced broadcast and shuffle inner joins,
 pin ``sort_bucket`` and ``repartition_write`` (no shuffle runs them, but the
 trace table wraps them, so they must keep working), ``reduce_bucket``'s
 fold order, and the build-left form of
-``broadcast_join_partition``.
+``broadcast_join_partition``, and the map-side combiner ``apply_combiner``.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import pytest
@@ -187,6 +188,38 @@ class TestReduceBucket:
             expected[key] = function(expected[key], value) if key in expected else value
         payloads = _payloads(self.RECORDS[:4], [0] * 4, None) + _payloads(self.RECORDS[4:], [0] * 6, None)
         assert repr(stage.reduce_bucket(function, payloads)) == repr(list(expected.items()))
+
+
+class TestApplyCombiner:
+    """The map-side combiner folds each key left in record order and emits
+    the keys in first-seen order, exactly as the record stream gives them."""
+
+    def test_reduce_folds_per_key_in_first_seen_key_order(self):
+        records = [(3, 1.0), (1, 2.0), (3, 3.0), (2, 4.0), (1, 5.0)]
+        assert stage.apply_combiner(("reduce", operator.add), records) == [(3, 4.0), (1, 7.0), (2, 4.0)]
+
+    def test_group_keeps_first_seen_key_order_and_record_order(self):
+        records = [(3, 1.0), (1, 2.0), (3, 3.0), (2, 4.0), (1, 5.0), (3, 6.0)]
+        expected = [(3, [1.0, 3.0, 6.0]), (1, [2.0, 5.0]), (2, [4.0])]
+        assert stage.apply_combiner(("group",), records) == expected
+
+    def test_min_folds_keep_nan_and_the_first_signed_zero(self):
+        ((key, nan),) = stage.apply_combiner(("reduce", min), [(0, float("nan")), (0, 1.0)])
+        assert key == 0 and math.isnan(nan)
+        ((_, zero),) = stage.apply_combiner(("reduce", min), [(0, -0.0), (0, 0.0)])
+        assert math.copysign(1.0, zero) == -1.0
+
+    def test_integer_products_stay_exact_python_ints(self):
+        records = [(0, 2**20), (0, 2**20), (0, 2**25)]
+        assert stage.apply_combiner(("reduce", operator.mul), records) == [(0, 2**65)]
+
+    def test_unhashable_keys_raise_instead_of_misgrouping(self):
+        with pytest.raises(TypeError):
+            stage.apply_combiner(("reduce", operator.add), [([0], 1.0), ([0], 2.0)])
+
+    def test_folded_records_pass_through_untouched(self):
+        records = [(1, 2.0), (1, 3.0)]
+        assert stage.apply_combiner(("folded", operator.add), records) is records
 
 
 class TestRepartitionWrite:

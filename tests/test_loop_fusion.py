@@ -8,10 +8,11 @@ On PageRank the two turn the loop body into ``P := P ⊳ (S0 ⊳+ {E ⋈ C ⋈ P
 group by j})``, with ``E ⋈ C`` joined once per loop.
 
 The outputs must be bit-identical to the unfused program's on every
-executor, with spill forced or not and adaptive execution on or off -- and
-equal to the interpreter's.  Each precondition gets a program that violates
-it, where the rule must not fire.  An array is only inlined when the caller
-has named the outputs it reads and the array is not one of them.
+executor, with plan optimization on or off, spill forced or not and
+adaptive execution on or off -- and equal to the interpreter's.  Each
+precondition gets a program that violates it, where the rule must not fire.
+An array is only inlined when the caller has named the outputs it reads and
+the array is not one of them.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ def _compile_unfused(diablo, source):
 
 
 @functools.lru_cache(maxsize=None)
-def reference(name):
+def reference(name, plan_optimize=True):
     """The outputs of the program compiled without the rules, on the
     sequential executor, and the interpreter's."""
     make, source, inputs, *_ = _case(name)
-    with DistributedContext(num_partitions=4) as context:
+    with DistributedContext(num_partitions=4, plan_optimize=plan_optimize) as context:
         diablo = make(context)
         compiled = _compile_unfused(diablo, source)
         stats = compiled.translation.optimizer_stats
@@ -136,9 +137,12 @@ def reference(name):
         return _outputs(result, inputs), diablo.interpret(source, dict(inputs))
 
 
+#: ``plan_optimize`` off keeps every shuffle partition-aware planning would
+#: elide and hoists no loop invariant.
 CONFIGS = [
-    (executor, spill, adaptive)
+    (executor, plan_optimize, spill, adaptive)
     for executor in ("sequential", "cluster")
+    for plan_optimize in (True, False)
     for spill in (None, 1)
     for adaptive in (True, False)
 ]
@@ -147,11 +151,19 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[f"{e}-spill{s}-{'adaptive' if a else 'static'}" for e, s, a in CONFIGS],
+    ids=[
+        f"{e}{'' if o else '-unoptimized'}-spill{s}-{'adaptive' if a else 'static'}"
+        for e, o, s, a in CONFIGS
+    ],
 )
 def ctx(request):
-    executor, spill, adaptive = request.param
-    options = {"num_partitions": 4, "spill_threshold_bytes": spill, "adaptive": adaptive}
+    executor, plan_optimize, spill, adaptive = request.param
+    options = {
+        "num_partitions": 4,
+        "plan_optimize": plan_optimize,
+        "spill_threshold_bytes": spill,
+        "adaptive": adaptive,
+    }
     if executor == "cluster":
         context = ClusterContext(cluster_workers=2, **options)
     else:
@@ -170,7 +182,7 @@ def test_fused_outputs_are_bit_identical_to_the_unfused_and_match_the_interprete
     rule = f"{updated}: increment folded into its initialisation (<|+); read-once {inlined} inlined"
     assert [line for line in result.trace if "folded" in line or "inlined" in line] == [rule] * 3
     # The inlined array is never materialised, so it is no output.
-    expected, interpreted = reference(name)
+    expected, interpreted = reference(name, ctx.plan_optimize)
     outputs = _outputs(result, inputs)
     assert set(expected) - set(outputs) == {inlined}
     assert outputs == {output: expected[output] for output in outputs}

@@ -7,7 +7,7 @@ buckets that do not divide the key space evenly) and with far more
 partitions than keys (most map and reduce tasks see empty input).  The
 differential suites in ``test_executor_equivalence`` hold the count at
 four; this file sweeps it on the default executor, in memory and under the
-harshest spill budget.
+harshest spill budget, and on the cluster executor.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from test_soundness_programs import assert_same_outputs
 
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.programs import get_program, table2_program_names
+from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 
 #: One partition, a prime count, and many more partitions than most inputs
 #: have keys (matrix_addition's 6x6 input fills at most a few of 32).
 PARTITION_COUNTS = (1, 7, 32)
 
-#: The spilled sweep skips the many-empty-partitions case: it adds nothing
-#: there that the in-memory sweep does not already cover.
+#: The spilled and cluster sweeps skip the many-empty-partitions case: it
+#: adds nothing there that the in-memory sweep does not already cover.
 SMALL_PARTITION_COUNTS = (1, 7)
 
 
@@ -78,3 +79,20 @@ def test_figure3_wide_workloads_spilled_match_in_memory_at_any_partition_count(
         assert context.metrics.spilled_bytes > 0, f"{name}: shuffled but never spilled"
     assert spilled == record_path_at(name, num_partitions)
 
+
+@pytest.fixture(scope="module", params=SMALL_PARTITION_COUNTS, ids=lambda count: f"p{count}")
+def cluster(request):
+    """One two-worker cluster per partition count, shared by every program."""
+    context = ClusterContext(num_partitions=request.param, cluster_workers=2)
+    yield context
+    context.shutdown()
+
+
+@pytest.mark.parametrize("name", table2_program_names())
+def test_every_figure3_workload_on_the_cluster_is_bit_identical_at_any_partition_count(name, cluster):
+    """Worker tasks reproduce the sequential executor exactly, whatever the split."""
+    spec = get_program(name)
+    result = diablo_for(spec, cluster).compile(spec.source).run(**workload(name))
+    assert translated_outputs(name, result) == record_path_at(name, cluster.num_partitions), (
+        f"{name} at {cluster.num_partitions} partitions: cluster results differ from the sequential executor"
+    )

@@ -10,9 +10,10 @@ The reference for every case is the same program over the ``(position,
 element)`` pairs built on the driver -- what a list input used to become --
 and, for the programs, the sequential interpreter.  Results must be
 bit-identical to the first and equal to the second on the sequential and
-cluster executors, at 1, 7 and 32 partitions, with every
-shuffle spilled or none, with adaptive execution on and off.  Element values
-are exact binary fractions, so the interpreter's sums are exact too.
+cluster executors, with joins broadcast or shuffled, at 1, 7 and 32
+partitions, with every shuffle spilled or none, with adaptive execution on
+and off.  Element values are exact binary fractions, so the interpreter's
+sums are exact too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.evaluation.harness import diablo_for
 from repro.programs import figure3_program_names, get_program
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
-from repro.runtime.dataset import Dataset
+from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD, Dataset
 from repro.workloads import workload_for_program
 
 #: ``i`` is dead: the loop is ``for rec in records``.
@@ -66,9 +67,15 @@ for i = 0, n-1 do
 #: Input sizes: empty, fewer elements than 7 or 32 partitions, more.
 SIZES = (0, 5, 50)
 
+#: Join strategies: the default threshold broadcasts the small side of a
+#: join; threshold 0 repartitions both sides, so positions reach the join as
+#: shuffled keys.
+JOINS = {"broadcast": DEFAULT_BROADCAST_JOIN_THRESHOLD, "shuffle": 0}
+
 CONFIGS = [
-    (executor, partitions, spill, adaptive)
+    (executor, join, partitions, spill, adaptive)
     for executor in ("sequential", "cluster")
+    for join in JOINS
     for partitions in (1, 7, 32)
     for spill in (None, 1)
     for adaptive in (True, False)
@@ -78,11 +85,18 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[f"{e}-p{p}-spill{s}-{'adaptive' if a else 'static'}" for e, p, s, a in CONFIGS],
+    ids=[
+        f"{e}{'-shuffle-joins' if j == 'shuffle' else ''}-p{p}-spill{s}-{'adaptive' if a else 'static'}"
+        for e, j, p, s, a in CONFIGS
+    ],
 )
 def ctx(request):
-    executor, partitions, spill, adaptive = request.param
-    options = {"spill_threshold_bytes": spill, "adaptive": adaptive}
+    executor, join, partitions, spill, adaptive = request.param
+    options = {
+        "spill_threshold_bytes": spill,
+        "adaptive": adaptive,
+        "broadcast_join_threshold": JOINS[join],
+    }
     if executor == "cluster":
         context = ClusterContext(num_partitions=partitions, cluster_workers=2, **options)
     else:

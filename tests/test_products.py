@@ -28,6 +28,7 @@ from repro.evaluation.harness import diablo_for
 from repro.functions import FunctionRegistry
 from repro.programs import get_program
 from repro.runtime import stage
+from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.workloads import workload_for_program
@@ -130,6 +131,29 @@ def test_every_product_strategy_matches_the_interpreter(program, strategy, monke
     assert_same_outputs(spec, result, sequential)
 
 
+@pytest.mark.parametrize("strategy", ["right", "left", "none"])
+def test_every_product_strategy_is_identical_on_the_cluster(strategy, monkeypatch):
+    """Each lowering ships to the workers and gives the sequential bits."""
+    make_inputs, threshold = CASES[("kmeans", strategy)]
+    spec = get_program("kmeans")
+    roots = lowered_roots(monkeypatch)
+    outputs = []
+    for make_context in (DistributedContext, functools.partial(ClusterContext, cluster_workers=2)):
+        roots.clear()
+        with make_context(num_partitions=3, broadcast_join_threshold=threshold) as ctx:
+            result = diablo_for(spec, ctx).compile(spec.source).run(**make_inputs())
+            outputs.append(repr(sorted(result.array("C").items())))
+        notes = [
+            note
+            for root in roots
+            for node in plan_nodes(root)
+            if node.label.startswith("Product[")
+            for note in node.notes
+        ]
+        assert notes == [NOTES[strategy]]
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # One record path: every narrow stage a program runs is generated
 # ---------------------------------------------------------------------------
@@ -166,15 +190,18 @@ def recorded_stage_functions(monkeypatch) -> list:
     return functions
 
 
+@pytest.mark.parametrize("plan_optimize", [True, False], ids=["optimized", "unoptimized"])
 @pytest.mark.parametrize("threshold", [0, 100_000])
 @pytest.mark.parametrize("name", sorted(GUARD_SIZES))
-def test_every_narrow_stage_is_a_generated_segment(name, threshold, monkeypatch):
+def test_every_narrow_stage_is_a_generated_segment(name, threshold, plan_optimize, monkeypatch):
     """No stage function is a hand-written record closure: per-row
     generators and products run inside the generated loops (threshold 0
-    lowers kmeans' product as a cartesian, the default as a broadcast)."""
+    lowers kmeans' product as a cartesian, the default as a broadcast),
+    whether or not partition-aware planning elides shuffles."""
     functions = recorded_stage_functions(monkeypatch)
     spec = get_program(name)
-    with DistributedContext(num_partitions=3, broadcast_join_threshold=threshold) as ctx:
+    options = dict(num_partitions=3, broadcast_join_threshold=threshold, plan_optimize=plan_optimize)
+    with DistributedContext(**options) as ctx:
         result = diablo_for(spec, ctx).compile(spec.source).run(**guard_inputs(name))
         explained = [value.explain() for value in result.values.values() if isinstance(value, Dataset)]
     assert functions

@@ -5,10 +5,10 @@
 tuple ``(h1, …, hn)`` with the product monoid ``(⊕1, …, ⊕n)``, which each
 statement then reads its component of.  Each component is the same left
 fold over the same records in the same order, so the outputs must be
-bit-identical to the unshared program's on every executor, with spill
-forced or not and adaptive execution on or off -- and equal to the
-interpreter's.  The shapes the pass must leave alone are pinned by their
-target text.
+bit-identical to the unshared program's on every executor, with plan
+optimization on or off, spill forced or not and adaptive execution on or
+off -- and equal to the interpreter's.  The shapes the pass must leave
+alone are pinned by their target text.
 """
 
 from __future__ import annotations
@@ -132,11 +132,11 @@ def _outputs(result, inputs):
 
 
 @functools.lru_cache(maxsize=None)
-def reference(name):
+def reference(name, plan_optimize=True):
     """The outputs of the program compiled without the pass, on the
     sequential executor, and the interpreter's."""
     make, source, inputs, _ = _case(name)
-    with DistributedContext(num_partitions=4) as context:
+    with DistributedContext(num_partitions=4, plan_optimize=plan_optimize) as context:
         diablo = make(context)
         with mock.patch.object(translator, "share_scans", _unshared):
             compiled = diablo.compile(source)
@@ -147,9 +147,12 @@ def reference(name):
         return _outputs(result, inputs), scalars, interpreted
 
 
+#: ``plan_optimize`` off keeps every shuffle partition-aware planning would
+#: elide and hoists no loop invariant.
 CONFIGS = [
-    (executor, spill, adaptive)
+    (executor, plan_optimize, spill, adaptive)
     for executor in ("sequential", "cluster")
+    for plan_optimize in (True, False)
     for spill in (None, 1)
     for adaptive in (True, False)
 ]
@@ -158,11 +161,19 @@ CONFIGS = [
 @pytest.fixture(
     scope="module",
     params=CONFIGS,
-    ids=[f"{e}-spill{s}-{'adaptive' if a else 'static'}" for e, s, a in CONFIGS],
+    ids=[
+        f"{e}{'' if o else '-unoptimized'}-spill{s}-{'adaptive' if a else 'static'}"
+        for e, o, s, a in CONFIGS
+    ],
 )
 def ctx(request):
-    executor, spill, adaptive = request.param
-    options = {"num_partitions": 4, "spill_threshold_bytes": spill, "adaptive": adaptive}
+    executor, plan_optimize, spill, adaptive = request.param
+    options = {
+        "num_partitions": 4,
+        "plan_optimize": plan_optimize,
+        "spill_threshold_bytes": spill,
+        "adaptive": adaptive,
+    }
     if executor == "cluster":
         context = ClusterContext(cluster_workers=2, **options)
     else:
@@ -178,7 +189,7 @@ def test_shared_outputs_are_bit_identical_to_the_unshared_and_match_the_interpre
     assert compiled.translation.optimizer_stats.shared_scans == len(set(rules))
     result = compiled.run(**inputs)
     assert [line.split(": ", 1)[1] for line in result.trace if "shared scan" in line] == rules
-    expected, scalars, interpreted = reference(name)
+    expected, scalars, interpreted = reference(name, ctx.plan_optimize)
     assert _outputs(result, inputs) == expected
     for output, value in scalars.items():
         assert values_match(value, interpreted[output]), output
