@@ -46,7 +46,7 @@ import functools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.comprehension import ir
 from repro.comprehension.monoids import _logical_and, _logical_or
@@ -96,7 +96,8 @@ class Segment(NamedTuple):
       matches, the pairs the broadcast join would have built, in their
       order.  The table maps a key to its list of slot rows, or, when
       ``unique`` (no build-side key repeats), to its one slot row, tested
-      against ``MISSING`` (a slot row may be falsy);
+      against ``MISSING`` (a slot row may be falsy).  A probe key equal to
+      the previous record's reuses its match (a NaN key is looked up again);
     * ``("product", left_names, pattern, rows)`` -- a no-key product's right
       elements, each paired with every left slot row of the driver list
       ``rows``, or (``rows`` None) cartesian ``(left slot row, element)``;
@@ -121,12 +122,20 @@ class Segment(NamedTuple):
     ``acc[key] = acc[key] ⊕ payload`` in a dict and returns its items as
     :class:`~repro.runtime.stage.FoldedRecords` -- keys in first-occurrence
     order, each value the exact left fold of its payloads, i.e. what
-    ``apply_combiner(("reduce", ⊕), ...)`` makes of the ``keyed`` output --
-    and ``("fold", term, op, inline)`` left-folds ``term`` from the monoid's
-    identity and returns ``[result]``.  Its product form, a tuple ``op`` over
-    a ``CTuple`` term of as many elements (a shared scan's ``(⊕1,…,⊕n)/``),
-    keeps one local accumulator per component, folds element j into
-    accumulator j and returns ``[(acc0, …)]``: no tuple is built per record.
+    ``apply_combiner(("reduce", ⊕), ...)`` makes of the ``keyed`` output.
+    A key of row variables (one, a tuple, or a let of a tuple) some of which
+    a loop outside the exit's binds, and which leads with those, is
+    factorised over that loop: (B) split across depths, it folds into one
+    row dict per value of its outer part, keyed on its inner part, building
+    the full key only when a row first sees its inner part; (A) fixed across
+    the inner loops, it folds into a local stored once after them.  Either fetches its row or accumulator
+    when the first payload reaches the fold, so a key no payload reaches is
+    never hashed.  ``("fold", term, op, inline)`` left-folds ``term`` from
+    the monoid's identity and returns ``[result]``.  Its product form, a
+    tuple ``op`` over a ``CTuple`` term of as many elements (a shared scan's
+    ``(⊕1,…,⊕n)/``), keeps one local accumulator per component, folds
+    element j into accumulator j and returns ``[(acc0, …)]``: no tuple is
+    built per record.
     ``inline`` (see :func:`fold_operator`; a tuple of flags for a product)
     spells ``⊕`` as the Python operator instead of calling the registry's
     ``combine``.
@@ -272,6 +281,11 @@ def _pure(term: ir.Term) -> bool:
     return False
 
 
+def _tuple_of(parts: Iterable[str]) -> str:
+    """The source of a tuple of the expressions ``parts``."""
+    return "(" + "".join(f"{part}, " for part in parts) + ")"
+
+
 def _mentions(text: str, local: str) -> bool:
     return re.search(rf"\b{re.escape(local)}\b", text) is not None
 
@@ -327,6 +341,8 @@ class _Emitter:
         self.helpers: list[str] = []
         #: Leading steps the entry emitted itself (a product's element filters).
         self.hoisted = 0
+        #: Loop depth -> the index in ``lines`` of the header that last opened it.
+        self.opened: dict[int, int] = {}
 
     # -- naming ----------------------------------------------------------------
 
@@ -344,6 +360,7 @@ class _Emitter:
     def open(self, *headers: str) -> None:
         """Emit loop headers, each nested in the previous one."""
         for header in headers:
+            self.opened[self.depth + 1] = len(self.lines)
             self.emit(header)
             self.depth += 1
 
@@ -428,7 +445,7 @@ class _Emitter:
                 return f"({value!r})"
             return self.const(value)
         if isinstance(term, ir.CTuple):
-            return "(" + "".join(f"{self.expr(element)}, " for element in term.elements) + ")"
+            return _tuple_of(map(self.expr, term.elements))
         if isinstance(term, ir.CRecord):
             return "{" + ", ".join(f"{name!r}: {self.expr(e)}" for name, e in term.fields) + "}"
         if isinstance(term, ir.CProject):
@@ -510,8 +527,8 @@ class _Emitter:
         if any(isinstance(qualifier, ir.GroupBy) for qualifier in term.qualifiers):
             raise CompilationError(f"group-by inside a locally evaluated comprehension: {term}")
         outer = {name: self.row[name] for name in sorted(ir.free_variables(term)) if name in self.row}
-        saved = self.row, self.lines, self.depth, self.reduced
-        self.row, self.lines, self.depth = dict(outer), [], 1
+        saved = self.row, self.lines, self.depth, self.reduced, self.opened
+        self.row, self.lines, self.depth, self.opened = dict(outer), [], 1, {}
         bound: dict[str, str] = {}  # variable -> its local, in row-tuple order
 
         def each_row() -> None:
@@ -551,7 +568,7 @@ class _Emitter:
         self.emit("return result")
         helper, parameters = self.fresh("n"), ", ".join(dict.fromkeys(outer.values()))
         self.helpers += [f"def {helper}({parameters}):", *self.lines]
-        self.row, self.lines, self.depth, self.reduced = saved
+        self.row, self.lines, self.depth, self.reduced, self.opened = saved
         return f"{helper}({parameters})"
 
     def project(self, term: ir.CProject) -> str:
@@ -591,14 +608,17 @@ class _Emitter:
             probe, matches = ("right", "lefts") if side == "left" else ("left", "rights")
             names = dict(left=left_names, right=right_names)
             self.open(f"for key, {self.slots(names[probe])} in records:")
+            # A run of equal keys is looked up once (a NaN key every time).
+            self.emit("if key != last:")
+            self.emit("    last = key")
             if unique:
-                self.emit(f"{matches} = match(key, MISSING)")
+                self.emit(f"    {matches} = match(key, MISSING)")
                 self.emit(f"if {matches} is MISSING:")
                 self.emit("    continue")
                 # The match's slots bind in the probe record's loop.
                 self.emit(f"{self.slots(names[side], self.depth)} = {matches}")
             else:
-                self.emit(f"{matches} = match(key)")
+                self.emit(f"    {matches} = match(key)")
                 self.emit(f"if not {matches}:")
                 self.emit("    continue")
                 self.open(f"for {self.slots(names[side])} in {matches}:")
@@ -668,7 +688,7 @@ class _Emitter:
 
     def payload(self, payload: Any) -> str:
         if payload[0] == "values":
-            return "(" + "".join(f"{self.row[name]}, " for name in payload[1]) + ")"
+            return _tuple_of(self.row[name] for name in payload[1])
         return self.row.get(payload[1], "None")
 
     def leave(self) -> tuple[list[str], list[str], str]:
@@ -700,22 +720,87 @@ class _Emitter:
                 fetch += lines[1]
             return setup, fetch, "[(" + "".join(f"acc{position}, " for position in range(len(op))) + ")]"
         if kind == "fold_by_key":
-            op, inline = exit_[-2:]
-            combine = _INLINE_COMBINES[op][1] if inline else "combine({}, {})"
-            fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
-            self.emit(f"fold_key = {self.expr(exit_[1])}")
-            value = self.payload(exit_[2])
-            self.emit("held = get(fold_key, MISSING)")
-            self.emit(f"acc[fold_key] = {value} if held is MISSING else {combine.format('held', value)}")
-            self.emit("consumed += 1")
-            fetch.append("get = acc.get")
-            return ["acc = {}", "consumed = 0"], fetch, "FoldedRecords(acc.items(), consumed)"
+            return self.fold_by_key(exit_[1], self.payload(exit_[2]), *exit_[-2:])
         if kind == "head":
             item = self.expr(exit_[1])
         else:
             item = f"({self.expr(exit_[1])}, {self.payload(exit_[2])})"
         self.emit(f"append({item})")
         return ["out = []"], ["append = out.append"], "out"
+
+    def fold_by_key(
+        self, term: ir.Term, value: str, op: str, inline: bool
+    ) -> tuple[list[str], list[str], str]:
+        """The ``fold_by_key`` exit (see :class:`Segment`): flat, or
+        factorised over the loops that fix part of the key."""
+        combine = _INLINE_COMBINES[op][1] if inline else "combine({}, {})"
+        fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
+        setup, result = ["acc = {}", "consumed = 0"], "FoldedRecords(acc.items(), consumed)"
+        parts, key = self.key_parts(term)
+        # A positional entry's element is bound by the record loop (depth 1).
+        depths = {local: max(depth, 1) for local, depth in parts}
+        outer = [local for local, _ in parts if depths[local] < self.depth]
+        inner = [local for local, _ in parts if depths[local] == self.depth]
+        # A tuple hashes its parts in order: factorise only a key whose outer
+        # parts lead, so that its first unhashable part still raises first.
+        if not outer or [local for local, _ in parts[: len(outer)]] != outer:
+            self.emit(f"fold_key = {self.expr(term)}")
+            self.emit("held = get(fold_key, MISSING)")
+            self.emit(f"acc[fold_key] = {value} if held is MISSING else {combine.format('held', value)}")
+            self.emit("consumed += 1")
+            return setup, [*fetch, "get = acc.get"], result
+        # Reset once per pass of the loop that binds the key's last outer part.
+        shallow = max(depths[local] for local in outer)
+        at = self.opened[shallow + 1]
+        self.lines.insert(at, "    " * shallow + ("folding = False" if not inner else "row = None"))
+        self.inert = [(line + (line >= at), local) for line, local in self.inert]
+        if not inner:
+            # The whole key is fixed across the inner loops: fold into a local.
+            self.emit("if not folding:")
+            self.emit("    folding = True")
+            self.emit(f"    fold_key = {key}")
+            self.emit("    held = get(fold_key, MISSING)")
+            self.emit(f"held = {value} if held is MISSING else {combine.format('held', value)}")
+            self.emit("consumed += 1")
+            self.lines += ["    " * shallow + "if folding:", "    " * shallow + "    acc[fold_key] = held"]
+            return setup, [*fetch, "get = acc.get"], result
+        # One row per outer part, fetched at its first product, keyed on the inner part.
+        head = outer[0] if len(outer) == 1 else _tuple_of(outer)
+        tail = inner[0] if len(inner) == 1 else _tuple_of(inner)
+        self.emit("if row is None:")
+        self.emit(f"    row = rows_get({head})")
+        self.emit("    if row is None:")
+        self.emit(f"        row = rows[{head}] = {{}}")
+        self.emit("    rget = row.get")
+        self.emit(f"held = rget({tail}, MISSING)")
+        self.emit("if held is MISSING:")
+        self.emit(f"    row[{tail}] = {value}")
+        self.emit(f"    push(({key}, row, {tail}))")
+        self.emit("else:")
+        self.emit(f"    row[{tail}] = {combine.format('held', value)}")
+        self.emit("consumed += 1")
+        return (
+            ["rows = {}", "order = []", "consumed = 0"],
+            [*fetch, "rows_get = rows.get", "push = order.append"],
+            "FoldedRecords([(k, row[s]) for k, row, s in order], consumed)",
+        )
+
+    def key_parts(self, term: ir.Term) -> tuple[tuple[tuple[str, int], ...], str]:
+        """The ``(local, depth)`` of each part of a fold key made of row
+        variables -- one, a tuple of them, or a let of such a tuple -- and
+        the key spelled over those locals; no parts for any other key."""
+        if isinstance(term, ir.CVar) and term.name in self.row:
+            local = self.row[term.name]
+            parts = next((known[2] for known in self.computed.values() if known[0] == local and known[2]), ())
+            if not parts:
+                return ((local, self.depths.get(term.name, 0)),), local
+        elif isinstance(term, ir.CTuple) and all(
+            isinstance(element, ir.CVar) and element.name in self.row for element in term.elements
+        ):
+            parts = tuple((self.row[e.name], self.depths.get(e.name, 0)) for e in term.elements)
+        else:
+            return (), ""
+        return parts, _tuple_of(local for local, _ in parts)
 
     def accumulate(
         self, acc: str, combine: str, op: str, inline: bool, value: str
@@ -828,7 +913,7 @@ class _Emitter:
             "        if not records:",
             f"            return {result}",
             *(f"        {line}" for line in fetch),
-            *(["        match = lookup.get"] if probe else []),
+            *(["        match = lookup.get", "        last = MISSING"] if probe else []),
         ]
         for name, local in self.scalars.items():
             lines += [

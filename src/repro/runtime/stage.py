@@ -269,12 +269,7 @@ def apply_combiner(combiner: tuple[Any, ...], records: list[Any]) -> list[Any]:
         return records
     accumulator: dict[Any, Any] = {}
     if kind == "reduce":
-        function = combiner[1]
-        for key, value in records:
-            if key in accumulator:
-                accumulator[key] = function(accumulator[key], value)
-            else:
-                accumulator[key] = value
+        _fold_into(accumulator, combiner[1], records)
     elif kind == "group":
         # Adaptive map-side grouping (groupByKey on heavily duplicated
         # keys): collapse each task's records into one (key, [values])

@@ -1448,7 +1448,14 @@ class TestObservability:
             assert "for (r1_i_44, r2_v_46,) in lefts:" in nested
             assert "for (r3_i_48, r4_v_49,) in rights:" in nested
             loop = nested.split(" in lefts:")[1].split("return")[0]
-            assert "acc[fold_key] = " in loop and "append(" not in loop
+            # The fold is factorised: i's row is fetched once per left row,
+            # and the (i, j) key is built only when the row first sees j.
+            reset, rights = loop.split(" in rights:")
+            assert "row = None" in reset and "row = rows_get(r1_i_44)" in rights
+            first_sight, combined = rights.split("if held is MISSING:")[1].split("else:")
+            assert "push(((r1_i_44, r3_i_48, ), row, r3_i_48))" in first_sight
+            assert "(r1_i_44, r3_i_48, )" not in reset + combined + rights.split("if held is MISSING:")[0]
+            assert "append(" not in loop
             pending = explain_dataset(dataset)
             assert "ShuffleStage(reduceByKey" in pending and "combiner=yes" in pending
             assert "ShuffleStage(join" in pending and f"generated: {label}" in pending
