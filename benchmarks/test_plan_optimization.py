@@ -35,11 +35,12 @@ def test_pagerank_multistep_iteration_shuffles_drop():
         assert entry["shuffled_bytes"] < first["shuffled_bytes"]
         assert entry["shuffles"] < first["shuffles"]
         assert entry["loop_invariant_reuses"] >= 1
-    # Three placements across the whole run, each exactly once: the
-    # invariant merge side, and the program-level placements of C and of P's
+    # Four placements across the whole run, each exactly once: the
+    # invariant merge side, the invariant join side placed by the key its
+    # consumer folds by, and the program-level placements of C and of P's
     # initial ranks (both assigned straight from a range into a fresh array,
     # so they arrive unplaced).
-    assert context.metrics.shuffle_operations.get("partitionBy") == 3
+    assert context.metrics.shuffle_operations == {"partitionBy": 4, "reduceByKey": 1}
 
 
 def test_pagerank_multistep_planner_off_baseline():

@@ -9,12 +9,16 @@ the partition-aware planner (PR 5) does to it:
 * iterations 2+ reuse the cached sides (``loop_invariant_reuses``) and
   shuffle only the mutated rank data -- the per-iteration structural metrics
   show ``shuffled_bytes`` dropping after iteration 1 and staying flat;
+* the cached edge side is placed by the vertex its consumer folds ranks
+  by, so each iteration's reduceByKey runs per partition and the merges
+  after it run in the same task;
 * merges whose two sides end up co-partitioned run as narrow zip stages with
   zero ShuffleStages (``narrow_joins``), reported by ``explain_metrics``
   together with the reason for every eliminated shuffle.
 
 The same program is then re-run with ``plan_optimize=False`` to show the
-baseline the planner beats -- results are identical either way.
+baseline the planner beats.  The ranks agree up to float rounding: the
+placed fold sums each vertex's contributions in another order.
 
 Usage::
 
@@ -22,6 +26,8 @@ Usage::
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.algebra.explain import explain_metrics
 from repro.evaluation.harness import diablo_for
@@ -82,8 +88,11 @@ def main() -> None:
         f"{metrics.shuffled_bytes} bytes shuffled"
     )
     assert metrics.shuffled_bytes < baseline_metrics.shuffled_bytes
-    assert baseline_result.array("P") == result.array("P"), "results must be identical"
-    print("\nresults identical with and without the planner ✓")
+    ranks, baseline_ranks = result.array("P"), baseline_result.array("P")
+    assert ranks.keys() == baseline_ranks.keys() and all(
+        math.isclose(ranks[key], baseline_ranks[key], rel_tol=1e-12) for key in ranks
+    ), "results must agree"
+    print("\nresults agree with and without the planner ✓")
 
 
 if __name__ == "__main__":

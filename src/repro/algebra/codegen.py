@@ -369,10 +369,13 @@ class _Emitter:
 
         A rebinding inside a loop opened after the binding gets a fresh
         local: the loop's later passes still read the outer value.  So does
-        one of a local another variable shares (an aliased let)."""
+        one of a local another variable shares (an aliased let), and one of
+        a positional entry's element: ``rec``, the record loop's own
+        variable, is never assigned."""
         local = self.row.get(name)
         if (
             local is None
+            or local == "rec"
             or self.depths.get(name, 0) < self.depth
             or any(held == local for other, held in self.row.items() if other != name)
         ):
@@ -671,7 +674,7 @@ class _Emitter:
 
     def positional(self, pattern: ir.PTuple) -> None:
         """The loop of a ``positional`` entry: the element is ``rec`` (kept
-        intact: a rebinding gets a fresh local), the position a counter."""
+        intact, see :meth:`target`), the position a counter."""
         position, element = pattern.elements
         self.counted = isinstance(position, ir.PVar) and position.name in self.reads
         if self.counted:
@@ -682,7 +685,7 @@ class _Emitter:
         else:
             self.open("for rec in records:")
         if isinstance(element, ir.PVar):
-            self.row[element.name], self.depths[element.name] = "rec", 0
+            self.row[element.name], self.depths[element.name] = "rec", self.depth
         elif isinstance(element, ir.PTuple):
             self.bind(element, "rec")
 
@@ -737,8 +740,7 @@ class _Emitter:
         fetch = [] if inline else [f"combine = monoids.get({op!r}).combine"]
         setup, result = ["acc = {}", "consumed = 0"], "FoldedRecords(acc.items(), consumed)"
         parts, key = self.key_parts(term)
-        # A positional entry's element is bound by the record loop (depth 1).
-        depths = {local: max(depth, 1) for local, depth in parts}
+        depths = dict(parts)
         outer = [local for local, _ in parts if depths[local] < self.depth]
         inner = [local for local, _ in parts if depths[local] == self.depth]
         # A tuple hashes its parts in order: factorise only a key whose outer

@@ -45,6 +45,10 @@ direct emission could not:
   *once*; iterations 2+ reuse the placed dataset, so only the mutated side
   of the join is ever re-shuffled (``metrics.loop_invariant_reuses`` counts
   the hits).
+* **the placed invariant side** (:meth:`Planner._keyed_join_side`): a cached
+  side the consumer folds by one of its variables (:func:`_fold_slot`) is
+  placed by that variable, so that each broadcast probe of it leaves the
+  fold placed by key and PageRank's iterations move nothing.
 """
 
 from __future__ import annotations
@@ -662,48 +666,68 @@ class Planner:
         right_key_op = _key_op(right_key, ("values", pushdown.right_names), node.right_prepartitioned)
         left_tail = (left_key_op, *reversed(pushdown.left))
         right_tail = (right_key_op, *reversed(pushdown.right))
-        keyed_left = self._keyed_join_side(node, node.left, left_tail, None, "build rows")
+        fold_slot = _remember(node, "fold-slot", lambda: _fold_slot(node, pushdown, consumer.segment))
+        keyed_left, placed = self._keyed_join_side(node, node.left, left_tail, None, "build rows", fold_slot)
         right_entry = ("bind", node.pattern)
-        keyed_right = self._keyed_join_side(node, node.right, right_tail, right_entry, node.domain_label)
-        return keyed_left.join(keyed_right, consumer=consumer)
+        keyed_right, _ = self._keyed_join_side(node, node.right, right_tail, right_entry, node.domain_label)
+        return keyed_left.join(keyed_right, consumer=consumer, placed=placed)
 
     def _keyed_join_side(
-        self, join: HashJoinNode, side: PlanNode, tail: tuple[_Op, ...], entry: tuple | None, label: str
-    ) -> Dataset:
+        self,
+        join: HashJoinNode,
+        side: PlanNode,
+        tail: tuple[_Op, ...],
+        entry: tuple | None,
+        label: str,
+        fold_slot: tuple[int, str] | None = None,
+    ) -> tuple[Dataset, HashPartitioner | None]:
         """Lower one join input, its run ending in ``tail``: the steps pushed
-        below the join and the keying map by the join-key terms.
+        below the join and the keying map by the join-key terms.  Returns it
+        and the partitioner a probe of it leaves the consumer's records
+        placed by, if any.
 
         Loop-invariant sides are materialized once per loop: placed with the
         shuffle's hash partitioner when they are too big to broadcast (the
         runtime then skips their map-side shuffle on every iteration), plainly
         cached otherwise (the broadcast build side is at least not recomputed).
+        A left side whose slot ``fold_slot`` (position, name) holds the key
+        the consumer folds by, joined with a scan that fits the broadcast
+        threshold (its count bounds the side's), is instead placed by that
+        slot in the wave that materializes it.
         The joins inside a side being cached are not cached themselves: later
         iterations reuse the whole side and never lower them again.
         """
         cache_key = self._side_key(side, entry, tail)
         if cache_key is None:
-            return self._lower_chain(side, tail, entry)
+            return self._lower_chain(side, tail, entry), None
         hit = self.loop_cache.get(cache_key)
         if hit is not None:
             self.context.metrics.record_loop_invariant_reuse()
             self.trace.append(f"loop-invariant join side reused: {label}")
             _note(join, f"loop-invariant side reused: {label}")
             return hit
+        placed = None
+        threshold, right = self.context.broadcast_join_threshold, join.right
+        if fold_slot and isinstance(right, ScanNode) and self._inputs[right.slot].count() <= threshold:
+            placed = HashPartitioner(self.context.num_partitions)
         self._in_cached_side = True
         try:
-            keyed = self._lower_chain(side, tail, entry).materialize()
+            keyed = self._lower_chain(side, tail, entry)
+            keyed = keyed.materialize() if placed is None else keyed.partition_by_slot(fold_slot[0])
         finally:
             self._in_cached_side = False
-        if keyed.count() > self.context.broadcast_join_threshold:
+        if placed is not None:
+            placement = f"placed by {fold_slot[1]}, the key its consumer folds by"
+        elif keyed.count() > self.context.broadcast_join_threshold:
             keyed = keyed.partition_by(HashPartitioner(self.context.num_partitions))
             placement = "hash-partitioned"
         else:
             placement = "materialized"
         depends = _remember(side, "loop-deps", lambda: signature_env_deps(cache_key))
-        self.loop_cache.put(cache_key, keyed, depends)
+        self.loop_cache.put(cache_key, (keyed, placed), depends)
         self.trace.append(f"loop-invariant join side cached ({placement}): {label}")
         _note(join, f"loop-invariant side cached ({placement}): {label}")
-        return keyed
+        return keyed, placed
 
     def _side_key(self, side: PlanNode, entry: tuple | None, tail: tuple[_Op, ...]) -> tuple | None:
         """The loop-cache key of a join side, made on its first lowering (a
@@ -770,6 +794,23 @@ class Planner:
         _note(node, "cartesian (both sides above the broadcast threshold)")
         entry = ("product", names, node.pattern, None)
         return rows.cartesian(dataset).map_partitions, entry, entry
+
+
+def _fold_slot(join: HashJoinNode, pushdown: _Pushdown, consumer: codegen.Segment) -> tuple[int, str] | None:
+    """The position among the left slot names, and the name, of the row
+    variable ``join``'s consumer folds by; None when it folds by anything
+    else, by a variable of the left join key, or one its steps rebind."""
+    exit_ = consumer.exit
+    if exit_[0] != "fold_by_key" or not isinstance(exit_[1], ir.CVar):
+        return None
+    name = exit_[1].name
+    if (
+        name not in pushdown.left_names
+        or any(name in ir.free_variables(term) for term in join.left_key_terms)
+        or any(step[0] != "filter" and name in step[1].variables() for step in consumer.steps)
+    ):
+        return None
+    return pushdown.left_names.index(name), name
 
 
 def _positional(dataset: Dataset, entry: tuple, bindings: Any) -> tuple[Dataset, tuple, Any]:

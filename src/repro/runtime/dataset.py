@@ -57,7 +57,7 @@ from typing import Any, Callable, Iterable, Iterator, TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.runtime import stage as stage_mod
-from repro.runtime.partitioner import HashPartitioner, Partitioner
+from repro.runtime.partitioner import HashPartitioner, Partitioner, SlotPartitioner
 from repro.runtime.stage import NarrowStage, ShuffleInput, ShuffleStage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -242,9 +242,9 @@ class Dataset:
         new_partitions = self.context.run_tasks(
             task, source_partitions, task_spec=stages, read=read
         )
-        metrics.record_narrow(
-            len(source_partitions), sum(len(partition) for partition in source_partitions)
-        )
+        # A zipped chain counts its source partition; like a reduce task's, its zips count nothing.
+        records = sum(len(p[0] if isinstance(p, stage_mod.ZippedBucket) else p) for p in source_partitions)
+        metrics.record_narrow(len(source_partitions), records)
         operators = stage_mod.operator_count(stages)
         if operators:  # a lone join probe: its join counted the consumer
             metrics.record_fused(operators)
@@ -709,26 +709,31 @@ class Dataset:
         (``ShuffleStage.zips``): reduce task ``i`` reads partition ``i`` of
         the other side after its bucket, and the result is that shuffle,
         still pending.  A zip over that result joins the same task again.
-        Otherwise the pass runs **eagerly** (like ``partition_by``): zipping
-        needs both sides' real partitions, so it executes at call time; the
-        trade is noted here because it shifts *when* upstream user-code
-        exceptions surface.
+        Else, when a side is a pending narrow chain, the zip joins the
+        chain's task the same way (:meth:`_zipped_chain`).  Otherwise the
+        pass runs **eagerly** (like ``partition_by``): zipping needs both
+        sides' real partitions, so it executes at call time; the trade is
+        noted here because it shifts *when* upstream user-code exceptions
+        surface.
         """
         # A consumer's records are no longer the join's keyed pairs.
         partitioner = self.partitioner if consumer is None else None
-        for reduced, side, reduced_left in ((self, other, True), (other, self, False)):
+        pairs = ((self, other, True), (other, self, False)) if other is not self else ()
+        result = None
+        for reduced, side, reduced_left in pairs:
             with reduced._force_lock:
                 shuffle = reduced._shuffle
-            if (
-                shuffle is not None
-                and side is not reduced
-                and side.num_partitions == shuffle.num_output_partitions
-            ):
+            if shuffle is not None and side.num_partitions == shuffle.num_output_partitions:
                 zips = shuffle.zips + ((side, task_function, reduced_left),)
                 zipped = shuffle._replace(zips=zips, result_partitioner=partitioner)
                 result = Dataset._pending_shuffle(self.context, zipped)
                 break
-        else:
+        for reduced, side, reduced_left in pairs if result is None else ():
+            chain = reduced._zipped_chain(side, task_function, reduced_left)
+            if chain is not None:
+                result = Dataset._pending(*chain, partitioner)
+                break
+        if result is None:
             left_partitions = self.partitions
             right_partitions = other.partitions
             if len(left_partitions) != len(right_partitions):
@@ -746,15 +751,42 @@ class Dataset:
         result.provenance = f"{operation}: {reason}"
         return result
 
+    def _zipped_chain(
+        self, side: "Dataset", function: Callable[[list[Any]], list[Any]], reduced_left: bool
+    ) -> tuple["Dataset", tuple[NarrowStage, ...]] | None:
+        """``(source, stages)`` of this pending narrow chain with a zip with
+        ``side`` after it, in its task (:func:`~repro.runtime.stage.zipped_chain`);
+        None unless this is a pending narrow chain with as many partitions as
+        ``side``.  A zip over a chain that already ends in zips joins them."""
+        chain = self._broadcast_chain()
+        if chain is None:
+            return None
+        source, stages = chain
+        zips: tuple[Any, ...] = ()
+        if len(stages) == 1 and getattr(stages[0].function, "func", None) is stage_mod.zipped_chain:
+            stages, zips = stages[0].function.args
+            bundles = source.partitions
+        else:
+            bundles = [stage_mod.ZippedBucket([partition]) for partition in source.partitions]
+        sides = side.partitions
+        if len(bundles) != len(sides):
+            return None
+        zips += ((function, reduced_left),)
+        zipped = [stage_mod.ZippedBucket([*bundle, part]) for bundle, part in zip(bundles, sides)]
+        task = functools.partial(stage_mod.zipped_chain, stages, zips)
+        return Dataset(self.context, zipped), (NarrowStage(stage_mod.PARTITIONS_INDEXED, task),)
+
     def _key_shuffle(
         self,
         operation: str,
         partitioner: Partitioner | None,
         combiner: tuple[Any, ...] | None,
         reduce_stages: tuple[NarrowStage, ...],
+        keys_placed: bool = True,
     ) -> "Dataset":
         """Build the single-input :class:`ShuffleStage` plan node every keyed
-        wide operator shares (Section 'shuffles are plan nodes')."""
+        wide operator shares (Section 'shuffles are plan nodes').  The result
+        claims the bucketing partitioner unless ``keys_placed`` is False."""
         chosen = partitioner or self.partitioner or HashPartitioner(self.context.num_partitions)
         source, stages, captured = self._capture_plan()
         shuffle = ShuffleStage(
@@ -763,7 +795,7 @@ class Dataset:
             num_output_partitions=chosen.num_partitions,
             reduce_stages=reduce_stages,
             partitioner=chosen,
-            result_partitioner=chosen,
+            result_partitioner=chosen if keys_placed else None,
         )
         return Dataset._pending_shuffle(self.context, shuffle)
 
@@ -778,6 +810,13 @@ class Dataset:
             return self
         placed = self._key_shuffle("partitionBy", partitioner, None, reduce_stages=())
         return placed.materialize()
+
+    def partition_by_slot(self, slot: int) -> "Dataset":
+        """Place ``(key, slots)`` records by ``slots[slot]`` as
+        :class:`HashPartitioner` places a key; eager like :meth:`partition_by`.
+        The keys are not placed, so the result claims no partitioner."""
+        chosen = SlotPartitioner(self.context.num_partitions, slot)
+        return self._key_shuffle("partitionBy", chosen, None, (), keys_placed=False).materialize()
 
     def group_by_key(self, partitioner: Partitioner | None = None) -> "Dataset":
         """Group a key-value dataset into ``(key, [values])``.
@@ -934,7 +973,9 @@ class Dataset:
             consumer=consumer,
         )
 
-    def join(self, other: "Dataset", consumer: Callable[..., Any] | None = None) -> "Dataset":
+    def join(
+        self, other: "Dataset", consumer: Callable[..., Any] | None = None, placed: Partitioner | None = None
+    ) -> "Dataset":
         """Inner equi-join of key-value datasets: ``(key, (left, right))``.
 
         The strategy is chosen when the plan is forced: a broadcast hash join
@@ -946,8 +987,18 @@ class Dataset:
         physical join hands its ``(key, left values, right values)`` groups
         to ``consumer`` inside the join task, and the result holds whatever
         records the consumer returns per partition (no partitioner).
+
+        ``placed``: the caller's word that a probe of this side leaves the
+        consumer's records placed by that partitioner (see
+        :meth:`partition_by_slot`).  The strategy is then settled at once, and
+        only a join that probes this side claims it.
         """
-        return self._join(other, "inner", consumer=consumer)
+        joined = self._join(other, "inner", consumer=consumer)
+        if placed is not None:
+            chain = joined._broadcast_chain()
+            if chain is not None and chain[0] is self:
+                joined.partitioner = placed
+        return joined
 
     def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":
         """Full outer join (always a shuffle join: neither side can be

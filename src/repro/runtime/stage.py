@@ -104,8 +104,14 @@ def describe(stages: Iterable[NarrowStage]) -> str:
 def operator_count(stages: Iterable[NarrowStage]) -> int:
     """Logical operators behind a stage chain: a generated row-segment stage
     (:mod:`repro.algebra.codegen`) stands for as many as it replaced, a
-    broadcast join's probe for none (its join counts it)."""
-    return sum(0 if is_probe(stage) else getattr(stage.function, "operators", 1) for stage in stages)
+    broadcast join's probe for none (its join counts it), a zipped chain for
+    its chain's (its zips count as eliminated shuffles)."""
+    return sum(
+        0 if is_probe(stage)
+        else operator_count(stage.function.args[0]) if getattr(stage.function, "func", None) is zipped_chain
+        else getattr(stage.function, "operators", 1)
+        for stage in stages
+    )
 
 
 def positions(offsets: tuple[int, ...], records: list[Any], index: int) -> list[Any]:
@@ -673,8 +679,9 @@ def zip_merge_partition(function: Callable[[Any, Any], Any] | None, partition: l
 
 
 class ZippedBucket(list):
-    """One reduce task's input when co-partitioned operators run inside it:
-    the bucket's payloads, then partition ``i`` of each zipped side."""
+    """One task's input when co-partitioned operators run inside it: a reduce
+    bucket's payloads (or a narrow chain's source partition), then partition
+    ``i`` of each zipped side."""
 
 
 def zipped_reduce(
@@ -687,10 +694,30 @@ def zipped_reduce(
     each ``(function, reduced_left)`` zip with the next side partition: the
     zip passes of :meth:`Dataset._zip_narrow`, in the same task."""
     cut = len(partition) - len(zips)
-    records = partition[:cut]
+    return _zipped(stages, zips, partition[:cut], partition[cut:], index)
+
+
+def zipped_chain(
+    stages: tuple[NarrowStage, ...],
+    zips: tuple[tuple[Callable[[list[Any]], list[Any]], bool], ...],
+    partition: list[Any],
+    index: int,
+) -> list[Any]:
+    """:func:`zipped_reduce` for a narrow task: ``stages`` run over the
+    :class:`ZippedBucket`'s first element, its source partition."""
+    return _zipped(stages, zips, partition[0], partition[1:], index)
+
+
+def _zipped(
+    stages: tuple[NarrowStage, ...],
+    zips: tuple[tuple[Callable[[list[Any]], list[Any]], bool], ...],
+    records: list[Any],
+    sides: list[Any],
+    index: int,
+) -> list[Any]:
     for stage in stages:
         records = apply_stage(stage, records, index)
-    for (function, reduced_left), side in zip(zips, partition[cut:], strict=True):
+    for (function, reduced_left), side in zip(zips, sides, strict=True):
         records = function([records, side] if reduced_left else [side, records])
     return records
 

@@ -315,17 +315,23 @@ def independent(statements: Sequence[TargetAssign]) -> bool:
 
 
 def keyed_consumers(term: ir.Term) -> list[str]:
-    """The variables ``term`` consumes by their pair key, once per consumer.
+    """The variables ``term`` consumes by their pair key, once per shuffled
+    side a placement by that key saves.
 
     Keyed consumers are array merges (⊳ / ⊳⊕ coGroup both operands by key)
-    and generators over a variable whose pattern's key component feeds an
-    equality condition or a group-by key of the same comprehension.
+    and generators over a variable whose pattern's key is one variable that
+    feeds an equality condition or a group-by key of the same comprehension.
+    A merge operand counts twice: placed, it zips with an other side already
+    placed by key (a reduceByKey's output), and neither side moves.  A key
+    pattern of several variables (a matrix's ``(i, j)``) does not count: the
+    planner joins and groups by its parts, never by the whole key a
+    placement hashes.
     """
     if isinstance(term, (ir.Merge, ir.MergeWith)):
         return [
             name
             for side in (term.left, term.right)
-            for name in ([side.name] if isinstance(side, ir.CVar) else keyed_consumers(side))
+            for name in ([side.name] * 2 if isinstance(side, ir.CVar) else keyed_consumers(side))
         ]
     if not isinstance(term, ir.Comprehension):
         return [name for child in term.children() for name in keyed_consumers(child)]
@@ -339,9 +345,7 @@ def keyed_consumers(term: ir.Term) -> list[str]:
     consumers: list[str] = []
     for qualifier in term.qualifiers:
         match qualifier:
-            case ir.Generator(ir.PTuple((key, _)), ir.CVar(name)) if (
-                key.variables() and set(key.variables()) <= keyed
-            ):
+            case ir.Generator(ir.PTuple((ir.PVar(key), _)), ir.CVar(name)) if key in keyed:
                 consumers.append(name)
             case _:
                 for sub in qualifier.terms():
@@ -354,8 +358,9 @@ class ProgramFacts:
 
     Attributes:
         assigned: every variable the program assigns, loop bodies included.
-        keyed_demand: per variable, how many operators consume it by its
-            pair key (:func:`keyed_consumers`) across the whole program.
+        keyed_demand: per variable, how many shuffled sides a placement by
+            its pair key saves (:func:`keyed_consumers`) across the whole
+            program.
         top_level_demand: the same, counting top-level statements only.
         scalars: the variables with one value, not a collection: the
             scalar variables and the compiler's temporaries.

@@ -264,3 +264,23 @@ def test_the_programs_fold_factorised_and_agree_with_the_interpreter(name, size,
         sources = [entry[1] for entry in compiled.translation.target.segments.values()]
         assert any(marker in source for source in sources)
         assert_same_outputs(spec, distributed, diablo.interpret(spec.source, copy.deepcopy(inputs)))
+
+
+def test_a_positional_element_key_folds_inside_its_record_loop():
+    """word_count folds by the list element itself, which the record loop
+    binds (depth 1, like every record variable): its key is read inside
+    that loop, never hoisted before it into a fold of every word into one."""
+    spec = get_program("word_count")
+    with DistributedContext(num_partitions=2) as ctx:
+        compiled = diablo_for(spec, ctx).compile(spec.source)
+        compiled.run(**workload_for_program("word_count", 20, seed=7))
+    (fold,) = [entry[1] for entry in compiled.translation.target.segments.values() if "fold_key" in entry[1]]
+    lines = fold.splitlines()
+    loop = lines.index(next(line for line in lines if line.strip() == "for rec in records:"))
+    key = lines.index(next(line for line in lines if line.strip() == "fold_key = rec"))
+
+    def indent(line):
+        return len(line) - len(line.lstrip())
+
+    assert key > loop and indent(lines[key]) > indent(lines[loop])
+    assert "folding" not in fold and "rows_get" not in fold

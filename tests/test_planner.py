@@ -496,11 +496,12 @@ class TestPageRankIterations:
         # Steady state: iterations 2+ all shuffle exactly the same (mutated)
         # data volume.
         assert len({entry["shuffled_bytes"] for entry in rest}) == 1
-        # Three placement shuffles for the whole run, each exactly once: the
-        # invariant merge side, and the program-level placements of C and of
-        # P's initial ranks (both assigned straight from a range into a fresh
+        # Four placement shuffles for the whole run, each exactly once: the
+        # invariant merge side, the invariant join side placed by the key its
+        # consumer folds by, and the program-level placements of C and of P's
+        # initial ranks (both assigned straight from a range into a fresh
         # array, so they arrive unplaced).
-        assert metrics.shuffle_operations.get("partitionBy") == 3
+        assert metrics.shuffle_operations == {"partitionBy": 4, "reduceByKey": 1}
 
     def test_optimized_run_matches_unoptimized_and_interpreter(self):
         inputs = workload_for_program("pagerank", 40)
@@ -569,7 +570,7 @@ class TestProgramLevelPlacement:
         result, metrics = self._run()
         for name in ("V", "W"):
             assert any(
-                line.startswith(f"{name}: program-level placement for 2 keyed consumer(s)")
+                line.startswith(f"{name}: program-level placement saving 2 shuffled side(s)")
                 for line in result.trace
             ), result.trace
         # One placement shuffle per input, then both W-joins-V run narrow.

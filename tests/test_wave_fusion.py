@@ -3,13 +3,14 @@
 A join that broadcasts is pipelined into the task that consumes its output:
 the probe over the built lookup table becomes the head of the consumer's
 chain, so probe, fold and shuffle write run in one map task.  A merge of
-co-partitioned datasets joins the reduce task of the pending shuffle that
-feeds it: reduce task ``i`` reads partition ``i`` of the other side after its
-bucket.  These tests hold that to:
+co-partitioned datasets joins the task of the pending shuffle or narrow chain
+that feeds it: task ``i`` reads partition ``i`` of the other side after its
+bucket or chain.  These tests hold that to:
 
-* PageRank's loop body runs three waves per iteration -- the broadcast
-  table's collect, probe→write, reduce→merge→merge -- and, with
-  ``plan_optimize=False``, the thirteen it ran before (its merges shuffle);
+* PageRank's loop body runs two waves per iteration -- the broadcast
+  table's collect, then probe→fold→merge→merge over the loop-invariant side
+  placed by the fold key -- and, with ``plan_optimize=False``, the thirteen
+  it ran before (its merges shuffle);
 * every program's outputs are bit-identical with spill forced and without,
   adaptive on and off, at threshold 0 (joins shuffle) and at the default
   (they broadcast); with
@@ -47,9 +48,10 @@ CONFIGS = {
     "spill-1": {"spill_threshold_bytes": 1},
     "static": {"adaptive": False},
 }
-#: One PageRank iteration: P's keying run read for the broadcast table, the
-#: probe writing the reduceByKey's buckets, the reduce with both merges.
-ITERATION = ["let→key (read)", "probe→shuffle_write", "zipped_reduce"]
+#: One PageRank iteration: P's keying run read for the broadcast table, then
+#: the probe folding by key with both merges in its task (the reduceByKey runs
+#: per partition: the probed side is placed by the fold key).
+ITERATION = ["let→key (read)", "zipped_chain"]
 
 cluster_only = pytest.mark.skipif(
     os.environ.get("DIABLO_CLUSTER_TESTS") != "1",
@@ -90,11 +92,11 @@ def _pagerank_waves(steps: int, **settings) -> list[str]:
     return waves
 
 
-def test_a_pagerank_iteration_is_three_waves():
+def test_a_pagerank_iteration_is_two_waves():
     two, three = _pagerank_waves(2), _pagerank_waves(3)
     assert three[: len(two)] == two
     assert three[len(two) :] == ITERATION
-    assert two[-3:] == ITERATION
+    assert two[-2:] == ITERATION
 
 
 def test_plan_optimize_off_keeps_the_waves_of_before():
