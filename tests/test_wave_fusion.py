@@ -18,6 +18,7 @@ bucket or chain.  These tests hold that to:
   executor as well;
 * a salted ``reduceByKey`` folds its hot keys before a merge that would have
   joined its reduce task, and equals the unsalted result;
+* merges over a pending narrow chain run in the chain's one task;
 * a pending join two consumers read builds its table once;
 * the adaptive sampler forces its input outside its guard: an upstream
   failure raises once, with its own error.
@@ -214,6 +215,30 @@ def test_a_chained_merge_joins_the_same_reduce_task():
         reduced = context.parallelize([(i % 9, float(i)) for i in range(60)]).reduce_by_key(operator.add)
         side = context.parallelize_pairs({key: 10.0 for key in range(0, 12, 2)})
         assert sorted(side.merge(reduced).merge_with(side, operator.mul).collect()) == sorted(fused)
+
+
+def _narrow_chain_merged(context, placed):
+    """Two merges over a pending narrow chain that keeps its placement."""
+    base = context.parallelize_pairs({key: float(key) for key in range(12)})
+    side = context.parallelize_pairs({key: 10.0 for key in range(0, 12, 2)})
+    if placed is not None:
+        base, side = base.partition_by(placed), side.partition_by(placed)
+    chain = base.map_values(lambda value: value * 2.0)
+    return side.merge(chain).merge_with(side, operator.mul)
+
+
+def test_merges_join_the_task_of_a_pending_narrow_chain():
+    with DistributedContext(num_partitions=4) as context:
+        placed = HashPartitioner(4)
+        merged = _narrow_chain_merged(context, placed)
+        assert not merged.is_materialized
+        assert merged.partitioner == placed
+        waves = _record_waves(context)
+        fused = merged.collect()
+        assert waves == ["zipped_chain (read)"]
+        assert context.metrics.shuffles_eliminated == 2
+    with DistributedContext(num_partitions=4, plan_optimize=False) as context:
+        assert sorted(_narrow_chain_merged(context, None).collect()) == sorted(fused)
 
 
 # ---------------------------------------------------------------------------
