@@ -673,12 +673,7 @@ class Planner:
         return keyed_left.join(keyed_right, consumer=consumer, placed=placed)
 
     def _keyed_join_side(
-        self,
-        join: HashJoinNode,
-        side: PlanNode,
-        tail: tuple[_Op, ...],
-        entry: tuple | None,
-        label: str,
+        self, join: HashJoinNode, side: PlanNode, tail: tuple[_Op, ...], entry: tuple | None, label: str,
         fold_slot: tuple[int, str] | None = None,
     ) -> tuple[Dataset, HashPartitioner | None]:
         """Lower one join input, its run ending in ``tail``: the steps pushed
@@ -692,8 +687,10 @@ class Planner:
         cached otherwise (the broadcast build side is at least not recomputed).
         A left side whose slot ``fold_slot`` (position, name) holds the key
         the consumer folds by, joined with a scan that fits the broadcast
-        threshold (its count bounds the side's), is instead placed by that
-        slot in the wave that materializes it.
+        threshold, is placed by that slot as it is materialized, and keeps
+        that placement if ``resolve_join`` will broadcast the scan and probe
+        it (the side fits the threshold, the scan is no larger); otherwise
+        it is cached as above, one placement shuffle spent.
         The joins inside a side being cached are not cached themselves: later
         iterations reuse the whole side and never lower them again.
         """
@@ -706,20 +703,20 @@ class Planner:
             self.trace.append(f"loop-invariant join side reused: {label}")
             _note(join, f"loop-invariant side reused: {label}")
             return hit
-        placed = None
-        threshold, right = self.context.broadcast_join_threshold, join.right
-        if fold_slot and isinstance(right, ScanNode) and self._inputs[right.slot].count() <= threshold:
-            placed = HashPartitioner(self.context.num_partitions)
+        partitioner = HashPartitioner(self.context.num_partitions)
+        threshold, right, placed = self.context.broadcast_join_threshold, join.right, None
+        partner = self._inputs[right.slot].count() if fold_slot and isinstance(right, ScanNode) else None
+        placing = partner is not None and partner <= threshold
         self._in_cached_side = True
         try:
             keyed = self._lower_chain(side, tail, entry)
-            keyed = keyed.materialize() if placed is None else keyed.partition_by_slot(fold_slot[0])
+            keyed = keyed.place_by_slot(fold_slot[0]) if placing else keyed.materialize()
         finally:
             self._in_cached_side = False
-        if placed is not None:
-            placement = f"placed by {fold_slot[1]}, the key its consumer folds by"
-        elif keyed.count() > self.context.broadcast_join_threshold:
-            keyed = keyed.partition_by(HashPartitioner(self.context.num_partitions))
+        if placing and partner <= keyed.count() <= threshold:
+            placed, placement = partitioner, f"placed by {fold_slot[1]}, the key its consumer folds by"
+        elif keyed.count() > threshold:
+            keyed = keyed.partition_by(partitioner)
             placement = "hash-partitioned"
         else:
             placement = "materialized"
@@ -800,10 +797,8 @@ def _fold_slot(join: HashJoinNode, pushdown: _Pushdown, consumer: codegen.Segmen
     """The position among the left slot names, and the name, of the row
     variable ``join``'s consumer folds by; None when it folds by anything
     else, by a variable of the left join key, or one its steps rebind."""
-    exit_ = consumer.exit
-    if exit_[0] != "fold_by_key" or not isinstance(exit_[1], ir.CVar):
-        return None
-    name = exit_[1].name
+    kind, key = consumer.exit[:2]
+    name = key.name if kind == "fold_by_key" and isinstance(key, ir.CVar) else None
     if (
         name not in pushdown.left_names
         or any(name in ir.free_variables(term) for term in join.left_key_terms)

@@ -268,7 +268,7 @@ class ProgramRunner:
         environment: EvaluationEnvironment,
         state: _RunState,
     ) -> None:
-        """Pre-place program inputs whose placement saves >= 2 shuffled sides.
+        """Pre-place program inputs demanded by >= 2 keyed consumers.
 
         The per-statement planner sees one consumer at a time, so an input
         that several statements join or group on is shuffled once *per
@@ -300,9 +300,9 @@ class ProgramRunner:
     ) -> Dataset:
         """The program-level partitioner pass, applied at the force point.
 
-        A freshly assigned pair dataset that carries no partitioner, but whose
-        placement saves its downstream keyed consumers at least two shuffled
-        sides (:attr:`~repro.translate.facts.ProgramFacts.keyed_demand`), is
+        A freshly assigned pair dataset that carries no partitioner but has
+        at least two downstream keyed consumers
+        (:attr:`~repro.translate.facts.ProgramFacts.keyed_demand`) is
         hash-partitioned once: the per-statement planner sees one consumer
         at a time and could never justify the placement shuffle, but across
         the whole program it buys a narrow (zero-shuffle) pass per consumer.
@@ -329,7 +329,7 @@ class ProgramRunner:
         if not first or not (isinstance(first[0], tuple) and len(first[0]) == 2):
             return None
         trace.append(
-            f"{name}: program-level placement saving {demand} shuffled side(s) (hash-partitioned)"
+            f"{name}: program-level placement for {demand} keyed consumer(s) (hash-partitioned)"
         )
         return dataset.partition_by(HashPartitioner(self.context.num_partitions))
 

@@ -242,8 +242,10 @@ class Dataset:
         new_partitions = self.context.run_tasks(
             task, source_partitions, task_spec=stages, read=read
         )
-        # A zipped chain counts its source partition; like a reduce task's, its zips count nothing.
-        records = sum(len(p[0] if isinstance(p, stage_mod.ZippedBucket) else p) for p in source_partitions)
+        # A zipped chain counts the records it hands on, as a map wave counts
+        # those it writes: neither counts the side its probe reads.
+        pairs = zip(source_partitions, new_partitions, strict=True)
+        records = sum(len(new if type(old) is stage_mod.ZippedBucket else old) for old, new in pairs)
         metrics.record_narrow(len(source_partitions), records)
         operators = stage_mod.operator_count(stages)
         if operators:  # a lone join probe: its join counted the consumer
@@ -782,11 +784,9 @@ class Dataset:
         partitioner: Partitioner | None,
         combiner: tuple[Any, ...] | None,
         reduce_stages: tuple[NarrowStage, ...],
-        keys_placed: bool = True,
     ) -> "Dataset":
         """Build the single-input :class:`ShuffleStage` plan node every keyed
-        wide operator shares (Section 'shuffles are plan nodes').  The result
-        claims the bucketing partitioner unless ``keys_placed`` is False."""
+        wide operator shares (Section 'shuffles are plan nodes')."""
         chosen = partitioner or self.partitioner or HashPartitioner(self.context.num_partitions)
         source, stages, captured = self._capture_plan()
         shuffle = ShuffleStage(
@@ -795,7 +795,7 @@ class Dataset:
             num_output_partitions=chosen.num_partitions,
             reduce_stages=reduce_stages,
             partitioner=chosen,
-            result_partitioner=chosen if keys_placed else None,
+            result_partitioner=chosen,
         )
         return Dataset._pending_shuffle(self.context, shuffle)
 
@@ -811,12 +811,20 @@ class Dataset:
         placed = self._key_shuffle("partitionBy", partitioner, None, reduce_stages=())
         return placed.materialize()
 
-    def partition_by_slot(self, slot: int) -> "Dataset":
-        """Place ``(key, slots)`` records by ``slots[slot]`` as
-        :class:`HashPartitioner` places a key; eager like :meth:`partition_by`.
+    def place_by_slot(self, slot: int) -> "Dataset":
+        """Move each ``(key, slots)`` record, unchanged, where a
+        :class:`SlotPartitioner` puts it; eager like :meth:`partition_by`.
         The keys are not placed, so the result claims no partitioner."""
         chosen = SlotPartitioner(self.context.num_partitions, slot)
-        return self._key_shuffle("partitionBy", chosen, None, (), keys_placed=False).materialize()
+        source, stages, captured = self._capture_plan()
+        shuffle = ShuffleStage(
+            operation="partitionBy",
+            inputs=(ShuffleInput(source, stages, None, captured, self.partitioner),),
+            num_output_partitions=chosen.num_partitions,
+            reduce_stages=(),
+            partitioner=chosen,
+        )
+        return Dataset._pending_shuffle(self.context, shuffle).materialize()
 
     def group_by_key(self, partitioner: Partitioner | None = None) -> "Dataset":
         """Group a key-value dataset into ``(key, [values])``.
@@ -989,15 +997,14 @@ class Dataset:
         records the consumer returns per partition (no partitioner).
 
         ``placed``: the caller's word that a probe of this side leaves the
-        consumer's records placed by that partitioner (see
-        :meth:`partition_by_slot`).  The strategy is then settled at once, and
-        only a join that probes this side claims it.
+        consumer's records placed by that partitioner (the planner's placed
+        invariant side).  The strategy is then settled at once, and only a
+        join that probes this side claims it.
         """
         joined = self._join(other, "inner", consumer=consumer)
-        if placed is not None:
-            chain = joined._broadcast_chain()
-            if chain is not None and chain[0] is self:
-                joined.partitioner = placed
+        chain = joined._broadcast_chain() if placed is not None else None
+        if chain is not None and chain[0] is self:
+            joined.partitioner = placed
         return joined
 
     def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":

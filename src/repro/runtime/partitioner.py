@@ -136,27 +136,31 @@ class HashPartitioner(Partitioner):
                 appends[stable_hash(key) % n](record)
 
 
-class SlotPartitioner(HashPartitioner):
-    """Places a ``(key, slots)`` record by one slot of its value, ``slots[slot]``,
-    where :class:`HashPartitioner` would place that slot as a key.
-
-    Only a placement shuffle uses it (:meth:`Dataset.partition_by_slot`):
-    the records' keys are not placed, so the placed dataset claims no
-    partitioner (and no dataset ever carries this one); a consumer whose
-    output keys are that slot's values can claim :class:`HashPartitioner`.
-    """
+class SlotPartitioner(Partitioner):
+    """Buckets a ``(key, slots)`` record where :class:`HashPartitioner` puts
+    ``slots[slot]`` as a key (:meth:`Dataset.place_by_slot`'s shuffle).  It
+    does not place keys, so it maps none and no dataset claims it."""
 
     def __init__(self, num_partitions: int, slot: int):
         super().__init__(num_partitions)
         self.slot = slot
 
+    def partition(self, key: Any) -> int:
+        raise TypeError("a SlotPartitioner places records by a slot of their value, not by key")
+
     def place(self, records: Iterable[Any], appends: Sequence[Callable[[Any], None]], tagged: bool) -> None:
         # A placement shuffle has one input: its records are never tagged.
         # An int slot is hashed in line, as HashPartitioner.place does.
-        partition, slot, n = self.partition, self.slot, self.num_partitions
+        slot, n = self.slot, self.num_partitions
         for record in records:
             key = record[1][slot]
-            appends[hash(key) % n if type(key) is int else partition(key)](record)
+            appends[(hash(key) if type(key) is int else stable_hash(key)) % n](record)
+
+    def __eq__(self, other: object) -> bool:
+        return super().__eq__(other) and self.slot == other.slot  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.num_partitions, self.slot))
 
 
 class RangePartitioner(Partitioner):

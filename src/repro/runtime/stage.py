@@ -694,7 +694,7 @@ def zipped_reduce(
     each ``(function, reduced_left)`` zip with the next side partition: the
     zip passes of :meth:`Dataset._zip_narrow`, in the same task."""
     cut = len(partition) - len(zips)
-    return _zipped(stages, zips, partition[:cut], partition[cut:], index)
+    return zipped_chain(stages, zips, [partition[:cut], *partition[cut:]], index)
 
 
 def zipped_chain(
@@ -705,19 +705,10 @@ def zipped_chain(
 ) -> list[Any]:
     """:func:`zipped_reduce` for a narrow task: ``stages`` run over the
     :class:`ZippedBucket`'s first element, its source partition."""
-    return _zipped(stages, zips, partition[0], partition[1:], index)
-
-
-def _zipped(
-    stages: tuple[NarrowStage, ...],
-    zips: tuple[tuple[Callable[[list[Any]], list[Any]], bool], ...],
-    records: list[Any],
-    sides: list[Any],
-    index: int,
-) -> list[Any]:
+    records = partition[0]
     for stage in stages:
         records = apply_stage(stage, records, index)
-    for (function, reduced_left), side in zip(zips, sides, strict=True):
+    for (function, reduced_left), side in zip(zips, partition[1:], strict=True):
         records = function([records, side] if reduced_left else [side, records])
     return records
 

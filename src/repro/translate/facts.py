@@ -315,37 +315,51 @@ def independent(statements: Sequence[TargetAssign]) -> bool:
 
 
 def keyed_consumers(term: ir.Term) -> list[str]:
-    """The variables ``term`` consumes by their pair key, once per shuffled
-    side a placement by that key saves.
+    """The variables ``term`` consumes by their pair key, once per consumer.
 
     Keyed consumers are array merges (⊳ / ⊳⊕ coGroup both operands by key)
-    and generators over a variable whose pattern's key is one variable that
-    feeds an equality condition or a group-by key of the same comprehension.
-    A merge operand counts twice: placed, it zips with an other side already
-    placed by key (a reduceByKey's output), and neither side moves.  A key
-    pattern of several variables (a matrix's ``(i, j)``) does not count: the
-    planner joins and groups by its parts, never by the whole key a
-    placement hashes.
+    and generators over a variable whose pattern's whole key the same
+    comprehension groups by, or equates with one other generator's key (a
+    one-variable key: with anything).  A key used only by its parts (pca's
+    ``X[i,k]``, whose ``i`` joins one generator and ``k`` another) does not
+    count: nothing there keys by the whole key a placement hashes.
     """
     if isinstance(term, (ir.Merge, ir.MergeWith)):
         return [
             name
             for side in (term.left, term.right)
-            for name in ([side.name] * 2 if isinstance(side, ir.CVar) else keyed_consumers(side))
+            for name in ([side.name] if isinstance(side, ir.CVar) else keyed_consumers(side))
         ]
     if not isinstance(term, ir.Comprehension):
         return [name for child in term.children() for name in keyed_consumers(child)]
-    keyed: set[str] = set()
+    # Each generator's key variables by position, and per variable the
+    # variables an equality condition pairs it with.
+    keys = {
+        position: set(qualifier.pattern.elements[0].variables())
+        for position, qualifier in enumerate(term.qualifiers)
+        if isinstance(qualifier, ir.Generator)
+        and isinstance(qualifier.pattern, ir.PTuple)
+        and len(qualifier.pattern.elements) == 2
+    }
+    joined: dict[str, set[str]] = {}
+    grouped: set[str] = set()
     for qualifier in term.qualifiers:
         match qualifier:
-            case ir.Condition(ir.CBinOp("==") as condition):
-                keyed |= ir.free_variables(condition)
+            case ir.Condition(ir.CBinOp("==", left, right)):
+                for one, other in ((left, right), (right, left)):
+                    for variable in ir.free_variables(one):
+                        joined.setdefault(variable, set()).update(ir.free_variables(other))
             case ir.GroupBy():
-                keyed |= ir.free_variables(qualifier.key_term())
+                grouped |= ir.free_variables(qualifier.key_term())
     consumers: list[str] = []
-    for qualifier in term.qualifiers:
+    for position, qualifier in enumerate(term.qualifiers):
+        key = keys.get(position)
         match qualifier:
-            case ir.Generator(ir.PTuple((ir.PVar(key), _)), ir.CVar(name)) if key in keyed:
+            case ir.Generator(_, ir.CVar(name)) if key and (
+                key <= grouped
+                or (len(key) == 1 and key <= joined.keys())
+                or any(all(joined.get(v, set()) & keys[p] for v in key) for p in keys if p != position)
+            ):
                 consumers.append(name)
             case _:
                 for sub in qualifier.terms():
@@ -358,9 +372,8 @@ class ProgramFacts:
 
     Attributes:
         assigned: every variable the program assigns, loop bodies included.
-        keyed_demand: per variable, how many shuffled sides a placement by
-            its pair key saves (:func:`keyed_consumers`) across the whole
-            program.
+        keyed_demand: per variable, how many operators consume it by its
+            pair key (:func:`keyed_consumers`) across the whole program.
         top_level_demand: the same, counting top-level statements only.
         scalars: the variables with one value, not a collection: the
             scalar variables and the compiler's temporaries.

@@ -62,18 +62,18 @@ class TestDefUse:
         assert program_facts.assigned == {"C", "P", "b", "k"}
         (loop,) = _loops(target.statements)
         assert program_facts.assigned_in(loop) == {"P", "k"}
-        # C: the degree merge (two sides) and the in-loop join on C's key; P:
-        # the join on P's key and the one merge into P the rank update folds
-        # into (two sides).  E's key is a pair the group-by only half uses,
-        # so E is no keyed consumer.
-        assert program_facts.keyed_demand == {"C": 3, "P": 3}
-        assert program_facts.top_level_demand == {"C": 2}
+        # C: the degree merge and the in-loop join on C's key; P: the join
+        # on P's key and the one merge into P the rank update folds into.
+        # E's key is a pair the group-by only half uses, so E is no keyed
+        # consumer.
+        assert program_facts.keyed_demand == {"C": 2, "P": 2}
+        assert program_facts.top_level_demand == {"C": 1}
 
     def test_kmeans(self):
         program_facts = _program("kmeans").facts
         assert program_facts.assigned == {"C", "avg", "closest"}
         # One clustering step, no loop: full and top-level demand agree.
-        assert program_facts.keyed_demand == {"C": 2, "P": 2, "closest": 3}
+        assert program_facts.keyed_demand == {"C": 1, "P": 2, "closest": 2}
         assert program_facts.top_level_demand == program_facts.keyed_demand
 
     def test_nested_while(self):
@@ -83,8 +83,8 @@ class TestDefUse:
         outer, inner = _loops(target.statements)
         assert program_facts.assigned_in(outer) == {"B", "j", "k", "s"}
         assert program_facts.assigned_in(inner) == {"B", "j"}
-        assert program_facts.keyed_demand == {"A": 3, "B": 3, "C": 2, "W": 2}
-        assert program_facts.top_level_demand == {"A": 1, "C": 2, "W": 1}
+        assert program_facts.keyed_demand == {"A": 3, "B": 2, "C": 1, "W": 2}
+        assert program_facts.top_level_demand == {"A": 1, "C": 1, "W": 1}
         assert facts.mentioned_names(inner) == {"A", "B", "W", "j"}
         assert facts.mentioned_names(outer) == {"A", "B", "W", "j", "k", "s"}
 

@@ -1,14 +1,14 @@
 """A loop-invariant join side placed by the key its consumer folds by.
 
 When a ``while`` loop's hash join has a loop-invariant left side (cached
-once per loop), a right side scanning an array small enough to broadcast,
-and a consumer folding by a variable of the cached side other than its join
-key, the planner places the cached side by that variable in the wave that
-materializes it (``Dataset.partition_by_slot``).  Each iteration's broadcast
-probe then leaves the consumer's records placed by their key, so the
-reduceByKey after the join runs per partition and the merges after it run
-in the same task: PageRank's iterations move nothing.  These tests hold the
-rule to:
+once per loop), a right side scanning an array small enough to broadcast
+and no larger than the side, and a consumer folding by a variable of the
+cached side other than its join key, the planner places the cached side by
+that variable in the wave that materializes it (``Dataset.place_by_slot``).
+Each iteration's broadcast probe then leaves the consumer's records placed
+by their key, so the reduceByKey after the join runs per partition and the
+merges after it run in the same task: PageRank's iterations move nothing.
+These tests hold the rule to:
 
 * firing on PageRank and on a hand rank update, and naming itself in the
   trace and in ``explain``;
@@ -18,8 +18,10 @@ rule to:
   that another variable equals its key: ``R[i] += …`` over ``M[i,j]``
   folds by M's ``i``, equal to the join key, and is placed by it);
 * a partner that grows past the broadcast threshold mid-loop: the join then
-  shuffles, nothing claims the placement, and the outputs still equal the
-  interpreter's;
+  broadcasts the cached side, nothing claims the placement, and the outputs
+  still equal the interpreter's;
+* a side above the threshold keeping its join-key placement, so a partner
+  that grows past the threshold still joins it without a shuffle;
 * no dataset claiming a partitioner its records are not placed by;
 * the program-level placement pass placing no input that no consumer can
   use it for (pca's matrix ``X``);
@@ -47,7 +49,7 @@ from repro.programs import PROGRAMS, get_program
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
-from repro.runtime.partitioner import HashPartitioner
+from repro.runtime.partitioner import HashPartitioner, SlotPartitioner
 from repro.workloads import workload_for_program
 
 N = 8
@@ -183,13 +185,30 @@ def test_the_fold_slot_is_a_variable_of_the_cached_side_other_than_its_join_key(
     assert _fold_slot(join, pushdown, _segment(key, steps)) == expected
 
 
-def test_a_partner_that_grows_past_the_threshold_mid_loop_shuffles_and_stays_exact():
-    # R (the partner) fits the threshold when the side is cached, then gains
-    # n keys per iteration: iterations 2+ shuffle the join.
-    trace, ranks, oracle, metrics = _rank_update(extra="for i = 0, n-1 do R[i + k*n] := 0.25;", threshold=12)
+def test_a_partner_that_grows_past_the_threshold_mid_loop_stays_exact():
+    # The cached side (32 rows) fits the threshold, R (the partner, 8 keys)
+    # too when the side is cached; R then gains 4n keys per iteration, so
+    # iterations 2+ broadcast the cached side, and their fold shuffles.
+    extra = "for i = 0, 4*n-1 do R[i + k*4*n] := 0.25;"
+    trace, ranks, oracle, metrics = _rank_update(extra=extra, threshold=40)
     assert len(_fired(trace)) == 1
-    assert metrics.join_strategies.get("shuffle", 0) >= 2
-    assert metrics.shuffle_operations.get("reduceByKey", 0) >= 2
+    assert metrics.join_strategies == {"broadcast": 5}
+    assert metrics.shuffle_operations == {"partitionBy": 3, "coGroup": 3, "reduceByKey": 2}
+    _assert_equal(ranks, oracle)
+
+
+def test_a_side_above_the_threshold_keeps_its_join_key_placement():
+    # The cached side (32 rows) is above the threshold: the placement by the
+    # fold key is dropped for the join-key one (one partitionBy spent once
+    # per loop), so the joins with R, which outgrows the threshold from
+    # iteration 2, stay narrow as without the rule.
+    extra = "for i = 0, n-1 do R[i + k*n] := 0.25;"
+    trace, ranks, oracle, metrics = _rank_update(extra=extra, threshold=12)
+    assert _fired(trace) == []
+    assert "loop-invariant join side cached (hash-partitioned): build rows" in trace
+    assert metrics.join_strategies == {"broadcast": 2, "narrow": 3}
+    assert metrics.shuffle_operations == {"partitionBy": 4, "reduceByKey": 3, "coGroup": 3}
+    assert metrics.shuffles == 10
     _assert_equal(ranks, oracle)
 
 
@@ -200,14 +219,15 @@ def test_a_partner_that_grows_past_the_threshold_mid_loop_shuffles_and_stays_exa
 
 @pytest.fixture
 def checked_claims(monkeypatch):
-    """Every forced dataset that claims a hash partitioner has each record's
-    key in the partition the partitioner names."""
+    """Every forced dataset that claims a partitioner has each record's key
+    in the partition the partitioner names (a claimed ``SlotPartitioner``
+    fails here: it maps no key)."""
     force = Dataset._force
     checked = []
 
     def checking(self, read=False):
         force(self, read)
-        if isinstance(self.partitioner, HashPartitioner):
+        if self.partitioner is not None:
             for index, partition in enumerate(self._materialized):
                 assert all(self.partitioner.partition(record[0]) == index for record in partition)
             checked.append(self)
@@ -226,6 +246,20 @@ def test_no_dataset_claims_a_placement_its_records_lack(checked_claims, threshol
         with DistributedContext(num_partitions=4, broadcast_join_threshold=threshold) as context:
             diablo_for(spec, context).compile(spec.source).run(**workload_for_program(name, 20, seed=7))
     assert checked_claims
+
+
+def test_the_slot_partitioner_places_records_by_a_slot_and_maps_no_key():
+    records = [(key, (key % 3, f"v{key}", key * 7)) for key in range(40)]
+    buckets = [[] for _ in range(4)]
+    SlotPartitioner(4, 2).place(records, [bucket.append for bucket in buckets], tagged=False)
+    by_value = HashPartitioner(4)
+    assert all(by_value.partition(record[1][2]) == index for index, bucket in enumerate(buckets) for record in bucket)
+    assert sorted(record for bucket in buckets for record in bucket) == records
+    with pytest.raises(TypeError):
+        SlotPartitioner(4, 2).partition(5)
+    assert SlotPartitioner(4, 2) == SlotPartitioner(4, 2)
+    assert len({SlotPartitioner(4, 2), SlotPartitioner(4, 0), HashPartitioner(4)}) == 3
+    assert SlotPartitioner(4, 0) != HashPartitioner(4)
 
 
 # ---------------------------------------------------------------------------

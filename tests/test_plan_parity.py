@@ -48,10 +48,10 @@ EXPECTED = {
     "linear_regression": ((0, 0, 600, 2), (0, 0, 1200, 4)),
     "group_by": ((1, 109, 109, 2), (1, 109, 300, 2)),
     "matrix_addition": ((0, 0, 192, 3), (0, 0, 64, 1)),
-    "matrix_multiplication": ((2, 84, 156, 5), (1, 48, 288, 4)),
-    "pagerank": ((5, 563, 2363, 15), (7, 610, 2000, 20)),
+    "matrix_multiplication": ((2, 84, 198, 8), (1, 48, 288, 4)),
+    "pagerank": ((5, 563, 1283, 15), (7, 610, 2000, 20)),
     "kmeans": ((4, 454, 914, 11), (1, 114, 220, 3)),
-    "matrix_factorization": ((6, 131, 317, 22), (5, 93, 246, 20)),
+    "matrix_factorization": ((6, 131, 359, 28), (5, 93, 246, 20)),
 }
 
 

@@ -570,7 +570,7 @@ class TestProgramLevelPlacement:
         result, metrics = self._run()
         for name in ("V", "W"):
             assert any(
-                line.startswith(f"{name}: program-level placement saving 2 shuffled side(s)")
+                line.startswith(f"{name}: program-level placement for 2 keyed consumer(s)")
                 for line in result.trace
             ), result.trace
         # One placement shuffle per input, then both W-joins-V run narrow.
