@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any
 
-from repro.arrays.sparse import SparseMatrix
 from repro.runtime.context import DistributedContext
 
 
@@ -28,20 +27,28 @@ def distributed(context: DistributedContext, inputs: dict[str, Any]) -> dict[str
     """One gradient-descent step with join-based matrix algebra."""
     learning_rate = inputs["a"]
     regularization = inputs["b"]
-    ratings = SparseMatrix.from_dict(context, inputs["R"])
-    factors_p = SparseMatrix.from_dict(context, inputs["Pp"])
-    factors_q = SparseMatrix.from_dict(context, inputs["Qp"])
+    ratings = context.parallelize_pairs(inputs["R"])
+    factors_p = context.parallelize_pairs(inputs["Pp"])
+    factors_q = context.parallelize_pairs(inputs["Qp"])
 
-    predicted = factors_p.multiply(factors_q)
-    # E = R - P x Q on the support of R (inner join).
-    error = SparseMatrix(
-        ratings.data.join(predicted.data).map_values(lambda pair: pair[0] - pair[1])
+    def add(a_value: Any, b_value: Any) -> Any:
+        return a_value + b_value
+
+    # P x Q: join on the shared dimension k, multiply, sum per (i, j).
+    p_by_k = factors_p.map(lambda record: (record[0][1], (record[0][0], record[1])))
+    q_by_k = factors_q.map(lambda record: (record[0][0], (record[0][1], record[1])))
+    predicted = (
+        p_by_k.join(q_by_k)
+        .map(lambda record: ((record[1][0][0], record[1][1][0]), record[1][0][1] * record[1][1][1]))
+        .reduce_by_key(add)
     )
+    # E = R - P x Q on the support of R (inner join).
+    error = ratings.join(predicted).map_values(lambda pair: pair[0] - pair[1])
 
     # Every (rating (i, j), rank index k) with its error, Q[k, j] and P[i, k]:
     # join E and Q on j, then P on (i, k).
-    errors_by_column = error.data.map(lambda record: (record[0][1], (record[0][0], record[1])))
-    q_by_column = factors_q.data.map(lambda record: (record[0][1], (record[0][0], record[1])))
+    errors_by_column = error.map(lambda record: (record[0][1], (record[0][0], record[1])))
+    q_by_column = factors_q.map(lambda record: (record[0][1], (record[0][0], record[1])))
     terms = (
         errors_by_column.join(q_by_column)
         .map(
@@ -50,7 +57,7 @@ def distributed(context: DistributedContext, inputs: dict[str, Any]) -> dict[str
                 (record[0], record[1][0][1], record[1][1][1]),
             )
         )
-        .join(factors_p.data)
+        .join(factors_p)
     )
 
     def p_term(record: Any) -> Any:
@@ -61,14 +68,11 @@ def distributed(context: DistributedContext, inputs: dict[str, Any]) -> dict[str
         (i, k), ((j, err, q_value), p_value) = record
         return (k, j), learning_rate * (2 * err * p_value - regularization * q_value)
 
-    def add(a_value: Any, b_value: Any) -> Any:
-        return a_value + b_value
-
-    step_p = SparseMatrix(terms.map(p_term).reduce_by_key(add))
-    step_q = SparseMatrix(terms.map(q_term).reduce_by_key(add))
+    step_p = terms.map(p_term).reduce_by_key(add)
+    step_q = terms.map(q_term).reduce_by_key(add)
     new_p = factors_p.merge_with(step_p, add)
     new_q = factors_q.merge_with(step_q, add)
-    return {"P": new_p.to_dict(), "Q": new_q.to_dict(), "E": error.to_dict()}
+    return {"P": new_p.collect_as_map(), "Q": new_q.collect_as_map(), "E": error.collect_as_map()}
 
 
 def sequential(inputs: dict[str, Any]) -> dict[str, Any]:

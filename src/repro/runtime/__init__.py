@@ -3,8 +3,8 @@
 This package is the substrate that plays the role of Spark Core in the paper:
 a partitioned, RDD-like :class:`~repro.runtime.dataset.Dataset` with the
 narrow operations the translation emits (map, flatMap, filter, mapValues,
-mapPartitions, zipPartitions) and its shuffle operations (reduceByKey,
-groupByKey, partitionBy, join, fullOuterJoin, coGroup and the array merges),
+mapPartitions) and its shuffle operations (reduceByKey, groupByKey,
+partitionBy, join, coGroup and the array merges),
 a :class:`~repro.runtime.context.DistributedContext` that creates
 datasets and broadcasts, hash partitioners, and per-context metrics that count
 shuffles and shuffled records so benchmarks can make machine-independent

@@ -35,7 +35,6 @@ from repro.runtime.dataset import (
     choose_broadcast_side,
 )
 from repro.runtime.metrics import Metrics
-from repro.runtime.partitioner import HashPartitioner
 from repro.runtime.spill import ShuffleStore
 from repro.runtime.stage import NarrowStage, ShuffleStage
 
@@ -249,9 +248,6 @@ class DistributedContext:
         self._broadcast_counter += 1
         self.metrics.record_broadcast()
         return Broadcast(value, self._broadcast_counter)
-
-    def hash_partitioner(self, num_partitions: int | None = None) -> HashPartitioner:
-        return HashPartitioner(num_partitions or self.num_partitions)
 
     # -- task execution -----------------------------------------------------------
 

@@ -21,7 +21,7 @@ Pending chains are *forced* at force points:
 
 * **actions** (``collect``, ``count``, ``reduce``, ``take``, iteration, ...),
 * **driver-side inspection** that needs real partitions
-  (``zip_partitions``, ``cartesian``, ``partition_by``), and
+  (``cartesian``, ``partition_by``), and
 * **cache()** / **materialize()**, the explicit materialization points.
 
 At a force point a narrow chain is fused by
@@ -542,20 +542,6 @@ class Dataset:
     def values(self) -> "Dataset":
         return self.map(lambda pair: pair[1])
 
-    def zip_partitions(
-        self, other: "Dataset", function: Callable[[list[Any], list[Any]], Iterable[Any]]
-    ) -> "Dataset":
-        """Combine co-partitioned datasets partition by partition (no shuffle)."""
-        if self.num_partitions != other.num_partitions:
-            raise ExecutionError(
-                "zip_partitions requires both datasets to have the same number of partitions"
-            )
-        new_partitions = [
-            list(function(left, right)) for left, right in zip(self.partitions, other.partitions, strict=False)
-        ]
-        self.context.metrics.record_narrow(self.num_partitions, self.count() + other.count())
-        return Dataset(self.context, new_partitions, self.partitioner)
-
     def cartesian(self, other: "Dataset") -> "Dataset":
         """All pairs of records; a shuffle in any distributed implementation."""
         left = self.collect()
@@ -636,9 +622,6 @@ class Dataset:
     def collect_as_map(self) -> dict[Any, Any]:
         """Collect a key-value dataset into a dict (later keys win)."""
         return dict(self.collect())
-
-    def to_dict(self) -> dict[Any, Any]:
-        return self.collect_as_map()
 
     # -- shuffle transformations ------------------------------------------------------
 
@@ -946,41 +929,6 @@ class Dataset:
             result_partitioner=chosen,
         )
 
-    def _join(
-        self,
-        other: "Dataset",
-        how: str,
-        partitioner: Partitioner | None = None,
-        consumer: Callable[..., Any] | None = None,
-    ) -> "Dataset":
-        """An inner join settles broadcast or shuffle when it is forced; a
-        full outer join always shuffles (by ``partitioner``, when given)."""
-        operation = "join" if how == "inner" else f"{how}OuterJoin"
-        if self._narrow_zip_eligible(other, partitioner):
-            narrow = self._zip_narrow(
-                other,
-                operation,
-                functools.partial(stage_mod.zip_join_partition, how, consumer=consumer),
-                is_join=True,
-                consumer=consumer,
-            )
-            if narrow is not None:
-                return narrow
-        return self._two_sided_shuffle(
-            other,
-            operation,
-            partitioner,
-            reduce_stages=(
-                NarrowStage(
-                    stage_mod.PARTITIONS,
-                    functools.partial(stage_mod.join_bucket, how, consumer=consumer),
-                ),
-            ),
-            join_type=how,
-            strategy="auto" if how == "inner" else "shuffle",
-            consumer=consumer,
-        )
-
     def join(
         self, other: "Dataset", consumer: Callable[..., Any] | None = None, placed: Partitioner | None = None
     ) -> "Dataset":
@@ -1001,16 +949,34 @@ class Dataset:
         invariant side).  The strategy is then settled at once, and only a
         join that probes this side claims it.
         """
-        joined = self._join(other, "inner", consumer=consumer)
+        if self._narrow_zip_eligible(other, None):
+            narrow = self._zip_narrow(
+                other,
+                "join",
+                functools.partial(stage_mod.zip_join_partition, consumer=consumer),
+                is_join=True,
+                consumer=consumer,
+            )
+            if narrow is not None:
+                return narrow
+        joined = self._two_sided_shuffle(
+            other,
+            "join",
+            None,
+            reduce_stages=(
+                NarrowStage(
+                    stage_mod.PARTITIONS,
+                    functools.partial(stage_mod.join_bucket, consumer=consumer),
+                ),
+            ),
+            join_type="inner",
+            strategy="auto",
+            consumer=consumer,
+        )
         chain = joined._broadcast_chain() if placed is not None else None
         if chain is not None and chain[0] is self:
             joined.partitioner = placed
         return joined
-
-    def full_outer_join(self, other: "Dataset", partitioner: Partitioner | None = None) -> "Dataset":
-        """Full outer join (always a shuffle join: neither side can be
-        broadcast without losing unmatched build-side keys)."""
-        return self._join(other, "full", partitioner)
 
     # -- array-merge helpers (Section 3.4) ------------------------------------------
 

@@ -180,9 +180,9 @@ class ShuffleStage(NamedTuple):
         partitioner: bucketing partitioner, applied to the pair key (the
             tagged pair's key for two inputs).
         result_partitioner: partitioner metadata of the output dataset.
-        join_type: ``"inner"``/``"full"`` for joins.
-        strategy: ``"shuffle"``, ``"auto"`` (pick broadcast hash join when a
-            side is small enough) or ``"broadcast"`` (force it).
+        join_type: ``"inner"`` for a join, None otherwise.
+        strategy: ``"shuffle"`` or, for a join not yet resolved, ``"auto"``
+            (pick a broadcast hash join when a side is small enough).
         consumer: the planner's generated function an inner join hands its
             co-grouped sides to inside the join task (already bound into
             ``reduce_stages``; kept here for the broadcast resolution).
@@ -611,41 +611,29 @@ def _matched_groups(
 
 
 def _join_sides(
-    how: str,
     left: dict[Any, list[Any]],
     right: dict[Any, list[Any]],
     consumer: Callable[[Iterable[Any]], list[Any]] | None = None,
 ) -> list[Any]:
-    """Expand per-side group dicts according to the join type.
+    """Inner-join per-side group dicts into ``(key, (left, right))`` pairs.
 
-    An inner join with a ``consumer`` hands it the co-grouped sides instead
-    (and returns what it returns): its nested ``for a in left values: for b
-    in right values`` visits the pairs in the order they are expanded here.
+    With a ``consumer`` the co-grouped sides go to it instead (and this
+    returns what it returns): its nested ``for a in left values: for b in
+    right values`` visits the pairs in the order they are expanded here.
     """
-    out: list[Any] = []
-    if how == "inner":
-        groups = _matched_groups(left, right)
-        if consumer is not None:
-            return consumer(groups)
-        for key, left_values, right_values in groups:
-            out.extend((key, (a, b)) for a in left_values for b in right_values)
-    elif how == "full":
-        for key, left_values in left.items():
-            right_values = right.get(key) or [None]
-            out.extend((key, (a, b)) for a in left_values for b in right_values)
-        for key, right_values in right.items():
-            if key not in left:
-                out.extend((key, (None, b)) for b in right_values)
-    else:  # pragma: no cover - guarded by the Dataset join constructors
-        raise ValueError(f"unknown join type {how!r}")
-    return out
+    groups = _matched_groups(left, right)
+    if consumer is not None:
+        return consumer(groups)
+    return [
+        (key, (a, b)) for key, left_values, right_values in groups for a in left_values for b in right_values
+    ]
 
 
-def join_bucket(how: str, payloads: list[BucketPayload], consumer: Any = None) -> list[Any]:
-    """Join reduce side: cogroup one bucket and expand per the join type
-    (or hand the groups to ``consumer``, see :func:`_join_sides`)."""
+def join_bucket(payloads: list[BucketPayload], consumer: Any = None) -> list[Any]:
+    """Join reduce side: cogroup one bucket and inner-join it (or hand the
+    groups to ``consumer``, see :func:`_join_sides`)."""
     left, right = split_tagged(payloads)
-    return _join_sides(how, left, right, consumer)
+    return _join_sides(left, right, consumer)
 
 
 # -- narrow (shuffle-free) wide-operator passes -----------------------------------
@@ -713,10 +701,10 @@ def zipped_chain(
     return records
 
 
-def zip_join_partition(how: str, partition: list[Any], consumer: Any = None) -> list[Any]:
+def zip_join_partition(partition: list[Any], consumer: Any = None) -> list[Any]:
     """Join of co-partitioned inputs; ``partition`` is ``[left, right]``."""
     left_records, right_records = partition
-    return _join_sides(how, _group_values(left_records), _group_values(right_records), consumer)
+    return _join_sides(_group_values(left_records), _group_values(right_records), consumer)
 
 
 def broadcast_join_partition(

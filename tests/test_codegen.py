@@ -612,12 +612,8 @@ def _broadcast(side, probe, build, consumer):
 #: Every physical inner join as ``run(left, right, consumer)``; without a
 #: consumer it returns the ``(key, (row, element))`` pairs it used to build.
 PHYSICAL_JOINS = {
-    "shuffle": lambda left, right, consumer: stage.join_bucket(
-        "inner", _tagged_bucket(left, right), consumer=consumer
-    ),
-    "zip": lambda left, right, consumer: stage.zip_join_partition(
-        "inner", [left, right], consumer=consumer
-    ),
+    "shuffle": lambda left, right, consumer: stage.join_bucket(_tagged_bucket(left, right), consumer=consumer),
+    "zip": lambda left, right, consumer: stage.zip_join_partition([left, right], consumer=consumer),
     "broadcast-right": lambda left, right, consumer: _broadcast("right", left, right, consumer),
     "broadcast-left": lambda left, right, consumer: _broadcast("left", right, left, consumer),
 }
@@ -726,7 +722,7 @@ join_exits = st.one_of(
 def test_cogroup_consumer_equals_the_join_it_replaces(context, left, right, pushed, step_list, exit_, scalar):
     """Shuffle bucket, co-partitioned zip and broadcast (either side): the
     consumer fused into the join task, over the flat right tuples the keying
-    run emits after its pushed steps, == ``_join_sides("inner", ...)``'s
+    run emits after its pushed steps, == ``_join_sides(...)``'s
     pairs through the flat ``("join", ...)`` loop that runs those steps per
     pair -- same pair order, so the same rows, keys, left folds and first
     error."""
@@ -1354,7 +1350,7 @@ class TestShipping:
         segment = Segment(("cogroup", JOIN_NAMES, JOIN_PATTERN.variables()), (product,), exit_)
         live = {"s": 1, "unread": list(range(10_000))}
         consumer = codegen.generate(segment, bindings_for(context, live), {})
-        join = functools.partial(stage.join_bucket, "inner", consumer=consumer)
+        join = functools.partial(stage.join_bucket, consumer=consumer)
         chain = (stage.NarrowStage(stage.PARTITIONS, join),)
         data = wire.cluster_dumps(chain)
         assert b"TermEvaluator" not in data and b"MonoidRegistry" not in data and len(data) < 4_000

@@ -280,7 +280,6 @@ def _wide_pipelines(ctx):
         )),
         ("join", lambda: _joined(left, right, 0)),
         ("join_broadcast", lambda: _joined(left, right, 1_000)),
-        ("full_outer_join", lambda: sorted(left.full_outer_join(right).collect())),
     ]
 
 
@@ -300,18 +299,6 @@ def _oracle_results():
     inner = sorted(
         (k, (a, b)) for k in all_keys for a in left_groups.get(k, []) for b in right_groups.get(k, [])
     )
-    left_outer = sorted(
-        (k, (a, b))
-        for k in left_groups
-        for a in left_groups[k]
-        for b in (right_groups.get(k) or [None])
-    )
-    # Full outer = every left row (None-filled when unmatched) plus the
-    # unmatched right rows.
-    full_outer = sorted(
-        left_outer
-        + [(k, (None, b)) for k in right_groups if k not in left_groups for b in right_groups[k]]
-    )
     return {
         "group_by_key": sorted((k, sorted(vs)) for k, vs in groups.items()),
         "reduce_by_key": sorted((k, sum(vs)) for k, vs in groups.items()),
@@ -321,7 +308,6 @@ def _oracle_results():
         ),
         "join": inner,
         "join_broadcast": inner,
-        "full_outer_join": full_outer,
     }
 
 
@@ -492,12 +478,6 @@ class TestJoinStrategySelection:
             shuffled = _joined(left, right, 0)
             assert ctx.metrics.join_strategies == {"broadcast": 1, "shuffle": 1}
             assert broadcast == shuffled
-
-    def test_full_outer_join_never_broadcasts(self):
-        with DistributedContext(num_partitions=4, broadcast_join_threshold=1_000) as ctx:
-            left, right = self._sides(ctx, 4)
-            left.full_outer_join(right).materialize()
-            assert ctx.metrics.join_strategies == {"shuffle": 1}
 
 
 # ---------------------------------------------------------------------------

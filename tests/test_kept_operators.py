@@ -2,9 +2,9 @@
 
 Each operator test runs on both executors, with and without every shuffled
 record spilled at a 1-byte budget, and must give the same answer on all
-four: range placement through ``partition_by``, ``aggregate``, the full
-outer join, ``co_group``, forced broadcast and shuffle inner joins,
-``zip_partitions``, ``count_by_value`` and ``take``.  The stage-level tests
+four: range placement through ``partition_by``, ``aggregate``,
+``co_group``, forced broadcast and shuffle inner joins, ``count_by_value``
+and ``take``.  The stage-level tests
 pin ``sort_bucket`` and ``repartition_write`` (no shuffle runs them, but the
 trace table wraps them, so they must keep working), ``reduce_bucket``'s
 fold order, and the build-left form of
@@ -21,7 +21,7 @@ import pytest
 from test_executor_equivalence import broadcast_threshold, context_on
 
 from repro.runtime import spill, stage
-from repro.runtime.partitioner import HashPartitioner, RangePartitioner
+from repro.runtime.partitioner import RangePartitioner
 
 #: (executor, spill threshold in bytes): 1 byte sends every shuffled record to disk.
 SETTINGS = [("sequential", None), ("sequential", 1), ("cluster", None), ("cluster", 1)]
@@ -62,21 +62,6 @@ class TestKeptOperators:
     def test_aggregate_of_empty_dataset_is_zero(self, ctx):
         assert ctx.empty().aggregate(0, operator.add, operator.add) == 0
 
-    def test_full_outer_join_keeps_unmatched_keys_of_both_sides(self, ctx):
-        left = ctx.parallelize([("a", 1), ("a", 2), ("b", 3)])
-        right = ctx.parallelize([("a", 10), ("c", 30), ("c", 31)])
-        joined = sorted(left.full_outer_join(right).collect(), key=repr)
-        assert joined == sorted(
-            [
-                ("a", (1, 10)),
-                ("a", (2, 10)),
-                ("b", (3, None)),
-                ("c", (None, 30)),
-                ("c", (None, 31)),
-            ],
-            key=repr,
-        )
-
     def test_co_group_collects_both_sides_per_key(self, ctx):
         left = ctx.parallelize([(i % 3, i) for i in range(9)])
         right = ctx.parallelize([(k, -k) for k in (1, 2, 2, 5)])
@@ -106,19 +91,6 @@ class TestKeptOperators:
         with broadcast_threshold(ctx, 0):
             assert sorted(left.join(right).collect()) == expected
         assert ctx.metrics.join_strategies == {"shuffle": 1}
-
-    def test_zip_partitions_pairs_partitions_by_index(self, ctx):
-        partitioner = HashPartitioner(4)
-        left = ctx.parallelize([(k, k) for k in range(20)]).partition_by(partitioner)
-        right = ctx.parallelize([(k, k * k) for k in range(20)]).partition_by(partitioner)
-
-        def add_squares(lefts, rights):
-            squares = dict(rights)
-            return [(key, value + squares[key]) for key, value in lefts]
-
-        zipped = left.zip_partitions(right, add_squares)
-        assert zipped.partitioner == partitioner
-        assert dict(zipped.collect()) == {k: k + k * k for k in range(20)}
 
     def test_count_by_value(self, ctx):
         words = ["x", "y", "x", "z", "x", "y"] * 5

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.errors import ExecutionError
 from repro.runtime import spill
 from repro.runtime.context import DistributedContext
 from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
@@ -139,11 +138,6 @@ class TestPlacement:
             for key, _value in partition:
                 assert partitioner.partition(key) == index
 
-    def test_zip_partitions_partition_count_mismatch_raises(self, ctx):
-        left = ctx.parallelize(range(10), num_partitions=4)
-        right = ctx.parallelize(range(10), num_partitions=3)
-        with pytest.raises(ExecutionError, match="same number of partitions"):
-            left.zip_partitions(right, lambda a, b: a + b)
 
 
 class TestSkewAwarePartitioning:

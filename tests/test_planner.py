@@ -84,14 +84,6 @@ class TestNarrowFastPaths:
         assert ctx.metrics.narrow_joins == 1
         assert {k for k, _ in result} == set(range(7))
 
-    def test_copartitioned_full_outer_join_matches_shuffle_results(self, ctx):
-        partitioner = HashPartitioner(4)
-        left = ctx.parallelize([(i % 5, i) for i in range(30)]).partition_by(partitioner)
-        right = ctx.parallelize([(i % 8, -i) for i in range(24)]).partition_by(partitioner)
-        narrow = sorted(left.full_outer_join(right).collect())
-        shuffled = sorted(left.full_outer_join(right, partitioner=HashPartitioner(2)).collect())
-        assert narrow == shuffled
-
     def test_keyed_reduce_on_partitioned_input_runs_zero_shuffles(self, ctx):
         left, _right = self._sides(ctx)
         ctx.metrics.reset()

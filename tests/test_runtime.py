@@ -125,12 +125,6 @@ class TestNarrowOperations:
         assert dataset.map_values(lambda v: v + 1).collect_as_map() == {1: 11, 2: 21}
         assert sorted(dataset.values().collect()) == [10, 20]
 
-    def test_zip_partitions_requires_same_partition_count(self, ctx):
-        left = ctx.parallelize(range(4))
-        right = ctx.parallelize(range(4), num_partitions=2)
-        with pytest.raises(ExecutionError):
-            left.zip_partitions(right, lambda a, b: a + b)
-
     def test_map_partitions(self, ctx):
         dataset = ctx.parallelize(range(8))
         sums = dataset.map_partitions(lambda part: [sum(part)]).collect()
@@ -248,12 +242,6 @@ class TestJoins:
         left = ctx.parallelize([("a", 1), ("a", 2)])
         right = ctx.parallelize([("a", 10)])
         assert sorted(pair[1] for pair in left.join(right).collect()) == [(1, 10), (2, 10)]
-
-    def test_full_outer_join(self, ctx):
-        left = ctx.parallelize([("a", 1)])
-        right = ctx.parallelize([("b", 2)])
-        full = dict(left.full_outer_join(right).collect())
-        assert full == {"a": (1, None), "b": (None, 2)}
 
     def test_co_group(self, ctx):
         left = ctx.parallelize([("a", 1), ("a", 2)])
