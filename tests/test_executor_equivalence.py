@@ -479,6 +479,15 @@ class TestJoinStrategySelection:
             assert ctx.metrics.join_strategies == {"broadcast": 1, "shuffle": 1}
             assert broadcast == shuffled
 
+    def test_copartitioned_sides_zip_even_under_the_threshold(self):
+        with DistributedContext(num_partitions=4, broadcast_join_threshold=1_000) as ctx:
+            left, right = (side.partition_by(HashPartitioner(4)) for side in self._sides(ctx, 4))
+            ctx.metrics.reset()
+            result = sorted(left.join(right).collect())
+            assert ctx.metrics.join_strategies == {"narrow": 1}
+            assert ctx.metrics.shuffles == 0
+            assert result == sorted((i % 10, (i, (i % 10) * 100)) for i in range(100) if i % 10 < 4)
+
 
 # ---------------------------------------------------------------------------
 # Cluster dispatch of wide stages, and task errors

@@ -3,8 +3,8 @@
 Each operator test runs on both executors, with and without every shuffled
 record spilled at a 1-byte budget, and must give the same answer on all
 four: range placement through ``partition_by``, ``aggregate``,
-``co_group``, forced broadcast and shuffle inner joins, ``count_by_value``
-and ``take``.  The stage-level tests
+``co_group``, forced broadcast and shuffle inner joins, the co-partitioned
+(zipped) inner join, ``merge_with``, ``count_by_value`` and ``take``.  The stage-level tests
 pin ``sort_bucket`` and ``repartition_write`` (no shuffle runs them, but the
 trace table wraps them, so they must keep working), ``reduce_bucket``'s
 fold order, and the build-left form of
@@ -21,7 +21,7 @@ import pytest
 from test_executor_equivalence import broadcast_threshold, context_on
 
 from repro.runtime import spill, stage
-from repro.runtime.partitioner import RangePartitioner
+from repro.runtime.partitioner import HashPartitioner, RangePartitioner
 
 #: (executor, spill threshold in bytes): 1 byte sends every shuffled record to disk.
 SETTINGS = [("sequential", None), ("sequential", 1), ("cluster", None), ("cluster", 1)]
@@ -91,6 +91,34 @@ class TestKeptOperators:
         with broadcast_threshold(ctx, 0):
             assert sorted(left.join(right).collect()) == expected
         assert ctx.metrics.join_strategies == {"shuffle": 1}
+
+    def test_inner_join_drops_the_unmatched_keys_of_both_sides(self, ctx):
+        left = ctx.parallelize([("a", 1), ("a", 2), ("b", 3)])
+        right = ctx.parallelize([("a", 10), ("c", 30), ("c", 31)])
+        for threshold in (1_000, 0):
+            with broadcast_threshold(ctx, threshold):
+                assert sorted(left.join(right).collect()) == [("a", (1, 10)), ("a", (2, 10))]
+
+    def test_copartitioned_join_zips_partitions_by_index(self, ctx):
+        partitioner = HashPartitioner(4)
+        left = ctx.parallelize([(k, k) for k in range(20)]).partition_by(partitioner).materialize()
+        right = ctx.parallelize([(k, k * k) for k in range(0, 30, 2)]).partition_by(partitioner).materialize()
+        ctx.metrics.reset()
+        joined = left.join(right)
+        assert joined.partitioner == partitioner
+        assert dict(joined.collect()) == {k: (k, k * k) for k in range(0, 20, 2)}
+        assert ctx.metrics.shuffles == 0
+        assert ctx.metrics.join_strategies == {"narrow": 1}
+
+    def test_merge_with_folds_shared_keys_left_first_and_keeps_the_rest(self, ctx):
+        left = ctx.parallelize([(k, float(k)) for k in range(12)])
+        right = ctx.parallelize([(k, 0.5) for k in range(6, 18)])
+        merged = left.merge_with(right, operator.sub).collect_as_map()
+        assert merged == {
+            **{k: float(k) for k in range(6)},
+            **{k: k - 0.5 for k in range(6, 12)},
+            **{k: 0.5 for k in range(12, 18)},
+        }
 
     def test_count_by_value(self, ctx):
         words = ["x", "y", "x", "z", "x", "y"] * 5

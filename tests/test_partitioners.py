@@ -138,6 +138,14 @@ class TestPlacement:
             for key, _value in partition:
                 assert partitioner.partition(key) == index
 
+    def test_join_of_sides_placed_by_different_partitioners_shuffles(self, ctx):
+        left = ctx.parallelize([(i % 6, i) for i in range(24)]).partition_by(HashPartitioner(4))
+        right = ctx.parallelize([(k, -k) for k in range(10)]).partition_by(HashPartitioner(3))
+        ctx.metrics.reset()
+        ctx.broadcast_join_threshold = 0
+        joined = sorted(left.join(right).collect())
+        assert ctx.metrics.join_strategies == {"shuffle": 1}
+        assert joined == sorted((i % 6, (i, -(i % 6))) for i in range(24))
 
 
 class TestSkewAwarePartitioning:

@@ -75,6 +75,17 @@ class TestNarrowFastPaths:
         assert ctx.metrics.join_strategies == {"narrow": 1, "shuffle": 1}
         assert result == shuffled
 
+    def test_copartitioned_join_with_unmatched_keys_matches_shuffle_results(self, ctx):
+        partitioner = HashPartitioner(4)
+        left = ctx.parallelize([(i % 5, i) for i in range(30)]).partition_by(partitioner)
+        right = ctx.parallelize([(i % 8, -i) for i in range(24)]).partition_by(partitioner)
+        narrow = sorted(left.join(right).collect())
+        with broadcast_threshold(ctx, 0):
+            shuffled = sorted(left.join(right.partition_by(HashPartitioner(2))).collect())
+        assert ctx.metrics.join_strategies == {"narrow": 1, "shuffle": 1}
+        assert narrow == shuffled
+        assert {key for key, _ in narrow} == set(range(5))
+
     def test_copartitioned_cogroup_runs_zero_shuffles(self, ctx):
         left, right = self._sides(ctx)
         ctx.metrics.reset()

@@ -243,6 +243,11 @@ class TestJoins:
         right = ctx.parallelize([("a", 10)])
         assert sorted(pair[1] for pair in left.join(right).collect()) == [(1, 10), (2, 10)]
 
+    def test_join_without_shared_keys_is_empty(self, ctx):
+        left = ctx.parallelize([("a", 1)])
+        right = ctx.parallelize([("b", 2)])
+        assert left.join(right).collect() == []
+
     def test_co_group(self, ctx):
         left = ctx.parallelize([("a", 1), ("a", 2)])
         right = ctx.parallelize([("a", 10), ("b", 20)])
