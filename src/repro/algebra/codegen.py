@@ -156,6 +156,13 @@ class Segment(NamedTuple):
     filter already tested is not tested again.  A ``let`` of a tuple of row
     variables that no other line reads is not emitted, and an ``inRange``
     reads a driver scalar first only if no earlier ``inRange`` filter did.
+
+    A variable the entry binds whole, that no step rebinds and that the
+    steps and exit project at two positions or more, has its shape tested
+    once per record: the steps and exit are emitted twice, under ``if
+    type(v) is tuple and len(v) == K`` (K the highest position projected)
+    with ``v`` unpacked once and each projection the unpacked local, and as
+    the one-branch body in the ``else``.
     """
 
     entry: tuple
@@ -343,6 +350,9 @@ class _Emitter:
         self.hoisted = 0
         #: Loop depth -> the index in ``lines`` of the header that last opened it.
         self.opened: dict[int, int] = {}
+        #: In a row-shape fast branch: the entry variable it unpacked, and
+        #: the local each of its projected positions was unpacked into.
+        self.unpacked: tuple[str, dict[str, str]] | None = None
 
     # -- naming ----------------------------------------------------------------
 
@@ -376,6 +386,7 @@ class _Emitter:
         if (
             local is None
             or local == "rec"
+            or (self.unpacked is not None and local in self.unpacked[1].values())
             or self.depths.get(name, 0) < self.depth
             or any(held == local for other, held in self.row.items() if other != name)
         ):
@@ -530,8 +541,8 @@ class _Emitter:
         if any(isinstance(qualifier, ir.GroupBy) for qualifier in term.qualifiers):
             raise CompilationError(f"group-by inside a locally evaluated comprehension: {term}")
         outer = {name: self.row[name] for name in sorted(ir.free_variables(term)) if name in self.row}
-        saved = self.row, self.lines, self.depth, self.reduced, self.opened
-        self.row, self.lines, self.depth, self.opened = dict(outer), [], 1, {}
+        saved = self.row, self.lines, self.depth, self.reduced, self.opened, self.unpacked
+        self.row, self.lines, self.depth, self.opened, self.unpacked = dict(outer), [], 1, {}, None
         bound: dict[str, str] = {}  # variable -> its local, in row-tuple order
 
         def each_row() -> None:
@@ -571,11 +582,14 @@ class _Emitter:
         self.emit("return result")
         helper, parameters = self.fresh("n"), ", ".join(dict.fromkeys(outer.values()))
         self.helpers += [f"def {helper}({parameters}):", *self.lines]
-        self.row, self.lines, self.depth, self.reduced, self.opened = saved
+        self.row, self.lines, self.depth, self.reduced, self.opened, self.unpacked = saved
         return f"{helper}({parameters})"
 
     def project(self, term: ir.CProject) -> str:
-        """``project_value`` with an exact-type fast path for tuples and dicts."""
+        """``project_value`` with an exact-type fast path for tuples and dicts;
+        in a row-shape fast branch, the local its position was unpacked into."""
+        if self.unpacked and term.base == ir.CVar(self.unpacked[0]) and term.attribute in self.unpacked[1]:
+            return self.unpacked[1][term.attribute]
         base, attribute = self.expr(term.base), term.attribute
         holder = base if base.isidentifier() else self.fresh("t")
         probe = holder if holder == base else f"({holder} := {base})"
@@ -834,7 +848,10 @@ class _Emitter:
                 self.bind(pattern, element)
                 self.depth -= 1
         if isinstance(pattern, ir.PVar):
-            self.open(f"for {self.target(pattern.name)} in {bag}:")
+            self.depth += 1  # the variable is bound by the loop about to open
+            local = self.target(pattern.name)
+            self.depth -= 1
+            self.open(f"for {local} in {bag}:")
         else:
             self.open(f"for {element} in {bag}:")
             self.bind(pattern, element)
@@ -849,6 +866,9 @@ class _Emitter:
             return
         text, name = self.expr(term), pattern.name
         known = self.computed.get(text)
+        if known is None and self.unpacked and text in self.unpacked[1].values():
+            # A fast branch's projection: alias the unpacked local, at this depth.
+            known = self.computed[text] = (text, self.depth, ())
         if known is None:
             parts = ()
             if isinstance(term, ir.CTuple) and all(
@@ -893,8 +913,8 @@ class _Emitter:
             names = {arg.name for arg in term.children() if isinstance(arg, ir.CVar)}
             self.resolved.update(self.scalars[name] for name in names - self.row.keys())
 
-    def source(self) -> str:
-        self.entry()
+    def body(self) -> tuple[list[str], list[str], str]:
+        """Emit the steps and the exit (see :meth:`leave`)."""
         for step in self.segment.steps[self.hoisted :]:
             if step[0] == "let":
                 self.let(step[1], step[2])
@@ -902,7 +922,69 @@ class _Emitter:
                 self.expand(step[1], step[2])
             else:
                 self.filter(step[1])
-        setup, fetch, result = self.leave()
+        return self.leave()
+
+    def shape(self) -> tuple[str, set[str]] | None:
+        """The variable a row-shape fast branch unpacks and the positions
+        (``_k``) it is projected at: the first one the entry binds whole
+        that no step rebinds and that is projected at two positions or
+        more."""
+        if self.segment.entry[0] not in ("bind", "positional"):
+            return None
+        steps, exit_ = self.segment.steps, self.segment.exit
+        rebound = {name for step in steps if step[0] != "filter" for name in step[1].variables()}
+        found: dict[str, set[str]] = {}
+        for term in [step[-1] for step in steps] + [exit_[1]]:
+            for part in ir.walk_terms(term):
+                if (
+                    isinstance(part, ir.CProject)
+                    and isinstance(part.base, ir.CVar)
+                    and re.fullmatch(r"_[1-9][0-9]*", part.attribute)
+                ):
+                    found.setdefault(part.base.name, set()).add(part.attribute)
+        for name in self.segment.entry[1].variables():
+            if name not in rebound and len(found.get(name, ())) >= 2:
+                return name, found[name]
+        return None
+
+    def branches(self, name: str, positions: set[str]) -> tuple[list[str], list[str], str]:
+        """Emit the body twice under one test of ``name``'s shape: a fast
+        branch that unpacks the tuple once, its projections reading the
+        unpacked locals, and the one-branch body as the ``else``.  Each
+        starts from the state the entry left: no let or filter one branch
+        computed is reused by the other."""
+        element, width, depth = self.row[name], max(int(position[1:]) for position in positions), self.depth
+        saved = dict(self.row), dict(self.depths), dict(self.computed), set(self.resolved), self.reduced
+        start = len(self.lines)
+        # The fallback first, so that its locals are the one-branch body's.
+        exit_ = self.body()
+        fallback, self.lines = self.lines[start:], self.lines[:start]
+        moved = [(line - start, local) for line, local in self.inert if line >= start]
+        self.inert = [(line, local) for line, local in self.inert if line < start]
+        self.row, self.depths, self.computed, self.resolved, self.reduced = saved
+        self.depth = depth
+        unpacked = {attribute: f"{element}{attribute}" for attribute in positions}
+        self.emit(f"if type({element}) is tuple and len({element}) == {width}:")
+        self.emit(f"{', '.join(unpacked.get(f'_{k}', '_') for k in range(1, width + 1))} = {element}")
+        self.unpacked = name, unpacked
+        fast = self.body()
+        self.unpacked = None
+        if fast == exit_:
+            self.lines[start + 1 :] = ["    " + line for line in self.lines[start + 1 :]]
+            self.lines.append("    " * depth + "else:")
+            fallback = ["    " + line for line in fallback]
+        else:
+            # An alias bound at another depth changed how the key folds: one branch.
+            del self.lines[start:]
+            self.inert = [(line, local) for line, local in self.inert if line < start]
+        self.inert += [(line + len(self.lines), local) for line, local in moved]
+        self.lines += fallback
+        return exit_
+
+    def source(self) -> str:
+        self.entry()
+        shape = self.shape()
+        setup, fetch, result = self.branches(*shape) if shape else self.body()
         for line, local in reversed(self.inert):
             if not any(_mentions(text, local) for text in self.lines[:line] + self.lines[line + 1 :]):
                 del self.lines[line]

@@ -299,7 +299,7 @@ class DistributedContext:
             # Whichever physical join runs, the consumer is one fused stage
             # of its task.
             self.metrics.record_consumer(shuffle.consumer)
-        if shuffle.join_type is not None:
+        if shuffle.join_strategy is not None:
             self.metrics.record_join_strategy("shuffle")
 
         salt_plan: tuple[tuple[Any, ...], Callable[[Any, Any], Any]] | None = None
@@ -400,7 +400,7 @@ class DistributedContext:
         if (
             len(shuffle.inputs) != 1
             or any(map(stage_mod.is_probe, shuffle.inputs[0].stages))
-            or shuffle.join_type is not None
+            or shuffle.join_strategy is not None
             or len(shuffle.reduce_stages) != 1
         ):
             return shuffle, None
@@ -738,7 +738,7 @@ class DistributedContext:
         right_count = sum(len(p) for p in right_partitions)
         side = choose_broadcast_side(left_count, right_count, threshold)
         if side == "none":
-            return shuffle._replace(strategy="shuffle")
+            return shuffle._replace(join_strategy="shuffle")
         if self.adaptive:
             self.metrics.record_adaptive_decision(
                 shuffle.operation,

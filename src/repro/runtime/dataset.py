@@ -261,7 +261,7 @@ class Dataset:
         the probe side's source and the probe stage over the built lookup
         table; a join that shuffles keeps its shuffle node."""
         shuffle = self._shuffle
-        if shuffle is None or shuffle.join_type is None or shuffle.strategy == "shuffle":
+        if shuffle is None or shuffle.join_strategy != "auto":
             return
         resolved = self.context.resolve_join(shuffle)
         if isinstance(resolved, ShuffleStage):
@@ -330,7 +330,7 @@ class Dataset:
             shuffle = self._shuffle
             source = self._source
         if shuffle is not None:
-            if shuffle.join_type is None or shuffle.strategy == "shuffle":
+            if shuffle.join_strategy != "auto":
                 return shuffle.num_output_partitions
             # An auto/broadcast join may resolve to a map-side join whose
             # output keeps the probe side's partition count: force to know.
@@ -411,7 +411,8 @@ class Dataset:
         with self._force_lock:
             shuffle = self._shuffle
         if shuffle is not None:
-            return f"Dataset(pending_shuffle={shuffle.operation}, strategy={shuffle.strategy})"
+            strategy = shuffle.join_strategy or "shuffle"
+            return f"Dataset(pending_shuffle={shuffle.operation}, strategy={strategy})"
         pending = self.pending_stages
         if pending:
             return (
@@ -454,7 +455,7 @@ class Dataset:
         if shuffle is not None:
             combiner = "yes" if any(inp.combiner for inp in shuffle.inputs) else "no"
             lines.append(
-                f"{pad}ShuffleStage({shuffle.operation}, strategy={shuffle.strategy}, "
+                f"{pad}ShuffleStage({shuffle.operation}, strategy={shuffle.join_strategy or 'shuffle'}, "
                 f"partitions={shuffle.num_output_partitions}, combiner={combiner})"
             )
             if shuffle.consumer is not None:
@@ -871,8 +872,7 @@ class Dataset:
         operation: str,
         partitioner: Partitioner | None,
         reduce_stages: tuple[NarrowStage, ...],
-        join_type: str | None = None,
-        strategy: str = "shuffle",
+        join_strategy: str | None = None,
         result_partitioner: Partitioner | None = None,
         consumer: Callable[..., Any] | None = None,
     ) -> "Dataset":
@@ -889,8 +889,7 @@ class Dataset:
             reduce_stages=reduce_stages,
             partitioner=chosen,
             result_partitioner=result_partitioner,
-            join_type=join_type,
-            strategy=strategy,
+            join_strategy=join_strategy,
             consumer=consumer,
         )
         return Dataset._pending_shuffle(self.context, shuffle)
@@ -969,8 +968,7 @@ class Dataset:
                     functools.partial(stage_mod.join_bucket, consumer=consumer),
                 ),
             ),
-            join_type="inner",
-            strategy="auto",
+            join_strategy="auto",
             consumer=consumer,
         )
         chain = joined._broadcast_chain() if placed is not None else None

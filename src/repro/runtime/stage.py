@@ -180,9 +180,9 @@ class ShuffleStage(NamedTuple):
         partitioner: bucketing partitioner, applied to the pair key (the
             tagged pair's key for two inputs).
         result_partitioner: partitioner metadata of the output dataset.
-        join_type: ``"inner"`` for a join, None otherwise.
-        strategy: ``"shuffle"`` or, for a join not yet resolved, ``"auto"``
-            (pick a broadcast hash join when a side is small enough).
+        join_strategy: None unless the stage is an inner join: then
+            ``"shuffle"``, or ``"auto"`` while not yet resolved (pick a
+            broadcast hash join when a side is small enough).
         consumer: the planner's generated function an inner join hands its
             co-grouped sides to inside the join task (already bound into
             ``reduce_stages``; kept here for the broadcast resolution).
@@ -199,8 +199,7 @@ class ShuffleStage(NamedTuple):
     reduce_stages: tuple[NarrowStage, ...]
     partitioner: Any = None
     result_partitioner: Any = None
-    join_type: str | None = None
-    strategy: str = "shuffle"
+    join_strategy: str | None = None
     consumer: Callable[[Iterable[Any]], list[Any]] | None = None
     zips: tuple[tuple[Any, Callable[[list[Any]], list[Any]], bool], ...] = ()
 

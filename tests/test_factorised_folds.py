@@ -233,6 +233,18 @@ def test_the_shapes_fire_where_the_key_parts_are_bound():
     assert "acc[fold_key] = " in inner_first and "rows_get" not in inner_first
 
 
+def test_a_variable_a_generator_binds_is_bound_in_the_loop_it_opens():
+    """``j <- bag`` binds ``j`` one loop below ``i``: the key ``(i, j)`` is
+    split across the depths, not folded as if fixed across ``j``'s loop."""
+    segment = Segment(
+        ("slots", ("i", "v")),
+        (("expand", ir.PVar("j"), ir.CVar("bag")),),
+        fold_exit(ir.CTuple((I, J)), ("value", "v"), ("+", True)),
+    )
+    source = assert_factorised_same(segment, [1, 2, 1], [(0, 1.0), (7, 3.0), (0, 5.0)])
+    assert "row = rows_get(r1_i)" in source and "folding" not in source
+
+
 def test_a_filter_rejecting_every_product_fetches_no_row():
     """No product reaches the fold: no key is hashed, so an unhashable outer
     part raises nothing, and nothing is folded."""
