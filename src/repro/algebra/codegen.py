@@ -56,7 +56,8 @@ from repro.runtime.dataset import Dataset
 from repro.runtime.stage import FoldedRecords  # noqa: F401
 
 _SEQUENCE = (tuple, list)
-_INLINE_BINOPS = frozenset({"+", "-", "*", "%", "<", "<=", ">", ">=", "==", "!="})
+_COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
+_INLINE_BINOPS = _COMPARISONS | {"+", "-", "*", "%"}
 _LITERAL_TYPES = (bool, int, str, type(None))
 #: The built-in monoid combines a fold exit may spell inline, and how.
 _INLINE_COMBINES = {
@@ -163,6 +164,16 @@ class Segment(NamedTuple):
     type(v) is tuple and len(v) == K`` (K the highest position projected)
     with ``v`` unpacked once and each projection the unpacked local, and as
     the one-branch body in the ``else``.
+
+    A ``let`` of a variable that only the ``filter`` right after it reads
+    (no later step and no exit does) is that filter's own test: ``if not
+    (term): continue``, with no local stored.  An int literal ``c``, |c| <
+    2**53, compared with a variable a ``bind`` or ``positional`` entry binds
+    from the record is a local set once per call: ``float(c)`` if that
+    variable is a float in ``records[0]`` (behind the entry's shape tests),
+    ``c`` otherwise.  Python compares ints, floats, Decimals and Fractions
+    exactly and ``float(c) == c``, so each record gets the same bool either
+    way; only CPython's float fast path depends on the guess.
     """
 
     entry: tuple
@@ -353,6 +364,11 @@ class _Emitter:
         #: In a row-shape fast branch: the entry variable it unpacked, and
         #: the local each of its projected positions was unpacked into.
         self.unpacked: tuple[str, dict[str, str]] | None = None
+        #: Entry locals still holding a component of the record -> the test
+        #: that it is a float in ``records[0]``.
+        self.sniffs: dict[str, str] = {}
+        #: ``(sniff, c)`` of each typed comparison literal -> its local.
+        self.literals: dict[tuple[str, int], str] = {}
 
     # -- naming ----------------------------------------------------------------
 
@@ -392,6 +408,7 @@ class _Emitter:
         ):
             local = self.row[name] = self.fresh("r", name)
             self.depths[name] = self.depth
+        self.sniffs.pop(local, None)
         self.computed = {
             text: known
             for text, known in self.computed.items()
@@ -470,6 +487,8 @@ class _Emitter:
                 return f"(bool({left}) and bool({right}))"
             if term.op == "||":
                 return f"(bool({left}) or bool({right}))"
+            if term.op in _COMPARISONS:
+                left, right = self.typed(term.left, left, right), self.typed(term.right, right, left)
             if term.op in _INLINE_BINOPS:
                 return f"({left} {term.op} {right})"
             if term.op == "/":
@@ -518,6 +537,16 @@ class _Emitter:
         if isinstance(term, ir.EmptyBag):
             return "[]"
         raise CompilationError(f"cannot evaluate term {term} locally")
+
+    def typed(self, term: ir.Term, text: str, other: str) -> str:
+        """A comparison operand: ``text``, or for an int literal compared
+        with an entry local ``other``, the local typed like the data (see
+        :class:`Segment`)."""
+        sniff = self.sniffs.get(other)
+        value = term.value if isinstance(term, ir.CConst) else None
+        if sniff is None or type(value) is not int or abs(value) >= 2**53:
+            return text
+        return self.literals.setdefault((sniff, value), f"k{len(self.literals)}")
 
     def divide(self, term: ir.CBinOp, left: str, right: str) -> str:
         """``/``, exactly :func:`divide`: plain ``/`` when an operand is a
@@ -672,6 +701,7 @@ class _Emitter:
         elif kind == "bind":
             self.open("for rec in records:")
             self.bind(self.segment.entry[1], "rec")
+            self.sniff(self.segment.entry[1], "records[0]")
         else:
             _, pattern, extra = self.segment.entry
             self.open("for rec in records:")
@@ -702,6 +732,17 @@ class _Emitter:
             self.row[element.name], self.depths[element.name] = "rec", self.depth
         elif isinstance(element, ir.PTuple):
             self.bind(element, "rec")
+        self.sniff(element, "records[0]")
+
+    def sniff(self, pattern: ir.Pattern, path: str, guards: tuple[str, ...] = ()) -> None:
+        """Note the float test of each entry local ``pattern`` bound from
+        ``path`` in ``records[0]``, behind the pattern's own shape tests."""
+        if isinstance(pattern, ir.PVar):
+            self.sniffs[self.row[pattern.name]] = " and ".join((*guards, f"type({path}) is float"))
+        elif isinstance(pattern, ir.PTuple):
+            guard = f"type({path}) is tuple and len({path}) == {len(pattern.elements)}"
+            for position, element in enumerate(pattern.elements):
+                self.sniff(element, f"{path}[{position}]", (*guards, guard))
 
     def payload(self, payload: Any) -> str:
         if payload[0] == "values":
@@ -913,10 +954,25 @@ class _Emitter:
             names = {arg.name for arg in term.children() if isinstance(arg, ir.CVar)}
             self.resolved.update(self.scalars[name] for name in names - self.row.keys())
 
+    def fuses(self, at: int) -> bool:
+        """Whether step ``at`` is a let only the filter right after it reads."""
+        steps = self.segment.steps
+        step, after = steps[at], steps[at + 1] if at + 1 < len(steps) else None
+        return (
+            step[0] == "let"
+            and isinstance(step[1], ir.PVar)
+            and after == ("filter", ir.CVar(step[1].name))
+            and step[1].name not in live(steps[at + 2 :], self.segment.exit)
+        )
+
     def body(self) -> tuple[list[str], list[str], str]:
         """Emit the steps and the exit (see :meth:`leave`)."""
-        for step in self.segment.steps[self.hoisted :]:
-            if step[0] == "let":
+        for at, step in enumerate(self.segment.steps):
+            if at < self.hoisted or (at and self.fuses(at - 1)):
+                continue  # the entry's, or tested by the let before it
+            if self.fuses(at):
+                self.filter(step[2])
+            elif step[0] == "let":
                 self.let(step[1], step[2])
             elif step[0] == "expand":
                 self.expand(step[1], step[2])
@@ -955,6 +1011,7 @@ class _Emitter:
         computed is reused by the other."""
         element, width, depth = self.row[name], max(int(position[1:]) for position in positions), self.depth
         saved = dict(self.row), dict(self.depths), dict(self.computed), set(self.resolved), self.reduced
+        sniffs = dict(self.sniffs)
         start = len(self.lines)
         # The fallback first, so that its locals are the one-branch body's.
         exit_ = self.body()
@@ -962,6 +1019,7 @@ class _Emitter:
         moved = [(line - start, local) for line, local in self.inert if line >= start]
         self.inert = [(line, local) for line, local in self.inert if line < start]
         self.row, self.depths, self.computed, self.resolved, self.reduced = saved
+        self.sniffs = sniffs
         self.depth = depth
         unpacked = {attribute: f"{element}{attribute}" for attribute in positions}
         self.emit(f"if type({element}) is tuple and len({element}) == {width}:")
@@ -999,6 +1057,8 @@ class _Emitter:
             *(f"        {line}" for line in fetch),
             *(["        match = lookup.get", "        last = MISSING"] if probe else []),
         ]
+        for (sniff, c), local in self.literals.items():
+            lines.append(f"        {local} = {float(c)!r} if {sniff} else {c!r}")
         for name, local in self.scalars.items():
             lines += [
                 "        try:",

@@ -24,6 +24,8 @@ _NAN_HASH = 0
 #: (NaN floats aside): :meth:`HashPartitioner.place` and
 #: :func:`_tuple_hash` skip the recursive call for them.
 _BUILTIN_HASHED = frozenset((int, float, bool))
+#: :func:`_tuple_hash`'s first multiplication, for a pair hashed in line.
+_PAIR_SEED = 0x345678 * 1000003
 
 
 def stable_hash(key: Any) -> int:
@@ -121,7 +123,8 @@ class HashPartitioner(Partitioner):
         # among the builtin-hashed types.  Exact tuples and strs skip
         # stable_hash's type tests (subclasses, such as SaltedKey or
         # namedtuples, still go through it); the str branch is stable_hash's
-        # own, so the tuple test costs str keys nothing.
+        # own, so the tuple test costs str keys nothing.  A pair of exact ints
+        # is hashed by _tuple_hash's own formula, unrolled.
         n = self.num_partitions
         for record in records:
             key = record[1][0] if tagged else record[0]
@@ -129,7 +132,11 @@ class HashPartitioner(Partitioner):
             if kind is int or (kind in _BUILTIN_HASHED and key == key):
                 appends[hash(key) % n](record)
             elif kind is tuple:
-                appends[_tuple_hash(key) % n](record)
+                if len(key) == 2 and type(key[0]) is int and type(key[1]) is int:
+                    pair = ((_PAIR_SEED ^ hash(key[0])) & 0xFFFFFFFF) * 1000003 ^ hash(key[1])
+                    appends[((pair & 0xFFFFFFFF) ^ 2) % n](record)
+                else:
+                    appends[_tuple_hash(key) % n](record)
             elif kind is str:
                 appends[zlib.crc32(key.encode("utf-8", "surrogatepass")) % n](record)
             else:

@@ -204,15 +204,20 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
     return out
 
 
-def canonical(value):
+def canonical(value, enclosing=()):
     """Type- and bit-exact form: floats by repr (-0.0, NaN), containers deep,
-    dicts in insertion order."""
+    dicts in insertion order.  A container inside itself (an ``append`` fold
+    of one list object into itself) is ``("cycle", depth)``."""
+    if isinstance(value, (dict, tuple, list)):
+        if id(value) in enclosing:
+            return ("cycle", enclosing.index(id(value)))
+        enclosing = (*enclosing, id(value))
     if isinstance(value, dict):
-        return ("dict", [(canonical(k), canonical(v)) for k, v in value.items()])
+        return ("dict", [(canonical(k, enclosing), canonical(v, enclosing)) for k, v in value.items()])
     if isinstance(value, (tuple, list)):
-        return (type(value).__name__, [canonical(element) for element in value])
+        return (type(value).__name__, [canonical(element, enclosing) for element in value])
     if isinstance(value, codegen.PreAggregated):
-        return ("pre", canonical(value.value))
+        return ("pre", canonical(value.value, enclosing))
     return (type(value).__name__, repr(value))
 
 
@@ -227,12 +232,15 @@ def outcome(run, segment, bindings, records):
 def assert_same(segment, bindings, records, run=generated, against=reference):
     """``run`` must do what ``against`` does, down to the error raised.
 
-    One allowance, for folding exits only: the fold now runs inside the loop,
+    Two allowances.  For folding exits: the fold now runs inside the loop,
     so where a *fold* fails on an early record and a *term* on a later one,
     the fold's error surfaces first.  It must then be the error the two-pass
     form raises on the shortest failing prefix of the records -- for a
     product over a driver bag of left rows, of the (left row, element) pairs
-    its loop folds, in their order.
+    its loop folds, in their order.  For a segment with a comparison literal
+    typed like the data (see :class:`codegen.Segment`): an int literal read
+    as a float fails to compare with a string on the same record, with the
+    same ``TypeError``, whose message names ``float`` where it named ``int``.
     """
     expected = outcome(against, segment, bindings, records)
     actual = outcome(run, segment, bindings, records)
@@ -243,6 +251,13 @@ def assert_same(segment, bindings, records, run=generated, against=reference):
             segment = segment._replace(entry=(*segment.entry[:3], None))  # the same pairs, as cartesian ones
         prefixes = (outcome(against, segment, bindings, records[:n]) for n in range(1, len(records)))
         expected = next((prefix for prefix in prefixes if prefix[0] == "error"), expected)
+    if (
+        actual != expected
+        and expected[:2] == actual[:2] == ("error", "TypeError")
+        and actual[2] == expected[2].replace("'int'", "'float'")
+        and re.search(r"^ +k\d+ = ", codegen.generate(segment, bindings, {}).source, re.M)
+    ):
+        expected = actual
     assert actual == expected
     return expected
 
@@ -412,6 +427,18 @@ fold_records = st.one_of(
     st.lists(st.tuples(fold_key_values, fold_payload_values), max_size=6),
     st.lists(st.one_of(st.tuples(fold_key_values, fold_payload_values), values), max_size=4),
 )
+#: Generators over a bag the row gives (a range, its own value, a pair of
+#: its variables, nothing): the fold runs in their inner loop.
+row_expands = st.deferred(
+    lambda: st.tuples(
+        st.just("expand"),
+        expand_patterns,
+        st.one_of(
+            st.builds(ir.RangeTerm, bounds, bounds),
+            st.sampled_from([ir.CVar("b"), ir.CTuple((ir.CVar("a"), ir.CVar("b"))), ir.EmptyBag()]),
+        ),
+    )
+)
 #: Half the segments have no steps: every record then reaches the fold.
 fold_steps = st.one_of(
     st.just([]),
@@ -424,7 +451,8 @@ fold_steps = st.one_of(
             ]
             * 3
         )
-        | steps,
+        | steps
+        | row_expands,
         max_size=2,
     ),
 )

@@ -100,6 +100,8 @@ keys = st.sampled_from(
 )
 #: The inner loop: each ``(j, w)`` of the driver bag.
 EXPAND = ("expand", ir.PTuple((ir.PVar("j"), ir.PVar("w"))), ir.CVar("bag"))
+#: It, or each element whole as ``j`` (``w`` is then unbound).
+expands = st.sampled_from([EXPAND, ("expand", ir.PVar("j"), ir.CVar("bag"))])
 #: Steps before it, at the outer loop's depth.
 outer_steps = st.lists(
     st.sampled_from([("filter", ir.CBinOp("!=", V, ir.CConst(2))), ("let", ir.PVar("q"), ir.CTuple((V, I)))]),
@@ -151,6 +153,7 @@ def fold_exit(key, payload, fold):
     records=st.lists(outer_rows, min_size=1, max_size=4),
     bag=st.lists(inner_rows, max_size=4),
     outer=outer_steps,
+    expand=expands,
     inner=inner_steps,
     key=keys,
     payload=payloads,
@@ -160,6 +163,7 @@ def fold_exit(key, payload, fold):
     records=[([1], 1)],
     bag=[(1, 1)],
     outer=[],
+    expand=EXPAND,
     inner=[("filter", ir.CConst(False))],
     key=ir.CTuple((I, J)),
     payload=("value", "w"),
@@ -169,14 +173,15 @@ def fold_exit(key, payload, fold):
     records=[({}, 1)],
     bag=[([1], 1)],
     outer=[],
+    expand=EXPAND,
     inner=[],
     key=ir.CTuple((J, I)),
     payload=("value", "w"),
     fold=codegen.fold_operator("+", MONOIDS),
 )
-def test_expand_fold_equals_the_keyed_twin_combined(records, bag, outer, inner, key, payload, fold):
+def test_expand_fold_equals_the_keyed_twin_combined(records, bag, outer, expand, inner, key, payload, fold):
     """An inner loop over a driver bag, the key split or fixed across it."""
-    segment = Segment(("slots", ("i", "v")), (*outer, EXPAND, *inner), fold_exit(key, payload, fold))
+    segment = Segment(("slots", ("i", "v")), (*outer, expand, *inner), fold_exit(key, payload, fold))
     assert_factorised_same(segment, bag, records)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import repro
 from repro.runtime import spill
 from repro.runtime.context import DistributedContext
-from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
+from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, _tuple_hash, stable_hash
 from repro.runtime.stage import SaltedKey
 
 
@@ -284,6 +284,16 @@ _PLACEMENT_EDGES = [
 ]
 
 
+#: Pair elements: small, negative (hash(-1) == -2), about 2**31, past the
+#: Mersenne modulus 2**61 - 1, and big.
+_PAIR_PARTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**31 - 2, 2**31 + 2),
+    st.sampled_from([-1, -2, 2**61 - 2, 2**61 - 1, 2**61, -(2**61), 2**64 + 5, -(10**30)]),
+    st.integers(),
+)
+
+
 class TestBulkPlacement:
     """``place`` reads, places and appends a whole map partition in one
     pass; it must agree with per-key ``stable_hash`` placement bit for bit."""
@@ -301,6 +311,17 @@ class TestBulkPlacement:
         assert expected == [recursive_stable_hash(key) % num_partitions for key in keys]
         assert placed(partitioner, keys, tagged) == expected
         assert [partitioner.partition(key) for key in keys] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        keys=st.lists(st.tuples(_PAIR_PARTS, _PAIR_PARTS), max_size=30),
+        num_partitions=st.one_of(st.integers(min_value=1, max_value=64), st.just(2**31 - 1)),
+        tagged=st.booleans(),
+    )
+    def test_an_int_pair_lands_where_tuple_hash_puts_it(self, keys, num_partitions, tagged):
+        """``place`` hashes an exact pair of exact ints in line."""
+        expected = [_tuple_hash(key) % num_partitions for key in keys]
+        assert placed(HashPartitioner(num_partitions), keys, tagged) == expected
 
     def test_base_class_places_key_by_key(self):
         partitioner = RangePartitioner(3, [10, 20])
