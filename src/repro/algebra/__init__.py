@@ -17,18 +17,17 @@
   term (which joins, which shuffles, which eliminations) for docs and tests.
 """
 
-from repro.algebra.evaluator import TermEvaluator, EvaluationEnvironment
-from repro.algebra.planner import LoopInvariantCache, Planner
-from repro.algebra.runner import ProgramRunner, ProgramResult
-from repro.algebra.explain import explain_plan, explain_term
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "TermEvaluator",
-    "EvaluationEnvironment",
-    "LoopInvariantCache",
-    "Planner",
-    "ProgramRunner",
-    "ProgramResult",
-    "explain_plan",
-    "explain_term",
-]
+_EXPORTS = {
+    "TermEvaluator": "repro.algebra.evaluator",
+    "EvaluationEnvironment": "repro.algebra.evaluator",
+    "LoopInvariantCache": "repro.algebra.planner",
+    "Planner": "repro.algebra.planner",
+    "ProgramRunner": "repro.algebra.runner",
+    "ProgramResult": "repro.algebra.runner",
+    "explain_plan": "repro.algebra.explain",
+    "explain_term": "repro.algebra.explain",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

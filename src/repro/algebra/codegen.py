@@ -17,7 +17,7 @@ the generator is tested against: arithmetic and comparisons are inlined,
 ``&&``/``||`` short-circuit to ``bool``, and everything with layered
 semantics (monoid operators, projections, ``_update_field``, aggregations,
 and ``/`` unless an operand is a float, see :meth:`_Emitter.divide`) calls
-the shared helpers of :mod:`repro.operators` and this module.  A
+the shared helpers of :mod:`repro.runtime.segments`.  A
 comprehension nested in a term becomes a helper function the segment
 defines and calls where the term is evaluated (see :class:`Segment`).  A
 term with no local meaning (an array merge, a group-by inside a nested
@@ -35,8 +35,9 @@ Source text depends on the segment's structure alone, so compiled factories
 are memoised by the :class:`Segment` itself (in a per-program dict); the
 bindings arrive as closure cells.  A generated function closes over data
 only -- its scope, constants, functions and monoids -- never over the
-evaluator.  On the cluster wire it ships by value: helpers are module
-globals here (resolved by reference on the worker) and :class:`SegmentScope`
+evaluator.  Its source runs against :mod:`repro.runtime.segments`, whose
+globals are the helpers it names, so on the cluster wire it ships by value
+and the worker rebuilds it without this module; its :class:`SegmentScope`
 pickles only the scalars the segment reads.
 """
 
@@ -51,11 +52,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 from repro.comprehension import ir
 from repro.comprehension.monoids import _logical_and, _logical_or
 from repro.errors import CompilationError, ExecutionError
-from repro.operators import apply_binary, apply_unary, divide, project_value, update_field  # noqa: F401
-from repro.runtime.dataset import Dataset
-from repro.runtime.stage import FoldedRecords  # noqa: F401
+from repro.runtime import segments
+from repro.runtime.segments import SegmentScope
 
-_SEQUENCE = (tuple, list)
 _COMPARISONS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 _INLINE_BINOPS = _COMPARISONS | {"+", "-", "*", "%"}
 _LITERAL_TYPES = (bool, int, str, type(None))
@@ -66,8 +65,6 @@ _INLINE_COMBINES = {
     "&&": (_logical_and, "(bool({}) and bool({}))"),
     "||": (_logical_or, "(bool({}) or bool({}))"),
 }
-#: "No accumulator yet" in a generated ``fold_by_key`` loop.
-MISSING = object()
 #: The driver binding holding a positional source's partition start offsets.
 OFFSETS = "offsets#"
 
@@ -193,85 +190,6 @@ class Bindings:
     monoids: Any
 
 
-@dataclass
-class PreAggregated:
-    """A lifted variable already reduced by reduceByKey; ``Aggregate`` over it
-    returns the value unchanged."""
-
-    value: Any
-
-
-class ScalarScope:
-    """Driver-level name resolution for a generated function's free names.
-
-    The lowering-time binding snapshot ``base`` first, then ``values``, the
-    live program environment dict.  The runner updates that dict in place,
-    so a plan node cached across loop iterations sees each iteration's
-    scalars.
-    """
-
-    def __init__(self, base: dict[str, Any] | None = None, values: dict[str, Any] | None = None):
-        self.base = base or {}
-        self.values = values if values is not None else {}
-
-    def resolve(self, name: str) -> Any:
-        if name in self.base:
-            return self.base[name]
-        if name in self.values:
-            return self.values[name]
-        raise ExecutionError(f"undefined variable {name!r}")
-
-
-class SegmentScope(ScalarScope):
-    """A :class:`ScalarScope` that ships only the names its segment reads."""
-
-    def __init__(self, base: dict[str, Any], values: dict[str, Any] | None, names: tuple[str, ...]):
-        super().__init__(base, values)
-        self.names = names
-
-    def __reduce__(self) -> tuple:
-        found = {}
-        for name in self.names:
-            try:
-                found[name] = self.resolve(name)
-            except ExecutionError:
-                pass
-        return (SegmentScope, (found, None, self.names))
-
-
-def check_bind(pattern: ir.PTuple, value: Any) -> None:
-    """The shape check of a tuple pattern (shared with ``_bind_pattern``)."""
-    if not isinstance(value, _SEQUENCE) or len(value) != len(pattern.elements):
-        raise ExecutionError(f"cannot bind pattern {pattern} to value {value!r}")
-
-
-def in_range(value: Any, lower: Any, upper: Any) -> bool:
-    return lower <= value <= upper
-
-
-def local_bag(value: Any) -> list[Any]:
-    """A bag term's value as the list a generator ranges over."""
-    if isinstance(value, Dataset):
-        return value.collect()
-    if isinstance(value, dict):
-        return list(value.items())
-    if isinstance(value, (list, tuple, set)):
-        return list(value)
-    return [value]
-
-
-def aggregate(op: Any, operand: Any, monoids: Any, fuse: Any = None) -> Any:
-    """``op/operand``: a :class:`PreAggregated` value is already reduced; a
-    dataset folds inside its tasks (``fuse`` as in ``fold_partitions``), the
-    partials in partition order, so nothing is collected."""
-    if isinstance(operand, PreAggregated):
-        return operand.value
-    monoid = monoids.get(op)
-    if isinstance(operand, Dataset):
-        return monoid.reduce(operand.fold_partitions(monoid.reduce, fuse))
-    return monoid.reduce(local_bag(operand))
-
-
 def fold_operator(op: str | tuple[str, ...], monoids: Any) -> tuple[Any, Any]:
     """The ``(op, inline)`` tail of a folding exit: ``inline`` only when the
     registry's combine for ``op`` *is* the built-in ``+`` / ``*`` / ``&&`` /
@@ -306,13 +224,6 @@ def _tuple_of(parts: Iterable[str]) -> str:
 
 def _mentions(text: str, local: str) -> bool:
     return re.search(rf"\b{re.escape(local)}\b", text) is not None
-
-
-def unresolved(error: NameError, messages: dict[str, str]) -> BaseException:
-    """The ``ExecutionError`` for a scalar or function left unassigned."""
-    match = re.search(r"'(\w+)'", str(error))
-    message = messages.get(match.group(1)) if match else None
-    return ExecutionError(message) if message else error
 
 
 def live(steps: tuple, exit: tuple) -> set[str]:
@@ -1114,7 +1025,7 @@ def generate(segment: Segment, bindings: Bindings, memo: dict[Any, Any]) -> Call
         emitter = _Emitter(segment)
         source = emitter.source()
         namespace: dict[str, Any] = {}
-        exec(compile(source, "<generated segment>", "exec"), globals(), namespace)
+        exec(compile(source, "<generated segment>", "exec"), segments.__dict__, namespace)
         compiled = (
             namespace["__segment_factory__"],
             source,

@@ -74,6 +74,7 @@ from repro.comprehension import ir
 from repro.comprehension.monoids import DEFAULT_MONOIDS, MonoidRegistry
 from repro.errors import CompilationError, ExecutionError
 from repro.functions import DEFAULT_FUNCTIONS, FunctionRegistry
+from repro.runtime import segments
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import Dataset
 from repro.runtime.partitioner import HashPartitioner
@@ -375,7 +376,7 @@ class TermEvaluator:
                 dataset = self._domain_dataset(domain, free, driver)
                 if dataset is None:
                     # The domain is a local (driver) bag.
-                    bag = codegen.local_bag(self.evaluate_local(domain, driver))
+                    bag = segments.local_bag(self.evaluate_local(domain, driver))
                     if not bound.rows and len(bag) == 1:
                         driver.update(_bind_pattern(pattern, bag[0]))
                         bound.shape.append(None)
@@ -793,7 +794,7 @@ class TermEvaluator:
                 self.trace.append(f"{ir.op_text(op)}/ folded inside the generated loop: {twin.label}")
             return twin
 
-        return codegen.aggregate(op, operand, self.env.monoids, fuse)
+        return segments.aggregate(op, operand, self.env.monoids, fuse)
 
     def _local_comprehension(self, comp: ir.Comprehension, bindings: dict[str, Any]) -> list[Any]:
         """Evaluate a comprehension entirely locally (no dataset operations),
@@ -806,7 +807,7 @@ class TermEvaluator:
                 rows = [
                     {**row, **_bind_pattern(qualifier.pattern, element)}
                     for row in rows
-                    for element in codegen.local_bag(self.evaluate_local(qualifier.domain, row))
+                    for element in segments.local_bag(self.evaluate_local(qualifier.domain, row))
                 ]
             elif isinstance(qualifier, ir.LetBinding):
                 rows = [
@@ -840,7 +841,7 @@ def _bind_pattern(pattern: ir.Pattern, value: Any) -> dict[str, Any]:
     if isinstance(pattern, ir.PWildcard):
         return {}
     if isinstance(pattern, ir.PTuple):
-        codegen.check_bind(pattern, value)
+        segments.check_bind(pattern, value)
         bindings: dict[str, Any] = {}
         for sub_pattern, sub_value in zip(pattern.elements, value, strict=False):
             bindings.update(_bind_pattern(sub_pattern, sub_value))

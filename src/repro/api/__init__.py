@@ -40,6 +40,16 @@ compatibility layer over these same pieces.
 
 from __future__ import annotations
 
+# jit before check: jit's import of the runner compiles the code generator,
+# the largest module, before the translator chain; compiled last, it raises
+# the process's peak RSS (see DESIGN.md, "What a worker imports").
+from repro.api.jit import (
+    GLOBAL_COMPILATION_CACHE,
+    JitFunction,
+    cache_clear,
+    cache_info,
+    jit,
+)
 from repro.api.check import check
 from repro.api.config import (
     DiabloConfig,
@@ -47,13 +57,6 @@ from repro.api.config import (
     current_config,
     options,
     reset_config,
-)
-from repro.api.jit import (
-    GLOBAL_COMPILATION_CACHE,
-    JitFunction,
-    cache_clear,
-    cache_info,
-    jit,
 )
 from repro.api.types import (
     ANNOTATION_NAMESPACE,

@@ -24,29 +24,25 @@ counted as such (records, estimated bytes, combiner effectiveness, join
 strategy).
 """
 
-from repro.runtime.context import DistributedContext
-from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD, Dataset
-from repro.runtime.broadcast import Broadcast
-from repro.runtime.metrics import Metrics
-from repro.runtime.partitioner import HashPartitioner, Partitioner, RangePartitioner, stable_hash
-from repro.runtime.spill import BucketPayload, ShuffleStore, SpillRun, SpillSpec
-from repro.runtime.stage import NarrowStage, ShuffleInput, ShuffleStage
+from repro._lazy import lazy_surface
 
-__all__ = [
-    "DistributedContext",
-    "DEFAULT_BROADCAST_JOIN_THRESHOLD",
-    "Dataset",
-    "Broadcast",
-    "Metrics",
-    "NarrowStage",
-    "ShuffleInput",
-    "ShuffleStage",
-    "BucketPayload",
-    "ShuffleStore",
-    "SpillRun",
-    "SpillSpec",
-    "HashPartitioner",
-    "RangePartitioner",
-    "Partitioner",
-    "stable_hash",
-]
+_EXPORTS = {
+    "DistributedContext": "repro.runtime.context",
+    "DEFAULT_BROADCAST_JOIN_THRESHOLD": "repro.runtime.dataset",
+    "Dataset": "repro.runtime.dataset",
+    "Broadcast": "repro.runtime.broadcast",
+    "Metrics": "repro.runtime.metrics",
+    "NarrowStage": "repro.runtime.stage",
+    "ShuffleInput": "repro.runtime.stage",
+    "ShuffleStage": "repro.runtime.stage",
+    "BucketPayload": "repro.runtime.spill",
+    "ShuffleStore": "repro.runtime.spill",
+    "SpillRun": "repro.runtime.spill",
+    "SpillSpec": "repro.runtime.spill",
+    "HashPartitioner": "repro.runtime.partitioner",
+    "RangePartitioner": "repro.runtime.partitioner",
+    "Partitioner": "repro.runtime.partitioner",
+    "stable_hash": "repro.runtime.partitioner",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

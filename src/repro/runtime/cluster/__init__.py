@@ -21,8 +21,12 @@ the driver over TCP sockets:
 
 from __future__ import annotations
 
-from repro.errors import WorkerLostError
-from repro.runtime.cluster.context import ClusterContext
-from repro.runtime.cluster.local import LocalCluster
+from repro._lazy import lazy_surface
 
-__all__ = ["ClusterContext", "LocalCluster", "WorkerLostError"]
+_EXPORTS = {
+    "ClusterContext": "repro.runtime.cluster.context",
+    "LocalCluster": "repro.runtime.cluster.local",
+    "WorkerLostError": "repro.errors",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_surface(__name__, _EXPORTS)

@@ -5,12 +5,14 @@
 without installing the console script) pointed at a driver address.  Each
 worker's stderr goes to its own log file -- the CI equivalence job uploads
 those on failure -- and :meth:`kill` exists so failure-detection tests can
-take a worker down abruptly.
+take a worker down abruptly.  A log directory the cluster made itself is
+removed on :meth:`LocalCluster.close` when every worker exited cleanly.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -38,7 +40,9 @@ class LocalCluster:
 
     Logs land in ``log_dir`` (default: the ``DIABLO_WORKER_LOG_DIR``
     environment variable, else a fresh temporary directory) as
-    ``worker-<index>.log``.
+    ``worker-<index>.log``.  :meth:`close` removes a temporary directory it
+    made when every worker exited with code 0, and keeps it (logs and all)
+    when one failed or was killed; a named directory is never removed.
     """
 
     def __init__(self, num_workers: int, driver_address: str, log_dir: str | None = None):
@@ -46,11 +50,15 @@ class LocalCluster:
             raise ValueError("num_workers must be positive")
         self.driver_address = driver_address
         if log_dir is None:
-            log_dir = os.environ.get("DIABLO_WORKER_LOG_DIR") or tempfile.mkdtemp(
-                prefix="diablo-workers-"
-            )
+            log_dir = os.environ.get("DIABLO_WORKER_LOG_DIR")
+        #: Whether ``log_dir`` is this cluster's own, to remove on a clean close.
+        self._owns_log_dir = not log_dir
+        if not log_dir:
+            log_dir = tempfile.mkdtemp(prefix="diablo-workers-")
         os.makedirs(log_dir, exist_ok=True)
         self.log_dir = log_dir
+        #: Whether every worker closed so far exited with code 0.
+        self._clean_exits = True
         self.processes: list[subprocess.Popen | None] = []
         self._logs: list[IO[bytes]] = []
         environment = _worker_environment()
@@ -103,12 +111,16 @@ class LocalCluster:
                     except subprocess.TimeoutExpired:
                         process.kill()
                         process.wait()
+            self._clean_exits &= process.returncode == 0
         for log in self._logs:
             try:
                 log.close()
             except OSError:  # pragma: no cover - best-effort log flush
                 pass
         self._logs = []
+        if self._owns_log_dir and self._clean_exits:
+            self._owns_log_dir = False
+            shutil.rmtree(self.log_dir, ignore_errors=True)
 
     def __enter__(self) -> "LocalCluster":
         return self

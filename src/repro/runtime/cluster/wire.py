@@ -243,6 +243,11 @@ def _driver_only_kind(obj: Any) -> str | None:
     """The stub label for ``obj`` when it must not cross the wire, else None."""
     global _DRIVER_ONLY
     if not _DRIVER_ONLY:
+        if "repro.runtime.context" not in sys.modules:
+            # Every driver-only object is, or is made by, a DistributedContext:
+            # none exists before its module is imported, and a worker never
+            # imports it.
+            return None
         from repro.runtime.context import DistributedContext
         from repro.runtime.dataset import Dataset
         from repro.runtime.spill import ShuffleStore

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.algebra import codegen
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator
 from repro.algebra.explain import explain_term
 from repro.algebra.runner import ProgramRunner
 from repro.comprehension import ir
 from repro.errors import ExecutionError
+from repro.runtime import segments
 from repro.runtime.context import DistributedContext
 from repro.translate.translator import DiabloCompiler
 
@@ -233,7 +233,7 @@ class TestExplain:
 
 
 class TestLocalBag:
-    """``codegen.local_bag``, the one conversion of a bag value to the list a
+    """``segments.local_bag``, the one conversion of a bag value to the list a
     generator ranges over (driver and generated code alike).  It keeps no
     cache: an id-keyed one used to serve stale bags and pin datasets."""
 
@@ -243,19 +243,19 @@ class TestLocalBag:
 
         dataset = ctx.parallelize([1, 2, 3])
         reference = weakref.ref(dataset)
-        assert codegen.local_bag(dataset) == [1, 2, 3]
+        assert segments.local_bag(dataset) == [1, 2, 3]
         del dataset
         gc.collect()
         assert reference() is None
 
     def test_every_call_reads_its_own_value(self, ctx):
         first, second = ctx.parallelize(["first"]), ctx.parallelize(["second"])
-        assert codegen.local_bag(first) == ["first"]
-        assert codegen.local_bag(second) == ["second"]
-        bag = codegen.local_bag(first)
-        assert codegen.local_bag(first) == bag and codegen.local_bag(first) is not bag
+        assert segments.local_bag(first) == ["first"]
+        assert segments.local_bag(second) == ["second"]
+        bag = segments.local_bag(first)
+        assert segments.local_bag(first) == bag and segments.local_bag(first) is not bag
 
     def test_values_become_lists(self):
-        assert codegen.local_bag({1: "a"}) == [(1, "a")]
-        assert codegen.local_bag((1, 2)) == [1, 2] and codegen.local_bag({3}) == [3]
-        assert codegen.local_bag(7) == [7]
+        assert segments.local_bag({1: "a"}) == [(1, "a")]
+        assert segments.local_bag((1, 2)) == [1, 2] and segments.local_bag({3}) == [3]
+        assert segments.local_bag(7) == [7]

@@ -38,6 +38,7 @@ from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.functions import FunctionRegistry
 from repro.operators import divide
 from repro.programs import PROGRAMS, get_program
+from repro.runtime import segments
 from repro.runtime.cluster import ClusterContext
 from repro.runtime.context import DistributedContext
 from repro.runtime.dataset import DEFAULT_BROADCAST_JOIN_THRESHOLD
@@ -332,7 +333,7 @@ def test_a_float_subclass_falls_through_to_divide(monkeypatch):
         calls.append((left, right))
         return divide(left, right)
 
-    monkeypatch.setattr(codegen, "divide", spy)
+    monkeypatch.setattr(segments, "divide", spy)
     function = _divide_segment(ir.CVar("b"))
     assert function([(Half(3.0), 2), (3.0, 2)]) == [1.5, 1.5]
     assert calls == [(Half(3.0), 2)]  # the plain float divides inline

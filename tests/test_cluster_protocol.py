@@ -251,7 +251,7 @@ class TestWireSerialization:
 
 
 class TestScopeWireSerialization:
-    """A :class:`~repro.algebra.codegen.ScalarScope` carrying the live
+    """A :class:`~repro.runtime.segments.ScalarScope` carrying the live
     program environment -- a driver dict that mutates between forces --
     ships by value (a worker cannot import driver state), so the clone must
     keep resolving names against the snapshot.
@@ -261,7 +261,7 @@ class TestScopeWireSerialization:
         return wire.cluster_loads(wire.cluster_dumps(obj))
 
     def test_shipped_environment_is_a_snapshot_not_a_live_link(self):
-        from repro.algebra.codegen import ScalarScope
+        from repro.runtime.segments import ScalarScope
 
         values = {"threshold": 2}
         scope = ScalarScope(values=values)
@@ -270,13 +270,13 @@ class TestScopeWireSerialization:
         assert clone.resolve("threshold") == 2
 
     def test_scope_classes_ship_by_reference(self):
-        from repro.algebra.codegen import ScalarScope, SegmentScope
+        from repro.runtime.segments import ScalarScope, SegmentScope
 
         assert self.round_trip(ScalarScope) is ScalarScope
         assert self.round_trip(SegmentScope) is SegmentScope
 
     def test_a_segment_scope_ships_only_the_names_its_segment_reads(self):
-        from repro.algebra.codegen import SegmentScope
+        from repro.runtime.segments import SegmentScope
         from repro.errors import ExecutionError
 
         values = {"b": 2, "unread": list(range(1000))}

@@ -11,6 +11,7 @@ import gc
 import os
 import socket
 import sys
+import tempfile
 import threading
 import time
 import types
@@ -518,6 +519,19 @@ class TestTaskRegistry:
         assert _registered_tasks(cluster) == [0, 0]
         assert sorted(source.map(_key_mod5).collect()) == sorted(map(_key_mod5, range(8)))
 
+    def test_a_module_no_worker_can_import_fails_its_wave_and_leaves_nothing(self, cluster):
+        # Workers import modules on first use: one that is missing fails the
+        # wave (here a map-side shuffle over resident input) and nothing more.
+        source = cluster.parallelize(range(8)).materialize()
+        held = _resident(cluster)
+        with pytest.raises(ExecutionError, match="diablo_ghost_module"):
+            source.map(_unloadable_function()).map(_key_mod5).reduce_by_key(_add).collect()
+        assert all(handle.lost is None for handle in cluster._workers)
+        assert _resident(cluster) == held
+        assert _registered_tasks(cluster) == [0, 0]
+        expected = {k: sum(x for x in range(8) if x % 5 == k) for k in range(5)}
+        assert dict(source.map(_key_mod5).reduce_by_key(_add).collect()) == expected
+
     def test_eviction_past_the_cap_frees_registered_tasks(self, monkeypatch):
         monkeypatch.setattr(context_mod, "_TASK_CACHE_CAPACITY", 2)
         with ClusterContext(num_partitions=4, cluster_workers=2) as ctx:
@@ -541,6 +555,44 @@ class TestLocalCluster:
             assert names == ["worker-0.log", "worker-1.log"]
         finally:
             ctx.shutdown()
+
+    @pytest.fixture()
+    def private_tmp(self, tmp_path, monkeypatch):
+        """``tempfile.mkdtemp`` makes its directories under ``tmp_path``."""
+        monkeypatch.delenv("DIABLO_WORKER_LOG_DIR", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_a_clean_close_removes_the_log_dir_it_made(self, private_tmp):
+        with ClusterContext(num_partitions=2, cluster_workers=2) as ctx:
+            assert os.path.dirname(ctx._local_cluster.log_dir) == str(private_tmp)
+            assert sorted(ctx.parallelize(range(4)).collect()) == [0, 1, 2, 3]
+        assert os.listdir(private_tmp) == []
+
+    def test_a_killed_worker_keeps_the_log_dir(self, private_tmp):
+        ctx = ClusterContext(num_partitions=2, cluster_workers=2)
+        log_dir = ctx._local_cluster.log_dir
+        ctx._local_cluster.kill(0)
+        ctx.shutdown()
+        assert sorted(os.listdir(log_dir)) == ["worker-0.log", "worker-1.log"]
+
+    def test_a_named_log_dir_is_kept_after_a_clean_close(self, private_tmp, monkeypatch):
+        from_environment = private_tmp / "from-environment"
+        monkeypatch.setenv("DIABLO_WORKER_LOG_DIR", str(from_environment))
+        with ClusterContext(num_partitions=2, cluster_workers=1) as ctx:
+            assert ctx._local_cluster.log_dir == str(from_environment)
+        assert os.listdir(from_environment) == ["worker-0.log"]
+        # A directory the caller names, with a worker the driver shuts down cleanly.
+        address = f"127.0.0.1:{_free_port()}"
+        local = LocalCluster(1, address, log_dir=str(private_tmp / "named"))
+        worker = local.processes[0]
+        try:
+            with ClusterContext(num_partitions=2, cluster_workers=1, cluster_address=address):
+                pass
+        finally:
+            local.close()
+        assert worker.returncode == 0
+        assert os.listdir(private_tmp / "named") == ["worker-0.log"]
 
     def test_close_is_idempotent(self, tmp_path):
         # The listener's backlog completes the connection, but nothing ever

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro import Diablo
 from repro.algebra import codegen
-from repro.algebra.codegen import ScalarScope, Segment
+from repro.algebra.codegen import Segment
 from repro.algebra.evaluator import EvaluationEnvironment, TermEvaluator, _bind_pattern
 from repro.comprehension import ir
 from repro.comprehension.monoids import Monoid, MonoidRegistry
@@ -42,7 +42,7 @@ from repro.errors import CompilationError, ExecutionError
 from repro.evaluation.harness import diablo_for, translated_outputs
 from repro.functions import FunctionRegistry
 from repro.programs import get_program
-from repro.runtime import stage
+from repro.runtime import segments, stage
 from repro.runtime.cluster import wire
 from repro.runtime.context import DistributedContext
 from repro.runtime.spill import BucketPayload
@@ -94,7 +94,7 @@ def expand_closure(pattern, domain, base, evaluator):
 
     def expand(row):
         local = {**base, **row}
-        bag = codegen.local_bag(evaluator.evaluate_local(domain, local))
+        bag = segments.local_bag(evaluator.evaluate_local(domain, local))
         out = []
         for element in bag:
             binding = _bind_pattern(pattern, element)
@@ -143,7 +143,7 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
         return [bindings.monoids.get(exit_[2]).reduce(heads)]
     evaluator, base = oracle(bindings), bindings.base
     evaluate = evaluator.evaluate_local
-    scope = ScalarScope(base, bindings.values)
+    scope = segments.ScalarScope(base, bindings.values)
     kind = segment.entry[0]
     out = []
 
@@ -191,7 +191,7 @@ def reference(segment: Segment, bindings: codegen.Bindings, records: list) -> li
             key, value = record
             row = _bind_pattern(segment.entry[1], key)
             row[f"__aggregate_{segment.entry[2]}"] = value
-            row[segment.entry[2]] = codegen.PreAggregated(value)
+            row[segment.entry[2]] = segments.PreAggregated(value)
             rows = [row]
         else:
             key, members = record
@@ -216,7 +216,7 @@ def canonical(value, enclosing=()):
         return ("dict", [(canonical(k, enclosing), canonical(v, enclosing)) for k, v in value.items()])
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, [canonical(element, enclosing) for element in value])
-    if isinstance(value, codegen.PreAggregated):
+    if isinstance(value, segments.PreAggregated):
         return ("pre", canonical(value.value, enclosing))
     return (type(value).__name__, repr(value))
 
@@ -246,7 +246,7 @@ def assert_same(segment, bindings, records, run=generated, against=reference):
     actual = outcome(run, segment, bindings, records)
     if actual != expected and expected[0] == "error" and segment.exit[0] in ("fold", "fold_by_key"):
         if segment.entry[0] == "product" and segment.entry[3] is not None:
-            lefts = ScalarScope(bindings.base, bindings.values).resolve(segment.entry[3])
+            lefts = segments.ScalarScope(bindings.base, bindings.values).resolve(segment.entry[3])
             records = [(left, element) for element in records for left in lefts]
             segment = segment._replace(entry=(*segment.entry[:3], None))  # the same pairs, as cartesian ones
         prefixes = (outcome(against, segment, bindings, records[:n]) for n in range(1, len(records)))
